@@ -134,13 +134,122 @@ fn fnv128_name(h: u128, name: &str) -> u128 {
     fnv128_bytes(h, name.as_bytes())
 }
 
-/// A stable digest of an answer's canonical `Debug` rendering (`BTreeSet`
-/// iterates sorted, `LabelTable` iterates in label order), FNV-1a folded to
-/// one `u64` — the same discipline the parallel differential suite uses to
-/// pin bit-for-bit repeatability. Two answers digest equal iff their
-/// canonical forms coincide.
-pub fn debug_digest(value: &impl std::fmt::Debug) -> u64 {
-    fnv_bytes(FNV_OFFSET, format!("{value:?}").as_bytes())
+// ---------------------------------------------------------------------------
+// Answer digests
+// ---------------------------------------------------------------------------
+
+/// A 64-bit FNV-1a fold over an answer's canonical solution, fed the
+/// answer's data directly (no rendering). The byte stream is prefix-free
+/// by construction, in the same discipline as [`ArenaDigests`]:
+///
+/// * the answer opens with its kind's index in [`AnalysisKind::ALL`];
+/// * every `Vec` and every set is prefixed by its length as a `u64` LE;
+/// * every [`Label`] is its index as a `u32` LE;
+/// * every [`AbsClo`], [`AbsKont`] and [`Flat`] is a one-byte tag plus a
+///   fixed-width payload. Closure tags (0–2) and continuation tags (3–4)
+///   are disjoint, so a [`CpsFlow`] is just its inner value's encoding;
+/// * a [`MatchedReturn`] is its four labels.
+///
+/// Every field is fixed-width once its length is known, so no two
+/// distinct solutions fold the same bytes. Widths and byte order are
+/// spelled out (never `usize` or native endianness, as `std::hash::Hash`
+/// would leak), and labels are program-local indices, so the digest is
+/// the same on every platform and in every process.
+struct AnswerDigest(u64);
+
+impl AnswerDigest {
+    fn new(kind: AnalysisKind) -> AnswerDigest {
+        AnswerDigest(fnv_bytes(FNV_OFFSET, &[kind.tag()]))
+    }
+
+    #[inline]
+    fn tag(&mut self, t: u8) {
+        self.0 = fnv_bytes(self.0, &[t]);
+    }
+
+    #[inline]
+    fn count(&mut self, n: usize) {
+        self.0 = fnv_bytes(self.0, &(n as u64).to_le_bytes());
+    }
+
+    #[inline]
+    fn label(&mut self, l: Label) {
+        self.0 = fnv_bytes(self.0, &l.index().to_le_bytes());
+    }
+
+    #[inline]
+    fn clo(&mut self, c: AbsClo) {
+        match c {
+            AbsClo::Inc => self.tag(0),
+            AbsClo::Dec => self.tag(1),
+            AbsClo::Lam(l) => {
+                self.tag(2);
+                self.label(l);
+            }
+        }
+    }
+
+    #[inline]
+    fn kont(&mut self, k: AbsKont) {
+        match k {
+            AbsKont::Stop => self.tag(3),
+            AbsKont::Co(l) => {
+                self.tag(4);
+                self.label(l);
+            }
+        }
+    }
+
+    #[inline]
+    fn flow(&mut self, f: CpsFlow) {
+        match f {
+            CpsFlow::Clo(c) => self.clo(c),
+            CpsFlow::Kont(k) => self.kont(k),
+        }
+    }
+
+    fn flat(&mut self, v: Flat) {
+        match v {
+            Flat::Bot => self.tag(0),
+            Flat::Const(n) => {
+                self.tag(1);
+                self.0 = fnv_bytes(self.0, &n.to_le_bytes());
+            }
+            Flat::Top => self.tag(2),
+        }
+    }
+
+    fn set<T: Copy>(&mut self, set: &BTreeSet<T>, elem: impl Fn(&mut Self, T)) {
+        self.count(set.len());
+        for &v in set {
+            elem(self, v);
+        }
+    }
+
+    fn sets<T: Copy>(&mut self, sets: &[BTreeSet<T>], elem: impl Fn(&mut Self, T)) {
+        self.count(sets.len());
+        for set in sets {
+            self.set(set, &elem);
+        }
+    }
+
+    fn table<T: Copy>(&mut self, table: &[(Label, BTreeSet<T>)], elem: impl Fn(&mut Self, T)) {
+        self.count(table.len());
+        for (l, set) in table {
+            self.label(*l);
+            self.set(set, &elem);
+        }
+    }
+
+    fn matched(&mut self, matched: &[MatchedReturn]) {
+        self.count(matched.len());
+        for m in matched {
+            self.label(m.ret_site);
+            self.label(m.callee);
+            self.label(m.call_site);
+            self.label(m.cont);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -279,6 +388,15 @@ impl AnalysisKind {
         }
     }
 
+    /// This kind's position in [`AnalysisKind::ALL`]: the one-byte tag
+    /// that opens both a persisted entry and an answer digest.
+    fn tag(self) -> u8 {
+        AnalysisKind::ALL
+            .iter()
+            .position(|k| *k == self)
+            .expect("kind in ALL") as u8
+    }
+
     /// The finest (full-precision) rung of this kind's canonical ladder —
     /// the rung name cold lookups address.
     pub fn full_rung(self) -> &'static str {
@@ -400,9 +518,14 @@ impl SendCfa {
     /// Digest of the *solution* alone. `iterations` is excluded on
     /// purpose: it is a work counter, and under `Par(k)` work stealing it
     /// varies run to run on a loaded host even though the solution is
-    /// bit-identical — two equal answers must digest equal.
+    /// bit-identical — two equal answers must digest equal. The encoding
+    /// is `AnswerDigest`'s.
     pub fn solution_digest(&self) -> u64 {
-        debug_digest(&(&self.vars, &self.terms, &self.calls))
+        let mut h = AnswerDigest::new(AnalysisKind::CfaSrc);
+        h.sets(&self.vars, AnswerDigest::clo);
+        h.table(&self.terms, AnswerDigest::clo);
+        h.table(&self.calls, AnswerDigest::clo);
+        h.0
     }
 }
 
@@ -449,7 +572,11 @@ impl SendCpsCfa {
     /// Digest of the *solution* alone, excluding the schedule-dependent
     /// `iterations` counter — see [`SendCfa::solution_digest`].
     pub fn solution_digest(&self) -> u64 {
-        debug_digest(&(&self.vars, &self.returns, &self.calls))
+        let mut h = AnswerDigest::new(AnalysisKind::CfaCps);
+        h.sets(&self.vars, AnswerDigest::flow);
+        h.table(&self.returns, AnswerDigest::kont);
+        h.table(&self.calls, AnswerDigest::clo);
+        h.0
     }
 }
 
@@ -508,7 +635,12 @@ impl SendPushdown {
     /// [`SendCfa::solution_digest`]. The matched-return witnesses are part
     /// of the solution (they are what distinguishes this rung).
     pub fn solution_digest(&self) -> u64 {
-        debug_digest(&(&self.vars, &self.returns, &self.calls, &self.matched))
+        let mut h = AnswerDigest::new(AnalysisKind::CfaPushdown);
+        h.sets(&self.vars, AnswerDigest::flow);
+        h.table(&self.returns, AnswerDigest::kont);
+        h.table(&self.calls, AnswerDigest::clo);
+        h.matched(&self.matched);
+        h.0
     }
 }
 
@@ -562,15 +694,24 @@ impl CachedAnswer {
 
     /// Canonical-form digest of the *solution* — what service responses
     /// carry so clients can assert bit-identity without shipping stores.
-    /// Work counters are excluded: under `Par(k)` work stealing,
-    /// `iterations` varies run to run while the solution does not, and
-    /// equal answers must digest equal.
+    /// Folded straight from the data (`AnswerDigest`), so it costs a
+    /// pass over the sets, not a rendering of them. Work counters are
+    /// excluded: under `Par(k)` work stealing, `iterations` varies run to
+    /// run while the solution does not, and equal answers must digest
+    /// equal.
     pub fn digest(&self) -> u64 {
         match self {
             CachedAnswer::CfaSrc(r) => r.solution_digest(),
             CachedAnswer::CfaCps(r) => r.solution_digest(),
             CachedAnswer::CfaPushdown(r) => r.solution_digest(),
-            CachedAnswer::MfpFlat(s) => debug_digest(s),
+            CachedAnswer::MfpFlat(s) => {
+                let mut h = AnswerDigest::new(AnalysisKind::MfpFlat);
+                h.count(s.vars.len());
+                for &v in &s.vars {
+                    h.flat(v);
+                }
+                h.0
+            }
         }
     }
 }
@@ -846,7 +987,12 @@ impl FixpointCache {
     /// ceiling or the key is already resident (first writer wins — two
     /// racing solves of the same program commit identical answers anyway,
     /// and keeping the first preserves its LRU position).
-    pub fn insert(&mut self, key: CacheKey, value: CachedFixpoint) -> bool {
+    ///
+    /// An `Arc` is committed as-is, so a caller that is already serving
+    /// the fixpoint shares it with the cache instead of copying its sets;
+    /// a bare [`CachedFixpoint`] is wrapped.
+    pub fn insert(&mut self, key: CacheKey, value: impl Into<Arc<CachedFixpoint>>) -> bool {
+        let value = value.into();
         let cost = value.approx_bytes;
         if cost > self.ceiling_bytes || self.entries.contains_key(&key) {
             self.stats.rejects += 1;
@@ -863,7 +1009,7 @@ impl FixpointCache {
         self.entries.insert(
             key,
             Entry {
-                value: Arc::new(value),
+                value,
                 last_used: self.tick,
             },
         );
@@ -1116,6 +1262,114 @@ mod tests {
         let fixpoint =
             |m: SendCfa| CachedFixpoint::new(CachedAnswer::CfaSrc(m), DegradationReport::default());
         assert_eq!(fixpoint(a).answer_digest, fixpoint(b).answer_digest);
+    }
+
+    /// One tiny answer per analysis kind, in [`AnalysisKind::ALL`] order.
+    fn tiny_answers() -> [CachedAnswer; 4] {
+        let p = AnfProgram::parse("(let (f (lambda (x) x)) (let (a (f 1)) (f a)))").unwrap();
+        let cps = cpsdfa_cps::CpsProgram::from_anf(&p);
+        let q = AnfProgram::parse("(let (c (if0 0 1 2)) (add1 c))").unwrap();
+        let cfg = crate::mfp::Cfg::from_first_order(&q).unwrap();
+        [
+            CachedAnswer::CfaSrc(SendCfa::from_result(&zero_cfa(&p).unwrap())),
+            CachedAnswer::CfaCps(SendCpsCfa::from_result(
+                &crate::cfa::zero_cfa_cps(&cps).unwrap(),
+            )),
+            CachedAnswer::CfaPushdown(SendPushdown::from_result(
+                &crate::pushdown::pushdown_cfa(&cps).unwrap(),
+            )),
+            CachedAnswer::MfpFlat(cfg.solve_mfp::<Flat>(cfg.initial_env(&q)).unwrap()),
+        ]
+    }
+
+    #[test]
+    fn answer_digests_are_pinned() {
+        // Interning unrelated names first shifts every symbol index the
+        // programs below receive, so a digest that leaked interner state
+        // (rather than program-local labels) would move. The pinned values
+        // also fail on any change to the encoding, which would silently
+        // change every `answer_digest` on the wire.
+        for i in 0..257 {
+            cpsdfa_syntax::Ident::new(format!("unrelated_{i}"));
+        }
+        let digests: Vec<String> = tiny_answers()
+            .iter()
+            .map(|a| format!("{:016x}", a.digest()))
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                "e9ef9741a6ca8bd7", // cfa.src
+                "3453efd11f809a40", // cfa.cps
+                "e4903c7375a5f7a7", // cfa.pushdown
+                "c7fbb6cd1e28ccfc", // mfp.flat
+            ]
+        );
+    }
+
+    #[test]
+    fn answer_digest_framing_is_prefix_free() {
+        // Moving an element across a set boundary, or a set across a
+        // table boundary, keeps the flat element sequence but changes the
+        // length prefixes, so the digests differ.
+        let l = Label::new;
+        let cfa = |vars: Vec<BTreeSet<AbsClo>>, terms| {
+            CachedAnswer::CfaSrc(SendCfa {
+                vars,
+                terms,
+                calls: Vec::new(),
+                iterations: 0,
+            })
+            .digest()
+        };
+        let one = BTreeSet::from([AbsClo::Lam(l(1))]);
+        assert_ne!(
+            cfa(vec![one.clone(), BTreeSet::new()], Vec::new()),
+            cfa(vec![BTreeSet::new(), one.clone()], Vec::new())
+        );
+        assert_ne!(
+            cfa(vec![one.clone()], Vec::new()),
+            cfa(Vec::new(), vec![(l(1), BTreeSet::new())])
+        );
+        // Kinds never collide, even on the empty solution.
+        let empty: Vec<u64> = AnalysisKind::ALL
+            .iter()
+            .map(|k| match k {
+                AnalysisKind::CfaSrc => cfa(Vec::new(), Vec::new()),
+                AnalysisKind::CfaCps => CachedAnswer::CfaCps(SendCpsCfa {
+                    vars: Vec::new(),
+                    returns: Vec::new(),
+                    calls: Vec::new(),
+                    iterations: 0,
+                })
+                .digest(),
+                AnalysisKind::CfaPushdown => CachedAnswer::CfaPushdown(SendPushdown {
+                    vars: Vec::new(),
+                    returns: Vec::new(),
+                    calls: Vec::new(),
+                    matched: Vec::new(),
+                    summaries: 0,
+                    iterations: 0,
+                })
+                .digest(),
+                AnalysisKind::MfpFlat => {
+                    CachedAnswer::MfpFlat(DfSummary { vars: Vec::new() }).digest()
+                }
+            })
+            .collect();
+        let distinct: BTreeSet<u64> = empty.iter().copied().collect();
+        assert_eq!(distinct.len(), empty.len());
+    }
+
+    #[test]
+    fn insert_commits_the_served_arc() {
+        let [answer, ..] = tiny_answers();
+        let served = Arc::new(CachedFixpoint::new(answer, DegradationReport::default()));
+        let mut cache = FixpointCache::new(u64::MAX);
+        let key = CacheKey::full(AnalysisKind::CfaSrc, SolverMode::Seq, 5);
+        assert!(cache.insert(key, Arc::clone(&served)));
+        assert!(Arc::ptr_eq(&cache.lookup(&key).unwrap(), &served));
+        assert_eq!(cache.resident_bytes(), served.approx_bytes);
     }
 
     #[test]

@@ -228,12 +228,7 @@ fn put_answer(out: &mut Vec<u8>, answer: &CachedAnswer) {
 
 fn encode_entry_payload(key: &CacheKey, source: &str, fixpoint: &CachedFixpoint) -> Vec<u8> {
     let mut out = Vec::with_capacity(source.len() + 256);
-    out.push(
-        AnalysisKind::ALL
-            .iter()
-            .position(|k| *k == key.kind)
-            .expect("kind in ALL") as u8,
-    );
+    out.push(key.kind.tag());
     put_u64(&mut out, key.shards as u64);
     put_u128(&mut out, key.digest);
     put_str(&mut out, key.rung);
@@ -805,7 +800,6 @@ impl PersistDir {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::debug_digest;
     use crate::cfa::{zero_cfa, zero_cfa_cps};
     use crate::mfp::Cfg;
     use crate::solver::SolverMode;
@@ -813,11 +807,7 @@ mod tests {
     use cpsdfa_cps::CpsProgram;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cpsdfa-persist-{tag}-{}-{:x}",
-            std::process::id(),
-            debug_digest(&tag)
-        ));
+        let dir = std::env::temp_dir().join(format!("cpsdfa-persist-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

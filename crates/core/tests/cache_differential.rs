@@ -8,6 +8,8 @@
 //!    committing a solution into the cache and reading it back yields a
 //!    result that is `same_solution`-equal to a second fresh solve, with
 //!    an identical canonical digest — on a 300-program random corpus.
+//!    Hit, fresh and warm-started answers of all four analyses carry the
+//!    same answer digest, and it does not move with the engine.
 //! 2. **Content addressing.** The same program parsed into *different*
 //!    arenas (different processes, different workers) produces the same
 //!    cache key, so cross-worker reuse is sound; different programs
@@ -19,19 +21,24 @@
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::budget::AnalysisBudget;
 use cpsdfa_core::cache::{
-    debug_digest, AnalysisKind, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint,
-    FixpointCache, SendCfa, SendCpsCfa,
+    AnalysisKind, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint, FixpointCache, SendCfa,
+    SendCpsCfa, SendPushdown,
 };
 use cpsdfa_core::cfa::{zero_cfa_cps_guarded_mode, zero_cfa_guarded_mode};
 use cpsdfa_core::domain::Flat;
 use cpsdfa_core::govern::{
     governed_pushdown_cfa, governed_zero_cfa_cps, DegradationReport, GovernPolicy, RunGuard,
 };
+use cpsdfa_core::incremental::{
+    pushdown_cfa_warm, solve_mfp_incremental, zero_cfa_cps_warm, zero_cfa_warm, WarmSolve,
+};
 use cpsdfa_core::mfp::Cfg;
+use cpsdfa_core::pushdown::pushdown_cfa_guarded_mode;
 use cpsdfa_core::trace::NoopSink;
 use cpsdfa_core::SolverMode;
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_syntax::arena::TermArena;
+use cpsdfa_syntax::build::{let_, num};
 use cpsdfa_workloads::families;
 use cpsdfa_workloads::par::{par_map_isolated, ParOutcome};
 use cpsdfa_workloads::random::{corpus, open_config};
@@ -147,6 +154,10 @@ fn mfp_cache_hits_equal_fresh_solves_across_modes() {
         let cfg = Cfg::from_first_order(&p)
             .unwrap_or_else(|e| panic!("{name} should lower to a CFG: {e}"));
         let init = cfg.initial_env::<Flat>(&p);
+        // MFP's warm rung is the α-renaming transport; an identity edit (a
+        // re-parse of the same text) exercises it.
+        let reparsed = AnfProgram::parse(&text).expect("round-trip parses");
+        let mut seq_digest = None;
         for mode in [SolverMode::Seq, SolverMode::Par(2), SolverMode::Par(4)] {
             let solve = || {
                 let guard = RunGuard::new(AnalysisBudget::default());
@@ -166,7 +177,117 @@ fn mfp_cache_hits_equal_fresh_solves_across_modes() {
             };
             let fresh = solve();
             assert_eq!(summary, &fresh, "MFP hit diverged on {name} under {mode:?}");
-            assert_eq!(hit.answer_digest, debug_digest(&fresh));
+            let (warm, _) =
+                solve_mfp_incremental(&p, &fresh, &reparsed).expect("identity edit transports");
+            let d = hit.answer_digest;
+            assert_eq!(d, CachedAnswer::MfpFlat(fresh).digest());
+            assert_eq!(d, CachedAnswer::MfpFlat(warm).digest(), "MFP warm ≠ hit");
+            assert_eq!(
+                *seq_digest.get_or_insert(d),
+                d,
+                "MFP digest moved with {mode:?}"
+            );
+        }
+    }
+}
+
+/// Commits `fresh` under `key` and returns the digest the cache serves.
+fn hit_digest(key: CacheKey, fresh: CachedAnswer) -> u64 {
+    let mut cache = FixpointCache::new(u64::MAX);
+    assert!(cache.insert(
+        key,
+        CachedFixpoint::new(fresh, DegradationReport::default())
+    ));
+    cache.lookup(&key).expect("entry resident").answer_digest
+}
+
+fn warm<R: std::fmt::Debug>(name: &str, solve: WarmSolve<R>) -> R {
+    match solve {
+        WarmSolve::Warm(r, _) => r,
+        WarmSolve::Cold(reason) => panic!("{name}: pure insertion fell cold: {reason:?}"),
+    }
+}
+
+#[test]
+fn hit_fresh_and_warm_answers_digest_equal_across_modes() {
+    // The watch-session edit shape: a fresh top-level binding, a pure
+    // insertion every warm rung bridges. For each engine, the answer a
+    // fresh solve of the edited program gives, the one the cache serves
+    // after committing it, and the one warm-started from that engine's
+    // solve of the base program must all carry the same digest — and
+    // that digest must not depend on the engine.
+    for (name, base) in [
+        ("dispatch(12)", families::dispatch(12)),
+        ("repeated_calls(16)", families::repeated_calls(16)),
+    ] {
+        let edited = let_("fresh", num(7), base.clone());
+        let (old_p, new_p) = (AnfProgram::from_term(&base), AnfProgram::from_term(&edited));
+        let (old_c, new_c) = (CpsProgram::from_anf(&old_p), CpsProgram::from_anf(&new_p));
+        let digest = digest_in_fresh_arena(&edited.to_string());
+        let mut seq_digests = None;
+        for mode in [SolverMode::Seq, SolverMode::Par(2), SolverMode::Par(4)] {
+            let guard = || RunGuard::new(AnalysisBudget::default());
+            let src = |p| {
+                zero_cfa_guarded_mode(p, mode, &guard(), &mut NoopSink)
+                    .unwrap()
+                    .0
+            };
+            let cps = |c| {
+                zero_cfa_cps_guarded_mode(c, mode, &guard(), &mut NoopSink)
+                    .unwrap()
+                    .0
+            };
+            let pd = |c| {
+                pushdown_cfa_guarded_mode(c, mode, &guard(), &mut NoopSink)
+                    .unwrap()
+                    .0
+            };
+
+            let triples = [
+                (
+                    AnalysisKind::CfaSrc,
+                    CachedAnswer::CfaSrc(SendCfa::from_result(&src(&new_p))),
+                    CachedAnswer::CfaSrc(SendCfa::from_result(&warm(
+                        name,
+                        zero_cfa_warm(&old_p, &src(&old_p), &new_p).unwrap(),
+                    ))),
+                ),
+                (
+                    AnalysisKind::CfaCps,
+                    CachedAnswer::CfaCps(SendCpsCfa::from_result(&cps(&new_c))),
+                    CachedAnswer::CfaCps(SendCpsCfa::from_result(&warm(
+                        name,
+                        zero_cfa_cps_warm(&old_c, &cps(&old_c), &new_c).unwrap(),
+                    ))),
+                ),
+                (
+                    AnalysisKind::CfaPushdown,
+                    CachedAnswer::CfaPushdown(SendPushdown::from_result(&pd(&new_c))),
+                    CachedAnswer::CfaPushdown(SendPushdown::from_result(&warm(
+                        name,
+                        pushdown_cfa_warm(&old_c, &pd(&old_c), &new_c).unwrap(),
+                    ))),
+                ),
+            ];
+            let digests: Vec<u64> = triples
+                .into_iter()
+                .map(|(kind, fresh, warm)| {
+                    let d = fresh.digest();
+                    assert_eq!(
+                        warm.digest(),
+                        d,
+                        "{name}: {kind:?} warm ≠ fresh under {mode:?}"
+                    );
+                    let hit = hit_digest(CacheKey::full(kind, mode, digest), fresh);
+                    assert_eq!(hit, d, "{name}: {kind:?} hit ≠ fresh under {mode:?}");
+                    d
+                })
+                .collect();
+            assert_eq!(
+                *seq_digests.get_or_insert_with(|| digests.clone()),
+                digests,
+                "{name}: digests moved with the engine ({mode:?})"
+            );
         }
     }
 }

@@ -17,6 +17,9 @@
 //!    fixpoints one element at a time — an added flow value, a removed
 //!    flow value, a dropped call edge — and every mutation must refute
 //!    for all three 0CFA analyses while the originals keep certifying.
+//!    Every mutation must also change the answer digest, so a client
+//!    comparing digests can never mistake the corrupted answer for the
+//!    original.
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::budget::AnalysisBudget;
@@ -312,7 +315,7 @@ proptest! {
 
     /// Random corpus slot, random mutation kind: the original fixpoint of
     /// every 0CFA analysis certifies, and the single-element mutation of
-    /// it never does.
+    /// it never does — and it never keeps the original's answer digest.
     #[test]
     fn prop_single_element_mutations_are_refuted(
         slot in 0usize..24,
@@ -333,6 +336,11 @@ proptest! {
                 certify_cfa_src(&p, &m).is_err(),
                 "mutated src answer (kind {mutation}) must refute"
             );
+            prop_assert!(
+                CachedAnswer::CfaSrc(SendCfa::from_result(&m)).digest()
+                    != CachedAnswer::CfaSrc(SendCfa::from_result(&src)).digest(),
+                "mutated src answer (kind {mutation}) must change the answer digest"
+            );
         }
 
         let cps = CpsProgram::from_anf(&p);
@@ -348,6 +356,11 @@ proptest! {
                 certify_cfa_cps(&cps, &m).is_err(),
                 "mutated cps answer (kind {mutation}) must refute"
             );
+            prop_assert!(
+                CachedAnswer::CfaCps(SendCpsCfa::from_result(&m)).digest()
+                    != CachedAnswer::CfaCps(SendCpsCfa::from_result(&cps_r)).digest(),
+                "mutated cps answer (kind {mutation}) must change the answer digest"
+            );
         }
 
         let pd = pushdown_cfa(&cps).expect("pushdown completes");
@@ -361,6 +374,11 @@ proptest! {
             prop_assert!(
                 certify_pushdown(&cps, &m).is_err(),
                 "mutated pushdown answer (kind {mutation}) must refute"
+            );
+            prop_assert!(
+                CachedAnswer::CfaPushdown(SendPushdown::from_result(&m)).digest()
+                    != CachedAnswer::CfaPushdown(SendPushdown::from_result(&pd)).digest(),
+                "mutated pushdown answer (kind {mutation}) must change the answer digest"
             );
         }
     }

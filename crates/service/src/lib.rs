@@ -46,7 +46,11 @@
 //! use cpsdfa_service::{AnalysisService, ServiceConfig};
 //! use cpsdfa_service::proto::{Served, Status};
 //!
-//! let service = AnalysisService::new(ServiceConfig::default());
+//! // One worker: with several, both requests could miss concurrently.
+//! let service = AnalysisService::new(ServiceConfig {
+//!     workers: 1,
+//!     ..ServiceConfig::default()
+//! });
 //! let batch = [
 //!     r#"{"id": 1, "analysis": "cfa.cps", "program": "(let (f (lambda (x) x)) (f 1))"}"#,
 //!     r#"{"id": 2, "analysis": "cfa.cps", "program": "(let (f (lambda (x) x)) (f 1))"}"#,
@@ -549,16 +553,17 @@ impl AnalysisService {
                 residual_budget: req.budget.saturating_sub(charged),
                 elapsed_ns: start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             };
-            let fixpoint = std::sync::Arc::new(CachedFixpoint::new(answer, report));
+            let fixpoint = Arc::new(CachedFixpoint::new(answer, report));
             // The warm answer is bit-identical to a cold solve (the
             // incremental cascade's tested invariant), so it commits under
             // the very key a fresh solve of the edited program would have
             // used — and spills to disk under it, so a restarted daemon
-            // recovers it.
+            // recovers it. The cache shares the served `Arc`; nothing is
+            // copied.
             self.cache
                 .lock()
                 .expect("cache poisoned")
-                .insert(full_key, (*fixpoint).clone());
+                .insert(full_key, Arc::clone(&fixpoint));
             self.spill(&full_key, &req.program, &fixpoint);
             self.note_session(session, req, digest, &fixpoint);
             let resp = finish(Status::Ok {
@@ -680,7 +685,7 @@ impl AnalysisService {
         }
         let rung = report.answered_by().unwrap_or(req.kind.full_rung());
         let charged: u64 = report.attempts.iter().map(|a| a.charged).sum();
-        let fixpoint = std::sync::Arc::new(CachedFixpoint::new(answer, report));
+        let fixpoint = Arc::new(CachedFixpoint::new(answer, report));
         if self.config.cache_enabled {
             // Commit under the rung that actually answered: an undegraded
             // answer lands on the full-precision key future lookups probe;
@@ -690,7 +695,7 @@ impl AnalysisService {
             self.cache
                 .lock()
                 .expect("cache poisoned")
-                .insert(commit_key, (*fixpoint).clone());
+                .insert(commit_key, Arc::clone(&fixpoint));
             self.spill(&commit_key, &req.program, &fixpoint);
             if let Some(session) = req.session {
                 self.note_session(session, req, digest, &fixpoint);

@@ -9,7 +9,9 @@ use cpsdfa_core::trace::AggSink;
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_service::proto::{Response, Served, Status};
 use cpsdfa_service::{AnalysisService, ServiceConfig};
+use cpsdfa_syntax::build::{let_, num};
 use cpsdfa_workloads::families;
+use std::sync::Arc;
 
 /// One worker: batches execute in request order, so miss-then-hit
 /// expectations are deterministic. (The serve-loop test runs a real
@@ -77,6 +79,52 @@ fn warm_repeat_hits_bit_identically_for_all_three_analyses() {
     assert_eq!(stats.hits, 3);
     assert_eq!(stats.misses, 3);
     assert_eq!(stats.inserts, 3);
+}
+
+#[test]
+fn the_cache_holds_the_served_fixpoint_not_a_copy() {
+    // A miss and a warm answer each commit the very `Arc` they were
+    // served from, so the next hit on the same key hands back that
+    // pointer, not an equal deep copy.
+    let service = AnalysisService::new(small_config());
+    let program = families::dispatch(8).to_string();
+    let base = families::repeated_calls(8);
+    let edited = let_("extra", num(7), base.clone());
+    let lines = [
+        request(1, "cfa.cps", &program),
+        request(2, "cfa.cps", &program),
+        format!(
+            r#"{{"id": 3, "session": 9, "analysis": "cfa.src", "program": "{}"}}"#,
+            base
+        ),
+        format!(
+            r#"{{"id": 4, "session": 9, "analysis": "cfa.src", "program": "{}"}}"#,
+            edited
+        ),
+        request(5, "cfa.src", &edited.to_string()),
+    ];
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let outcomes = service.run_batch(&refs);
+    let served: Vec<&Served> = outcomes.iter().map(|o| ok_fields(&o.response).0).collect();
+    assert_eq!(
+        served,
+        [
+            &Served::Miss,
+            &Served::Hit,
+            &Served::Miss,
+            &Served::Warm,
+            &Served::Hit
+        ]
+    );
+    let fixpoint = |i: usize| outcomes[i].fixpoint.as_ref().expect("answered");
+    assert!(
+        Arc::ptr_eq(fixpoint(0), fixpoint(1)),
+        "a hit must serve the Arc the miss committed"
+    );
+    assert!(
+        Arc::ptr_eq(fixpoint(3), fixpoint(4)),
+        "a re-probe must serve the Arc the warm answer committed"
+    );
 }
 
 #[test]
