@@ -14,7 +14,7 @@
 //! run. `--regen-e16 <path>` reads such a file back and reprints the E16
 //! table from the recorded events alone — no re-measurement. `--test`
 //! shrinks the measurement grids (used by the CI fault-injection and
-//! bench-smoke jobs to exercise E18/E19 quickly).
+//! bench-smoke jobs to exercise E18 quickly).
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_bench::{run_goals, Analyzer};
@@ -22,14 +22,11 @@ use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps};
 use cpsdfa_core::deltae::{compare_via_delta, overall};
 use cpsdfa_core::distrib;
 use cpsdfa_core::domain::{AnyNum, Flat, Interval, NumDomain, Parity, PowerSet, Sign};
-use cpsdfa_core::govern::RunGuard;
 use cpsdfa_core::mfp::{Cfg, Cond, Node, NodeId, PathMode, Stmt};
 use cpsdfa_core::precision::{compare_stores, Census};
 use cpsdfa_core::report::render_table;
 use cpsdfa_core::trace::{self, AggSink, JsonlSink, NoopSink, TraceSink};
-use cpsdfa_core::{
-    AnalysisBudget, DirectAnalyzer, SemCpsAnalyzer, SolverMode, SolverStats, SynCpsAnalyzer,
-};
+use cpsdfa_core::{AnalysisBudget, DirectAnalyzer, SemCpsAnalyzer, SolverStats, SynCpsAnalyzer};
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_interp::{
     run_direct, run_semcps, run_syncps, stores_delta_related, value_delta_eq, Fuel,
@@ -149,9 +146,6 @@ fn main() {
     if want("E18") {
         trace::with_span(sink, "e18", |sink| e18_degradation(sink, test_mode));
     }
-    if want("E19") {
-        trace::with_span(sink, "e19", |sink| e19_par_scaling(sink, test_mode));
-    }
     if want("E20") {
         trace::with_span(sink, "e20", |sink| e20_service(sink, test_mode));
     }
@@ -167,9 +161,8 @@ fn main() {
 }
 
 /// The hardware thread count the host actually has — recorded next to
-/// every parallel-engine measurement so a reader can tell a true scaling
-/// number from one taken on an oversubscribed machine (Par(K) with K
-/// above this is measuring scheduling overhead, not the engine).
+/// every wall-clock measurement so runs on different hosts stay
+/// comparable.
 fn hw_threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -1169,27 +1162,6 @@ fn paired_median_ms<A, B>(
     )
 }
 
-/// Single-column analogue of [`paired_median_ms`], for runs whose
-/// comparison baseline was already measured in the same sampling session
-/// (the E16 `par-delta` column rides next to an existing sparse/dense
-/// pair): same adaptive sampling floor, same median.
-fn median_ms<R>(min_reps: usize, mut run: impl FnMut() -> R) -> (f64, R) {
-    const TARGET_MS: f64 = 2.0;
-    const MAX_REPS: usize = 301;
-    let mut samples = Vec::with_capacity(min_reps);
-    let mut last = None;
-    let mut total = 0.0f64;
-    while samples.len() < min_reps || (total < TARGET_MS && samples.len() < MAX_REPS) {
-        let t0 = std::time::Instant::now();
-        last = Some(run());
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        total += ms;
-        samples.push(ms);
-    }
-    samples.sort_by(f64::total_cmp);
-    (samples[samples.len() / 2], last.expect("min_reps >= 1"))
-}
-
 /// The E16 measurement grid: the cost-experiment families ladder for the
 /// two 0CFA analyzers, and the first-order diamond chain for MFP. The grid
 /// is shared by the live measurement path and [`e16_regen`], so a recorded
@@ -1215,18 +1187,6 @@ struct E16Cell {
     dense_ms: f64,
     sparse_ms: f64,
     dense_iters: u64,
-    stats: SolverStats,
-    /// The sharded parallel engine on the same workload, when measured
-    /// (`None` for cells regenerated from a pre-E19 trace artifact).
-    par: Option<E16Par>,
-}
-
-/// A parallel-engine measurement riding on an E16 cell: the `Par(K)`
-/// median wall time plus that run's counters (deterministic at fixed K,
-/// so they are real measurements, not copies of the sequential column).
-struct E16Par {
-    ms: f64,
-    workers: usize,
     stats: SolverStats,
 }
 
@@ -1261,11 +1221,6 @@ impl E16Cell {
         sink.time_ns(&format!("{p}.sparse_ns"), (self.sparse_ms * 1e6) as u64);
         sink.counter(&format!("{p}.dense_iters"), self.dense_iters);
         self.stats.emit_into(sink, &format!("{p}.sparse"));
-        if let Some(par) = &self.par {
-            sink.time_ns(&format!("{p}.par_ns"), (par.ms * 1e6) as u64);
-            sink.gauge(&format!("{p}.par_workers"), par.workers as u64);
-            par.stats.emit_into(sink, &format!("{p}.par"));
-        }
     }
 
     /// Reconstructs the cell from an aggregated trace; `None` if the trace
@@ -1283,11 +1238,6 @@ impl E16Cell {
                 .filter(|t| t.count > 0)
                 .map(|t| t.total_ns as f64 / t.count as f64 / 1e6)
         };
-        let par = ms("par_ns").map(|par_ms| E16Par {
-            ms: par_ms,
-            workers: agg.gauge_value(&format!("{p}.par_workers")) as usize,
-            stats: SolverStats::from_agg(agg, &format!("{p}.par")),
-        });
         Some(E16Cell {
             family,
             n,
@@ -1298,7 +1248,6 @@ impl E16Cell {
             sparse_ms: ms("sparse_ns")?,
             dense_iters: agg.counter_value(&format!("{p}.dense_iters")),
             stats: SolverStats::from_agg(agg, &format!("{p}.sparse")),
-            par,
         })
     }
 }
@@ -1335,34 +1284,11 @@ fn e16_render(cells: &[E16Cell]) {
              \"delta_elems\": 0, \"mean_delta\": 0.000}}",
             c.family, c.n, c.program_size, c.analyzer, c.dense_ms, c.dense_iters,
         ));
-        if let Some(par) = &c.par {
-            json.push(format!(
-                "  {{\"family\": \"{}\", \"n\": {}, \"program_size\": {}, \
-                 \"analyzer\": \"{}\", \"impl\": \"par-delta\", \"wall_ms\": {:.4}, \
-                 \"iterations\": {}, \"posts\": {}, \
-                 \"delta_elems\": {}, \"mean_delta\": {:.3}, \
-                 \"workers\": {}, \"hw_threads\": {}}}",
-                c.family,
-                c.n,
-                c.program_size,
-                c.analyzer,
-                par.ms,
-                par.stats.fired,
-                par.stats.posted,
-                par.stats.delta_elems,
-                par.stats.mean_delta(),
-                par.workers,
-                hw_threads(),
-            ));
-        }
         rows.push(vec![
             format!("{}({})", c.family, c.n),
             c.label.into(),
             format!("{:.2}", c.dense_ms),
             format!("{:.2}", c.sparse_ms),
-            c.par
-                .as_ref()
-                .map_or_else(|| "-".into(), |par| format!("{:.2}", par.ms)),
             format!("{:.1}x", c.dense_ms / c.sparse_ms),
             format!("{} × {:.2}", c.stats.fired, c.stats.mean_delta()),
         ]);
@@ -1376,7 +1302,6 @@ fn e16_render(cells: &[E16Cell]) {
                 "analyzer",
                 "dense ms",
                 "sparse ms",
-                "par ms",
                 "speedup",
                 "firings × mean Δ",
             ],
@@ -1392,14 +1317,6 @@ fn e16_render(cells: &[E16Cell]) {
             c.dense_ms / c.sparse_ms
         );
     }
-    if let Some(par) = cells.iter().find_map(|c| c.par.as_ref()) {
-        println!(
-            "par-delta column: sharded engine at K={} on {} hardware thread(s); \
-             E19 sweeps the full K curve",
-            par.workers,
-            hw_threads()
-        );
-    }
     if let Some(c) = cells
         .iter()
         .rfind(|c| c.analyzer == "0cfa-cps" && c.is_largest())
@@ -1409,8 +1326,9 @@ fn e16_render(cells: &[E16Cell]) {
         print!("{}", render_solver_stats(&label, &c.stats));
     }
 
-    // E19's scaling-curve rows live in the same file; keep them across an
-    // E16 rewrite (E19 symmetrically keeps these rows when it appends).
+    // The curve experiments' rows (E21, E22, and the retired E19's
+    // recorded history) live in the same file; keep them across an E16
+    // rewrite (the curve writers symmetrically keep these rows).
     let fresh = json.len();
     json.extend(bench_solver_rows(|line| line.contains("\"curve\"")));
     let payload = format!("[\n{}\n]\n", json.join(",\n"));
@@ -1422,7 +1340,7 @@ fn e16_render(cells: &[E16Cell]) {
 
 /// The rows of `BENCH_solver.json` whose line passes `keep`, stripped of
 /// array brackets and trailing commas — the merge primitive that lets E16
-/// (non-curve rows) and E19 (curve rows) each rewrite only its own slice
+/// (non-curve rows) and each curve experiment rewrite only its own slice
 /// of the shared file. Line-based on purpose: the file is written one row
 /// per line by this harness, and a foreign/corrupt file degrades to
 /// "keep nothing", which a fresh full run repairs.
@@ -1492,8 +1410,7 @@ fn e16_regen(path: &str) {
 /// `--regen-e16` can rebuild this table from the artifact alone.
 fn e16_solver_cost(sink: &mut impl TraceSink) {
     use cpsdfa_core::cfa::{
-        zero_cfa_cps_dense, zero_cfa_cps_guarded_mode, zero_cfa_cps_instrumented, zero_cfa_dense,
-        zero_cfa_guarded_mode, zero_cfa_instrumented,
+        zero_cfa_cps_dense, zero_cfa_cps_instrumented, zero_cfa_dense, zero_cfa_instrumented,
     };
 
     section(
@@ -1501,7 +1418,6 @@ fn e16_solver_cost(sink: &mut impl TraceSink) {
         "tentpole: semi-naïve (delta) sparse fixpoints vs the dense sweeps they replaced",
     );
     let reps = 5;
-    let workers = cpsdfa_core::worker_count();
     let mut cells: Vec<E16Cell> = Vec::new();
     for (family, build) in E16_LADDER {
         for n in E16_SIZES {
@@ -1518,15 +1434,6 @@ fn e16_solver_cost(sink: &mut impl TraceSink) {
                 sres.same_solution(&dres),
                 "sparse/dense 0CFA disagree on {family}({n})"
             );
-            let (par_ms, (pres, pstats)) = median_ms(reps, || {
-                let guard = RunGuard::new(AnalysisBudget::default());
-                zero_cfa_guarded_mode(&prog, SolverMode::Par(workers), &guard, &mut NoopSink)
-                    .unwrap()
-            });
-            assert!(
-                pres.same_solution(&sres),
-                "Par({workers})/Seq 0CFA disagree on {family}({n})"
-            );
             cells.push(E16Cell {
                 family,
                 n,
@@ -1537,11 +1444,6 @@ fn e16_solver_cost(sink: &mut impl TraceSink) {
                 sparse_ms,
                 dense_iters: dres.iterations,
                 stats: sstats,
-                par: Some(E16Par {
-                    ms: par_ms,
-                    workers,
-                    stats: pstats,
-                }),
             });
 
             let ((csparse_ms, (cres, cstats)), (cdense_ms, cdres)) = paired_median_ms(
@@ -1553,15 +1455,6 @@ fn e16_solver_cost(sink: &mut impl TraceSink) {
                 cres.same_solution(&cdres),
                 "sparse/dense CPS 0CFA disagree on {family}({n})"
             );
-            let (cpar_ms, (cpres, cpstats)) = median_ms(reps, || {
-                let guard = RunGuard::new(AnalysisBudget::default());
-                zero_cfa_cps_guarded_mode(&cps, SolverMode::Par(workers), &guard, &mut NoopSink)
-                    .unwrap()
-            });
-            assert!(
-                cpres.same_solution(&cres),
-                "Par({workers})/Seq CPS 0CFA disagree on {family}({n})"
-            );
             cells.push(E16Cell {
                 family,
                 n,
@@ -1572,11 +1465,6 @@ fn e16_solver_cost(sink: &mut impl TraceSink) {
                 sparse_ms: csparse_ms,
                 dense_iters: cdres.iterations,
                 stats: cstats,
-                par: Some(E16Par {
-                    ms: cpar_ms,
-                    workers,
-                    stats: cpstats,
-                }),
             });
         }
     }
@@ -1595,20 +1483,6 @@ fn e16_solver_cost(sink: &mut impl TraceSink) {
             || cfg.solve_mfp_dense::<Flat>(init.clone()),
         );
         assert!(ssum == dsum, "sparse/dense MFP disagree on diamond({n})");
-        let (par_ms, (psum, pstats)) = median_ms(reps, || {
-            let guard = RunGuard::new(AnalysisBudget::default());
-            cfg.solve_mfp_guarded_mode::<Flat>(
-                init.clone(),
-                SolverMode::Par(workers),
-                &guard,
-                &mut NoopSink,
-            )
-            .unwrap()
-        });
-        assert!(
-            psum == ssum,
-            "Par({workers})/Seq MFP disagree on diamond({n})"
-        );
         cells.push(E16Cell {
             family: "diamond",
             n,
@@ -1620,11 +1494,6 @@ fn e16_solver_cost(sink: &mut impl TraceSink) {
             // The dense MFP sweep reports no iteration counter.
             dense_iters: 0,
             stats: sstats,
-            par: Some(E16Par {
-                ms: par_ms,
-                workers,
-                stats: pstats,
-            }),
         });
     }
 
@@ -1632,130 +1501,6 @@ fn e16_solver_cost(sink: &mut impl TraceSink) {
         c.emit_into(sink);
     }
     e16_render(&cells);
-}
-
-/// The E19 scaling grid: shard counts swept on the two heaviest CPS 0CFA
-/// workloads of the E16 ladder (the closure-rich families where the CPS
-/// analyzer does real flow work; cond-chain is omitted because its
-/// fixpoint is too cheap to time against barrier overhead).
-const E19_KS: [usize; 4] = [1, 2, 4, 8];
-const E19_FAMILIES: [Family; 2] = [
-    ("dispatch", families::dispatch),
-    ("polyvariant", families::repeated_calls),
-];
-const E19_N: usize = 320;
-const E19_TEST_N: usize = 32;
-
-/// Appends E19 curve rows to `BENCH_solver.json` without disturbing the
-/// rows E16 wrote or the rows of other curves (E21). [`e16_render`]
-/// rewrites the file wholesale, so the harness runs E19 after E16 and
-/// merges here instead: existing non-e19 rows are kept, stale e19 rows
-/// from a previous sweep are dropped, and the fresh curve is appended.
-fn e19_append_rows(rows: &[String]) {
-    let mut all = bench_solver_rows(|line| !line.contains("\"curve\": \"e19\""));
-    all.extend(rows.iter().cloned());
-    let payload = format!("[\n{}\n]\n", all.join(",\n"));
-    match std::fs::write("BENCH_solver.json", &payload) {
-        Ok(()) => println!(
-            "\nappended {} scaling rows to BENCH_solver.json",
-            rows.len()
-        ),
-        Err(e) => println!("\ncould not write BENCH_solver.json: {e}"),
-    }
-}
-
-/// E19: the intra-program parallel fixpoint engine's scaling curve — the
-/// CPS 0CFA solved under `Par(K)` for each K in the sweep, paired against
-/// a sequential run in the same sampling loop, with bit-identity asserted
-/// every run. Writes `"curve": "e19"` rows into `BENCH_solver.json`
-/// (after E16's wholesale write) and emits `e19.*` trace events.
-fn e19_par_scaling(sink: &mut impl TraceSink, test_mode: bool) {
-    use cpsdfa_core::cfa::{zero_cfa_cps_guarded_mode, zero_cfa_cps_instrumented};
-
-    section(
-        "E19",
-        "intra-program parallel fixpoint: Par(K) scaling on the CPS 0CFA",
-    );
-    let n = if test_mode { E19_TEST_N } else { E19_N };
-    let ks: &[usize] = if test_mode { &E19_KS[..2] } else { &E19_KS };
-    let hw = hw_threads();
-    sink.gauge("e19.hw_threads", hw as u64);
-    println!("hardware threads: {hw}; shard counts swept: {ks:?}");
-    println!("(wall-clock speedup requires >= K hardware threads — on fewer, the");
-    println!(" ratio column measures sharding overhead; the bit-identity checks");
-    println!(" and counters are host-independent)\n");
-
-    let reps = if test_mode { 2 } else { 5 };
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut json_rows: Vec<String> = Vec::new();
-    for (family, build) in E19_FAMILIES {
-        let prog = AnfProgram::from_term(&build(n));
-        let cps = CpsProgram::from_anf(&prog);
-        let psize = prog.root().size();
-        for &k in ks {
-            let ((seq_ms, (seq, _)), (par_ms, (par, par_stats))) = paired_median_ms(
-                reps,
-                || zero_cfa_cps_instrumented(&cps).unwrap(),
-                || {
-                    let guard = RunGuard::new(AnalysisBudget::default());
-                    zero_cfa_cps_guarded_mode(&cps, SolverMode::Par(k), &guard, &mut NoopSink)
-                        .unwrap()
-                },
-            );
-            assert!(
-                par.same_solution(&seq),
-                "Par({k})/Seq CPS 0CFA disagree on {family}({n})"
-            );
-            let p = format!("e19.{family}.{n}.k{k}");
-            sink.gauge(&format!("{p}.program_size"), psize as u64);
-            sink.time_ns(&format!("{p}.seq_ns"), (seq_ms * 1e6) as u64);
-            sink.time_ns(&format!("{p}.par_ns"), (par_ms * 1e6) as u64);
-            par_stats.emit_into(sink, &format!("{p}.par"));
-            rows.push(vec![
-                format!("{family}({n})"),
-                format!("{k}"),
-                format!("{seq_ms:.2}"),
-                format!("{par_ms:.2}"),
-                format!("{:.2}x", seq_ms / par_ms),
-                format!("{}", par_stats.fired),
-            ]);
-            json_rows.push(format!(
-                "  {{\"family\": \"{}\", \"n\": {}, \"program_size\": {}, \
-                 \"analyzer\": \"0cfa-cps\", \"impl\": \"par-delta\", \
-                 \"wall_ms\": {:.4}, \"iterations\": {}, \"posts\": {}, \
-                 \"delta_elems\": {}, \"mean_delta\": {:.3}, \
-                 \"workers\": {}, \"hw_threads\": {}, \
-                 \"seq_wall_ms\": {:.4}, \"curve\": \"e19\"}}",
-                family,
-                n,
-                psize,
-                par_ms,
-                par_stats.fired,
-                par_stats.posted,
-                par_stats.delta_elems,
-                par_stats.mean_delta(),
-                k,
-                hw,
-                seq_ms,
-            ));
-        }
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "K",
-                "seq ms",
-                "Par(K) ms",
-                "seq/par",
-                "par firings",
-            ],
-            &rows
-        )
-    );
-    println!("every Par(K) solution checked bit-identical to the sequential run");
-    e19_append_rows(&json_rows);
 }
 
 /// The E21 census grid: the three families where the monovariant CPS
@@ -1768,14 +1513,13 @@ const E21_FAMILIES: [Family; 3] = [
     ("polyvariant", families::polyvariant),
     ("repeated_calls", families::repeated_calls),
 ];
-/// The cost pair is measured at E19's workload size so the two BENCH
-/// curves are comparable.
+/// The cost pair is measured at E16's largest workload size.
 const E21_N: usize = 320;
 const E21_TEST_N: usize = 32;
 
-/// Appends E21 curve rows to `BENCH_solver.json`, symmetric with
-/// [`e19_append_rows`]: rows of every other producer (E16's plain rows,
-/// E19's curve) are kept, stale e21 rows are dropped, fresh ones appended.
+/// Appends E21 curve rows to `BENCH_solver.json`: rows of every other
+/// producer (E16's plain rows, the other curves) are kept, stale e21 rows
+/// are dropped, fresh ones appended.
 fn e21_append_rows(rows: &[String]) {
     let mut all = bench_solver_rows(|line| !line.contains("\"curve\": \"e21\""));
     all.extend(rows.iter().cloned());
@@ -1795,7 +1539,7 @@ fn e21_append_rows(rows: &[String]) {
 /// monovariant CPS 0CFA merges returns — asserted, not just printed —
 /// while per-variable flow sets stay contained in the 0CFA's (also
 /// asserted). The cost half pairs the pushdown solve against the CPS
-/// 0CFA at E19's workload size and writes `"curve": "e21"` rows into
+/// 0CFA at E16's largest workload size and writes `"curve": "e21"` rows into
 /// `BENCH_solver.json`.
 fn e21_pushdown_census(sink: &mut impl TraceSink, test_mode: bool) {
     use cpsdfa_core::cfa::zero_cfa_cps_instrumented;
@@ -2936,7 +2680,7 @@ const E22_TEST_NS: [usize; 1] = [24];
 const E22_DISPATCH_TOP_N: usize = 1280;
 
 /// Appends E22 curve rows to `BENCH_solver.json`, symmetric with
-/// [`e19_append_rows`]/[`e21_append_rows`]: rows of every other producer
+/// [`e21_append_rows`]: rows of every other producer
 /// survive, stale e22 rows are dropped, fresh ones appended.
 fn e22_append_rows(rows: &[String]) {
     let mut all = bench_solver_rows(|line| !line.contains("\"curve\": \"e22\""));

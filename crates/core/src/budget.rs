@@ -80,9 +80,9 @@ pub enum AnalysisError {
     /// A [`CancelToken`](crate::govern::CancelToken) was tripped — by
     /// another thread, a supervising driver, or an injected fault.
     Cancelled,
-    /// A solver step or parallel worker panicked and the panic was
-    /// isolated ([`catch_unwind`](std::panic::catch_unwind)) instead of
-    /// aborting the whole run.
+    /// A ladder rung panicked and the panic was isolated
+    /// ([`catch_unwind`](std::panic::catch_unwind)) instead of aborting the
+    /// whole run.
     WorkerPanicked {
         /// The panic payload, rendered to a string.
         payload: String,

@@ -10,15 +10,10 @@
 //!
 //! # Content addressing
 //!
-//! A cache key is `(analysis kind, engine shards, subtree digest, rung)`:
+//! A cache key is `(analysis kind, subtree digest, rung)`:
 //!
 //! * **kind** — which fixpoint was asked for ([`AnalysisKind`]): source
-//!   0CFA, CPS 0CFA, or first-order MFP over `Flat`.
-//! * **shards** — the [`SolverMode`](crate::solver::SolverMode) shard count
-//!   (0 for `Seq`). `Par(k)` and `Seq` are result-identical by the PR 6
-//!   differential suite, but the engine is part of the request contract, so
-//!   it stays in the key and the differential tests assert hit ≡ fresh
-//!   per mode rather than across modes.
+//!   0CFA, CPS 0CFA, pushdown CFA, or first-order MFP over `Flat`.
 //! * **digest** — a structural 128-bit FNV-1a digest of the hash-consed
 //!   [`TermArena`] subtree ([`ArenaDigests`]), memoized per [`TermId`]:
 //!   because the arena hash-conses, a repeated program parses to the same
@@ -33,9 +28,9 @@
 //!   keyed MAC of the program text — see DESIGN.md §11.)
 //! * **rung** — the [`DegradationLadder`](crate::govern::DegradationLadder)
 //!   rung that produced the answer. Lookups for fresh work use
-//!   [`CacheKey::full`] (the finest rung of the kind's canonical ladder);
+//!   [`CacheKey::new`] (the finest rung of the kind's canonical ladder);
 //!   an answer computed on a *degraded* rung is inserted under its own rung
-//!   name ([`CacheKey::for_rung`]) and therefore can never shadow a
+//!   name ([`CacheKey::at_rung`]) and therefore can never shadow a
 //!   full-precision answer — the soundness condition the differential
 //!   suite pins down.
 //!
@@ -404,14 +399,12 @@ impl AnalysisKind {
     }
 }
 
-/// A content address: analysis kind × engine shard count × structural
-/// program digest × producing rung.
+/// A content address: analysis kind × structural program digest ×
+/// producing rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// The analysis requested.
     pub kind: AnalysisKind,
-    /// [`SolverMode::shards`]: 0 for the sequential engine.
-    pub shards: usize,
     /// Structural digest of the program ([`ArenaDigests::term_digest`]).
     pub digest: u128,
     /// The ladder rung that produced (or is asked for) the answer.
@@ -422,31 +415,38 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// The key a fresh request looks up: the kind's full-precision rung.
-    pub fn full(kind: AnalysisKind, mode: SolverMode, digest: u128) -> CacheKey {
+    pub fn new(kind: AnalysisKind, digest: u128) -> CacheKey {
         CacheKey {
             kind,
-            shards: mode.shards(),
             digest,
             rung: kind.full_rung(),
         }
     }
 
     /// The key an *answered* request inserts under: the rung that actually
-    /// produced the value. For an undegraded run this equals
-    /// [`CacheKey::full`]; for a degraded run it is a distinct key, so the
-    /// degraded answer can never shadow a full-precision one.
+    /// produced the value. For an undegraded run this equals the
+    /// [`CacheKey::new`] key; for a degraded run it is a distinct key, so
+    /// the degraded answer can never shadow a full-precision one.
+    #[must_use]
+    pub fn at_rung(self, rung: &'static str) -> CacheKey {
+        CacheKey { rung, ..self }
+    }
+
+    /// [`CacheKey::new`] with a [`SolverMode`] argument, kept because
+    /// `cpsbench/src/replay.rs` calls it.
+    pub fn full(kind: AnalysisKind, _mode: SolverMode, digest: u128) -> CacheKey {
+        CacheKey::new(kind, digest)
+    }
+
+    /// [`CacheKey::at_rung`] with a [`SolverMode`] argument, kept because
+    /// `cpsbench/src/replay.rs` calls it.
     pub fn for_rung(
         kind: AnalysisKind,
-        mode: SolverMode,
+        _mode: SolverMode,
         digest: u128,
         rung: &'static str,
     ) -> CacheKey {
-        CacheKey {
-            kind,
-            shards: mode.shards(),
-            digest,
-            rung,
-        }
+        CacheKey::new(kind, digest).at_rung(rung)
     }
 }
 
@@ -516,10 +516,9 @@ impl SendCfa {
     }
 
     /// Digest of the *solution* alone. `iterations` is excluded on
-    /// purpose: it is a work counter, and under `Par(k)` work stealing it
-    /// varies run to run on a loaded host even though the solution is
-    /// bit-identical — two equal answers must digest equal. The encoding
-    /// is `AnswerDigest`'s.
+    /// purpose: it is a work counter, and a warm-started solve reaches the
+    /// bit-identical solution with far fewer firings than a cold one — two
+    /// equal answers must digest equal. The encoding is `AnswerDigest`'s.
     pub fn solution_digest(&self) -> u64 {
         let mut h = AnswerDigest::new(AnalysisKind::CfaSrc);
         h.sets(&self.vars, AnswerDigest::clo);
@@ -696,9 +695,9 @@ impl CachedAnswer {
     /// carry so clients can assert bit-identity without shipping stores.
     /// Folded straight from the data (`AnswerDigest`), so it costs a
     /// pass over the sets, not a rendering of them. Work counters are
-    /// excluded: under `Par(k)` work stealing, `iterations` varies run to
-    /// run while the solution does not, and equal answers must digest
-    /// equal.
+    /// excluded: warm and cold solves of one program differ in
+    /// `iterations` while the solution does not, and equal answers must
+    /// digest equal.
     pub fn digest(&self) -> u64 {
         match self {
             CachedAnswer::CfaSrc(r) => r.solution_digest(),
@@ -1214,7 +1213,7 @@ mod tests {
             AnalysisKind::ALL.iter().map(|k| k.as_str()).collect();
         assert_eq!(names.len(), AnalysisKind::ALL.len());
         // Near-misses do not parse.
-        for junk in ["", "cfa", "cfa.pushdown.seq", "cfa.cps ", "CFA.SRC", "mfp"] {
+        for junk in ["", "cfa", "cfa.pushdownx", "cfa.cps ", "CFA.SRC", "mfp"] {
             assert_eq!(AnalysisKind::parse(junk), None, "{junk:?}");
         }
     }
@@ -1250,9 +1249,8 @@ mod tests {
 
     #[test]
     fn answer_digest_ignores_schedule_dependent_work_counters() {
-        // Under Par(k) work stealing, `iterations` varies run to run on a
-        // loaded host while the solution stays bit-identical; the canonical
-        // digest must see through that.
+        // A warm start reaches the same solution in fewer `iterations`
+        // than a cold solve; the canonical digest must see through that.
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (let (a (f 1)) (f a)))").unwrap();
         let a = SendCfa::from_result(&zero_cfa(&p).unwrap());
         let mut b = a.clone();
@@ -1366,7 +1364,7 @@ mod tests {
         let [answer, ..] = tiny_answers();
         let served = Arc::new(CachedFixpoint::new(answer, DegradationReport::default()));
         let mut cache = FixpointCache::new(u64::MAX);
-        let key = CacheKey::full(AnalysisKind::CfaSrc, SolverMode::Seq, 5);
+        let key = CacheKey::new(AnalysisKind::CfaSrc, 5);
         assert!(cache.insert(key, Arc::clone(&served)));
         assert!(Arc::ptr_eq(&cache.lookup(&key).unwrap(), &served));
         assert_eq!(cache.resident_bytes(), served.approx_bytes);
@@ -1386,7 +1384,7 @@ mod tests {
         assert!(one > 0);
         // Room for exactly two entries.
         let mut cache = FixpointCache::new(2 * one);
-        let key = |d: u128| CacheKey::full(AnalysisKind::CfaSrc, SolverMode::Seq, d);
+        let key = |d: u128| CacheKey::new(AnalysisKind::CfaSrc, d);
         assert!(cache.insert(key(1), value()));
         assert!(cache.insert(key(2), value()));
         assert_eq!(cache.len(), 2);
@@ -1415,7 +1413,7 @@ mod tests {
         };
         let one = value().approx_bytes;
         let mut tiny = FixpointCache::new(one / 2);
-        let key = CacheKey::full(AnalysisKind::CfaSrc, SolverMode::Seq, 7);
+        let key = CacheKey::new(AnalysisKind::CfaSrc, 7);
         assert!(!tiny.insert(key, value()), "entry alone exceeds ceiling");
         assert!(tiny.is_empty());
         let mut cache = FixpointCache::new(10 * one);
@@ -1429,11 +1427,8 @@ mod tests {
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
         let fresh = zero_cfa(&p).unwrap();
         let mut cache = FixpointCache::new(u64::MAX);
-        let degraded = CacheKey::for_rung(AnalysisKind::CfaCps, SolverMode::Seq, 42, "cfa.src");
-        assert_ne!(
-            degraded,
-            CacheKey::full(AnalysisKind::CfaCps, SolverMode::Seq, 42)
-        );
+        let degraded = CacheKey::new(AnalysisKind::CfaCps, 42).at_rung("cfa.src");
+        assert_ne!(degraded, CacheKey::new(AnalysisKind::CfaCps, 42));
         cache.insert(
             degraded,
             CachedFixpoint::new(
@@ -1443,7 +1438,7 @@ mod tests {
         );
         assert!(
             cache
-                .lookup(&CacheKey::full(AnalysisKind::CfaCps, SolverMode::Seq, 42))
+                .lookup(&CacheKey::new(AnalysisKind::CfaCps, 42))
                 .is_none(),
             "full-precision lookup must miss a degraded-rung entry"
         );
@@ -1454,7 +1449,7 @@ mod tests {
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
         let fresh = zero_cfa(&p).unwrap();
         let mut cache = FixpointCache::new(u64::MAX);
-        let key = CacheKey::full(AnalysisKind::CfaSrc, SolverMode::Seq, 11);
+        let key = CacheKey::new(AnalysisKind::CfaSrc, 11);
         cache.insert(
             key,
             CachedFixpoint::new(

@@ -59,27 +59,19 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// File magic: module name + format version, newline-terminated so a
-/// `head -c8` of an entry is self-describing.
-const MAGIC: &[u8; 8] = b"CPSDFA1\n";
+/// `head -c8` of an entry is self-describing. Version 2 dropped the engine
+/// shard count from the key; version-1 entries fail to unframe and are
+/// swept as corrupt.
+const MAGIC: &[u8; 8] = b"CPSDFA2\n";
 
 /// Rung names a persisted key may carry. Interning back to `&'static str`
 /// keeps [`CacheKey`]'s content-equality semantics; an unknown rung means
 /// the entry was written by an incompatible build and is dropped as
 /// corrupt rather than leaked into the key space.
 fn intern_rung(name: &str) -> Option<&'static str> {
-    [
-        "cfa.src",
-        "cfa.src.seq",
-        "cfa.cps",
-        "cfa.cps.seq",
-        "cfa.pushdown",
-        "cfa.pushdown.seq",
-        "mfp.flat",
-        "mfp.flat.seq",
-        "warm",
-    ]
-    .into_iter()
-    .find(|&known| known == name)
+    ["cfa.src", "cfa.cps", "cfa.pushdown", "mfp.flat", "warm"]
+        .into_iter()
+        .find(|&known| known == name)
 }
 
 // ---------------------------------------------------------------------------
@@ -229,7 +221,6 @@ fn put_answer(out: &mut Vec<u8>, answer: &CachedAnswer) {
 fn encode_entry_payload(key: &CacheKey, source: &str, fixpoint: &CachedFixpoint) -> Vec<u8> {
     let mut out = Vec::with_capacity(source.len() + 256);
     out.push(key.kind.tag());
-    put_u64(&mut out, key.shards as u64);
     put_u128(&mut out, key.digest);
     put_str(&mut out, key.rung);
     put_str(&mut out, source);
@@ -420,7 +411,6 @@ impl<'a> Cur<'a> {
 fn decode_entry_payload(payload: &[u8]) -> Option<(CacheKey, String, CachedAnswer)> {
     let mut cur = Cur { b: payload, p: 0 };
     let kind = *AnalysisKind::ALL.get(cur.u8()? as usize)?;
-    let shards = usize::try_from(cur.u64()?).ok()?;
     let digest = cur.u128()?;
     let rung = intern_rung(&cur.str()?)?;
     let source = cur.str()?;
@@ -428,16 +418,7 @@ fn decode_entry_payload(payload: &[u8]) -> Option<(CacheKey, String, CachedAnswe
     if !cur.done() {
         return None;
     }
-    Some((
-        CacheKey {
-            kind,
-            shards,
-            digest,
-            rung,
-        },
-        source,
-        answer,
-    ))
+    Some((CacheKey { kind, digest, rung }, source, answer))
 }
 
 /// Recovery cannot know the original run's governance history — the report
@@ -545,9 +526,8 @@ impl PersistDir {
 
     fn entry_path(&self, key: &CacheKey) -> PathBuf {
         self.root.join(format!(
-            "{}-{}-{:032x}-{}.entry",
+            "{}-{:032x}-{}.entry",
             key.kind.as_str(),
-            key.shards,
             key.digest,
             key.rung
         ))
@@ -634,12 +614,7 @@ impl PersistDir {
         ancestor: &Ancestor,
         fault: Option<PersistFault>,
     ) -> io::Result<bool> {
-        let key = CacheKey {
-            kind: ancestor.kind,
-            shards: 0,
-            digest: ancestor.digest,
-            rung: "warm",
-        };
+        let key = CacheKey::new(ancestor.kind, ancestor.digest).at_rung("warm");
         let mut payload = Vec::new();
         put_u64(&mut payload, session);
         payload.extend_from_slice(&encode_entry_payload(
@@ -802,7 +777,6 @@ mod tests {
     use super::*;
     use crate::cfa::{zero_cfa, zero_cfa_cps};
     use crate::mfp::Cfg;
-    use crate::solver::SolverMode;
     use cpsdfa_anf::AnfProgram;
     use cpsdfa_cps::CpsProgram;
 
@@ -817,7 +791,7 @@ mod tests {
         let mut arena = TermArena::new();
         let id = arena.parse(src).unwrap();
         let digest = ArenaDigests::new().term_digest(&arena, id);
-        let key = CacheKey::full(AnalysisKind::CfaSrc, SolverMode::Seq, digest);
+        let key = CacheKey::new(AnalysisKind::CfaSrc, digest);
         let fixpoint = CachedFixpoint::new(
             CachedAnswer::CfaSrc(SendCfa::from_result(&zero_cfa(&p).unwrap())),
             DegradationReport::default(),
@@ -841,12 +815,7 @@ mod tests {
             CachedAnswer::MfpFlat(cfg.solve_mfp::<Flat>(cfg.initial_env(&p)).unwrap()),
         ];
         for answer in answers {
-            let key = CacheKey {
-                kind: answer.kind(),
-                shards: 2,
-                digest: 0xfeed,
-                rung: answer.kind().full_rung(),
-            };
+            let key = CacheKey::new(answer.kind(), 0xfeed);
             let fixpoint = CachedFixpoint::new(answer.clone(), DegradationReport::default());
             let payload = encode_entry_payload(&key, "(src)", &fixpoint);
             let (k2, s2, a2) = decode_entry_payload(&payload).expect("decodes");
@@ -856,16 +825,41 @@ mod tests {
         }
     }
 
+    /// The version-1 layout of `key`'s entry: the old magic, an engine
+    /// shard count after the kind tag, and the count in the file name.
+    fn plant_v1_entry(dir: &Path, key: &CacheKey, fixpoint: &CachedFixpoint) -> PathBuf {
+        let v2 = encode_entry_payload(key, SRC, fixpoint);
+        let mut payload = vec![v2[0]];
+        put_u64(&mut payload, 0);
+        payload.extend_from_slice(&v2[1..]);
+        let mut bytes = b"CPSDFA1\n".to_vec();
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&fnv128_bytes(FNV128_OFFSET, &payload).to_le_bytes());
+        let path = dir.join(format!(
+            "{}-0-{:032x}-{}.entry",
+            key.kind.as_str(),
+            key.digest,
+            key.rung
+        ));
+        fs::write(&path, bytes).unwrap();
+        path
+    }
+
     #[test]
     fn store_then_recover_round_trips_and_preserves_digest() {
         let dir = tmpdir("roundtrip");
         let persist = PersistDir::open(&dir).unwrap();
         let (key, fixpoint) = fixture(SRC);
         assert!(persist.store(&key, SRC, &fixpoint, None).unwrap());
+        // An entry left behind by a build that keyed on the engine: it
+        // must be swept as corrupt, never decoded into the new key space.
+        let old = plant_v1_entry(&dir, &key, &fixpoint);
         let mut cache = FixpointCache::new(u64::MAX);
         let report = persist.recover(&mut cache, 8);
         assert_eq!(report.recovered, 1);
-        assert_eq!(report.dropped(), 0);
+        assert_eq!((report.corrupt, report.stale), (1, 0));
+        assert!(!old.exists(), "the old-layout entry is deleted");
         assert_eq!(report.certified, 1);
         assert!(report.bytes > 0);
         let hit = cache.lookup(&key).expect("recovered entry serves");

@@ -1,10 +1,10 @@
 //! Independent fixpoint certification — translation validation for served
 //! analysis answers.
 //!
-//! The service hands out fixpoints computed through four increasingly
-//! subtle paths: the sequential worklist solver, the sharded parallel
-//! engine, incremental warm-starts, and the content-addressed cache (now
-//! backed by a crash-safe disk spill, [`crate::cache::persist`]). Every one
+//! The service hands out fixpoints computed through three increasingly
+//! subtle paths: the worklist solver, incremental warm-starts, and the
+//! content-addressed cache (now backed by a crash-safe disk spill,
+//! [`crate::cache::persist`]). Every one
 //! of those paths is *trusted* unless something checks the answer after the
 //! fact. This module is that check: given the program and a claimed
 //! solution, it **re-derives every constraint from the AST** with its own
@@ -45,7 +45,7 @@
 //! Trust argument: a bug in the shared front end changes *which* constraint
 //! system both the solver and the checker see, so it cannot be caught here
 //! (nothing short of a second front end could); a bug anywhere downstream —
-//! solver scheduling, shard merges, warm-start seeding, cache storage, disk
+//! solver scheduling, warm-start seeding, cache storage, disk
 //! corruption that slips past checksums — produces an answer that fails
 //! this check. The daemon's `--certify` mode samples served answers through
 //! [`certify_answer`] and evicts + recomputes on refutation instead of

@@ -53,7 +53,6 @@ use crate::fxhash::FxHashMap;
 use crate::govern::RunGuard;
 use crate::labtab::{LabelLookup, LabelTable};
 use crate::setpool::{DeltaNodes, SetPool};
-use crate::solver::par::{run_bsp, Outbox, ParGuard, ParShard, PartitionMap};
 use crate::solver::{ConstraintId, DeltaRange, SolverMode, WorklistSolver};
 use crate::stats::SolverStats;
 use crate::trace::{self, NoopSink, TraceSink};
@@ -312,10 +311,8 @@ enum SrcConstraint {
 }
 
 /// Flat per-label side tables for source-level call wiring: everything a
-/// firing needs from the AST, pre-resolved to node indices. The firing
-/// bodies read these instead of the `LabelLookup` of borrowed AST nodes, so
-/// parallel shards (which must be `Send`) never touch the program tree.
-#[derive(Clone)]
+/// firing needs from the AST, pre-resolved to node indices, so the firing
+/// bodies never touch the program tree.
 struct SrcTables {
     /// By lambda label: `(param var node, body term node)`; `UNINDEXED`
     /// when the label is not a lambda.
@@ -336,12 +333,8 @@ impl SrcTables {
     }
 }
 
-/// Fires source constraint `ci` — the one firing body shared verbatim by
-/// the sequential driver and every parallel shard, so the two engines
-/// cannot drift. `on_new` observes each element newly added to a node
-/// (`(node, value)`): a parallel shard routes these into frontier messages;
-/// the sequential path passes a no-op closure that monomorphizes away.
-#[allow(clippy::too_many_arguments)]
+/// Fires source constraint `ci` — the one firing body shared by the cold
+/// driver and the live (incremental) solver, so the two cannot drift.
 fn fire_src(
     ci: ConstraintId,
     solver: &mut WorklistSolver,
@@ -350,7 +343,6 @@ fn fire_src(
     calls: &mut LabelTable<BTreeSet<AbsClo>>,
     tables: &SrcTables,
     deltas: &mut Vec<DeltaRange>,
-    on_new: &mut impl FnMut(usize, AbsClo),
 ) {
     match constraints[ci] {
         SrcConstraint::Sub(dst) => {
@@ -359,9 +351,7 @@ fn fire_src(
             // cursors only ever observe the post-batch log length.
             let mut grew = false;
             for &(src, lo, hi) in deltas.iter() {
-                grew |= nodes
-                    .forward_range(src, lo, hi, dst, |v| on_new(dst, *v))
-                    .is_some();
+                grew |= nodes.forward_range(src, lo, hi, dst).is_some();
             }
             if grew {
                 solver.node_grew(dst, nodes.log(dst).len());
@@ -449,42 +439,18 @@ pub fn zero_cfa_guarded(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(CfaResult, SolverStats), AnalysisError> {
-    zero_cfa_guarded_mode(prog, SolverMode::Seq, guard, sink)
+    trace::with_span(sink, "cfa.src", |sink| zero_cfa_impl(prog, guard, sink))
 }
 
-/// [`zero_cfa`] with an explicit [`SolverMode`]: `Seq` is the classic
-/// single-threaded engine; `Par(k)` runs the sharded work-stealing engine
-/// on `k` threads and returns a **bit-identical** solution (same stores,
-/// same call graph — see DESIGN.md §10 for the determinism argument).
-///
-/// ```
-/// use cpsdfa_anf::AnfProgram;
-/// use cpsdfa_core::cfa::{zero_cfa, zero_cfa_with_mode};
-/// use cpsdfa_core::solver::SolverMode;
-///
-/// let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
-/// let seq = zero_cfa(&p).unwrap();
-/// let par = zero_cfa_with_mode(&p, SolverMode::Par(2)).unwrap();
-/// assert!(seq.same_solution(&par));
-/// ```
-pub fn zero_cfa_with_mode(prog: &AnfProgram, mode: SolverMode) -> Result<CfaResult, AnalysisError> {
-    let guard = RunGuard::new(AnalysisBudget::default());
-    Ok(zero_cfa_guarded_mode(prog, mode, &guard, &mut NoopSink)?.0)
-}
-
-/// [`zero_cfa_guarded`] with an explicit [`SolverMode`] — the fully
-/// general source-level entry point (guard + trace sink + engine choice)
-/// that every other `zero_cfa*` rung delegates to.
+/// [`zero_cfa_guarded`] with a [`SolverMode`] argument, kept because
+/// `cpsbench/src/replay.rs` calls it.
 pub fn zero_cfa_guarded_mode(
     prog: &AnfProgram,
-    mode: SolverMode,
+    _mode: SolverMode,
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(CfaResult, SolverStats), AnalysisError> {
-    trace::with_span(sink, "cfa.src", |sink| match mode {
-        SolverMode::Seq => zero_cfa_impl(prog, guard, sink),
-        SolverMode::Par(_) => zero_cfa_par_impl(prog, mode.shards(), guard, sink),
-    })
+    zero_cfa_guarded(prog, guard, sink)
 }
 
 fn zero_cfa_impl(
@@ -555,7 +521,6 @@ fn zero_cfa_impl(
             &mut calls,
             &tables,
             &mut deltas,
-            &mut |_, _| {},
         );
         Ok(())
     })?;
@@ -1063,16 +1028,7 @@ impl SrcLive {
         let mut deltas: Vec<DeltaRange> = Vec::new();
         solver.run_guarded(guard, |solver, ci| {
             guard.charge_memory(nodes.approx_bytes() as u64)?;
-            fire_src(
-                ci,
-                solver,
-                nodes,
-                constraints,
-                calls,
-                tables,
-                &mut deltas,
-                &mut |_, _| {},
-            );
+            fire_src(ci, solver, nodes, constraints, calls, tables, &mut deltas);
             Ok(())
         })
     }
@@ -1159,226 +1115,6 @@ pub(crate) fn zero_cfa_warm_impl(
     let stats = live.stats();
     stats.emit_into(sink, "cfa.src.warm");
     Ok(Some((result, stats)))
-}
-
-/// One partition of the parallel source-level 0CFA: a complete solver and
-/// delta-store mirror over the global node space, plus the constraints
-/// whose watched nodes this shard owns. See the module docs of
-/// [`solver::par`](crate::solver::par) for the ownership/broadcast
-/// protocol.
-struct SrcShard {
-    id: usize,
-    pmap: PartitionMap,
-    solver: WorklistSolver,
-    nodes: DeltaNodes<AbsClo>,
-    constraints: Vec<SrcConstraint>,
-    calls: LabelTable<BTreeSet<AbsClo>>,
-    tables: SrcTables,
-    deltas: Vec<DeltaRange>,
-}
-
-impl SrcShard {
-    /// Applies one incoming frontier element to the local mirror. The owner
-    /// of a node is the only shard that forwards: it re-broadcasts accepted
-    /// proposals to every peer except the proposer (which already applied
-    /// the element optimistically), so elements fan out exactly once and
-    /// messages cannot loop.
-    fn apply_incoming(
-        &mut self,
-        sender: usize,
-        node: usize,
-        v: AbsClo,
-        out: &mut Outbox<(u32, AbsClo)>,
-    ) {
-        if let Some(len) = self.nodes.add(node, v) {
-            self.solver.node_grew(node, len);
-            if self.pmap.owner(node) == self.id {
-                for dest in 0..self.pmap.shards() {
-                    if dest != self.id && dest != sender {
-                        out.send(dest, (node as u32, v));
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl ParShard for SrcShard {
-    type Msg = (u32, AbsClo);
-
-    fn pump(
-        &mut self,
-        inbox: Vec<(usize, Vec<Self::Msg>)>,
-        out: &mut Outbox<Self::Msg>,
-        pg: &ParGuard,
-    ) -> Result<(), AnalysisError> {
-        for (sender, batch) in inbox {
-            for (node, v) in batch {
-                self.apply_incoming(sender, node as usize, v, out);
-            }
-        }
-        while let Some(ci) = self.solver.pop() {
-            pg.charge()?;
-            pg.charge_memory(self.id, self.nodes.approx_bytes() as u64)?;
-            let SrcShard {
-                id,
-                pmap,
-                solver,
-                nodes,
-                constraints,
-                calls,
-                tables,
-                deltas,
-            } = self;
-            let (me, pmap) = (*id, *pmap);
-            let mut route = |dst: usize, v: AbsClo| {
-                let owner = pmap.owner(dst);
-                if owner == me {
-                    out.broadcast_from(me, (dst as u32, v));
-                } else {
-                    // Optimistically applied locally already; propose to
-                    // the owner, which dedups and broadcasts.
-                    out.send(owner, (dst as u32, v));
-                }
-            };
-            fire_src(
-                ci,
-                solver,
-                nodes,
-                constraints,
-                calls,
-                tables,
-                deltas,
-                &mut route,
-            );
-        }
-        Ok(())
-    }
-}
-
-/// The sharded parallel engine behind [`zero_cfa_guarded_mode`]: builds `k`
-/// full-mirror shards, routes each static constraint to the shard owning
-/// its watched node, seeds every mirror identically, runs the BSP rounds,
-/// and commits each node from its owner's store into one shared pool so
-/// the result is a deterministic merge.
-fn zero_cfa_par_impl(
-    prog: &AnfProgram,
-    shards: usize,
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<(CfaResult, SolverStats), AnalysisError> {
-    let edges = collect_edges(prog);
-    let idx = NodeIndex::build(prog, &edges);
-    let tables = SrcTables::build(prog, &idx);
-    let k = shards.max(1);
-    let pmap = PartitionMap::new(idx.total(), k);
-
-    let mut parts: Vec<SrcShard> = (0..k)
-        .map(|id| {
-            let mut solver = WorklistSolver::new();
-            solver.add_nodes(idx.total());
-            SrcShard {
-                id,
-                pmap,
-                solver,
-                nodes: DeltaNodes::new(idx.total()),
-                constraints: Vec::new(),
-                calls: LabelTable::new(prog.label_count()),
-                tables: tables.clone(),
-                deltas: Vec::new(),
-            }
-        })
-        .collect();
-
-    // Each static constraint registers on the shard owning its watched
-    // node — exactly once globally, so the summed constraint count matches
-    // the sequential engine's. As in the sequential setup, watching
-    // constraints are not posted while every node is empty.
-    for e in &edges {
-        let (watched, c) = match e {
-            Edge::Seed(..) => continue, // applied below, after all watches
-            Edge::Sub(src, dst) => (idx.node(*src), SrcConstraint::Sub(idx.node(*dst))),
-            Edge::Call { f, arg, bind, site } => (
-                idx.node(*f),
-                SrcConstraint::Call {
-                    arg: idx.node(*arg),
-                    bind: bind.index(),
-                    site: *site,
-                },
-            ),
-        };
-        let sh = &mut parts[pmap.owner(watched)];
-        let cid = sh.solver.add_constraint(sh.constraints.len() as u32);
-        sh.solver.watch(watched, cid);
-        sh.constraints.push(c);
-    }
-    // Seeds are constants, so they are poured into *every* shard's mirror
-    // before the run — mirrors start aligned and seed elements never need
-    // frontier messages. Watchers exist only on the owning shard, so the
-    // growth posts exactly the constraints the sequential engine posts.
-    for e in &edges {
-        if let Edge::Seed(set, dst) = e {
-            let dst = idx.node(*dst);
-            for sh in parts.iter_mut() {
-                let mut grew = false;
-                for v in set {
-                    grew |= sh.nodes.add(dst, *v).is_some();
-                }
-                if grew {
-                    sh.solver.node_grew(dst, sh.nodes.log(dst).len());
-                }
-            }
-        }
-    }
-
-    let pg = ParGuard::from_guard(guard, k);
-    let ran = run_bsp(parts, &pg);
-    // Fold the observed totals back into the guard even on failure: ladder
-    // fallbacks and cumulative fault schedules depend on accurate counts.
-    guard.absorb_parallel(pg.charged(), pg.mem_peak(), pg.fault_fired());
-    let mut parts = ran?;
-
-    // Deterministic merge: each node commits from its owner's store (the
-    // authoritative mirror) into one shared pool, in the same node order as
-    // the sequential commit.
-    let mut pool: SetPool<AbsClo> = SetPool::new();
-    let vars: Vec<Rc<BTreeSet<AbsClo>>> = (0..idx.num_vars)
-        .map(|i| {
-            let id = parts[pmap.owner(i)].nodes.commit_into(i, &mut pool);
-            pool.get_rc(id)
-        })
-        .collect();
-    let terms = idx.commit_dst_terms(|node| {
-        let id = parts[pmap.owner(node)].nodes.commit_into(node, &mut pool);
-        pool.get_rc(id)
-    });
-    // Call-site entries are written only by the constraint that owns the
-    // site, which lives on exactly one shard — the union is disjoint.
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
-    for sh in &parts {
-        for (site, set) in sh.calls.iter() {
-            calls.entry_or_default(site).extend(set.iter().copied());
-        }
-    }
-    let mut stats = SolverStats::default();
-    for sh in &parts {
-        stats.absorb(&sh.solver.stats());
-    }
-    // Every shard registers the full mirror; the graph has idx.total()
-    // nodes, not k × idx.total().
-    stats.nodes = idx.total() as u64;
-    let stats = stats.with_pool(pool.stats());
-    stats.emit_into(sink, "cfa.src");
-    let iterations = stats.fired.max(1);
-    Ok((
-        CfaResult {
-            vars,
-            terms,
-            calls: Rc::new(calls),
-            iterations,
-        },
-        stats,
-    ))
 }
 
 /// The original dense formulation: every constraint re-evaluated per sweep,
@@ -1675,8 +1411,8 @@ enum CpsConstraint {
 }
 
 /// Flat per-label side tables for CPS call/return wiring, pre-resolved to
-/// variable node indices so the firing bodies (and the `Send` parallel
-/// shards) never touch the program tree.
+/// variable node indices so the firing bodies never touch the program
+/// tree.
 #[derive(Clone)]
 pub(crate) struct CpsTables {
     /// By lambda label: `(param var node, k var node)`; `UNINDEXED` when
@@ -1709,24 +1445,21 @@ impl CpsTables {
     }
 }
 
-/// Joins `flow` into node `dst`: a constant grows the node's log directly
-/// (reported through `on_new`), a variable becomes a persistent
-/// delta-watched `Sub` edge whose fresh cursor replays the source's full
-/// history on its first firing.
+/// Joins `flow` into node `dst`: a constant grows the node's log directly,
+/// a variable becomes a persistent delta-watched `Sub` edge whose fresh
+/// cursor replays the source's full history on its first firing.
 fn cps_wire_flow(
     flow: Flow,
     dst: usize,
     solver: &mut WorklistSolver,
     nodes: &mut DeltaNodes<CpsFlow>,
     constraints: &mut Vec<CpsConstraint>,
-    on_new: &mut impl FnMut(usize, CpsFlow),
 ) {
     match flow {
         Flow::None => {}
         Flow::Const(cflow) => {
             if let Some(len) = nodes.add(dst, cflow) {
                 solver.node_grew(dst, len);
-                on_new(dst, cflow);
             }
         }
         Flow::Var(v) => {
@@ -1755,7 +1488,6 @@ fn cps_apply_clo(
     constraints: &mut Vec<CpsConstraint>,
     calls: &mut LabelTable<BTreeSet<AbsClo>>,
     tables: &CpsTables,
-    on_new: &mut impl FnMut(usize, CpsFlow),
 ) {
     let CpsFlow::Clo(clo) = v else { return };
     if !calls.entry_or_default(site).insert(clo) {
@@ -1763,23 +1495,21 @@ fn cps_apply_clo(
     }
     if let AbsClo::Lam(l) = clo {
         let (param, kvar) = tables.lam[l.index() as usize];
-        cps_wire_flow(arg, param, solver, nodes, constraints, on_new);
+        cps_wire_flow(arg, param, solver, nodes, constraints);
         cps_wire_flow(
             Flow::Const(CpsFlow::Kont(AbsKont::Co(cont))),
             kvar,
             solver,
             nodes,
             constraints,
-            on_new,
         );
     }
     // Primitives return numbers directly to the continuation: no closure
     // flow.
 }
 
-/// Fires CPS constraint `ci` — the one firing body shared by the
-/// sequential driver and every parallel shard; see [`fire_src`] for the
-/// `on_new` contract.
+/// Fires CPS constraint `ci` — the one firing body shared by the cold and
+/// warm-start drivers.
 #[allow(clippy::too_many_arguments)]
 fn fire_cps(
     ci: ConstraintId,
@@ -1790,7 +1520,6 @@ fn fire_cps(
     calls: &mut LabelTable<BTreeSet<AbsClo>>,
     tables: &CpsTables,
     deltas: &mut Vec<DeltaRange>,
-    on_new: &mut impl FnMut(usize, CpsFlow),
 ) {
     match constraints[ci] {
         CpsConstraint::Sub(dst) => {
@@ -1798,9 +1527,7 @@ fn fire_cps(
             // One watcher notification per firing, not per element.
             let mut grew = false;
             for &(src, lo, hi) in deltas.iter() {
-                grew |= nodes
-                    .forward_range(src, lo, hi, dst, |v| on_new(dst, *v))
-                    .is_some();
+                grew |= nodes.forward_range(src, lo, hi, dst).is_some();
             }
             if grew {
                 solver.node_grew(dst, nodes.log(dst).len());
@@ -1819,7 +1546,7 @@ fn fire_cps(
                     }
                     if let AbsKont::Co(l) = kk {
                         let dst = tables.cont_var[l.index() as usize];
-                        cps_wire_flow(w, dst, solver, nodes, constraints, on_new);
+                        cps_wire_flow(w, dst, solver, nodes, constraints);
                     }
                 }
             }
@@ -1837,7 +1564,6 @@ fn fire_cps(
                 constraints,
                 calls,
                 tables,
-                on_new,
             ),
             Flow::Var(_) => {
                 solver.take_deltas(ci, deltas);
@@ -1854,7 +1580,6 @@ fn fire_cps(
                             constraints,
                             calls,
                             tables,
-                            on_new,
                         );
                     }
                 }
@@ -1900,32 +1625,18 @@ pub fn zero_cfa_cps_guarded(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(CpsCfaResult, SolverStats), AnalysisError> {
-    zero_cfa_cps_guarded_mode(prog, SolverMode::Seq, guard, sink)
+    trace::with_span(sink, "cfa.cps", |sink| zero_cfa_cps_impl(prog, guard, sink))
 }
 
-/// [`zero_cfa_cps`] with an explicit [`SolverMode`]; `Par(k)` is
-/// bit-identical to `Seq` (see [`zero_cfa_with_mode`]).
-pub fn zero_cfa_cps_with_mode(
-    prog: &CpsProgram,
-    mode: SolverMode,
-) -> Result<CpsCfaResult, AnalysisError> {
-    let guard = RunGuard::new(AnalysisBudget::default());
-    Ok(zero_cfa_cps_guarded_mode(prog, mode, &guard, &mut NoopSink)?.0)
-}
-
-/// [`zero_cfa_cps_guarded`] with an explicit [`SolverMode`] — the fully
-/// general CPS-level entry point every other `zero_cfa_cps*` rung
-/// delegates to.
+/// [`zero_cfa_cps_guarded`] with a [`SolverMode`] argument, kept because
+/// `cpsbench/src/replay.rs` calls it.
 pub fn zero_cfa_cps_guarded_mode(
     prog: &CpsProgram,
-    mode: SolverMode,
+    _mode: SolverMode,
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(CpsCfaResult, SolverStats), AnalysisError> {
-    trace::with_span(sink, "cfa.cps", |sink| match mode {
-        SolverMode::Seq => zero_cfa_cps_impl(prog, guard, sink),
-        SolverMode::Par(_) => zero_cfa_cps_par_impl(prog, mode.shards(), guard, sink),
-    })
+    zero_cfa_cps_guarded(prog, guard, sink)
 }
 
 fn zero_cfa_cps_impl(
@@ -2003,7 +1714,6 @@ fn zero_cfa_cps_impl(
             &mut calls,
             &tables,
             &mut deltas,
-            &mut |_, _| {},
         );
         Ok(())
     })?;
@@ -2291,7 +2001,6 @@ pub(crate) fn zero_cfa_cps_warm_impl(
             &mut calls,
             &tables,
             &mut deltas,
-            &mut |_, _| {},
         );
         Ok(())
     })?;
@@ -2315,221 +2024,6 @@ pub(crate) fn zero_cfa_cps_warm_impl(
         },
         stats,
     )))
-}
-
-/// One partition of the parallel CPS-level 0CFA — the CPS mirror of
-/// [`SrcShard`], with the returns table alongside the call graph.
-struct CpsShard {
-    id: usize,
-    pmap: PartitionMap,
-    solver: WorklistSolver,
-    nodes: DeltaNodes<CpsFlow>,
-    constraints: Vec<CpsConstraint>,
-    returns: LabelTable<BTreeSet<AbsKont>>,
-    calls: LabelTable<BTreeSet<AbsClo>>,
-    tables: CpsTables,
-    deltas: Vec<DeltaRange>,
-}
-
-impl CpsShard {
-    /// See [`SrcShard::apply_incoming`] — same owner-broadcast protocol.
-    fn apply_incoming(
-        &mut self,
-        sender: usize,
-        node: usize,
-        v: CpsFlow,
-        out: &mut Outbox<(u32, CpsFlow)>,
-    ) {
-        if let Some(len) = self.nodes.add(node, v) {
-            self.solver.node_grew(node, len);
-            if self.pmap.owner(node) == self.id {
-                for dest in 0..self.pmap.shards() {
-                    if dest != self.id && dest != sender {
-                        out.send(dest, (node as u32, v));
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl ParShard for CpsShard {
-    type Msg = (u32, CpsFlow);
-
-    fn pump(
-        &mut self,
-        inbox: Vec<(usize, Vec<Self::Msg>)>,
-        out: &mut Outbox<Self::Msg>,
-        pg: &ParGuard,
-    ) -> Result<(), AnalysisError> {
-        for (sender, batch) in inbox {
-            for (node, v) in batch {
-                self.apply_incoming(sender, node as usize, v, out);
-            }
-        }
-        while let Some(ci) = self.solver.pop() {
-            pg.charge()?;
-            pg.charge_memory(self.id, self.nodes.approx_bytes() as u64)?;
-            let CpsShard {
-                id,
-                pmap,
-                solver,
-                nodes,
-                constraints,
-                returns,
-                calls,
-                tables,
-                deltas,
-            } = self;
-            let (me, pmap) = (*id, *pmap);
-            let mut route = |dst: usize, v: CpsFlow| {
-                let owner = pmap.owner(dst);
-                if owner == me {
-                    out.broadcast_from(me, (dst as u32, v));
-                } else {
-                    out.send(owner, (dst as u32, v));
-                }
-            };
-            fire_cps(
-                ci,
-                solver,
-                nodes,
-                constraints,
-                returns,
-                calls,
-                tables,
-                deltas,
-                &mut route,
-            );
-        }
-        Ok(())
-    }
-}
-
-/// The sharded parallel engine behind [`zero_cfa_cps_guarded_mode`]; see
-/// [`zero_cfa_par_impl`] for the structure.
-fn zero_cfa_cps_par_impl(
-    prog: &CpsProgram,
-    shards: usize,
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<(CpsCfaResult, SolverStats), AnalysisError> {
-    let tables = CpsTables::build(prog);
-    let edges = collect_cps_edges(prog);
-    let n = prog.num_vars();
-    let k = shards.max(1);
-    let pmap = PartitionMap::new(n, k);
-
-    let mut parts: Vec<CpsShard> = (0..k)
-        .map(|id| {
-            let mut solver = WorklistSolver::new();
-            solver.add_nodes(n);
-            CpsShard {
-                id,
-                pmap,
-                solver,
-                nodes: DeltaNodes::new(n),
-                constraints: Vec::new(),
-                returns: LabelTable::new(prog.label_count()),
-                calls: LabelTable::new(prog.label_count()),
-                tables: tables.clone(),
-                deltas: Vec::new(),
-            }
-        })
-        .collect();
-
-    // Static constraints route to the shard owning their watched node;
-    // constant-operator calls have no watch, so they hash by site label —
-    // any fixed assignment works, this one spreads them evenly.
-    for e in &edges {
-        match e {
-            CpsEdge::Seed(..) => {} // applied below, after all watches
-            CpsEdge::Sub(src, dst) => {
-                let sh = &mut parts[pmap.owner(src.index())];
-                let c = sh.solver.add_constraint(sh.constraints.len() as u32);
-                sh.solver.watch(src.index(), c);
-                sh.constraints.push(CpsConstraint::Sub(dst.index()));
-            }
-            CpsEdge::Ret { k: kv, w, site } => {
-                let sh = &mut parts[pmap.owner(kv.index())];
-                let c = sh.solver.add_constraint(sh.constraints.len() as u32);
-                sh.solver.watch(kv.index(), c);
-                sh.constraints
-                    .push(CpsConstraint::Ret { w: *w, site: *site });
-            }
-            CpsEdge::Call { f, arg, cont, site } => {
-                let home = match f {
-                    Flow::Var(v) => pmap.owner(v.index()),
-                    _ => site.index() as usize % k,
-                };
-                let sh = &mut parts[home];
-                let c = sh.solver.add_constraint(sh.constraints.len() as u32);
-                if let Flow::Var(v) = f {
-                    sh.solver.watch(v.index(), c);
-                } else {
-                    sh.solver.post(c);
-                }
-                sh.constraints.push(CpsConstraint::Call {
-                    f: *f,
-                    arg: *arg,
-                    cont: *cont,
-                    site: *site,
-                });
-            }
-        }
-    }
-    // Seeds pour into every mirror before the run (see the source driver).
-    for e in &edges {
-        if let CpsEdge::Seed(flow, dst) = e {
-            let dst = dst.index();
-            for sh in parts.iter_mut() {
-                if let Some(len) = sh.nodes.add(dst, *flow) {
-                    sh.solver.node_grew(dst, len);
-                }
-            }
-        }
-    }
-
-    let pg = ParGuard::from_guard(guard, k);
-    let ran = run_bsp(parts, &pg);
-    guard.absorb_parallel(pg.charged(), pg.mem_peak(), pg.fault_fired());
-    let mut parts = ran?;
-
-    // Deterministic merge, as in the source driver.
-    let mut pool: SetPool<CpsFlow> = SetPool::new();
-    let vars: Vec<Rc<BTreeSet<CpsFlow>>> = (0..n)
-        .map(|i| {
-            let id = parts[pmap.owner(i)].nodes.commit_into(i, &mut pool);
-            pool.get_rc(id)
-        })
-        .collect();
-    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
-    for sh in &parts {
-        for (site, set) in sh.returns.iter() {
-            returns.entry_or_default(site).extend(set.iter().copied());
-        }
-        for (site, set) in sh.calls.iter() {
-            calls.entry_or_default(site).extend(set.iter().copied());
-        }
-    }
-    let mut stats = SolverStats::default();
-    for sh in &parts {
-        stats.absorb(&sh.solver.stats());
-    }
-    stats.nodes = n as u64;
-    let stats = stats.with_pool(pool.stats());
-    stats.emit_into(sink, "cfa.cps");
-    let iterations = stats.fired.max(1);
-    Ok((
-        CpsCfaResult {
-            vars,
-            returns,
-            calls,
-            iterations,
-        },
-        stats,
-    ))
 }
 
 /// The original dense CPS formulation (full re-sweeps, per-propagation set
@@ -2761,85 +2255,6 @@ mod tests {
                 "CPS 0CFA diverges on {src}"
             );
         }
-    }
-
-    #[test]
-    fn parallel_modes_match_sequential_on_sample_programs() {
-        for src in [
-            "(let (f (lambda (x) x)) (f f))",
-            "(let (f (lambda (x) x)) (let (a1 (f 1)) (let (a2 (f 2)) a1)))",
-            "(let (f (if0 z (lambda (d0) 0) (lambda (d1) 1))) (let (a (f 9)) a))",
-            "(let (g (lambda (h) (h 3))) (g (lambda (y) (add1 y))))",
-            "(let (w (lambda (x) (x x))) (let (r (w w)) r))",
-            "(let (g add1) (g 1))",
-            "5",
-        ] {
-            let p = AnfProgram::parse(src).unwrap();
-            let guard = RunGuard::new(AnalysisBudget::default());
-            let (seq, seq_stats) =
-                zero_cfa_guarded_mode(&p, SolverMode::Seq, &guard, &mut crate::trace::NoopSink)
-                    .unwrap();
-            let c = CpsProgram::from_anf(&p);
-            let guard = RunGuard::new(AnalysisBudget::default());
-            let (seq_c, seq_c_stats) =
-                zero_cfa_cps_guarded_mode(&c, SolverMode::Seq, &guard, &mut crate::trace::NoopSink)
-                    .unwrap();
-            for k in [1usize, 2, 3, 5] {
-                let guard = RunGuard::new(AnalysisBudget::default());
-                let (par, par_stats) = zero_cfa_guarded_mode(
-                    &p,
-                    SolverMode::Par(k),
-                    &guard,
-                    &mut crate::trace::NoopSink,
-                )
-                .unwrap();
-                assert!(seq.same_solution(&par), "src Par({k}) diverges on {src}");
-                // Schedule-independent counters must agree exactly.
-                assert_eq!(seq_stats.nodes, par_stats.nodes, "nodes on {src}");
-                assert_eq!(
-                    seq_stats.constraints, par_stats.constraints,
-                    "constraints on {src}"
-                );
-                assert_eq!(
-                    seq_stats.delta_elems, par_stats.delta_elems,
-                    "delta_elems on {src}"
-                );
-                let guard = RunGuard::new(AnalysisBudget::default());
-                let (par_c, par_c_stats) = zero_cfa_cps_guarded_mode(
-                    &c,
-                    SolverMode::Par(k),
-                    &guard,
-                    &mut crate::trace::NoopSink,
-                )
-                .unwrap();
-                assert!(
-                    seq_c.same_solution(&par_c),
-                    "CPS Par({k}) diverges on {src}"
-                );
-                assert_eq!(seq_c_stats.nodes, par_c_stats.nodes);
-                assert_eq!(seq_c_stats.constraints, par_c_stats.constraints);
-                assert_eq!(seq_c_stats.delta_elems, par_c_stats.delta_elems);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_run_twice_is_bit_for_bit_repeatable() {
-        let p =
-            AnfProgram::parse("(let (g (lambda (h) (h 3))) (g (lambda (y) (add1 y))))").unwrap();
-        let c = CpsProgram::from_anf(&p);
-        let run = || {
-            let guard = RunGuard::new(AnalysisBudget::default());
-            zero_cfa_cps_guarded_mode(&c, SolverMode::Par(3), &guard, &mut crate::trace::NoopSink)
-                .unwrap()
-        };
-        let (a, a_stats) = run();
-        let (b, b_stats) = run();
-        assert!(a.same_solution(&b));
-        // Full stats equality — including the order-dependent scheduling
-        // counters — is the repeatability claim: same program, same K,
-        // same every-thing.
-        assert_eq!(a_stats, b_stats);
     }
 
     #[test]

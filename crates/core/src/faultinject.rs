@@ -26,7 +26,7 @@ pub enum FaultKind {
     /// passed the deadline mid-run.
     ExpireDeadline,
     /// Panic inside the solver step / interpreter goal, exercising the
-    /// `catch_unwind` isolation in the ladder and in parallel workers.
+    /// `catch_unwind` isolation in the ladder.
     Panic,
     /// Trip the guard's [`CancelToken`] (as a cancelling thread would) and
     /// report [`AnalysisError::Cancelled`].
@@ -113,13 +113,6 @@ impl FaultPlan {
     /// Whether the fault has already fired (plans are one-shot).
     pub fn has_fired(&self) -> bool {
         self.fired.get()
-    }
-
-    /// Marks the plan fired without performing it — how a parallel run,
-    /// which pokes an atomic *copy* of the schedule, reports back that the
-    /// one-shot happened on a worker thread.
-    pub(crate) fn force_fire(&self) {
-        self.fired.set(true);
     }
 
     /// The guard's shim hook: called with the cumulative charge count on

@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 /// How many charges pass between wall-clock/cancellation checks on the
 /// guard's hot path. Budget and fault checks are exact (they are integer
 /// compares); `Instant::now` and the atomic load are amortized.
-pub(crate) const INTERRUPT_PERIOD: u64 = 64;
+const INTERRUPT_PERIOD: u64 = 64;
 
 /// A shared cancellation flag: `Clone + Send + Sync`, checkable from
 /// solver steps, interpreter goals, and parallel workers alike. Cancelling
@@ -235,21 +235,6 @@ impl RunGuard {
         self
     }
 
-    /// The governing budget.
-    pub fn budget(&self) -> AnalysisBudget {
-        self.state.budget
-    }
-
-    /// The deadline, if any.
-    pub fn deadline(&self) -> Option<Deadline> {
-        self.state.deadline
-    }
-
-    /// The cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.state.cancel.as_ref()
-    }
-
     /// Charges spent since the last rung boundary.
     pub fn spent(&self) -> u64 {
         self.state.charged.get()
@@ -281,39 +266,6 @@ impl RunGuard {
     /// Peak memory footprint reported so far (bytes).
     pub fn mem_peak(&self) -> u64 {
         self.state.mem_peak.get()
-    }
-
-    /// The arena memory ceiling, if one is set.
-    pub fn memory_limit(&self) -> Option<u64> {
-        self.state.memory_limit
-    }
-
-    /// The armed fault plan, if any — read by the parallel guard shim,
-    /// which replays the schedule through atomics.
-    pub(crate) fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.state.fault.as_ref()
-    }
-
-    /// Folds the counters a parallel solve accumulated in its
-    /// [`ParGuard`](crate::solver::par) shim back into this guard: `charges`
-    /// new firings (both the per-rung and cumulative counters advance, so
-    /// fault schedules and `DegradationReport` charge accounting stay
-    /// correct in fallback rungs), the observed memory peak, and — when the
-    /// parallel run performed the armed fault — the plan's one-shot disarm,
-    /// so a fallback rung re-runs clean exactly as it would after a
-    /// sequential trip.
-    pub(crate) fn absorb_parallel(&self, charges: u64, mem_peak: u64, fault_fired: bool) {
-        let s = &*self.state;
-        s.charged.set(s.charged.get() + charges);
-        s.total.set(s.total.get() + charges);
-        if mem_peak > s.mem_peak.get() {
-            s.mem_peak.set(mem_peak);
-        }
-        if fault_fired {
-            if let Some(plan) = &s.fault {
-                plan.force_fire();
-            }
-        }
     }
 
     /// Resets the per-rung charge counter at a ladder rung boundary. The
@@ -406,7 +358,6 @@ pub struct GovernPolicy {
     memory_limit: Option<u64>,
     cancel: Option<CancelToken>,
     fault: Option<FaultPlan>,
-    mode: SolverMode,
 }
 
 impl GovernPolicy {
@@ -485,20 +436,17 @@ impl GovernPolicy {
         self
     }
 
-    /// Selects the fixpoint engine the governed CFA drivers run on
-    /// (default [`SolverMode::Seq`]). With [`SolverMode::Par`], the 0CFA
-    /// ladders gain an intermediate rung that retries the same analysis on
-    /// the sequential engine, so a parallel-runtime failure (e.g. a shard
-    /// panic) degrades engine-first before giving up precision.
+    /// Returns the policy unchanged: there is one engine to select. Kept
+    /// because `cpsbench/src/replay.rs` calls it.
     #[must_use]
-    pub fn with_solver_mode(mut self, mode: SolverMode) -> Self {
-        self.mode = mode;
+    pub fn with_solver_mode(self, _mode: SolverMode) -> Self {
         self
     }
 
-    /// The configured fixpoint engine mode.
+    /// Always [`SolverMode::Seq`]. Kept because `cpsbench/src/replay.rs`
+    /// calls it.
     pub fn solver_mode(&self) -> SolverMode {
-        self.mode
+        SolverMode::Seq
     }
 
     /// Derives a fresh [`RunGuard`] for one request: the deadline clock
@@ -804,17 +752,11 @@ impl CfaAnswer {
 /// Constraint-based 0CFA of the CPS-converted program under full
 /// governance, degrading to source-level 0CFA.
 ///
-/// Ladder: `cfa.cps` (0CFA of `CpsProgram::from_anf(prog)`, on the
-/// policy's [`SolverMode`]) → `cfa.cps.seq` (the same analysis on the
-/// sequential engine; present only when the policy selects a parallel
-/// mode) → `cfa.src` (0CFA of `prog` itself). All rungs satisfy §4.3
-/// soundness for the source program — the CPS rungs via the CPS
-/// transform's meaning preservation, the source rung directly — so the
-/// fallback loses the continuation flows (and §6.1 false-return
-/// visibility), not safety. The engine rung loses nothing at all:
-/// `Par(k)` and `Seq` are result-identical, so retrying sequentially after
-/// a parallel-runtime failure (a poisoned shard, say) recovers the *exact*
-/// answer the parallel rung was computing.
+/// Ladder: `cfa.cps` (0CFA of `CpsProgram::from_anf(prog)`) → `cfa.src`
+/// (0CFA of `prog` itself). Both rungs satisfy §4.3 soundness for the
+/// source program — the CPS rung via the CPS transform's meaning
+/// preservation, the source rung directly — so the fallback loses the
+/// continuation flows (and §6.1 false-return visibility), not safety.
 ///
 /// ```
 /// use std::time::Duration;
@@ -846,24 +788,12 @@ pub fn governed_zero_cfa_cps(
 ) -> Result<Governed<CfaAnswer>, AnalysisError> {
     let cps = CpsProgram::from_anf(prog);
     let guard = policy.guard();
-    let mode = policy.solver_mode();
-    let mut ladder =
-        DegradationLadder::new().rung("cfa.cps", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
+    DegradationLadder::new()
+        .rung("cfa.cps", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
             Ok(CfaAnswer::Cps(
-                cfa::zero_cfa_cps_guarded_mode(&cps, mode, g, &mut sink)?.0,
+                cfa::zero_cfa_cps_guarded(&cps, g, &mut sink)?.0,
             ))
-        });
-    if matches!(mode, SolverMode::Par(_)) {
-        ladder = ladder.rung(
-            "cfa.cps.seq",
-            |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                Ok(CfaAnswer::Cps(
-                    cfa::zero_cfa_cps_guarded(&cps, g, &mut sink)?.0,
-                ))
-            },
-        );
-    }
-    ladder
+        })
         .rung("cfa.src", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
             Ok(CfaAnswer::Direct(
                 cfa::zero_cfa_guarded(prog, g, &mut sink)?.0,
@@ -876,14 +806,11 @@ pub fn governed_zero_cfa_cps(
 /// with the summary-based analyzer ([`crate::pushdown`]) on top.
 ///
 /// Ladder: `cfa.pushdown` (call/return matching over
-/// `CpsProgram::from_anf(prog)`) → `cfa.pushdown.seq` (the same analysis
-/// retried on a fresh engine; present only when the policy selects a
-/// parallel mode, mirroring `cfa.cps.seq` in
-/// [`governed_zero_cfa_cps`]) → `cfa.cps` (monovariant 0CFA over the same
-/// CPS arena, on the policy's [`SolverMode`]) → `cfa.src` (0CFA of `prog`
-/// itself).
+/// `CpsProgram::from_anf(prog)`) → `cfa.cps` (monovariant 0CFA over the
+/// same CPS arena, as in [`governed_zero_cfa_cps`]) → `cfa.src` (0CFA of
+/// `prog` itself).
 ///
-/// Rung soundness: the pushdown rungs are §4.3-sound for the source
+/// Rung soundness: the pushdown rung is §4.3-sound for the source
 /// program via the CPS transform's meaning preservation plus the
 /// summary argument (a return is only wired where a call was observed,
 /// and a concrete return always pops the frame its activation pushed);
@@ -892,9 +819,6 @@ pub fn governed_zero_cfa_cps(
 /// counterpart, checked by the differential suite), `cfa.src` further
 /// drops continuation flow entirely. No rung is ever *less* sound, so
 /// degradation trades precision (false returns reappear), never safety.
-/// The pushdown rungs do not insert or reorder the 0CFA ladder's own
-/// engine-retry rung: under `Par` the shape is exactly
-/// `cfa.pushdown → cfa.pushdown.seq → cfa.cps → cfa.src`.
 ///
 /// # Errors
 ///
@@ -906,29 +830,18 @@ pub fn governed_pushdown_cfa(
 ) -> Result<Governed<CfaAnswer>, AnalysisError> {
     let cps = CpsProgram::from_anf(prog);
     let guard = policy.guard();
-    let mode = policy.solver_mode();
-    let mut ladder = DegradationLadder::new().rung(
-        "cfa.pushdown",
-        |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-            Ok(CfaAnswer::Pushdown(
-                pushdown::pushdown_cfa_guarded_mode(&cps, mode, g, &mut sink)?.0,
-            ))
-        },
-    );
-    if matches!(mode, SolverMode::Par(_)) {
-        ladder = ladder.rung(
-            "cfa.pushdown.seq",
+    DegradationLadder::new()
+        .rung(
+            "cfa.pushdown",
             |g: &RunGuard, mut sink: &mut dyn TraceSink| {
                 Ok(CfaAnswer::Pushdown(
                     pushdown::pushdown_cfa_guarded(&cps, g, &mut sink)?.0,
                 ))
             },
-        );
-    }
-    ladder
+        )
         .rung("cfa.cps", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
             Ok(CfaAnswer::Cps(
-                cfa::zero_cfa_cps_guarded_mode(&cps, mode, g, &mut sink)?.0,
+                cfa::zero_cfa_cps_guarded(&cps, g, &mut sink)?.0,
             ))
         })
         .rung("cfa.src", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
@@ -1231,22 +1144,6 @@ mod tests {
         assert!(!governed.report.degraded());
         assert!(matches!(governed.value, CfaAnswer::Cps(_)));
         assert_eq!(governed.report.answered_by(), Some("cfa.cps"));
-    }
-
-    #[test]
-    fn governed_cfa_on_parallel_mode_answers_identically() {
-        let p = AnfProgram::parse("(let (f (lambda (x) x)) (f (f 1)))").unwrap();
-        let seq = governed_zero_cfa_cps(&p, &GovernPolicy::new(), &mut crate::trace::NoopSink)
-            .expect("sequential mode answers");
-        let policy = GovernPolicy::new().with_solver_mode(SolverMode::Par(3));
-        let par = governed_zero_cfa_cps(&p, &policy, &mut crate::trace::NoopSink)
-            .expect("parallel mode answers");
-        assert!(!par.report.degraded());
-        assert_eq!(par.report.answered_by(), Some("cfa.cps"));
-        let (CfaAnswer::Cps(a), CfaAnswer::Cps(b)) = (&seq.value, &par.value) else {
-            panic!("both ladders should answer at the CPS rung");
-        };
-        assert!(a.same_solution(b));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! shift/mask/`count_ones`/`trailing_zeros` ops with no cross-iteration
 //! dependence inside a chunk — the shape LLVM's autovectorizer turns into
 //! SIMD on every target the workspace builds for, while staying 100% stable
-//! Rust with zero `unsafe`. Both the sequential solver paths and the
-//! sharded parallel engine ([`crate::solver::par`]) call through here, so
-//! there is exactly one implementation of each hot loop to keep correct.
+//! Rust with zero `unsafe`. Every solver path calls through here, so there
+//! is exactly one implementation of each hot loop to keep correct.
 
 /// Words processed per unrolled step. Four `u64`s = one 256-bit lane on
 /// AVX2-class hardware and two 128-bit lanes on NEON/SSE2; wider chunks

@@ -31,7 +31,6 @@
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::domain::NumDomain;
 use crate::govern::RunGuard;
-use crate::solver::par::{run_bsp, Outbox, ParGuard, ParShard, PartitionMap};
 use crate::solver::{DeltaRange, SolverMode, WorklistSolver};
 use crate::stats::SolverStats;
 use crate::trace::{self, NoopSink, TraceSink};
@@ -363,123 +362,16 @@ impl Cfg {
         trace::with_span(sink, "mfp", |sink| self.solve_mfp_impl(init, guard, sink))
     }
 
-    /// [`solve_mfp`](Cfg::solve_mfp) on an explicit
-    /// [`SolverMode`]: `Seq` is the single-threaded engine,
-    /// `Par(k)` shards the CFG nodes over `k` workers — with an identical
-    /// summary, per the monotone-fixpoint argument in DESIGN.md §10.
-    ///
-    /// ```
-    /// use cpsdfa_anf::AnfProgram;
-    /// use cpsdfa_core::domain::Flat;
-    /// use cpsdfa_core::mfp::Cfg;
-    /// use cpsdfa_core::SolverMode;
-    ///
-    /// let p = AnfProgram::parse("(let (a 1) (let (b (add1 a)) b))")?;
-    /// let c = Cfg::from_first_order(&p)?;
-    /// let seq = c.solve_mfp::<Flat>(c.initial_env(&p))?;
-    /// let par = c.solve_mfp_with_mode::<Flat>(c.initial_env(&p), SolverMode::Par(2))?;
-    /// assert_eq!(seq, par);
-    /// # Ok::<(), Box<dyn std::error::Error>>(())
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Anything the default [`AnalysisBudget`] can report.
-    pub fn solve_mfp_with_mode<D: NumDomain + Send>(
+    /// [`solve_mfp_guarded`](Cfg::solve_mfp_guarded) with a [`SolverMode`]
+    /// argument, kept because `cpsbench/src/replay.rs` calls it.
+    pub fn solve_mfp_guarded_mode<D: NumDomain>(
         &self,
         init: DfEnv<D>,
-        mode: SolverMode,
-    ) -> Result<DfSummary<D>, AnalysisError> {
-        let guard = RunGuard::new(AnalysisBudget::default());
-        Ok(self
-            .solve_mfp_guarded_mode(init, mode, &guard, &mut NoopSink)?
-            .0)
-    }
-
-    /// [`solve_mfp_guarded`](Cfg::solve_mfp_guarded) on an explicit
-    /// [`SolverMode`]. Parallel runs charge the guard through its
-    /// thread-safe shim and fold the totals back, so budgets, deadlines,
-    /// injected faults, and memory accounting behave identically to a
-    /// sequential run.
-    ///
-    /// # Errors
-    ///
-    /// Guard trips, plus [`AnalysisError::WorkerPanicked`] if a shard
-    /// panics.
-    pub fn solve_mfp_guarded_mode<D: NumDomain + Send>(
-        &self,
-        init: DfEnv<D>,
-        mode: SolverMode,
+        _mode: SolverMode,
         guard: &RunGuard,
         sink: &mut impl TraceSink,
     ) -> Result<(DfSummary<D>, SolverStats), AnalysisError> {
-        trace::with_span(sink, "mfp", |sink| match mode {
-            SolverMode::Seq => self.solve_mfp_impl(init, guard, sink),
-            SolverMode::Par(_) => self.solve_mfp_par_impl(init, mode.shards(), guard, sink),
-        })
-    }
-
-    /// The sharded MFP engine. Every shard registers all `n` constraints
-    /// (so constraint ids align with node ids everywhere) but watches and
-    /// posts only the ones whose node it owns: each `in[i]`/`out[i]` has a
-    /// single writer, and growth of an owned `out` is broadcast to the
-    /// sibling mirrors, whose `node_changed` ticks wake their own owned
-    /// watchers.
-    fn solve_mfp_par_impl<D: NumDomain + Send>(
-        &self,
-        init: DfEnv<D>,
-        shards: usize,
-        guard: &RunGuard,
-        sink: &mut impl TraceSink,
-    ) -> Result<(DfSummary<D>, SolverStats), AnalysisError> {
-        let n = self.nodes.len();
-        let k = shards.max(1);
-        let pmap = PartitionMap::new(n, k);
-        let preds = self.preds();
-        let rank = self.rpo_ranks();
-        let mut parts: Vec<MfpShard<'_, D>> = Vec::with_capacity(k);
-        for s in 0..k {
-            let mut solver = WorklistSolver::new();
-            solver.add_nodes(n);
-            solver.reserve(n);
-            for (i, ps) in preds.iter().enumerate() {
-                let c = solver.add_constraint(rank[i]);
-                debug_assert_eq!(c, i);
-                if pmap.owner(i) == s {
-                    for &p in ps {
-                        solver.watch(p.0, c);
-                    }
-                    solver.post(c);
-                }
-            }
-            parts.push(MfpShard {
-                id: s,
-                cfg: self,
-                solver,
-                ins: self.initial_ins(&init),
-                outs: vec![vec![D::bot(); self.num_vars]; n],
-                deltas: Vec::new(),
-            });
-        }
-        let pg = ParGuard::from_guard(guard, k);
-        let ran = run_bsp(parts, &pg);
-        // Fold charges back even on error: ladder fallbacks and cumulative
-        // fault schedules depend on the totals a failed run accumulated.
-        guard.absorb_parallel(pg.charged(), pg.mem_peak(), pg.fault_fired());
-        let mut parts = ran?;
-        let outs: Vec<DfEnv<D>> = (0..n)
-            .map(|i| std::mem::take(&mut parts[pmap.owner(i)].outs[i]))
-            .collect();
-        let mut stats = SolverStats::default();
-        for sh in &parts {
-            stats.absorb(&sh.solver.stats());
-        }
-        // Node and constraint counts are per-mirror bookkeeping; report the
-        // global figures a sequential run would.
-        stats.nodes = n as u64;
-        stats.constraints = n as u64;
-        stats.emit_into(sink, "mfp");
-        Ok((self.summarize(&outs), stats))
+        self.solve_mfp_guarded(init, guard, sink)
     }
 
     fn solve_mfp_impl<D: NumDomain>(
@@ -510,15 +402,7 @@ impl Cfg {
         let mut ins = self.initial_ins(&init);
         let mut deltas: Vec<DeltaRange> = Vec::new();
         solver.run_guarded(guard, |solver, id| {
-            mfp_fire_body(
-                self,
-                id,
-                solver,
-                &mut ins,
-                &mut outs,
-                &mut deltas,
-                &mut |_, _| {},
-            );
+            mfp_fire_body(self, id, solver, &mut ins, &mut outs, &mut deltas);
             Ok(())
         })?;
         let stats = solver.stats();
@@ -695,11 +579,9 @@ impl Cfg {
     }
 }
 
-/// One constraint firing, shared verbatim by the sequential and sharded
-/// engines: re-join the predecessors whose `out` grew since the last firing
-/// (reported by [`WorklistSolver::take_deltas`]), re-run the transfer, and
-/// on growth tick the version counter and hand the new `out` to `on_grew`
-/// (a no-op sequentially; the owner-broadcast hook in a shard).
+/// One constraint firing: re-join the predecessors whose `out` grew since
+/// the last firing (reported by [`WorklistSolver::take_deltas`]), re-run
+/// the transfer, and on growth tick the version counter.
 ///
 /// `in[id]` accumulates monotonically: the solver is used as a version
 /// counter (`node_changed`), and each firing joins in only the changed
@@ -714,7 +596,6 @@ fn mfp_fire_body<D: NumDomain>(
     ins: &mut [DfEnv<D>],
     outs: &mut [DfEnv<D>],
     deltas: &mut Vec<DeltaRange>,
-    on_grew: &mut impl FnMut(usize, &DfEnv<D>),
 ) {
     solver.take_deltas(id, deltas);
     for &(p, _, _) in deltas.iter() {
@@ -724,73 +605,6 @@ fn mfp_fire_body<D: NumDomain>(
     if !Cfg::env_leq(&out, &outs[id]) {
         outs[id] = Cfg::join_env(&outs[id], &out);
         solver.node_changed(id);
-        on_grew(id, &outs[id]);
-    }
-}
-
-/// One partition of the parallel MFP engine: a full solver plus `in`/`out`
-/// mirrors over all CFG nodes, of which only the owned block is ever
-/// written by local firings. Messages carry a node's entire new `out`
-/// environment; since only the owner fires a node's constraint, mirrors
-/// have a single remote writer and need no forwarding protocol.
-struct MfpShard<'c, D> {
-    id: usize,
-    cfg: &'c Cfg,
-    solver: WorklistSolver,
-    ins: Vec<DfEnv<D>>,
-    outs: Vec<DfEnv<D>>,
-    deltas: Vec<DeltaRange>,
-}
-
-impl<D: NumDomain> MfpShard<'_, D> {
-    /// Joins a broadcast `out` into the local mirror; a strict growth ticks
-    /// the version counter so owned watchers of `node` re-fire.
-    fn apply_incoming(&mut self, node: usize, env: &DfEnv<D>) {
-        if !Cfg::env_leq(env, &self.outs[node]) {
-            self.outs[node] = Cfg::join_env(&self.outs[node], env);
-            self.solver.node_changed(node);
-        }
-    }
-}
-
-impl<D: NumDomain + Send> ParShard for MfpShard<'_, D> {
-    type Msg = (u32, DfEnv<D>);
-
-    fn pump(
-        &mut self,
-        inbox: Vec<(usize, Vec<Self::Msg>)>,
-        out: &mut Outbox<Self::Msg>,
-        pg: &ParGuard,
-    ) -> Result<(), AnalysisError> {
-        for (_src, batch) in inbox {
-            for (node, env) in batch {
-                self.apply_incoming(node as usize, &env);
-            }
-        }
-        while let Some(ci) = self.solver.pop() {
-            pg.charge()?;
-            let MfpShard {
-                id,
-                cfg,
-                solver,
-                ins,
-                outs,
-                deltas,
-            } = self;
-            let me = *id;
-            mfp_fire_body(
-                cfg,
-                ci,
-                solver,
-                ins,
-                outs,
-                deltas,
-                &mut |n, env: &DfEnv<D>| {
-                    out.broadcast_from(me, (n as u32, env.clone()));
-                },
-            );
-        }
-        Ok(())
     }
 }
 
@@ -1161,101 +975,6 @@ mod tests {
             .solve_mfp_traced::<Flat>(init, AnalysisBudget::new(1), &mut NoopSink)
             .expect_err("one firing cannot settle a diamond");
         assert!(matches!(err, AnalysisError::BudgetExhausted { budget: 1 }));
-    }
-
-    #[test]
-    fn parallel_mfp_matches_sequential() {
-        for src in [
-            "(let (a 1) (let (b (add1 a)) b))",
-            "(let (a1 (if0 z 0 1)) (let (a2 (if0 a1 (+ a1 3) (+ a1 2))) a2))",
-            "(let (x (loop)) (let (y (add1 x)) y))",
-            "(let (a (if0 z 1 2)) (let (b (add1 a)) b))",
-            "(let (a (if0 z 0 1)) (let (b (if0 w 0 1)) (let (c (if0 v 0 1)) c)))",
-        ] {
-            let (p, c) = cfg(src);
-            let init = c.initial_env::<Flat>(&p);
-            let (seq, seq_stats) = c
-                .solve_mfp_instrumented::<Flat>(init.clone())
-                .unwrap_or_else(|e| panic!("sequential MFP failed on {src:?}: {e}"));
-            for k in [1usize, 2, 3, 5] {
-                let guard = RunGuard::new(AnalysisBudget::default());
-                let (par, par_stats) = c
-                    .solve_mfp_guarded_mode::<Flat>(
-                        init.clone(),
-                        SolverMode::Par(k),
-                        &guard,
-                        &mut NoopSink,
-                    )
-                    .unwrap_or_else(|e| panic!("Par({k}) MFP failed on {src:?}: {e}"));
-                assert_eq!(seq, par, "Par({k}) summary diverges on {src}");
-                assert_eq!(par_stats.nodes, seq_stats.nodes);
-                assert_eq!(par_stats.constraints, seq_stats.constraints);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_mfp_matches_on_hand_built_sum_cfg() {
-        // The non-distributive Sum example exercises from_parts graphs
-        // (unreachable-blind posting included) under sharding.
-        let a = VarId(0);
-        let b = VarId(1);
-        let cc = VarId(2);
-        let z = VarId(3);
-        let nodes = vec![
-            Node {
-                stmt: Stmt::Havoc(z),
-                succs: vec![NodeId(1)],
-                cond: None,
-            },
-            Node {
-                stmt: Stmt::Nop,
-                succs: vec![NodeId(2), NodeId(4)],
-                cond: Some(Cond::Var(z)),
-            },
-            Node {
-                stmt: Stmt::Const(a, 1),
-                succs: vec![NodeId(3)],
-                cond: None,
-            },
-            Node {
-                stmt: Stmt::Const(b, 2),
-                succs: vec![NodeId(6)],
-                cond: None,
-            },
-            Node {
-                stmt: Stmt::Const(a, 2),
-                succs: vec![NodeId(5)],
-                cond: None,
-            },
-            Node {
-                stmt: Stmt::Const(b, 1),
-                succs: vec![NodeId(6)],
-                cond: None,
-            },
-            Node {
-                stmt: Stmt::Sum(cc, a, b),
-                succs: vec![NodeId(7)],
-                cond: None,
-            },
-            Node {
-                stmt: Stmt::Nop,
-                succs: vec![],
-                cond: None,
-            },
-        ];
-        let g = Cfg::from_parts(nodes, NodeId(0), NodeId(7), 4)
-            .expect("the hand-built two-branch sum CFG is well-formed");
-        let init = g.bottom_env::<Flat>();
-        let seq = g
-            .solve_mfp::<Flat>(init.clone())
-            .expect("sequential MFP failed on the sum CFG");
-        for k in [2usize, 4] {
-            let par = g
-                .solve_mfp_with_mode::<Flat>(init.clone(), SolverMode::Par(k))
-                .unwrap_or_else(|e| panic!("Par({k}) MFP failed on the sum CFG: {e}"));
-            assert_eq!(seq, par);
-        }
     }
 
     #[test]

@@ -475,7 +475,7 @@ fn fire_pd(
             solver.take_deltas(ci, deltas);
             let mut grew = false;
             for &(src, lo, hi) in deltas.iter() {
-                grew |= nodes.forward_range(src, lo, hi, dst, |_| {}).is_some();
+                grew |= nodes.forward_range(src, lo, hi, dst).is_some();
             }
             if grew {
                 solver.node_grew(dst, nodes.log(dst).len());
@@ -553,29 +553,20 @@ pub fn pushdown_cfa_guarded(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(PushdownCfaResult, SolverStats), AnalysisError> {
-    pushdown_cfa_guarded_mode(prog, SolverMode::Seq, guard, sink)
-}
-
-/// [`pushdown_cfa_guarded`] with an explicit [`SolverMode`] — the entry
-/// point the ladder and the service use.
-///
-/// Unlike the 0CFA rungs, `Par(k)` runs the *sequential* algorithm:
-/// summary instantiation grows the constraint graph at call discovery, and
-/// those dynamic edges cross any static partition of the node universe, so
-/// a BSP sharding would serialize on ownership transfers rather than
-/// scale. The mode still participates in cache keys and ladder shape (the
-/// governed ladder keeps a `cfa.pushdown.seq` retry rung under `Par` for
-/// fault isolation), and `Par`/`Seq` answers are trivially bit-identical.
-pub fn pushdown_cfa_guarded_mode(
-    prog: &CpsProgram,
-    mode: SolverMode,
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<(PushdownCfaResult, SolverStats), AnalysisError> {
-    let _ = mode;
     trace::with_span(sink, "cfa.pushdown", |sink| {
         pushdown_cfa_impl(prog, guard, sink)
     })
+}
+
+/// [`pushdown_cfa_guarded`] with a [`SolverMode`] argument, kept because
+/// `cpsbench/src/replay.rs` calls it.
+pub fn pushdown_cfa_guarded_mode(
+    prog: &CpsProgram,
+    _mode: SolverMode,
+    guard: &RunGuard,
+    sink: &mut impl TraceSink,
+) -> Result<(PushdownCfaResult, SolverStats), AnalysisError> {
+    pushdown_cfa_guarded(prog, guard, sink)
 }
 
 fn pushdown_cfa_impl(
@@ -869,19 +860,6 @@ mod tests {
         let b = pushdown_cfa(&c).unwrap();
         assert!(a.same_solution(&b));
         assert!(a.iterations >= 1);
-    }
-
-    #[test]
-    fn par_mode_is_bit_identical_to_seq() {
-        let (_, c) = cps_of(&families::dispatch(6));
-        let guard = RunGuard::new(AnalysisBudget::default());
-        let seq = pushdown_cfa_guarded_mode(&c, SolverMode::Seq, &guard, &mut NoopSink)
-            .unwrap()
-            .0;
-        let par = pushdown_cfa_guarded_mode(&c, SolverMode::Par(4), &guard, &mut NoopSink)
-            .unwrap()
-            .0;
-        assert!(seq.same_solution(&par));
     }
 
     #[test]

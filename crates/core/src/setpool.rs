@@ -431,18 +431,9 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
     /// to the word kernels ([`kernels::union_into_diff`] +
     /// [`kernels::for_each_set_bit`]): no per-element bit tests, and the
     /// new elements append in universe-index order. Partial ranges take the
-    /// scalar indexed path (log order). Either way `on_new` observes each
-    /// element that actually entered `dst` — the sharded engine's publish
-    /// hook; the sequential solver passes a no-op closure the optimizer
-    /// erases. Returns `Some(new_log_len)` iff `dst` grew.
-    pub fn forward_range(
-        &mut self,
-        src: usize,
-        lo: usize,
-        hi: usize,
-        dst: usize,
-        mut on_new: impl FnMut(&T),
-    ) -> Option<usize> {
+    /// scalar indexed path (log order). Returns `Some(new_log_len)` iff
+    /// `dst` grew.
+    pub fn forward_range(&mut self, src: usize, lo: usize, hi: usize, dst: usize) -> Option<usize> {
         if lo >= hi || src == dst {
             return None;
         }
@@ -468,9 +459,7 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
             let cap_before = log.capacity();
             let len_before = log.len();
             kernels::for_each_set_bit(&self.diff_scratch, |vi| {
-                let v = rev[vi as usize].clone();
-                on_new(&v);
-                log.push((v, vi));
+                log.push((rev[vi as usize].clone(), vi));
             });
             self.log_cap += log.capacity() - cap_before;
             self.log_entries += log.len() - len_before;
@@ -479,8 +468,7 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
         let mut grew = None;
         for i in lo..hi {
             let (v, vi) = self.logs[src][i].clone();
-            if let Some(len) = self.add_indexed(dst, v.clone(), vi) {
-                on_new(&v);
+            if let Some(len) = self.add_indexed(dst, v, vi) {
                 grew = Some(len);
             }
         }
@@ -491,8 +479,8 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
     /// membership bitsets, and the value universe (entry and reverse
     /// table), all charged at their *reserved* capacity rather than their
     /// in-use length, so the figure tracks what the allocator is actually
-    /// holding (amortized-doubling `Vec`s can reserve ~2× what they use,
-    /// and a sharded run multiplies that by its mirror count). O(1):
+    /// holding (amortized-doubling `Vec`s can reserve ~2× what they use).
+    /// O(1):
     /// maintained incrementally by the add paths. This is what the governed
     /// CFA drivers feed the [`RunGuard`](crate::govern::RunGuard) memory
     /// ceiling, and the number tracks the same growth the `pool.*` gauges
@@ -753,33 +741,19 @@ mod tests {
         for v in 0..150 {
             nodes.add(0, v * 3);
         }
-        let mut kernel_seen = Vec::new();
-        let len = nodes.forward_range(0, 0, 150, 1, |&v| kernel_seen.push(v));
-        assert_eq!(len, Some(150));
-        let mut scalar_seen = Vec::new();
-        assert!(nodes
-            .forward_range(0, 0, 70, 2, |&v| scalar_seen.push(v))
-            .is_some());
-        assert!(nodes
-            .forward_range(0, 70, 150, 2, |&v| scalar_seen.push(v))
-            .is_some());
+        assert_eq!(nodes.forward_range(0, 0, 150, 1), Some(150));
+        assert_eq!(nodes.forward_range(0, 0, 70, 2), Some(70));
+        assert_eq!(nodes.forward_range(0, 70, 150, 2), Some(150));
         let a: BTreeSet<u32> = nodes.values(1).copied().collect();
         let b: BTreeSet<u32> = nodes.values(2).copied().collect();
         let src: BTreeSet<u32> = nodes.values(0).copied().collect();
         assert_eq!(a, src);
         assert_eq!(b, src);
-        assert_eq!(kernel_seen.len(), 150, "every forwarded element observed");
-        assert_eq!(scalar_seen.len(), 150);
         // Re-forwarding is a no-op on both paths, and self-forwarding too.
-        assert_eq!(
-            nodes.forward_range(0, 0, 150, 1, |_| panic!("no new")),
-            None
-        );
-        assert_eq!(
-            nodes.forward_range(0, 20, 90, 2, |_| panic!("no new")),
-            None
-        );
-        assert_eq!(nodes.forward_range(0, 0, 150, 0, |_| panic!("self")), None);
+        assert_eq!(nodes.forward_range(0, 0, 150, 1), None);
+        assert_eq!(nodes.forward_range(0, 20, 90, 2), None);
+        assert_eq!(nodes.forward_range(0, 0, 150, 0), None);
+        assert_eq!(nodes.log(1).len(), 150, "no element forwarded twice");
     }
 
     #[test]
@@ -794,7 +768,7 @@ mod tests {
         // Seed dst with an overlap so the diff is partial.
         a.add(1, 130);
         b.add(1, 130);
-        a.forward_range(0, 0, 7, 1, |_| {});
+        a.forward_range(0, 0, 7, 1);
         for i in 0..7 {
             let (v, vi) = b.log(0)[i];
             b.add_indexed(1, v, vi);

@@ -31,15 +31,40 @@
 //! pass reverse-postorder ranks (MFP) or source order (CFA) — so solving
 //! is fully deterministic.
 
-pub mod par;
-
-pub use par::{worker_count, SolverMode};
-
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::govern::RunGuard;
 use crate::stats::SolverStats;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::num::NonZeroUsize;
+
+/// The fixpoint engine a request runs on. Only the sequential worklist
+/// engine exists; the type survives so that `cpsbench/src/replay.rs`,
+/// which threads a request's mode through the `*_guarded_mode` entry
+/// points, still compiles.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum SolverMode {
+    /// The single-threaded worklist engine.
+    #[default]
+    Seq,
+}
+
+/// The worker count configured for this process: the `CPSDFA_WORKERS`
+/// environment variable if set to a parseable integer (clamped to at least
+/// 1, so `0` means "sequential", not "panic"), otherwise the available
+/// hardware parallelism, or 1 if neither can be determined.
+///
+/// This is the single parsing point for the knob: `workloads::par` (the
+/// corpus-level map) and the service's worker pool both call through
+/// here, so the two always agree on what the variable means.
+pub fn worker_count() -> usize {
+    if let Ok(raw) = std::env::var("CPSDFA_WORKERS") {
+        if let Ok(n) = raw.trim().parse::<usize>() {
+            return n.max(1);
+        }
+    }
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
 
 /// A constraint index handed out by [`WorklistSolver::add_constraint`].
 pub type ConstraintId = usize;

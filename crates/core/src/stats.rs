@@ -119,31 +119,6 @@ impl SolverStats {
         self
     }
 
-    /// Folds another engine's counters into these — the parallel-shard
-    /// merge: counters add, the queue-peak gauge maxes, the delta histogram
-    /// adds per bucket. Parallel drivers that give every shard a full
-    /// mirror of the node space override the summed `nodes` with the global
-    /// total afterwards.
-    pub fn absorb(&mut self, o: &SolverStats) {
-        self.nodes += o.nodes;
-        self.constraints += o.constraints;
-        self.posted += o.posted;
-        self.coalesced += o.coalesced;
-        self.fired += o.fired;
-        self.node_updates += o.node_updates;
-        self.queue_peak = self.queue_peak.max(o.queue_peak);
-        self.pool_interned += o.pool_interned;
-        self.pool_join_hits += o.pool_join_hits;
-        self.pool_join_misses += o.pool_join_misses;
-        self.pool_commit_hits += o.pool_commit_hits;
-        self.pool_commit_misses += o.pool_commit_misses;
-        self.delta_batches += o.delta_batches;
-        self.delta_elems += o.delta_elems;
-        for (a, b) in self.delta_hist.iter_mut().zip(o.delta_hist) {
-            *a += b;
-        }
-    }
-
     /// Flushes these counters into a trace sink under `prefix` (e.g.
     /// `solver.fired` for `prefix = "solver"`). Emission is a phase-boundary
     /// operation: the solver hot loop keeps its plain field increments and

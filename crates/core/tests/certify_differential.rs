@@ -5,11 +5,11 @@
 //! Three guarantees are pinned here:
 //!
 //! 1. **Completeness on real answers.** Across a 300-program random
-//!    corpus, under `SolverMode::{Seq, Par(k)}`, the checker accepts the
-//!    answers of all four analyses (source 0CFA, CPS 0CFA, pushdown CFA,
-//!    MFP over `Flat`) — both served fresh and after a round trip through
-//!    the content-addressed cache (`certify_answer` on the looked-up
-//!    entry, exactly the daemon's `--certify` path).
+//!    corpus, the checker accepts the answers of all four analyses (source
+//!    0CFA, CPS 0CFA, pushdown CFA, MFP over `Flat`) — both served fresh
+//!    and after a round trip through the content-addressed cache
+//!    (`certify_answer` on the looked-up entry, exactly the daemon's
+//!    `--certify` path).
 //! 2. **Warm answers certify too.** Incremental re-solves
 //!    (`WarmSolve::Warm`) are checked against the *edited* program, the
 //!    way the service certifies session warm-starts before serving them.
@@ -22,7 +22,6 @@
 //!    original.
 
 use cpsdfa_anf::AnfProgram;
-use cpsdfa_core::budget::AnalysisBudget;
 use cpsdfa_core::cache::{
     AnalysisKind, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint, FixpointCache, SendCfa,
     SendCpsCfa, SendPushdown,
@@ -30,19 +29,15 @@ use cpsdfa_core::cache::{
 use cpsdfa_core::certify::{
     certify_answer, certify_cfa_cps, certify_cfa_src, certify_mfp, certify_pushdown,
 };
-use cpsdfa_core::cfa::{
-    zero_cfa, zero_cfa_cps, zero_cfa_cps_guarded_mode, zero_cfa_guarded_mode, CfaResult,
-    CpsCfaResult, CpsFlow,
-};
+use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps, CfaResult, CpsCfaResult, CpsFlow};
 use cpsdfa_core::domain::Flat;
-use cpsdfa_core::govern::{DegradationReport, RunGuard};
+use cpsdfa_core::govern::DegradationReport;
 use cpsdfa_core::incremental::{
     solve_mfp_incremental, zero_cfa_cps_warm, zero_cfa_warm, WarmSolve,
 };
 use cpsdfa_core::mfp::Cfg;
 use cpsdfa_core::pushdown::{pushdown_cfa, PushdownCfaResult};
-use cpsdfa_core::trace::NoopSink;
-use cpsdfa_core::{AbsClo, SolverMode};
+use cpsdfa_core::AbsClo;
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_syntax::arena::TermArena;
 use cpsdfa_syntax::build::{let_, num};
@@ -59,22 +54,16 @@ fn digest_in_fresh_arena(src: &str) -> u128 {
     ArenaDigests::new().term_digest(&arena, root)
 }
 
-/// Solves `p` with every analysis under `mode` and certifies each answer,
-/// fresh and (for the slot's rotating pick) after a cache round trip.
-/// Returns the first refutation as an error string.
-fn check_certify(p: &AnfProgram, src_text: &str, i: usize, mode: SolverMode) -> Result<(), String> {
-    let guard = RunGuard::new(AnalysisBudget::default());
-
+/// Solves `p` with every analysis and certifies each answer, fresh and
+/// (for the slot's rotating pick) after a cache round trip. Returns the
+/// first refutation as an error string.
+fn check_certify(p: &AnfProgram, src_text: &str, i: usize) -> Result<(), String> {
     // --- fresh answers, one per analysis ---
-    let src = zero_cfa_guarded_mode(p, mode, &guard, &mut NoopSink)
-        .map(|(r, _)| r)
-        .map_err(|e| format!("src 0CFA failed under {mode:?}: {e}"))?;
+    let src = zero_cfa(p).map_err(|e| format!("src 0CFA failed: {e}"))?;
     certify_cfa_src(p, &src).map_err(|e| format!("fresh src answer refuted: {e}"))?;
 
     let cps = CpsProgram::from_anf(p);
-    let cps_r = zero_cfa_cps_guarded_mode(&cps, mode, &guard, &mut NoopSink)
-        .map(|(r, _)| r)
-        .map_err(|e| format!("cps 0CFA failed under {mode:?}: {e}"))?;
+    let cps_r = zero_cfa_cps(&cps).map_err(|e| format!("cps 0CFA failed: {e}"))?;
     certify_cfa_cps(&cps, &cps_r).map_err(|e| format!("fresh cps answer refuted: {e}"))?;
 
     let pd = pushdown_cfa(&cps).map_err(|e| format!("pushdown failed: {e}"))?;
@@ -84,9 +73,8 @@ fn check_certify(p: &AnfProgram, src_text: &str, i: usize, mode: SolverMode) -> 
         Ok(cfg) => {
             let init = cfg.initial_env::<Flat>(p);
             let s = cfg
-                .solve_mfp_guarded_mode::<Flat>(init, mode, &guard, &mut NoopSink)
-                .map(|(s, _)| s)
-                .map_err(|e| format!("MFP failed under {mode:?}: {e}"))?;
+                .solve_mfp::<Flat>(init)
+                .map_err(|e| format!("MFP failed: {e}"))?;
             certify_mfp(p, &s).map_err(|e| format!("fresh mfp answer refuted: {e}"))?;
             Some(s)
         }
@@ -117,7 +105,7 @@ fn check_certify(p: &AnfProgram, src_text: &str, i: usize, mode: SolverMode) -> 
         },
     };
     let mut cache = FixpointCache::new(u64::MAX);
-    let key = CacheKey::full(kind, mode, digest_in_fresh_arena(src_text));
+    let key = CacheKey::new(kind, digest_in_fresh_arena(src_text));
     cache.insert(
         key,
         CachedFixpoint::new(answer, DegradationReport::default()),
@@ -135,12 +123,7 @@ fn every_solver_answer_certifies_on_300_program_corpus() {
     let report = par_map_isolated(&indexed, None, |&(i, t)| {
         let p = AnfProgram::from_term(t);
         let text = t.to_string();
-        // Slot-varied shard count sweeps Seq and Par(1..4).
-        let mode = match i % 4 {
-            0 => SolverMode::Seq,
-            k => SolverMode::Par(k),
-        };
-        check_certify(&p, &text, i, mode).map_err(|e| format!("program {i}: {e}"))
+        check_certify(&p, &text, i).map_err(|e| format!("program {i}: {e}"))
     });
     assert_eq!(report.completed, progs.len(), "no sweep worker may die");
     let failures: Vec<String> = report

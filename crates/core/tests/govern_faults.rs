@@ -26,9 +26,8 @@ use cpsdfa_core::faultinject::{FaultKind, FaultPlan, INJECTED_PANIC};
 use cpsdfa_core::govern::{
     governed_pushdown_cfa, governed_zero_cfa_cps, CancelToken, CfaAnswer, GovernPolicy, RunGuard,
 };
-use cpsdfa_core::pushdown::{pushdown_cfa, pushdown_cfa_instrumented};
+use cpsdfa_core::pushdown::pushdown_cfa_instrumented;
 use cpsdfa_core::trace::{AggSink, NoopSink};
-use cpsdfa_core::SolverMode;
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_workloads::families;
 use cpsdfa_workloads::par::{par_map_isolated, ParOutcome};
@@ -252,77 +251,6 @@ fn wall_clock_deadline_of_zero_degrades_or_cancels_soundly() {
 }
 
 // ---------------------------------------------------------------------------
-// Injected faults under the sharded parallel engine
-// ---------------------------------------------------------------------------
-
-#[test]
-fn shard_panic_under_par_degrades_without_deadlocking_siblings() {
-    quiet_injected_panics();
-    let p = AnfProgram::from_term(&families::repeated_calls(96));
-    // The fault panics inside whichever shard performs cumulative charge
-    // 40. The sibling shards must still reach the round barrier (the BSP
-    // runtime keeps a poisoned shard in the protocol), the ladder must see
-    // WorkerPanicked, and the sequential-engine rung must answer with the
-    // exact solution the parallel rung was computing.
-    let fault = FaultPlan::new(FaultKind::Panic, 40);
-    let policy = GovernPolicy::new()
-        .with_solver_mode(SolverMode::Par(4))
-        .with_fault(fault);
-    let governed = governed_zero_cfa_cps(&p, &policy, &mut NoopSink)
-        .expect("the sequential rung recovers the answer");
-    assert!(governed.report.degraded());
-    assert_eq!(governed.report.resource, Some("panic"));
-    assert_eq!(governed.report.answered_by(), Some("cfa.cps.seq"));
-    let Some(AnalysisError::WorkerPanicked { payload }) = &governed.report.attempts[0].error else {
-        panic!("first attempt should record the shard panic");
-    };
-    assert!(payload.contains(INJECTED_PANIC), "payload kept: {payload}");
-    let CfaAnswer::Cps(answer) = governed.value else {
-        panic!("the engine fallback keeps the CPS-level answer");
-    };
-    let c = CpsProgram::from_anf(&p);
-    assert!(answer.same_solution(&zero_cfa_cps(&c).unwrap()));
-}
-
-#[test]
-fn injected_budget_trip_under_par_degrades_to_the_sequential_engine() {
-    let p = AnfProgram::from_term(&families::repeated_calls(96));
-    let fault = FaultPlan::new(FaultKind::TripBudget, 25);
-    let policy = GovernPolicy::new()
-        .with_solver_mode(SolverMode::Par(3))
-        .with_fault(fault);
-    let governed = governed_zero_cfa_cps(&p, &policy, &mut NoopSink)
-        .expect("one-shot fault, the sequential rung runs clean");
-    assert!(governed.report.degraded());
-    assert_eq!(governed.report.resource, Some("budget"));
-    assert_eq!(governed.report.answered_by(), Some("cfa.cps.seq"));
-    assert!(matches!(
-        governed.report.attempts[0].error,
-        Some(AnalysisError::BudgetExhausted { .. })
-    ));
-    let CfaAnswer::Cps(answer) = governed.value else {
-        panic!("the engine fallback keeps the CPS-level answer");
-    };
-    let c = CpsProgram::from_anf(&p);
-    assert!(answer.same_solution(&zero_cfa_cps(&c).unwrap()));
-}
-
-#[test]
-fn injected_cancel_under_par_aborts_every_rung_without_hanging() {
-    let p = AnfProgram::from_term(&families::repeated_calls(96));
-    let token = CancelToken::new();
-    let fault = FaultPlan::new(FaultKind::Cancel, 30);
-    let policy = GovernPolicy::new()
-        .with_solver_mode(SolverMode::Par(4))
-        .with_cancel(token.clone())
-        .with_fault(fault);
-    let err = governed_zero_cfa_cps(&p, &policy, &mut NoopSink)
-        .expect_err("cancellation is never retried, sequential rungs included");
-    assert_eq!(err, AnalysisError::Cancelled);
-    assert!(token.is_cancelled(), "the fault tripped the shared token");
-}
-
-// ---------------------------------------------------------------------------
 // Acceptance: worker panic isolation on a real corpus sweep
 // ---------------------------------------------------------------------------
 
@@ -481,15 +409,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The pushdown rung on top: ladder shape and engine-retry composition
+// The pushdown rung on top: ladder shape
 // ---------------------------------------------------------------------------
 
 #[test]
-fn pushdown_ladder_under_par_keeps_exact_rung_order_with_no_duplicates() {
+fn pushdown_ladder_keeps_exact_rung_order_with_no_duplicates() {
     // Budget-starve every rung except the last, so the report records the
-    // complete ladder: the engine-retry rung must be inserted exactly
-    // once, directly after the rung it retries, and the representation
-    // rungs must follow in unchanged order — no duplicates, no reorder.
+    // complete ladder: the representation rungs must follow the pushdown
+    // rung in unchanged order — no duplicates, no reorder.
     // `dispatch` is the family where the CPS-arena rungs genuinely cost
     // more than the direct rung (pushdown is *cheaper* than source 0CFA
     // on most families — it skips every continuation flow — so starving
@@ -503,50 +430,17 @@ fn pushdown_ladder_under_par_keeps_exact_rung_order_with_no_duplicates() {
         "premise: the direct rung is the cheapest ({src_fired} vs {cps_fired} vs {} firings)",
         pd_stats.fired
     );
-    let policy = GovernPolicy::new()
-        .with_budget(AnalysisBudget::new(src_fired))
-        .with_solver_mode(SolverMode::Par(4));
+    let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(src_fired));
     let governed = governed_pushdown_cfa(&p, &policy, &mut NoopSink)
         .expect("the ladder recovers at the direct rung");
     let names: Vec<&str> = governed.report.attempts.iter().map(|a| a.rung).collect();
-    assert_eq!(
-        names,
-        ["cfa.pushdown", "cfa.pushdown.seq", "cfa.cps", "cfa.src"],
-        "the seq-retry rung composes with the pushdown rung exactly once, in place"
-    );
+    assert_eq!(names, ["cfa.pushdown", "cfa.cps", "cfa.src"]);
     assert_eq!(governed.report.answered_by(), Some("cfa.src"));
     assert_eq!(governed.report.resource, Some("budget"));
     let CfaAnswer::Direct(answer) = governed.value else {
         panic!("total starvation above cfa.src forces the direct fallback");
     };
     assert!(answer.same_solution(&zero_cfa(&p).unwrap()));
-}
-
-#[test]
-fn pushdown_panic_under_par_retries_on_the_sequential_engine_first() {
-    quiet_injected_panics();
-    let p = AnfProgram::from_term(&families::repeated_calls(96));
-    let c = CpsProgram::from_anf(&p);
-    let (baseline, stats) = pushdown_cfa_instrumented(&c).expect("un-governed pushdown completes");
-    // A panic mid-run in the parallel attempt: the engine-retry rung (not
-    // the coarser representation rungs) must answer, bit-identically to
-    // the un-faulted pushdown run.
-    let fault = FaultPlan::new(FaultKind::Panic, (stats.fired / 2).max(1));
-    let policy = GovernPolicy::new()
-        .with_solver_mode(SolverMode::Par(4))
-        .with_fault(fault);
-    let governed = governed_pushdown_cfa(&p, &policy, &mut NoopSink)
-        .expect("the sequential engine recovers the answer");
-    assert!(governed.report.degraded());
-    assert_eq!(governed.report.resource, Some("panic"));
-    assert_eq!(governed.report.answered_by(), Some("cfa.pushdown.seq"));
-    let names: Vec<&str> = governed.report.attempts.iter().map(|a| a.rung).collect();
-    assert_eq!(names, ["cfa.pushdown", "cfa.pushdown.seq"]);
-    let CfaAnswer::Pushdown(answer) = governed.value else {
-        panic!("the engine retry keeps the pushdown-level answer");
-    };
-    assert!(answer.same_solution(&baseline));
-    assert!(pushdown_cfa(&c).unwrap().same_solution(&answer));
 }
 
 #[test]

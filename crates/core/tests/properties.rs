@@ -314,7 +314,7 @@ mod cache_churn {
     use cpsdfa_core::cache::{AnalysisKind, Ancestor, CacheKey, CachedAnswer, CachedFixpoint};
     use cpsdfa_core::govern::DegradationReport;
     use cpsdfa_core::mfp::DfSummary;
-    use cpsdfa_core::{FixpointCache, SolverMode};
+    use cpsdfa_core::FixpointCache;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
@@ -335,7 +335,7 @@ mod cache_churn {
     }
 
     fn key(idx: usize) -> CacheKey {
-        CacheKey::full(AnalysisKind::MfpFlat, SolverMode::Seq, idx as u128)
+        CacheKey::new(AnalysisKind::MfpFlat, idx as u128)
     }
 
     /// A transliteration of the documented cache algorithm: LRU by unique

@@ -13,10 +13,6 @@
 //!    whole corpus: every return edge the pushdown analyzer records
 //!    carries a call-table witness for the frame it returns through
 //!    (§6.1's false returns are exactly the edges without one).
-//!
-//! Determinism across engines (`Par(k)` vs `Seq`) is pinned in the unit
-//! suite (`pushdown::tests::par_mode_is_bit_identical_to_seq`); this file
-//! is about the *semantic* relationship between the two rungs.
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::cfa::zero_cfa_cps;

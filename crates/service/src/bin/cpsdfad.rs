@@ -9,12 +9,14 @@
 //!
 //! Request lines look like
 //! `{"id": 1, "analysis": "cfa.cps", "program": "(let (f (lambda (x) x)) (f 1))"}`
-//! (optional fields: `mode` = `seq`/`par`/`par:K`, `budget`,
-//! `request_budget`, `deadline_ms`, and `session` — requests sharing a
-//! session id form an edit stream whose steps warm-start from the
-//! session's previous fixpoint). Control lines: `{"cmd": "stats"}`,
-//! `{"cmd": "health"}`, `{"cmd": "shutdown"}`. Responses correlate by `id`
-//! and may complete out of order.
+//! (optional fields: `budget`, `request_budget`, `deadline_ms`, and
+//! `session` — requests sharing a session id form an edit stream whose
+//! steps warm-start from the session's previous fixpoint). A `mode` of
+//! `seq`, `par` or `par:K` is accepted and ignored: every request runs on
+//! the sequential engine, and `stats` counts the `par` ones as
+//! `mode_ignored`; any other `mode` is a `bad-request`. Control lines:
+//! `{"cmd": "stats"}`, `{"cmd": "health"}`, `{"cmd": "shutdown"}`.
+//! Responses correlate by `id` and may complete out of order.
 //!
 //! `--persist-dir` makes the cache crash-safe: answers spill to a
 //! directory of checksummed, atomically-committed entries, recovered (and

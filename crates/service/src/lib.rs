@@ -29,7 +29,7 @@
 //!    rung burns budget. Reservations release on completion.
 //!
 //! Only past both rungs does a request reach the degradation rungs proper
-//! (engine retry, representation fallback) that PR 5/6 built.
+//! (the representation fallbacks of the governed ladders).
 //!
 //! # Caching
 //!
@@ -86,7 +86,7 @@ use cpsdfa_core::govern::{
 use cpsdfa_core::incremental::{self, WarmReport, WarmSolve};
 use cpsdfa_core::mfp::Cfg;
 use cpsdfa_core::trace::TraceSink;
-use cpsdfa_core::{cfa, worker_count, AggSink, AnalysisBudget, JsonlSink, RunGuard, SolverMode};
+use cpsdfa_core::{cfa, worker_count, AggSink, AnalysisBudget, JsonlSink, RunGuard};
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_syntax::arena::TermArena;
 use proto::{BadRequest, Request, Response, Served, Status};
@@ -181,6 +181,8 @@ struct ServiceCounters {
     served_solve: AtomicU64,
     degraded: AtomicU64,
     failed: AtomicU64,
+    /// Requests that named a `par` engine, which is accepted and ignored.
+    mode_ignored: AtomicU64,
 }
 
 /// One completed request of a batch run: the response plus (when the
@@ -350,23 +352,19 @@ impl AnalysisService {
         self.cache.lock().expect("cache poisoned").stats()
     }
 
-    /// How many rungs `kind`'s canonical ladder has under `mode` —
-    /// what the admission reservation multiplies an unbounded request's
-    /// per-rung budget by.
-    fn ladder_rungs(kind: AnalysisKind, mode: SolverMode) -> u64 {
-        let base = match kind {
+    /// How many rungs `kind`'s canonical ladder has — what the admission
+    /// reservation multiplies an unbounded request's per-rung budget by.
+    fn ladder_rungs(kind: AnalysisKind) -> u64 {
+        match kind {
             AnalysisKind::CfaPushdown => 3, // cfa.pushdown → cfa.cps → cfa.src
             AnalysisKind::CfaCps => 2,      // cfa.cps → cfa.src
             AnalysisKind::CfaSrc | AnalysisKind::MfpFlat => 1,
-        };
-        base + u64::from(matches!(mode, SolverMode::Par(_))) // engine-retry rung
+        }
     }
 
     /// Builds the per-request governance policy.
     fn policy_for(&self, req: &Request) -> GovernPolicy {
-        let mut policy = GovernPolicy::new()
-            .with_budget(AnalysisBudget::new(req.budget))
-            .with_solver_mode(req.mode);
+        let mut policy = GovernPolicy::new().with_budget(AnalysisBudget::new(req.budget));
         if let Some(cap) = req.request_budget {
             policy = policy.with_request_budget(cap);
         }
@@ -380,11 +378,14 @@ impl AnalysisService {
     /// counted into [`reserved`](Self::reserved) — release it after the
     /// request completes). On rejection, returns the refusal reason.
     fn admit(&self, req: &Request, queue_depth: usize) -> Result<u64, &'static str> {
+        if req.mode_ignored {
+            self.counters.mode_ignored.fetch_add(1, Ordering::Relaxed);
+        }
         if queue_depth >= self.config.max_queue {
             self.counters.rejected_queue.fetch_add(1, Ordering::Relaxed);
             return Err("queue-full");
         }
-        let rungs = Self::ladder_rungs(req.kind, req.mode);
+        let rungs = Self::ladder_rungs(req.kind);
         let want = self.policy_for(req).worst_case_charges(rungs);
         let mut current = self.reserved.load(Ordering::Relaxed);
         loop {
@@ -445,7 +446,7 @@ impl AnalysisService {
             }
         };
         let digest = ctx.digests.term_digest(&ctx.arena, root);
-        let full_key = CacheKey::full(req.kind, req.mode, digest);
+        let full_key = CacheKey::new(req.kind, digest);
 
         if self.config.cache_enabled {
             let cached = self.cache.lock().expect("cache poisoned").lookup(&full_key);
@@ -453,10 +454,10 @@ impl AnalysisService {
                 // Sampled certification: re-derive the constraint system
                 // independently of the solver and check the cached answer
                 // against it. A refuted entry — recovered corruption the
-                // checksums could not see, an alignment bug, a shard merge
-                // error — is evicted from memory *and* disk, then the
-                // request falls through to a from-scratch solve below.
-                // Wrong answers are detected and healed, never served.
+                // checksums could not see, an alignment bug — is evicted
+                // from memory *and* disk, then the request falls through
+                // to a from-scratch solve below. Wrong answers are
+                // detected and healed, never served.
                 let refuted = self.should_certify() && {
                     let term = ctx.arena.to_term(root);
                     let prog = AnfProgram::from_term(&term);
@@ -592,30 +593,17 @@ impl AnalysisService {
                     .map(|g| (pack_cfa(g.value), g.report)),
                 AnalysisKind::CfaCps => governed_zero_cfa_cps(&prog, &policy, sink)
                     .map(|g| (pack_cfa(g.value), g.report)),
-                AnalysisKind::CfaSrc => {
-                    let guard = policy.guard();
-                    let mode = policy.solver_mode();
-                    let mut ladder = DegradationLadder::new().rung(
-                        "cfa.src",
-                        |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                            Ok(cfa::zero_cfa_guarded_mode(&prog, mode, g, &mut sink)?.0)
-                        },
-                    );
-                    if matches!(mode, SolverMode::Par(_)) {
-                        ladder = ladder.rung(
-                            "cfa.src.seq",
-                            |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                                Ok(cfa::zero_cfa_guarded(&prog, g, &mut sink)?.0)
-                            },
-                        );
-                    }
-                    ladder.run(&guard, sink).map(|g| {
+                AnalysisKind::CfaSrc => DegradationLadder::new()
+                    .rung("cfa.src", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
+                        Ok(cfa::zero_cfa_guarded(&prog, g, &mut sink)?.0)
+                    })
+                    .run(&policy.guard(), sink)
+                    .map(|g| {
                         (
                             CachedAnswer::CfaSrc(SendCfa::from_result(&g.value)),
                             g.report,
                         )
-                    })
-                }
+                    }),
                 AnalysisKind::MfpFlat => {
                     let cfg = match Cfg::from_first_order(&prog) {
                         Ok(cfg) => cfg,
@@ -631,33 +619,11 @@ impl AnalysisService {
                         }
                     };
                     let init = cfg.initial_env::<Flat>(&prog);
-                    let guard = policy.guard();
-                    let mode = policy.solver_mode();
-                    let mut ladder = DegradationLadder::new().rung(
-                        "mfp.flat",
-                        |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                            Ok(cfg
-                                .solve_mfp_guarded_mode::<Flat>(init.clone(), mode, g, &mut sink)?
-                                .0)
-                        },
-                    );
-                    if matches!(mode, SolverMode::Par(_)) {
-                        ladder = ladder.rung(
-                            "mfp.flat.seq",
-                            |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                                Ok(cfg
-                                    .solve_mfp_guarded_mode::<Flat>(
-                                        init.clone(),
-                                        SolverMode::Seq,
-                                        g,
-                                        &mut sink,
-                                    )?
-                                    .0)
-                            },
-                        );
-                    }
-                    ladder
-                        .run(&guard, sink)
+                    DegradationLadder::new()
+                        .rung("mfp.flat", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
+                            Ok(cfg.solve_mfp_guarded::<Flat>(init.clone(), g, &mut sink)?.0)
+                        })
+                        .run(&policy.guard(), sink)
                         .map(|g| (CachedAnswer::MfpFlat(g.value), g.report))
                 }
             };
@@ -691,7 +657,7 @@ impl AnalysisService {
             // answer lands on the full-precision key future lookups probe;
             // a degraded answer lands on its own rung key, reachable only
             // by an explicit degraded probe — never by a fresh request.
-            let commit_key = CacheKey::for_rung(req.kind, req.mode, digest, rung);
+            let commit_key = full_key.at_rung(rung);
             self.cache
                 .lock()
                 .expect("cache poisoned")
@@ -852,11 +818,10 @@ impl AnalysisService {
             // Feed in order; workers drain concurrently, so the
             // queue-depth rung sees the true backlog.
             for (slot, line) in lines.iter().enumerate() {
-                match Request::parse(
+                match Request::decode(
                     line,
                     self.config.default_budget,
                     self.config.default_deadline_ms,
-                    self.config.workers,
                 ) {
                     Ok(request) => match self.admit(&request, queue.depth()) {
                         Ok(reservation) => queue.push(Job {
@@ -989,11 +954,10 @@ impl AnalysisService {
                             }
                         }
                     }
-                    match Request::parse(
+                    match Request::decode(
                         line,
                         self.config.default_budget,
                         self.config.default_deadline_ms,
-                        self.config.workers,
                     ) {
                         Ok(request) => match self.admit(&request, queue.depth()) {
                             Ok(reservation) => queue.push(Job {
@@ -1041,7 +1005,7 @@ impl AnalysisService {
              \"cache_entries\": {}, \"cache_bytes\": {}, \"reserved_charges\": {}, \
              \"certify_ok\": {}, \"certify_fail\": {}, \"persist_recovered\": {}, \
              \"persist_corrupt\": {}, \"persist_evicted_bytes\": {}, \
-             \"session_ttl_evict\": {}}}",
+             \"session_ttl_evict\": {}, \"mode_ignored\": {}}}",
             c.accepted.load(Ordering::Relaxed),
             c.rejected_queue.load(Ordering::Relaxed),
             c.rejected_budget.load(Ordering::Relaxed),
@@ -1061,6 +1025,7 @@ impl AnalysisService {
             cache.persist_corrupt,
             cache.persist_evicted_bytes,
             cache.session_ttl_evictions,
+            c.mode_ignored.load(Ordering::Relaxed),
         )
     }
 

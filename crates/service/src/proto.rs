@@ -20,9 +20,12 @@ pub struct Request {
     /// The program source (the same s-expression syntax every front end in
     /// the workspace parses).
     pub program: String,
-    /// Engine selection (`"seq"`, `"par"` = the pool's worker count,
-    /// `"par:K"`).
+    /// Always [`SolverMode::Seq`]. Kept because `cpsbench/src/replay.rs`
+    /// reads it.
     pub mode: SolverMode,
+    /// The request named a `par` engine (`"par"` or `"par:K"`), which is
+    /// accepted and ignored: every request runs on the one engine.
+    pub mode_ignored: bool,
     /// Per-rung goal budget.
     pub budget: u64,
     /// Whole-request cumulative charge cap, if the client set one.
@@ -48,12 +51,15 @@ pub struct BadRequest {
 
 impl Request {
     /// Parses one request line, filling unspecified knobs from the
-    /// defaults. `default_workers` resolves a bare `"mode": "par"`.
-    pub fn parse(
+    /// defaults.
+    ///
+    /// `"mode"` is optional. Besides `"seq"`, it accepts `"par"` and
+    /// `"par:K"` (K ≥ 1) and ignores them. Any other value is a bad
+    /// request.
+    pub fn decode(
         line: &str,
         default_budget: u64,
         default_deadline_ms: Option<u64>,
-        default_workers: usize,
     ) -> Result<Request, BadRequest> {
         let fields = json::parse_object(line).map_err(|detail| BadRequest { id: None, detail })?;
         let id = json::field(&fields, "id")
@@ -82,11 +88,11 @@ impl Request {
             .and_then(Scalar::as_str)
             .ok_or_else(|| fail("missing \"program\"".to_owned()))?
             .to_owned();
-        let mode = match json::field(&fields, "mode").and_then(Scalar::as_str) {
-            None | Some("seq") => SolverMode::Seq,
-            Some("par") => SolverMode::Par(default_workers),
+        let mode_ignored = match json::field(&fields, "mode").and_then(Scalar::as_str) {
+            None | Some("seq") => false,
+            Some("par") => true,
             Some(m) => match m.strip_prefix("par:").and_then(|k| k.parse::<usize>().ok()) {
-                Some(k) if k > 0 => SolverMode::Par(k),
+                Some(k) if k > 0 => true,
                 _ => {
                     return Err(fail(format!(
                         "bad mode {m:?} (expected seq, par, or par:K)"
@@ -106,12 +112,24 @@ impl Request {
             id,
             kind,
             program,
-            mode,
+            mode: SolverMode::Seq,
+            mode_ignored,
             budget,
             request_budget,
             deadline_ms,
             session,
         })
+    }
+
+    /// [`Request::decode`] with a worker-count argument, kept because
+    /// `cpsbench/src/replay.rs` calls it.
+    pub fn parse(
+        line: &str,
+        default_budget: u64,
+        default_deadline_ms: Option<u64>,
+        _default_workers: usize,
+    ) -> Result<Request, BadRequest> {
+        Request::decode(line, default_budget, default_deadline_ms)
     }
 }
 
@@ -299,16 +317,7 @@ impl Response {
 /// ladders use. Unknown names (future rungs) leak once — acceptable for a
 /// test/client utility, never called on the serving path.
 fn intern_rung(name: &str) -> &'static str {
-    for known in [
-        "cfa.src",
-        "cfa.src.seq",
-        "cfa.cps",
-        "cfa.cps.seq",
-        "cfa.pushdown",
-        "cfa.pushdown.seq",
-        "mfp.flat",
-        "mfp.flat.seq",
-    ] {
+    for known in ["cfa.src", "cfa.cps", "cfa.pushdown", "mfp.flat"] {
         if name == known {
             return known;
         }
@@ -323,16 +332,17 @@ mod tests {
     #[test]
     fn request_defaults_and_overrides() {
         let line = r#"{"id": 3, "analysis": "cfa.cps", "program": "(f 1)"}"#;
-        let req = Request::parse(line, 50_000, Some(100), 4).unwrap();
+        let req = Request::decode(line, 50_000, Some(100)).unwrap();
         assert_eq!(req.id, 3);
         assert_eq!(req.kind, AnalysisKind::CfaCps);
-        assert_eq!(req.mode, SolverMode::Seq);
+        assert!(!req.mode_ignored);
         assert_eq!(req.budget, 50_000);
         assert_eq!(req.deadline_ms, Some(100));
         let line = r#"{"id": 4, "analysis": "mfp.flat", "program": "1", "mode": "par:2",
                        "budget": 9, "request_budget": 12, "deadline_ms": 5}"#;
-        let req = Request::parse(line, 50_000, None, 4).unwrap();
-        assert_eq!(req.mode, SolverMode::Par(2));
+        let req = Request::decode(line, 50_000, None).unwrap();
+        assert_eq!(req.mode, SolverMode::Seq, "par:K is accepted and ignored");
+        assert!(req.mode_ignored);
         assert_eq!(req.budget, 9);
         assert_eq!(req.request_budget, Some(12));
         assert_eq!(req.deadline_ms, Some(5));
@@ -340,13 +350,8 @@ mod tests {
 
     #[test]
     fn bad_requests_carry_the_id_when_recoverable() {
-        let err = Request::parse(
-            r#"{"id": 9, "analysis": "nope", "program": "x"}"#,
-            1,
-            None,
-            1,
-        )
-        .unwrap_err();
+        let err = Request::decode(r#"{"id": 9, "analysis": "nope", "program": "x"}"#, 1, None)
+            .unwrap_err();
         assert_eq!(err.id, Some(9));
         assert!(err.detail.contains("unknown analysis"));
         // The expected-kind list in the message is generated from
@@ -359,25 +364,33 @@ mod tests {
                 err.detail
             );
         }
-        let err = Request::parse("not json", 1, None, 1).unwrap_err();
+        let err = Request::decode("not json", 1, None).unwrap_err();
         assert_eq!(err.id, None);
+        // Only seq, par and par:K (K ≥ 1) name an engine.
+        for mode in ["turbo", "par:0", "par:", "par:x", "SEQ"] {
+            let line =
+                format!(r#"{{"id": 10, "analysis": "cfa.src", "program": "1", "mode": "{mode}"}}"#);
+            let err = Request::decode(&line, 1, None).unwrap_err();
+            assert_eq!(err.id, Some(10), "{mode}");
+            assert!(err.detail.contains("bad mode"), "{mode}: {}", err.detail);
+        }
     }
 
     #[test]
     fn pushdown_requests_parse() {
         let line = r#"{"id": 11, "analysis": "cfa.pushdown", "program": "(f 1)", "mode": "par:2"}"#;
-        let req = Request::parse(line, 50_000, None, 4).unwrap();
+        let req = Request::decode(line, 50_000, None).unwrap();
         assert_eq!(req.kind, AnalysisKind::CfaPushdown);
-        assert_eq!(req.mode, SolverMode::Par(2));
+        assert!(req.mode_ignored);
         // The answering rung names survive a response round trip.
-        for rung in ["cfa.pushdown", "cfa.pushdown.seq"] {
+        for rung in ["cfa.pushdown", "cfa.cps", "cfa.src"] {
             let resp = Response {
                 id: 11,
                 latency_us: 7,
                 status: Status::Ok {
                     cache: Served::Miss,
                     rung: intern_rung(rung),
-                    degraded: rung.ends_with(".seq"),
+                    degraded: rung != "cfa.pushdown",
                     answer_digest: 1,
                     iterations: 2,
                     charged: 3,

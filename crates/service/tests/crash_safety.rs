@@ -9,7 +9,7 @@ use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::cache::{ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint, SendCfa};
 use cpsdfa_core::faultinject::{PersistFault, PersistFaultPlan};
 use cpsdfa_core::govern::DegradationReport;
-use cpsdfa_core::{cfa, PersistDir, SolverMode};
+use cpsdfa_core::{cfa, PersistDir};
 use cpsdfa_service::proto::{Response, Served, Status};
 use cpsdfa_service::{AnalysisService, ServiceConfig};
 use cpsdfa_syntax::arena::TermArena;
@@ -235,7 +235,7 @@ fn certify_on_hit_evicts_a_poisoned_entry_and_recomputes() {
         let mut digests = ArenaDigests::new();
         let root = arena.parse(&good).unwrap();
         let digest = digests.term_digest(&arena, root);
-        let key = CacheKey::full(cpsdfa_core::AnalysisKind::CfaSrc, SolverMode::Seq, digest);
+        let key = CacheKey::new(cpsdfa_core::AnalysisKind::CfaSrc, digest);
         let wrong = cfa::zero_cfa(&AnfProgram::parse(&other).unwrap()).unwrap();
         let fixpoint = CachedFixpoint::new(
             CachedAnswer::CfaSrc(SendCfa::from_result(&wrong)),

@@ -128,6 +128,30 @@ fn the_cache_holds_the_served_fixpoint_not_a_copy() {
 }
 
 #[test]
+fn par_mode_is_ignored_and_shares_the_seq_cache_entry() {
+    // `"mode": "par:2"` still parses, but names no engine: the request is
+    // solved (and keyed) exactly like one without a mode, so the repeat
+    // without a mode hits the same entry with the same digest.
+    let service = AnalysisService::new(small_config());
+    let program = families::dispatch(12).to_string();
+    let lines = [
+        format!(r#"{{"id": 1, "analysis": "cfa.cps", "program": "{program}", "mode": "par:2"}}"#),
+        request(2, "cfa.cps", &program),
+    ];
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let outcomes = service.run_batch(&refs);
+    let (first, _, _, d1) = ok_fields(&outcomes[0].response);
+    let (second, _, _, d2) = ok_fields(&outcomes[1].response);
+    assert_eq!((first, second), (&Served::Miss, &Served::Hit));
+    assert_eq!(d1, d2, "the hit serves the par:2 request's answer");
+    assert!(
+        service.stats_json().contains("\"mode_ignored\": 1"),
+        "{}",
+        service.stats_json()
+    );
+}
+
+#[test]
 fn cache_off_solves_fresh_but_stays_bit_identical() {
     let on = AnalysisService::new(small_config());
     let off = AnalysisService::new(ServiceConfig {

@@ -33,9 +33,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// different machines stay comparable.
 ///
 /// This is a re-export shim over [`cpsdfa_core::worker_count`] — the
-/// single parsing point for the knob, shared with the intra-program
-/// parallel engine (`SolverMode::par_from_env`), so the corpus-level and
-/// solver-level layers can never disagree about what the variable means.
+/// single parsing point for the knob, shared with the service's worker
+/// pool, so the corpus driver and the daemon can never disagree about what
+/// the variable means.
 pub fn worker_count() -> usize {
     cpsdfa_core::worker_count()
 }
