@@ -1960,7 +1960,8 @@ fn e18_degradation(sink: &mut impl TraceSink, test_mode: bool) {
             for (label, goals) in budgets {
                 let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(goals));
                 let (answered_by, rungs_tried, resource, residual, latency_ns) =
-                    match governed_zero_cfa_cps(&prog, &policy, sink) {
+                    match governed_zero_cfa_cps(&prog, &CpsProgram::from_anf(&prog), &policy, sink)
+                    {
                         Ok(governed) => {
                             let r = &governed.report;
                             (
@@ -2032,7 +2033,7 @@ fn e18_degradation(sink: &mut impl TraceSink, test_mode: bool) {
         let fault = FaultPlan::from_seed_recoverable(0xE18 ^ i, stats.fired.max(1) + 8);
         let kind = fault.kind();
         let policy = GovernPolicy::new().with_fault(fault);
-        match governed_zero_cfa_cps(&p, &policy, &mut NoopSink) {
+        match governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink) {
             Ok(governed) => {
                 let degraded = governed.report.degraded();
                 let matches = match &governed.value {

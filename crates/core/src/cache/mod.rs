@@ -874,9 +874,11 @@ pub struct Ancestor {
     pub kind: AnalysisKind,
     /// Structural digest of `source`.
     pub digest: u128,
-    /// The program source the fixpoint was computed over. Stored as text:
-    /// the warm path re-parses it into the worker's own arena, so
-    /// ancestors stay `Send` without sharing term graphs across workers.
+    /// The program source the fixpoint was computed over. Stored as text,
+    /// so ancestors stay `Send` and survive a restart (the session journal
+    /// persists it). The service's warm path does not read it when the
+    /// worker still holds the session's lowered program under `digest`;
+    /// otherwise it parses and lowers this text in the worker's own arena.
     pub source: String,
     /// The committed fixpoint.
     pub fixpoint: Arc<CachedFixpoint>,
@@ -886,7 +888,7 @@ pub struct Ancestor {
 /// byte ceiling: they are the live working set of open sessions, and
 /// letting bulk cache traffic evict them would silently turn every watch
 /// step cold. A small count cap bounds them instead.
-const MAX_ANCESTORS: usize = 64;
+pub const MAX_ANCESTORS: usize = 64;
 
 /// The content-addressed, byte-ceilinged, LRU fixpoint cache.
 ///

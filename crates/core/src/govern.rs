@@ -752,8 +752,10 @@ impl CfaAnswer {
 /// Constraint-based 0CFA of the CPS-converted program under full
 /// governance, degrading to source-level 0CFA.
 ///
-/// Ladder: `cfa.cps` (0CFA of `CpsProgram::from_anf(prog)`) → `cfa.src`
-/// (0CFA of `prog` itself). Both rungs satisfy §4.3 soundness for the
+/// Ladder: `cfa.cps` (0CFA of `cps`, which must be
+/// `CpsProgram::from_anf(prog)`) → `cfa.src` (0CFA of `prog` itself). The
+/// caller lowers, so one CPS program can serve a warm attempt and this
+/// ladder both. Both rungs satisfy §4.3 soundness for the
 /// source program — the CPS rung via the CPS transform's meaning
 /// preservation, the source rung directly — so the fallback loses the
 /// continuation flows (and §6.1 false-return visibility), not safety.
@@ -764,12 +766,14 @@ impl CfaAnswer {
 /// use cpsdfa_core::budget::AnalysisBudget;
 /// use cpsdfa_core::govern::{governed_zero_cfa_cps, CfaAnswer, GovernPolicy};
 /// use cpsdfa_core::trace::NoopSink;
+/// use cpsdfa_cps::CpsProgram;
 ///
 /// let p = AnfProgram::parse("(let (f (lambda (x) x)) (f (f 1)))").unwrap();
+/// let cps = CpsProgram::from_anf(&p);
 /// let policy = GovernPolicy::new()
 ///     .with_budget(AnalysisBudget::new(50_000))
 ///     .with_deadline(Duration::from_millis(100));
-/// let governed = governed_zero_cfa_cps(&p, &policy, &mut NoopSink).unwrap();
+/// let governed = governed_zero_cfa_cps(&p, &cps, &policy, &mut NoopSink).unwrap();
 /// match &governed.value {
 ///     CfaAnswer::Pushdown(_) => unreachable!("the 0CFA ladder has no pushdown rung"),
 ///     CfaAnswer::Cps(r) => println!("full CPS answer, {} iterations", r.iterations),
@@ -783,15 +787,15 @@ impl CfaAnswer {
 /// Only when every rung trips (or the request is cancelled).
 pub fn governed_zero_cfa_cps(
     prog: &AnfProgram,
+    cps: &CpsProgram,
     policy: &GovernPolicy,
     sink: &mut impl TraceSink,
 ) -> Result<Governed<CfaAnswer>, AnalysisError> {
-    let cps = CpsProgram::from_anf(prog);
     let guard = policy.guard();
     DegradationLadder::new()
         .rung("cfa.cps", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
             Ok(CfaAnswer::Cps(
-                cfa::zero_cfa_cps_guarded(&cps, g, &mut sink)?.0,
+                cfa::zero_cfa_cps_guarded(cps, g, &mut sink)?.0,
             ))
         })
         .rung("cfa.src", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
@@ -805,7 +809,7 @@ pub fn governed_zero_cfa_cps(
 /// Pushdown CFA under full governance — the four-rung precision ladder
 /// with the summary-based analyzer ([`crate::pushdown`]) on top.
 ///
-/// Ladder: `cfa.pushdown` (call/return matching over
+/// Ladder: `cfa.pushdown` (call/return matching over `cps`, which must be
 /// `CpsProgram::from_anf(prog)`) → `cfa.cps` (monovariant 0CFA over the
 /// same CPS arena, as in [`governed_zero_cfa_cps`]) → `cfa.src` (0CFA of
 /// `prog` itself).
@@ -825,23 +829,23 @@ pub fn governed_zero_cfa_cps(
 /// Only when every rung trips (or the request is cancelled).
 pub fn governed_pushdown_cfa(
     prog: &AnfProgram,
+    cps: &CpsProgram,
     policy: &GovernPolicy,
     sink: &mut impl TraceSink,
 ) -> Result<Governed<CfaAnswer>, AnalysisError> {
-    let cps = CpsProgram::from_anf(prog);
     let guard = policy.guard();
     DegradationLadder::new()
         .rung(
             "cfa.pushdown",
             |g: &RunGuard, mut sink: &mut dyn TraceSink| {
                 Ok(CfaAnswer::Pushdown(
-                    pushdown::pushdown_cfa_guarded(&cps, g, &mut sink)?.0,
+                    pushdown::pushdown_cfa_guarded(cps, g, &mut sink)?.0,
                 ))
             },
         )
         .rung("cfa.cps", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
             Ok(CfaAnswer::Cps(
-                cfa::zero_cfa_cps_guarded(&cps, g, &mut sink)?.0,
+                cfa::zero_cfa_cps_guarded(cps, g, &mut sink)?.0,
             ))
         })
         .rung("cfa.src", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
@@ -1139,8 +1143,13 @@ mod tests {
     #[test]
     fn governed_cfa_answers_directly_when_resources_suffice() {
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
-        let governed = governed_zero_cfa_cps(&p, &GovernPolicy::new(), &mut crate::trace::NoopSink)
-            .expect("tiny program fits the default budget");
+        let governed = governed_zero_cfa_cps(
+            &p,
+            &CpsProgram::from_anf(&p),
+            &GovernPolicy::new(),
+            &mut crate::trace::NoopSink,
+        )
+        .expect("tiny program fits the default budget");
         assert!(!governed.report.degraded());
         assert!(matches!(governed.value, CfaAnswer::Cps(_)));
         assert_eq!(governed.report.answered_by(), Some("cfa.cps"));

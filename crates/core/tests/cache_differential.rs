@@ -263,7 +263,7 @@ fn degraded_rung_commit_never_shadows_full_precision() {
     let (_, src_stats) =
         cpsdfa_core::cfa::zero_cfa_instrumented(&p).expect("source 0CFA completes");
     let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(src_stats.fired));
-    let governed = governed_zero_cfa_cps(&p, &policy, &mut NoopSink)
+    let governed = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
         .expect("the ladder recovers at the direct rung");
     assert!(governed.report.degraded(), "premise: CPS rung must trip");
     let rung = governed.report.answered_by().expect("a rung answered");
@@ -301,7 +301,7 @@ fn degraded_pushdown_commit_never_shadows_upper_rungs() {
     let (_, src_stats) =
         cpsdfa_core::cfa::zero_cfa_instrumented(&p).expect("source 0CFA completes");
     let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(src_stats.fired));
-    let governed = governed_pushdown_cfa(&p, &policy, &mut NoopSink)
+    let governed = governed_pushdown_cfa(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
         .expect("the ladder recovers at the direct rung");
     assert!(governed.report.degraded(), "premise: upper rungs must trip");
     let rung = governed.report.answered_by().expect("a rung answered");

@@ -83,7 +83,7 @@ fn budget_starved_polyvariant_320_degrades_to_direct_answer() {
     // Err(BudgetExhausted); now the ladder answers at `cfa.src`.
     let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(src_fired));
     let mut agg = AggSink::new();
-    let governed = governed_zero_cfa_cps(&p, &policy, &mut agg)
+    let governed = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut agg)
         .expect("the ladder recovers at the direct rung");
 
     let report = &governed.report;
@@ -115,8 +115,13 @@ fn budget_starved_polyvariant_320_degrades_to_direct_answer() {
 #[test]
 fn ample_budget_still_answers_at_the_cps_rung() {
     let p = AnfProgram::from_term(&families::repeated_calls(64));
-    let governed = governed_zero_cfa_cps(&p, &GovernPolicy::new(), &mut NoopSink)
-        .expect("default budget is ample");
+    let governed = governed_zero_cfa_cps(
+        &p,
+        &CpsProgram::from_anf(&p),
+        &GovernPolicy::new(),
+        &mut NoopSink,
+    )
+    .expect("default budget is ample");
     assert!(!governed.report.degraded());
     assert_eq!(governed.report.answered_by(), Some("cfa.cps"));
     let CfaAnswer::Cps(answer) = governed.value else {
@@ -150,7 +155,7 @@ fn memory_ceiling_degrades_cps_cfa_to_direct() {
     // A ceiling the source rung exactly fits under and the CPS rung must
     // blow through: the ladder answers at cfa.src with resource = memory.
     let policy = GovernPolicy::new().with_memory_limit(src_peak);
-    let governed = governed_zero_cfa_cps(&p, &policy, &mut NoopSink)
+    let governed = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
         .expect("the ladder recovers at the lighter rung");
     assert!(governed.report.degraded());
     assert_eq!(governed.report.resource, Some("memory"));
@@ -173,7 +178,7 @@ fn injected_deadline_fault_recovers_at_the_direct_rung() {
     let p = AnfProgram::from_term(&families::repeated_calls(96));
     let fault = FaultPlan::new(FaultKind::ExpireDeadline, 25);
     let policy = GovernPolicy::new().with_fault(fault);
-    let governed = governed_zero_cfa_cps(&p, &policy, &mut NoopSink)
+    let governed = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
         .expect("one-shot fault, the fallback rung runs clean");
     assert!(governed.report.degraded());
     assert_eq!(governed.report.resource, Some("deadline"));
@@ -193,7 +198,7 @@ fn injected_panic_fault_is_contained_by_the_ladder() {
     let p = AnfProgram::from_term(&families::repeated_calls(96));
     let fault = FaultPlan::new(FaultKind::Panic, 40);
     let policy = GovernPolicy::new().with_fault(fault);
-    let governed = governed_zero_cfa_cps(&p, &policy, &mut NoopSink)
+    let governed = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
         .expect("the panic poisons only the first rung");
     assert!(governed.report.degraded());
     assert_eq!(governed.report.resource, Some("panic"));
@@ -215,7 +220,7 @@ fn injected_cancel_fault_aborts_the_whole_ladder() {
     let policy = GovernPolicy::new()
         .with_cancel(token.clone())
         .with_fault(fault);
-    let err = governed_zero_cfa_cps(&p, &policy, &mut NoopSink)
+    let err = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
         .expect_err("cancellation is never retried");
     assert_eq!(err, AnalysisError::Cancelled);
     assert!(token.is_cancelled(), "the fault tripped the shared token");
@@ -227,7 +232,8 @@ fn pre_cancelled_policy_refuses_every_rung() {
     let token = CancelToken::new();
     token.cancel();
     let policy = GovernPolicy::new().with_cancel(token);
-    let err = governed_zero_cfa_cps(&p, &policy, &mut NoopSink).expect_err("already cancelled");
+    let err = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
+        .expect_err("already cancelled");
     assert_eq!(err, AnalysisError::Cancelled);
 }
 
@@ -239,8 +245,8 @@ fn wall_clock_deadline_of_zero_degrades_or_cancels_soundly() {
     let p = AnfProgram::from_term(&families::repeated_calls(320));
     let policy = GovernPolicy::new().with_deadline(Duration::ZERO);
     let mut agg = AggSink::new();
-    let err =
-        governed_zero_cfa_cps(&p, &policy, &mut agg).expect_err("no rung can finish in zero time");
+    let err = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut agg)
+        .expect_err("no rung can finish in zero time");
     assert_eq!(err, AnalysisError::DeadlineExceeded);
     assert_eq!(agg.counter_value("govern.trip.deadline"), 1);
     assert_eq!(
@@ -324,7 +330,8 @@ fn cancelled_sweep_returns_trustworthy_partial_results() {
 /// error description on divergence.
 fn check_fault_differential(p: &AnfProgram, fault: FaultPlan) -> Result<(), String> {
     let policy = GovernPolicy::new().with_fault(fault);
-    let governed = match governed_zero_cfa_cps(p, &policy, &mut NoopSink) {
+    let governed = match governed_zero_cfa_cps(p, &CpsProgram::from_anf(p), &policy, &mut NoopSink)
+    {
         Ok(g) => g,
         // Only the injected (recoverable) error kinds may surface here;
         // anything else means governance itself misbehaved.
@@ -431,7 +438,7 @@ fn pushdown_ladder_keeps_exact_rung_order_with_no_duplicates() {
         pd_stats.fired
     );
     let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(src_fired));
-    let governed = governed_pushdown_cfa(&p, &policy, &mut NoopSink)
+    let governed = governed_pushdown_cfa(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
         .expect("the ladder recovers at the direct rung");
     let names: Vec<&str> = governed.report.attempts.iter().map(|a| a.rung).collect();
     assert_eq!(names, ["cfa.pushdown", "cfa.cps", "cfa.src"]);
@@ -446,8 +453,13 @@ fn pushdown_ladder_keeps_exact_rung_order_with_no_duplicates() {
 #[test]
 fn pushdown_ladder_without_faults_answers_at_the_top_rung() {
     let p = AnfProgram::from_term(&families::dispatch(8));
-    let governed = governed_pushdown_cfa(&p, &GovernPolicy::new(), &mut NoopSink)
-        .expect("default budget is ample");
+    let governed = governed_pushdown_cfa(
+        &p,
+        &CpsProgram::from_anf(&p),
+        &GovernPolicy::new(),
+        &mut NoopSink,
+    )
+    .expect("default budget is ample");
     assert!(!governed.report.degraded());
     assert_eq!(governed.report.answered_by(), Some("cfa.pushdown"));
     assert_eq!(governed.report.rungs_tried(), 1);

@@ -7,8 +7,9 @@
 //! The offline build environment has no async runtime, so the daemon is
 //! plain threads: the caller's thread reads requests, a scoped pool of
 //! [`worker_count`]-sized workers (each owning its own hash-consing
-//! [`TermArena`] + digest memo) drains a bounded queue, and responses
-//! stream back as they complete, correlated by `id`.
+//! [`TermArena`] + digest memo, and the lowered program behind each watch
+//! session's latest answer) drains a bounded queue, and responses stream
+//! back as they complete, correlated by `id`.
 //!
 //! # Admission control
 //!
@@ -74,7 +75,7 @@ pub mod proto;
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::cache::{
     AnalysisKind, Ancestor, ArenaDigests, CacheKey, CacheStats, CachedAnswer, CachedFixpoint,
-    FixpointCache, PersistDir, RecoveryReport, SendCfa, SendCpsCfa, SendPushdown,
+    FixpointCache, PersistDir, RecoveryReport, SendCfa, SendCpsCfa, SendPushdown, MAX_ANCESTORS,
 };
 use cpsdfa_core::certify::certify_answer;
 use cpsdfa_core::domain::Flat;
@@ -88,13 +89,17 @@ use cpsdfa_core::mfp::Cfg;
 use cpsdfa_core::trace::TraceSink;
 use cpsdfa_core::{cfa, worker_count, AggSink, AnalysisBudget, JsonlSink, RunGuard};
 use cpsdfa_cps::CpsProgram;
-use cpsdfa_syntax::arena::TermArena;
+use cpsdfa_syntax::arena::{TermArena, TermId};
+use cpsdfa_syntax::parse::{ParseError, ParseErrorKind};
 use proto::{BadRequest, Request, Response, Served, Status};
+use std::cell::OnceCell;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Daemon configuration. [`Default`] gives a single-machine profile:
@@ -215,21 +220,106 @@ pub struct AnalysisService {
     counters: ServiceCounters,
 }
 
-/// Per-worker reusable state: the hash-consing arena and its digest memo.
-/// Workers never share arenas — digests are structural, so keys agree
-/// across workers without sharing.
+/// A worker's arena (and digest memo) starts over once it holds more than
+/// this many nodes. Hash-consing keeps every distinct program a worker has
+/// parsed, so without a bound the arena grows for as long as new programs
+/// arrive. Digests are structural, so a fresh arena yields the same keys.
+const ARENA_NODE_CAP: usize = 1 << 17;
+
+/// Stack reserved for each worker thread. Most front-end walkers recurse
+/// on term height, which the parser bounds at
+/// [`MAX_DEPTH`](cpsdfa_syntax::parse::MAX_DEPTH); an optimized build
+/// serves programs at that bound within the 2 MiB default, but unoptimized
+/// frames are several times larger. Untouched stack costs no memory.
+const WORKER_STACK_BYTES: usize = 64 << 20;
+
+/// A program lowered for the analyzers: its ANF and, built the first time
+/// a CPS analysis asks for it, its CPS transform.
+struct Lowered {
+    anf: AnfProgram,
+    cps: OnceCell<CpsProgram>,
+}
+
+impl Lowered {
+    fn cps(&self) -> &CpsProgram {
+        self.cps.get_or_init(|| CpsProgram::from_anf(&self.anf))
+    }
+}
+
+/// Per-worker reusable state: the hash-consing arena, its digest memo, and
+/// the session memo. Workers never share arenas — digests are structural,
+/// so keys agree across workers without sharing.
 struct WorkerCtx {
     arena: TermArena,
     digests: ArenaDigests,
+    /// Node count past which the next request's parse starts a new arena.
+    arena_cap: usize,
+    /// `(session, digest, lowered)` for the latest answer this worker gave
+    /// each session, least recently noted first, at most
+    /// [`MAX_ANCESTORS`] long. A watch step reuses the entry as its "old"
+    /// program when the digest matches the session's ancestor.
+    sessions: VecDeque<(u64, u128, Rc<Lowered>)>,
 }
 
 impl WorkerCtx {
     fn new() -> Self {
+        WorkerCtx::with_arena_cap(ARENA_NODE_CAP)
+    }
+
+    fn with_arena_cap(arena_cap: usize) -> Self {
         WorkerCtx {
             arena: TermArena::new(),
             digests: ArenaDigests::new(),
+            arena_cap,
+            sessions: VecDeque::new(),
         }
     }
+
+    /// Parses a request's program, first starting the arena and digest
+    /// memo over if the arena has outgrown its cap.
+    fn parse_request(&mut self, program: &str) -> Result<TermId, ParseError> {
+        if self.arena.num_nodes() > self.arena_cap {
+            self.arena = TermArena::new();
+            self.digests = ArenaDigests::new();
+        }
+        self.arena.parse(program)
+    }
+
+    /// The daemon's one lowering: the arena term, expanded and normalized.
+    fn lower(&self, root: TermId) -> Lowered {
+        Lowered {
+            anf: AnfProgram::from_term(&self.arena.to_term(root)),
+            cps: OnceCell::new(),
+        }
+    }
+
+    /// Records `lowered` (digest `digest`) as the program behind
+    /// `session`'s latest answer.
+    fn remember(&mut self, session: u64, digest: u128, lowered: &Rc<Lowered>) {
+        self.sessions.retain(|(s, ..)| *s != session);
+        if self.sessions.len() == MAX_ANCESTORS {
+            self.sessions.pop_front();
+        }
+        self.sessions
+            .push_back((session, digest, Rc::clone(lowered)));
+    }
+
+    /// The lowered program of `session`'s latest answer, if this worker
+    /// gave it and its digest is `digest`.
+    fn recall(&self, session: u64, digest: u128) -> Option<Rc<Lowered>> {
+        self.sessions
+            .iter()
+            .find(|(s, d, _)| *s == session && *d == digest)
+            .map(|(.., lowered)| Rc::clone(lowered))
+    }
+}
+
+/// Spawns a worker thread with [`WORKER_STACK_BYTES`] of stack.
+fn spawn_worker<'scope>(scope: &'scope Scope<'scope, '_>, work: impl FnOnce() + Send + 'scope) {
+    std::thread::Builder::new()
+        .stack_size(WORKER_STACK_BYTES)
+        .spawn_scoped(scope, work)
+        .expect("spawn worker thread");
 }
 
 /// A queued, admitted request (its reservation is already counted).
@@ -432,13 +522,16 @@ impl AnalysisService {
         // Parse into the worker's hash-consing arena. A repeated program
         // re-resolves to the same node ids, so the digest below is a memo
         // hit — the whole warm path does no per-node work.
-        let root = match ctx.arena.parse(&req.program) {
+        let root = match ctx.parse_request(&req.program) {
             Ok(root) => root,
             Err(e) => {
                 self.counters.failed.fetch_add(1, Ordering::Relaxed);
                 return (
                     finish(Status::Error {
-                        reason: "parse-error",
+                        reason: match e.kind {
+                            ParseErrorKind::Syntax => "parse-error",
+                            ParseErrorKind::TooDeep => "too-deep",
+                        },
                         detail: e.to_string(),
                     }),
                     None,
@@ -459,9 +552,7 @@ impl AnalysisService {
                 // to a from-scratch solve below. Wrong answers are
                 // detected and healed, never served.
                 let refuted = self.should_certify() && {
-                    let term = ctx.arena.to_term(root);
-                    let prog = AnfProgram::from_term(&term);
-                    match certify_answer(&prog, &hit.answer) {
+                    match certify_answer(&ctx.lower(root).anf, &hit.answer) {
                         Ok(_) => {
                             self.cache.lock().expect("cache poisoned").note_certify_ok();
                             sink.counter("service.certify.ok", 1);
@@ -502,8 +593,8 @@ impl AnalysisService {
         }
 
         // Miss (or cache off): lower out of the arena and run the ladder.
-        let term = ctx.arena.to_term(root);
-        let prog = AnfProgram::from_term(&term);
+        let lowered = Rc::new(ctx.lower(root));
+        let prog = &lowered.anf;
 
         // Watch mode: before paying for the ladder, try to warm-start from
         // the session's previous fixpoint — only the edit delta re-solves.
@@ -517,7 +608,9 @@ impl AnalysisService {
             let Some(session) = req.session else {
                 break 'warm;
             };
-            let Some((answer, warm, charged)) = self.session_warm(req, session, &prog, sink) else {
+            let Some((answer, warm, charged)) =
+                self.session_warm(req, session, &lowered, ctx, sink)
+            else {
                 break 'warm;
             };
             // Certify-on-warm: a sampled warm answer is re-checked against
@@ -526,7 +619,7 @@ impl AnalysisService {
             // untrustworthy — evict the session (memory and journal) and
             // fall through to the cold ladder below.
             if self.should_certify() {
-                if let Err(refutation) = certify_answer(&prog, &answer) {
+                if let Err(refutation) = certify_answer(prog, &answer) {
                     let mut cache = self.cache.lock().expect("cache poisoned");
                     cache.evict_session(session);
                     cache.note_certify_fail(0);
@@ -567,6 +660,7 @@ impl AnalysisService {
                 .insert(full_key, Arc::clone(&fixpoint));
             self.spill(&full_key, &req.program, &fixpoint);
             self.note_session(session, req, digest, &fixpoint);
+            ctx.remember(session, digest, &lowered);
             let resp = finish(Status::Ok {
                 cache: Served::Warm,
                 rung: full_key.rung,
@@ -587,46 +681,45 @@ impl AnalysisService {
             CfaAnswer::Cps(r) => CachedAnswer::CfaCps(SendCpsCfa::from_result(&r)),
             CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(SendCfa::from_result(&r)),
         };
-        let governed =
-            match req.kind {
-                AnalysisKind::CfaPushdown => governed_pushdown_cfa(&prog, &policy, sink)
-                    .map(|g| (pack_cfa(g.value), g.report)),
-                AnalysisKind::CfaCps => governed_zero_cfa_cps(&prog, &policy, sink)
-                    .map(|g| (pack_cfa(g.value), g.report)),
-                AnalysisKind::CfaSrc => DegradationLadder::new()
-                    .rung("cfa.src", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                        Ok(cfa::zero_cfa_guarded(&prog, g, &mut sink)?.0)
+        let governed = match req.kind {
+            AnalysisKind::CfaPushdown => governed_pushdown_cfa(prog, lowered.cps(), &policy, sink)
+                .map(|g| (pack_cfa(g.value), g.report)),
+            AnalysisKind::CfaCps => governed_zero_cfa_cps(prog, lowered.cps(), &policy, sink)
+                .map(|g| (pack_cfa(g.value), g.report)),
+            AnalysisKind::CfaSrc => DegradationLadder::new()
+                .rung("cfa.src", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
+                    Ok(cfa::zero_cfa_guarded(prog, g, &mut sink)?.0)
+                })
+                .run(&policy.guard(), sink)
+                .map(|g| {
+                    (
+                        CachedAnswer::CfaSrc(SendCfa::from_result(&g.value)),
+                        g.report,
+                    )
+                }),
+            AnalysisKind::MfpFlat => {
+                let cfg = match Cfg::from_first_order(prog) {
+                    Ok(cfg) => cfg,
+                    Err(e) => {
+                        self.counters.failed.fetch_add(1, Ordering::Relaxed);
+                        return (
+                            finish(Status::Error {
+                                reason: "not-first-order",
+                                detail: e.to_string(),
+                            }),
+                            None,
+                        );
+                    }
+                };
+                let init = cfg.initial_env::<Flat>(prog);
+                DegradationLadder::new()
+                    .rung("mfp.flat", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
+                        Ok(cfg.solve_mfp_guarded::<Flat>(init.clone(), g, &mut sink)?.0)
                     })
                     .run(&policy.guard(), sink)
-                    .map(|g| {
-                        (
-                            CachedAnswer::CfaSrc(SendCfa::from_result(&g.value)),
-                            g.report,
-                        )
-                    }),
-                AnalysisKind::MfpFlat => {
-                    let cfg = match Cfg::from_first_order(&prog) {
-                        Ok(cfg) => cfg,
-                        Err(e) => {
-                            self.counters.failed.fetch_add(1, Ordering::Relaxed);
-                            return (
-                                finish(Status::Error {
-                                    reason: "not-first-order",
-                                    detail: e.to_string(),
-                                }),
-                                None,
-                            );
-                        }
-                    };
-                    let init = cfg.initial_env::<Flat>(&prog);
-                    DegradationLadder::new()
-                        .rung("mfp.flat", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                            Ok(cfg.solve_mfp_guarded::<Flat>(init.clone(), g, &mut sink)?.0)
-                        })
-                        .run(&policy.guard(), sink)
-                        .map(|g| (CachedAnswer::MfpFlat(g.value), g.report))
-                }
-            };
+                    .map(|g| (CachedAnswer::MfpFlat(g.value), g.report))
+            }
+        };
 
         let (answer, report) = match governed {
             Ok(pair) => pair,
@@ -665,6 +758,7 @@ impl AnalysisService {
             self.spill(&commit_key, &req.program, &fixpoint);
             if let Some(session) = req.session {
                 self.note_session(session, req, digest, &fixpoint);
+                ctx.remember(session, digest, &lowered);
             }
         }
         let resp = finish(Status::Ok {
@@ -715,11 +809,18 @@ impl AnalysisService {
     /// bit-identical to a from-scratch solve, so a `Some` answer is
     /// exactly what the ladder would have produced — minus the work.
     /// `None` means "not warm-eligible; run the ladder".
+    ///
+    /// The seed's program comes from the worker's session memo when this
+    /// worker answered the session's previous step (counted as
+    /// `service.lower.reused`); otherwise — that step was a cache hit, was
+    /// answered by another worker, or was recovered from the journal — the
+    /// ancestor's source is parsed and lowered here.
     fn session_warm(
         &self,
         req: &Request,
         session: u64,
-        prog: &AnfProgram,
+        new: &Lowered,
+        ctx: &mut WorkerCtx,
         sink: &mut impl TraceSink,
     ) -> Option<(CachedAnswer, WarmReport, u64)> {
         let anc = self
@@ -733,12 +834,26 @@ impl AnalysisService {
         if anc.kind != req.kind || anc.fixpoint.answer.kind() != req.kind {
             return None;
         }
-        let old = AnfProgram::parse(&anc.source).ok()?;
+        let old = match ctx.recall(session, anc.digest) {
+            Some(old) => {
+                sink.counter("service.lower.reused", 1);
+                old
+            }
+            None => {
+                let root = ctx.arena.parse(&anc.source).ok()?;
+                Rc::new(ctx.lower(root))
+            }
+        };
         let guard = self.policy_for(req).guard();
         let warm = match &anc.fixpoint.answer {
             CachedAnswer::CfaSrc(prev) => {
-                match incremental::zero_cfa_incremental(&old, &prev.to_result(), prog, &guard, sink)
-                {
+                match incremental::zero_cfa_incremental(
+                    &old.anf,
+                    &prev.to_result(),
+                    &new.anf,
+                    &guard,
+                    sink,
+                ) {
                     Ok(WarmSolve::Warm(result, report)) => {
                         Some((CachedAnswer::CfaSrc(SendCfa::from_result(&result)), report))
                     }
@@ -746,12 +861,10 @@ impl AnalysisService {
                 }
             }
             CachedAnswer::CfaCps(prev) => {
-                let old_cps = CpsProgram::from_anf(&old);
-                let new_cps = CpsProgram::from_anf(prog);
                 match incremental::zero_cfa_cps_incremental(
-                    &old_cps,
+                    old.cps(),
                     &prev.to_result(),
-                    &new_cps,
+                    new.cps(),
                     &guard,
                     sink,
                 ) {
@@ -763,12 +876,10 @@ impl AnalysisService {
                 }
             }
             CachedAnswer::CfaPushdown(prev) => {
-                let old_cps = CpsProgram::from_anf(&old);
-                let new_cps = CpsProgram::from_anf(prog);
                 match incremental::pushdown_cfa_incremental(
-                    &old_cps,
+                    old.cps(),
                     &prev.to_result(),
-                    &new_cps,
+                    new.cps(),
                     &guard,
                     sink,
                 ) {
@@ -779,8 +890,10 @@ impl AnalysisService {
                     _ => None,
                 }
             }
-            CachedAnswer::MfpFlat(prev) => incremental::solve_mfp_incremental(&old, prev, prog)
-                .map(|(summary, report)| (CachedAnswer::MfpFlat(summary), report)),
+            CachedAnswer::MfpFlat(prev) => {
+                incremental::solve_mfp_incremental(&old.anf, prev, &new.anf)
+                    .map(|(summary, report)| (CachedAnswer::MfpFlat(summary), report))
+            }
         };
         warm.map(|(answer, report)| (answer, report, guard.total_spent()))
     }
@@ -806,7 +919,7 @@ impl AnalysisService {
         let trace_shared = Mutex::new(trace);
         std::thread::scope(|scope| {
             for _ in 0..self.config.workers.max(1) {
-                scope.spawn(|| {
+                spawn_worker(scope, || {
                     let mut ctx = WorkerCtx::new();
                     while let Some(job) = queue.pop() {
                         let outcome = self.run_job(&job, &mut ctx, &trace_shared);
@@ -911,7 +1024,7 @@ impl AnalysisService {
         };
         std::thread::scope(|scope| -> io::Result<()> {
             for _ in 0..self.config.workers.max(1) {
-                scope.spawn(|| {
+                spawn_worker(scope, || {
                     let mut ctx = WorkerCtx::new();
                     while let Some(job) = queue.pop() {
                         let outcome = self.run_job(&job, &mut ctx, &trace_shared);
@@ -1111,5 +1224,49 @@ fn bad_request_response(bad: &BadRequest) -> Response {
             },
             detail: bad.detail.clone(),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_arena_starts_over_once_past_its_cap() {
+        const PROGRAM: &str = "(let (f (lambda (x) x)) (f (f 1)))";
+        let mut ctx = WorkerCtx::with_arena_cap(24);
+        let first = ctx.parse_request(PROGRAM).unwrap();
+        let digest = ctx.digests.term_digest(&ctx.arena, first);
+        let full = ctx.arena.num_nodes();
+        assert!(full <= 24, "one program stays under the cap: {full}");
+        // Under the cap the arena is kept: a repeat re-resolves to the
+        // same node, and a new program only adds its own nodes.
+        assert_eq!(ctx.parse_request(PROGRAM).unwrap(), first);
+        ctx.parse_request("(g (add1 2) (sub1 3))").unwrap();
+        let grown = ctx.arena.num_nodes();
+        assert!(grown > 24, "two programs pass the cap: {grown}");
+        // Past the cap, the next parse starts a fresh arena and digest
+        // memo, and digests are structural, so keys do not change.
+        let again = ctx.parse_request(PROGRAM).unwrap();
+        assert_eq!(ctx.arena.num_nodes(), full);
+        assert_eq!(ctx.digests.term_digest(&ctx.arena, again), digest);
+    }
+
+    #[test]
+    fn session_memo_matches_on_digest_and_keeps_the_latest_sessions() {
+        let mut ctx = WorkerCtx::new();
+        let root = ctx.parse_request("(add1 1)").unwrap();
+        let lowered = Rc::new(ctx.lower(root));
+        for session in 0..=MAX_ANCESTORS as u64 {
+            ctx.remember(session, 7, &lowered);
+        }
+        assert_eq!(ctx.sessions.len(), MAX_ANCESTORS);
+        assert!(ctx.recall(0, 7).is_none(), "the oldest session is dropped");
+        assert!(ctx.recall(1, 7).is_some());
+        assert!(ctx.recall(1, 8).is_none(), "a digest mismatch falls back");
+        // Re-noting a session replaces its entry rather than adding one.
+        ctx.remember(1, 8, &lowered);
+        assert_eq!(ctx.sessions.len(), MAX_ANCESTORS);
+        assert!(ctx.recall(1, 7).is_none() && ctx.recall(1, 8).is_some());
     }
 }

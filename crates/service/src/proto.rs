@@ -188,8 +188,9 @@ pub enum Status {
     },
     /// The request was admitted but could not be answered.
     Error {
-        /// `parse-error`, `bad-request`, `not-first-order`, or
-        /// `analysis-failed`.
+        /// `parse-error`, `too-deep` (the program nests deeper than
+        /// [`MAX_DEPTH`](cpsdfa_syntax::parse::MAX_DEPTH)), `bad-request`,
+        /// `not-first-order`, or `analysis-failed`.
         reason: &'static str,
         /// Human-readable specifics.
         detail: String,

@@ -136,3 +136,52 @@ fn persist_certify_and_ttl_flags_drive_a_crash_safe_daemon() {
     assert!(health.contains("\"recovered_entries\": 1"), "{health}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_depth_bomb_gets_too_deep_and_the_daemon_keeps_serving() {
+    use std::io::Write;
+    // 140 KB of `(add1 (add1 … 1))`, 20,000 levels deep: recursing that
+    // deep would overflow a worker's stack and abort the whole process.
+    let depth = 20_000;
+    let bomb = format!("{}1{}", "(add1 ".repeat(depth), ")".repeat(depth));
+    let input = format!(
+        "{{\"id\": 1, \"analysis\": \"cfa.src\", \"program\": \"{bomb}\"}}\n\
+         {{\"id\": 2, \"analysis\": \"cfa.src\", \"program\": \"(add1 1)\"}}\n\
+         {{\"cmd\": \"shutdown\"}}\n"
+    );
+    let mut child = cpsdfad()
+        .args(["--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cpsdfad");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().expect("cpsdfad exits");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        out.status.success(),
+        "clean shutdown: {:?} {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert!(
+        lines[0].contains("\"id\": 1")
+            && lines[0].contains("\"status\": \"error\"")
+            && lines[0].contains("\"reason\": \"too-deep\""),
+        "{}",
+        lines[0]
+    );
+    assert!(
+        lines[1].contains("\"id\": 2") && lines[1].contains("\"status\": \"ok\""),
+        "{}",
+        lines[1]
+    );
+}

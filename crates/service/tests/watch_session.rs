@@ -6,10 +6,13 @@
 //! the service-level facts: warm serves are reported as `warm`, cold
 //! fallbacks still answer, and the stats line counts them.
 
+use cpsdfa_core::trace::TraceSink;
 use cpsdfa_service::proto::{Response, Served, Status};
 use cpsdfa_service::{AnalysisService, ServiceConfig};
 use cpsdfa_syntax::build::{let_, num};
+use cpsdfa_syntax::Term;
 use cpsdfa_workloads::families;
+use std::collections::BTreeMap;
 
 /// One worker: batches execute in request order, so the session's edit
 /// stream is seen in order and miss-then-warm expectations are
@@ -194,4 +197,186 @@ fn warm_answers_commit_so_a_repeat_request_hits() {
     assert_eq!(*warm, Served::Warm);
     assert_eq!(*hit, Served::Hit, "warm commits under the full key");
     assert_eq!(hit_digest, warm_digest);
+}
+
+/// Collects each request's trace counters, keyed by request id (the
+/// service wraps a request's events in a `service.req.<id>` span).
+#[derive(Default)]
+struct PerRequest {
+    current: Option<u64>,
+    counters: BTreeMap<u64, BTreeMap<String, u64>>,
+}
+
+impl PerRequest {
+    fn count(&self, id: u64, name: &str) -> u64 {
+        self.counters
+            .get(&id)
+            .and_then(|c| c.get(name))
+            .copied()
+            .unwrap_or(0)
+    }
+}
+
+impl TraceSink for PerRequest {
+    fn counter(&mut self, name: &str, delta: u64) {
+        if let Some(id) = self.current {
+            *self
+                .counters
+                .entry(id)
+                .or_default()
+                .entry(name.to_owned())
+                .or_default() += delta;
+        }
+    }
+    fn gauge(&mut self, _: &str, _: u64) {}
+    fn time_ns(&mut self, _: &str, _: u64) {}
+    fn span_start(&mut self, name: &str) {
+        if let Some(id) = name.strip_prefix("service.req.") {
+            self.current = id.parse().ok();
+        }
+    }
+    fn span_end(&mut self, name: &str) {
+        if name.starts_with("service.req.") {
+            self.current = None;
+        }
+    }
+}
+
+/// `base` followed by `steps` stacked leaf-binding inserts.
+fn insert_chain(base: Term, steps: i64) -> Vec<String> {
+    let mut program = base;
+    let mut chain = vec![program.to_string()];
+    for i in 0..steps {
+        program = let_(&*format!("e{i}"), num(i), program);
+        chain.push(program.to_string());
+    }
+    chain
+}
+
+#[test]
+fn warm_steps_reuse_the_previous_steps_lowered_program() {
+    for analysis in ["cfa.src", "cfa.cps", "cfa.pushdown", "mfp.flat"] {
+        let chain = if analysis == "mfp.flat" {
+            // The MFP warm path transports renames (inserts solve cold).
+            let mut chain = vec![families::cond_chain(6).to_string()];
+            for i in 1..=4 {
+                let renamed = chain[i - 1].replace(&format!("c{i}"), &format!("w{i}"));
+                chain.push(renamed);
+            }
+            chain
+        } else {
+            insert_chain(families::polyvariant(8), 4)
+        };
+        let lines: Vec<String> = chain
+            .iter()
+            .zip(1..)
+            .map(|(program, id)| session_request(id, 9, analysis, program))
+            .collect();
+        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+        let service = AnalysisService::new(small_config());
+        let mut trace = PerRequest::default();
+        let outcomes = service.run_batch_traced(&refs, &mut trace);
+        for (outcome, program) in outcomes.iter().zip(&chain) {
+            let id = outcome.response.id;
+            let (cache, digest, _) = ok_fields(&outcome.response);
+            let (expect, reused) = if id == 1 {
+                (Served::Miss, 0)
+            } else {
+                (Served::Warm, 1)
+            };
+            assert_eq!(*cache, expect, "{analysis} id {id}");
+            assert_eq!(
+                trace.count(id, "service.lower.reused"),
+                reused,
+                "{analysis} id {id}: every warm step reuses the memo"
+            );
+            assert_eq!(digest, cold_digest(analysis, program), "{analysis} id {id}");
+        }
+    }
+}
+
+#[test]
+fn a_restarted_daemon_lowers_the_journaled_ancestor_and_still_answers_warm() {
+    let dir = std::env::temp_dir().join(format!("cpsdfa-watch-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || ServiceConfig {
+        persist_dir: Some(dir.clone()),
+        ..small_config()
+    };
+    let chain = insert_chain(families::polyvariant(8), 3);
+    let lines: Vec<String> = chain
+        .iter()
+        .zip(1..)
+        .map(|(program, id)| session_request(id, 4, "cfa.cps", program))
+        .collect();
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+
+    // Uninterrupted: every step after the first warm-starts from the memo.
+    let steady = AnalysisService::new(ServiceConfig {
+        persist_dir: None,
+        ..small_config()
+    })
+    .run_batch(&refs);
+
+    // The same stream with a restart before its third step.
+    AnalysisService::new(config()).run_batch(&refs[..2]);
+    let mut trace = PerRequest::default();
+    let restarted = AnalysisService::new(config()).run_batch_traced(&refs[2..], &mut trace);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for (after, before) in restarted.iter().zip(&steady[2..]) {
+        let id = after.response.id;
+        let (cache, digest, _) = ok_fields(&after.response);
+        assert_eq!(
+            *cache,
+            Served::Warm,
+            "id {id}: the journal keeps the session warm"
+        );
+        assert_eq!(digest, ok_fields(&before.response).1, "id {id}");
+        let reused = trace.count(id, "service.lower.reused");
+        if id == 3 {
+            assert_eq!(
+                reused, 0,
+                "the new daemon has no memo: it lowers the journal"
+            );
+        } else {
+            assert_eq!(reused, 1, "id {id}: later steps reuse the memo again");
+        }
+    }
+}
+
+#[test]
+fn two_sessions_over_two_workers_match_a_cache_off_run() {
+    // Alternating sessions on two workers: a session's consecutive steps
+    // land on either worker, so the memo both hits and falls back, and a
+    // step may even run before its predecessor. Whatever path each
+    // request takes, its answer must be the from-scratch one.
+    let a = insert_chain(families::polyvariant(8), 6);
+    let b = insert_chain(families::dispatch(8), 6);
+    let mut lines = Vec::new();
+    for (step, (pa, pb)) in a.iter().zip(&b).enumerate() {
+        let id = 2 * step as u64;
+        lines.push(session_request(id + 1, 1, "cfa.cps", pa));
+        lines.push(session_request(id + 2, 2, "cfa.pushdown", pb));
+    }
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let two_workers = ServiceConfig {
+        workers: 2,
+        ..small_config()
+    };
+    let served = AnalysisService::new(two_workers.clone()).run_batch(&refs);
+    let off = AnalysisService::new(ServiceConfig {
+        cache_enabled: false,
+        ..two_workers
+    })
+    .run_batch(&refs);
+    for (on, off) in served.iter().zip(&off) {
+        assert_eq!(*ok_fields(&off.response).0, Served::Off);
+        assert_eq!(
+            ok_fields(&on.response).1,
+            ok_fields(&off.response).1,
+            "id {}",
+            on.response.id
+        );
+    }
 }

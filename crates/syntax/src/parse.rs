@@ -22,6 +22,23 @@ use crate::ident::Ident;
 use std::error::Error;
 use std::fmt;
 
+/// The deepest term [`TermArena::parse`] accepts: the height of the term
+/// tree, one level per application, `let`, `if0` and λ, and one per
+/// `add1`/`sub1` step a `(+ M n)` abbreviation expands to. Most walkers
+/// downstream of the parser (`to_term`, digests, the analyzers) recurse on
+/// this height, so a deeper program is refused here, as a structured
+/// error, instead of overflowing a thread's stack later.
+pub const MAX_DEPTH: u32 = 4096;
+
+/// What kind of input a [`ParseError`] rejects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The text is not a term of the grammar.
+    Syntax,
+    /// The term is well formed but nests deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// A parse error with a byte position into the source text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -29,6 +46,8 @@ pub struct ParseError {
     pub position: usize,
     /// Human-readable description of the problem.
     pub message: String,
+    /// Malformed text or a too-deep term.
+    pub kind: ParseErrorKind,
 }
 
 impl ParseError {
@@ -36,6 +55,15 @@ impl ParseError {
         ParseError {
             position,
             message: message.into(),
+            kind: ParseErrorKind::Syntax,
+        }
+    }
+
+    fn too_deep(position: usize) -> Self {
+        ParseError {
+            position,
+            message: format!("term nests deeper than {MAX_DEPTH} levels"),
+            kind: ParseErrorKind::TooDeep,
         }
     }
 }
@@ -321,6 +349,8 @@ use crate::fxhash::FxHashMap;
 /// complete — no intermediate s-expression tree, no boxed [`Term`], no
 /// per-atom `String`. Accepts exactly the grammar of [`parse_term`]; the
 /// differential tests pin the two parsers to structurally identical output.
+/// Unlike [`parse_term`], it refuses a term deeper than [`MAX_DEPTH`] with
+/// a [`ParseErrorKind::TooDeep`] error, before its recursion gets that deep.
 ///
 /// This is the parser behind [`TermArena::parse`], the entry point of the
 /// interned front-end pipeline.
@@ -338,7 +368,7 @@ pub(crate) fn parse_into(arena: &mut TermArena, src: &str) -> Result<TermId, Par
         arena,
         atom_cache: cache,
     };
-    let id = p.term()?;
+    let (id, _) = p.term(0)?;
     p.skip_trivia();
     if !p.at_end() {
         return Err(ParseError::new(p.pos, "unexpected trailing input"));
@@ -388,6 +418,9 @@ struct ArenaParser<'s, 'a> {
     /// two arena memo probes. Keys borrow from `src`.
     atom_cache: FxHashMap<&'s str, TermId>,
 }
+
+/// A parsed term and the height of its tree (an atom is 1).
+type Parsed = (TermId, u32);
 
 impl<'s> ArenaParser<'s, '_> {
     fn at_end(&self) -> bool {
@@ -448,21 +481,31 @@ impl<'s> ArenaParser<'s, '_> {
         &self.src[start..self.pos]
     }
 
-    fn term(&mut self) -> Result<TermId, ParseError> {
+    /// Parses one term; `depth` lists are open around it.
+    fn term(&mut self, depth: u32) -> Result<Parsed, ParseError> {
         self.skip_trivia();
         let start = self.pos;
         match self.peek() {
             None => Err(ParseError::new(start, "unexpected end of input")),
             Some(b'(') => {
                 self.pos += 1;
-                self.list_term(start)
+                self.list_term(start, depth + 1)
             }
             Some(b')') => Err(ParseError::new(start, "unexpected `)`")),
             Some(_) => {
                 let a = self.atom();
-                self.atom_term(start, a)
+                Ok((self.atom_term(start, a)?, 1))
             }
         }
+    }
+
+    /// Interns `node`, whose tree has height `height`, refusing it past
+    /// [`MAX_DEPTH`]; `start` is where its form began.
+    fn node(&mut self, node: TermNode, height: u32, start: usize) -> Result<Parsed, ParseError> {
+        if height > MAX_DEPTH {
+            return Err(ParseError::too_deep(start));
+        }
+        Ok((self.arena.intern_term(node), height))
     }
 
     fn atom_term(&mut self, pos: usize, a: &'s str) -> Result<TermId, ParseError> {
@@ -490,8 +533,14 @@ impl<'s> ArenaParser<'s, '_> {
         Ok(id)
     }
 
-    /// Parses a list body; the opening `(` at `start` is already consumed.
-    fn list_term(&mut self, start: usize) -> Result<TermId, ParseError> {
+    /// Parses a list body; the opening `(` at `start` is already consumed
+    /// and `depth` lists (this one included) are open. A list form is at
+    /// least one level taller than any list inside it, so the open-list
+    /// count bounds the recursion before the height is known.
+    fn list_term(&mut self, start: usize, depth: u32) -> Result<Parsed, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(ParseError::too_deep(start));
+        }
         self.skip_trivia();
         let head_pos = self.pos;
         let operator = match self.peek() {
@@ -505,25 +554,30 @@ impl<'s> ArenaParser<'s, '_> {
             }
             Some(b'(') => {
                 self.pos += 1;
-                self.list_term(head_pos)?
+                self.list_term(head_pos, depth + 1)?
             }
             Some(_) => {
                 let a = self.atom();
                 match a {
-                    "lambda" | "λ" => return self.lambda_tail(start),
-                    "let" => return self.let_tail(start),
-                    "if0" => return self.if0_tail(start),
+                    "lambda" | "λ" => return self.lambda_tail(start, depth),
+                    "let" => return self.let_tail(start, depth),
+                    "if0" => return self.if0_tail(start, depth),
                     "loop" => return self.loop_tail(start),
-                    "+" => return self.plus_tail(start),
-                    _ => self.atom_term(head_pos, a)?,
+                    "+" => return self.plus_tail(start, depth),
+                    _ => (self.atom_term(head_pos, a)?, 1),
                 }
             }
         };
-        self.apply_tail(start, operator)
+        self.apply_tail(start, depth, operator)
     }
 
     /// Folds operands onto `f` left-associatively until the closing `)`.
-    fn apply_tail(&mut self, start: usize, mut f: TermId) -> Result<TermId, ParseError> {
+    fn apply_tail(
+        &mut self,
+        start: usize,
+        depth: u32,
+        (mut f, mut height): Parsed,
+    ) -> Result<Parsed, ParseError> {
         let mut args = 0usize;
         loop {
             self.skip_trivia();
@@ -537,11 +591,12 @@ impl<'s> ArenaParser<'s, '_> {
                             "application expects an operator and at least one operand",
                         ));
                     }
-                    return Ok(f);
+                    return Ok((f, height));
                 }
                 Some(_) => {
-                    let a = self.term()?;
-                    f = self.arena.intern_term(TermNode::App(f, a));
+                    let (a, a_height) = self.term(depth)?;
+                    (f, height) =
+                        self.node(TermNode::App(f, a), height.max(a_height) + 1, start)?;
                     args += 1;
                 }
             }
@@ -578,7 +633,7 @@ impl<'s> ArenaParser<'s, '_> {
         }
     }
 
-    fn lambda_tail(&mut self, start: usize) -> Result<TermId, ParseError> {
+    fn lambda_tail(&mut self, start: usize, depth: u32) -> Result<Parsed, ParseError> {
         self.skip_trivia();
         if self.peek() != Some(b'(') {
             return Err(ParseError::new(
@@ -589,45 +644,43 @@ impl<'s> ArenaParser<'s, '_> {
         self.pos += 1;
         let param = self.binder("lambda expects a single-parameter list (x)")?;
         self.expect_close("lambda expects a single-parameter list (x)")?;
-        let body = self.term()?;
+        let (body, height) = self.term(depth)?;
         self.expect_close("lambda expects (lambda (x) M)")?;
-        let _ = start;
         let v = self.arena.intern_value(ValueNode::Lam(param, body));
-        Ok(self.arena.intern_term(TermNode::Value(v)))
+        self.node(TermNode::Value(v), height + 1, start)
     }
 
-    fn let_tail(&mut self, start: usize) -> Result<TermId, ParseError> {
+    fn let_tail(&mut self, start: usize, depth: u32) -> Result<Parsed, ParseError> {
         self.skip_trivia();
         if self.peek() != Some(b'(') {
             return Err(ParseError::new(self.pos, "let expects a binding (x M)"));
         }
         self.pos += 1;
         let x = self.binder("let expects a binding (x M)")?;
-        let rhs = self.term()?;
+        let (rhs, rhs_height) = self.term(depth)?;
         self.expect_close("let expects a binding (x M)")?;
-        let body = self.term()?;
+        let (body, body_height) = self.term(depth)?;
         self.expect_close("let expects (let (x M) M)")?;
-        let _ = start;
-        Ok(self.arena.intern_term(TermNode::Let(x, rhs, body)))
+        let height = rhs_height.max(body_height) + 1;
+        self.node(TermNode::Let(x, rhs, body), height, start)
     }
 
-    fn if0_tail(&mut self, start: usize) -> Result<TermId, ParseError> {
-        let c = self.term()?;
-        let t = self.term()?;
-        let e = self.term()?;
+    fn if0_tail(&mut self, start: usize, depth: u32) -> Result<Parsed, ParseError> {
+        let (c, c_height) = self.term(depth)?;
+        let (t, t_height) = self.term(depth)?;
+        let (e, e_height) = self.term(depth)?;
         self.expect_close("if0 expects (if0 M M M)")?;
-        let _ = start;
-        Ok(self.arena.intern_term(TermNode::If0(c, t, e)))
+        let height = c_height.max(t_height).max(e_height) + 1;
+        self.node(TermNode::If0(c, t, e), height, start)
     }
 
-    fn loop_tail(&mut self, start: usize) -> Result<TermId, ParseError> {
+    fn loop_tail(&mut self, start: usize) -> Result<Parsed, ParseError> {
         self.expect_close("loop expects no arguments: (loop)")?;
-        let _ = start;
-        Ok(self.arena.intern_term(TermNode::Loop))
+        self.node(TermNode::Loop, 1, start)
     }
 
-    fn plus_tail(&mut self, start: usize) -> Result<TermId, ParseError> {
-        let m = self.term()?;
+    fn plus_tail(&mut self, start: usize, depth: u32) -> Result<Parsed, ParseError> {
+        let (m, m_height) = self.term(depth)?;
         self.skip_trivia();
         let pos = self.pos;
         let n = match self.peek() {
@@ -638,7 +691,11 @@ impl<'s> ArenaParser<'s, '_> {
             _ => return Err(ParseError::new(pos, "+ expects a literal integer offset")),
         };
         self.expect_close("+ expects (+ M n) with literal n")?;
-        let _ = start;
+        // Checked before expanding, so a huge `n` costs nothing.
+        let height = u64::from(m_height) + n.unsigned_abs();
+        if height > u64::from(MAX_DEPTH) {
+            return Err(ParseError::too_deep(start));
+        }
         // Paper abbreviation (+ M n): n applications of add1/sub1.
         let prim = if n >= 0 {
             ValueNode::Add1
@@ -651,7 +708,7 @@ impl<'s> ArenaParser<'s, '_> {
         for _ in 0..n.unsigned_abs() {
             acc = self.arena.intern_term(TermNode::App(pt, acc));
         }
-        Ok(acc)
+        Ok((acc, height as u32))
     }
 }
 
@@ -738,6 +795,45 @@ mod tests {
         assert_eq!(err.position, 11);
         let err = parse_term("abc)").unwrap_err();
         assert!(err.message.contains("trailing"));
+    }
+
+    /// `(add1 (add1 … 1))`, `n` lists deep: a tree of height `n + 1`.
+    fn add1_tower(n: usize) -> String {
+        format!("{}1{}", "(add1 ".repeat(n), ")".repeat(n))
+    }
+
+    #[test]
+    fn arena_parse_refuses_terms_deeper_than_the_bound() {
+        // Unoptimized frames need more than the default test-thread stack
+        // to recurse `MAX_DEPTH` levels.
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(refuse_deep_terms)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn refuse_deep_terms() {
+        let mut arena = TermArena::new();
+        let deepest = MAX_DEPTH as usize - 1;
+        assert!(arena.parse(&add1_tower(deepest)).is_ok());
+        for bomb in [
+            add1_tower(deepest + 1),
+            add1_tower(20_000),
+            // Depth without nesting: a wide curried application, and the
+            // `+` abbreviation, nested or with a huge offset.
+            format!("(f{})", " 1".repeat(MAX_DEPTH as usize + 1)),
+            "(+ (+ 1 3000) 3000)".to_owned(),
+            "(+ 1 9223372036854775807)".to_owned(),
+        ] {
+            let err = arena.parse(&bomb).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::TooDeep, "{err}");
+        }
+        assert_eq!(
+            arena.parse("(let x 1)").unwrap_err().kind,
+            ParseErrorKind::Syntax
+        );
     }
 
     #[test]
