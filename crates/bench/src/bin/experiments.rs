@@ -1470,8 +1470,8 @@ fn e16_solver_cost(sink: &mut impl TraceSink) {
     }
 
     // MFP needs the first-order fragment: diamond chains, where the dense
-    // LIFO worklist cascades over the suffix and the RPO-ranked sparse
-    // solver settles each node once.
+    // LIFO worklist cascades over the suffix and each phase of the
+    // RPO-ranked sparse solver fires each of its constraints once.
     for n in E16_MFP_SIZES {
         let prog = AnfProgram::from_term(&families::diamond_chain(n));
         let cfg = Cfg::from_first_order(&prog).unwrap();

@@ -9,8 +9,9 @@
 //!
 //! * a [`Cfg`] lowered from the *first-order* fragment of Λ (or hand-built
 //!   via [`Cfg::from_parts`]);
-//! * a worklist [MFP solver](Cfg::solve_mfp) — condition-blind, as in the
-//!   classical framework;
+//! * a sparse [MFP solver](Cfg::solve_mfp) — condition-blind, as in the
+//!   classical framework — that works over def-use edges instead of one
+//!   environment per CFG node (see *Sparse MFP* below);
 //! * a path-enumerating [MOP solver](Cfg::solve_mop) with two modes
 //!   ([`PathMode`]): the classical *all graph paths*, and *feasible paths
 //!   only*, where a branch on a known-constant test follows one edge — the
@@ -27,6 +28,53 @@
 //!    its per-branch duplication carries each path's constants into the
 //!    branch decisions downstream. The direct analyzer `M_e` corresponds to
 //!    MFP (when tests are unknown). E9 checks both correspondences.
+//!
+//! # Sparse MFP
+//!
+//! The textbook MFP keeps `in[n]` and `out[n]`, a lattice value for every
+//! variable, at every node: 2·nodes·vars cells, almost all of them copies.
+//! [`Cfg::solve_mfp`] instead solves two smaller systems on the
+//! [`WorklistSolver`], both ranked in reverse postorder.
+//!
+//! A *source* is one variable's entry value or one defining node; the
+//! sources of a variable are numbered contiguously.
+//!
+//! 1. **Reaching sources.** Each node is a constraint over a bitset of the
+//!    sources that reach its entry (one flat `Vec<u64>` of
+//!    nodes × ⌈sources/64⌉ words): `in[n] = ⋃ out[pred]`, where `out[p]` is
+//!    `in[p]` minus the sources of the variable `p` defines, plus `p`'s own
+//!    source. The entry's in-set starts with the entry sources.
+//! 2. **Values.** Each defining node `d` is a constraint watching the
+//!    sources of its used variables that reach it (`Sum` uses two
+//!    variables; `Copy`, `Add1` and `Sub1` one). A firing applies the
+//!    statement's transfer to the join of those sources' values and grows
+//!    `val(d)`. `summary[x]` is the join of the values of `x`'s defining
+//!    sources.
+//!
+//! **Why it is exact.** Every [`Stmt`] defines at most one variable and
+//! reads `in[n]` only through the variables it uses, and every other
+//! variable passes through unchanged. So in the dense least fixpoint,
+//! `in[n][y]` is the join, over the `y`-sources whose definition reaches
+//! `n` along a definition-clear path, of their values — `init[y]` for the
+//! entry source, `out[d][y]` for a defining node `d`. Phase 1 computes
+//! exactly that path relation (a least fixpoint of the same edges with a
+//! gen/kill transfer), and phase 2 evaluates `out[d][def(d)]` from those
+//! joins, so both systems have the same least solution and the summaries
+//! coincide. Nothing here needs the entry to reach a node:
+//!
+//! * an unreachable node's in-set holds only sources defined in the
+//!   unreachable region (none for an isolated node), just as its dense
+//!   `in` holds only values defined there — the dense solver is
+//!   reachability-blind, and so is this one;
+//! * cycles (including a self-loop such as `x := x + 1`) are two ordinary
+//!   fixpoint iterations; `Sum` reads two joins, each exact on its own;
+//! * a variable with several definitions has several sources, and a
+//!   definition at the entry node kills that variable's entry source.
+//!
+//! An entry source whose value is ⊥ contributes nothing to any join, so it
+//! is not numbered. The working set is the bitsets plus one value per
+//! source, O(nodes·sources/64) words; it is charged to the
+//! [`RunGuard`] memory ceiling before either phase runs.
 
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::domain::NumDomain;
@@ -317,15 +365,16 @@ impl Cfg {
     }
 
     /// The **MFP** solution — `in[n] = ⊔ out[pred]`, `out[n] = f_n(in[n])`,
-    /// iterated to fixpoint — computed on the sparse
-    /// [`WorklistSolver`] with semi-naïve propagation: one constraint per
-    /// CFG node, re-evaluated only when a predecessor's `out` grows, and
-    /// each firing re-joins only the *changed* predecessors (reported by
-    /// [`WorklistSolver::take_deltas`]) into a monotonically accumulated
-    /// `in[n]`, popped in reverse-postorder so forward flow settles in
-    /// near-linear firings on reducible graphs. Runs under the default
-    /// [`AnalysisBudget`], charged per constraint firing. Returns the
-    /// per-variable summary.
+    /// iterated to fixpoint — computed in two sparse phases on the
+    /// [`WorklistSolver`] (see the [module docs](self#sparse-mfp)): the
+    /// sources reaching each node, then the value of each definition from
+    /// the reaching sources of the variables it uses. Phase 1 is
+    /// semi-naïve: a firing re-joins only the predecessors whose out-set
+    /// changed (reported by [`WorklistSolver::take_deltas`]). Constraints
+    /// pop in reverse postorder, so forward flow settles in one firing per
+    /// constraint on acyclic graphs. Runs under the default
+    /// [`AnalysisBudget`], charged per constraint firing of either phase.
+    /// Returns the per-variable summary.
     pub fn solve_mfp<D: NumDomain>(&self, init: DfEnv<D>) -> Result<DfSummary<D>, AnalysisError> {
         Ok(self.solve_mfp_instrumented(init)?.0)
     }
@@ -381,15 +430,21 @@ impl Cfg {
         sink: &mut impl TraceSink,
     ) -> Result<(DfSummary<D>, SolverStats), AnalysisError> {
         let n = self.nodes.len();
+        let mut mfp = SparseMfp::new(self, &init, guard)?;
         let preds = self.preds();
         let rank = self.rpo_ranks();
         let mut solver = WorklistSolver::new();
+
+        // Phase 1, reaching sources: constraint `i` computes node `i`'s
+        // in-set from its predecessors, and flow node `i` versions node
+        // `i`'s out-set. Every constraint is posted up front: like the
+        // dense solver, MFP is condition- and reachability-blind, so
+        // unreachable nodes still define (entry-free) values. A node whose
+        // out-set is non-empty before anything fires (the entry, every
+        // defining node) starts at version 1, so each successor's first
+        // firing reads it.
         solver.add_nodes(n);
         solver.reserve(n);
-        // Constraint `i` evaluates node `i` and watches its predecessors.
-        // Every constraint is posted once up front: like the dense solver,
-        // MFP is condition- and reachability-blind, so unreachable nodes
-        // still contribute their (entry-free) outs to the summary.
         for (i, ps) in preds.iter().enumerate() {
             let c = solver.add_constraint(rank[i]);
             debug_assert_eq!(c, i);
@@ -397,17 +452,38 @@ impl Cfg {
                 solver.watch(p.0, c);
             }
             solver.post(c);
+            if i == self.entry.0 || mfp.src[i] != NO_SOURCE {
+                solver.set_node_len(i, 1);
+            }
         }
-        let mut outs: Vec<DfEnv<D>> = vec![vec![D::bot(); self.num_vars]; n];
-        let mut ins = self.initial_ins(&init);
         let mut deltas: Vec<DeltaRange> = Vec::new();
-        solver.run_guarded(guard, |solver, id| {
-            mfp_fire_body(self, id, solver, &mut ins, &mut outs, &mut deltas);
+        solver.run_guarded(guard, |solver, i| {
+            mfp.fire_reach(i, solver, &mut deltas);
             Ok(())
         })?;
+
+        // Phase 2, values: flow node `n + s` is source `s`'s value, and
+        // constraint `n + k` is the `k`-th defining node, which watches the
+        // sources of its used variables that reach it.
+        solver.add_nodes(mfp.vals.len());
+        let defs: Vec<usize> = (0..n).filter(|&i| mfp.src[i] != NO_SOURCE).collect();
+        for &d in &defs {
+            let c = solver.add_constraint(rank[d]);
+            for y in uses(self.nodes[d].stmt).into_iter().flatten() {
+                for s in mfp.reaching(d, y) {
+                    solver.watch(n + s, c);
+                }
+            }
+            solver.post(c);
+        }
+        solver.run_guarded(guard, |solver, c| {
+            mfp.fire_value(defs[c - n], solver);
+            Ok(())
+        })?;
+
         let stats = solver.stats();
         stats.emit_into(sink, "mfp");
-        Ok((self.summarize(&outs), stats))
+        Ok((mfp.summary(), stats))
     }
 
     /// The predecessor lists of every node.
@@ -419,20 +495,6 @@ impl Cfg {
             }
         }
         preds
-    }
-
-    /// Per-node starting `in` environments: `init` at the entry, ⊥
-    /// everywhere else.
-    fn initial_ins<D: NumDomain>(&self, init: &DfEnv<D>) -> Vec<DfEnv<D>> {
-        (0..self.nodes.len())
-            .map(|i| {
-                if NodeId(i) == self.entry {
-                    init.clone()
-                } else {
-                    vec![D::bot(); self.num_vars]
-                }
-            })
-            .collect()
     }
 
     /// Reverse-postorder pop priorities from the entry; nodes unreachable
@@ -579,32 +641,195 @@ impl Cfg {
     }
 }
 
-/// One constraint firing: re-join the predecessors whose `out` grew since
-/// the last firing (reported by [`WorklistSolver::take_deltas`]), re-run
-/// the transfer, and on growth tick the version counter.
-///
-/// `in[id]` accumulates monotonically: the solver is used as a version
-/// counter (`node_changed`), and each firing joins in only the changed
-/// predecessors. Because join is monotone and every growth of a predecessor
-/// re-posts the constraint, the accumulated `in[id]` converges to
-/// ⊔ out\[pred\] — the same least fixpoint as the recompute-from-scratch
-/// loop, at O(changed preds) instead of O(all preds) per firing.
-fn mfp_fire_body<D: NumDomain>(
-    cfg: &Cfg,
-    id: usize,
-    solver: &mut WorklistSolver,
-    ins: &mut [DfEnv<D>],
-    outs: &mut [DfEnv<D>],
-    deltas: &mut Vec<DeltaRange>,
-) {
-    solver.take_deltas(id, deltas);
-    for &(p, _, _) in deltas.iter() {
-        ins[id] = Cfg::join_env(&ins[id], &outs[p]);
+/// The variables a statement reads: one for `Copy`/`Add1`/`Sub1`, two
+/// distinct ones for `Sum`, none otherwise.
+fn uses(stmt: Stmt) -> [Option<VarId>; 2] {
+    match stmt {
+        Stmt::Copy(_, y) | Stmt::Add1(_, y) | Stmt::Sub1(_, y) => [Some(y), None],
+        Stmt::Sum(_, y, z) => [Some(y), (z != y).then_some(z)],
+        Stmt::Const(..) | Stmt::Havoc(_) | Stmt::Nop => [None, None],
     }
-    let out = cfg.transfer(cfg.nodes[id].stmt, &ins[id]);
-    if !Cfg::env_leq(&out, &outs[id]) {
-        outs[id] = Cfg::join_env(&outs[id], &out);
-        solver.node_changed(id);
+}
+
+/// `src` entry of a node that defines nothing.
+const NO_SOURCE: u32 = u32::MAX;
+
+/// The bits of `[lo, hi)` that fall in bitset word `w`.
+fn range_mask(w: usize, lo: usize, hi: usize) -> u64 {
+    let (base, end) = (w * 64, w * 64 + 64);
+    let (lo, hi) = (lo.clamp(base, end), hi.clamp(base, end));
+    match hi - lo {
+        0 => 0,
+        64 => !0,
+        len => ((1u64 << len) - 1) << (lo - base),
+    }
+}
+
+/// The state of one sparse MFP solve (see [`Cfg::solve_mfp`]).
+///
+/// A *source* is one variable's non-⊥ entry value or one defining node.
+/// The sources of variable `x` are numbered contiguously,
+/// `start[x]..start[x + 1]` with the entry source first, so the kill set of
+/// a definition of `x` is a single bit range.
+struct SparseMfp<'c, D> {
+    cfg: &'c Cfg,
+    /// `start[x]..start[x + 1]` = the sources of variable `x`.
+    start: Vec<u32>,
+    /// `src[i]` = the source CFG node `i` defines, or [`NO_SOURCE`].
+    src: Vec<u32>,
+    /// Words per reaching-source bitset.
+    words: usize,
+    /// Row `i` (`words` words) = the sources reaching the entry of node `i`.
+    reach: Vec<u64>,
+    /// `vals[s]` = the value of source `s`: the entry value for an entry
+    /// source, the accumulated defined value for a defining node.
+    vals: Vec<D>,
+}
+
+impl<'c, D: NumDomain> SparseMfp<'c, D> {
+    /// Numbers the sources, charges the working set (bitsets plus source
+    /// values) to `guard`, and seeds the entry's in-set with the entry
+    /// sources.
+    fn new(cfg: &'c Cfg, init: &DfEnv<D>, guard: &RunGuard) -> Result<Self, AnalysisError> {
+        let has_entry = |x: usize| !init[x].is_bot();
+        let mut start = vec![0u32; cfg.num_vars + 1];
+        for x in 0..cfg.num_vars {
+            start[x + 1] = u32::from(has_entry(x));
+        }
+        for node in &cfg.nodes {
+            if let Some(x) = node.stmt.def() {
+                start[x.index() + 1] += 1;
+            }
+        }
+        for x in 0..cfg.num_vars {
+            start[x + 1] += start[x];
+        }
+        let mut next: Vec<u32> = (0..cfg.num_vars)
+            .map(|x| start[x] + u32::from(has_entry(x)))
+            .collect();
+        let src: Vec<u32> = cfg
+            .nodes
+            .iter()
+            .map(|node| match node.stmt.def() {
+                Some(x) => {
+                    next[x.index()] += 1;
+                    next[x.index()] - 1
+                }
+                None => NO_SOURCE,
+            })
+            .collect();
+        let sources = start[cfg.num_vars] as usize;
+        let words = sources.div_ceil(64);
+        let n = cfg.nodes.len();
+        guard.charge_memory(
+            (n * words * std::mem::size_of::<u64>() + sources * std::mem::size_of::<D>()) as u64,
+        )?;
+        let mut mfp = SparseMfp {
+            cfg,
+            start,
+            src,
+            words,
+            reach: vec![0; n * words],
+            vals: vec![D::bot(); sources],
+        };
+        let entry = cfg.entry.0 * words;
+        for x in (0..cfg.num_vars).filter(|&x| has_entry(x)) {
+            let s = mfp.start[x] as usize;
+            mfp.vals[s] = init[x].clone();
+            mfp.reach[entry + s / 64] |= 1 << (s % 64);
+        }
+        Ok(mfp)
+    }
+
+    /// The sources node `i` kills: those of the variable it defines.
+    fn kill(&self, i: usize) -> (usize, usize) {
+        match self.cfg.nodes[i].stmt.def() {
+            Some(x) => (
+                self.start[x.index()] as usize,
+                self.start[x.index() + 1] as usize,
+            ),
+            None => (0, 0),
+        }
+    }
+
+    /// The sources of `y` that reach the entry of node `d`.
+    fn reaching(&self, d: usize, y: VarId) -> impl Iterator<Item = usize> + '_ {
+        let row = &self.reach[d * self.words..(d + 1) * self.words];
+        (self.start[y.index()] as usize..self.start[y.index() + 1] as usize)
+            .filter(move |&s| row[s / 64] >> (s % 64) & 1 == 1)
+    }
+
+    /// `in[d][y]`: the join of the values of `y`'s sources reaching `d`.
+    fn reaching_join(&self, d: usize, y: VarId) -> D {
+        self.reaching(d, y)
+            .fold(D::bot(), |acc, s| acc.join(&self.vals[s]))
+    }
+
+    /// Phase-1 firing of node `i`: join the out-sets of the predecessors
+    /// that changed since the last firing (out = in − kill ∪ {own source})
+    /// into `i`'s in-set, and report a change of `i`'s own out-set — new
+    /// in-bits outside its kill range.
+    fn fire_reach(&mut self, i: usize, solver: &mut WorklistSolver, deltas: &mut Vec<DeltaRange>) {
+        solver.take_deltas(i, deltas);
+        let w = self.words;
+        let (klo, khi) = self.kill(i);
+        let mut grew = false;
+        for &(p, _, _) in deltas.iter() {
+            let (plo, phi) = self.kill(p);
+            let own = self.src[p];
+            for k in 0..w {
+                let mut out = self.reach[p * w + k] & !range_mask(k, plo, phi);
+                if own != NO_SOURCE && own as usize / 64 == k {
+                    out |= 1 << (own % 64);
+                }
+                let old = self.reach[i * w + k];
+                if out & !old != 0 {
+                    self.reach[i * w + k] = old | out;
+                    grew |= out & !old & !range_mask(k, klo, khi) != 0;
+                }
+            }
+        }
+        if grew {
+            solver.node_changed(i);
+        }
+    }
+
+    /// Phase-2 firing of defining node `d`: apply its statement to the
+    /// join of its used variables' reaching sources and grow its source's
+    /// value.
+    fn fire_value(&mut self, d: usize, solver: &mut WorklistSolver) {
+        let v = match self.cfg.nodes[d].stmt {
+            Stmt::Const(_, k) => D::constant(k),
+            Stmt::Havoc(_) => D::top(),
+            Stmt::Copy(_, y) => self.reaching_join(d, y),
+            Stmt::Add1(_, y) => self.reaching_join(d, y).add1(),
+            Stmt::Sub1(_, y) => self.reaching_join(d, y).sub1(),
+            Stmt::Sum(_, y, z) => {
+                let (a, b) = (self.reaching_join(d, y), self.reaching_join(d, z));
+                match (a.as_const(), b.as_const()) {
+                    (Some(p), Some(q)) => D::constant(p + q),
+                    _ if a.is_bot() || b.is_bot() => D::bot(),
+                    _ => D::top(),
+                }
+            }
+            Stmt::Nop => unreachable!("a Nop node defines no source"),
+        };
+        let s = self.src[d] as usize;
+        if !v.leq(&self.vals[s]) {
+            self.vals[s] = self.vals[s].join(&v);
+            solver.node_changed(self.cfg.nodes.len() + s);
+        }
+    }
+
+    /// `summary[x]` = the join of the values of `x`'s defining sources.
+    fn summary(&self) -> DfSummary<D> {
+        let mut vars = vec![D::bot(); self.cfg.num_vars];
+        for (node, &s) in self.cfg.nodes.iter().zip(&self.src) {
+            if let Some(x) = node.stmt.def() {
+                vars[x.index()] = vars[x.index()].join(&self.vals[s as usize]);
+            }
+        }
+        DfSummary { vars }
     }
 }
 
@@ -935,23 +1160,33 @@ mod tests {
                 .unwrap_or_else(|e| panic!("sparse MFP failed on {src:?}: {e}"));
             let dense = c.solve_mfp_dense::<Flat>(init);
             assert_eq!(sparse, dense, "MFP solutions diverge on {src}");
-            assert_eq!(stats.constraints, c.nodes().len() as u64);
+            assert_eq!(stats.constraints, two_phase_constraints(&c));
             assert!(stats.fired >= stats.constraints);
         }
     }
 
+    /// One reaching-sources constraint per node plus one value constraint
+    /// per defining node.
+    fn two_phase_constraints(c: &Cfg) -> u64 {
+        let defs = c.nodes().iter().filter(|n| n.stmt.def().is_some()).count();
+        (c.nodes().len() + defs) as u64
+    }
+
     #[test]
     fn rpo_pops_forward_graphs_in_one_pass_each() {
-        // On an acyclic diamond the RPO rank order means every node fires
-        // exactly once with no re-posts surviving coalescing.
+        // On an acyclic diamond the RPO rank order means every constraint
+        // of each phase fires exactly once with no re-posts surviving
+        // coalescing: a node's predecessors, and a definition's reaching
+        // sources, all rank before it.
         let src = "(let (a1 (if0 z 0 1)) (let (a2 (add1 a1)) a2))";
         let (p, c) = cfg(src);
         let (_, stats) = c
             .solve_mfp_instrumented::<Flat>(c.initial_env::<Flat>(&p))
             .unwrap_or_else(|e| panic!("sparse MFP failed on {src:?}: {e}"));
+        assert_eq!(stats.constraints, two_phase_constraints(&c));
         assert_eq!(
             stats.fired, stats.constraints,
-            "acyclic CFG should settle in one RPO pass"
+            "acyclic CFG should settle in one RPO pass per phase"
         );
     }
 

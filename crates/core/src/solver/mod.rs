@@ -24,8 +24,8 @@
 //! The engine is deliberately value-agnostic: it schedules constraint ids
 //! and tracks per-watch cursors, while the client owns the node values
 //! (append-only element logs with [`DeltaNodes`](crate::setpool::DeltaNodes)
-//! for the CFA solvers, data-flow environments for MFP) and calls
-//! [`WorklistSolver::node_grew`] (log clients) or
+//! for the CFA solvers, reaching-source bitsets and source values for MFP)
+//! and calls [`WorklistSolver::node_grew`] (log clients) or
 //! [`WorklistSolver::node_changed`] (version-counter clients) when a value
 //! grows. A priority `rank` per constraint fixes the pop order — clients
 //! pass reverse-postorder ranks (MFP) or source order (CFA) — so solving
@@ -289,7 +289,7 @@ impl WorklistSolver {
     }
 
     /// Reports that a node's value grew, for clients whose values are not
-    /// element logs (MFP's data-flow environments): bumps the node's
+    /// element logs (MFP's bitsets and lattice values): bumps the node's
     /// version counter and schedules every watcher. Deltas then carry
     /// *which* nodes changed; the range endpoints are version numbers.
     pub fn node_changed(&mut self, node: FlowNodeId) {

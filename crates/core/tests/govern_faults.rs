@@ -22,12 +22,15 @@ use cpsdfa_core::cfa::{
     zero_cfa, zero_cfa_cps, zero_cfa_cps_guarded, zero_cfa_cps_instrumented, zero_cfa_guarded,
     zero_cfa_instrumented,
 };
+use cpsdfa_core::domain::Flat;
 use cpsdfa_core::faultinject::{FaultKind, FaultPlan, INJECTED_PANIC};
 use cpsdfa_core::govern::{
-    governed_pushdown_cfa, governed_zero_cfa_cps, CancelToken, CfaAnswer, GovernPolicy, RunGuard,
+    governed_pushdown_cfa, governed_zero_cfa_cps, CancelToken, CfaAnswer, DegradationLadder,
+    GovernPolicy, RunGuard,
 };
+use cpsdfa_core::mfp::Cfg;
 use cpsdfa_core::pushdown::pushdown_cfa_instrumented;
-use cpsdfa_core::trace::{AggSink, NoopSink};
+use cpsdfa_core::trace::{AggSink, NoopSink, TraceSink};
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_workloads::families;
 use cpsdfa_workloads::par::{par_map_isolated, ParOutcome};
@@ -167,6 +170,39 @@ fn memory_ceiling_degrades_cps_cfa_to_direct() {
         panic!("memory starvation forces the fallback");
     };
     assert!(answer.same_solution(&zero_cfa(&p).unwrap()));
+}
+
+#[test]
+fn memory_ceiling_stops_mfp_and_a_roomy_one_changes_nothing() {
+    // The daemon's `mfp.flat` ladder: one rung, so a memory trip is the
+    // request's error rather than a degradation.
+    let p = AnfProgram::from_term(&families::diamond_chain(64));
+    let cfg = Cfg::from_first_order(&p).expect("diamond chains are first-order");
+    let init = cfg.initial_env::<Flat>(&p);
+    let mfp_ladder = |policy: &GovernPolicy| {
+        DegradationLadder::new()
+            .rung("mfp.flat", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
+                Ok(cfg.solve_mfp_guarded::<Flat>(init.clone(), g, &mut sink)?.0)
+            })
+            .run(&policy.guard(), &mut NoopSink)
+    };
+    let baseline = cfg
+        .solve_mfp::<Flat>(init.clone())
+        .expect("un-governed MFP completes");
+    let unlimited = RunGuard::new(AnalysisBudget::default());
+    cfg.solve_mfp_guarded::<Flat>(init.clone(), &unlimited, &mut NoopSink)
+        .expect("no ceiling yet");
+    let working_set = unlimited.mem_peak();
+    assert!(working_set > 0, "MFP charges its working set");
+
+    let err = mfp_ladder(&GovernPolicy::new().with_memory_limit(64))
+        .expect_err("64 bytes cannot hold the reaching-source bitsets");
+    assert_eq!(err, AnalysisError::MemoryExhausted { limit_bytes: 64 });
+
+    let governed = mfp_ladder(&GovernPolicy::new().with_memory_limit(working_set))
+        .expect("a ceiling at the working set admits the solve");
+    assert!(!governed.report.degraded());
+    assert_eq!(governed.value, baseline);
 }
 
 // ---------------------------------------------------------------------------
