@@ -330,7 +330,7 @@ impl AnfArena {
 ///
 /// Where the boxed normalizer allocates a `Box<dyn FnOnce>` continuation
 /// per visited node, this pass is *defunctionalized*: each continuation
-/// shape is a [`KFrame`]/[`KbFrame`] enum variant appended to a flat frame
+/// shape is a `KFrame`/`KbFrame` enum variant appended to a flat frame
 /// arena and referenced by `u32` index. Same control flow, same effect
 /// order on the output arena and the fresh-name generator — just no
 /// per-node closure allocations.

@@ -2698,9 +2698,11 @@ fn e22_append_rows(rows: &[String]) {
 
 /// E22: the edit-delta warm-start solver. Three parts:
 ///
-/// 1. **Headline ratio** — a *live* [`IncrementalCfa`] session absorbs a
-///    single leaf edit (toggling one binding between a constant and a
-///    free variable) on the big dispatch/polyvariant workloads. Each
+/// 1. **Headline ratio** — a *live*
+///    [`IncrementalCfa`](cpsdfa_core::incremental::IncrementalCfa)
+///    session absorbs a single leaf edit (toggling one binding between a
+///    constant and a free variable) on the big dispatch/polyvariant
+///    workloads. Each
 ///    warm update rides the retract rung — work proportional to the
 ///    edit, not the fixpoint — and is paired against a from-scratch
 ///    solve of the same program in one interleaved sampling loop.
@@ -2988,7 +2990,8 @@ fn e22_incremental(sink: &mut impl TraceSink, test_mode: bool) {
 /// E23: the crash-safety acceptance run. Phase A fills a persisted cache
 /// (plus a watch-session journal) with cold solves; phase B restarts the
 /// daemon over the same directory and measures the post-restart warm
-/// hit-rate; phase C loops every [`PersistFault`] through a
+/// hit-rate; phase C loops every
+/// [`PersistFault`](cpsdfa_core::PersistFault) through a
 /// store/kill/restart cycle with full serve-path certification on,
 /// asserting three invariants: zero wrong answers served (every response's
 /// digest matches a from-scratch baseline and every served answer is

@@ -35,9 +35,10 @@
 //!
 //! Fault injection: [`PersistDir::store`] and
 //! [`PersistDir::store_session`] accept an optional [`PersistFault`]
-//! poked from a shared [`PersistFaultPlan`] — the E23 chaos harness and
-//! the persistence tests drive every recovery path above through the real
-//! writer instead of hand-crafting broken files.
+//! poked from a shared
+//! [`PersistFaultPlan`](crate::faultinject::PersistFaultPlan) — the E23
+//! chaos harness and the persistence tests drive every recovery path
+//! above through the real writer instead of hand-crafting broken files.
 
 use super::{
     fnv128_bytes, AnalysisKind, Ancestor, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint,

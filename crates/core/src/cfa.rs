@@ -60,6 +60,7 @@ use cpsdfa_anf::{AValKind, Anf, AnfKind, AnfProgram, Bind, VarId};
 use cpsdfa_cps::{CTermKind, CValKind, CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
 use std::collections::BTreeSet;
+use std::hash::Hash;
 use std::rc::Rc;
 
 /// The result of source-level 0CFA.
@@ -276,11 +277,8 @@ impl NodeIndex {
         self.num_vars + self.num_terms
     }
 
-    /// Builds [`CfaResult::terms`] by committing every propagation-target
-    /// term node through `commit` — the one cache-construction path shared
-    /// by the sparse solver (pool handles) and the dense baseline (cloned
-    /// sets), which previously duplicated this block. Iterates in label
-    /// order, matching the old `BTreeSet<Label>` walk.
+    /// Builds [`CfaResult::terms`] for the dense baseline by committing
+    /// every propagation-target term node through `commit`, in label order.
     fn commit_dst_terms(
         &self,
         mut commit: impl FnMut(usize) -> Rc<BTreeSet<AbsClo>>,
@@ -333,8 +331,29 @@ impl SrcTables {
     }
 }
 
-/// Fires source constraint `ci` — the one firing body shared by the cold
-/// driver and the live (incremental) solver, so the two cannot drift.
+/// Registers constraint `c` as a watcher of `node`. A `caught_up` watch
+/// starts past the node's current log, because a seed already reflects
+/// it. Any other watch starts at cursor 0 and is posted at once when the
+/// log is non-empty, so its first firing replays the whole history.
+fn watch_from<T: Eq + Hash + Clone>(
+    solver: &mut WorklistSolver,
+    nodes: &DeltaNodes<T>,
+    node: usize,
+    c: ConstraintId,
+    caught_up: bool,
+) {
+    if caught_up {
+        solver.watch_caught_up(node, c);
+    } else {
+        solver.watch(node, c);
+        if !nodes.log(node).is_empty() {
+            solver.post(c);
+        }
+    }
+}
+
+/// Fires source constraint `ci` on the live solver ([`SrcLive`]), whether
+/// it was built cold, built from a seed or edited in place.
 fn fire_src(
     ci: ConstraintId,
     solver: &mut WorklistSolver,
@@ -414,26 +433,20 @@ pub fn zero_cfa(prog: &AnfProgram) -> Result<CfaResult, AnalysisError> {
 
 /// [`zero_cfa`] plus the solver/pool counters of the run.
 pub fn zero_cfa_instrumented(prog: &AnfProgram) -> Result<(CfaResult, SolverStats), AnalysisError> {
-    zero_cfa_traced(prog, AnalysisBudget::default(), &mut NoopSink)
+    zero_cfa_guarded(
+        prog,
+        &RunGuard::new(AnalysisBudget::default()),
+        &mut NoopSink,
+    )
 }
 
-/// [`zero_cfa`] with an explicit budget and a trace sink: the run executes
-/// inside a `cfa.src` span and flushes its solver/pool counters into the
-/// sink at the commit point (prefix `cfa.src`). Pass
-/// [`NoopSink`](crate::trace::NoopSink) for the zero-overhead path.
-pub fn zero_cfa_traced(
-    prog: &AnfProgram,
-    budget: AnalysisBudget,
-    sink: &mut impl TraceSink,
-) -> Result<(CfaResult, SolverStats), AnalysisError> {
-    zero_cfa_guarded(prog, &RunGuard::new(budget), sink)
-}
-
-/// [`zero_cfa`] under a full [`RunGuard`]: firings are charged through the
-/// guard (budget + deadline + cancellation + injected faults) and the
-/// delta store's footprint is checked against the guard's memory ceiling
-/// once per firing. This is the rung the governed drivers in
-/// [`govern`](crate::govern) call.
+/// [`zero_cfa`] under a full [`RunGuard`] and a trace sink: firings are
+/// charged through the guard (budget + deadline + cancellation + injected
+/// faults) and the delta store's footprint is checked against the guard's
+/// memory ceiling once per firing. The run executes inside a `cfa.src`
+/// span and flushes its solver/pool counters into the sink at the commit
+/// point (prefix `cfa.src`); pass [`NoopSink`] for the zero-overhead path.
+/// This is the rung the governed drivers in [`govern`](crate::govern) call.
 pub fn zero_cfa_guarded(
     prog: &AnfProgram,
     guard: &RunGuard,
@@ -458,99 +471,37 @@ fn zero_cfa_impl(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(CfaResult, SolverStats), AnalysisError> {
-    let edges = collect_edges(prog);
-    let idx = NodeIndex::build(prog, &edges);
-    let tables = SrcTables::build(prog, &idx);
+    Ok(zero_cfa_seeded(prog, None, guard, sink)?.expect("an unseeded build is total"))
+}
 
-    let mut solver = WorklistSolver::new();
-    solver.add_nodes(idx.total());
-    solver.reserve(edges.len());
-    let mut nodes: DeltaNodes<AbsClo> = DeltaNodes::new(idx.total());
-    let mut constraints: Vec<SrcConstraint> = Vec::with_capacity(edges.len());
-
-    // Watching constraints are *not* posted at registration: every node is
-    // still empty, so their first firing would consume an empty delta and
-    // do nothing. `node_grew` schedules them as soon as a watched node
-    // gains its first element.
-    for e in &edges {
-        match e {
-            Edge::Seed(..) => {} // applied below, after all watches exist
-            Edge::Sub(src, dst) => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                solver.watch(idx.node(*src), c);
-                constraints.push(SrcConstraint::Sub(idx.node(*dst)));
-            }
-            Edge::Call { f, arg, bind, site } => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                solver.watch(idx.node(*f), c);
-                constraints.push(SrcConstraint::Call {
-                    arg: idx.node(*arg),
-                    bind: bind.index(),
-                    site: *site,
-                });
-            }
-        }
-    }
-    // Seeds fire exactly once, so they skip the worklist entirely: pour
-    // each constant set in here. This must come *after* the watch loop —
-    // `node_grew` only reaches watchers that are already registered.
-    for e in &edges {
-        if let Edge::Seed(set, dst) = e {
-            let dst = idx.node(*dst);
-            let mut grew = false;
-            for v in set {
-                grew |= nodes.add(dst, *v).is_some();
-            }
-            if grew {
-                solver.node_grew(dst, nodes.log(dst).len());
-            }
-        }
-    }
-
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
-    // Reused delta buffer: each firing consumes only what its watched
-    // nodes gained since it last fired.
-    let mut deltas: Vec<DeltaRange> = Vec::new();
-    solver.run_guarded(guard, |solver, ci| {
-        guard.charge_memory(nodes.approx_bytes() as u64)?;
-        fire_src(
-            ci,
-            solver,
-            &mut nodes,
-            &mut constraints,
-            &mut calls,
-            &tables,
-            &mut deltas,
-        );
-        Ok(())
-    })?;
-
-    // Commit point: intern each converged node set (deduping identical
-    // ones); the result holds the shared pool handles directly. The store
-    // commits in universe-index order, so no per-node sort happens.
-    let mut pool: SetPool<AbsClo> = SetPool::new();
-    let mut commit = |node: usize, pool: &mut SetPool<AbsClo>| -> Rc<BTreeSet<AbsClo>> {
-        let id = nodes.commit_into(node, pool);
-        pool.get_rc(id)
+/// Source-level 0CFA from an optional warm-start seed: builds a live
+/// solver ([`SrcLive::build`]), converges it, and commits. A cold solve is
+/// the unseeded build and reports its counters under `cfa.src`; a seeded
+/// one reports under `cfa.src.warm`. `Ok(None)` means the seed did not fit
+/// the program's shape — the caller should fall back to a cold solve.
+pub(crate) fn zero_cfa_seeded(
+    prog: &AnfProgram,
+    seed: Option<&SrcSeed>,
+    guard: &RunGuard,
+    sink: &mut impl TraceSink,
+) -> Result<Option<(CfaResult, SolverStats)>, AnalysisError> {
+    let Some(mut live) = SrcLive::build(prog, seed) else {
+        return Ok(None);
     };
-    let vars: Vec<Rc<BTreeSet<AbsClo>>> = (0..idx.num_vars).map(|i| commit(i, &mut pool)).collect();
-    let terms = idx.commit_dst_terms(|node| commit(node, &mut pool));
-    let stats = solver.stats().with_pool(pool.stats());
-    stats.emit_into(sink, "cfa.src");
-    let iterations = stats.fired.max(1);
-    Ok((
-        CfaResult {
-            vars,
-            terms,
-            calls: Rc::new(calls),
-            iterations,
-        },
-        stats,
-    ))
+    live.run(guard)?;
+    let result = live.commit();
+    let stats = live.stats();
+    let prefix = if seed.is_some() {
+        "cfa.src.warm"
+    } else {
+        "cfa.src"
+    };
+    stats.emit_into(sink, prefix);
+    Ok(Some((result, stats)))
 }
 
 // ---------------------------------------------------------------------------
-// Warm-start (incremental) source-level solving — see `crate::incremental`
+// The source-level solver, cold or warm-started — see `crate::incremental`
 // ---------------------------------------------------------------------------
 
 /// A warm-start seed for the source-level solver: a previous fixpoint
@@ -659,8 +610,9 @@ pub(crate) struct SrcLive {
 }
 
 impl SrcLive {
-    /// Builds a live solver over `prog`. With `seed: None` this mirrors the
-    /// cold setup of [`zero_cfa_impl`] exactly. With a seed, the previous
+    /// Builds a live solver over `prog` — the one place source-level 0CFA
+    /// registers its constraints. With `seed: None` every node starts
+    /// empty and watches start at cursor 0. With a seed, the previous
     /// fixpoint is poured **silently** (no watcher notifications), every
     /// node's cursor base is pinned past the poured history, and each
     /// constraint is registered caught-up when the seed already satisfies
@@ -726,14 +678,7 @@ impl SrcLive {
                     let c = solver.add_constraint(constraints.len() as u32);
                     constraints.push(SrcConstraint::Sub(d));
                     statics.push((EdgeKey::of(e), c));
-                    if warm && nodes.is_subset(s, d) {
-                        solver.watch_caught_up(s, c);
-                    } else {
-                        solver.watch(s, c);
-                        if warm && !nodes.log(s).is_empty() {
-                            solver.post(c);
-                        }
-                    }
+                    watch_from(&mut solver, &nodes, s, c, warm && nodes.is_subset(s, d));
                 }
                 Edge::Call { f, arg, bind, site } => {
                     let fnode = idx.node(*f);
@@ -752,14 +697,7 @@ impl SrcLive {
                             .iter()
                             .all(|(v, _)| wired.is_some_and(|s| s.contains(v)))
                     };
-                    if caught_up {
-                        solver.watch_caught_up(fnode, c);
-                    } else {
-                        solver.watch(fnode, c);
-                        if warm && !nodes.log(fnode).is_empty() {
-                            solver.post(c);
-                        }
-                    }
+                    watch_from(&mut solver, &nodes, fnode, c, caught_up);
                 }
             }
         }
@@ -786,23 +724,17 @@ impl SrcLive {
                         for (src, dst) in [(arg, param), (body, bind)] {
                             let c = solver.add_constraint(constraints.len() as u32);
                             constraints.push(SrcConstraint::Sub(dst));
-                            if nodes.is_subset(src, dst) {
-                                solver.watch_caught_up(src, c);
-                            } else {
-                                solver.watch(src, c);
-                                if !nodes.log(src).is_empty() {
-                                    solver.post(c);
-                                }
-                            }
+                            watch_from(&mut solver, &nodes, src, c, nodes.is_subset(src, dst));
                         }
                     }
                 }
             }
         }
 
-        // Static seeds last, as in the cold setup: on a warm build these
-        // are no-ops where the poured fixpoint already holds the constant
-        // and real (posted) growth where the edit introduced one.
+        // Static seeds last, after every watch exists, so `node_grew`
+        // reaches all watchers. On a warm build these are no-ops where the
+        // poured fixpoint already holds the constant and real (posted)
+        // growth where the edit introduced one.
         for e in &edges {
             if let Edge::Seed(set, dst) = e {
                 let dst = idx.node(*dst);
@@ -831,7 +763,7 @@ impl SrcLive {
             calls,
             tables,
             node_of_label,
-            dst_flags: idx.dst_flags.clone(),
+            dst_flags: idx.dst_flags,
             statics,
             seed_keys,
             num_vars: idx.num_vars,
@@ -980,12 +912,7 @@ impl SrcLive {
                     let c = self.solver.add_constraint(self.constraints.len() as u32);
                     self.constraints.push(SrcConstraint::Sub(d));
                     self.statics.push((EdgeKey::of(&new_edges[i]), c));
-                    self.solver.watch(s, c);
-                    // Fresh cursor at 0: posting replays the source's full
-                    // log through the new constraint.
-                    if !self.nodes.log(s).is_empty() {
-                        self.solver.post(c);
-                    }
+                    watch_from(&mut self.solver, &self.nodes, s, c, false);
                 }
                 Edge::Call { f, arg, bind, site } => {
                     let (fnode, argnode) = (self.node_of(*f), self.node_of(*arg));
@@ -996,10 +923,7 @@ impl SrcLive {
                         site: *site,
                     });
                     self.statics.push((EdgeKey::of(&new_edges[i]), c));
-                    self.solver.watch(fnode, c);
-                    if !self.nodes.log(fnode).is_empty() {
-                        self.solver.post(c);
-                    }
+                    watch_from(&mut self.solver, &self.nodes, fnode, c, false);
                 }
             }
         }
@@ -1014,8 +938,8 @@ impl SrcLive {
         Some(delta)
     }
 
-    /// Runs the solver to its fixpoint under `guard`. Identical firing
-    /// discipline to the cold path: memory charged per firing.
+    /// Runs the solver to its fixpoint under `guard`, charging the store's
+    /// footprint against the memory ceiling once per firing.
     pub(crate) fn run(&mut self, guard: &RunGuard) -> Result<(), AnalysisError> {
         let SrcLive {
             solver,
@@ -1096,25 +1020,6 @@ impl SrcLive {
     pub(crate) fn stats(&self) -> SolverStats {
         self.solver.stats().with_pool(self.pool.stats())
     }
-}
-
-/// Warm-started source-level 0CFA (stateless form): builds a seeded live
-/// solver, converges it, and commits. `Ok(None)` means the seed did not fit
-/// the program's shape — the caller should fall back to a cold solve.
-pub(crate) fn zero_cfa_warm_impl(
-    prog: &AnfProgram,
-    seed: &SrcSeed,
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<Option<(CfaResult, SolverStats)>, AnalysisError> {
-    let Some(mut live) = SrcLive::build(prog, Some(seed)) else {
-        return Ok(None);
-    };
-    live.run(guard)?;
-    let result = live.commit();
-    let stats = live.stats();
-    stats.emit_into(sink, "cfa.src.warm");
-    Ok(Some((result, stats)))
 }
 
 /// The original dense formulation: every constraint re-evaluated per sweep,
@@ -1508,8 +1413,8 @@ fn cps_apply_clo(
     // flow.
 }
 
-/// Fires CPS constraint `ci` — the one firing body shared by the cold and
-/// warm-start drivers.
+/// Fires CPS constraint `ci`: forwards a `Sub` delta, or wires the
+/// continuations (at a return) or callees (at a call) it has not seen yet.
 #[allow(clippy::too_many_arguments)]
 fn fire_cps(
     ci: ConstraintId,
@@ -1603,23 +1508,17 @@ pub fn zero_cfa_cps(prog: &CpsProgram) -> Result<CpsCfaResult, AnalysisError> {
 pub fn zero_cfa_cps_instrumented(
     prog: &CpsProgram,
 ) -> Result<(CpsCfaResult, SolverStats), AnalysisError> {
-    zero_cfa_cps_traced(prog, AnalysisBudget::default(), &mut NoopSink)
-}
-
-/// [`zero_cfa_cps`] with an explicit budget and a trace sink (span and
-/// counter prefix `cfa.cps`).
-pub fn zero_cfa_cps_traced(
-    prog: &CpsProgram,
-    budget: AnalysisBudget,
-    sink: &mut impl TraceSink,
-) -> Result<(CpsCfaResult, SolverStats), AnalysisError> {
-    zero_cfa_cps_guarded(prog, &RunGuard::new(budget), sink)
+    zero_cfa_cps_guarded(
+        prog,
+        &RunGuard::new(AnalysisBudget::default()),
+        &mut NoopSink,
+    )
 }
 
 /// [`zero_cfa_cps`] under a full [`RunGuard`] — the finest rung of the
 /// governed 0CFA ladder
-/// ([`governed_zero_cfa_cps`](crate::govern::governed_zero_cfa_cps)); see
-/// [`zero_cfa_guarded`] for the guard semantics.
+/// ([`governed_zero_cfa_cps`](crate::govern::governed_zero_cfa_cps)); span
+/// and counter prefix `cfa.cps`, guard semantics as in [`zero_cfa_guarded`].
 pub fn zero_cfa_cps_guarded(
     prog: &CpsProgram,
     guard: &RunGuard,
@@ -1644,6 +1543,69 @@ fn zero_cfa_cps_impl(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(CpsCfaResult, SolverStats), AnalysisError> {
+    Ok(zero_cfa_cps_seeded(prog, None, guard, sink)?.expect("an unseeded build is total"))
+}
+
+// ---------------------------------------------------------------------------
+// The CPS-level solver, cold or warm-started — see `crate::incremental`
+// ---------------------------------------------------------------------------
+
+/// A warm-start seed for the CPS-level solver, already transported into
+/// the new program's spaces (the CPS mirror of [`SrcSeed`]).
+pub(crate) struct CpsSeed {
+    /// Flow set per new variable index (both namespaces; dense).
+    pub(crate) vars: Vec<BTreeSet<CpsFlow>>,
+    /// Pre-wired return sites: new site label → continuations discovered.
+    pub(crate) returns: Vec<(Label, BTreeSet<AbsKont>)>,
+    /// Pre-wired call graph: new site label → callees discovered.
+    pub(crate) calls: Vec<(Label, BTreeSet<AbsClo>)>,
+}
+
+/// The seeded analog of [`cps_wire_flow`]: instead of growing nodes on the
+/// spot, a constant flow that the seed does not already hold is **deferred**
+/// into `pours` — applied only after every watch of the run is registered,
+/// so the growth notification reaches watchers registered later than the
+/// wire. Variable flows become the usual persistent `Sub` edges,
+/// registered caught-up when the seed already contains the source.
+fn cps_warm_wire(
+    flow: Flow,
+    dst: usize,
+    solver: &mut WorklistSolver,
+    nodes: &DeltaNodes<CpsFlow>,
+    constraints: &mut Vec<CpsConstraint>,
+    pours: &mut Vec<(usize, CpsFlow)>,
+) {
+    match flow {
+        Flow::None => {}
+        Flow::Const(cflow) => {
+            if !nodes.contains(dst, &cflow) {
+                pours.push((dst, cflow));
+            }
+        }
+        Flow::Var(v) => {
+            let c = solver.add_constraint(constraints.len() as u32);
+            constraints.push(CpsConstraint::Sub(dst));
+            watch_from(solver, nodes, v.index(), c, nodes.is_subset(v.index(), dst));
+        }
+    }
+}
+
+/// CPS-level 0CFA from an optional warm-start seed — the one place it
+/// registers its constraints. Unseeded, every node starts empty and only
+/// the static seeds and constant-operator calls schedule work. Seeded, the
+/// previous fixpoint is poured silently, the cursor bases are pinned past
+/// it, the returns/calls tables are prefilled, the previous run's dynamic
+/// wires are re-established, and each constraint the seed already
+/// satisfies registers caught-up, so only growth (new constants, unmet
+/// subsets) schedules work. Counters go under `cfa.cps` cold and
+/// `cfa.cps.warm` seeded. `Ok(None)` = the seed does not fit the new
+/// program's shape; fall back to a cold solve.
+pub(crate) fn zero_cfa_cps_seeded(
+    prog: &CpsProgram,
+    seed: Option<&CpsSeed>,
+    guard: &RunGuard,
+    sink: &mut impl TraceSink,
+) -> Result<Option<(CpsCfaResult, SolverStats)>, AnalysisError> {
     let tables = CpsTables::build(prog);
     let edges = collect_cps_edges(prog);
     let n = prog.num_vars();
@@ -1652,44 +1614,167 @@ fn zero_cfa_cps_impl(
     solver.add_nodes(n);
     solver.reserve(edges.len());
     let mut nodes: DeltaNodes<CpsFlow> = DeltaNodes::new(n);
-    let mut constraints: Vec<CpsConstraint> = Vec::with_capacity(edges.len());
+    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
+    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
 
-    // As in the source solver: watching constraints are not posted while
-    // every node is still empty (their first delta would be empty — a
-    // no-op); `node_grew` will schedule them. Constant-operator calls have
-    // no watches and are posted once; seeds skip the worklist entirely and
-    // are applied after the watch loop below.
+    let warm = seed.is_some();
+    if let Some(seed) = seed {
+        if seed.vars.len() != n {
+            return Ok(None);
+        }
+        for (i, set) in seed.vars.iter().enumerate() {
+            for v in set {
+                nodes.add(i, *v);
+            }
+        }
+        // Pin the cursor bases: caught-up watches treat the poured history
+        // as consumed.
+        for i in 0..n {
+            solver.set_node_len(i, nodes.log(i).len());
+        }
+        for (site, set) in &seed.returns {
+            returns.entry_or_default(*site).extend(set.iter().copied());
+        }
+        for (site, set) in &seed.calls {
+            calls.entry_or_default(*site).extend(set.iter().copied());
+        }
+    }
+
+    // Per-site operands, for re-establishing a seed's wires (empty cold).
+    let sites = if warm { prog.label_count() as usize } else { 0 };
+    let mut ret_w: Vec<Option<Flow>> = vec![None; sites];
+    let mut call_ac: Vec<Option<(Flow, Label)>> = vec![None; sites];
+
+    // Watching constraints are not posted while their node is empty (the
+    // first delta would be empty — a no-op); `node_grew` schedules them.
+    // Seeds skip the worklist entirely and are poured after this loop, so
+    // their growth reaches every watcher.
+    let mut constraints: Vec<CpsConstraint> = Vec::with_capacity(edges.len());
     for e in &edges {
         match e {
             CpsEdge::Seed(..) => {}
             CpsEdge::Sub(src, dst) => {
+                let (s, d) = (src.index(), dst.index());
                 let c = solver.add_constraint(constraints.len() as u32);
-                solver.watch(src.index(), c);
-                constraints.push(CpsConstraint::Sub(dst.index()));
+                constraints.push(CpsConstraint::Sub(d));
+                watch_from(&mut solver, &nodes, s, c, warm && nodes.is_subset(s, d));
             }
             CpsEdge::Ret { k, w, site } => {
                 let c = solver.add_constraint(constraints.len() as u32);
-                solver.watch(k.index(), c);
                 constraints.push(CpsConstraint::Ret { w: *w, site: *site });
+                if warm {
+                    ret_w[site.index() as usize] = Some(*w);
+                }
+                let kn = k.index();
+                let wired = returns.get(*site);
+                let caught_up = warm
+                    && nodes.log(kn).iter().all(|(v, _)| match v {
+                        CpsFlow::Kont(kk) => wired.is_some_and(|s| s.contains(kk)),
+                        CpsFlow::Clo(_) => true, // closures in k are skipped by the firing
+                    });
+                watch_from(&mut solver, &nodes, kn, c, caught_up);
             }
             CpsEdge::Call { f, arg, cont, site } => {
                 let c = solver.add_constraint(constraints.len() as u32);
-                if let Flow::Var(v) = f {
-                    solver.watch(v.index(), c);
-                } else {
-                    solver.post(c);
-                }
                 constraints.push(CpsConstraint::Call {
                     f: *f,
                     arg: *arg,
                     cont: *cont,
                     site: *site,
                 });
+                if warm {
+                    call_ac[site.index() as usize] = Some((*arg, *cont));
+                }
+                let wired = calls.get(*site);
+                match f {
+                    Flow::Var(v) => {
+                        let caught_up = warm
+                            && nodes.log(v.index()).iter().all(|(val, _)| match val {
+                                CpsFlow::Clo(clo) => wired.is_some_and(|s| s.contains(clo)),
+                                CpsFlow::Kont(_) => true, // non-closures are skipped
+                            });
+                        watch_from(&mut solver, &nodes, v.index(), c, caught_up);
+                    }
+                    // A constant operator has no watches, so it is posted
+                    // once — a numeric one too, where the firing does
+                    // nothing. A seed that already wired the callee makes
+                    // the firing a no-op, so that one is skipped.
+                    Flow::Const(CpsFlow::Clo(clo)) if wired.is_some_and(|s| s.contains(clo)) => {}
+                    Flow::Const(_) | Flow::None => solver.post(c),
+                }
             }
         }
     }
-    // Seeds fire exactly once: pour each constant flow in directly, after
-    // every watch is registered so `node_grew` reaches all watchers.
+
+    if let Some(seed) = seed {
+        // Re-establish the previous run's dynamic wires. `Ok(None)` whenever
+        // a seeded site or callee has no counterpart in the new program.
+        let mut pours: Vec<(usize, CpsFlow)> = Vec::new();
+        for (site, set) in &seed.returns {
+            let w = match ret_w.get(site.index() as usize).copied().flatten() {
+                Some(w) => w,
+                None if set.is_empty() => continue,
+                None => return Ok(None),
+            };
+            for kk in set {
+                if let AbsKont::Co(l) = kk {
+                    let dst = tables
+                        .cont_var
+                        .get(l.index() as usize)
+                        .copied()
+                        .unwrap_or(UNINDEXED);
+                    if dst == UNINDEXED {
+                        return Ok(None);
+                    }
+                    cps_warm_wire(w, dst, &mut solver, &nodes, &mut constraints, &mut pours);
+                }
+            }
+        }
+        for (site, set) in &seed.calls {
+            let (arg, cont) = match call_ac.get(site.index() as usize).copied().flatten() {
+                Some(ac) => ac,
+                None if set.is_empty() => continue,
+                None => return Ok(None),
+            };
+            for clo in set {
+                if let AbsClo::Lam(l) = clo {
+                    let (param, kvar) = tables
+                        .lam
+                        .get(l.index() as usize)
+                        .copied()
+                        .unwrap_or((UNINDEXED, UNINDEXED));
+                    if param == UNINDEXED {
+                        return Ok(None);
+                    }
+                    cps_warm_wire(
+                        arg,
+                        param,
+                        &mut solver,
+                        &nodes,
+                        &mut constraints,
+                        &mut pours,
+                    );
+                    cps_warm_wire(
+                        Flow::Const(CpsFlow::Kont(AbsKont::Co(cont))),
+                        kvar,
+                        &mut solver,
+                        &nodes,
+                        &mut constraints,
+                        &mut pours,
+                    );
+                }
+            }
+        }
+        // Deferred constant pours: every watch exists now, so this growth
+        // notifies all of them (including caught-up ones, via their cursors).
+        for (dst, flow) in pours {
+            if let Some(len) = nodes.add(dst, flow) {
+                solver.node_grew(dst, len);
+            }
+        }
+    }
+    // Static seeds: on a warm build, no-ops where the poured fixpoint
+    // already holds the constant, real growth where the edit introduced one.
     for e in &edges {
         if let CpsEdge::Seed(flow, dst) = e {
             let dst = dst.index();
@@ -1699,10 +1784,7 @@ fn zero_cfa_cps_impl(
         }
     }
 
-    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
     let mut deltas: Vec<DeltaRange> = Vec::new();
-
     solver.run_guarded(guard, |solver, ci| {
         guard.charge_memory(nodes.approx_bytes() as u64)?;
         fire_cps(
@@ -1729,291 +1811,7 @@ fn zero_cfa_cps_impl(
         })
         .collect();
     let stats = solver.stats().with_pool(pool.stats());
-    stats.emit_into(sink, "cfa.cps");
-    let iterations = stats.fired.max(1);
-    Ok((
-        CpsCfaResult {
-            vars,
-            returns,
-            calls,
-            iterations,
-        },
-        stats,
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// Warm-start (incremental) CPS-level solving — see `crate::incremental`
-// ---------------------------------------------------------------------------
-
-/// A warm-start seed for the CPS-level solver, already transported into
-/// the new program's spaces (the CPS mirror of [`SrcSeed`]).
-pub(crate) struct CpsSeed {
-    /// Flow set per new variable index (both namespaces; dense).
-    pub(crate) vars: Vec<BTreeSet<CpsFlow>>,
-    /// Pre-wired return sites: new site label → continuations discovered.
-    pub(crate) returns: Vec<(Label, BTreeSet<AbsKont>)>,
-    /// Pre-wired call graph: new site label → callees discovered.
-    pub(crate) calls: Vec<(Label, BTreeSet<AbsClo>)>,
-}
-
-/// The warm analog of [`cps_wire_flow`]: instead of growing nodes on the
-/// spot, a constant flow that the seed does not already hold is **deferred**
-/// into `pours` — applied only after every watch of the run is registered,
-/// so the growth notification reaches watchers registered later than the
-/// wire. Variable flows become the usual persistent `Sub` edges,
-/// registered caught-up when the seed already contains the source.
-fn cps_warm_wire(
-    flow: Flow,
-    dst: usize,
-    solver: &mut WorklistSolver,
-    nodes: &DeltaNodes<CpsFlow>,
-    constraints: &mut Vec<CpsConstraint>,
-    pours: &mut Vec<(usize, CpsFlow)>,
-) {
-    match flow {
-        Flow::None => {}
-        Flow::Const(cflow) => {
-            if !nodes.contains(dst, &cflow) {
-                pours.push((dst, cflow));
-            }
-        }
-        Flow::Var(v) => {
-            let c = solver.add_constraint(constraints.len() as u32);
-            constraints.push(CpsConstraint::Sub(dst));
-            if nodes.is_subset(v.index(), dst) {
-                solver.watch_caught_up(v.index(), c);
-            } else {
-                solver.watch(v.index(), c);
-                if !nodes.log(v.index()).is_empty() {
-                    solver.post(c);
-                }
-            }
-        }
-    }
-}
-
-/// Warm-started CPS-level 0CFA: pours a previous fixpoint silently, pins
-/// the cursor bases, prefills the returns/calls tables, re-establishes the
-/// previous run's dynamic wires, and only then lets growth (new constants,
-/// unmet subsets) schedule work. `Ok(None)` = seed does not fit the new
-/// program's shape; fall back to a cold solve.
-pub(crate) fn zero_cfa_cps_warm_impl(
-    prog: &CpsProgram,
-    seed: &CpsSeed,
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<Option<(CpsCfaResult, SolverStats)>, AnalysisError> {
-    let tables = CpsTables::build(prog);
-    let edges = collect_cps_edges(prog);
-    let n = prog.num_vars();
-    if seed.vars.len() != n {
-        return Ok(None);
-    }
-
-    let mut solver = WorklistSolver::new();
-    solver.add_nodes(n);
-    solver.reserve(edges.len());
-    let mut nodes: DeltaNodes<CpsFlow> = DeltaNodes::new(n);
-    for (i, set) in seed.vars.iter().enumerate() {
-        for v in set {
-            nodes.add(i, *v);
-        }
-    }
-    for i in 0..n {
-        solver.set_node_len(i, nodes.log(i).len());
-    }
-
-    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
-    for (site, set) in &seed.returns {
-        returns.entry_or_default(*site).extend(set.iter().copied());
-    }
-    for (site, set) in &seed.calls {
-        calls.entry_or_default(*site).extend(set.iter().copied());
-    }
-
-    let label_count = prog.label_count() as usize;
-    // Per-site operands, for re-establishing the previous run's wires.
-    let mut ret_w: Vec<Option<Flow>> = vec![None; label_count];
-    let mut call_ac: Vec<Option<(Flow, Label)>> = vec![None; label_count];
-
-    let mut constraints: Vec<CpsConstraint> = Vec::with_capacity(edges.len());
-    let mut pours: Vec<(usize, CpsFlow)> = Vec::new();
-    for e in &edges {
-        match e {
-            CpsEdge::Seed(..) => {}
-            CpsEdge::Sub(src, dst) => {
-                let (s, d) = (src.index(), dst.index());
-                let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(CpsConstraint::Sub(d));
-                if nodes.is_subset(s, d) {
-                    solver.watch_caught_up(s, c);
-                } else {
-                    solver.watch(s, c);
-                    if !nodes.log(s).is_empty() {
-                        solver.post(c);
-                    }
-                }
-            }
-            CpsEdge::Ret { k, w, site } => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(CpsConstraint::Ret { w: *w, site: *site });
-                ret_w[site.index() as usize] = Some(*w);
-                let kn = k.index();
-                let wired = returns.get(*site);
-                let caught_up = nodes.log(kn).iter().all(|(v, _)| match v {
-                    CpsFlow::Kont(kk) => wired.is_some_and(|s| s.contains(kk)),
-                    CpsFlow::Clo(_) => true, // closures in k are skipped by the firing
-                });
-                if caught_up {
-                    solver.watch_caught_up(kn, c);
-                } else {
-                    solver.watch(kn, c);
-                    if !nodes.log(kn).is_empty() {
-                        solver.post(c);
-                    }
-                }
-            }
-            CpsEdge::Call { f, arg, cont, site } => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(CpsConstraint::Call {
-                    f: *f,
-                    arg: *arg,
-                    cont: *cont,
-                    site: *site,
-                });
-                call_ac[site.index() as usize] = Some((*arg, *cont));
-                match f {
-                    Flow::Var(v) => {
-                        let wired = calls.get(*site);
-                        let caught_up = nodes.log(v.index()).iter().all(|(val, _)| match val {
-                            CpsFlow::Clo(clo) => wired.is_some_and(|s| s.contains(clo)),
-                            CpsFlow::Kont(_) => true, // non-closures are skipped
-                        });
-                        if caught_up {
-                            solver.watch_caught_up(v.index(), c);
-                        } else {
-                            solver.watch(v.index(), c);
-                            if !nodes.log(v.index()).is_empty() {
-                                solver.post(c);
-                            }
-                        }
-                    }
-                    Flow::Const(CpsFlow::Clo(clo)) => {
-                        // Cold posts constant-operator calls exactly once;
-                        // warm skips the firing when its callee is wired.
-                        if !calls.get(*site).is_some_and(|s| s.contains(clo)) {
-                            solver.post(c);
-                        }
-                    }
-                    Flow::Const(CpsFlow::Kont(_)) | Flow::None => {}
-                }
-            }
-        }
-    }
-
-    // Re-establish the previous run's dynamic wires. `Ok(None)` whenever a
-    // seeded site or callee has no counterpart in the new program.
-    for (site, set) in &seed.returns {
-        let w = match ret_w.get(site.index() as usize).copied().flatten() {
-            Some(w) => w,
-            None if set.is_empty() => continue,
-            None => return Ok(None),
-        };
-        for kk in set {
-            if let AbsKont::Co(l) = kk {
-                let dst = tables
-                    .cont_var
-                    .get(l.index() as usize)
-                    .copied()
-                    .unwrap_or(UNINDEXED);
-                if dst == UNINDEXED {
-                    return Ok(None);
-                }
-                cps_warm_wire(w, dst, &mut solver, &nodes, &mut constraints, &mut pours);
-            }
-        }
-    }
-    for (site, set) in &seed.calls {
-        let (arg, cont) = match call_ac.get(site.index() as usize).copied().flatten() {
-            Some(ac) => ac,
-            None if set.is_empty() => continue,
-            None => return Ok(None),
-        };
-        for clo in set {
-            if let AbsClo::Lam(l) = clo {
-                let (param, kvar) = tables
-                    .lam
-                    .get(l.index() as usize)
-                    .copied()
-                    .unwrap_or((UNINDEXED, UNINDEXED));
-                if param == UNINDEXED {
-                    return Ok(None);
-                }
-                cps_warm_wire(
-                    arg,
-                    param,
-                    &mut solver,
-                    &nodes,
-                    &mut constraints,
-                    &mut pours,
-                );
-                cps_warm_wire(
-                    Flow::Const(CpsFlow::Kont(AbsKont::Co(cont))),
-                    kvar,
-                    &mut solver,
-                    &nodes,
-                    &mut constraints,
-                    &mut pours,
-                );
-            }
-        }
-    }
-
-    // Deferred constant pours: every watch exists now, so this growth
-    // notifies all of them (including caught-up ones, via their cursors).
-    for (dst, flow) in pours {
-        if let Some(len) = nodes.add(dst, flow) {
-            solver.node_grew(dst, len);
-        }
-    }
-    // Static seeds: no-ops where the poured fixpoint already holds the
-    // constant, real growth where the edit introduced one.
-    for e in &edges {
-        if let CpsEdge::Seed(flow, dst) = e {
-            let dst = dst.index();
-            if let Some(len) = nodes.add(dst, *flow) {
-                solver.node_grew(dst, len);
-            }
-        }
-    }
-
-    let mut deltas: Vec<DeltaRange> = Vec::new();
-    solver.run_guarded(guard, |solver, ci| {
-        guard.charge_memory(nodes.approx_bytes() as u64)?;
-        fire_cps(
-            ci,
-            solver,
-            &mut nodes,
-            &mut constraints,
-            &mut returns,
-            &mut calls,
-            &tables,
-            &mut deltas,
-        );
-        Ok(())
-    })?;
-
-    let mut pool: SetPool<CpsFlow> = SetPool::new();
-    let vars: Vec<Rc<BTreeSet<CpsFlow>>> = (0..n)
-        .map(|i| {
-            let id = nodes.commit_into(i, &mut pool);
-            pool.get_rc(id)
-        })
-        .collect();
-    let stats = solver.stats().with_pool(pool.stats());
-    stats.emit_into(sink, "cfa.cps.warm");
+    stats.emit_into(sink, if warm { "cfa.cps.warm" } else { "cfa.cps" });
     let iterations = stats.fired.max(1);
     Ok(Some((
         CpsCfaResult {
@@ -2283,7 +2081,8 @@ mod tests {
             .unwrap();
         let plain = zero_cfa(&p).unwrap();
         let mut agg = AggSink::new();
-        let (traced, stats) = zero_cfa_traced(&p, AnalysisBudget::default(), &mut agg).unwrap();
+        let (traced, stats) =
+            zero_cfa_guarded(&p, &RunGuard::new(AnalysisBudget::default()), &mut agg).unwrap();
         assert!(
             plain.same_solution(&traced),
             "tracing must not change flows"
@@ -2296,7 +2095,8 @@ mod tests {
         let plain_c = zero_cfa_cps(&c).unwrap();
         let mut agg_c = AggSink::new();
         let (traced_c, stats_c) =
-            zero_cfa_cps_traced(&c, AnalysisBudget::default(), &mut agg_c).unwrap();
+            zero_cfa_cps_guarded(&c, &RunGuard::new(AnalysisBudget::default()), &mut agg_c)
+                .unwrap();
         assert!(plain_c.same_solution(&traced_c));
         assert_eq!(agg_c.counter_value("cfa.cps.fired"), stats_c.fired);
         assert_eq!(SolverStats::from_agg(&agg_c, "cfa.cps"), stats_c);
@@ -2305,11 +2105,11 @@ mod tests {
     #[test]
     fn tiny_budgets_stop_both_sparse_solvers() {
         let p = AnfProgram::parse("(let (w (lambda (x) (x x))) (let (r (w w)) r))").unwrap();
-        let err = zero_cfa_traced(&p, AnalysisBudget::new(1), &mut NoopSink)
+        let err = zero_cfa_guarded(&p, &RunGuard::new(AnalysisBudget::new(1)), &mut NoopSink)
             .expect_err("one firing cannot solve omega");
         assert!(matches!(err, AnalysisError::BudgetExhausted { budget: 1 }));
         let c = CpsProgram::from_anf(&p);
-        let err = zero_cfa_cps_traced(&c, AnalysisBudget::new(1), &mut NoopSink)
+        let err = zero_cfa_cps_guarded(&c, &RunGuard::new(AnalysisBudget::new(1)), &mut NoopSink)
             .expect_err("one firing cannot solve CPS omega");
         assert!(matches!(err, AnalysisError::BudgetExhausted { budget: 1 }));
         // The dense oracles take no budget and still converge.

@@ -13,7 +13,7 @@
 //! * [`RunGuard`] — one charge point combining the goal budget with a
 //!   wall-clock [`Deadline`], an arena/set-pool memory ceiling, a shared
 //!   atomic [`CancelToken`], and an optional injected
-//!   [`FaultPlan`](crate::faultinject::FaultPlan). The
+//!   [`FaultPlan`]. The
 //!   [`WorklistSolver`](crate::solver::WorklistSolver) charges every
 //!   constraint firing and the three abstract interpreters charge every
 //!   goal through the same guard, so all resources are enforced uniformly
@@ -38,10 +38,12 @@
 //! still a safe answer, just a less precise one.
 
 use crate::budget::{AnalysisBudget, AnalysisError};
+use crate::cache::AnalysisKind;
 use crate::cfa::{self, CfaResult, CpsCfaResult};
 use crate::direct::{DirectAnalyzer, DirectResult};
 use crate::domain::{Flat, PowerSet};
 use crate::faultinject::FaultPlan;
+use crate::mfp::{Cfg, DfSummary};
 use crate::pushdown::{self, PushdownCfaResult};
 use crate::semcps::{SemCpsAnalyzer, SemCpsResult};
 use crate::solver::SolverMode;
@@ -205,7 +207,7 @@ impl RunGuard {
         self
     }
 
-    /// Adds a wall-clock deadline (checked every [`INTERRUPT_PERIOD`]
+    /// Adds a wall-clock deadline (checked every `INTERRUPT_PERIOD`
     /// charges and at every rung boundary).
     #[must_use]
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
@@ -278,14 +280,13 @@ impl RunGuard {
     /// Charges `n` units (solver firings / interpreter goals) against the
     /// guard. This is the shim every governed fixpoint passes through: it
     /// pokes the fault plan (exact), enforces the budget (exact), and every
-    /// [`INTERRUPT_PERIOD`] charges polls the deadline and cancel token.
+    /// `INTERRUPT_PERIOD` charges polls the deadline and cancel token.
     ///
     /// # Errors
     ///
-    /// [`AnalysisError::BudgetExhausted`], [`DeadlineExceeded`]
-    /// (crate::AnalysisError::DeadlineExceeded), [`Cancelled`]
-    /// (crate::AnalysisError::Cancelled), or whatever the armed fault plan
-    /// reports.
+    /// [`AnalysisError::BudgetExhausted`],
+    /// [`AnalysisError::DeadlineExceeded`], [`AnalysisError::Cancelled`],
+    /// or whatever the armed fault plan reports.
     #[inline]
     pub fn charge(&self, n: u64) -> Result<(), AnalysisError> {
         let s = &*self.state;
@@ -584,11 +585,12 @@ pub struct Governed<T> {
 /// into the request's sink.
 type RungFn<'a, T> = Box<dyn FnMut(&RunGuard, &mut dyn TraceSink) -> Result<T, AnalysisError> + 'a>;
 
-/// An ordered ladder of analysis rungs, finest first. [`run`]
-/// (DegradationLadder::run) tries each in turn under one [`RunGuard`],
-/// falling to the next rung on any [recoverable]
-/// (AnalysisError::is_recoverable) error — resource exhaustion or an
-/// isolated panic — and aborting immediately on cancellation.
+/// An ordered ladder of analysis rungs, finest first.
+/// [`run`](DegradationLadder::run) tries each in turn under one
+/// [`RunGuard`], falling to the next rung on any
+/// [recoverable](AnalysisError::is_recoverable) error — resource
+/// exhaustion or an isolated panic — and aborting immediately on
+/// cancellation.
 pub struct DegradationLadder<'a, T> {
     rungs: Vec<(&'static str, RungFn<'a, T>)>,
 }
@@ -742,11 +744,57 @@ pub enum CfaAnswer {
     Direct(CfaResult),
 }
 
-impl CfaAnswer {
-    /// Whether the answer came from the fallback rung.
-    pub fn is_direct_fallback(&self) -> bool {
-        matches!(self, CfaAnswer::Direct(_))
+/// The rungs of each analysis kind's degradation ladder, finest first —
+/// the ladders [`governed_pushdown_cfa`], [`governed_zero_cfa_cps`],
+/// [`governed_zero_cfa`] and [`governed_mfp_flat`] run. Admission control
+/// multiplies the per-rung budget by the rung count
+/// ([`GovernPolicy::worst_case_charges`]).
+pub fn ladder_rungs(kind: AnalysisKind) -> &'static [&'static str] {
+    match kind {
+        AnalysisKind::CfaPushdown => &["cfa.pushdown", "cfa.cps", "cfa.src"],
+        AnalysisKind::CfaCps => &["cfa.cps", "cfa.src"],
+        AnalysisKind::CfaSrc => &["cfa.src"],
+        AnalysisKind::MfpFlat => &["mfp.flat"],
     }
+}
+
+/// Source-level 0CFA under full governance: a one-rung ladder
+/// (`cfa.src`), so an exhausted resource is an error, not a degradation.
+///
+/// # Errors
+///
+/// When the rung trips (or the request is cancelled).
+pub fn governed_zero_cfa(
+    prog: &AnfProgram,
+    policy: &GovernPolicy,
+    sink: &mut impl TraceSink,
+) -> Result<Governed<CfaResult>, AnalysisError> {
+    DegradationLadder::new()
+        .rung("cfa.src", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
+            Ok(cfa::zero_cfa_guarded(prog, g, &mut sink)?.0)
+        })
+        .run(&policy.guard(), sink)
+}
+
+/// First-order MFP over [`Flat`] under full governance: a one-rung
+/// ladder (`mfp.flat`) solving `cfg`, which must be
+/// `Cfg::from_first_order(prog)`, from `prog`'s initial environment.
+///
+/// # Errors
+///
+/// When the rung trips (or the request is cancelled).
+pub fn governed_mfp_flat(
+    prog: &AnfProgram,
+    cfg: &Cfg,
+    policy: &GovernPolicy,
+    sink: &mut impl TraceSink,
+) -> Result<Governed<DfSummary<Flat>>, AnalysisError> {
+    let init = cfg.initial_env::<Flat>(prog);
+    DegradationLadder::new()
+        .rung("mfp.flat", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
+            Ok(cfg.solve_mfp_guarded::<Flat>(init.clone(), g, &mut sink)?.0)
+        })
+        .run(&policy.guard(), sink)
 }
 
 /// Constraint-based 0CFA of the CPS-converted program under full

@@ -20,7 +20,7 @@
 //!    clones, zero constraints fired).
 //! 2. **Retract** (live solver only) — the edit keeps every variable and
 //!    label in place but changes the constraint *set* (e.g. a constant
-//!    replaced by a variable occurrence). [`SrcLive::apply_edit`] diffs
+//!    replaced by a variable occurrence). `SrcLive::apply_edit` diffs
 //!    the old and new edge multisets, retracts the removed constraints in
 //!    place (validating against the live store that each removal cannot
 //!    have contributed flow), registers the added ones, and re-fires from
@@ -49,7 +49,7 @@
 use crate::absval::{AbsClo, AbsKont};
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::cfa::{
-    zero_cfa_cps_warm_impl, zero_cfa_warm_impl, CfaResult, CpsCfaResult, CpsFlow, CpsSeed, SrcLive,
+    zero_cfa_cps_seeded, zero_cfa_seeded, CfaResult, CpsCfaResult, CpsFlow, CpsSeed, SrcLive,
     SrcSeed,
 };
 use crate::domain::Flat;
@@ -370,7 +370,7 @@ impl Alignment {
     /// Identity *spans*: the variable and label spaces are unchanged and
     /// every mapped entity is in place, but rewritten regions may exist.
     /// This is the eligibility gate for in-place constraint retraction
-    /// ([`SrcLive::apply_edit`]), which diffs edges by position-free keys
+    /// (`SrcLive::apply_edit`), which diffs edges by position-free keys
     /// and therefore requires stable entity indices.
     pub fn identity_spans(&self) -> bool {
         self.var_map.len() == self.new_vars
@@ -1112,7 +1112,7 @@ pub fn zero_cfa_incremental(
         Ok(s) => s,
         Err(r) => return Ok(WarmSolve::Cold(r)),
     };
-    match zero_cfa_warm_impl(new, &seed, guard, sink) {
+    match zero_cfa_seeded(new, Some(&seed), guard, sink) {
         Ok(Some((result, stats))) => Ok(WarmSolve::Warm(result, WarmReport::seeded(stats.fired))),
         Ok(None) => Ok(WarmSolve::Cold(ColdReason::StructureMismatch)),
         Err(e) => map_budget_err(e),
@@ -1142,7 +1142,7 @@ pub fn zero_cfa_cps_incremental(
         Ok(s) => s,
         Err(r) => return Ok(WarmSolve::Cold(r)),
     };
-    match zero_cfa_cps_warm_impl(new, &seed, guard, sink) {
+    match zero_cfa_cps_seeded(new, Some(&seed), guard, sink) {
         Ok(Some((result, stats))) => Ok(WarmSolve::Warm(result, WarmReport::seeded(stats.fired))),
         Ok(None) => Ok(WarmSolve::Cold(ColdReason::StructureMismatch)),
         Err(e) => map_budget_err(e),

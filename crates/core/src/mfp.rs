@@ -384,24 +384,18 @@ impl Cfg {
         &self,
         init: DfEnv<D>,
     ) -> Result<(DfSummary<D>, SolverStats), AnalysisError> {
-        self.solve_mfp_traced(init, AnalysisBudget::default(), &mut NoopSink)
+        self.solve_mfp_guarded(
+            init,
+            &RunGuard::new(AnalysisBudget::default()),
+            &mut NoopSink,
+        )
     }
 
-    /// [`solve_mfp`](Cfg::solve_mfp) with an explicit budget and a trace
-    /// sink (span and counter prefix `mfp`).
-    pub fn solve_mfp_traced<D: NumDomain>(
-        &self,
-        init: DfEnv<D>,
-        budget: AnalysisBudget,
-        sink: &mut impl TraceSink,
-    ) -> Result<(DfSummary<D>, SolverStats), AnalysisError> {
-        self.solve_mfp_guarded(init, &RunGuard::new(budget), sink)
-    }
-
-    /// [`solve_mfp`](Cfg::solve_mfp) under a full
-    /// [`RunGuard`](crate::govern::RunGuard): every constraint firing is
-    /// charged through the guard, so deadlines, cancellation, and injected
-    /// faults govern the MFP substrate exactly as they do the CFA solvers.
+    /// [`solve_mfp`](Cfg::solve_mfp) under a full [`RunGuard`] and a trace
+    /// sink (span and
+    /// counter prefix `mfp`): every constraint firing is charged through
+    /// the guard, so deadlines, cancellation, and injected faults govern
+    /// the MFP substrate exactly as they do the CFA solvers.
     pub fn solve_mfp_guarded<D: NumDomain>(
         &self,
         init: DfEnv<D>,
@@ -1197,7 +1191,11 @@ mod tests {
         let init = c.initial_env::<Flat>(&p);
         let mut agg = crate::trace::AggSink::new();
         let (traced, stats) = c
-            .solve_mfp_traced::<Flat>(init.clone(), AnalysisBudget::default(), &mut agg)
+            .solve_mfp_guarded::<Flat>(
+                init.clone(),
+                &RunGuard::new(AnalysisBudget::default()),
+                &mut agg,
+            )
             .unwrap_or_else(|e| panic!("traced MFP failed on {src:?}: {e}"));
         assert_eq!(
             traced,
@@ -1207,7 +1205,7 @@ mod tests {
         assert_eq!(agg.counter_value("mfp.fired"), stats.fired);
         assert_eq!(agg.span_agg("mfp").unwrap().count, 1);
         let err = c
-            .solve_mfp_traced::<Flat>(init, AnalysisBudget::new(1), &mut NoopSink)
+            .solve_mfp_guarded::<Flat>(init, &RunGuard::new(AnalysisBudget::new(1)), &mut NoopSink)
             .expect_err("one firing cannot settle a diamond");
         assert!(matches!(err, AnalysisError::BudgetExhausted { budget: 1 }));
     }

@@ -32,10 +32,10 @@
 //! parameter set — flows to the caller's binder `x`. Closure flow still
 //! runs on the shared semi-naïve [`WorklistSolver`]/[`DeltaNodes`]
 //! machinery; only the continuation dimension changes. The result is a
-//! strict refinement of [`zero_cfa_cps`]: per-variable flow sets are
-//! subsets (`polyvariant(n)` keeps each funneled closure separate where
-//! 0CFA merges all `n`), and every recorded return edge carries a
-//! matching-call witness, so the §6.1 census
+//! strict refinement of [`zero_cfa_cps`](crate::cfa::zero_cfa_cps):
+//! per-variable flow sets are subsets (`polyvariant(n)` keeps each
+//! funneled closure separate where 0CFA merges all `n`), and every
+//! recorded return edge carries a matching-call witness, so the §6.1 census
 //! ([`PushdownCfaResult::false_return_edges`]) is zero — verified
 //! empirically by experiment E21 and the differential suite.
 //!
@@ -532,21 +532,15 @@ pub fn pushdown_cfa(prog: &CpsProgram) -> Result<PushdownCfaResult, AnalysisErro
 pub fn pushdown_cfa_instrumented(
     prog: &CpsProgram,
 ) -> Result<(PushdownCfaResult, SolverStats), AnalysisError> {
-    pushdown_cfa_traced(prog, AnalysisBudget::default(), &mut NoopSink)
+    pushdown_cfa_guarded(
+        prog,
+        &RunGuard::new(AnalysisBudget::default()),
+        &mut NoopSink,
+    )
 }
 
-/// [`pushdown_cfa`] with an explicit budget and a trace sink (span and
-/// counter prefix `cfa.pushdown`).
-pub fn pushdown_cfa_traced(
-    prog: &CpsProgram,
-    budget: AnalysisBudget,
-    sink: &mut impl TraceSink,
-) -> Result<(PushdownCfaResult, SolverStats), AnalysisError> {
-    pushdown_cfa_guarded(prog, &RunGuard::new(budget), sink)
-}
-
-/// [`pushdown_cfa`] under a full [`RunGuard`] — the finest rung of the
-/// governed ladder
+/// [`pushdown_cfa`] under a full [`RunGuard`] and a trace sink (span and
+/// counter prefix `cfa.pushdown`) — the finest rung of the governed ladder
 /// ([`governed_pushdown_cfa`](crate::govern::governed_pushdown_cfa)).
 pub fn pushdown_cfa_guarded(
     prog: &CpsProgram,
@@ -865,7 +859,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_reported() {
         let (_, c) = cps_of(&families::y_countdown(8));
-        let err = pushdown_cfa_traced(&c, AnalysisBudget::new(3), &mut NoopSink)
+        let err = pushdown_cfa_guarded(&c, &RunGuard::new(AnalysisBudget::new(3)), &mut NoopSink)
             .expect_err("three firings cannot finish the Y combinator");
         assert!(matches!(err, AnalysisError::BudgetExhausted { .. }));
     }

@@ -147,6 +147,7 @@ mod tests {
     use super::*;
     use crate::direct::DirectAnalyzer;
     use crate::domain::Flat;
+    use crate::govern::RunGuard;
     use crate::syncps::SynCpsAnalyzer;
 
     #[test]
@@ -188,7 +189,8 @@ mod tests {
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
         let mut agg = AggSink::new();
         let (_, stats) =
-            crate::cfa::zero_cfa_traced(&p, AnalysisBudget::default(), &mut agg).unwrap();
+            crate::cfa::zero_cfa_guarded(&p, &RunGuard::new(AnalysisBudget::default()), &mut agg)
+                .unwrap();
         assert_eq!(
             render_solver_stats_from_agg("0CFA", &agg, "cfa.src"),
             render_solver_stats("0CFA", &stats),

@@ -8,8 +8,9 @@
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::budget::{AnalysisBudget, AnalysisError};
-use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps, zero_cfa_cps_traced, zero_cfa_traced};
+use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps, zero_cfa_cps_guarded, zero_cfa_guarded};
 use cpsdfa_core::domain::Flat;
+use cpsdfa_core::govern::RunGuard;
 use cpsdfa_core::mfp::Cfg;
 use cpsdfa_core::trace::{AggSink, NoopSink};
 use cpsdfa_cps::CpsProgram;
@@ -28,7 +29,7 @@ fn budget_limited_cps_cfa_on_polyvariant_320_is_stopped() {
     // A full run needs thousands of constraint firings; 50 is nowhere near
     // enough, so the solver must notice and abort instead of running on.
     let budget = AnalysisBudget::new(50);
-    let err = zero_cfa_cps_traced(&c, budget, &mut NoopSink).unwrap_err();
+    let err = zero_cfa_cps_guarded(&c, &RunGuard::new(budget), &mut NoopSink).unwrap_err();
     assert!(
         matches!(err, AnalysisError::BudgetExhausted { budget: 50 }),
         "expected BudgetExhausted, got {err:?}"
@@ -40,7 +41,7 @@ fn budget_limited_source_cfa_and_mfp_are_stopped_too() {
     let p = AnfProgram::from_term(&families::repeated_calls(64));
     let budget = AnalysisBudget::new(10);
     assert!(matches!(
-        zero_cfa_traced(&p, budget, &mut NoopSink),
+        zero_cfa_guarded(&p, &RunGuard::new(budget), &mut NoopSink),
         Err(AnalysisError::BudgetExhausted { budget: 10 })
     ));
 
@@ -48,7 +49,7 @@ fn budget_limited_source_cfa_and_mfp_are_stopped_too() {
     let cfg = Cfg::from_first_order(&q).unwrap();
     let init = cfg.initial_env::<Flat>(&q);
     assert!(matches!(
-        cfg.solve_mfp_traced::<Flat>(init, AnalysisBudget::new(3), &mut NoopSink),
+        cfg.solve_mfp_guarded::<Flat>(init, &RunGuard::new(AnalysisBudget::new(3)), &mut NoopSink),
         Err(AnalysisError::BudgetExhausted { budget: 3 })
     ));
 }
@@ -76,14 +77,14 @@ fn traced_runs_are_bit_identical_on_800_program_corpus() {
 
         let mut agg = AggSink::new();
         let plain = zero_cfa(&p).unwrap();
-        let (traced, _) = zero_cfa_traced(&p, budget, &mut agg).unwrap();
+        let (traced, _) = zero_cfa_guarded(&p, &RunGuard::new(budget), &mut agg).unwrap();
         if !plain.same_solution(&traced) || plain.iterations != traced.iterations {
             return false;
         }
 
         let c = CpsProgram::from_anf(&p);
         let plain = zero_cfa_cps(&c).unwrap();
-        let (traced, _) = zero_cfa_cps_traced(&c, budget, &mut agg).unwrap();
+        let (traced, _) = zero_cfa_cps_guarded(&c, &RunGuard::new(budget), &mut agg).unwrap();
         if !plain.same_solution(&traced) || plain.iterations != traced.iterations {
             return false;
         }
@@ -93,7 +94,7 @@ fn traced_runs_are_bit_identical_on_800_program_corpus() {
                 let init = cfg.initial_env::<Flat>(&p);
                 let plain = cfg.solve_mfp::<Flat>(init.clone()).unwrap();
                 let (traced, _) = cfg
-                    .solve_mfp_traced::<Flat>(init, budget, &mut agg)
+                    .solve_mfp_guarded::<Flat>(init, &RunGuard::new(budget), &mut agg)
                     .unwrap();
                 plain == traced
             }
@@ -112,7 +113,8 @@ fn traced_runs_are_bit_identical_on_800_program_corpus() {
 fn traced_run_populates_the_aggregate_sink() {
     let p = AnfProgram::from_term(&families::dispatch(8));
     let mut agg = AggSink::new();
-    let (_, stats) = zero_cfa_traced(&p, AnalysisBudget::default(), &mut agg).unwrap();
+    let (_, stats) =
+        zero_cfa_guarded(&p, &RunGuard::new(AnalysisBudget::default()), &mut agg).unwrap();
     assert_eq!(agg.counter_value("cfa.src.fired"), stats.fired);
     assert_eq!(agg.gauge_value("cfa.src.queue_peak"), stats.queue_peak);
     assert_eq!(

@@ -487,3 +487,102 @@ mod cache_churn {
         assert_eq!(cache.stats().bytes, 0);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Pinned cold schedules: firing counts and answers of the three CFA solvers
+// ---------------------------------------------------------------------------
+
+mod pinned_schedule {
+    use super::*;
+    use cpsdfa_core::cache::{SendCfa, SendCpsCfa, SendPushdown};
+    use cpsdfa_core::pushdown_cfa;
+    use cpsdfa_workloads::random::GenConfig;
+
+    /// Programs whose CPS form applies a numeric literal: the operator has
+    /// no flow, and the cold solver still posts (and fires) the call once.
+    const LITERAL_OPERATORS: [&str; 2] = ["(1 2)", "(if0 0 (1 2) (add1 3))"];
+
+    /// `(iterations, solution digest)` of each cold solver on one program:
+    /// source 0CFA, CPS 0CFA, pushdown.
+    fn schedule(p: &AnfProgram) -> [(u64, u64); 3] {
+        let c = CpsProgram::from_anf(p);
+        let src = zero_cfa(p).unwrap();
+        let cps = zero_cfa_cps(&c).unwrap();
+        let pd = pushdown_cfa(&c).unwrap();
+        [
+            (src.iterations, SendCfa::from_result(&src).solution_digest()),
+            (
+                cps.iterations,
+                SendCpsCfa::from_result(&cps).solution_digest(),
+            ),
+            (
+                pd.iterations,
+                SendPushdown::from_result(&pd).solution_digest(),
+            ),
+        ]
+    }
+
+    /// FNV-1a over every program's `(iterations, digest)`, one fingerprint
+    /// per solver, formatted for comparison against the pinned values.
+    fn fingerprints(progs: &[AnfProgram]) -> [String; 3] {
+        let rows = par_map(progs, schedule);
+        std::array::from_fn(|a| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for row in &rows {
+                let (iterations, digest) = row[a];
+                for b in iterations.to_le_bytes().iter().chain(&digest.to_le_bytes()) {
+                    h = (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+            format!("{h:016x}")
+        })
+    }
+
+    fn family_corpus() -> Vec<AnfProgram> {
+        let mut terms = Vec::new();
+        for n in [4, 16, 64, 160] {
+            terms.push(families::dispatch(n));
+            terms.push(families::polyvariant(n));
+            terms.push(families::repeated_calls(n));
+            terms.push(families::cond_chain(n));
+            terms.push(families::church(n));
+        }
+        terms.iter().map(AnfProgram::from_term).collect()
+    }
+
+    fn random_corpus(seed: u64, config: &GenConfig) -> Vec<AnfProgram> {
+        corpus(seed, 800, config)
+            .iter()
+            .map(AnfProgram::from_term)
+            .collect()
+    }
+
+    /// The cold solvers' firing counts and answers on a fixed corpus, pinned.
+    /// A change to how any solver registers or seeds its constraints moves
+    /// `iterations` even when the answers agree, so this test is the
+    /// differential for setup refactors; a deliberate schedule change
+    /// re-records the values.
+    #[test]
+    fn cold_schedules_are_pinned() {
+        let literal: Vec<AnfProgram> = LITERAL_OPERATORS
+            .iter()
+            .map(|s| AnfProgram::parse(s).unwrap())
+            .collect();
+        let cps_iterations: Vec<u64> = literal.iter().map(|p| schedule(p)[1].0).collect();
+        assert_eq!(cps_iterations, [2, 5], "literal-operator calls fire once");
+
+        let got = [
+            fingerprints(&literal),
+            fingerprints(&family_corpus()),
+            fingerprints(&random_corpus(0x5_0CFA, &open_config())),
+            fingerprints(&random_corpus(77, &GenConfig::default())),
+        ];
+        let want: [[&str; 3]; 4] = [
+            ["c322ac50d144e420", "1b24a2071119245d", "650d8cdaf2b1c189"], // literal operators
+            ["b26e786682ebd5e8", "7ad29bcb13707dd7", "f33d7cc1a1abebfe"], // families
+            ["26a108691f42569b", "a20887e708dcd04b", "38ba0dcaaefeb41e"], // open_config, seed 0x50CFA
+            ["8d58c7ac64277a04", "83d0b6840847fc08", "4e9cbfde66081cb5"], // default config, seed 77
+        ];
+        assert_eq!(got, want, "[src, cps, pushdown] fingerprints per corpus");
+    }
+}

@@ -10,7 +10,7 @@ pub fn vec<S: Strategy>(element: S, size: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, size }
 }
 
-/// The result of [`vec`].
+/// The result of [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -78,16 +78,15 @@ use cpsdfa_core::cache::{
     FixpointCache, PersistDir, RecoveryReport, SendCfa, SendCpsCfa, SendPushdown, MAX_ANCESTORS,
 };
 use cpsdfa_core::certify::certify_answer;
-use cpsdfa_core::domain::Flat;
 use cpsdfa_core::faultinject::PersistFaultPlan;
 use cpsdfa_core::govern::{
-    governed_pushdown_cfa, governed_zero_cfa_cps, CfaAnswer, DegradationLadder, DegradationReport,
-    GovernPolicy, RungAttempt,
+    governed_mfp_flat, governed_pushdown_cfa, governed_zero_cfa, governed_zero_cfa_cps,
+    ladder_rungs, CfaAnswer, DegradationReport, GovernPolicy, RungAttempt,
 };
 use cpsdfa_core::incremental::{self, WarmReport, WarmSolve};
 use cpsdfa_core::mfp::Cfg;
 use cpsdfa_core::trace::TraceSink;
-use cpsdfa_core::{cfa, worker_count, AggSink, AnalysisBudget, JsonlSink, RunGuard};
+use cpsdfa_core::{worker_count, AggSink, AnalysisBudget, JsonlSink};
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_syntax::arena::{TermArena, TermId};
 use cpsdfa_syntax::parse::{ParseError, ParseErrorKind};
@@ -442,16 +441,6 @@ impl AnalysisService {
         self.cache.lock().expect("cache poisoned").stats()
     }
 
-    /// How many rungs `kind`'s canonical ladder has — what the admission
-    /// reservation multiplies an unbounded request's per-rung budget by.
-    fn ladder_rungs(kind: AnalysisKind) -> u64 {
-        match kind {
-            AnalysisKind::CfaPushdown => 3, // cfa.pushdown → cfa.cps → cfa.src
-            AnalysisKind::CfaCps => 2,      // cfa.cps → cfa.src
-            AnalysisKind::CfaSrc | AnalysisKind::MfpFlat => 1,
-        }
-    }
-
     /// Builds the per-request governance policy.
     fn policy_for(&self, req: &Request) -> GovernPolicy {
         let mut policy = GovernPolicy::new().with_budget(AnalysisBudget::new(req.budget));
@@ -475,7 +464,7 @@ impl AnalysisService {
             self.counters.rejected_queue.fetch_add(1, Ordering::Relaxed);
             return Err("queue-full");
         }
-        let rungs = Self::ladder_rungs(req.kind);
+        let rungs = ladder_rungs(req.kind).len() as u64;
         let want = self.policy_for(req).worst_case_charges(rungs);
         let mut current = self.reserved.load(Ordering::Relaxed);
         loop {
@@ -686,17 +675,12 @@ impl AnalysisService {
                 .map(|g| (pack_cfa(g.value), g.report)),
             AnalysisKind::CfaCps => governed_zero_cfa_cps(prog, lowered.cps(), &policy, sink)
                 .map(|g| (pack_cfa(g.value), g.report)),
-            AnalysisKind::CfaSrc => DegradationLadder::new()
-                .rung("cfa.src", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                    Ok(cfa::zero_cfa_guarded(prog, g, &mut sink)?.0)
-                })
-                .run(&policy.guard(), sink)
-                .map(|g| {
-                    (
-                        CachedAnswer::CfaSrc(SendCfa::from_result(&g.value)),
-                        g.report,
-                    )
-                }),
+            AnalysisKind::CfaSrc => governed_zero_cfa(prog, &policy, sink).map(|g| {
+                (
+                    CachedAnswer::CfaSrc(SendCfa::from_result(&g.value)),
+                    g.report,
+                )
+            }),
             AnalysisKind::MfpFlat => {
                 let cfg = match Cfg::from_first_order(prog) {
                     Ok(cfg) => cfg,
@@ -711,12 +695,7 @@ impl AnalysisService {
                         );
                     }
                 };
-                let init = cfg.initial_env::<Flat>(prog);
-                DegradationLadder::new()
-                    .rung("mfp.flat", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                        Ok(cfg.solve_mfp_guarded::<Flat>(init.clone(), g, &mut sink)?.0)
-                    })
-                    .run(&policy.guard(), sink)
+                governed_mfp_flat(prog, &cfg, &policy, sink)
                     .map(|g| (CachedAnswer::MfpFlat(g.value), g.report))
             }
         };

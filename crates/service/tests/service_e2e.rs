@@ -3,8 +3,9 @@
 //! policy, and the full `serve` loop over in-memory streams.
 
 use cpsdfa_anf::AnfProgram;
-use cpsdfa_core::cache::CachedAnswer;
+use cpsdfa_core::cache::{AnalysisKind, CachedAnswer};
 use cpsdfa_core::cfa::{zero_cfa_cps_instrumented, zero_cfa_instrumented};
+use cpsdfa_core::govern::ladder_rungs;
 use cpsdfa_core::trace::AggSink;
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_service::proto::{Response, Served, Status};
@@ -216,6 +217,51 @@ fn budget_reservation_rung_rejects_over_capacity() {
         // an analysis failure is fine; what matters is it was ADMITTED.
         Status::Ok { .. } | Status::Error { .. } => {}
         other => panic!("capped request must pass admission, got {other:?}"),
+    }
+}
+
+/// Admission reserves one per-rung budget for every rung of a kind's
+/// ladder (`govern::ladder_rungs`): a capacity of exactly budget × rungs
+/// admits the request and one charge less rejects it. A two-charge budget
+/// trips every rung, so the ladder the daemon runs must record one attempt
+/// per rung — the count admission reserved for.
+#[test]
+fn admission_reserves_for_every_rung_the_ladder_runs() {
+    const BUDGET: u64 = 2;
+    let higher_order = families::dispatch(16).to_string();
+    let first_order = families::diamond_chain(4).to_string();
+    for kind in AnalysisKind::ALL {
+        let program = match kind {
+            AnalysisKind::MfpFlat => &first_order,
+            _ => &higher_order,
+        };
+        let line = format!(
+            r#"{{"id": 1, "analysis": "{}", "program": "{program}", "budget": {BUDGET}}}"#,
+            kind.as_str()
+        );
+        let rungs = ladder_rungs(kind).len() as u64;
+
+        let tight = AnalysisService::new(ServiceConfig {
+            capacity_charges: BUDGET * rungs - 1,
+            ..small_config()
+        });
+        match &tight.run_batch(&[&line])[0].response.status {
+            Status::Rejected { reason } => assert_eq!(*reason, "over-capacity", "{kind:?}"),
+            other => panic!("{kind:?}: expected over-capacity, got {other:?}"),
+        }
+
+        let exact = AnalysisService::new(ServiceConfig {
+            capacity_charges: BUDGET * rungs,
+            ..small_config()
+        });
+        let mut agg = AggSink::new();
+        let outcomes = exact.run_batch_traced(&[&line], &mut agg);
+        match &outcomes[0].response.status {
+            Status::Error { reason, .. } => assert_eq!(*reason, "analysis-failed", "{kind:?}"),
+            other => panic!("{kind:?}: every rung should trip, got {other:?}"),
+        }
+        assert_eq!(agg.counter_value("govern.rungs_tried"), rungs, "{kind:?}");
+        assert_eq!(agg.counter_value("govern.trip.budget"), 1, "{kind:?}");
     }
 }
 
