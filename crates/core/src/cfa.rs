@@ -315,6 +315,14 @@ struct SrcTables {
     /// By lambda label: `(param var node, body term node)`; `UNINDEXED`
     /// when the label is not a lambda.
     lam: Vec<(usize, usize)>,
+    /// By flow node: call wires out of this node are registered. True for
+    /// every variable and every term node some static edge targets. A term
+    /// node no static edge targets — a literal operand, a constant lambda
+    /// body — stays empty forever, so [`fire_src`] skips wires from it.
+    /// Monotone: once an edit makes a node a target
+    /// ([`SrcLive::apply_edit`]) its skipped wires are added and the flag
+    /// stays set.
+    live_src: Vec<bool>,
 }
 
 impl SrcTables {
@@ -327,7 +335,13 @@ impl SrcTables {
             }
             lam[i] = (r.param_id.index(), idx.node(Node::Term(r.body.label)));
         }
-        SrcTables { lam }
+        let mut live_src = vec![true; idx.total()];
+        for (&t, &is_dst) in idx.term_ids.iter().zip(&idx.dst_flags) {
+            if t != UNINDEXED {
+                live_src[idx.num_vars + t] = is_dst;
+            }
+        }
+        SrcTables { lam, live_src }
     }
 }
 
@@ -350,6 +364,20 @@ fn watch_from<T: Eq + Hash + Clone>(
             solver.post(c);
         }
     }
+}
+
+/// Registers the call wire `src ⊆ dst` as a new `Sub` constraint; see
+/// [`watch_from`] for `caught_up`.
+fn add_wire(
+    solver: &mut WorklistSolver,
+    nodes: &DeltaNodes<AbsClo>,
+    constraints: &mut Vec<SrcConstraint>,
+    (src, dst): (usize, usize),
+    caught_up: bool,
+) {
+    let c = solver.add_constraint(constraints.len() as u32);
+    constraints.push(SrcConstraint::Sub(dst));
+    watch_from(solver, nodes, src, c, caught_up);
 }
 
 /// Fires source constraint `ci` on the live solver ([`SrcLive`]), whether
@@ -390,17 +418,12 @@ fn fire_src(
                         // into the parameter and the body result into the
                         // binder as persistent sparse edges. The fresh
                         // watches start at cursor 0, so their first delta
-                        // carries the sources' full current logs.
+                        // carries the sources' full current logs. A wire
+                        // from a constant node would never fire: skip it.
                         let (param, body) = tables.lam[l.index() as usize];
-                        for (src, dst) in [(arg, param), (body, bind)] {
-                            let c = solver.add_constraint(constraints.len() as u32);
-                            solver.watch(src, c);
-                            constraints.push(SrcConstraint::Sub(dst));
-                            // Replay the source's existing log (the fresh
-                            // cursor is 0); an empty source needs no first
-                            // firing — growth will post it.
-                            if !nodes.log(src).is_empty() {
-                                solver.post(c);
+                        for wire in [(arg, param), (body, bind)] {
+                            if tables.live_src[wire.0] {
+                                add_wire(solver, nodes, constraints, wire, false);
                             }
                         }
                     }
@@ -722,9 +745,16 @@ impl SrcLive {
                         }
                         let (param, body) = tables.lam[li];
                         for (src, dst) in [(arg, param), (body, bind)] {
-                            let c = solver.add_constraint(constraints.len() as u32);
-                            constraints.push(SrcConstraint::Sub(dst));
-                            watch_from(&mut solver, &nodes, src, c, nodes.is_subset(src, dst));
+                            if tables.live_src[src] {
+                                let caught_up = nodes.is_subset(src, dst);
+                                add_wire(
+                                    &mut solver,
+                                    &nodes,
+                                    &mut constraints,
+                                    (src, dst),
+                                    caught_up,
+                                );
+                            }
                         }
                     }
                 }
@@ -784,6 +814,7 @@ impl SrcLive {
             let n = self.solver.add_node();
             let n2 = self.nodes.push_node();
             debug_assert_eq!(n, n2);
+            self.tables.live_src.push(false);
             self.node_of_label[li] = n;
         }
         self.node_of_label[li]
@@ -935,7 +966,55 @@ impl SrcLive {
                 self.dst_flags[l.index() as usize] = true;
             }
         }
+        self.revive_wires();
         Some(delta)
+    }
+
+    /// Adds the call wires [`fire_src`] skipped from term nodes that the
+    /// edit made propagation targets (a constant operand or lambda body
+    /// replaced by a variable): such a node can grow now, so every callee
+    /// already discovered through it gets its wire, exactly as if the node
+    /// had been live when the callee was found.
+    fn revive_wires(&mut self) {
+        let mut revived: Vec<bool> = Vec::new();
+        for (&is_dst, &node) in self.dst_flags.iter().zip(&self.node_of_label) {
+            if is_dst && node != UNINDEXED && !self.tables.live_src[node] {
+                self.tables.live_src[node] = true;
+                revived.resize(self.tables.live_src.len(), false);
+                revived[node] = true;
+            }
+        }
+        if revived.is_empty() {
+            return;
+        }
+        // Each live `Call` constraint is the one static call at its site.
+        for ci in 0..self.constraints.len() {
+            let SrcConstraint::Call { arg, bind, site } = self.constraints[ci] else {
+                continue;
+            };
+            let Some(callees) = self.calls.get(site) else {
+                continue;
+            };
+            if self.solver.is_retracted(ci) {
+                continue;
+            }
+            for clo in callees {
+                if let AbsClo::Lam(l) = clo {
+                    let (param, body) = self.tables.lam[l.index() as usize];
+                    for wire in [(arg, param), (body, bind)] {
+                        if revived[wire.0] {
+                            add_wire(
+                                &mut self.solver,
+                                &self.nodes,
+                                &mut self.constraints,
+                                wire,
+                                false,
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Runs the solver to its fixpoint under `guard`, charging the store's
@@ -2100,6 +2179,68 @@ mod tests {
         assert!(plain_c.same_solution(&traced_c));
         assert_eq!(agg_c.counter_value("cfa.cps.fired"), stats_c.fired);
         assert_eq!(SolverStats::from_agg(&agg_c, "cfa.cps"), stats_c);
+    }
+
+    #[test]
+    fn polyvariant_fires_linearly_and_skips_constant_wires() {
+        // polyvariant(n) passes n closures through one identity, so every
+        // call site sees all n callees (§6.1). A solve should cost about the
+        // size of that answer: no firing per (watcher, element) pair, and no
+        // wire from a literal operand or a constant body, which never grow.
+        for n in [16usize, 64, 160] {
+            let p = AnfProgram::from_term(&cpsdfa_workloads::families::polyvariant(n));
+            let (src, stats) = zero_cfa_instrumented(&p).unwrap();
+            let cps = zero_cfa_cps(&CpsProgram::from_anf(&p)).unwrap();
+            let bound = 8 * n as u64;
+            assert!(
+                src.iterations <= bound,
+                "n={n}: cfa.src fired {}",
+                src.iterations
+            );
+            assert!(
+                cps.iterations <= bound,
+                "n={n}: cfa.cps fired {}",
+                cps.iterations
+            );
+            let statics = collect_edges(&p).len() as u64;
+            assert!(
+                stats.constraints < 4 * n as u64 + statics,
+                "n={n}: cfa.src registered {} constraints over {statics} static edges",
+                stats.constraints
+            );
+        }
+    }
+
+    #[test]
+    fn an_edit_that_makes_a_constant_node_grow_adds_its_skipped_wires() {
+        // The literal operand `0` and the constant body `1` get no wires
+        // while they are constants; replacing each with `g` must wire the
+        // already-discovered callee in place, as a cold solve would.
+        let before = "(let (g (lambda (y) y)) (let (f (lambda (x) 1)) (let (a (f 0)) a)))";
+        let after = "(let (g (lambda (y) y)) (let (f (lambda (x) g)) (let (a (f g)) a)))";
+        let (old, new) = (
+            AnfProgram::parse(before).unwrap(),
+            AnfProgram::parse(after).unwrap(),
+        );
+        assert!(crate::incremental::align_anf(&old, &new).identity_spans());
+        let guard = RunGuard::new(AnalysisBudget::default());
+        let mut live = SrcLive::build(&old, None).unwrap();
+        live.run(&guard).unwrap();
+        let wired = live.stats().constraints;
+        live.apply_edit(&new)
+            .expect("constant → variable edits retract in place");
+        live.run(&guard).unwrap();
+        let warm = live.commit();
+        let cold = zero_cfa(&new).unwrap();
+        assert!(
+            warm.same_solution(&cold),
+            "in-place edit diverges from cold"
+        );
+        let (x, a) = (new.var_named("x").unwrap(), new.var_named("a").unwrap());
+        assert_eq!(warm.get(x).len(), 1, "argument wire revived");
+        assert_eq!(warm.get(a).len(), 1, "body wire revived");
+        // Two static Subs into the new variable operands, two revived wires.
+        assert_eq!(live.stats().constraints, wired + 4);
     }
 
     #[test]

@@ -27,9 +27,18 @@
 //! for the CFA solvers, reaching-source bitsets and source values for MFP)
 //! and calls [`WorklistSolver::node_grew`] (log clients) or
 //! [`WorklistSolver::node_changed`] (version-counter clients) when a value
-//! grows. A priority `rank` per constraint fixes the pop order — clients
-//! pass reverse-postorder ranks (MFP) or source order (CFA) — so solving
-//! is fully deterministic.
+//! grows.
+//!
+//! Pops run in **rounds**, as in Datalog's semi-naïve evaluation. A
+//! priority `rank` per constraint orders each round — clients pass
+//! reverse-postorder ranks (MFP) or source order (CFA) — and a round
+//! drains its queue in `(rank, id)` order. A post made during a firing to
+//! a constraint that sorts after the firing one joins the current round; a
+//! post to one at or before it waits for the next round, so a watcher
+//! behind the growing node fires once on the whole delta of the round
+//! instead of once per element. Posts made while nothing is firing (setup,
+//! seeds, an in-place edit of a converged engine) join the current round.
+//! Solving is fully deterministic.
 
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::govern::RunGuard;
@@ -120,9 +129,16 @@ pub struct WorklistSolver {
     /// ([`retract_constraint`](Self::retract_constraint)); its watch edges
     /// are unlinked and `pop` skips any stale queue entry.
     retracted: Vec<bool>,
-    /// Entries are `rank << 32 | constraint id`, so ordering is (rank, id)
-    /// — same as a `(u32, ConstraintId)` tuple at half the width.
+    /// The current round. Entries are `rank << 32 | constraint id`, so
+    /// ordering is (rank, id) — same as a `(u32, ConstraintId)` tuple at
+    /// half the width.
     queue: BinaryHeap<Reverse<u64>>,
+    /// The next round: posts to constraints at or before the firing one.
+    next: BinaryHeap<Reverse<u64>>,
+    /// Packed `(rank, id)` of the constraint last handed out by
+    /// [`pop`](Self::pop); `None` while the engine is idle (fresh, or both
+    /// rounds drained).
+    firing: Option<u64>,
     stats: SolverStats,
 }
 
@@ -144,6 +160,8 @@ impl WorklistSolver {
             pending: Vec::new(),
             retracted: Vec::new(),
             queue: BinaryHeap::new(),
+            next: BinaryHeap::new(),
+            firing: None,
             stats: SolverStats::default(),
         }
     }
@@ -248,7 +266,9 @@ impl WorklistSolver {
         self.cwatch_tail[constraint] = w;
     }
 
-    /// Schedules `constraint` (coalescing with an already-pending post).
+    /// Schedules `constraint` (coalescing with an already-pending post):
+    /// into the current round when it sorts after the firing constraint or
+    /// nothing is firing, into the next round otherwise.
     pub fn post(&mut self, constraint: ConstraintId) {
         self.stats.posted += 1;
         if self.pending[constraint] {
@@ -258,10 +278,12 @@ impl WorklistSolver {
             return;
         }
         self.pending[constraint] = true;
-        self.queue.push(Reverse(
-            (self.rank[constraint] as u64) << 32 | constraint as u64,
-        ));
-        let depth = self.queue.len() as u64;
+        let packed = (self.rank[constraint] as u64) << 32 | constraint as u64;
+        match self.firing {
+            Some(f) if packed <= f => self.next.push(Reverse(packed)),
+            _ => self.queue.push(Reverse(packed)),
+        }
+        let depth = (self.queue.len() + self.next.len()) as u64;
         if depth > self.stats.queue_peak {
             self.stats.queue_peak = depth;
         }
@@ -370,17 +392,30 @@ impl WorklistSolver {
         }
     }
 
-    /// The next constraint to evaluate, lowest rank first; `None` at
-    /// fixpoint. Constraints retracted while queued are discarded here
-    /// (uncounted) rather than handed to the client.
+    /// The next constraint to evaluate: the lowest `(rank, id)` of the
+    /// current round, or — once that round is drained — of the next one.
+    /// `None` at fixpoint, which leaves the engine idle. Constraints
+    /// retracted while queued are discarded here (uncounted) rather than
+    /// handed to the client.
     pub fn pop(&mut self) -> Option<ConstraintId> {
         loop {
-            let Reverse(packed) = self.queue.pop()?;
+            let Some(Reverse(packed)) = self.queue.pop() else {
+                self.firing = None;
+                if self.next.is_empty() {
+                    return None;
+                }
+                std::mem::swap(&mut self.queue, &mut self.next);
+                continue;
+            };
             let c = (packed & u32::MAX as u64) as ConstraintId;
             self.pending[c] = false;
             if self.retracted[c] {
                 continue;
             }
+            if self.firing.is_none() {
+                self.stats.rounds += 1;
+            }
+            self.firing = Some(packed);
             self.stats.fired += 1;
             return Some(c);
         }
@@ -413,7 +448,7 @@ impl WorklistSolver {
     }
 
     /// Drives the engine to fixpoint, charging every firing against
-    /// `budget`: pops constraints in rank order and hands each to `step`
+    /// `budget`: pops constraints round by round and hands each to `step`
     /// (which receives the solver back for `take_deltas`/`watch`/`post`
     /// re-entry). Returns [`AnalysisError::BudgetExhausted`] as soon as the
     /// cumulative firing count exceeds the budget — this is the §6.2 safety
@@ -582,6 +617,34 @@ mod tests {
         assert_eq!(s.pop(), Some(c_lo));
         assert_eq!(s.pop(), Some(c_mid));
         assert_eq!(s.pop(), Some(c_hi));
+    }
+
+    #[test]
+    fn posts_at_or_before_the_firing_constraint_wait_for_the_next_round() {
+        let mut s = WorklistSolver::new();
+        let c0 = s.add_constraint(0);
+        let c1 = s.add_constraint(1);
+        let c2 = s.add_constraint(2);
+        s.post(c1);
+        s.post(c2);
+        assert_eq!(s.pop(), Some(c1));
+        // While c1 fires: c0 sorts before it and c1 is itself, so both wait;
+        // c2 is already pending later in this round.
+        s.post(c0);
+        s.post(c1);
+        s.post(c2);
+        assert_eq!(s.pop(), Some(c2), "the current round drains first");
+        assert_eq!(s.pop(), Some(c0), "then the next round, in rank order");
+        assert_eq!(s.pop(), Some(c1));
+        assert_eq!(s.stats().rounds, 2);
+        assert_eq!(s.pop(), None);
+        // Idle again: a post joins a fresh current round, even behind the
+        // last constraint that fired.
+        s.post(c0);
+        assert_eq!(s.pop(), Some(c0));
+        assert_eq!(s.pop(), None);
+        assert_eq!(s.stats().rounds, 3);
+        assert_eq!(s.stats().queue_peak, 3);
     }
 
     #[test]

@@ -76,8 +76,11 @@ pub struct SolverStats {
     pub fired: u64,
     /// Node-value growth events observed.
     pub node_updates: u64,
-    /// Worklist depth high-water mark (pending constraints).
+    /// Worklist depth high-water mark (pending constraints, both rounds).
     pub queue_peak: u64,
+    /// Worklist rounds started: each round drains its queue in rank order
+    /// before the posts it deferred begin the next one.
+    pub rounds: u64,
     /// Distinct sets interned by the run's set pool (0 for non-pooled
     /// instances such as MFP).
     pub pool_interned: u64,
@@ -136,6 +139,7 @@ impl SolverStats {
         sink.counter(&format!("{prefix}.fired"), self.fired);
         sink.counter(&format!("{prefix}.node_updates"), self.node_updates);
         sink.gauge(&format!("{prefix}.queue_peak"), self.queue_peak);
+        sink.counter(&format!("{prefix}.rounds"), self.rounds);
         sink.counter(&format!("{prefix}.pool.interned"), self.pool_interned);
         sink.counter(&format!("{prefix}.pool.join_hits"), self.pool_join_hits);
         sink.counter(&format!("{prefix}.pool.join_misses"), self.pool_join_misses);
@@ -171,6 +175,7 @@ impl SolverStats {
             fired: c("fired"),
             node_updates: c("node_updates"),
             queue_peak: agg.gauge_value(&format!("{prefix}.queue_peak")),
+            rounds: c("rounds"),
             pool_interned: c("pool.interned"),
             pool_join_hits: c("pool.join_hits"),
             pool_join_misses: c("pool.join_misses"),
@@ -309,6 +314,7 @@ mod tests {
             fired: 8,
             node_updates: 6,
             queue_peak: 5,
+            rounds: 11,
             pool_interned: 7,
             pool_join_hits: 1,
             pool_join_misses: 2,

@@ -254,8 +254,9 @@ fn keys_are_arena_and_process_independent_but_program_sensitive() {
 #[test]
 fn degraded_rung_commit_never_shadows_full_precision() {
     // Starve the CPS rung so the ladder answers at cfa.src, then commit
-    // the way the service does: under the answering rung.
-    let term = families::repeated_calls(64);
+    // the way the service does: under the answering rung. dispatch is a
+    // family where the CPS rung costs more than the source rung.
+    let term = families::dispatch(64);
     let p = AnfProgram::from_term(&term);
     let text = term.to_string();
     let digest = digest_in_fresh_arena(&text);

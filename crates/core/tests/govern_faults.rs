@@ -3,7 +3,7 @@
 //!
 //! Three acceptance criteria live here:
 //!
-//! 1. A budget-starved `zero_cfa_cps` run on `polyvariant(320)` returns a
+//! 1. A budget-starved `zero_cfa_cps` run on `dispatch(320)` returns a
 //!    `Governed` direct-style answer with a populated `DegradationReport`
 //!    instead of `Err(BudgetExhausted)`.
 //! 2. A panic injected into one `par_map_isolated` worker leaves every
@@ -73,8 +73,8 @@ fn rung_costs(prog: &AnfProgram) -> (u64, u64) {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn budget_starved_polyvariant_320_degrades_to_direct_answer() {
-    let p = AnfProgram::from_term(&families::repeated_calls(320));
+fn budget_starved_dispatch_320_degrades_to_direct_answer() {
+    let p = AnfProgram::from_term(&families::dispatch(320));
     let (cps_fired, src_fired) = rung_costs(&p);
     assert!(
         src_fired < cps_fired,

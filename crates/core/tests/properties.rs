@@ -579,9 +579,9 @@ mod pinned_schedule {
         ];
         let want: [[&str; 3]; 4] = [
             ["c322ac50d144e420", "1b24a2071119245d", "650d8cdaf2b1c189"], // literal operators
-            ["b26e786682ebd5e8", "7ad29bcb13707dd7", "f33d7cc1a1abebfe"], // families
-            ["26a108691f42569b", "a20887e708dcd04b", "38ba0dcaaefeb41e"], // open_config, seed 0x50CFA
-            ["8d58c7ac64277a04", "83d0b6840847fc08", "4e9cbfde66081cb5"], // default config, seed 77
+            ["3e1db7953e8c49ff", "9447a712c074bddd", "f33d7cc1a1abebfe"], // families
+            ["cdf0c4886abbf324", "3adc2e43bf67cb25", "2777d6ea6862806e"], // open_config, seed 0x50CFA
+            ["c8c561aaea1fa153", "b96417ae5633cd2f", "ffe1a2d2c71b8608"], // default config, seed 77
         ];
         assert_eq!(got, want, "[src, cps, pushdown] fingerprints per corpus");
     }

@@ -267,8 +267,8 @@ fn admission_reserves_for_every_rung_the_ladder_runs() {
 
 #[test]
 fn degraded_answers_commit_under_their_rung_and_never_shadow() {
-    let p = AnfProgram::from_term(&families::repeated_calls(64));
-    let program = families::repeated_calls(64).to_string();
+    let p = AnfProgram::from_term(&families::dispatch(64));
+    let program = families::dispatch(64).to_string();
     let cps = CpsProgram::from_anf(&p);
     let (_, cps_stats) = zero_cfa_cps_instrumented(&cps).expect("CPS 0CFA completes");
     let (_, src_stats) = zero_cfa_instrumented(&p).expect("source 0CFA completes");
