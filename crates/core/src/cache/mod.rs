@@ -61,14 +61,15 @@ use crate::cfa::{CfaResult, CpsCfaResult, CpsFlow};
 use crate::domain::Flat;
 use crate::fxhash::FxHashMap;
 use crate::govern::DegradationReport;
+use crate::labtab::LabelTable;
 use crate::mfp::DfSummary;
 use crate::pushdown::{MatchedReturn, PushdownCfaResult};
 use crate::solver::SolverMode;
 use crate::trace::{AggSink, TraceSink};
 use cpsdfa_syntax::arena::{TermArena, TermId, TermNode, ValueId, ValueNode};
 use cpsdfa_syntax::Label;
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -221,22 +222,26 @@ impl AnswerDigest {
         }
     }
 
-    fn sets<T: Copy>(&mut self, sets: &[BTreeSet<T>], elem: impl Fn(&mut Self, T)) {
+    fn sets<T: Copy>(&mut self, sets: &[Arc<BTreeSet<T>>], elem: impl Fn(&mut Self, T)) {
         self.count(sets.len());
         for set in sets {
             self.set(set, &elem);
         }
     }
 
-    fn table<T: Copy>(&mut self, table: &[(Label, BTreeSet<T>)], elem: impl Fn(&mut Self, T)) {
+    fn table<T: Copy, S: Borrow<BTreeSet<T>>>(
+        &mut self,
+        table: &LabelTable<S>,
+        elem: impl Fn(&mut Self, T),
+    ) {
         self.count(table.len());
-        for (l, set) in table {
-            self.label(*l);
-            self.set(set, &elem);
+        for (l, set) in table.iter() {
+            self.label(l);
+            self.set(set.borrow(), &elem);
         }
     }
 
-    fn matched(&mut self, matched: &[MatchedReturn]) {
+    fn matched(&mut self, matched: &BTreeSet<MatchedReturn>) {
         self.count(matched.len());
         for m in matched {
             self.label(m.ret_site);
@@ -450,8 +455,41 @@ impl CacheKey {
     }
 }
 
+/// The former cache-side copy of [`CfaResult`]; the cache now holds the
+/// result itself. Kept because `cpsbench/src/replay.rs` names it.
+pub type SendCfa = CfaResult;
+/// The former cache-side copy of [`CpsCfaResult`]. Kept because
+/// `cpsbench/src/replay.rs` names it.
+pub type SendCpsCfa = CpsCfaResult;
+/// The former cache-side copy of [`PushdownCfaResult`]. Kept because
+/// `cpsbench/src/replay.rs` names it.
+pub type SendPushdown = PushdownCfaResult;
+
+/// Handle-copy shims for the former mirror conversions: each clone copies
+/// `Arc` handles, never a set. Kept because `cpsbench/src/replay.rs`
+/// calls them.
+macro_rules! replay_shims {
+    ($($result:ty),*) => {$(
+        impl $result {
+            /// A handle copy of `r`, kept because `cpsbench/src/replay.rs`
+            /// calls it.
+            pub fn from_result(r: &$result) -> $result {
+                r.clone()
+            }
+
+            /// A handle copy of `self`, kept because
+            /// `cpsbench/src/replay.rs` calls it.
+            pub fn to_result(&self) -> $result {
+                self.clone()
+            }
+        }
+    )*};
+}
+
+replay_shims!(CfaResult, CpsCfaResult, PushdownCfaResult);
+
 // ---------------------------------------------------------------------------
-// Send-safe answer mirrors
+// Answers
 // ---------------------------------------------------------------------------
 
 /// Rough per-set bookkeeping overhead charged by the byte estimators: one
@@ -464,194 +502,19 @@ fn sets_bytes<T>(sets: impl Iterator<Item = usize>) -> u64 {
         .sum()
 }
 
-/// [`CfaResult`] with the `Rc` sharing flattened out: `Send + Sync`, so it
-/// can live in a cache shared across service worker threads. Round-trips
-/// losslessly ([`SendCfa::to_result`] compares `same_solution`-equal, and
-/// `==` on every field, with the run it mirrors).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SendCfa {
-    /// Mirror of [`CfaResult::vars`] (contents, not handles).
-    pub vars: Vec<BTreeSet<AbsClo>>,
-    /// Mirror of [`CfaResult::terms`], occupied entries in label order.
-    pub terms: Vec<(Label, BTreeSet<AbsClo>)>,
-    /// Mirror of [`CfaResult::calls`], occupied entries in label order.
-    pub calls: Vec<(Label, BTreeSet<AbsClo>)>,
-    /// Fixpoint work the producing run performed.
-    pub iterations: u64,
-}
-
-impl SendCfa {
-    /// Snapshots a solve result into the cacheable mirror.
-    pub fn from_result(r: &CfaResult) -> SendCfa {
-        SendCfa {
-            vars: r.vars.iter().map(|s| s.as_ref().clone()).collect(),
-            terms: r
-                .terms
-                .iter()
-                .map(|(l, s)| (l, s.as_ref().clone()))
-                .collect(),
-            calls: r.calls.iter().map(|(l, s)| (l, s.clone())).collect(),
-            iterations: r.iterations,
-        }
-    }
-
-    /// Reconstitutes the analyzer-shaped result (fresh `Rc` handles).
-    pub fn to_result(&self) -> CfaResult {
-        CfaResult {
-            vars: self.vars.iter().map(|s| Rc::new(s.clone())).collect(),
-            terms: self
-                .terms
-                .iter()
-                .map(|(l, s)| (*l, Rc::new(s.clone())))
-                .collect(),
-            calls: Rc::new(self.calls.iter().map(|(l, s)| (*l, s.clone())).collect()),
-            iterations: self.iterations,
-        }
-    }
-
-    fn approx_bytes(&self) -> u64 {
-        sets_bytes::<AbsClo>(self.vars.iter().map(BTreeSet::len))
-            + sets_bytes::<AbsClo>(self.terms.iter().map(|(_, s)| s.len()))
-            + sets_bytes::<AbsClo>(self.calls.iter().map(|(_, s)| s.len()))
-    }
-
-    /// Digest of the *solution* alone. `iterations` is excluded on
-    /// purpose: it is a work counter, and a warm-started solve reaches the
-    /// bit-identical solution with far fewer firings than a cold one — two
-    /// equal answers must digest equal. The encoding is `AnswerDigest`'s.
-    pub fn solution_digest(&self) -> u64 {
-        let mut h = AnswerDigest::new(AnalysisKind::CfaSrc);
-        h.sets(&self.vars, AnswerDigest::clo);
-        h.table(&self.terms, AnswerDigest::clo);
-        h.table(&self.calls, AnswerDigest::clo);
-        h.0
-    }
-}
-
-/// [`CpsCfaResult`] mirror, same contract as [`SendCfa`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SendCpsCfa {
-    /// Mirror of [`CpsCfaResult::vars`].
-    pub vars: Vec<BTreeSet<CpsFlow>>,
-    /// Mirror of [`CpsCfaResult::returns`], occupied entries in label order.
-    pub returns: Vec<(Label, BTreeSet<AbsKont>)>,
-    /// Mirror of [`CpsCfaResult::calls`], occupied entries in label order.
-    pub calls: Vec<(Label, BTreeSet<AbsClo>)>,
-    /// Fixpoint work the producing run performed.
-    pub iterations: u64,
-}
-
-impl SendCpsCfa {
-    /// Snapshots a solve result into the cacheable mirror.
-    pub fn from_result(r: &CpsCfaResult) -> SendCpsCfa {
-        SendCpsCfa {
-            vars: r.vars.iter().map(|s| s.as_ref().clone()).collect(),
-            returns: r.returns.iter().map(|(l, s)| (l, s.clone())).collect(),
-            calls: r.calls.iter().map(|(l, s)| (l, s.clone())).collect(),
-            iterations: r.iterations,
-        }
-    }
-
-    /// Reconstitutes the analyzer-shaped result (fresh `Rc` handles).
-    pub fn to_result(&self) -> CpsCfaResult {
-        CpsCfaResult {
-            vars: self.vars.iter().map(|s| Rc::new(s.clone())).collect(),
-            returns: self.returns.iter().map(|(l, s)| (*l, s.clone())).collect(),
-            calls: self.calls.iter().map(|(l, s)| (*l, s.clone())).collect(),
-            iterations: self.iterations,
-        }
-    }
-
-    fn approx_bytes(&self) -> u64 {
-        sets_bytes::<CpsFlow>(self.vars.iter().map(BTreeSet::len))
-            + sets_bytes::<AbsKont>(self.returns.iter().map(|(_, s)| s.len()))
-            + sets_bytes::<AbsClo>(self.calls.iter().map(|(_, s)| s.len()))
-    }
-
-    /// Digest of the *solution* alone, excluding the schedule-dependent
-    /// `iterations` counter — see [`SendCfa::solution_digest`].
-    pub fn solution_digest(&self) -> u64 {
-        let mut h = AnswerDigest::new(AnalysisKind::CfaCps);
-        h.sets(&self.vars, AnswerDigest::flow);
-        h.table(&self.returns, AnswerDigest::kont);
-        h.table(&self.calls, AnswerDigest::clo);
-        h.0
-    }
-}
-
-/// [`PushdownCfaResult`] mirror, same contract as [`SendCfa`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SendPushdown {
-    /// Mirror of [`PushdownCfaResult::vars`].
-    pub vars: Vec<BTreeSet<CpsFlow>>,
-    /// Mirror of [`PushdownCfaResult::returns`], occupied entries in
-    /// label order.
-    pub returns: Vec<(Label, BTreeSet<AbsKont>)>,
-    /// Mirror of [`PushdownCfaResult::calls`], occupied entries in label
-    /// order.
-    pub calls: Vec<(Label, BTreeSet<AbsClo>)>,
-    /// Mirror of [`PushdownCfaResult::matched`], in set order.
-    pub matched: Vec<MatchedReturn>,
-    /// Summary instantiations the producing run performed.
-    pub summaries: u64,
-    /// Fixpoint work the producing run performed.
-    pub iterations: u64,
-}
-
-impl SendPushdown {
-    /// Snapshots a solve result into the cacheable mirror.
-    pub fn from_result(r: &PushdownCfaResult) -> SendPushdown {
-        SendPushdown {
-            vars: r.vars.iter().map(|s| s.as_ref().clone()).collect(),
-            returns: r.returns.iter().map(|(l, s)| (l, s.clone())).collect(),
-            calls: r.calls.iter().map(|(l, s)| (l, s.clone())).collect(),
-            matched: r.matched.iter().copied().collect(),
-            summaries: r.summaries,
-            iterations: r.iterations,
-        }
-    }
-
-    /// Reconstitutes the analyzer-shaped result (fresh `Rc` handles).
-    pub fn to_result(&self) -> PushdownCfaResult {
-        PushdownCfaResult {
-            vars: self.vars.iter().map(|s| Rc::new(s.clone())).collect(),
-            returns: self.returns.iter().map(|(l, s)| (*l, s.clone())).collect(),
-            calls: self.calls.iter().map(|(l, s)| (*l, s.clone())).collect(),
-            matched: self.matched.iter().copied().collect(),
-            summaries: self.summaries,
-            iterations: self.iterations,
-        }
-    }
-
-    fn approx_bytes(&self) -> u64 {
-        sets_bytes::<CpsFlow>(self.vars.iter().map(BTreeSet::len))
-            + sets_bytes::<AbsKont>(self.returns.iter().map(|(_, s)| s.len()))
-            + sets_bytes::<AbsClo>(self.calls.iter().map(|(_, s)| s.len()))
-            + (self.matched.len() as u64) * std::mem::size_of::<MatchedReturn>() as u64
-    }
-
-    /// Digest of the *solution* alone, excluding the work counters — see
-    /// [`SendCfa::solution_digest`]. The matched-return witnesses are part
-    /// of the solution (they are what distinguishes this rung).
-    pub fn solution_digest(&self) -> u64 {
-        let mut h = AnswerDigest::new(AnalysisKind::CfaPushdown);
-        h.sets(&self.vars, AnswerDigest::flow);
-        h.table(&self.returns, AnswerDigest::kont);
-        h.table(&self.calls, AnswerDigest::clo);
-        h.matched(&self.matched);
-        h.0
-    }
-}
-
-/// A committed, `Send`-safe analysis answer — the value side of the cache.
+/// A committed analysis answer — the value side of the cache. Each
+/// variant holds its solver's own result: the CFA results' sets are the
+/// `Arc` handles their run committed, so an answer is `Send + Sync`,
+/// stores each distinct set once however many variables share it, and
+/// reaches the cache, the warm path and certify without being copied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CachedAnswer {
     /// Source-level 0CFA.
-    CfaSrc(SendCfa),
+    CfaSrc(CfaResult),
     /// CPS-level 0CFA.
-    CfaCps(SendCpsCfa),
+    CfaCps(CpsCfaResult),
     /// Pushdown CFA over cps(Λ).
-    CfaPushdown(SendPushdown),
+    CfaPushdown(PushdownCfaResult),
     /// First-order MFP over [`Flat`].
     MfpFlat(DfSummary<Flat>),
 }
@@ -679,12 +542,27 @@ impl CachedAnswer {
         }
     }
 
-    /// The eviction-accounting estimate for this answer.
+    /// The eviction-accounting estimate for this answer. Every set slot is
+    /// charged, shared or not, so the figure does not depend on how the
+    /// answer's sets happen to be shared.
     pub fn approx_bytes(&self) -> u64 {
         match self {
-            CachedAnswer::CfaSrc(r) => r.approx_bytes(),
-            CachedAnswer::CfaCps(r) => r.approx_bytes(),
-            CachedAnswer::CfaPushdown(r) => r.approx_bytes(),
+            CachedAnswer::CfaSrc(r) => {
+                sets_bytes::<AbsClo>(r.vars.iter().map(|s| s.len()))
+                    + sets_bytes::<AbsClo>(r.terms.values().map(|s| s.len()))
+                    + sets_bytes::<AbsClo>(r.calls.values().map(BTreeSet::len))
+            }
+            CachedAnswer::CfaCps(r) => {
+                sets_bytes::<CpsFlow>(r.vars.iter().map(|s| s.len()))
+                    + sets_bytes::<AbsKont>(r.returns.values().map(BTreeSet::len))
+                    + sets_bytes::<AbsClo>(r.calls.values().map(BTreeSet::len))
+            }
+            CachedAnswer::CfaPushdown(r) => {
+                sets_bytes::<CpsFlow>(r.vars.iter().map(|s| s.len()))
+                    + sets_bytes::<AbsKont>(r.returns.values().map(BTreeSet::len))
+                    + sets_bytes::<AbsClo>(r.calls.values().map(BTreeSet::len))
+                    + (r.matched.len() as u64) * std::mem::size_of::<MatchedReturn>() as u64
+            }
             CachedAnswer::MfpFlat(s) => {
                 SET_OVERHEAD + (s.vars.len() as u64) * std::mem::size_of::<Flat>() as u64
             }
@@ -694,24 +572,38 @@ impl CachedAnswer {
     /// Canonical-form digest of the *solution* — what service responses
     /// carry so clients can assert bit-identity without shipping stores.
     /// Folded straight from the data (`AnswerDigest`), so it costs a
-    /// pass over the sets, not a rendering of them. Work counters are
-    /// excluded: warm and cold solves of one program differ in
-    /// `iterations` while the solution does not, and equal answers must
-    /// digest equal.
+    /// pass over the sets, not a rendering of them. Work counters
+    /// (`iterations`, `summaries`) are excluded: warm and cold solves of
+    /// one program differ in them while the solution does not, and equal
+    /// answers must digest equal. The pushdown matched-return witnesses
+    /// are part of the solution (they are what distinguishes that rung).
     pub fn digest(&self) -> u64 {
+        let mut h = AnswerDigest::new(self.kind());
         match self {
-            CachedAnswer::CfaSrc(r) => r.solution_digest(),
-            CachedAnswer::CfaCps(r) => r.solution_digest(),
-            CachedAnswer::CfaPushdown(r) => r.solution_digest(),
+            CachedAnswer::CfaSrc(r) => {
+                h.sets(&r.vars, AnswerDigest::clo);
+                h.table(&r.terms, AnswerDigest::clo);
+                h.table(&r.calls, AnswerDigest::clo);
+            }
+            CachedAnswer::CfaCps(r) => {
+                h.sets(&r.vars, AnswerDigest::flow);
+                h.table(&r.returns, AnswerDigest::kont);
+                h.table(&r.calls, AnswerDigest::clo);
+            }
+            CachedAnswer::CfaPushdown(r) => {
+                h.sets(&r.vars, AnswerDigest::flow);
+                h.table(&r.returns, AnswerDigest::kont);
+                h.table(&r.calls, AnswerDigest::clo);
+                h.matched(&r.matched);
+            }
             CachedAnswer::MfpFlat(s) => {
-                let mut h = AnswerDigest::new(AnalysisKind::MfpFlat);
                 h.count(s.vars.len());
                 for &v in &s.vars {
                     h.flat(v);
                 }
-                h.0
             }
         }
+        h.0
     }
 }
 
@@ -1221,47 +1113,28 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_round_trips_through_the_mirror() {
-        let p = AnfProgram::parse("(let (f (lambda (x) x)) (let (a (f 1)) (f a)))").unwrap();
-        let cps = cpsdfa_cps::CpsProgram::from_anf(&p);
-        let fresh = crate::pushdown::pushdown_cfa(&cps).unwrap();
-        let mirror = SendPushdown::from_result(&fresh);
-        let back = mirror.to_result();
-        assert!(back.same_solution(&fresh));
-        assert_eq!(back.iterations, fresh.iterations);
-        assert_eq!(back.summaries, fresh.summaries);
-        assert_eq!(SendPushdown::from_result(&back), mirror);
-        // Work counters stay out of the canonical digest.
-        let mut skewed = mirror.clone();
-        skewed.iterations += 5;
-        skewed.summaries += 5;
-        assert_eq!(mirror.solution_digest(), skewed.solution_digest());
-    }
-
-    #[test]
-    fn cfa_round_trips_through_the_mirror() {
-        let p = AnfProgram::parse("(let (f (lambda (x) x)) (let (a (f 1)) (f a)))").unwrap();
-        let fresh = zero_cfa(&p).unwrap();
-        let mirror = SendCfa::from_result(&fresh);
-        let back = mirror.to_result();
-        assert!(back.same_solution(&fresh));
-        assert_eq!(back.iterations, fresh.iterations);
-        assert_eq!(SendCfa::from_result(&back), mirror);
-    }
-
-    #[test]
     fn answer_digest_ignores_schedule_dependent_work_counters() {
         // A warm start reaches the same solution in fewer `iterations`
         // than a cold solve; the canonical digest must see through that.
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (let (a (f 1)) (f a)))").unwrap();
-        let a = SendCfa::from_result(&zero_cfa(&p).unwrap());
+        let a = zero_cfa(&p).unwrap();
         let mut b = a.clone();
         b.iterations += 17;
-        assert_ne!(a, b, "premise: the mirrors differ as values");
-        assert_eq!(a.solution_digest(), b.solution_digest());
-        let fixpoint =
-            |m: SendCfa| CachedFixpoint::new(CachedAnswer::CfaSrc(m), DegradationReport::default());
+        assert_ne!(a, b, "premise: the results differ as values");
+        let fixpoint = |r: CfaResult| {
+            CachedFixpoint::new(CachedAnswer::CfaSrc(r), DegradationReport::default())
+        };
         assert_eq!(fixpoint(a).answer_digest, fixpoint(b).answer_digest);
+        // Pushdown's summary counter is a work counter too.
+        let cps = cpsdfa_cps::CpsProgram::from_anf(&p);
+        let pd = crate::pushdown::pushdown_cfa(&cps).unwrap();
+        let mut skewed = pd.clone();
+        skewed.iterations += 5;
+        skewed.summaries += 5;
+        assert_eq!(
+            CachedAnswer::CfaPushdown(pd).digest(),
+            CachedAnswer::CfaPushdown(skewed).digest()
+        );
     }
 
     /// One tiny answer per analysis kind, in [`AnalysisKind::ALL`] order.
@@ -1271,13 +1144,9 @@ mod tests {
         let q = AnfProgram::parse("(let (c (if0 0 1 2)) (add1 c))").unwrap();
         let cfg = crate::mfp::Cfg::from_first_order(&q).unwrap();
         [
-            CachedAnswer::CfaSrc(SendCfa::from_result(&zero_cfa(&p).unwrap())),
-            CachedAnswer::CfaCps(SendCpsCfa::from_result(
-                &crate::cfa::zero_cfa_cps(&cps).unwrap(),
-            )),
-            CachedAnswer::CfaPushdown(SendPushdown::from_result(
-                &crate::pushdown::pushdown_cfa(&cps).unwrap(),
-            )),
+            CachedAnswer::CfaSrc(zero_cfa(&p).unwrap()),
+            CachedAnswer::CfaCps(crate::cfa::zero_cfa_cps(&cps).unwrap()),
+            CachedAnswer::CfaPushdown(crate::pushdown::pushdown_cfa(&cps).unwrap()),
             CachedAnswer::MfpFlat(cfg.solve_mfp::<Flat>(cfg.initial_env(&q)).unwrap()),
         ]
     }
@@ -1296,12 +1165,34 @@ mod tests {
             .iter()
             .map(|a| format!("{:016x}", a.digest()))
             .collect();
+        // Eviction accounting and the persisted bytes are pinned beside
+        // the digest: a representation change must leave cache residency
+        // and every spill file written by an earlier build untouched.
+        let bytes: Vec<u64> = tiny_answers().iter().map(|a| a.approx_bytes()).collect();
+        let persisted: Vec<String> = tiny_answers()
+            .iter()
+            .map(|a| {
+                let mut out = Vec::new();
+                persist::put_answer(&mut out, a);
+                format!("{:016x}", fnv_bytes(FNV_OFFSET, &out))
+            })
+            .collect();
         assert_eq!(
             digests,
             [
                 "e9ef9741a6ca8bd7", // cfa.src
                 "3453efd11f809a40", // cfa.cps
                 "e4903c7375a5f7a7", // cfa.pushdown
+                "c7fbb6cd1e28ccfc", // mfp.flat
+            ]
+        );
+        assert_eq!(bytes, [936, 728, 760, 96]);
+        assert_eq!(
+            persisted,
+            [
+                "c64809a6d4840433", // cfa.src
+                "404de959ddbd5085", // cfa.cps
+                "4dbccc98293fa366", // cfa.pushdown
                 "c7fbb6cd1e28ccfc", // mfp.flat
             ]
         );
@@ -1313,11 +1204,11 @@ mod tests {
         // table boundary, keeps the flat element sequence but changes the
         // length prefixes, so the digests differ.
         let l = Label::new;
-        let cfa = |vars: Vec<BTreeSet<AbsClo>>, terms| {
-            CachedAnswer::CfaSrc(SendCfa {
-                vars,
-                terms,
-                calls: Vec::new(),
+        let cfa = |vars: Vec<BTreeSet<AbsClo>>, terms: Vec<(Label, BTreeSet<AbsClo>)>| {
+            CachedAnswer::CfaSrc(CfaResult {
+                vars: vars.into_iter().map(Arc::new).collect(),
+                terms: terms.into_iter().map(|(l, s)| (l, Arc::new(s))).collect(),
+                calls: Arc::new(LabelTable::new(0)),
                 iterations: 0,
             })
             .digest()
@@ -1336,18 +1227,18 @@ mod tests {
             .iter()
             .map(|k| match k {
                 AnalysisKind::CfaSrc => cfa(Vec::new(), Vec::new()),
-                AnalysisKind::CfaCps => CachedAnswer::CfaCps(SendCpsCfa {
+                AnalysisKind::CfaCps => CachedAnswer::CfaCps(CpsCfaResult {
                     vars: Vec::new(),
-                    returns: Vec::new(),
-                    calls: Vec::new(),
+                    returns: LabelTable::new(0),
+                    calls: LabelTable::new(0),
                     iterations: 0,
                 })
                 .digest(),
-                AnalysisKind::CfaPushdown => CachedAnswer::CfaPushdown(SendPushdown {
+                AnalysisKind::CfaPushdown => CachedAnswer::CfaPushdown(PushdownCfaResult {
                     vars: Vec::new(),
-                    returns: Vec::new(),
-                    calls: Vec::new(),
-                    matched: Vec::new(),
+                    returns: LabelTable::new(0),
+                    calls: LabelTable::new(0),
+                    matched: BTreeSet::new(),
                     summaries: 0,
                     iterations: 0,
                 })
@@ -1378,7 +1269,7 @@ mod tests {
         let fresh = zero_cfa(&p).unwrap();
         let value = || {
             CachedFixpoint::new(
-                CachedAnswer::CfaSrc(SendCfa::from_result(&fresh)),
+                CachedAnswer::CfaSrc(fresh.clone()),
                 DegradationReport::default(),
             )
         };
@@ -1409,7 +1300,7 @@ mod tests {
         let fresh = zero_cfa(&p).unwrap();
         let value = || {
             CachedFixpoint::new(
-                CachedAnswer::CfaSrc(SendCfa::from_result(&fresh)),
+                CachedAnswer::CfaSrc(fresh.clone()),
                 DegradationReport::default(),
             )
         };
@@ -1434,7 +1325,7 @@ mod tests {
         cache.insert(
             degraded,
             CachedFixpoint::new(
-                CachedAnswer::CfaSrc(SendCfa::from_result(&fresh)),
+                CachedAnswer::CfaSrc(fresh.clone()),
                 DegradationReport::default(),
             ),
         );
@@ -1455,7 +1346,7 @@ mod tests {
         cache.insert(
             key,
             CachedFixpoint::new(
-                CachedAnswer::CfaSrc(SendCfa::from_result(&fresh)),
+                CachedAnswer::CfaSrc(fresh.clone()),
                 DegradationReport::default(),
             ),
         );
@@ -1467,7 +1358,7 @@ mod tests {
         assert!(cache.insert(
             key,
             CachedFixpoint::new(
-                CachedAnswer::CfaSrc(SendCfa::from_result(&fresh)),
+                CachedAnswer::CfaSrc(fresh.clone()),
                 DegradationReport::default(),
             ),
         ));
@@ -1479,7 +1370,7 @@ mod tests {
             digest: 1,
             source: String::new(),
             fixpoint: Arc::new(CachedFixpoint::new(
-                CachedAnswer::CfaSrc(SendCfa::from_result(fresh)),
+                CachedAnswer::CfaSrc(fresh.clone()),
                 DegradationReport::default(),
             )),
         }

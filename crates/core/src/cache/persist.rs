@@ -42,19 +42,23 @@
 
 use super::{
     fnv128_bytes, AnalysisKind, Ancestor, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint,
-    FixpointCache, SendCfa, SendCpsCfa, SendPushdown, FNV128_OFFSET,
+    FixpointCache, FNV128_OFFSET,
 };
 use crate::absval::{AbsClo, AbsKont};
-use crate::cfa::CpsFlow;
+use crate::cfa::{CfaResult, CpsCfaResult, CpsFlow};
 use crate::domain::Flat;
 use crate::faultinject::PersistFault;
 use crate::govern::{DegradationReport, RungAttempt};
+use crate::labtab::LabelTable;
 use crate::mfp::DfSummary;
-use crate::pushdown::MatchedReturn;
+use crate::pushdown::{MatchedReturn, PushdownCfaResult};
+use crate::setpool::SetPool;
 use cpsdfa_syntax::arena::TermArena;
 use cpsdfa_syntax::Label;
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fs;
+use std::hash::Hash;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -150,46 +154,48 @@ fn put_set<T: Copy>(out: &mut Vec<u8>, set: &BTreeSet<T>, mut put: impl FnMut(&m
     }
 }
 
-fn put_table<T: Copy>(
+fn put_sets<T: Copy>(
     out: &mut Vec<u8>,
-    table: &[(Label, BTreeSet<T>)],
+    sets: &[Arc<BTreeSet<T>>],
     mut put: impl FnMut(&mut Vec<u8>, T),
 ) {
-    put_u64(out, table.len() as u64);
-    for (l, set) in table {
-        put_label(out, *l);
+    put_u64(out, sets.len() as u64);
+    for set in sets {
         put_set(out, set, &mut put);
     }
 }
 
-fn put_answer(out: &mut Vec<u8>, answer: &CachedAnswer) {
+fn put_table<T: Copy, S: Borrow<BTreeSet<T>>>(
+    out: &mut Vec<u8>,
+    table: &LabelTable<S>,
+    mut put: impl FnMut(&mut Vec<u8>, T),
+) {
+    put_u64(out, table.len() as u64);
+    for (l, set) in table.iter() {
+        put_label(out, l);
+        put_set(out, set.borrow(), &mut put);
+    }
+}
+
+pub(super) fn put_answer(out: &mut Vec<u8>, answer: &CachedAnswer) {
     match answer {
         CachedAnswer::CfaSrc(r) => {
             out.push(0);
-            put_u64(out, r.vars.len() as u64);
-            for set in &r.vars {
-                put_set(out, set, put_clo);
-            }
+            put_sets(out, &r.vars, put_clo);
             put_table(out, &r.terms, put_clo);
             put_table(out, &r.calls, put_clo);
             put_u64(out, r.iterations);
         }
         CachedAnswer::CfaCps(r) => {
             out.push(1);
-            put_u64(out, r.vars.len() as u64);
-            for set in &r.vars {
-                put_set(out, set, put_flow);
-            }
+            put_sets(out, &r.vars, put_flow);
             put_table(out, &r.returns, put_kont);
             put_table(out, &r.calls, put_clo);
             put_u64(out, r.iterations);
         }
         CachedAnswer::CfaPushdown(r) => {
             out.push(2);
-            put_u64(out, r.vars.len() as u64);
-            for set in &r.vars {
-                put_set(out, set, put_flow);
-            }
+            put_sets(out, &r.vars, put_flow);
             put_table(out, &r.returns, put_kont);
             put_table(out, &r.calls, put_clo);
             put_u64(out, r.matched.len() as u64);
@@ -325,60 +331,84 @@ impl<'a> Cur<'a> {
         Some(set)
     }
 
-    fn sets<T: Ord>(
+    /// A count-prefixed run of sets, each interned through `pool`, so the
+    /// decoded answer shares every repeated set the way the solver's
+    /// commit did.
+    fn sets<T: Ord + Clone + Hash>(
         &mut self,
+        pool: &mut SetPool<T>,
         mut get: impl FnMut(&mut Self) -> Option<T>,
-    ) -> Option<Vec<BTreeSet<T>>> {
+    ) -> Option<Vec<Arc<BTreeSet<T>>>> {
         let n = self.count()?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(self.set(&mut get)?);
+            let id = pool.intern(self.set(&mut get)?);
+            out.push(pool.get_arc(id));
         }
         Some(out)
     }
 
-    fn table<T: Ord>(
+    /// A label table, each set passed through `wrap`. The encoder writes
+    /// labels in ascending order, so a repeated or descending label is
+    /// corruption.
+    fn table<T: Ord, S>(
         &mut self,
         mut get: impl FnMut(&mut Self) -> Option<T>,
-    ) -> Option<Vec<(Label, BTreeSet<T>)>> {
+        mut wrap: impl FnMut(BTreeSet<T>) -> S,
+    ) -> Option<LabelTable<S>> {
         let n = self.count()?;
-        let mut out = Vec::with_capacity(n);
+        let mut out = LabelTable::new(0);
+        let mut prev = None;
         for _ in 0..n {
             let l = self.label()?;
-            out.push((l, self.set(&mut get)?));
+            if prev.is_some_and(|p: Label| p >= l) {
+                return None;
+            }
+            prev = Some(l);
+            out.insert(l, wrap(self.set(&mut get)?));
         }
         Some(out)
     }
 
     fn answer(&mut self) -> Option<CachedAnswer> {
         match self.u8()? {
-            0 => Some(CachedAnswer::CfaSrc(SendCfa {
-                vars: self.sets(Cur::clo)?,
-                terms: self.table(Cur::clo)?,
-                calls: self.table(Cur::clo)?,
-                iterations: self.u64()?,
-            })),
-            1 => Some(CachedAnswer::CfaCps(SendCpsCfa {
-                vars: self.sets(Cur::flow)?,
-                returns: self.table(Cur::kont)?,
-                calls: self.table(Cur::clo)?,
+            0 => {
+                // Terms share the variables' pool, as in the solver's
+                // commit.
+                let mut pool = SetPool::new();
+                let vars = self.sets(&mut pool, Cur::clo)?;
+                let terms = self.table(Cur::clo, |set| {
+                    let id = pool.intern(set);
+                    pool.get_arc(id)
+                })?;
+                Some(CachedAnswer::CfaSrc(CfaResult {
+                    vars,
+                    terms,
+                    calls: Arc::new(self.table(Cur::clo, |set| set)?),
+                    iterations: self.u64()?,
+                }))
+            }
+            1 => Some(CachedAnswer::CfaCps(CpsCfaResult {
+                vars: self.sets(&mut SetPool::new(), Cur::flow)?,
+                returns: self.table(Cur::kont, |set| set)?,
+                calls: self.table(Cur::clo, |set| set)?,
                 iterations: self.u64()?,
             })),
             2 => {
-                let vars = self.sets(Cur::flow)?;
-                let returns = self.table(Cur::kont)?;
-                let calls = self.table(Cur::clo)?;
+                let vars = self.sets(&mut SetPool::new(), Cur::flow)?;
+                let returns = self.table(Cur::kont, |set| set)?;
+                let calls = self.table(Cur::clo, |set| set)?;
                 let n = self.count()?;
-                let mut matched = Vec::with_capacity(n);
+                let mut matched = BTreeSet::new();
                 for _ in 0..n {
-                    matched.push(MatchedReturn {
+                    matched.insert(MatchedReturn {
                         ret_site: self.label()?,
                         callee: self.label()?,
                         call_site: self.label()?,
                         cont: self.label()?,
                     });
                 }
-                Some(CachedAnswer::CfaPushdown(SendPushdown {
+                Some(CachedAnswer::CfaPushdown(PushdownCfaResult {
                     vars,
                     returns,
                     calls,
@@ -794,7 +824,7 @@ mod tests {
         let digest = ArenaDigests::new().term_digest(&arena, id);
         let key = CacheKey::new(AnalysisKind::CfaSrc, digest);
         let fixpoint = CachedFixpoint::new(
-            CachedAnswer::CfaSrc(SendCfa::from_result(&zero_cfa(&p).unwrap())),
+            CachedAnswer::CfaSrc(zero_cfa(&p).unwrap()),
             DegradationReport::default(),
         );
         (key, fixpoint)
@@ -808,11 +838,9 @@ mod tests {
         let cps = CpsProgram::from_anf(&p);
         let cfg = Cfg::from_first_order(&p).unwrap();
         let answers = [
-            CachedAnswer::CfaSrc(SendCfa::from_result(&zero_cfa(&p).unwrap())),
-            CachedAnswer::CfaCps(SendCpsCfa::from_result(&zero_cfa_cps(&cps).unwrap())),
-            CachedAnswer::CfaPushdown(SendPushdown::from_result(
-                &crate::pushdown::pushdown_cfa(&cps).unwrap(),
-            )),
+            CachedAnswer::CfaSrc(zero_cfa(&p).unwrap()),
+            CachedAnswer::CfaCps(zero_cfa_cps(&cps).unwrap()),
+            CachedAnswer::CfaPushdown(crate::pushdown::pushdown_cfa(&cps).unwrap()),
             CachedAnswer::MfpFlat(cfg.solve_mfp::<Flat>(cfg.initial_env(&p)).unwrap()),
         ];
         for answer in answers {
@@ -824,6 +852,33 @@ mod tests {
             assert_eq!(s2, "(src)");
             assert_eq!(a2, answer, "lossless round-trip");
         }
+    }
+
+    #[test]
+    fn decode_rejects_table_labels_out_of_order() {
+        // A `cfa.src` payload with no variables and a two-row terms table:
+        // ascending labels decode, a repeated or descending label is
+        // corruption (the encoder only ever writes ascending labels).
+        let payload = |labels: [u32; 2]| {
+            let key = CacheKey::new(AnalysisKind::CfaSrc, 0xfeed);
+            let mut out = vec![key.kind.tag()];
+            put_u128(&mut out, key.digest);
+            put_str(&mut out, key.rung);
+            put_str(&mut out, "(src)");
+            out.push(0);
+            put_u64(&mut out, 0);
+            put_u64(&mut out, 2);
+            for l in labels {
+                put_u32(&mut out, l);
+                put_u64(&mut out, 0);
+            }
+            put_u64(&mut out, 0);
+            put_u64(&mut out, 1);
+            out
+        };
+        assert!(decode_entry_payload(&payload([1, 2])).is_some());
+        assert!(decode_entry_payload(&payload([2, 2])).is_none());
+        assert!(decode_entry_payload(&payload([2, 1])).is_none());
     }
 
     /// The version-1 layout of `key`'s entry: the old magic, an engine
@@ -865,6 +920,26 @@ mod tests {
         assert!(report.bytes > 0);
         let hit = cache.lookup(&key).expect("recovered entry serves");
         assert_eq!(hit.answer_digest, fixpoint.answer_digest);
+        // Decode interns: the recovered answer shares its sets exactly as
+        // the solver's commit did, rather than holding one copy per slot.
+        let (CachedAnswer::CfaSrc(fresh), CachedAnswer::CfaSrc(back)) =
+            (&fixpoint.answer, &hit.answer)
+        else {
+            panic!("cfa.src fixture");
+        };
+        let handles = |r: &CfaResult| {
+            let slots: Vec<*const BTreeSet<AbsClo>> = r
+                .vars
+                .iter()
+                .chain(r.terms.values())
+                .map(Arc::as_ptr)
+                .collect();
+            let distinct: BTreeSet<_> = slots.iter().collect();
+            (slots.len(), distinct.len())
+        };
+        let (slots, shared) = handles(fresh);
+        assert!(shared < slots, "premise: the fresh answer shares sets");
+        assert_eq!(handles(back), (slots, shared));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1451,15 +1451,9 @@ pub fn certify_mfp(
 /// shared transform — the same front end the analyzers used.
 pub fn certify_answer(prog: &AnfProgram, answer: &CachedAnswer) -> Result<Certificate, Refutation> {
     match answer {
-        CachedAnswer::CfaSrc(s) => certify_cfa_src(prog, &s.to_result()),
-        CachedAnswer::CfaCps(s) => {
-            let cps = CpsProgram::from_anf(prog);
-            certify_cfa_cps(&cps, &s.to_result())
-        }
-        CachedAnswer::CfaPushdown(s) => {
-            let cps = CpsProgram::from_anf(prog);
-            certify_pushdown(&cps, &s.to_result())
-        }
+        CachedAnswer::CfaSrc(r) => certify_cfa_src(prog, r),
+        CachedAnswer::CfaCps(r) => certify_cfa_cps(&CpsProgram::from_anf(prog), r),
+        CachedAnswer::CfaPushdown(r) => certify_pushdown(&CpsProgram::from_anf(prog), r),
         CachedAnswer::MfpFlat(s) => certify_mfp(prog, s),
     }
 }
@@ -1479,7 +1473,7 @@ mod tests {
     use super::*;
     use crate::cfa::{zero_cfa, zero_cfa_cps};
     use crate::pushdown::pushdown_cfa;
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     const PROGRAMS: &[&str] = &[
         "(let (f (lambda (x) x)) (f f))",
@@ -1541,7 +1535,7 @@ mod tests {
         let x = p.var_named("x").unwrap();
         let mut poisoned = (*r.vars[x.index()]).clone();
         poisoned.insert(AbsClo::Inc);
-        r.vars[x.index()] = Rc::new(poisoned);
+        r.vars[x.index()] = Arc::new(poisoned);
         let err = certify_cfa_src(&p, &r).unwrap_err();
         assert!(
             matches!(
@@ -1557,7 +1551,7 @@ mod tests {
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
         let mut r = zero_cfa(&p).unwrap();
         let f = p.var_named("f").unwrap();
-        r.vars[f.index()] = Rc::new(BTreeSet::new());
+        r.vars[f.index()] = Arc::new(BTreeSet::new());
         match certify_cfa_src(&p, &r).unwrap_err() {
             Refutation::Unclosed { edge, missing } => {
                 assert!(!edge.is_empty() && !missing.is_empty());
@@ -1573,7 +1567,7 @@ mod tests {
         let mut calls = (*r.calls).clone();
         let site = calls.keys().next().unwrap();
         calls.insert(site, BTreeSet::new());
-        r.calls = Rc::new(calls);
+        r.calls = Arc::new(calls);
         assert!(certify_cfa_src(&p, &r).is_err());
     }
 
@@ -1612,7 +1606,7 @@ mod tests {
         let src = "(let (f (lambda (x) x)) (f f))";
         let p = AnfProgram::parse(src).unwrap();
         let r = zero_cfa(&p).unwrap();
-        let ans = CachedAnswer::CfaSrc(crate::cache::SendCfa::from_result(&r));
+        let ans = CachedAnswer::CfaSrc(r);
         assert!(certify_answer(&p, &ans).is_ok());
         assert!(certify_source(src, &ans).is_ok());
         assert!(certify_source("(let (y 1) (add1 y))", &ans).is_err());

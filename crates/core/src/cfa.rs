@@ -61,24 +61,24 @@ use cpsdfa_cps::{CTermKind, CValKind, CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
 use std::collections::BTreeSet;
 use std::hash::Hash;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// The result of source-level 0CFA.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CfaResult {
     /// Closure set per variable. The sets are the hash-consed commit
     /// handles of the run's [`SetPool`]: identical sets (every call site of
     /// a function, say) share one allocation, and cloning a result is
     /// handle-copying, not set-copying.
-    pub vars: Vec<Rc<BTreeSet<AbsClo>>>,
+    pub vars: Vec<Arc<BTreeSet<AbsClo>>>,
     /// Closure set flowing out of each term (keyed by term label; dense).
     /// Shared commit handles, as in [`CfaResult::vars`].
-    pub terms: LabelTable<Rc<BTreeSet<AbsClo>>>,
+    pub terms: LabelTable<Arc<BTreeSet<AbsClo>>>,
     /// Call graph: call-site `let` label → applicable closures (dense).
-    /// `Rc`-shared like the flow sets: the live incremental solver re-uses
+    /// `Arc`-shared like the flow sets: the live incremental solver re-uses
     /// one snapshot across commits whenever no new callee was discovered,
     /// so a warm re-commit never deep-copies the call graph.
-    pub calls: Rc<LabelTable<BTreeSet<AbsClo>>>,
+    pub calls: Arc<LabelTable<BTreeSet<AbsClo>>>,
     /// Fixpoint work performed: constraint firings (sparse solver) or full
     /// sweeps (dense baseline). Always ≥ 1.
     pub iterations: u64,
@@ -281,8 +281,8 @@ impl NodeIndex {
     /// every propagation-target term node through `commit`, in label order.
     fn commit_dst_terms(
         &self,
-        mut commit: impl FnMut(usize) -> Rc<BTreeSet<AbsClo>>,
-    ) -> LabelTable<Rc<BTreeSet<AbsClo>>> {
+        mut commit: impl FnMut(usize) -> Arc<BTreeSet<AbsClo>>,
+    ) -> LabelTable<Arc<BTreeSet<AbsClo>>> {
         let mut terms = LabelTable::new(self.dst_flags.len() as u32);
         for (i, &is_dst) in self.dst_flags.iter().enumerate() {
             if is_dst {
@@ -624,12 +624,12 @@ pub(crate) struct SrcLive {
     /// length means an unchanged set, and a repeat commit reuses the
     /// handle without walking the bitset. This is what keeps the live
     /// session's per-edit cost proportional to the edit, not the fixpoint.
-    commit_cache: Vec<Option<(usize, Rc<BTreeSet<AbsClo>>)>>,
+    commit_cache: Vec<Option<(usize, Arc<BTreeSet<AbsClo>>)>>,
     /// Call-graph snapshot from the last commit, keyed by the table's
     /// total callee count. Call discovery only ever adds entries, so an
     /// unchanged count means an unchanged graph and the snapshot is
     /// reshared instead of deep-cloned.
-    calls_snapshot: Option<(usize, Rc<LabelTable<BTreeSet<AbsClo>>>)>,
+    calls_snapshot: Option<(usize, Arc<LabelTable<BTreeSet<AbsClo>>>)>,
 }
 
 impl SrcLive {
@@ -1053,19 +1053,20 @@ impl SrcLive {
         if commit_cache.len() < nodes.node_count() {
             commit_cache.resize(nodes.node_count(), None);
         }
-        let mut commit = |node: usize, pool: &mut SetPool<AbsClo>| -> Rc<BTreeSet<AbsClo>> {
+        let mut commit = |node: usize, pool: &mut SetPool<AbsClo>| -> Arc<BTreeSet<AbsClo>> {
             let len = nodes.log(node).len();
-            if let Some((cached_len, rc)) = &commit_cache[node] {
+            if let Some((cached_len, set)) = &commit_cache[node] {
                 if *cached_len == len {
-                    return Rc::clone(rc);
+                    return Arc::clone(set);
                 }
             }
             let id = nodes.commit_into(node, pool);
-            let rc = pool.get_rc(id);
-            commit_cache[node] = Some((len, Rc::clone(&rc)));
-            rc
+            let set = pool.get_arc(id);
+            commit_cache[node] = Some((len, Arc::clone(&set)));
+            set
         };
-        let vars: Vec<Rc<BTreeSet<AbsClo>>> = (0..self.num_vars).map(|i| commit(i, pool)).collect();
+        let vars: Vec<Arc<BTreeSet<AbsClo>>> =
+            (0..self.num_vars).map(|i| commit(i, pool)).collect();
         let mut terms = LabelTable::new(dst_flags.len() as u32);
         for (i, &is_dst) in dst_flags.iter().enumerate() {
             if is_dst {
@@ -1075,10 +1076,10 @@ impl SrcLive {
         }
         let callee_count: usize = calls.values().map(BTreeSet::len).sum();
         let calls = match calls_snapshot {
-            Some((count, snap)) if *count == callee_count => Rc::clone(snap),
+            Some((count, snap)) if *count == callee_count => Arc::clone(snap),
             _ => {
-                let snap = Rc::new(calls.clone());
-                *calls_snapshot = Some((callee_count, Rc::clone(&snap)));
+                let snap = Arc::new(calls.clone());
+                *calls_snapshot = Some((callee_count, Arc::clone(&snap)));
                 snap
             }
         };
@@ -1196,15 +1197,15 @@ pub fn zero_cfa_dense(prog: &AnfProgram) -> CfaResult {
         }
     }
 
-    let vars: Vec<Rc<BTreeSet<AbsClo>>> = values[..idx.num_vars]
+    let vars: Vec<Arc<BTreeSet<AbsClo>>> = values[..idx.num_vars]
         .iter()
-        .map(|s| Rc::new(s.clone()))
+        .map(|s| Arc::new(s.clone()))
         .collect();
-    let terms = idx.commit_dst_terms(|node| Rc::new(values[node].clone()));
+    let terms = idx.commit_dst_terms(|node| Arc::new(values[node].clone()));
     CfaResult {
         vars,
         terms,
-        calls: Rc::new(calls),
+        calls: Arc::new(calls),
         iterations,
     }
 }
@@ -1219,11 +1220,11 @@ pub enum CpsFlow {
 }
 
 /// The result of CPS-level 0CFA.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpsCfaResult {
     /// Flow set per variable (both namespaces). Shared hash-consed commit
     /// handles, as in [`CfaResult::vars`].
-    pub vars: Vec<Rc<BTreeSet<CpsFlow>>>,
+    pub vars: Vec<Arc<BTreeSet<CpsFlow>>>,
     /// Return sites `(k W)` → continuations invoked (dense by site label).
     pub returns: LabelTable<BTreeSet<AbsKont>>,
     /// Call sites → applicable closures (dense by site label).
@@ -1883,10 +1884,10 @@ pub(crate) fn zero_cfa_cps_seeded(
     // ones); the result holds the shared pool handles directly. The store
     // commits in universe-index order, so no per-node sort happens.
     let mut pool: SetPool<CpsFlow> = SetPool::new();
-    let vars: Vec<Rc<BTreeSet<CpsFlow>>> = (0..n)
+    let vars: Vec<Arc<BTreeSet<CpsFlow>>> = (0..n)
         .map(|i| {
             let id = nodes.commit_into(i, &mut pool);
-            pool.get_rc(id)
+            pool.get_arc(id)
         })
         .collect();
     let stats = solver.stats().with_pool(pool.stats());
@@ -1990,7 +1991,7 @@ pub fn zero_cfa_cps_dense(prog: &CpsProgram) -> CpsCfaResult {
     }
 
     CpsCfaResult {
-        vars: values.into_iter().map(Rc::new).collect(),
+        vars: values.into_iter().map(Arc::new).collect(),
         returns,
         calls,
         iterations,

@@ -141,8 +141,9 @@ pub fn warm_attempt_budget(prev_iterations: u64) -> AnalysisBudget {
 
 /// The shared interior of a [`RunGuard`]. Counters are [`Cell`]s because
 /// every fixpoint engine in this crate is single-threaded by construction
-/// (the set pools are `Rc`-based and `!Sync`); the one cross-thread
-/// channel, cancellation, goes through the atomic [`CancelToken`].
+/// (a run owns its guard, its set pools and its node store, and shares
+/// none of them with another thread); the one cross-thread channel,
+/// cancellation, goes through the atomic [`CancelToken`].
 #[derive(Debug, Clone)]
 struct GuardState {
     budget: AnalysisBudget,
@@ -854,7 +855,7 @@ pub fn governed_zero_cfa_cps(
         .run(&guard, sink)
 }
 
-/// Pushdown CFA under full governance — the four-rung precision ladder
+/// Pushdown CFA under full governance — the three-rung precision ladder
 /// with the summary-based analyzer ([`crate::pushdown`]) on top.
 ///
 /// Ladder: `cfa.pushdown` (call/return matching over `cps`, which must be

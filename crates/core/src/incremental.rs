@@ -16,7 +16,7 @@
 //! 1. **Noop** — the alignment is a pure identity (same structure, same
 //!    variable/label spaces; constants and names may differ). The
 //!    constraint graph of 0CFA is invariant under constant and name
-//!    changes, so the previous result is reused outright (`Rc` handle
+//!    changes, so the previous result is reused outright (`Arc` handle
 //!    clones, zero constraints fired).
 //! 2. **Retract** (live solver only) — the edit keeps every variable and
 //!    label in place but changes the constraint *set* (e.g. a constant

@@ -79,7 +79,7 @@ pub use absval::{AbsAnswer, AbsClo, AbsKont, AbsStore, AbsVal, CAbsAnswer, CAbsS
 pub use budget::{AnalysisBudget, AnalysisError};
 pub use cache::{
     AnalysisKind, Ancestor, ArenaDigests, CacheKey, CacheStats, CachedAnswer, CachedFixpoint,
-    FixpointCache, PersistDir, RecoveryReport, SendCfa, SendCpsCfa, SendPushdown,
+    FixpointCache, PersistDir, RecoveryReport,
 };
 pub use certify::{
     certify_answer, certify_cfa_cps, certify_cfa_src, certify_mfp, certify_pushdown,

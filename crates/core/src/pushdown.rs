@@ -59,7 +59,7 @@ use crate::trace::{self, NoopSink, TraceSink};
 use cpsdfa_cps::{CTerm, CTermKind, CVal, CValKind, CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
 use std::collections::{BTreeSet, HashMap};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// One matched return edge: the pop witnessed by its push. `callee`'s
 /// return site `ret_site` was wired to the continuation `cont` because the
@@ -81,12 +81,12 @@ pub struct MatchedReturn {
 /// [`CpsCfaResult`] — per-variable flow sets plus call/return tables — so
 /// the two rungs are directly comparable, plus the matched-return
 /// witnesses and the summary-instantiation counter.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PushdownCfaResult {
     /// Flow set per variable (both namespaces), as hash-consed commit
     /// handles. Continuation variables hold the frames the analysis
     /// *matched* (a subset of the sets 0CFA merges there).
-    pub vars: Vec<Rc<BTreeSet<CpsFlow>>>,
+    pub vars: Vec<Arc<BTreeSet<CpsFlow>>>,
     /// Return site → continuations resumed there. Frame-return entries
     /// are accumulated per matched call; join/halt entries are static.
     pub returns: LabelTable<BTreeSet<AbsKont>>,
@@ -729,10 +729,10 @@ fn pushdown_cfa_impl_seeded(
     nodes.add(top_k.index(), CpsFlow::Kont(AbsKont::Stop));
 
     let mut pool: SetPool<CpsFlow> = SetPool::new();
-    let vars: Vec<Rc<BTreeSet<CpsFlow>>> = (0..n)
+    let vars: Vec<Arc<BTreeSet<CpsFlow>>> = (0..n)
         .map(|i| {
             let id = nodes.commit_into(i, &mut pool);
-            pool.get_rc(id)
+            pool.get_arc(id)
         })
         .collect();
     let stats = solver.stats().with_pool(pool.stats());

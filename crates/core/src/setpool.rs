@@ -29,15 +29,17 @@
 //! sorted-vec set that unions in place, remains for callers that want
 //! in-place growth without the log/delta machinery.)
 //!
-//! Pools are deliberately *not* shared across threads: each analysis task
-//! owns its pool (see the corpus driver in `cpsdfa-workloads`), which keeps
-//! the arena lock-free.
+//! Each analysis task owns its pool (see the corpus driver in
+//! `cpsdfa-workloads`), so the arena itself needs no lock. Its sets are
+//! [`Arc`]-shared, though: the handles a solver commits into its result
+//! stay shared when that result crosses into the service's cross-thread
+//! cache, so a cached answer stores each distinct set once.
 
 use crate::fxhash::FxHashMap;
 use crate::kernels;
 use std::collections::BTreeSet;
 use std::hash::Hash;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// A handle to an interned set. Two handles from the *same pool* are equal
 /// iff the sets they denote are equal. [`SetPool::EMPTY`] is always the
@@ -85,8 +87,8 @@ impl PoolStats {
 /// The arena. `T` is the set element (e.g. `AbsClo`, `AbsKont`, or the CPS
 /// mixed flow value).
 pub struct SetPool<T> {
-    sets: Vec<Rc<BTreeSet<T>>>,
-    intern: FxHashMap<Rc<BTreeSet<T>>, SetId>,
+    sets: Vec<Arc<BTreeSet<T>>>,
+    intern: FxHashMap<Arc<BTreeSet<T>>, SetId>,
     join_memo: FxHashMap<(SetId, SetId), SetId>,
     insert_memo: FxHashMap<(SetId, T), SetId>,
     /// Sorted-distinct element runs → handle: lets [`SetPool::commit`]
@@ -105,9 +107,9 @@ impl<T: Ord + Clone + Hash> SetPool<T> {
 
     /// A fresh pool containing only the empty set.
     pub fn new() -> Self {
-        let empty = Rc::new(BTreeSet::new());
+        let empty = Arc::new(BTreeSet::new());
         let mut intern = FxHashMap::default();
-        intern.insert(Rc::clone(&empty), SetId(0));
+        intern.insert(Arc::clone(&empty), SetId(0));
         SetPool {
             sets: vec![empty],
             intern,
@@ -128,9 +130,9 @@ impl<T: Ord + Clone + Hash> SetPool<T> {
             return id;
         }
         let id = SetId(self.sets.len() as u32);
-        let rc = Rc::new(set);
-        self.sets.push(Rc::clone(&rc));
-        self.intern.insert(rc, id);
+        let set = Arc::new(set);
+        self.sets.push(Arc::clone(&set));
+        self.intern.insert(set, id);
         self.stats.interned += 1;
         id
     }
@@ -147,8 +149,8 @@ impl<T: Ord + Clone + Hash> SetPool<T> {
 
     /// An O(1) shared handle to the set — lets callers iterate a set while
     /// continuing to mutate the pool (the propagation loops need this).
-    pub fn get_rc(&self, id: SetId) -> Rc<BTreeSet<T>> {
-        Rc::clone(&self.sets[id.index()])
+    pub fn get_arc(&self, id: SetId) -> Arc<BTreeSet<T>> {
+        Arc::clone(&self.sets[id.index()])
     }
 
     /// Cardinality of the set behind `id`.

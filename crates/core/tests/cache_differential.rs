@@ -20,8 +20,7 @@
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::budget::AnalysisBudget;
 use cpsdfa_core::cache::{
-    AnalysisKind, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint, FixpointCache, SendCfa,
-    SendCpsCfa, SendPushdown,
+    AnalysisKind, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint, FixpointCache,
 };
 use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps};
 use cpsdfa_core::domain::Flat;
@@ -60,21 +59,17 @@ fn check_cache_round_trip(p: &AnfProgram, src_text: &str) -> Result<(), String> 
     let key = CacheKey::new(AnalysisKind::CfaSrc, digest);
     cache.insert(
         key,
-        CachedFixpoint::new(
-            CachedAnswer::CfaSrc(SendCfa::from_result(&first)),
-            DegradationReport::default(),
-        ),
+        CachedFixpoint::new(CachedAnswer::CfaSrc(first), DegradationReport::default()),
     );
     let hit = cache.lookup(&key).ok_or("src entry vanished")?;
-    let CachedAnswer::CfaSrc(mirror) = &hit.answer else {
+    let CachedAnswer::CfaSrc(cached) = &hit.answer else {
         return Err("src entry changed kind".into());
     };
-    let restored = mirror.to_result();
     let fresh = solve_src()?;
-    if !restored.same_solution(&fresh) {
+    if !cached.same_solution(&fresh) {
         return Err("src hit diverged from fresh solve".into());
     }
-    if hit.answer_digest != SendCfa::from_result(&fresh).solution_digest() {
+    if hit.answer_digest != CachedAnswer::CfaSrc(fresh).digest() {
         return Err("src digest diverged".into());
     }
 
@@ -85,21 +80,17 @@ fn check_cache_round_trip(p: &AnfProgram, src_text: &str) -> Result<(), String> 
     let key = CacheKey::new(AnalysisKind::CfaCps, digest);
     cache.insert(
         key,
-        CachedFixpoint::new(
-            CachedAnswer::CfaCps(SendCpsCfa::from_result(&first)),
-            DegradationReport::default(),
-        ),
+        CachedFixpoint::new(CachedAnswer::CfaCps(first), DegradationReport::default()),
     );
     let hit = cache.lookup(&key).ok_or("cps entry vanished")?;
-    let CachedAnswer::CfaCps(mirror) = &hit.answer else {
+    let CachedAnswer::CfaCps(cached) = &hit.answer else {
         return Err("cps entry changed kind".into());
     };
-    let restored = mirror.to_result();
     let fresh = solve_cps()?;
-    if !restored.same_solution(&fresh) {
+    if !cached.same_solution(&fresh) {
         return Err("cps hit diverged from fresh solve".into());
     }
-    if hit.answer_digest != SendCpsCfa::from_result(&fresh).solution_digest() {
+    if hit.answer_digest != CachedAnswer::CfaCps(fresh).digest() {
         return Err("cps digest diverged".into());
     }
     Ok(())
@@ -203,27 +194,27 @@ fn hit_fresh_and_warm_answers_digest_equal() {
         let triples = [
             (
                 AnalysisKind::CfaSrc,
-                CachedAnswer::CfaSrc(SendCfa::from_result(&src(&new_p))),
-                CachedAnswer::CfaSrc(SendCfa::from_result(&warm(
+                CachedAnswer::CfaSrc(src(&new_p)),
+                CachedAnswer::CfaSrc(warm(
                     name,
                     zero_cfa_warm(&old_p, &src(&old_p), &new_p).unwrap(),
-                ))),
+                )),
             ),
             (
                 AnalysisKind::CfaCps,
-                CachedAnswer::CfaCps(SendCpsCfa::from_result(&cps(&new_c))),
-                CachedAnswer::CfaCps(SendCpsCfa::from_result(&warm(
+                CachedAnswer::CfaCps(cps(&new_c)),
+                CachedAnswer::CfaCps(warm(
                     name,
                     zero_cfa_cps_warm(&old_c, &cps(&old_c), &new_c).unwrap(),
-                ))),
+                )),
             ),
             (
                 AnalysisKind::CfaPushdown,
-                CachedAnswer::CfaPushdown(SendPushdown::from_result(&pd(&new_c))),
-                CachedAnswer::CfaPushdown(SendPushdown::from_result(&warm(
+                CachedAnswer::CfaPushdown(pd(&new_c)),
+                CachedAnswer::CfaPushdown(warm(
                     name,
                     pushdown_cfa_warm(&old_c, &pd(&old_c), &new_c).unwrap(),
-                ))),
+                )),
             ),
         ];
         for (kind, fresh, warm) in triples {
@@ -271,7 +262,7 @@ fn degraded_rung_commit_never_shadows_full_precision() {
     assert_eq!(rung, "cfa.src");
 
     let answer = match governed.value {
-        cpsdfa_core::govern::CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(SendCfa::from_result(&r)),
+        cpsdfa_core::govern::CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(r),
         other => panic!("expected the direct fallback, got {other:?}"),
     };
     let mut cache = FixpointCache::new(u64::MAX);
@@ -309,7 +300,7 @@ fn degraded_pushdown_commit_never_shadows_upper_rungs() {
     assert_eq!(rung, "cfa.src");
 
     let answer = match governed.value {
-        cpsdfa_core::govern::CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(SendCfa::from_result(&r)),
+        cpsdfa_core::govern::CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(r),
         other => panic!("expected the direct fallback, got {other:?}"),
     };
     let mut cache = FixpointCache::new(u64::MAX);

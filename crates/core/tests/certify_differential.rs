@@ -23,8 +23,7 @@
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::cache::{
-    AnalysisKind, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint, FixpointCache, SendCfa,
-    SendCpsCfa, SendPushdown,
+    AnalysisKind, ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint, FixpointCache,
 };
 use cpsdfa_core::certify::{
     certify_answer, certify_cfa_cps, certify_cfa_src, certify_mfp, certify_pushdown,
@@ -46,7 +45,7 @@ use cpsdfa_workloads::par::{par_map_isolated, ParOutcome};
 use cpsdfa_workloads::random::{corpus, open_config};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::rc::Rc;
+use std::sync::Arc;
 
 fn digest_in_fresh_arena(src: &str) -> u128 {
     let mut arena = TermArena::new();
@@ -84,24 +83,12 @@ fn check_certify(p: &AnfProgram, src_text: &str, i: usize) -> Result<(), String>
     // --- cached path: round-trip the slot's pick through the cache and
     // certify the *looked-up* answer, exactly as the daemon does ---
     let (kind, answer) = match i % 4 {
-        0 => (
-            AnalysisKind::CfaSrc,
-            CachedAnswer::CfaSrc(SendCfa::from_result(&src)),
-        ),
-        1 => (
-            AnalysisKind::CfaCps,
-            CachedAnswer::CfaCps(SendCpsCfa::from_result(&cps_r)),
-        ),
-        2 => (
-            AnalysisKind::CfaPushdown,
-            CachedAnswer::CfaPushdown(SendPushdown::from_result(&pd)),
-        ),
+        0 => (AnalysisKind::CfaSrc, CachedAnswer::CfaSrc(src)),
+        1 => (AnalysisKind::CfaCps, CachedAnswer::CfaCps(cps_r)),
+        2 => (AnalysisKind::CfaPushdown, CachedAnswer::CfaPushdown(pd)),
         _ => match &mfp {
             Some(s) => (AnalysisKind::MfpFlat, CachedAnswer::MfpFlat(s.clone())),
-            None => (
-                AnalysisKind::CfaSrc,
-                CachedAnswer::CfaSrc(SendCfa::from_result(&src)),
-            ),
+            None => (AnalysisKind::CfaSrc, CachedAnswer::CfaSrc(src)),
         },
     };
     let mut cache = FixpointCache::new(u64::MAX);
@@ -199,7 +186,7 @@ fn src_add_fact(r: &CfaResult) -> Option<CfaResult> {
                 let mut m = r.clone();
                 let mut s = (**set).clone();
                 s.insert(poison);
-                m.vars[i] = Rc::new(s);
+                m.vars[i] = Arc::new(s);
                 return Some(m);
             }
         }
@@ -210,7 +197,7 @@ fn src_add_fact(r: &CfaResult) -> Option<CfaResult> {
 fn src_drop_fact(r: &CfaResult) -> Option<CfaResult> {
     let i = r.vars.iter().position(|s| !s.is_empty())?;
     let mut m = r.clone();
-    m.vars[i] = Rc::new(BTreeSet::new());
+    m.vars[i] = Arc::new(BTreeSet::new());
     Some(m)
 }
 
@@ -223,7 +210,7 @@ fn src_drop_call_edge(r: &CfaResult) -> Option<CfaResult> {
     let mut m = r.clone();
     let mut calls = (*r.calls).clone();
     calls.insert(site, BTreeSet::new());
-    m.calls = Rc::new(calls);
+    m.calls = Arc::new(calls);
     Some(m)
 }
 
@@ -234,7 +221,7 @@ fn cps_add_fact(r: &CpsCfaResult) -> Option<CpsCfaResult> {
                 let mut m = r.clone();
                 let mut s = (**set).clone();
                 s.insert(poison);
-                m.vars[i] = Rc::new(s);
+                m.vars[i] = Arc::new(s);
                 return Some(m);
             }
         }
@@ -245,7 +232,7 @@ fn cps_add_fact(r: &CpsCfaResult) -> Option<CpsCfaResult> {
 fn cps_drop_fact(r: &CpsCfaResult) -> Option<CpsCfaResult> {
     let i = r.vars.iter().position(|s| !s.is_empty())?;
     let mut m = r.clone();
-    m.vars[i] = Rc::new(BTreeSet::new());
+    m.vars[i] = Arc::new(BTreeSet::new());
     Some(m)
 }
 
@@ -267,7 +254,7 @@ fn pd_add_fact(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
                 let mut m = r.clone();
                 let mut s = (**set).clone();
                 s.insert(poison);
-                m.vars[i] = Rc::new(s);
+                m.vars[i] = Arc::new(s);
                 return Some(m);
             }
         }
@@ -278,7 +265,7 @@ fn pd_add_fact(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
 fn pd_drop_fact(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
     let i = r.vars.iter().position(|s| !s.is_empty())?;
     let mut m = r.clone();
-    m.vars[i] = Rc::new(BTreeSet::new());
+    m.vars[i] = Arc::new(BTreeSet::new());
     Some(m)
 }
 
@@ -320,8 +307,8 @@ proptest! {
                 "mutated src answer (kind {mutation}) must refute"
             );
             prop_assert!(
-                CachedAnswer::CfaSrc(SendCfa::from_result(&m)).digest()
-                    != CachedAnswer::CfaSrc(SendCfa::from_result(&src)).digest(),
+                CachedAnswer::CfaSrc(m).digest()
+                    != CachedAnswer::CfaSrc(src).digest(),
                 "mutated src answer (kind {mutation}) must change the answer digest"
             );
         }
@@ -340,8 +327,8 @@ proptest! {
                 "mutated cps answer (kind {mutation}) must refute"
             );
             prop_assert!(
-                CachedAnswer::CfaCps(SendCpsCfa::from_result(&m)).digest()
-                    != CachedAnswer::CfaCps(SendCpsCfa::from_result(&cps_r)).digest(),
+                CachedAnswer::CfaCps(m).digest()
+                    != CachedAnswer::CfaCps(cps_r).digest(),
                 "mutated cps answer (kind {mutation}) must change the answer digest"
             );
         }
@@ -359,8 +346,8 @@ proptest! {
                 "mutated pushdown answer (kind {mutation}) must refute"
             );
             prop_assert!(
-                CachedAnswer::CfaPushdown(SendPushdown::from_result(&m)).digest()
-                    != CachedAnswer::CfaPushdown(SendPushdown::from_result(&pd)).digest(),
+                CachedAnswer::CfaPushdown(m).digest()
+                    != CachedAnswer::CfaPushdown(pd).digest(),
                 "mutated pushdown answer (kind {mutation}) must change the answer digest"
             );
         }

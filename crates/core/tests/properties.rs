@@ -494,7 +494,7 @@ mod cache_churn {
 
 mod pinned_schedule {
     use super::*;
-    use cpsdfa_core::cache::{SendCfa, SendCpsCfa, SendPushdown};
+    use cpsdfa_core::cache::CachedAnswer;
     use cpsdfa_core::pushdown_cfa;
     use cpsdfa_workloads::random::GenConfig;
 
@@ -510,15 +510,9 @@ mod pinned_schedule {
         let cps = zero_cfa_cps(&c).unwrap();
         let pd = pushdown_cfa(&c).unwrap();
         [
-            (src.iterations, SendCfa::from_result(&src).solution_digest()),
-            (
-                cps.iterations,
-                SendCpsCfa::from_result(&cps).solution_digest(),
-            ),
-            (
-                pd.iterations,
-                SendPushdown::from_result(&pd).solution_digest(),
-            ),
+            (src.iterations, CachedAnswer::CfaSrc(src).digest()),
+            (cps.iterations, CachedAnswer::CfaCps(cps).digest()),
+            (pd.iterations, CachedAnswer::CfaPushdown(pd).digest()),
         ]
     }
 

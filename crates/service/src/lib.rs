@@ -75,7 +75,7 @@ pub mod proto;
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::cache::{
     AnalysisKind, Ancestor, ArenaDigests, CacheKey, CacheStats, CachedAnswer, CachedFixpoint,
-    FixpointCache, PersistDir, RecoveryReport, SendCfa, SendCpsCfa, SendPushdown, MAX_ANCESTORS,
+    FixpointCache, PersistDir, RecoveryReport, MAX_ANCESTORS,
 };
 use cpsdfa_core::certify::certify_answer;
 use cpsdfa_core::faultinject::PersistFaultPlan;
@@ -666,21 +666,17 @@ impl AnalysisService {
         // its own representation so a degraded-rung probe gets back
         // exactly what was computed.
         let pack_cfa = |answer: CfaAnswer| match answer {
-            CfaAnswer::Pushdown(r) => CachedAnswer::CfaPushdown(SendPushdown::from_result(&r)),
-            CfaAnswer::Cps(r) => CachedAnswer::CfaCps(SendCpsCfa::from_result(&r)),
-            CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(SendCfa::from_result(&r)),
+            CfaAnswer::Pushdown(r) => CachedAnswer::CfaPushdown(r),
+            CfaAnswer::Cps(r) => CachedAnswer::CfaCps(r),
+            CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(r),
         };
         let governed = match req.kind {
             AnalysisKind::CfaPushdown => governed_pushdown_cfa(prog, lowered.cps(), &policy, sink)
                 .map(|g| (pack_cfa(g.value), g.report)),
             AnalysisKind::CfaCps => governed_zero_cfa_cps(prog, lowered.cps(), &policy, sink)
                 .map(|g| (pack_cfa(g.value), g.report)),
-            AnalysisKind::CfaSrc => governed_zero_cfa(prog, &policy, sink).map(|g| {
-                (
-                    CachedAnswer::CfaSrc(SendCfa::from_result(&g.value)),
-                    g.report,
-                )
-            }),
+            AnalysisKind::CfaSrc => governed_zero_cfa(prog, &policy, sink)
+                .map(|g| (CachedAnswer::CfaSrc(g.value), g.report)),
             AnalysisKind::MfpFlat => {
                 let cfg = match Cfg::from_first_order(prog) {
                     Ok(cfg) => cfg,
@@ -826,15 +822,9 @@ impl AnalysisService {
         let guard = self.policy_for(req).guard();
         let warm = match &anc.fixpoint.answer {
             CachedAnswer::CfaSrc(prev) => {
-                match incremental::zero_cfa_incremental(
-                    &old.anf,
-                    &prev.to_result(),
-                    &new.anf,
-                    &guard,
-                    sink,
-                ) {
+                match incremental::zero_cfa_incremental(&old.anf, prev, &new.anf, &guard, sink) {
                     Ok(WarmSolve::Warm(result, report)) => {
-                        Some((CachedAnswer::CfaSrc(SendCfa::from_result(&result)), report))
+                        Some((CachedAnswer::CfaSrc(result), report))
                     }
                     _ => None,
                 }
@@ -842,30 +832,28 @@ impl AnalysisService {
             CachedAnswer::CfaCps(prev) => {
                 match incremental::zero_cfa_cps_incremental(
                     old.cps(),
-                    &prev.to_result(),
+                    prev,
                     new.cps(),
                     &guard,
                     sink,
                 ) {
-                    Ok(WarmSolve::Warm(result, report)) => Some((
-                        CachedAnswer::CfaCps(SendCpsCfa::from_result(&result)),
-                        report,
-                    )),
+                    Ok(WarmSolve::Warm(result, report)) => {
+                        Some((CachedAnswer::CfaCps(result), report))
+                    }
                     _ => None,
                 }
             }
             CachedAnswer::CfaPushdown(prev) => {
                 match incremental::pushdown_cfa_incremental(
                     old.cps(),
-                    &prev.to_result(),
+                    prev,
                     new.cps(),
                     &guard,
                     sink,
                 ) {
-                    Ok(WarmSolve::Warm(result, report)) => Some((
-                        CachedAnswer::CfaPushdown(SendPushdown::from_result(&result)),
-                        report,
-                    )),
+                    Ok(WarmSolve::Warm(result, report)) => {
+                        Some((CachedAnswer::CfaPushdown(result), report))
+                    }
                     _ => None,
                 }
             }
@@ -983,10 +971,12 @@ impl AnalysisService {
     /// `output` (as they complete — order is by completion, correlate by
     /// `id`), per-request traces to `trace`. Returns when `input` ends or
     /// a `{"cmd": "shutdown"}` line arrives; pending admitted requests
-    /// are drained first.
+    /// are drained first. A line that is not valid UTF-8 is answered with
+    /// a `bad-request` error like any other malformed line; only a failed
+    /// read of `input` ends the loop with an error.
     pub fn serve(
         &self,
-        input: impl BufRead,
+        mut input: impl BufRead,
         output: impl Write + Send,
         trace: Option<JsonlSink<Box<dyn Write + Send>>>,
     ) -> io::Result<()> {
@@ -1016,11 +1006,19 @@ impl AnalysisService {
             // reached on EVERY exit path, error or not. A `?` that escaped
             // the scope directly would leave the workers parked forever in
             // `Queue::pop` and `thread::scope` would never return — one
-            // invalid-UTF-8 byte on stdin would wedge the daemon instead of
+            // read error on stdin would wedge the daemon instead of
             // surfacing the error.
             let fed = (|| -> io::Result<()> {
-                for line in input.lines() {
-                    let line = line?;
+                let mut buf = Vec::new();
+                loop {
+                    buf.clear();
+                    if input.read_until(b'\n', &mut buf)? == 0 {
+                        break;
+                    }
+                    let Ok(line) = std::str::from_utf8(&buf) else {
+                        write_line(&invalid_utf8_response().to_json())?;
+                        continue;
+                    };
                     let line = line.trim();
                     if line.is_empty() {
                         continue;
@@ -1189,6 +1187,19 @@ fn control_command(line: &str) -> Option<String> {
     json::field(&fields, "cmd")
         .and_then(json::Scalar::as_str)
         .map(str::to_owned)
+}
+
+/// The answer to a request line that is not valid UTF-8: no id can be
+/// read from it, so it is answered under id 0.
+fn invalid_utf8_response() -> Response {
+    Response {
+        id: 0,
+        latency_us: 0,
+        status: Status::Error {
+            reason: "bad-request",
+            detail: "request line is not valid UTF-8".to_owned(),
+        },
+    }
 }
 
 fn bad_request_response(bad: &BadRequest) -> Response {

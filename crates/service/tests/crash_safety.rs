@@ -6,7 +6,7 @@
 //! expire on the TTL, and the `health` control line reports the recovery.
 
 use cpsdfa_anf::AnfProgram;
-use cpsdfa_core::cache::{ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint, SendCfa};
+use cpsdfa_core::cache::{ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint};
 use cpsdfa_core::faultinject::{PersistFault, PersistFaultPlan};
 use cpsdfa_core::govern::DegradationReport;
 use cpsdfa_core::{cfa, PersistDir};
@@ -237,10 +237,8 @@ fn certify_on_hit_evicts_a_poisoned_entry_and_recomputes() {
         let digest = digests.term_digest(&arena, root);
         let key = CacheKey::new(cpsdfa_core::AnalysisKind::CfaSrc, digest);
         let wrong = cfa::zero_cfa(&AnfProgram::parse(&other).unwrap()).unwrap();
-        let fixpoint = CachedFixpoint::new(
-            CachedAnswer::CfaSrc(SendCfa::from_result(&wrong)),
-            DegradationReport::default(),
-        );
+        let fixpoint =
+            CachedFixpoint::new(CachedAnswer::CfaSrc(wrong), DegradationReport::default());
         assert!(persist.store(&key, &good, &fixpoint, None).unwrap());
     }
 

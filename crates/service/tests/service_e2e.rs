@@ -126,6 +126,18 @@ fn the_cache_holds_the_served_fixpoint_not_a_copy() {
         Arc::ptr_eq(fixpoint(3), fixpoint(4)),
         "a re-probe must serve the Arc the warm answer committed"
     );
+    // The committed answer is the solver's own result: variables that
+    // converged to one flow set share one `Arc`, not a copy per slot.
+    let CachedAnswer::CfaCps(committed) = &fixpoint(0).answer else {
+        panic!("expected a cfa.cps answer");
+    };
+    let distinct: std::collections::BTreeSet<_> = committed.vars.iter().map(Arc::as_ptr).collect();
+    assert!(
+        distinct.len() < committed.vars.len(),
+        "{} distinct sets for {} variables",
+        distinct.len(),
+        committed.vars.len()
+    );
 }
 
 #[test]
@@ -392,21 +404,55 @@ fn serve_loop_surfaces_input_errors_instead_of_wedging() {
         ..ServiceConfig::default()
     });
     let program = families::cond_chain(8).to_string();
-    // A valid request line followed by an invalid-UTF-8 byte:
-    // `BufRead::lines` yields `Err(InvalidData)` for the second line. The
-    // feeder must still close the queue so the workers exit and the error
-    // comes back — a regression here shows up as this test hanging.
+    // A valid request, a line of invalid UTF-8, then another valid
+    // request. The bad line costs only itself: it is answered with a
+    // structured error and the request after it is still served.
     let mut input: Vec<u8> = request(1, "cfa.cps", &program).into_bytes();
     input.push(b'\n');
     input.extend_from_slice(&[0xFF, 0xFE, b'\n']);
+    input.extend_from_slice(request(2, "cfa.src", &program).as_bytes());
+    input.push(b'\n');
     let mut output: Vec<u8> = Vec::new();
-    let err = service
+    service
         .serve(&input[..], &mut output, None)
-        .expect_err("invalid UTF-8 on stdin is an error, not a wedge");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    // The request admitted before the failure was still drained.
-    let stats = service.cache_stats();
-    assert_eq!(stats.hits + stats.misses, 1);
+        .expect("invalid UTF-8 on a line is a bad request, not an error");
+    let responses = String::from_utf8(output).expect("responses are UTF-8");
+    let lines: Vec<&str> = responses.lines().collect();
+    assert_eq!(lines.len(), 3, "{responses}");
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.contains("\"reason\": \"bad-request\"") && l.contains("UTF-8")),
+        "{responses}"
+    );
+    for id in [1, 2] {
+        assert!(
+            lines
+                .iter()
+                .any(|l| l.contains(&format!("\"id\": {id},")) && l.contains("\"status\": \"ok\"")),
+            "request {id} must be answered ok: {responses}"
+        );
+    }
+
+    // A failed read still ends the loop with the error, and the request
+    // admitted before it is drained first — a regression here shows up
+    // as this test hanging.
+    struct Broken;
+    impl std::io::Read for Broken {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("stdin went away"))
+        }
+    }
+    let before = service.cache_stats();
+    let mut first = request(3, "cfa.cps", &families::cond_chain(9).to_string()).into_bytes();
+    first.push(b'\n');
+    let input = std::io::BufReader::new(std::io::Read::chain(&first[..], Broken));
+    let err = service
+        .serve(input, Vec::new(), None)
+        .expect_err("a failed read surfaces, not a wedge");
+    assert_eq!(err.to_string(), "stdin went away");
+    let after = service.cache_stats();
+    assert_eq!(after.hits + after.misses, before.hits + before.misses + 1);
 }
 
 #[test]
@@ -464,13 +510,13 @@ fn pushdown_requests_answer_warm_hit_and_report_zero_false_returns() {
     // on the same program does).
     match &outcomes[0].fixpoint.as_ref().expect("answered").answer {
         CachedAnswer::CfaPushdown(sp) => {
-            assert_eq!(sp.to_result().false_return_edges(), 0);
+            assert_eq!(sp.false_return_edges(), 0);
         }
         other => panic!("expected a pushdown answer, got {other:?}"),
     }
     match &outcomes[1].fixpoint.as_ref().expect("answered").answer {
         CachedAnswer::CfaCps(sc) => {
-            assert!(sc.to_result().false_return_edges() > 0);
+            assert!(sc.false_return_edges() > 0);
         }
         other => panic!("expected a cps answer, got {other:?}"),
     }

@@ -12,8 +12,9 @@
 //! Each worker runs whole analyses and owns all of its mutable state; in
 //! particular every sparse 0CFA run builds its own
 //! `cpsdfa_core::SetPool`, so pools stay single-threaded and lock-free by
-//! construction (they are `!Sync` — built on `Rc` — which the compiler
-//! enforces here).
+//! construction: a pool is created, filled and dropped inside one run,
+//! and only the finished result (whose sets are `Arc`-shared) crosses
+//! back to the caller.
 //!
 //! [`par_map_isolated`] adds per-item panic isolation (`catch_unwind`, so
 //! one poisoned program no longer aborts a corpus sweep) and cooperative
