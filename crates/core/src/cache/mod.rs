@@ -61,14 +61,12 @@ use crate::cfa::{CfaResult, CpsCfaResult, CpsFlow};
 use crate::domain::Flat;
 use crate::fxhash::FxHashMap;
 use crate::govern::DegradationReport;
-use crate::labtab::LabelTable;
 use crate::mfp::DfSummary;
 use crate::pushdown::{MatchedReturn, PushdownCfaResult};
 use crate::solver::SolverMode;
 use crate::trace::{AggSink, TraceSink};
 use cpsdfa_syntax::arena::{TermArena, TermId, TermNode, ValueId, ValueNode};
-use cpsdfa_syntax::Label;
-use std::borrow::Borrow;
+use persist::ByteSink;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -88,6 +86,18 @@ fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// A running 64-bit FNV-1a hash as a [`ByteSink`]: the answer digest is
+/// [`persist::put_solution`] written into one of these instead of a
+/// payload buffer.
+struct Fnv64(u64);
+
+impl ByteSink for Fnv64 {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 = fnv_bytes(self.0, bytes);
+    }
 }
 
 // 128-bit FNV-1a: the structural program digests use the wide variant so
@@ -128,128 +138,6 @@ fn fnv128_child(h: u128, d: u128) -> u128 {
 fn fnv128_name(h: u128, name: &str) -> u128 {
     let h = fnv128_u64(h, name.len() as u64);
     fnv128_bytes(h, name.as_bytes())
-}
-
-// ---------------------------------------------------------------------------
-// Answer digests
-// ---------------------------------------------------------------------------
-
-/// A 64-bit FNV-1a fold over an answer's canonical solution, fed the
-/// answer's data directly (no rendering). The byte stream is prefix-free
-/// by construction, in the same discipline as [`ArenaDigests`]:
-///
-/// * the answer opens with its kind's index in [`AnalysisKind::ALL`];
-/// * every `Vec` and every set is prefixed by its length as a `u64` LE;
-/// * every [`Label`] is its index as a `u32` LE;
-/// * every [`AbsClo`], [`AbsKont`] and [`Flat`] is a one-byte tag plus a
-///   fixed-width payload. Closure tags (0–2) and continuation tags (3–4)
-///   are disjoint, so a [`CpsFlow`] is just its inner value's encoding;
-/// * a [`MatchedReturn`] is its four labels.
-///
-/// Every field is fixed-width once its length is known, so no two
-/// distinct solutions fold the same bytes. Widths and byte order are
-/// spelled out (never `usize` or native endianness, as `std::hash::Hash`
-/// would leak), and labels are program-local indices, so the digest is
-/// the same on every platform and in every process.
-struct AnswerDigest(u64);
-
-impl AnswerDigest {
-    fn new(kind: AnalysisKind) -> AnswerDigest {
-        AnswerDigest(fnv_bytes(FNV_OFFSET, &[kind.tag()]))
-    }
-
-    #[inline]
-    fn tag(&mut self, t: u8) {
-        self.0 = fnv_bytes(self.0, &[t]);
-    }
-
-    #[inline]
-    fn count(&mut self, n: usize) {
-        self.0 = fnv_bytes(self.0, &(n as u64).to_le_bytes());
-    }
-
-    #[inline]
-    fn label(&mut self, l: Label) {
-        self.0 = fnv_bytes(self.0, &l.index().to_le_bytes());
-    }
-
-    #[inline]
-    fn clo(&mut self, c: AbsClo) {
-        match c {
-            AbsClo::Inc => self.tag(0),
-            AbsClo::Dec => self.tag(1),
-            AbsClo::Lam(l) => {
-                self.tag(2);
-                self.label(l);
-            }
-        }
-    }
-
-    #[inline]
-    fn kont(&mut self, k: AbsKont) {
-        match k {
-            AbsKont::Stop => self.tag(3),
-            AbsKont::Co(l) => {
-                self.tag(4);
-                self.label(l);
-            }
-        }
-    }
-
-    #[inline]
-    fn flow(&mut self, f: CpsFlow) {
-        match f {
-            CpsFlow::Clo(c) => self.clo(c),
-            CpsFlow::Kont(k) => self.kont(k),
-        }
-    }
-
-    fn flat(&mut self, v: Flat) {
-        match v {
-            Flat::Bot => self.tag(0),
-            Flat::Const(n) => {
-                self.tag(1);
-                self.0 = fnv_bytes(self.0, &n.to_le_bytes());
-            }
-            Flat::Top => self.tag(2),
-        }
-    }
-
-    fn set<T: Copy>(&mut self, set: &BTreeSet<T>, elem: impl Fn(&mut Self, T)) {
-        self.count(set.len());
-        for &v in set {
-            elem(self, v);
-        }
-    }
-
-    fn sets<T: Copy>(&mut self, sets: &[Arc<BTreeSet<T>>], elem: impl Fn(&mut Self, T)) {
-        self.count(sets.len());
-        for set in sets {
-            self.set(set, &elem);
-        }
-    }
-
-    fn table<T: Copy, S: Borrow<BTreeSet<T>>>(
-        &mut self,
-        table: &LabelTable<S>,
-        elem: impl Fn(&mut Self, T),
-    ) {
-        self.count(table.len());
-        for (l, set) in table.iter() {
-            self.label(l);
-            self.set(set.borrow(), &elem);
-        }
-    }
-
-    fn matched(&mut self, matched: &BTreeSet<MatchedReturn>) {
-        self.count(matched.len());
-        for m in matched {
-            self.label(m.ret_site);
-            self.label(m.callee);
-            self.label(m.call_site);
-            self.label(m.cont);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -571,38 +459,17 @@ impl CachedAnswer {
 
     /// Canonical-form digest of the *solution* — what service responses
     /// carry so clients can assert bit-identity without shipping stores.
-    /// Folded straight from the data (`AnswerDigest`), so it costs a
-    /// pass over the sets, not a rendering of them. Work counters
-    /// (`iterations`, `summaries`) are excluded: warm and cold solves of
-    /// one program differ in them while the solution does not, and equal
-    /// answers must digest equal. The pushdown matched-return witnesses
-    /// are part of the solution (they are what distinguishes that rung).
+    /// It is the 64-bit FNV-1a hash of the bytes a persisted entry stores
+    /// for the solution (`persist::put_solution`), folded as they are
+    /// written, so it costs a pass over the sets, not a rendering of them.
+    /// Work counters (`iterations`, `summaries`) are excluded: warm and
+    /// cold solves of one program differ in them while the solution does
+    /// not, and equal answers must digest equal. The pushdown
+    /// matched-return witnesses are part of the solution (they are what
+    /// distinguishes that rung).
     pub fn digest(&self) -> u64 {
-        let mut h = AnswerDigest::new(self.kind());
-        match self {
-            CachedAnswer::CfaSrc(r) => {
-                h.sets(&r.vars, AnswerDigest::clo);
-                h.table(&r.terms, AnswerDigest::clo);
-                h.table(&r.calls, AnswerDigest::clo);
-            }
-            CachedAnswer::CfaCps(r) => {
-                h.sets(&r.vars, AnswerDigest::flow);
-                h.table(&r.returns, AnswerDigest::kont);
-                h.table(&r.calls, AnswerDigest::clo);
-            }
-            CachedAnswer::CfaPushdown(r) => {
-                h.sets(&r.vars, AnswerDigest::flow);
-                h.table(&r.returns, AnswerDigest::kont);
-                h.table(&r.calls, AnswerDigest::clo);
-                h.matched(&r.matched);
-            }
-            CachedAnswer::MfpFlat(s) => {
-                h.count(s.vars.len());
-                for &v in &s.vars {
-                    h.flat(v);
-                }
-            }
-        }
+        let mut h = Fnv64(FNV_OFFSET);
+        persist::put_solution(&mut h, self);
         h.0
     }
 }
@@ -1037,7 +904,9 @@ impl FixpointCache {
 mod tests {
     use super::*;
     use crate::cfa::zero_cfa;
+    use crate::labtab::LabelTable;
     use cpsdfa_anf::AnfProgram;
+    use cpsdfa_syntax::Label;
 
     fn digest_of(src: &str) -> u128 {
         let mut arena = TermArena::new();
@@ -1138,7 +1007,7 @@ mod tests {
     }
 
     /// One tiny answer per analysis kind, in [`AnalysisKind::ALL`] order.
-    fn tiny_answers() -> [CachedAnswer; 4] {
+    pub(super) fn tiny_answers() -> [CachedAnswer; 4] {
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (let (a (f 1)) (f a)))").unwrap();
         let cps = cpsdfa_cps::CpsProgram::from_anf(&p);
         let q = AnfProgram::parse("(let (c (if0 0 1 2)) (add1 c))").unwrap();
@@ -1167,7 +1036,11 @@ mod tests {
             .collect();
         // Eviction accounting and the persisted bytes are pinned beside
         // the digest: a representation change must leave cache residency
-        // and every spill file written by an earlier build untouched.
+        // untouched, and a change to the spill format must bump persist's
+        // magic. (Format 3 moved the `cfa.cps` and `cfa.pushdown` pins:
+        // their continuations took the digest's tags.) `mfp.flat` stores
+        // no work counter, so its persisted bytes are its solution and the
+        // two pins agree.
         let bytes: Vec<u64> = tiny_answers().iter().map(|a| a.approx_bytes()).collect();
         let persisted: Vec<String> = tiny_answers()
             .iter()
@@ -1191,8 +1064,8 @@ mod tests {
             persisted,
             [
                 "c64809a6d4840433", // cfa.src
-                "404de959ddbd5085", // cfa.cps
-                "4dbccc98293fa366", // cfa.pushdown
+                "c374148ae9a78ac4", // cfa.cps
+                "d623b45113c2ed27", // cfa.pushdown
                 "c7fbb6cd1e28ccfc", // mfp.flat
             ]
         );
@@ -1380,20 +1253,35 @@ mod tests {
     fn expired_sessions_are_reaped_and_counted() {
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
         let fresh = zero_cfa(&p).unwrap();
+        let hour = Duration::from_secs(3600);
         let mut cache = FixpointCache::new(u64::MAX);
-        cache.set_session_ttl(Some(std::time::Duration::from_millis(20)));
+        cache.set_session_ttl(Some(hour));
         cache.note_ancestor(1, dummy_ancestor(&fresh));
         assert!(cache.ancestor(1).is_some(), "fresh session is warm");
-        std::thread::sleep(std::time::Duration::from_millis(40));
+        // A zero TTL puts the deadline at the touch itself, so the session
+        // has expired by the next consultation: the clock never runs
+        // backwards.
+        cache.set_session_ttl(Some(Duration::ZERO));
+        assert!(
+            cache.ancestor(1).is_some(),
+            "the touch rewrites the deadline"
+        );
         assert!(cache.ancestor(1).is_none(), "expired session reads cold");
         assert_eq!(cache.ancestor_count(), 0);
         assert_eq!(cache.stats().session_ttl_evictions, 1);
-        // A touch within the TTL refreshes the deadline.
+        // A touch within the TTL refreshes the deadline. Pull the noted
+        // deadline in, as if most of the TTL had passed; the touch then
+        // restarts the full TTL from the touch.
+        cache.set_session_ttl(Some(hour));
         cache.note_ancestor(2, dummy_ancestor(&fresh));
-        std::thread::sleep(std::time::Duration::from_millis(12));
+        let deadline = |cache: &FixpointCache| cache.ancestors[&2].deadline.unwrap();
+        let near = Instant::now() + Duration::from_secs(1);
+        cache.ancestors.get_mut(&2).unwrap().deadline = Some(near);
+        let touched = Instant::now();
         assert!(cache.ancestor(2).is_some());
-        std::thread::sleep(std::time::Duration::from_millis(12));
-        assert!(cache.ancestor(2).is_some(), "refreshed deadline holds");
+        assert!(deadline(&cache) > near, "refreshed deadline moves forward");
+        assert!(deadline(&cache) >= touched + hour);
+        assert_eq!(cache.stats().session_ttl_evictions, 1);
     }
 
     #[test]

@@ -65,9 +65,11 @@ use std::sync::Arc;
 
 /// File magic: module name + format version, newline-terminated so a
 /// `head -c8` of an entry is self-describing. Version 2 dropped the engine
-/// shard count from the key; version-1 entries fail to unframe and are
-/// swept as corrupt.
-const MAGIC: &[u8; 8] = b"CPSDFA2\n";
+/// shard count from the key; version 3 writes continuations with the
+/// answer digest's tags (3/4) and a CPS flow value without a tag of its
+/// own. Entries of an older version fail to unframe and are swept as
+/// corrupt.
+const MAGIC: &[u8; 8] = b"CPSDFA3\n";
 
 /// Rung names a persisted key may carry. Interning back to `&'static str`
 /// keeps [`CacheKey`]'s content-equality semantics; an unknown rung means
@@ -86,115 +88,136 @@ fn intern_rung(name: &str) -> Option<&'static str> {
 // A small, explicit binary codec: every variable-length field is
 // count-prefixed with a little-endian u64, every scalar has a fixed width,
 // and every enum is a tag byte — so the payload is prefix-free and the
-// decoder can bounds-check each read against the framed length.
+// decoder can bounds-check each read against the framed length. The
+// encoder writes into any [`ByteSink`]: a payload buffer here, the answer
+// digest's FNV-1a fold in [`CachedAnswer::digest`].
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Where the encoder's bytes go.
+pub(super) trait ByteSink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl ByteSink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
 }
 
-fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_u32(out: &mut impl ByteSink, v: u32) {
+    out.put(&v.to_le_bytes());
 }
 
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_u64(out: &mut impl ByteSink, v: u64) {
+    out.put(&v.to_le_bytes());
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+fn put_u128(out: &mut impl ByteSink, v: u128) {
+    out.put(&v.to_le_bytes());
+}
+
+fn put_str(out: &mut impl ByteSink, s: &str) {
     put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+    out.put(s.as_bytes());
 }
 
-fn put_label(out: &mut Vec<u8>, l: Label) {
+fn put_label(out: &mut impl ByteSink, l: Label) {
     put_u32(out, l.index());
 }
 
-fn put_clo(out: &mut Vec<u8>, c: AbsClo) {
+// Closure tags (0–2) and continuation tags (3–4) are disjoint, so a
+// `CpsFlow` needs no tag of its own: it is its inner value's encoding.
+
+fn put_clo<S: ByteSink>(out: &mut S, c: AbsClo) {
     match c {
-        AbsClo::Inc => out.push(0),
-        AbsClo::Dec => out.push(1),
+        AbsClo::Inc => out.put(&[0]),
+        AbsClo::Dec => out.put(&[1]),
         AbsClo::Lam(l) => {
-            out.push(2);
+            out.put(&[2]);
             put_label(out, l);
         }
     }
 }
 
-fn put_kont(out: &mut Vec<u8>, k: AbsKont) {
+fn put_kont<S: ByteSink>(out: &mut S, k: AbsKont) {
     match k {
-        AbsKont::Stop => out.push(0),
+        AbsKont::Stop => out.put(&[3]),
         AbsKont::Co(l) => {
-            out.push(1);
+            out.put(&[4]);
             put_label(out, l);
         }
     }
 }
 
-fn put_flow(out: &mut Vec<u8>, f: CpsFlow) {
+fn put_flow<S: ByteSink>(out: &mut S, f: CpsFlow) {
     match f {
-        CpsFlow::Clo(c) => {
-            out.push(0);
-            put_clo(out, c);
-        }
-        CpsFlow::Kont(k) => {
-            out.push(1);
-            put_kont(out, k);
-        }
+        CpsFlow::Clo(c) => put_clo(out, c),
+        CpsFlow::Kont(k) => put_kont(out, k),
     }
 }
 
-fn put_set<T: Copy>(out: &mut Vec<u8>, set: &BTreeSet<T>, mut put: impl FnMut(&mut Vec<u8>, T)) {
+fn put_flat(out: &mut impl ByteSink, v: Flat) {
+    match v {
+        Flat::Bot => out.put(&[0]),
+        Flat::Const(n) => {
+            out.put(&[1]);
+            out.put(&n.to_le_bytes());
+        }
+        Flat::Top => out.put(&[2]),
+    }
+}
+
+fn put_set<S: ByteSink, T: Copy>(out: &mut S, set: &BTreeSet<T>, put: &impl Fn(&mut S, T)) {
     put_u64(out, set.len() as u64);
     for &v in set {
         put(out, v);
     }
 }
 
-fn put_sets<T: Copy>(
-    out: &mut Vec<u8>,
-    sets: &[Arc<BTreeSet<T>>],
-    mut put: impl FnMut(&mut Vec<u8>, T),
-) {
+fn put_sets<S: ByteSink, T: Copy>(out: &mut S, sets: &[Arc<BTreeSet<T>>], put: impl Fn(&mut S, T)) {
     put_u64(out, sets.len() as u64);
     for set in sets {
-        put_set(out, set, &mut put);
+        put_set(out, set, &put);
     }
 }
 
-fn put_table<T: Copy, S: Borrow<BTreeSet<T>>>(
-    out: &mut Vec<u8>,
-    table: &LabelTable<S>,
-    mut put: impl FnMut(&mut Vec<u8>, T),
+fn put_table<S: ByteSink, T: Copy, B: Borrow<BTreeSet<T>>>(
+    out: &mut S,
+    table: &LabelTable<B>,
+    put: impl Fn(&mut S, T),
 ) {
     put_u64(out, table.len() as u64);
     for (l, set) in table.iter() {
         put_label(out, l);
-        put_set(out, set.borrow(), &mut put);
+        put_set(out, set.borrow(), &put);
     }
 }
 
-pub(super) fn put_answer(out: &mut Vec<u8>, answer: &CachedAnswer) {
+/// An answer's solution: its kind's index in [`AnalysisKind::ALL`], then
+/// every relation in a fixed order — per-variable sets, label tables
+/// (label, set) in ascending label order, and for pushdown the matched
+/// returns as four labels each. Every `Vec`, set and table is prefixed by
+/// its length, every [`Label`] is its index as a `u32`, and every value is
+/// a tag byte plus a fixed-width payload, so no two distinct solutions
+/// write the same bytes. Widths and byte order are spelled out (never
+/// `usize` or native endianness) and labels are program-local, so the
+/// bytes — and the digest folded from them — are the same on every
+/// platform and in every process.
+pub(super) fn put_solution<S: ByteSink>(out: &mut S, answer: &CachedAnswer) {
+    out.put(&[answer.kind().tag()]);
     match answer {
         CachedAnswer::CfaSrc(r) => {
-            out.push(0);
             put_sets(out, &r.vars, put_clo);
             put_table(out, &r.terms, put_clo);
             put_table(out, &r.calls, put_clo);
-            put_u64(out, r.iterations);
         }
         CachedAnswer::CfaCps(r) => {
-            out.push(1);
             put_sets(out, &r.vars, put_flow);
             put_table(out, &r.returns, put_kont);
             put_table(out, &r.calls, put_clo);
-            put_u64(out, r.iterations);
         }
         CachedAnswer::CfaPushdown(r) => {
-            out.push(2);
             put_sets(out, &r.vars, put_flow);
             put_table(out, &r.returns, put_kont);
             put_table(out, &r.calls, put_clo);
@@ -205,23 +228,28 @@ pub(super) fn put_answer(out: &mut Vec<u8>, answer: &CachedAnswer) {
                 put_label(out, m.call_site);
                 put_label(out, m.cont);
             }
+        }
+        CachedAnswer::MfpFlat(s) => {
+            put_u64(out, s.vars.len() as u64);
+            for &v in &s.vars {
+                put_flat(out, v);
+            }
+        }
+    }
+}
+
+/// A persisted answer: its solution, then the producing run's work
+/// counters, which the digest leaves out.
+pub(super) fn put_answer(out: &mut Vec<u8>, answer: &CachedAnswer) {
+    put_solution(out, answer);
+    match answer {
+        CachedAnswer::CfaSrc(r) => put_u64(out, r.iterations),
+        CachedAnswer::CfaCps(r) => put_u64(out, r.iterations),
+        CachedAnswer::CfaPushdown(r) => {
             put_u64(out, r.summaries);
             put_u64(out, r.iterations);
         }
-        CachedAnswer::MfpFlat(s) => {
-            out.push(3);
-            put_u64(out, s.vars.len() as u64);
-            for v in &s.vars {
-                match v {
-                    Flat::Bot => out.push(0),
-                    Flat::Const(n) => {
-                        out.push(1);
-                        put_i64(out, *n);
-                    }
-                    Flat::Top => out.push(2),
-                }
-            }
-        }
+        CachedAnswer::MfpFlat(_) => {}
     }
 }
 
@@ -306,19 +334,22 @@ impl<'a> Cur<'a> {
         }
     }
 
+    /// A continuation; a closure tag here is corruption.
     fn kont(&mut self) -> Option<AbsKont> {
         match self.u8()? {
-            0 => Some(AbsKont::Stop),
-            1 => Some(AbsKont::Co(self.label()?)),
+            3 => Some(AbsKont::Stop),
+            4 => Some(AbsKont::Co(self.label()?)),
             _ => None,
         }
     }
 
+    /// A closure or a continuation, told apart by the tag byte it opens
+    /// with.
     fn flow(&mut self) -> Option<CpsFlow> {
-        match self.u8()? {
-            0 => Some(CpsFlow::Clo(self.clo()?)),
-            1 => Some(CpsFlow::Kont(self.kont()?)),
-            _ => None,
+        if *self.b.get(self.p)? < 3 {
+            Some(CpsFlow::Clo(self.clo()?))
+        } else {
+            Some(CpsFlow::Kont(self.kont()?))
         }
     }
 
@@ -806,10 +837,12 @@ impl PersistDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{fnv_bytes, FNV_OFFSET};
     use crate::cfa::{zero_cfa, zero_cfa_cps};
     use crate::mfp::Cfg;
     use cpsdfa_anf::AnfProgram;
     use cpsdfa_cps::CpsProgram;
+    use cpsdfa_workloads::random::{corpus, open_config};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cpsdfa-persist-{tag}-{}", std::process::id()));
@@ -831,28 +864,6 @@ mod tests {
     }
 
     const SRC: &str = "(let (f (lambda (x) x)) (f f))";
-
-    #[test]
-    fn all_answer_kinds_round_trip_through_the_codec() {
-        let p = AnfProgram::parse("(let (c (if0 0 1 2)) (add1 c))").unwrap();
-        let cps = CpsProgram::from_anf(&p);
-        let cfg = Cfg::from_first_order(&p).unwrap();
-        let answers = [
-            CachedAnswer::CfaSrc(zero_cfa(&p).unwrap()),
-            CachedAnswer::CfaCps(zero_cfa_cps(&cps).unwrap()),
-            CachedAnswer::CfaPushdown(crate::pushdown::pushdown_cfa(&cps).unwrap()),
-            CachedAnswer::MfpFlat(cfg.solve_mfp::<Flat>(cfg.initial_env(&p)).unwrap()),
-        ];
-        for answer in answers {
-            let key = CacheKey::new(answer.kind(), 0xfeed);
-            let fixpoint = CachedFixpoint::new(answer.clone(), DegradationReport::default());
-            let payload = encode_entry_payload(&key, "(src)", &fixpoint);
-            let (k2, s2, a2) = decode_entry_payload(&payload).expect("decodes");
-            assert_eq!(k2, key);
-            assert_eq!(s2, "(src)");
-            assert_eq!(a2, answer, "lossless round-trip");
-        }
-    }
 
     #[test]
     fn decode_rejects_table_labels_out_of_order() {
@@ -881,6 +892,44 @@ mod tests {
         assert!(decode_entry_payload(&payload([2, 1])).is_none());
     }
 
+    #[test]
+    fn decode_rejects_a_closure_in_a_continuation_table() {
+        // A `cfa.cps` answer whose only relation row is `returns[1] =
+        // {stop}`: the continuation's tag byte follows the kind tag, two
+        // counts, the label and the set's count.
+        let answer = CachedAnswer::CfaCps(CpsCfaResult {
+            vars: Vec::new(),
+            returns: [(Label::new(1), BTreeSet::from([AbsKont::Stop]))]
+                .into_iter()
+                .collect(),
+            calls: LabelTable::new(0),
+            iterations: 0,
+        });
+        let mut bytes = Vec::new();
+        put_answer(&mut bytes, &answer);
+        let at = 1 + 8 + 8 + 4 + 8;
+        assert_eq!(bytes[at], 3, "premise: the continuation tag");
+        let decode = |bytes: &[u8]| Cur { b: bytes, p: 0 }.answer();
+        assert_eq!(decode(&bytes), Some(answer));
+        for clo_tag in [0, 1] {
+            bytes[at] = clo_tag;
+            assert_eq!(
+                decode(&bytes),
+                None,
+                "closure tag {clo_tag} in a continuation table"
+            );
+        }
+    }
+
+    /// `payload` framed as a build with file magic `magic` frames it.
+    fn frame_as(magic: &[u8; 8], payload: &[u8]) -> Vec<u8> {
+        let mut bytes = magic.to_vec();
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&fnv128_bytes(FNV128_OFFSET, payload).to_le_bytes());
+        bytes
+    }
+
     /// The version-1 layout of `key`'s entry: the old magic, an engine
     /// shard count after the kind tag, and the count in the file name.
     fn plant_v1_entry(dir: &Path, key: &CacheKey, fixpoint: &CachedFixpoint) -> PathBuf {
@@ -888,17 +937,13 @@ mod tests {
         let mut payload = vec![v2[0]];
         put_u64(&mut payload, 0);
         payload.extend_from_slice(&v2[1..]);
-        let mut bytes = b"CPSDFA1\n".to_vec();
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&fnv128_bytes(FNV128_OFFSET, &payload).to_le_bytes());
         let path = dir.join(format!(
             "{}-0-{:032x}-{}.entry",
             key.kind.as_str(),
             key.digest,
             key.rung
         ));
-        fs::write(&path, bytes).unwrap();
+        fs::write(&path, frame_as(b"CPSDFA1\n", &payload)).unwrap();
         path
     }
 
@@ -941,6 +986,84 @@ mod tests {
         assert!(shared < slots, "premise: the fresh answer shares sets");
         assert_eq!(handles(back), (slots, shared));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_2_entries_are_swept_as_corrupt() {
+        // A `cfa.src` answer holds no continuation, so its version-2
+        // payload is byte-for-byte today's: only the magic tells them
+        // apart, and the magic alone must sweep it.
+        let dir = tmpdir("v2");
+        let persist = PersistDir::open(&dir).unwrap();
+        let (key, fixpoint) = fixture(SRC);
+        let path = persist.entry_path(&key);
+        let payload = encode_entry_payload(&key, SRC, &fixpoint);
+        fs::write(&path, frame_as(b"CPSDFA2\n", &payload)).unwrap();
+        let mut cache = FixpointCache::new(u64::MAX);
+        let report = persist.recover(&mut cache, 8);
+        assert_eq!((report.recovered, report.corrupt), (0, 1));
+        assert!(!path.exists(), "the version-2 entry is deleted");
+        assert!(cache.lookup(&key).is_none());
+        // The same payload under the current magic recovers.
+        fs::write(&path, frame_as(MAGIC, &payload)).unwrap();
+        let report = persist.recover(&mut FixpointCache::new(u64::MAX), 8);
+        assert_eq!((report.recovered, report.corrupt), (1, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The one-encoder contract for `answer`: its digest is the FNV-64 of
+    /// its solution bytes, its persisted bytes open with them, and an
+    /// entry payload ending in those bytes decodes back to it.
+    fn check_encoding(answer: &CachedAnswer) {
+        let mut solution = Vec::new();
+        put_solution(&mut solution, answer);
+        assert_eq!(answer.digest(), fnv_bytes(FNV_OFFSET, &solution));
+        let mut persisted = Vec::new();
+        put_answer(&mut persisted, answer);
+        assert!(persisted.starts_with(&solution));
+        let key = CacheKey::new(answer.kind(), 0xfeed);
+        let fixpoint = CachedFixpoint::new(answer.clone(), DegradationReport::default());
+        let payload = encode_entry_payload(&key, "(src)", &fixpoint);
+        assert!(payload.ends_with(&persisted));
+        assert_eq!(
+            decode_entry_payload(&payload),
+            Some((key, "(src)".to_string(), answer.clone())),
+            "lossless round-trip"
+        );
+    }
+
+    #[test]
+    fn the_digest_folds_the_persisted_solution_bytes() {
+        for answer in crate::cache::tests::tiny_answers() {
+            check_encoding(&answer);
+        }
+        let mut checked = [0usize; 4];
+        let mut check = |answer: CachedAnswer| {
+            checked[answer.kind().tag() as usize] += 1;
+            check_encoding(&answer);
+        };
+        for t in corpus(0xD16E57, 300, &open_config()) {
+            let p = AnfProgram::from_term(&t);
+            let cps = CpsProgram::from_anf(&p);
+            if let Ok(r) = zero_cfa(&p) {
+                check(CachedAnswer::CfaSrc(r));
+            }
+            if let Ok(r) = zero_cfa_cps(&cps) {
+                check(CachedAnswer::CfaCps(r));
+            }
+            if let Ok(r) = crate::pushdown::pushdown_cfa(&cps) {
+                check(CachedAnswer::CfaPushdown(r));
+            }
+            if let Ok(cfg) = Cfg::from_first_order(&p) {
+                if let Ok(s) = cfg.solve_mfp::<Flat>(cfg.initial_env(&p)) {
+                    check(CachedAnswer::MfpFlat(s));
+                }
+            }
+        }
+        assert!(
+            checked.iter().all(|&n| n > 0),
+            "every kind covered: {checked:?}"
+        );
     }
 
     #[test]

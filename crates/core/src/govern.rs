@@ -32,20 +32,17 @@
 //! rung's abstract result contains it. The direct-style analysis is sound
 //! for the direct semantics (Theorem 4.2's construction); falling from a
 //! CPS-based rung to it only *widens* answers (§5: the CPS analyses refine
-//! direct-style answers, so the direct answer over-approximates both), and
-//! narrowing the domain (`PowerSet<8>` → `Flat`) is a Galois-connected
-//! coarsening — again an over-approximation. A degraded answer is therefore
-//! still a safe answer, just a less precise one.
+//! direct-style answers, so the direct answer over-approximates both). A
+//! degraded answer is therefore still a safe answer, just a less precise
+//! one.
 
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::cache::AnalysisKind;
 use crate::cfa::{self, CfaResult, CpsCfaResult};
-use crate::direct::{DirectAnalyzer, DirectResult};
-use crate::domain::{Flat, PowerSet};
+use crate::domain::Flat;
 use crate::faultinject::FaultPlan;
 use crate::mfp::{Cfg, DfSummary};
 use crate::pushdown::{self, PushdownCfaResult};
-use crate::semcps::{SemCpsAnalyzer, SemCpsResult};
 use crate::solver::SolverMode;
 use crate::trace::TraceSink;
 use cpsdfa_anf::AnfProgram;
@@ -905,74 +902,6 @@ pub fn governed_pushdown_cfa(
         .run(&guard, sink)
 }
 
-/// The answer of the governed value-analysis ladder, finest rung first.
-#[derive(Debug, Clone)]
-pub enum ValueAnswer {
-    /// The semantic-CPS analysis over `PowerSet<8>` — the paper's most
-    /// precise (and most explosive, §6.2) configuration.
-    SemCps(SemCpsResult<PowerSet<8>>),
-    /// Direct-style over `PowerSet<8>`: merges at conditionals/calls
-    /// instead of duplicating continuations (§5 sound over-approximation
-    /// of the semantic-CPS answer).
-    Direct(DirectResult<PowerSet<8>>),
-    /// Direct-style over `Flat`: the domain itself coarsened to
-    /// constant-or-⊤ — the cheapest sound rung.
-    DirectFlat(DirectResult<Flat>),
-}
-
-/// The paper's value analysis under full governance: semantic-CPS
-/// `PowerSet<8>` → direct `PowerSet<8>` → direct `Flat`.
-///
-/// Rung soundness: each configuration independently satisfies §4.3 (the
-/// workspace property tests check all of them against concrete runs);
-/// direct-style over-approximates semantic-CPS by Theorem 5.4's
-/// refinement direction, and `Flat` over-approximates `PowerSet<8>`
-/// pointwise (`abstract PowerSet` ⊑ γ∘α into `Flat`), so every fall down
-/// the ladder only widens answers.
-///
-/// # Errors
-///
-/// Only when every rung trips (or the request is cancelled).
-pub fn governed_semcps(
-    prog: &AnfProgram,
-    policy: &GovernPolicy,
-    sink: &mut impl TraceSink,
-) -> Result<Governed<ValueAnswer>, AnalysisError> {
-    let guard = policy.guard();
-    DegradationLadder::new()
-        .rung(
-            "semcps.pow8",
-            |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                Ok(ValueAnswer::SemCps(
-                    SemCpsAnalyzer::<PowerSet<8>>::new(prog)
-                        .with_guard(g)
-                        .analyze_traced(&mut sink)?,
-                ))
-            },
-        )
-        .rung(
-            "direct.pow8",
-            |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                Ok(ValueAnswer::Direct(
-                    DirectAnalyzer::<PowerSet<8>>::new(prog)
-                        .with_guard(g)
-                        .analyze_traced(&mut sink)?,
-                ))
-            },
-        )
-        .rung(
-            "direct.flat",
-            |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                Ok(ValueAnswer::DirectFlat(
-                    DirectAnalyzer::<Flat>::new(prog)
-                        .with_guard(g)
-                        .analyze_traced(&mut sink)?,
-                ))
-            },
-        )
-        .run(&guard, sink)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1202,35 +1131,5 @@ mod tests {
         assert!(!governed.report.degraded());
         assert!(matches!(governed.value, CfaAnswer::Cps(_)));
         assert_eq!(governed.report.answered_by(), Some("cfa.cps"));
-    }
-
-    #[test]
-    fn governed_semcps_degrades_domain_and_style() {
-        // A budget too small for the semantic-CPS rung but ample for the
-        // direct rungs: the ladder answers at `direct.pow8`.
-        let p = AnfProgram::parse(
-            "(let (f (lambda (x) (if0 x 10 20))) (let (a (f 0)) (let (b (f 3)) b)))",
-        )
-        .unwrap();
-        let semcps_goals = SemCpsAnalyzer::<PowerSet<8>>::new(&p)
-            .analyze()
-            .expect("un-governed semantic-CPS run converges")
-            .stats
-            .goals;
-        let direct_goals = DirectAnalyzer::<PowerSet<8>>::new(&p)
-            .analyze()
-            .expect("un-governed direct run converges")
-            .stats
-            .goals;
-        assert!(
-            direct_goals < semcps_goals,
-            "continuation duplication must cost extra goals on this program"
-        );
-        // Exactly enough for the direct rung, strictly short for semcps.
-        let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(direct_goals));
-        let governed = governed_semcps(&p, &policy, &mut crate::trace::NoopSink)
-            .expect("a direct rung answers");
-        assert!(governed.report.degraded());
-        assert!(!matches!(governed.value, ValueAnswer::SemCps(_)));
     }
 }

@@ -91,13 +91,13 @@ pub use flow::FlowLog;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use govern::{
     CancelToken, CfaAnswer, Deadline, DegradationLadder, DegradationReport, GovernPolicy, Governed,
-    RunGuard, RungAttempt, ValueAnswer,
+    RunGuard, RungAttempt,
 };
 pub use labtab::{LabelLookup, LabelTable};
 pub use precision::PrecisionOrder;
 pub use pushdown::{pushdown_cfa, MatchedReturn, PushdownCfaResult};
 pub use semcps::{SemCpsAnalyzer, SemCpsResult};
-pub use setpool::{DeltaNodes, PoolStats, SetBuilder, SetId, SetPool};
+pub use setpool::{DeltaNodes, PoolStats, SetId, SetPool};
 pub use solver::{worker_count, DeltaRange, SolverMode, WorklistSolver};
 pub use stats::{AnalysisStats, SolverStats};
 pub use syncps::{SynCpsAnalyzer, SynCpsResult};

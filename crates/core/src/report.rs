@@ -32,9 +32,9 @@ pub fn render_cstore<D: NumDomain>(prog: &CpsProgram, store: &CAbsStore<D>) -> S
 /// Renders the sparse-engine counters of one analysis run as an indented
 /// block: scheduling work on the first line, savings relative to a dense
 /// sweep on the second, semi-naïve delta sizes on the third. `coalesced`
-/// posts and memoized pool joins are quantities a dense formulation pays
-/// for and the sparse one does not; `mean delta` is how little of each
-/// watched set a firing actually re-reads.
+/// posts are evaluations a dense formulation pays for and the sparse one
+/// does not; `mean delta` is how little of each watched set a firing
+/// actually re-reads.
 pub fn render_solver_stats(label: &str, stats: &SolverStats) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -44,12 +44,8 @@ pub fn render_solver_stats(label: &str, stats: &SolverStats) -> String {
     );
     let _ = writeln!(
         out,
-        "  {:<10} {} node updates, queue peak {}, {} pooled sets, join hit-rate {:.0}%",
-        "",
-        stats.node_updates,
-        stats.queue_peak,
-        stats.pool_interned,
-        stats.pool_hit_rate() * 100.0
+        "  {:<10} {} node updates, queue peak {}, {} pooled sets",
+        "", stats.node_updates, stats.queue_peak, stats.pool_interned
     );
     let hist = stats
         .delta_hist
@@ -178,7 +174,7 @@ mod tests {
         assert!(text.contains("0CFA"));
         assert!(text.contains("coalesced"));
         assert!(text.contains("queue peak"));
-        assert!(text.contains("hit-rate"));
+        assert!(text.contains("pooled sets"));
         assert!(text.contains("mean delta"));
         assert!(text.contains("size hist ["));
     }

@@ -1,33 +1,23 @@
 //! Hash-consed set arena: interns `BTreeSet<T>` values into small [`SetId`]
-//! handles with O(1) equality, memoized pairwise joins, and copy-free
-//! propagation — plus the mutable **builder growth path** the semi-naïve
-//! solvers use while a fixpoint is still moving.
+//! handles, so equal sets are stored once and compare by handle — plus
+//! [`DeltaNodes`], the growth store the semi-naïve solvers use while a
+//! fixpoint is still moving.
 //!
-//! The dense fixpoint loops (pre-solver `zero_cfa`/`zero_cfa_cps`) cloned
-//! `BTreeSet<AbsClo>` values on every propagation step. A pool turns those
-//! clones into handle copies: a set is built at most once, `join(a, b)` is
-//! computed at most once per (unordered) pair of handles, and repeated
-//! no-op joins (`a ⊔ b = a`) cost one hash lookup. Equality of handles is
-//! equality of sets, so convergence checks are integer compares.
-//!
-//! Interning every intermediate set has a failure mode, though: a node that
-//! grows one element at a time pays an O(|set|) clone + hash per growth
-//! step, so workloads dominated by incremental growth (CPS 0CFA on wide
-//! dispatch) regress below the dense in-place `extend`. The cure is to keep
-//! *growing* sets out of the arena entirely: [`DeltaNodes`] stores every
-//! flow node as an append-only growth log (the delta source the
+//! Interning every intermediate set has a failure mode: a node that grows
+//! one element at a time pays an O(|set|) clone + hash per growth step, so
+//! workloads dominated by incremental growth (CPS 0CFA on wide dispatch)
+//! would regress below a dense in-place `extend`. So *growing* sets stay
+//! out of the arena entirely: [`DeltaNodes`] stores every flow node as an
+//! append-only growth log (the delta source the
 //! [`WorklistSolver`](crate::solver::WorklistSolver) cursors index) plus a
 //! bitset over a store-wide dense value universe, so a value is hashed once
 //! at first sight and forwarded between nodes with pure bit ops. Nodes
-//! intern into the pool only at commit points
-//! ([`DeltaNodes::commit_into`]) — after convergence, when handle equality
-//! and the memoized joins become useful again — and the commit walks the
-//! bitset in universe-index order, memoizing on the canonical index run, so
-//! no comparison sort or re-hash happens at extraction either. The
-//! clone-per-element regime is gone while the `SetId`-equality property is
-//! preserved for the report/comparison layers. ([`SetBuilder`], a plain
-//! sorted-vec set that unions in place, remains for callers that want
-//! in-place growth without the log/delta machinery.)
+//! intern into the pool only at the commit point
+//! ([`DeltaNodes::commit_into`]), after convergence, and the commit walks
+//! the bitset in universe-index order, memoizing on the canonical index
+//! run, so no comparison sort or re-hash happens at extraction either.
+//! Persist decode interns through the same [`SetPool::intern`], so a
+//! recovered answer shares its sets the way a fresh one does.
 //!
 //! Each analysis task owns its pool (see the corpus driver in
 //! `cpsdfa-workloads`), so the arena itself needs no lock. Its sets are
@@ -60,28 +50,11 @@ impl SetId {
 pub struct PoolStats {
     /// Distinct sets interned (arena size).
     pub interned: u64,
-    /// Joins answered from the memo table or by a trivial identity.
-    pub join_hits: u64,
-    /// Joins that had to materialize a union.
-    pub join_misses: u64,
-    /// Canonical-run commits answered from a commit memo (or trivially
-    /// empty) — [`SetPool::commit`] and [`DeltaNodes::commit_into`] both
-    /// count here.
+    /// [`DeltaNodes::commit_into`] calls answered from the commit memo (or
+    /// trivially empty).
     pub commit_hits: u64,
     /// Commits that had to intern a set.
     pub commit_misses: u64,
-}
-
-impl PoolStats {
-    /// Fraction of joins that avoided building a set, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.join_hits + self.join_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.join_hits as f64 / total as f64
-        }
-    }
 }
 
 /// The arena. `T` is the set element (e.g. `AbsClo`, `AbsKont`, or the CPS
@@ -89,15 +62,6 @@ impl PoolStats {
 pub struct SetPool<T> {
     sets: Vec<Arc<BTreeSet<T>>>,
     intern: FxHashMap<Arc<BTreeSet<T>>, SetId>,
-    join_memo: FxHashMap<(SetId, SetId), SetId>,
-    insert_memo: FxHashMap<(SetId, T), SetId>,
-    /// Sorted-distinct element runs → handle: lets [`SetPool::commit`]
-    /// answer duplicate commits from a contiguous-slice hash without
-    /// building (or hashing) a `BTreeSet` at all.
-    commit_memo: FxHashMap<Box<[T]>, SetId>,
-    /// Reused by [`SetPool::commit`] so per-node extraction commits don't
-    /// each pay a heap allocation (a solver run commits every node once).
-    commit_scratch: Vec<T>,
     stats: PoolStats,
 }
 
@@ -113,10 +77,6 @@ impl<T: Ord + Clone + Hash> SetPool<T> {
         SetPool {
             sets: vec![empty],
             intern,
-            join_memo: FxHashMap::default(),
-            insert_memo: FxHashMap::default(),
-            commit_memo: FxHashMap::default(),
-            commit_scratch: Vec::new(),
             stats: PoolStats {
                 interned: 1,
                 ..PoolStats::default()
@@ -137,178 +97,15 @@ impl<T: Ord + Clone + Hash> SetPool<T> {
         id
     }
 
-    /// The handle of `{v}`.
-    pub fn singleton(&mut self, v: T) -> SetId {
-        self.intern(BTreeSet::from([v]))
-    }
-
-    /// The set behind a handle.
-    pub fn get(&self, id: SetId) -> &BTreeSet<T> {
-        &self.sets[id.index()]
-    }
-
-    /// An O(1) shared handle to the set — lets callers iterate a set while
-    /// continuing to mutate the pool (the propagation loops need this).
+    /// An O(1) shared handle to the set: what a committed result (and a
+    /// decoded one) stores, so every slot holding the set shares it.
     pub fn get_arc(&self, id: SetId) -> Arc<BTreeSet<T>> {
         Arc::clone(&self.sets[id.index()])
-    }
-
-    /// Cardinality of the set behind `id`.
-    pub fn len(&self, id: SetId) -> usize {
-        self.sets[id.index()].len()
-    }
-
-    /// True iff `id` denotes the empty set.
-    pub fn is_empty(&self, id: SetId) -> bool {
-        id == Self::EMPTY
-    }
-
-    /// `a ∪ b`, memoized. Identity and absorption cases (`a = b`, either
-    /// side empty, one side a superset) never materialize a new set.
-    pub fn join(&mut self, a: SetId, b: SetId) -> SetId {
-        if a == b || b == Self::EMPTY {
-            self.stats.join_hits += 1;
-            return a;
-        }
-        if a == Self::EMPTY {
-            self.stats.join_hits += 1;
-            return b;
-        }
-        // Union is commutative: normalize the memo key.
-        let key = if a <= b { (a, b) } else { (b, a) };
-        if let Some(&id) = self.join_memo.get(&key) {
-            self.stats.join_hits += 1;
-            return id;
-        }
-        self.stats.join_misses += 1;
-        let (sa, sb) = (&self.sets[a.index()], &self.sets[b.index()]);
-        let id = if sb.is_subset(sa) {
-            a
-        } else if sa.is_subset(sb) {
-            b
-        } else {
-            let union: BTreeSet<T> = sa.union(sb).cloned().collect();
-            self.intern(union)
-        };
-        self.join_memo.insert(key, id);
-        id
-    }
-
-    /// `a ∪ {v}`, memoized.
-    pub fn insert(&mut self, a: SetId, v: T) -> SetId {
-        if self.sets[a.index()].contains(&v) {
-            self.stats.join_hits += 1;
-            return a;
-        }
-        let key = (a, v.clone());
-        if let Some(&id) = self.insert_memo.get(&key) {
-            self.stats.join_hits += 1;
-            return id;
-        }
-        self.stats.join_misses += 1;
-        let mut set = (*self.sets[a.index()]).clone();
-        set.insert(v);
-        let id = self.intern(set);
-        self.insert_memo.insert(key, id);
-        id
     }
 
     /// Pool effectiveness counters.
     pub fn stats(&self) -> PoolStats {
         self.stats
-    }
-
-    /// Interns a finished growing set — the commit point of the builder
-    /// growth path. Accepts anything yielding the distinct elements (a
-    /// [`SetBuilder`], a [`DeltaNodes`] growth log, a slice). Identical
-    /// node sets (common: every call site of a function converges to the
-    /// same callee set) dedup to one handle.
-    pub fn commit<'a>(&mut self, elems: impl IntoIterator<Item = &'a T>) -> SetId
-    where
-        T: 'a,
-    {
-        // Sort first: the sorted-distinct run is the memo key (one
-        // contiguous hash, no tree walk), and — on a miss — the cheap
-        // right-edge insert order for building the `BTreeSet`. The scratch
-        // buffer is pool-owned: memo hits (the common case — most nodes
-        // converge to one of a handful of sets) allocate nothing.
-        let mut scratch = std::mem::take(&mut self.commit_scratch);
-        scratch.clear();
-        scratch.extend(elems.into_iter().cloned());
-        scratch.sort_unstable();
-        scratch.dedup();
-        if scratch.is_empty() {
-            self.stats.commit_hits += 1;
-            self.commit_scratch = scratch;
-            return Self::EMPTY;
-        }
-        if let Some(&id) = self.commit_memo.get(scratch.as_slice()) {
-            self.stats.commit_hits += 1;
-            self.commit_scratch = scratch;
-            return id;
-        }
-        self.stats.commit_misses += 1;
-        let set: BTreeSet<T> = scratch.iter().cloned().collect();
-        let id = self.intern(set);
-        self.commit_memo
-            .insert(scratch.as_slice().to_vec().into_boxed_slice(), id);
-        self.commit_scratch = scratch;
-        id
-    }
-}
-
-/// A mutable sorted-vec set: the *builder* representation growing flow
-/// nodes use between commit points. Inserts union in place (binary search
-/// plus shift) instead of the intern path's clone + hash per element, which
-/// is what makes one-element-at-a-time growth cheap.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SetBuilder<T> {
-    elems: Vec<T>,
-}
-
-impl<T: Ord> SetBuilder<T> {
-    /// An empty builder.
-    pub fn new() -> Self {
-        SetBuilder { elems: Vec::new() }
-    }
-
-    /// Inserts `v`; returns whether it was new.
-    pub fn insert(&mut self, v: T) -> bool {
-        match self.elems.binary_search(&v) {
-            Ok(_) => false,
-            Err(at) => {
-                self.elems.insert(at, v);
-                true
-            }
-        }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, v: &T) -> bool {
-        self.elems.binary_search(v).is_ok()
-    }
-
-    /// Cardinality.
-    pub fn len(&self) -> usize {
-        self.elems.len()
-    }
-
-    /// True iff no elements.
-    pub fn is_empty(&self) -> bool {
-        self.elems.is_empty()
-    }
-
-    /// The elements in ascending order.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.elems.iter()
-    }
-}
-
-impl<'a, T> IntoIterator for &'a SetBuilder<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.elems.iter()
     }
 }
 
@@ -329,9 +126,9 @@ impl<'a, T> IntoIterator for &'a SetBuilder<T> {
 /// ([`add_indexed`](DeltaNodes::add_indexed)) is then a bit test and two
 /// pushes — no hashing at all — which matters because flow-heavy workloads
 /// (wide dispatch) forward each element across many edges but introduce it
-/// only once. A sorted [`SetBuilder`] per node would also work, but its
-/// O(|set|) shift per insert re-creates the clone-per-element regime this
-/// engine exists to kill.
+/// only once. A sorted vector per node would also work, but its O(|set|)
+/// shift per insert re-creates the clone-per-element regime this engine
+/// exists to kill.
 pub struct DeltaNodes<T> {
     /// value → dense universe index, assigned at first sight.
     universe: FxHashMap<T, u32>,
@@ -601,96 +398,10 @@ mod tests {
         let c = p.intern(BTreeSet::from([1, 2]));
         assert_eq!(a, b, "same set must intern to the same handle");
         assert_ne!(a, c);
-        assert_eq!(p.get(a), &BTreeSet::from([1, 2, 3]));
-    }
-
-    #[test]
-    fn empty_is_the_join_identity() {
-        let mut p = SetPool::new();
-        let a = p.intern(BTreeSet::from([7]));
-        let empty = SetPool::<i32>::EMPTY;
-        assert_eq!(p.join(a, empty), a);
-        assert_eq!(p.join(empty, a), a);
-        assert_eq!(p.join(empty, empty), empty);
-        assert!(p.is_empty(empty));
-    }
-
-    #[test]
-    fn join_is_memoized_and_commutative() {
-        let mut p = SetPool::new();
-        let a = p.intern(BTreeSet::from([1]));
-        let b = p.intern(BTreeSet::from([2]));
-        let ab1 = p.join(a, b);
-        let misses_after_first = p.stats().join_misses;
-        let ab2 = p.join(b, a);
-        assert_eq!(ab1, ab2);
-        assert_eq!(
-            p.stats().join_misses,
-            misses_after_first,
-            "second join must hit the memo"
-        );
-        assert_eq!(p.get(ab1), &BTreeSet::from([1, 2]));
-    }
-
-    #[test]
-    fn subset_joins_reuse_the_larger_handle() {
-        let mut p = SetPool::new();
-        let big = p.intern(BTreeSet::from([1, 2, 3]));
-        let small = p.intern(BTreeSet::from([2]));
-        assert_eq!(p.join(big, small), big);
-        assert_eq!(p.join(small, big), big);
-    }
-
-    #[test]
-    fn insert_dedups_and_memoizes() {
-        let mut p = SetPool::new();
-        let a = p.intern(BTreeSet::from([1]));
-        let a1 = p.insert(a, 2);
-        let a2 = p.insert(a, 2);
-        assert_eq!(a1, a2);
-        assert_eq!(
-            p.insert(a1, 2),
-            a1,
-            "inserting a present element is the identity"
-        );
-        let direct = p.intern(BTreeSet::from([1, 2]));
-        assert_eq!(a1, direct);
-    }
-
-    #[test]
-    fn builder_insert_dedups_and_sorts() {
-        let mut b = SetBuilder::new();
-        assert!(b.insert(3));
-        assert!(b.insert(1));
-        assert!(!b.insert(3), "re-insert must report not-new");
-        assert!(b.contains(&1) && !b.contains(&2));
-        assert_eq!(b.len(), 2);
-        let elems: Vec<i32> = b.iter().copied().collect();
-        assert_eq!(elems, vec![1, 3]);
-    }
-
-    #[test]
-    fn commit_interns_builders_canonically() {
-        let mut p = SetPool::new();
-        let mut b1 = SetBuilder::new();
-        let mut b2 = SetBuilder::new();
-        for v in [1, 2, 3] {
-            b1.insert(v);
-        }
-        for v in [3, 1, 2] {
-            b2.insert(v);
-        }
-        let id1 = p.commit(&b1);
-        let id2 = p.commit(&b2);
-        assert_eq!(id1, id2, "insertion order must not matter at commit");
-        assert_eq!(p.get(id1), &BTreeSet::from([1, 2, 3]));
-        assert_eq!(
-            p.commit(&SetBuilder::<i32>::new()),
-            SetPool::<i32>::EMPTY,
-            "empty builders commit to the canonical empty handle"
-        );
-        // A committed builder also unifies with independently interned sets.
-        assert_eq!(p.intern(BTreeSet::from([1, 2, 3])), id1);
+        assert_eq!(*p.get_arc(a), BTreeSet::from([1, 2, 3]));
+        assert!(Arc::ptr_eq(&p.get_arc(a), &p.get_arc(b)), "stored once");
+        assert_eq!(p.intern(BTreeSet::new()), SetPool::<i32>::EMPTY);
+        assert_eq!(p.stats().interned, 3, "∅, {{1, 2, 3}} and {{1, 2}}");
     }
 
     #[test]
@@ -847,38 +558,22 @@ mod tests {
     }
 
     #[test]
-    fn commit_memo_hits_are_counted_for_both_paths() {
+    fn commit_memo_hits_are_counted() {
         let mut p = SetPool::new();
-        let mut b = SetBuilder::new();
-        b.insert(1);
-        b.insert(2);
-        p.commit(&b); // miss: first sight of {1, 2}
-        p.commit(&b); // hit: canonical-run memo
-        p.commit(&SetBuilder::<i32>::new()); // hit: trivially empty
+        let mut nodes: DeltaNodes<i32> = DeltaNodes::new(3);
+        for v in [2, 1] {
+            nodes.add(0, v);
+            nodes.add(2, v);
+        }
+        let id = nodes.commit_into(0, &mut p); // miss: first sight of {1, 2}
+        assert_eq!(nodes.commit_into(2, &mut p), id); // hit: same index run
+        assert_eq!(nodes.commit_into(1, &mut p), SetPool::<i32>::EMPTY); // hit
         assert_eq!(p.stats().commit_misses, 1);
         assert_eq!(p.stats().commit_hits, 2);
-
-        let mut nodes: DeltaNodes<i32> = DeltaNodes::new(2);
-        nodes.add(0, 1);
-        nodes.add(0, 2);
-        let id = nodes.commit_into(0, &mut p); // miss in its own memo
-        assert_eq!(nodes.commit_into(0, &mut p), id); // hit
-        assert_eq!(nodes.commit_into(1, &mut p), SetPool::<i32>::EMPTY); // hit
-        assert_eq!(p.stats().commit_misses, 2);
-        assert_eq!(p.stats().commit_hits, 4);
-    }
-
-    #[test]
-    fn hit_rate_reflects_memo_effectiveness() {
-        let mut p = SetPool::new();
-        let a = p.intern(BTreeSet::from([1]));
-        let b = p.intern(BTreeSet::from([2]));
-        for _ in 0..10 {
-            p.join(a, b);
-        }
-        let s = p.stats();
-        assert_eq!(s.join_misses, 1);
-        assert_eq!(s.join_hits, 9);
-        assert!(s.hit_rate() > 0.8);
+        assert_eq!(
+            p.intern(BTreeSet::from([1, 2])),
+            id,
+            "a committed node unifies with an independently interned set"
+        );
     }
 }

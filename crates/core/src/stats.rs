@@ -84,12 +84,8 @@ pub struct SolverStats {
     /// Distinct sets interned by the run's set pool (0 for non-pooled
     /// instances such as MFP).
     pub pool_interned: u64,
-    /// Set-pool joins answered without building a set.
-    pub pool_join_hits: u64,
-    /// Set-pool joins that materialized a union.
-    pub pool_join_misses: u64,
-    /// Canonical-run commits answered from the commit memo (both
-    /// `SetPool::commit` and `DeltaNodes::commit_into`).
+    /// Canonical-run commits answered from the commit memo
+    /// ([`DeltaNodes::commit_into`](crate::setpool::DeltaNodes::commit_into)).
     pub pool_commit_hits: u64,
     /// Canonical-run commits that had to intern.
     pub pool_commit_misses: u64,
@@ -115,8 +111,6 @@ impl SolverStats {
     #[must_use]
     pub fn with_pool(mut self, pool: crate::setpool::PoolStats) -> Self {
         self.pool_interned += pool.interned;
-        self.pool_join_hits += pool.join_hits;
-        self.pool_join_misses += pool.join_misses;
         self.pool_commit_hits += pool.commit_hits;
         self.pool_commit_misses += pool.commit_misses;
         self
@@ -141,8 +135,6 @@ impl SolverStats {
         sink.gauge(&format!("{prefix}.queue_peak"), self.queue_peak);
         sink.counter(&format!("{prefix}.rounds"), self.rounds);
         sink.counter(&format!("{prefix}.pool.interned"), self.pool_interned);
-        sink.counter(&format!("{prefix}.pool.join_hits"), self.pool_join_hits);
-        sink.counter(&format!("{prefix}.pool.join_misses"), self.pool_join_misses);
         sink.counter(&format!("{prefix}.pool.commit_hits"), self.pool_commit_hits);
         sink.counter(
             &format!("{prefix}.pool.commit_misses"),
@@ -177,23 +169,11 @@ impl SolverStats {
             queue_peak: agg.gauge_value(&format!("{prefix}.queue_peak")),
             rounds: c("rounds"),
             pool_interned: c("pool.interned"),
-            pool_join_hits: c("pool.join_hits"),
-            pool_join_misses: c("pool.join_misses"),
             pool_commit_hits: c("pool.commit_hits"),
             pool_commit_misses: c("pool.commit_misses"),
             delta_batches: c("delta_batches"),
             delta_elems: c("delta_elems"),
             delta_hist,
-        }
-    }
-
-    /// Fraction of set joins answered without building a set, in `[0, 1]`.
-    pub fn pool_hit_rate(&self) -> f64 {
-        let total = self.pool_join_hits + self.pool_join_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.pool_join_hits as f64 / total as f64
         }
     }
 
@@ -225,7 +205,7 @@ impl fmt::Display for SolverStats {
         write!(
             f,
             "nodes={} constraints={} posted={} coalesced={} fired={} updates={} \
-             delta(elems={} mean={:.2}) pool(sets={} hit-rate={:.2})",
+             delta(elems={} mean={:.2}) pool(sets={})",
             self.nodes,
             self.constraints,
             self.posted,
@@ -235,7 +215,6 @@ impl fmt::Display for SolverStats {
             self.delta_elems,
             self.mean_delta(),
             self.pool_interned,
-            self.pool_hit_rate(),
         )
     }
 }
@@ -268,12 +247,11 @@ mod tests {
     }
 
     #[test]
-    fn solver_stats_fold_pool_counters_and_rate() {
+    fn solver_stats_fold_pool_counters() {
         let pool = crate::setpool::PoolStats {
             interned: 5,
-            join_hits: 3,
-            join_misses: 1,
-            ..Default::default()
+            commit_hits: 3,
+            commit_misses: 1,
         };
         let s = SolverStats {
             posted: 10,
@@ -283,16 +261,11 @@ mod tests {
         }
         .with_pool(pool);
         assert_eq!(s.pool_interned, 5);
-        assert!((s.pool_hit_rate() - 0.75).abs() < 1e-9);
+        assert_eq!((s.pool_commit_hits, s.pool_commit_misses), (3, 1));
         let text = s.to_string();
-        for needle in ["posted=10", "coalesced=4", "fired=6", "hit-rate=0.75"] {
+        for needle in ["posted=10", "coalesced=4", "fired=6", "pool(sets=5)"] {
             assert!(text.contains(needle), "missing {needle} in {text}");
         }
-    }
-
-    #[test]
-    fn empty_pool_has_perfect_hit_rate() {
-        assert!((SolverStats::default().pool_hit_rate() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -316,8 +289,6 @@ mod tests {
             queue_peak: 5,
             rounds: 11,
             pool_interned: 7,
-            pool_join_hits: 1,
-            pool_join_misses: 2,
             pool_commit_hits: 3,
             pool_commit_misses: 4,
             delta_batches: 9,

@@ -24,9 +24,9 @@ use cpsdfa_workloads::random::{corpus, open_config};
 
 #[test]
 fn budget_limited_cps_cfa_on_polyvariant_320_is_stopped() {
-    let p = AnfProgram::from_term(&families::repeated_calls(320));
+    let p = AnfProgram::from_term(&families::polyvariant(320));
     let c = CpsProgram::from_anf(&p);
-    // A full run needs thousands of constraint firings; 50 is nowhere near
+    // A full run needs about 1,600 constraint firings; 50 is nowhere near
     // enough, so the solver must notice and abort instead of running on.
     let budget = AnalysisBudget::new(50);
     let err = zero_cfa_cps_guarded(&c, &RunGuard::new(budget), &mut NoopSink).unwrap_err();

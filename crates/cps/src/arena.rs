@@ -288,61 +288,6 @@ impl CpsArena {
             body: Box::new(self.to_cterm(node.body)),
         }
     }
-
-    /// Imports a boxed tree, copying its labels verbatim. Used when a
-    /// program is hand-built from boxed nodes rather than transformed.
-    pub fn from_cterm(&mut self, t: &CTerm) -> CTermId {
-        let kind = match &t.kind {
-            CTermKind::Ret(k, w) => CTermNodeKind::Ret(k.clone(), self.import_cval(w)),
-            CTermKind::Let { var, val, body } => CTermNodeKind::Let {
-                var: var.clone(),
-                val: self.import_cval(val),
-                body: self.from_cterm(body),
-            },
-            CTermKind::Call { f, arg, cont } => CTermNodeKind::Call {
-                f: self.import_cval(f),
-                arg: self.import_cval(arg),
-                cont: self.import_contlam(cont),
-            },
-            CTermKind::LetK {
-                k,
-                cont,
-                test,
-                then_,
-                else_,
-            } => CTermNodeKind::LetK {
-                k: k.clone(),
-                cont: self.import_contlam(cont),
-                test: self.import_cval(test),
-                then_: self.from_cterm(then_),
-                else_: self.from_cterm(else_),
-            },
-            CTermKind::Loop { cont } => CTermNodeKind::Loop {
-                cont: self.import_contlam(cont),
-            },
-        };
-        self.push_term(t.label, kind)
-    }
-
-    fn import_cval(&mut self, v: &CVal) -> CValId {
-        let kind = match &v.kind {
-            CValKind::Num(n) => CValNodeKind::Num(*n),
-            CValKind::Var(x) => CValNodeKind::Var(x.clone()),
-            CValKind::Add1K => CValNodeKind::Add1K,
-            CValKind::Sub1K => CValNodeKind::Sub1K,
-            CValKind::Lam { param, k, body } => CValNodeKind::Lam {
-                param: param.clone(),
-                k: k.clone(),
-                body: self.from_cterm(body),
-            },
-        };
-        self.push_value(v.label, kind)
-    }
-
-    fn import_contlam(&mut self, c: &ContLam) -> ContId {
-        let body = self.from_cterm(&c.body);
-        self.push_cont(c.label, c.var.clone(), body)
-    }
 }
 
 /// The output of the arena CPS transformation.
@@ -547,22 +492,6 @@ mod tests {
         ] {
             check(src);
         }
-    }
-
-    #[test]
-    fn from_cterm_roundtrips_with_labels() {
-        let p = AnfProgram::parse("(let (a (f 1)) (let (b (if0 a 0 1)) b))").unwrap();
-        let mut fresh = p.fresh_gen();
-        let boxed = cps_transform(p.root(), &mut fresh);
-        let mut arena = CpsArena::new();
-        let id = arena.from_cterm(&boxed.root);
-        let back = arena.to_cterm(id);
-        assert_eq!(back.to_string(), boxed.root.to_string());
-        let mut labels = Vec::new();
-        back.visit_terms(&mut |n| labels.push(n.label));
-        let mut expected = Vec::new();
-        boxed.root.visit_terms(&mut |n| expected.push(n.label));
-        assert_eq!(labels, expected);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A labeled CPS program with a dense variable index spanning both
 //! namespaces (`Vars` and `KVars`).
 
-use crate::arena::{cps_transform_arena, CTermId, CpsArena};
+use crate::arena::cps_transform_arena;
 use crate::ast::{CTerm, CTermKind, CVal, CValKind, ContLam};
 use crate::transform::{cps_transform, LabelMap};
 use cpsdfa_anf::AnfProgram;
@@ -95,8 +95,6 @@ pub struct ContRef<'p> {
 #[derive(Clone)]
 pub struct CpsProgram {
     root: CTerm,
-    arena: CpsArena,
-    root_id: CTermId,
     top_k: KIdent,
     vars: Vec<VarKey>,
     var_ids: HashMap<VarKey, CVarId>,
@@ -124,7 +122,7 @@ impl CpsProgram {
         let mut fresh = prog.fresh_gen();
         let t = cps_transform_arena(prog.arena(), prog.root_id(), &mut fresh);
         let root = t.arena.to_cterm(t.root);
-        Self::index(root, t.arena, t.root, t.top_k, t.label_count, t.labels)
+        Self::index(root, t.top_k, t.label_count, t.labels)
     }
 
     /// Like [`from_anf`](Self::from_anf) but through the legacy boxed
@@ -133,19 +131,10 @@ impl CpsProgram {
     pub fn from_anf_via_boxed(prog: &AnfProgram) -> CpsProgram {
         let mut fresh = prog.fresh_gen();
         let t = cps_transform(prog.root(), &mut fresh);
-        let mut arena = CpsArena::new();
-        let root_id = arena.from_cterm(&t.root);
-        Self::index(t.root, arena, root_id, t.top_k, t.label_count, t.labels)
+        Self::index(t.root, t.top_k, t.label_count, t.labels)
     }
 
-    fn index(
-        root: CTerm,
-        arena: CpsArena,
-        root_id: CTermId,
-        top_k: KIdent,
-        label_count: u32,
-        label_map: LabelMap,
-    ) -> CpsProgram {
+    fn index(root: CTerm, top_k: KIdent, label_count: u32, label_map: LabelMap) -> CpsProgram {
         let mut vars: Vec<VarKey> = Vec::new();
         let mut var_ids: HashMap<VarKey, CVarId> = HashMap::new();
         let add = |key: VarKey, vars: &mut Vec<VarKey>, var_ids: &mut HashMap<VarKey, CVarId>| {
@@ -180,8 +169,6 @@ impl CpsProgram {
         let free = (0..free_count as u32).map(CVarId).collect();
         CpsProgram {
             root,
-            arena,
-            root_id,
             top_k,
             vars,
             var_ids,
@@ -196,16 +183,6 @@ impl CpsProgram {
     /// The CPS term.
     pub fn root(&self) -> &CTerm {
         &self.root
-    }
-
-    /// The flat arena backing the program.
-    pub fn arena(&self) -> &CpsArena {
-        &self.arena
-    }
-
-    /// The arena id of the root term.
-    pub fn root_id(&self) -> CTermId {
-        self.root_id
     }
 
     /// The initial continuation variable `k₀`; the initial store binds it to

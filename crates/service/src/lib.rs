@@ -153,14 +153,19 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         let workers = worker_count();
         let default_budget = AnalysisBudget::default().max_goals();
+        let longest_ladder = AnalysisKind::ALL
+            .iter()
+            .map(|&kind| ladder_rungs(kind).len() as u64)
+            .max()
+            .unwrap_or(1);
         ServiceConfig {
             workers,
             cache_bytes: 64 << 20,
             max_queue: 256,
-            // Room for every worker to run a worst-case three-rung ladder
-            // plus as much again waiting in the queue.
+            // Room for every worker to run the longest ladder to its last
+            // rung, plus as much again waiting in the queue.
             capacity_charges: default_budget
-                .saturating_mul(3)
+                .saturating_mul(longest_ladder)
                 .saturating_mul(2 * workers as u64),
             default_budget,
             default_deadline_ms: None,
@@ -1220,6 +1225,27 @@ fn bad_request_response(bad: &BadRequest) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_capacity_holds_two_worst_case_requests_per_worker() {
+        let config = ServiceConfig::default();
+        let slots = 2 * config.workers as u64;
+        let rungs = |kind: AnalysisKind| ladder_rungs(kind).len() as u64;
+        let longest = AnalysisKind::ALL.into_iter().map(rungs).max().unwrap();
+        assert_eq!(
+            config.capacity_charges,
+            config.default_budget * longest * slots
+        );
+        // That is exactly what admission reserves for the costliest kind,
+        // twice per worker.
+        let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(config.default_budget));
+        let worst = AnalysisKind::ALL
+            .into_iter()
+            .map(|kind| policy.worst_case_charges(rungs(kind)))
+            .max()
+            .unwrap();
+        assert_eq!(worst * slots, config.capacity_charges);
+    }
 
     #[test]
     fn worker_arena_starts_over_once_past_its_cap() {
