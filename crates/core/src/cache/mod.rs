@@ -59,13 +59,13 @@ pub use persist::{PersistDir, RecoveryReport};
 use crate::absval::{AbsClo, AbsKont};
 use crate::cfa::{CfaResult, CpsCfaResult, CpsFlow};
 use crate::domain::Flat;
-use crate::fxhash::FxHashMap;
 use crate::govern::DegradationReport;
 use crate::mfp::DfSummary;
 use crate::pushdown::{MatchedReturn, PushdownCfaResult};
 use crate::solver::SolverMode;
 use crate::trace::{AggSink, TraceSink};
 use cpsdfa_syntax::arena::{TermArena, TermId, TermNode, ValueId, ValueNode};
+use cpsdfa_syntax::fxhash::FxHashMap;
 use persist::ByteSink;
 use std::collections::BTreeSet;
 use std::sync::Arc;

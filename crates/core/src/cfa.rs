@@ -49,7 +49,6 @@
 
 use crate::absval::{AbsClo, AbsKont};
 use crate::budget::{AnalysisBudget, AnalysisError};
-use crate::fxhash::FxHashMap;
 use crate::govern::RunGuard;
 use crate::labtab::{LabelLookup, LabelTable};
 use crate::setpool::{DeltaNodes, SetPool};
@@ -75,9 +74,8 @@ pub struct CfaResult {
     /// Shared commit handles, as in [`CfaResult::vars`].
     pub terms: LabelTable<Arc<BTreeSet<AbsClo>>>,
     /// Call graph: call-site `let` label → applicable closures (dense).
-    /// `Arc`-shared like the flow sets: the live incremental solver re-uses
-    /// one snapshot across commits whenever no new callee was discovered,
-    /// so a warm re-commit never deep-copies the call graph.
+    /// `Arc`-shared like the flow sets, so cloning a result (a cache hit, a
+    /// noop warm step) never deep-copies the call graph.
     pub calls: Arc<LabelTable<BTreeSet<AbsClo>>>,
     /// Fixpoint work performed: constraint firings (sparse solver) or full
     /// sweeps (dense baseline). Always ≥ 1.
@@ -277,8 +275,8 @@ impl NodeIndex {
         self.num_vars + self.num_terms
     }
 
-    /// Builds [`CfaResult::terms`] for the dense baseline by committing
-    /// every propagation-target term node through `commit`, in label order.
+    /// Builds [`CfaResult::terms`] by committing every propagation-target
+    /// term node through `commit`, in label order.
     fn commit_dst_terms(
         &self,
         mut commit: impl FnMut(usize) -> Arc<BTreeSet<AbsClo>>,
@@ -319,9 +317,6 @@ struct SrcTables {
     /// every variable and every term node some static edge targets. A term
     /// node no static edge targets — a literal operand, a constant lambda
     /// body — stays empty forever, so [`fire_src`] skips wires from it.
-    /// Monotone: once an edit makes a node a target
-    /// ([`SrcLive::apply_edit`]) its skipped wires are added and the flag
-    /// stays set.
     live_src: Vec<bool>,
 }
 
@@ -380,8 +375,8 @@ fn add_wire(
     watch_from(solver, nodes, src, c, caught_up);
 }
 
-/// Fires source constraint `ci` on the live solver ([`SrcLive`]), whether
-/// it was built cold, built from a seed or edited in place.
+/// Fires source constraint `ci` of a [`zero_cfa_seeded`] run, whether it
+/// was built cold or from a seed.
 fn fire_src(
     ci: ConstraintId,
     solver: &mut WorklistSolver,
@@ -497,32 +492,6 @@ fn zero_cfa_impl(
     Ok(zero_cfa_seeded(prog, None, guard, sink)?.expect("an unseeded build is total"))
 }
 
-/// Source-level 0CFA from an optional warm-start seed: builds a live
-/// solver ([`SrcLive::build`]), converges it, and commits. A cold solve is
-/// the unseeded build and reports its counters under `cfa.src`; a seeded
-/// one reports under `cfa.src.warm`. `Ok(None)` means the seed did not fit
-/// the program's shape — the caller should fall back to a cold solve.
-pub(crate) fn zero_cfa_seeded(
-    prog: &AnfProgram,
-    seed: Option<&SrcSeed>,
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<Option<(CfaResult, SolverStats)>, AnalysisError> {
-    let Some(mut live) = SrcLive::build(prog, seed) else {
-        return Ok(None);
-    };
-    live.run(guard)?;
-    let result = live.commit();
-    let stats = live.stats();
-    let prefix = if seed.is_some() {
-        "cfa.src.warm"
-    } else {
-        "cfa.src"
-    };
-    stats.emit_into(sink, prefix);
-    Ok(Some((result, stats)))
-}
-
 // ---------------------------------------------------------------------------
 // The source-level solver, cold or warm-started — see `crate::incremental`
 // ---------------------------------------------------------------------------
@@ -541,475 +510,122 @@ pub(crate) struct SrcSeed {
     pub(crate) calls: Vec<(Label, BTreeSet<AbsClo>)>,
 }
 
-/// A position-free fingerprint of a static source edge, used to diff the
-/// old and new constraint sets of an in-place edit
-/// ([`SrcLive::apply_edit`]). Two edges with equal keys denote the same
-/// constraint because the caller only diffs under an identity alignment
-/// (same variable ids, same label spans).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum EdgeKey {
-    Seed(Vec<AbsClo>, (u8, u32)),
-    Sub((u8, u32), (u8, u32)),
-    Call {
-        f: (u8, u32),
-        arg: (u8, u32),
-        bind: u32,
-        site: u32,
-    },
-}
+/// Source-level 0CFA from an optional warm-start seed — the one place it
+/// registers its constraints. Unseeded, every node starts empty and
+/// watches start at cursor 0. Seeded, the previous fixpoint is poured
+/// **silently** (no watcher notifications), every node's cursor base is
+/// pinned past the poured history, the previous run's dynamic wires are
+/// re-established, and each constraint is registered caught-up when the
+/// seed already satisfies it — so a converged seed fires nothing at all.
+/// Counters go under `cfa.src` cold and `cfa.src.warm` seeded. `Ok(None)`
+/// = the seed references entities the new program does not have; fall
+/// back to a cold solve.
+pub(crate) fn zero_cfa_seeded(
+    prog: &AnfProgram,
+    seed: Option<&SrcSeed>,
+    guard: &RunGuard,
+    sink: &mut impl TraceSink,
+) -> Result<Option<(CfaResult, SolverStats)>, AnalysisError> {
+    let edges = collect_edges(prog);
+    let idx = NodeIndex::build(prog, &edges);
+    let tables = SrcTables::build(prog, &idx);
+    let total = idx.total();
 
-impl EdgeKey {
-    fn node(n: Node) -> (u8, u32) {
-        match n {
-            Node::Var(v) => (0, v.index() as u32),
-            Node::Term(l) => (1, l.index()),
+    let mut solver = WorklistSolver::new();
+    solver.add_nodes(total);
+    solver.reserve(edges.len());
+    let mut nodes: DeltaNodes<AbsClo> = DeltaNodes::new(total);
+    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
+
+    let warm = seed.is_some();
+    if let Some(seed) = seed {
+        if seed.vars.len() != idx.num_vars {
+            return Ok(None);
         }
-    }
-
-    fn of(e: &Edge) -> EdgeKey {
-        match e {
-            Edge::Seed(set, dst) => EdgeKey::Seed(set.iter().copied().collect(), Self::node(*dst)),
-            Edge::Sub(src, dst) => EdgeKey::Sub(Self::node(*src), Self::node(*dst)),
-            Edge::Call { f, arg, bind, site } => EdgeKey::Call {
-                f: Self::node(*f),
-                arg: Self::node(*arg),
-                bind: bind.index() as u32,
-                site: site.index(),
-            },
-        }
-    }
-}
-
-/// Net constraint churn of an in-place edit ([`SrcLive::apply_edit`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct EditDelta {
-    pub(crate) retracted: usize,
-    pub(crate) added: usize,
-}
-
-/// A source-level 0CFA solver kept **alive between edits**: the solver,
-/// delta store, constraint list and call graph of the last run, ready to
-/// be re-fired from the converged state. Three entry points build or
-/// mutate one:
-///
-/// * [`SrcLive::build`] — cold (empty store) or warm (seed poured
-///   silently, watches registered caught-up where the seed already
-///   satisfies them);
-/// * [`SrcLive::apply_edit`] — in-place constraint retraction/regeneration
-///   for an identity-aligned edit (same ids, changed constraint set);
-/// * [`SrcLive::run`] + [`SrcLive::commit`] — converge and extract.
-pub(crate) struct SrcLive {
-    solver: WorklistSolver,
-    nodes: DeltaNodes<AbsClo>,
-    pool: SetPool<AbsClo>,
-    constraints: Vec<SrcConstraint>,
-    calls: LabelTable<BTreeSet<AbsClo>>,
-    tables: SrcTables,
-    /// label → absolute flow-node index (`UNINDEXED` when the label has no
-    /// node). Grows in place when an edit introduces new term nodes.
-    node_of_label: Vec<usize>,
-    /// label → is a propagation target (key set of [`CfaResult::terms`]).
-    dst_flags: Vec<bool>,
-    /// Alive *static* constraints with their edge fingerprints, in
-    /// registration order — the diff base for [`SrcLive::apply_edit`].
-    /// Dynamically discovered call wires are not listed: they reference
-    /// only nodes that outlive any eligible edit.
-    statics: Vec<(EdgeKey, ConstraintId)>,
-    /// Fingerprints of the static `Seed` edges already poured.
-    seed_keys: Vec<EdgeKey>,
-    num_vars: usize,
-    /// Per-node commit memo: `(log length at last commit, handle)`. Nodes
-    /// only ever grow — [`SrcLive::apply_edit`] refuses to retract a
-    /// constraint whose source contributed anything — so an unchanged log
-    /// length means an unchanged set, and a repeat commit reuses the
-    /// handle without walking the bitset. This is what keeps the live
-    /// session's per-edit cost proportional to the edit, not the fixpoint.
-    commit_cache: Vec<Option<(usize, Arc<BTreeSet<AbsClo>>)>>,
-    /// Call-graph snapshot from the last commit, keyed by the table's
-    /// total callee count. Call discovery only ever adds entries, so an
-    /// unchanged count means an unchanged graph and the snapshot is
-    /// reshared instead of deep-cloned.
-    calls_snapshot: Option<(usize, Arc<LabelTable<BTreeSet<AbsClo>>>)>,
-}
-
-impl SrcLive {
-    /// Builds a live solver over `prog` — the one place source-level 0CFA
-    /// registers its constraints. With `seed: None` every node starts
-    /// empty and watches start at cursor 0. With a seed, the previous
-    /// fixpoint is poured **silently** (no watcher notifications), every
-    /// node's cursor base is pinned past the poured history, and each
-    /// constraint is registered caught-up when the seed already satisfies
-    /// it — so a converged seed fires nothing at all. Returns `None` when
-    /// the seed references entities the new program does not have (the
-    /// caller falls back to a cold solve).
-    pub(crate) fn build(prog: &AnfProgram, seed: Option<&SrcSeed>) -> Option<SrcLive> {
-        let edges = collect_edges(prog);
-        let idx = NodeIndex::build(prog, &edges);
-        let tables = SrcTables::build(prog, &idx);
-        let total = idx.total();
-        let label_count = prog.label_count() as usize;
-
-        let mut solver = WorklistSolver::new();
-        solver.add_nodes(total);
-        solver.reserve(edges.len());
-        let mut nodes: DeltaNodes<AbsClo> = DeltaNodes::new(total);
-        let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
-
-        let warm = seed.is_some();
-        if let Some(seed) = seed {
-            if seed.vars.len() != idx.num_vars {
-                return None;
-            }
-            for (i, set) in seed.vars.iter().enumerate() {
-                for v in set {
-                    nodes.add(i, *v);
-                }
-            }
-            for (l, set) in &seed.terms {
-                let li = l.index() as usize;
-                if li >= idx.term_ids.len() || idx.term_ids[li] == UNINDEXED {
-                    if set.is_empty() {
-                        continue;
-                    }
-                    return None; // seeded label is not a flow node here
-                }
-                let n = idx.node(Node::Term(*l));
-                for v in set {
-                    nodes.add(n, *v);
-                }
-            }
-            // Pin the cursor bases: watches registered below at the
-            // caught-up position treat the poured history as consumed.
-            for n in 0..total {
-                solver.set_node_len(n, nodes.log(n).len());
-            }
-            for (site, set) in &seed.calls {
-                calls.entry_or_default(*site).extend(set.iter().copied());
+        for (i, set) in seed.vars.iter().enumerate() {
+            for v in set {
+                nodes.add(i, *v);
             }
         }
-
-        let mut constraints: Vec<SrcConstraint> = Vec::with_capacity(edges.len());
-        let mut statics: Vec<(EdgeKey, ConstraintId)> = Vec::with_capacity(edges.len());
-        let mut seed_keys: Vec<EdgeKey> = Vec::new();
-        // Call-site operand/binder nodes, for re-wiring seeded callees.
-        let mut site_nodes = vec![(UNINDEXED, UNINDEXED); label_count];
-        for e in &edges {
-            match e {
-                Edge::Seed(..) => seed_keys.push(EdgeKey::of(e)),
-                Edge::Sub(src, dst) => {
-                    let (s, d) = (idx.node(*src), idx.node(*dst));
-                    let c = solver.add_constraint(constraints.len() as u32);
-                    constraints.push(SrcConstraint::Sub(d));
-                    statics.push((EdgeKey::of(e), c));
-                    watch_from(&mut solver, &nodes, s, c, warm && nodes.is_subset(s, d));
-                }
-                Edge::Call { f, arg, bind, site } => {
-                    let fnode = idx.node(*f);
-                    let c = solver.add_constraint(constraints.len() as u32);
-                    constraints.push(SrcConstraint::Call {
-                        arg: idx.node(*arg),
-                        bind: bind.index(),
-                        site: *site,
-                    });
-                    statics.push((EdgeKey::of(e), c));
-                    site_nodes[site.index() as usize] = (idx.node(*arg), bind.index());
-                    let caught_up = warm && {
-                        let wired = calls.get(*site);
-                        nodes
-                            .log(fnode)
-                            .iter()
-                            .all(|(v, _)| wired.is_some_and(|s| s.contains(v)))
-                    };
-                    watch_from(&mut solver, &nodes, fnode, c, caught_up);
-                }
-            }
-        }
-
-        // Warm: re-establish the dynamically discovered wires of the
-        // previous run (what `fire_src` built at callee-discovery time).
-        // A wire whose flow is already complete registers caught-up.
-        if let Some(seed) = seed {
-            for (site, set) in &seed.calls {
-                let (arg, bind) = site_nodes[site.index() as usize];
-                if arg == UNINDEXED {
-                    if set.is_empty() {
-                        continue;
-                    }
-                    return None; // call site vanished but had callees
-                }
-                for clo in set {
-                    if let AbsClo::Lam(l) = clo {
-                        let li = l.index() as usize;
-                        if li >= tables.lam.len() || tables.lam[li].0 == UNINDEXED {
-                            return None; // callee lambda vanished
-                        }
-                        let (param, body) = tables.lam[li];
-                        for (src, dst) in [(arg, param), (body, bind)] {
-                            if tables.live_src[src] {
-                                let caught_up = nodes.is_subset(src, dst);
-                                add_wire(
-                                    &mut solver,
-                                    &nodes,
-                                    &mut constraints,
-                                    (src, dst),
-                                    caught_up,
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Static seeds last, after every watch exists, so `node_grew`
-        // reaches all watchers. On a warm build these are no-ops where the
-        // poured fixpoint already holds the constant and real (posted)
-        // growth where the edit introduced one.
-        for e in &edges {
-            if let Edge::Seed(set, dst) = e {
-                let dst = idx.node(*dst);
-                let mut grew = false;
-                for v in set {
-                    grew |= nodes.add(dst, *v).is_some();
-                }
-                if grew {
-                    solver.node_grew(dst, nodes.log(dst).len());
-                }
-            }
-        }
-
-        let mut node_of_label = vec![UNINDEXED; label_count];
-        for (l, node) in node_of_label.iter_mut().enumerate() {
-            if idx.term_ids[l] != UNINDEXED {
-                *node = idx.num_vars + idx.term_ids[l];
-            }
-        }
-
-        Some(SrcLive {
-            solver,
-            nodes,
-            pool: SetPool::new(),
-            constraints,
-            calls,
-            tables,
-            node_of_label,
-            dst_flags: idx.dst_flags,
-            statics,
-            seed_keys,
-            num_vars: idx.num_vars,
-            commit_cache: vec![None; total],
-            calls_snapshot: None,
-        })
-    }
-
-    /// The flow node of `l`, allocating a fresh (empty) node when the edit
-    /// introduced a label the original program did not index.
-    fn node_for_label(&mut self, l: Label) -> usize {
-        let li = l.index() as usize;
-        if li >= self.node_of_label.len() {
-            self.node_of_label.resize(li + 1, UNINDEXED);
-            self.dst_flags.resize(li + 1, false);
-        }
-        if self.node_of_label[li] == UNINDEXED {
-            let n = self.solver.add_node();
-            let n2 = self.nodes.push_node();
-            debug_assert_eq!(n, n2);
-            self.tables.live_src.push(false);
-            self.node_of_label[li] = n;
-        }
-        self.node_of_label[li]
-    }
-
-    fn node_of(&mut self, n: Node) -> usize {
-        match n {
-            Node::Var(v) => v.index(),
-            Node::Term(l) => self.node_for_label(l),
-        }
-    }
-
-    /// Retracts the constraints an identity-aligned edit removed and
-    /// registers (and re-fires) the ones it added, **in place** on the
-    /// converged solver. The caller guarantees the edit preserves variable
-    /// ids and label spans (see `crate::incremental`); this method
-    /// additionally verifies that every *removed* constraint contributed
-    /// nothing to the fixpoint — the condition under which the converged
-    /// store is still below the new least fixpoint — and returns `None`
-    /// (leaving the state untouched) when it cannot prove that.
-    pub(crate) fn apply_edit(&mut self, prog: &AnfProgram) -> Option<EditDelta> {
-        let new_edges = collect_edges(prog);
-        // Hashed, not ordered: the diff does one lookup per edge on both
-        // sides, and `EdgeKey` comparisons (seed keys carry value vectors)
-        // made an ordered map the hot spot of the whole retract rung. The
-        // surviving indices are sorted before registration below, so
-        // constraint order stays deterministic.
-        let mut fresh: FxHashMap<EdgeKey, Vec<usize>> = FxHashMap::default();
-        for (i, e) in new_edges.iter().enumerate() {
-            fresh.entry(EdgeKey::of(e)).or_default().push(i);
-        }
-
-        // Phase 1: validate every removal before mutating anything. A
-        // removed Sub must have an empty (never-contributed) source; a
-        // removed Call must have discovered no callees; a removed Seed
-        // poured a constant we cannot un-pour, so it always disqualifies.
-        let mut retract: Vec<ConstraintId> = Vec::new();
-        let mut removed_statics: Vec<usize> = Vec::new();
-        for (i, (key, cid)) in self.statics.iter().enumerate() {
-            if let Some(slots) = fresh.get_mut(key) {
-                if let Some(_matched) = slots.pop() {
-                    if slots.is_empty() {
-                        fresh.remove(key);
-                    }
-                    continue;
-                }
-            }
-            match key {
-                EdgeKey::Sub(src, _) => {
-                    let s = match *src {
-                        (0, v) => v as usize,
-                        (_, l) => *self.node_of_label.get(l as usize)?,
-                    };
-                    if s == UNINDEXED || !self.nodes.log(s).is_empty() {
-                        return None;
-                    }
-                }
-                EdgeKey::Call { site, .. } => {
-                    let wired = self.calls.get(Label::new(*site));
-                    if wired.is_some_and(|s| !s.is_empty()) {
-                        return None;
-                    }
-                }
-                EdgeKey::Seed(..) => unreachable!("seeds are not statics"),
-            }
-            retract.push(*cid);
-            removed_statics.push(i);
-        }
-        let mut kept_seeds: Vec<EdgeKey> = Vec::new();
-        for key in &self.seed_keys {
-            if let Some(slots) = fresh.get_mut(key) {
-                if slots.pop().is_some() {
-                    if slots.is_empty() {
-                        fresh.remove(key);
-                    }
-                    kept_seeds.push(key.clone());
-                    continue;
-                }
-            }
-            return None; // a poured seed vanished: cannot shrink in place
-        }
-
-        // Phase 2: retract. The solver physically unlinks the watch edges;
-        // a retracted constraint can never fire again.
-        let delta = EditDelta {
-            retracted: retract.len(),
-            added: fresh.values().map(Vec::len).sum(),
-        };
-        for cid in retract {
-            self.solver.retract_constraint(cid);
-        }
-        for i in removed_statics.into_iter().rev() {
-            self.statics.swap_remove(i);
-        }
-        self.seed_keys = kept_seeds;
-
-        // Phase 3: regenerate. New lambdas need side-table entries and an
-        // indexed body node before any wire can reference them.
-        for (l, r) in prog.lambdas() {
+        for (l, set) in &seed.terms {
             let li = l.index() as usize;
-            if li >= self.tables.lam.len() {
-                self.tables.lam.resize(li + 1, (UNINDEXED, UNINDEXED));
+            if li >= idx.term_ids.len() || idx.term_ids[li] == UNINDEXED {
+                if set.is_empty() {
+                    continue;
+                }
+                return Ok(None); // seeded label is not a flow node here
             }
-            if self.tables.lam[li].0 == UNINDEXED {
-                let body = self.node_for_label(r.body.label);
-                self.tables.lam[li] = (r.param_id.index(), body);
+            let n = idx.node(Node::Term(*l));
+            for v in set {
+                nodes.add(n, *v);
             }
         }
-        let mut added: Vec<usize> = fresh.into_values().flatten().collect();
-        added.sort_unstable();
-        for i in added {
-            match &new_edges[i] {
-                Edge::Seed(set, dst) => {
-                    let dst = self.node_of(*dst);
-                    let mut grew = false;
-                    for v in set {
-                        grew |= self.nodes.add(dst, *v).is_some();
-                    }
-                    if grew {
-                        self.solver.node_grew(dst, self.nodes.log(dst).len());
-                    }
-                    self.seed_keys.push(EdgeKey::of(&new_edges[i]));
-                }
-                Edge::Sub(src, dst) => {
-                    let (s, d) = (self.node_of(*src), self.node_of(*dst));
-                    let c = self.solver.add_constraint(self.constraints.len() as u32);
-                    self.constraints.push(SrcConstraint::Sub(d));
-                    self.statics.push((EdgeKey::of(&new_edges[i]), c));
-                    watch_from(&mut self.solver, &self.nodes, s, c, false);
-                }
-                Edge::Call { f, arg, bind, site } => {
-                    let (fnode, argnode) = (self.node_of(*f), self.node_of(*arg));
-                    let c = self.solver.add_constraint(self.constraints.len() as u32);
-                    self.constraints.push(SrcConstraint::Call {
-                        arg: argnode,
-                        bind: bind.index(),
-                        site: *site,
-                    });
-                    self.statics.push((EdgeKey::of(&new_edges[i]), c));
-                    watch_from(&mut self.solver, &self.nodes, fnode, c, false);
-                }
-            }
+        // Pin the cursor bases: watches registered below at the
+        // caught-up position treat the poured history as consumed.
+        for n in 0..total {
+            solver.set_node_len(n, nodes.log(n).len());
         }
-
-        // The propagation-target set may have shifted with the edit.
-        self.dst_flags.iter_mut().for_each(|f| *f = false);
-        for e in &new_edges {
-            if let Edge::Seed(_, Node::Term(l)) | Edge::Sub(_, Node::Term(l)) = e {
-                self.dst_flags[l.index() as usize] = true;
-            }
+        for (site, set) in &seed.calls {
+            calls.entry_or_default(*site).extend(set.iter().copied());
         }
-        self.revive_wires();
-        Some(delta)
     }
 
-    /// Adds the call wires [`fire_src`] skipped from term nodes that the
-    /// edit made propagation targets (a constant operand or lambda body
-    /// replaced by a variable): such a node can grow now, so every callee
-    /// already discovered through it gets its wire, exactly as if the node
-    /// had been live when the callee was found.
-    fn revive_wires(&mut self) {
-        let mut revived: Vec<bool> = Vec::new();
-        for (&is_dst, &node) in self.dst_flags.iter().zip(&self.node_of_label) {
-            if is_dst && node != UNINDEXED && !self.tables.live_src[node] {
-                self.tables.live_src[node] = true;
-                revived.resize(self.tables.live_src.len(), false);
-                revived[node] = true;
+    let mut constraints: Vec<SrcConstraint> = Vec::with_capacity(edges.len());
+    // Call-site operand/binder nodes, for re-wiring seeded callees.
+    let mut site_nodes = vec![(UNINDEXED, UNINDEXED); prog.label_count() as usize];
+    for e in &edges {
+        match e {
+            Edge::Seed(..) => {}
+            Edge::Sub(src, dst) => {
+                let (s, d) = (idx.node(*src), idx.node(*dst));
+                let c = solver.add_constraint(constraints.len() as u32);
+                constraints.push(SrcConstraint::Sub(d));
+                watch_from(&mut solver, &nodes, s, c, warm && nodes.is_subset(s, d));
+            }
+            Edge::Call { f, arg, bind, site } => {
+                let fnode = idx.node(*f);
+                let c = solver.add_constraint(constraints.len() as u32);
+                constraints.push(SrcConstraint::Call {
+                    arg: idx.node(*arg),
+                    bind: bind.index(),
+                    site: *site,
+                });
+                site_nodes[site.index() as usize] = (idx.node(*arg), bind.index());
+                let caught_up = warm && {
+                    let wired = calls.get(*site);
+                    nodes
+                        .log(fnode)
+                        .iter()
+                        .all(|(v, _)| wired.is_some_and(|s| s.contains(v)))
+                };
+                watch_from(&mut solver, &nodes, fnode, c, caught_up);
             }
         }
-        if revived.is_empty() {
-            return;
-        }
-        // Each live `Call` constraint is the one static call at its site.
-        for ci in 0..self.constraints.len() {
-            let SrcConstraint::Call { arg, bind, site } = self.constraints[ci] else {
-                continue;
-            };
-            let Some(callees) = self.calls.get(site) else {
-                continue;
-            };
-            if self.solver.is_retracted(ci) {
-                continue;
+    }
+
+    // Warm: re-establish the dynamically discovered wires of the
+    // previous run (what `fire_src` built at callee-discovery time).
+    // A wire whose flow is already complete registers caught-up.
+    if let Some(seed) = seed {
+        for (site, set) in &seed.calls {
+            let (arg, bind) = site_nodes[site.index() as usize];
+            if arg == UNINDEXED {
+                if set.is_empty() {
+                    continue;
+                }
+                return Ok(None); // call site vanished but had callees
             }
-            for clo in callees {
+            for clo in set {
                 if let AbsClo::Lam(l) = clo {
-                    let (param, body) = self.tables.lam[l.index() as usize];
-                    for wire in [(arg, param), (body, bind)] {
-                        if revived[wire.0] {
-                            add_wire(
-                                &mut self.solver,
-                                &self.nodes,
-                                &mut self.constraints,
-                                wire,
-                                false,
-                            );
+                    let li = l.index() as usize;
+                    if li >= tables.lam.len() || tables.lam[li].0 == UNINDEXED {
+                        return Ok(None); // callee lambda vanished
+                    }
+                    let (param, body) = tables.lam[li];
+                    for (src, dst) in [(arg, param), (body, bind)] {
+                        if tables.live_src[src] {
+                            let caught_up = nodes.is_subset(src, dst);
+                            add_wire(&mut solver, &nodes, &mut constraints, (src, dst), caught_up);
                         }
                     }
                 }
@@ -1017,89 +633,59 @@ impl SrcLive {
         }
     }
 
-    /// Runs the solver to its fixpoint under `guard`, charging the store's
-    /// footprint against the memory ceiling once per firing.
-    pub(crate) fn run(&mut self, guard: &RunGuard) -> Result<(), AnalysisError> {
-        let SrcLive {
-            solver,
-            nodes,
-            constraints,
-            calls,
-            tables,
-            ..
-        } = self;
-        let mut deltas: Vec<DeltaRange> = Vec::new();
-        solver.run_guarded(guard, |solver, ci| {
-            guard.charge_memory(nodes.approx_bytes() as u64)?;
-            fire_src(ci, solver, nodes, constraints, calls, tables, &mut deltas);
-            Ok(())
-        })
+    // Static seeds last, after every watch exists, so `node_grew`
+    // reaches all watchers. On a warm build these are no-ops where the
+    // poured fixpoint already holds the constant and real (posted)
+    // growth where the edit introduced one.
+    for e in &edges {
+        if let Edge::Seed(set, dst) = e {
+            let dst = idx.node(*dst);
+            let mut grew = false;
+            for v in set {
+                grew |= nodes.add(dst, *v).is_some();
+            }
+            if grew {
+                solver.node_grew(dst, nodes.log(dst).len());
+            }
+        }
     }
 
-    /// Commits the converged store into a fresh [`CfaResult`]. The pool is
-    /// owned by the live state, so repeated commits across edits keep the
-    /// store's memo table valid and dedup against earlier fixpoints.
-    pub(crate) fn commit(&mut self) -> CfaResult {
-        let SrcLive {
-            nodes,
-            pool,
-            calls,
-            node_of_label,
-            dst_flags,
-            commit_cache,
-            calls_snapshot,
-            ..
-        } = self;
-        if commit_cache.len() < nodes.node_count() {
-            commit_cache.resize(nodes.node_count(), None);
-        }
-        let mut commit = |node: usize, pool: &mut SetPool<AbsClo>| -> Arc<BTreeSet<AbsClo>> {
-            let len = nodes.log(node).len();
-            if let Some((cached_len, set)) = &commit_cache[node] {
-                if *cached_len == len {
-                    return Arc::clone(set);
-                }
-            }
-            let id = nodes.commit_into(node, pool);
-            let set = pool.get_arc(id);
-            commit_cache[node] = Some((len, Arc::clone(&set)));
-            set
-        };
-        let vars: Vec<Arc<BTreeSet<AbsClo>>> =
-            (0..self.num_vars).map(|i| commit(i, pool)).collect();
-        let mut terms = LabelTable::new(dst_flags.len() as u32);
-        for (i, &is_dst) in dst_flags.iter().enumerate() {
-            if is_dst {
-                let l = Label::new(i as u32);
-                terms.insert(l, commit(node_of_label[i], pool));
-            }
-        }
-        let callee_count: usize = calls.values().map(BTreeSet::len).sum();
-        let calls = match calls_snapshot {
-            Some((count, snap)) if *count == callee_count => Arc::clone(snap),
-            _ => {
-                let snap = Arc::new(calls.clone());
-                *calls_snapshot = Some((callee_count, Arc::clone(&snap)));
-                snap
-            }
-        };
+    let mut deltas: Vec<DeltaRange> = Vec::new();
+    solver.run_guarded(guard, |solver, ci| {
+        guard.charge_memory(nodes.approx_bytes() as u64)?;
+        fire_src(
+            ci,
+            solver,
+            &mut nodes,
+            &mut constraints,
+            &mut calls,
+            &tables,
+            &mut deltas,
+        );
+        Ok(())
+    })?;
+
+    // Commit point: intern each converged node set (deduping identical
+    // ones), variables first, then the propagation targets in label order.
+    let mut pool: SetPool<AbsClo> = SetPool::new();
+    let mut commit = |node: usize| {
+        let id = nodes.commit_into(node, &mut pool);
+        pool.get_arc(id)
+    };
+    let vars: Vec<Arc<BTreeSet<AbsClo>>> = (0..idx.num_vars).map(&mut commit).collect();
+    let terms = idx.commit_dst_terms(commit);
+    let stats = solver.stats().with_pool(pool.stats());
+    stats.emit_into(sink, if warm { "cfa.src.warm" } else { "cfa.src" });
+    let iterations = stats.fired.max(1);
+    Ok(Some((
         CfaResult {
             vars,
             terms,
-            calls,
-            iterations: self.solver.stats().fired.max(1),
-        }
-    }
-
-    /// Constraint firings so far (cumulative across edits).
-    pub(crate) fn fired(&self) -> u64 {
-        self.solver.stats().fired
-    }
-
-    /// Solver statistics combined with the live pool's counters.
-    pub(crate) fn stats(&self) -> SolverStats {
-        self.solver.stats().with_pool(self.pool.stats())
-    }
+            calls: Arc::new(calls),
+            iterations,
+        },
+        stats,
+    )))
 }
 
 /// The original dense formulation: every constraint re-evaluated per sweep,
@@ -2210,38 +1796,6 @@ mod tests {
                 stats.constraints
             );
         }
-    }
-
-    #[test]
-    fn an_edit_that_makes_a_constant_node_grow_adds_its_skipped_wires() {
-        // The literal operand `0` and the constant body `1` get no wires
-        // while they are constants; replacing each with `g` must wire the
-        // already-discovered callee in place, as a cold solve would.
-        let before = "(let (g (lambda (y) y)) (let (f (lambda (x) 1)) (let (a (f 0)) a)))";
-        let after = "(let (g (lambda (y) y)) (let (f (lambda (x) g)) (let (a (f g)) a)))";
-        let (old, new) = (
-            AnfProgram::parse(before).unwrap(),
-            AnfProgram::parse(after).unwrap(),
-        );
-        assert!(crate::incremental::align_anf(&old, &new).identity_spans());
-        let guard = RunGuard::new(AnalysisBudget::default());
-        let mut live = SrcLive::build(&old, None).unwrap();
-        live.run(&guard).unwrap();
-        let wired = live.stats().constraints;
-        live.apply_edit(&new)
-            .expect("constant → variable edits retract in place");
-        live.run(&guard).unwrap();
-        let warm = live.commit();
-        let cold = zero_cfa(&new).unwrap();
-        assert!(
-            warm.same_solution(&cold),
-            "in-place edit diverges from cold"
-        );
-        let (x, a) = (new.var_named("x").unwrap(), new.var_named("a").unwrap());
-        assert_eq!(warm.get(x).len(), 1, "argument wire revived");
-        assert_eq!(warm.get(a).len(), 1, "body wire revived");
-        // Two static Subs into the new variable operands, two revived wires.
-        assert_eq!(live.stats().constraints, wired + 4);
     }
 
     #[test]

@@ -127,15 +127,6 @@ impl Deadline {
     }
 }
 
-/// The budget for one *warm* re-solve attempt, sized from the cost of the
-/// previous solve: a warm start that fires more than a few multiples of
-/// the from-scratch cost has lost its reason to exist, so the attempt is
-/// cut off and the caller degrades to a cold solve (the additive floor
-/// keeps tiny programs from being cut off by rounding).
-pub fn warm_attempt_budget(prev_iterations: u64) -> AnalysisBudget {
-    AnalysisBudget::new(prev_iterations.saturating_mul(4).saturating_add(1_000))
-}
-
 /// The shared interior of a [`RunGuard`]. Counters are [`Cell`]s because
 /// every fixpoint engine in this crate is single-threaded by construction
 /// (a run owns its guard, its set pools and its node store, and shares

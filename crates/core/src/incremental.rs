@@ -11,21 +11,17 @@
 //! re-running yields a **bit-identical** answer while firing only the
 //! constraints the edit actually perturbs.
 //!
-//! The machinery has four rungs, tried in order of decreasing savings:
+//! Every driver here is stateless: it takes the old program, its fixpoint
+//! and the new program, and tries three rungs in order of decreasing
+//! savings:
 //!
 //! 1. **Noop** — the alignment is a pure identity (same structure, same
 //!    variable/label spaces; constants and names may differ). The
 //!    constraint graph of 0CFA is invariant under constant and name
 //!    changes, so the previous result is reused outright (`Arc` handle
-//!    clones, zero constraints fired).
-//! 2. **Retract** (live solver only) — the edit keeps every variable and
-//!    label in place but changes the constraint *set* (e.g. a constant
-//!    replaced by a variable occurrence). `SrcLive::apply_edit` diffs
-//!    the old and new edge multisets, retracts the removed constraints in
-//!    place (validating against the live store that each removal cannot
-//!    have contributed flow), registers the added ones, and re-fires from
-//!    the converged state.
-//! 3. **Seeded** — the edit inserts or deletes whole bindings, or rewrites
+//!    clones, zero constraints fired). MFP, which is constant-sensitive,
+//!    has only this rung, as a **Transport** under unchanged constants.
+//! 2. **Seeded** — the edit inserts or deletes whole bindings, or rewrites
 //!    subtrees ("regions"). A structural aligner maps the unchanged
 //!    entities, the previous fixpoint is transported through the maps and
 //!    poured silently into a fresh solver, and only the genuinely new flow
@@ -33,7 +29,7 @@
 //!    old entity must have had an empty flow set, and every region
 //!    boundary that removed a flow contribution into a mapped node must be
 //!    provably flowless ([`Boundary`]).
-//! 4. **Cold** — anything else (a deleted binding whose set was nonempty,
+//! 3. **Cold** — anything else (a deleted binding whose set was nonempty,
 //!    a λ moved between labels, an exhausted warm budget) falls back to a
 //!    full re-solve, with the reason recorded in [`ColdReason`]. A
 //!    non-monotone edit can therefore never produce a stale answer.
@@ -49,11 +45,10 @@
 use crate::absval::{AbsClo, AbsKont};
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::cfa::{
-    zero_cfa_cps_seeded, zero_cfa_seeded, CfaResult, CpsCfaResult, CpsFlow, CpsSeed, SrcLive,
-    SrcSeed,
+    zero_cfa_cps_seeded, zero_cfa_seeded, CfaResult, CpsCfaResult, CpsFlow, CpsSeed, SrcSeed,
 };
 use crate::domain::Flat;
-use crate::govern::{warm_attempt_budget, RunGuard};
+use crate::govern::RunGuard;
 use crate::mfp::DfSummary;
 use crate::pushdown::{pushdown_cfa_warm_impl, PushdownCfaResult};
 use crate::trace::{NoopSink, TraceSink};
@@ -92,8 +87,6 @@ pub enum ColdReason {
 pub enum WarmPath {
     /// Identity alignment: previous result reused, nothing fired.
     Noop,
-    /// In-place constraint retraction on the live solver.
-    Retract,
     /// Fresh solver seeded with the transported previous fixpoint.
     Seeded,
     /// Solution transported wholesale (MFP under an identity alignment).
@@ -116,10 +109,6 @@ pub struct WarmReport {
     pub outcome: Outcome,
     /// Constraints fired by this step (0 for `Noop`/`Transport`).
     pub fired: u64,
-    /// Constraints retracted in place (`Retract` rung only).
-    pub retracted: usize,
-    /// Constraints newly registered (`Retract` rung only).
-    pub added: usize,
 }
 
 impl WarmReport {
@@ -127,8 +116,6 @@ impl WarmReport {
         WarmReport {
             outcome: Outcome::Warm(WarmPath::Noop),
             fired: 0,
-            retracted: 0,
-            added: 0,
         }
     }
 
@@ -136,17 +123,6 @@ impl WarmReport {
         WarmReport {
             outcome: Outcome::Warm(WarmPath::Seeded),
             fired,
-            retracted: 0,
-            added: 0,
-        }
-    }
-
-    fn cold(reason: ColdReason, fired: u64) -> WarmReport {
-        WarmReport {
-            outcome: Outcome::Cold(reason),
-            fired,
-            retracted: 0,
-            added: 0,
         }
     }
 
@@ -365,19 +341,6 @@ impl Alignment {
             && self.deletions == 0
             && self.regions == 0
             && self.total()
-    }
-
-    /// Identity *spans*: the variable and label spaces are unchanged and
-    /// every mapped entity is in place, but rewritten regions may exist.
-    /// This is the eligibility gate for in-place constraint retraction
-    /// (`SrcLive::apply_edit`), which diffs edges by position-free keys
-    /// and therefore requires stable entity indices.
-    pub fn identity_spans(&self) -> bool {
-        self.var_map.len() == self.new_vars
-            && self.label_map.len() == self.new_labels
-            && !self.maps_shifted
-            && self.insertions == 0
-            && self.deletions == 0
     }
 
     /// True when transporting a solution through the maps cannot merge two
@@ -1213,8 +1176,6 @@ pub fn solve_mfp_incremental(
         let report = WarmReport {
             outcome: Outcome::Warm(WarmPath::Transport),
             fired: 0,
-            retracted: 0,
-            added: 0,
         };
         return Some((
             DfSummary {
@@ -1224,148 +1185,6 @@ pub fn solve_mfp_incremental(
         ));
     }
     None
-}
-
-// ---------------------------------------------------------------------------
-// Live incremental analyzer (watch mode)
-// ---------------------------------------------------------------------------
-
-/// A source-level 0CFA analyzer kept alive across edits: after
-/// [`IncrementalCfa::new`] solves the initial program, each
-/// [`IncrementalCfa::update`] re-converges from the previous fixpoint,
-/// cascading Noop → Retract (in-place constraint diff on the live solver)
-/// → Seeded (fresh solver, transported seed) → Cold. Every answer is
-/// bit-identical to a from-scratch solve of the same program.
-pub struct IncrementalCfa {
-    prog: AnfProgram,
-    live: SrcLive,
-    result: CfaResult,
-    budget: AnalysisBudget,
-    last: WarmReport,
-}
-
-impl IncrementalCfa {
-    /// Solves `prog` cold under the default budget.
-    pub fn new(prog: AnfProgram) -> Result<IncrementalCfa, AnalysisError> {
-        IncrementalCfa::with_budget(prog, AnalysisBudget::default())
-    }
-
-    /// Solves `prog` cold under `budget` (the cold-solve budget; warm
-    /// attempts run under [`warm_attempt_budget`] of the previous cost).
-    pub fn with_budget(
-        prog: AnfProgram,
-        budget: AnalysisBudget,
-    ) -> Result<IncrementalCfa, AnalysisError> {
-        let mut live = SrcLive::build(&prog, None).expect("cold build is total");
-        live.run(&RunGuard::new(budget))?;
-        let result = live.commit();
-        let fired = live.fired();
-        Ok(IncrementalCfa {
-            prog,
-            live,
-            result,
-            budget,
-            last: WarmReport::cold(ColdReason::StructureMismatch, fired),
-        })
-    }
-
-    /// The current fixpoint (of the most recently updated program).
-    pub fn result(&self) -> &CfaResult {
-        &self.result
-    }
-
-    /// The current program.
-    pub fn program(&self) -> &AnfProgram {
-        &self.prog
-    }
-
-    /// The cost card of the most recent step (the initial solve reports as
-    /// cold).
-    pub fn last_report(&self) -> &WarmReport {
-        &self.last
-    }
-
-    /// Re-analyzes after an edit. The answer (via [`IncrementalCfa::result`])
-    /// is bit-identical to a cold solve of `new_prog`.
-    pub fn update(&mut self, new_prog: AnfProgram) -> Result<WarmReport, AnalysisError> {
-        let al = align_anf(&self.prog, &new_prog);
-
-        // Rung 1 — Noop: the constraint graph is unchanged (constants and
-        // names do not participate in control flow).
-        if al.identity() {
-            self.prog = new_prog;
-            self.last = WarmReport::noop();
-            return Ok(self.last);
-        }
-
-        // Rung 2 — Retract: stable entity spans, changed constraint set.
-        if al.identity_spans() {
-            let fired_before = self.live.fired();
-            match self.live.apply_edit(&new_prog) {
-                Some(delta) => {
-                    let wg = RunGuard::new(warm_attempt_budget(self.result.iterations));
-                    match self.live.run(&wg) {
-                        Ok(()) => {
-                            self.result = self.live.commit();
-                            self.prog = new_prog;
-                            self.last = WarmReport {
-                                outcome: Outcome::Warm(WarmPath::Retract),
-                                fired: self.live.fired() - fired_before,
-                                retracted: delta.retracted,
-                                added: delta.added,
-                            };
-                            return Ok(self.last);
-                        }
-                        Err(AnalysisError::BudgetExhausted { .. }) => {
-                            return self.rebuild_cold(new_prog, ColdReason::BudgetExhausted);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                None => return self.rebuild_cold(new_prog, ColdReason::NonMonotone),
-            }
-        }
-
-        // Rung 3 — Seeded: transport the previous fixpoint into a fresh
-        // solver over the new program.
-        match build_src_seed(&self.result, &al, new_prog.num_vars()) {
-            Ok(seed) => {
-                let wg = RunGuard::new(warm_attempt_budget(self.result.iterations));
-                match SrcLive::build(&new_prog, Some(&seed)) {
-                    Some(mut live) => match live.run(&wg) {
-                        Ok(()) => {
-                            self.result = live.commit();
-                            self.last = WarmReport::seeded(live.fired());
-                            self.live = live;
-                            self.prog = new_prog;
-                            Ok(self.last)
-                        }
-                        Err(AnalysisError::BudgetExhausted { .. }) => {
-                            self.rebuild_cold(new_prog, ColdReason::BudgetExhausted)
-                        }
-                        Err(e) => Err(e),
-                    },
-                    None => self.rebuild_cold(new_prog, ColdReason::StructureMismatch),
-                }
-            }
-            Err(reason) => self.rebuild_cold(new_prog, reason),
-        }
-    }
-
-    /// Rung 4 — Cold: full re-solve; the stale live solver is replaced.
-    fn rebuild_cold(
-        &mut self,
-        new_prog: AnfProgram,
-        reason: ColdReason,
-    ) -> Result<WarmReport, AnalysisError> {
-        let mut live = SrcLive::build(&new_prog, None).expect("cold build is total");
-        live.run(&RunGuard::new(self.budget))?;
-        self.result = live.commit();
-        self.last = WarmReport::cold(reason, live.fired());
-        self.live = live;
-        self.prog = new_prog;
-        Ok(self.last)
-    }
 }
 
 /// Convenience wrapper over [`zero_cfa_incremental`] with a default-budget

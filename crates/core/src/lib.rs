@@ -27,8 +27,8 @@
 //! substrate](mfp) for the Nielson / Kam–Ullman discussion (§6.2), and the
 //! shared sparse [worklist fixpoint engine](solver) — semi-naïve: firings
 //! consume per-watch *deltas*, not whole sets — with its [hash-consed set
-//! arena and in-place set builders](setpool) that the 0CFA and MFP solvers
-//! run on.
+//! arena and append-only delta node store](setpool) that the 0CFA and MFP
+//! solvers run on.
 //!
 //! # Quick tour: Theorem 5.1 in five lines
 //!
@@ -57,7 +57,6 @@ pub mod distrib;
 pub mod domain;
 pub mod faultinject;
 pub mod flow;
-pub mod fxhash;
 pub mod govern;
 pub mod incremental;
 pub mod kcfa;
@@ -85,10 +84,10 @@ pub use certify::{
     certify_answer, certify_cfa_cps, certify_cfa_src, certify_mfp, certify_pushdown,
     certify_source, Certificate, Refutation,
 };
+pub use cpsdfa_syntax::fxhash::{FxBuildHasher, FxHashMap};
 pub use direct::{DirectAnalyzer, DirectResult};
 pub use faultinject::{FaultKind, FaultPlan, PersistFault, PersistFaultPlan};
 pub use flow::FlowLog;
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use govern::{
     CancelToken, CfaAnswer, Deadline, DegradationLadder, DegradationReport, GovernPolicy, Governed,
     RunGuard, RungAttempt,

@@ -25,8 +25,8 @@
 //! stay shared when that result crosses into the service's cross-thread
 //! cache, so a cached answer stores each distinct set once.
 
-use crate::fxhash::FxHashMap;
 use crate::kernels;
+use cpsdfa_syntax::fxhash::FxHashMap;
 use std::collections::BTreeSet;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -326,21 +326,6 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
         s.iter()
             .zip(d.iter().chain(std::iter::repeat(&0)))
             .all(|(sw, dw)| sw & !dw == 0)
-    }
-
-    /// Number of nodes in the store.
-    pub fn node_count(&self) -> usize {
-        self.logs.len()
-    }
-
-    /// Appends one fresh empty node to the store and returns its index.
-    /// The incremental re-analysis path ([`crate::incremental`]) uses this
-    /// to grow the node space in place when an edit introduces flow nodes
-    /// the original program did not have.
-    pub fn push_node(&mut self) -> usize {
-        self.logs.push(Vec::new());
-        self.bits.push(Vec::new());
-        self.logs.len() - 1
     }
 
     /// Interns `node`'s converged set into `pool` — the extraction commit

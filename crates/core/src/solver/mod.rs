@@ -37,7 +37,7 @@
 //! post to one at or before it waits for the next round, so a watcher
 //! behind the growing node fires once on the whole delta of the round
 //! instead of once per element. Posts made while nothing is firing (setup,
-//! seeds, an in-place edit of a converged engine) join the current round.
+//! seeds) join the current round.
 //! Solving is fully deterministic.
 
 use crate::budget::{AnalysisBudget, AnalysisError};
@@ -78,7 +78,7 @@ pub fn worker_count() -> usize {
 /// A constraint index handed out by [`WorklistSolver::add_constraint`].
 pub type ConstraintId = usize;
 
-/// A flow-node index handed out by [`WorklistSolver::add_node`].
+/// A flow-node index registered by [`WorklistSolver::add_nodes`].
 pub type FlowNodeId = usize;
 
 /// One consumed-delta range: the watched `node` grew from `lo` to `hi`
@@ -125,10 +125,6 @@ pub struct WorklistSolver {
     rank: Vec<u32>,
     /// `pending[c]` = already queued (posts coalesce into one firing).
     pending: Vec<bool>,
-    /// `retracted[c]` = constraint was withdrawn
-    /// ([`retract_constraint`](Self::retract_constraint)); its watch edges
-    /// are unlinked and `pop` skips any stale queue entry.
-    retracted: Vec<bool>,
     /// The current round. Entries are `rank << 32 | constraint id`, so
     /// ordering is (rank, id) — same as a `(u32, ConstraintId)` tuple at
     /// half the width.
@@ -158,22 +154,11 @@ impl WorklistSolver {
             node_len: Vec::new(),
             rank: Vec::new(),
             pending: Vec::new(),
-            retracted: Vec::new(),
             queue: BinaryHeap::new(),
             next: BinaryHeap::new(),
             firing: None,
             stats: SolverStats::default(),
         }
-    }
-
-    /// Registers a flow node; returns its id (dense, appended after any
-    /// existing nodes).
-    pub fn add_node(&mut self) -> FlowNodeId {
-        self.watcher_head.push(NIL);
-        self.watcher_tail.push(NIL);
-        self.node_len.push(0);
-        self.stats.nodes += 1;
-        self.watcher_head.len() - 1
     }
 
     /// Registers `n` flow nodes at once; they receive the `n` contiguous
@@ -192,7 +177,6 @@ impl WorklistSolver {
     pub fn reserve(&mut self, constraints: usize) {
         self.rank.reserve(constraints);
         self.pending.reserve(constraints);
-        self.retracted.reserve(constraints);
         self.cwatch_head.reserve(constraints);
         self.cwatch_tail.reserve(constraints);
         self.watch_constraint.reserve(constraints);
@@ -210,7 +194,6 @@ impl WorklistSolver {
         );
         self.rank.push(rank);
         self.pending.push(false);
-        self.retracted.push(false);
         self.cwatch_head.push(NIL);
         self.cwatch_tail.push(NIL);
         self.stats.constraints += 1;
@@ -242,10 +225,6 @@ impl WorklistSolver {
         debug_assert!(
             constraint < self.rank.len(),
             "watch: constraint {constraint} out of range"
-        );
-        debug_assert!(
-            !self.retracted[constraint],
-            "watch: constraint {constraint} was retracted"
         );
         let w = self.watch_constraint.len() as u32;
         self.watch_constraint.push(constraint);
@@ -341,84 +320,29 @@ impl WorklistSolver {
         self.node_len[node]
     }
 
-    /// Withdraws `constraint`: every watch edge it owns is unlinked from
-    /// its node's watcher chain (so future growth never schedules it), its
-    /// delta chain is emptied, and any stale entry already in the queue is
-    /// skipped by [`pop`](Self::pop). Retraction is what lets an
-    /// incremental client drop the constraints of a deleted or re-generated
-    /// program region from a *live* engine instead of rebuilding it.
-    ///
-    /// Cost: O(Σ watcher-chain length of the watched nodes) — retraction
-    /// walks each chain once to splice the edge out; the hot paths
-    /// (`node_grew`, `post`, `take_deltas`) stay branch-free.
-    pub fn retract_constraint(&mut self, constraint: ConstraintId) {
-        if self.retracted[constraint] {
-            return;
-        }
-        self.retracted[constraint] = true;
-        let mut w = self.cwatch_head[constraint];
-        while w != NIL {
-            let wi = w as usize;
-            self.unlink_from_node(self.watch_node[wi], w);
-            w = self.watch_next_of_constraint[wi];
-        }
-        self.cwatch_head[constraint] = NIL;
-        self.cwatch_tail[constraint] = NIL;
-    }
-
-    /// True when `constraint` has been retracted.
-    pub fn is_retracted(&self, constraint: ConstraintId) -> bool {
-        self.retracted[constraint]
-    }
-
-    /// Splices watch edge `w` out of `node`'s watcher chain.
-    fn unlink_from_node(&mut self, node: FlowNodeId, w: u32) {
-        let mut prev = NIL;
-        let mut cur = self.watcher_head[node];
-        while cur != NIL {
-            if cur == w {
-                let next = self.watch_next_of_node[cur as usize];
-                match prev {
-                    NIL => self.watcher_head[node] = next,
-                    p => self.watch_next_of_node[p as usize] = next,
-                }
-                if self.watcher_tail[node] == w {
-                    self.watcher_tail[node] = prev;
-                }
-                return;
-            }
-            prev = cur;
-            cur = self.watch_next_of_node[cur as usize];
-        }
-    }
-
     /// The next constraint to evaluate: the lowest `(rank, id)` of the
     /// current round, or — once that round is drained — of the next one.
-    /// `None` at fixpoint, which leaves the engine idle. Constraints
-    /// retracted while queued are discarded here (uncounted) rather than
-    /// handed to the client.
+    /// `None` at fixpoint, which leaves the engine idle.
     pub fn pop(&mut self) -> Option<ConstraintId> {
-        loop {
-            let Some(Reverse(packed)) = self.queue.pop() else {
+        let Reverse(packed) = match self.queue.pop() {
+            Some(top) => top,
+            None => {
                 self.firing = None;
                 if self.next.is_empty() {
                     return None;
                 }
                 std::mem::swap(&mut self.queue, &mut self.next);
-                continue;
-            };
-            let c = (packed & u32::MAX as u64) as ConstraintId;
-            self.pending[c] = false;
-            if self.retracted[c] {
-                continue;
+                self.queue.pop().expect("the next round is non-empty")
             }
-            if self.firing.is_none() {
-                self.stats.rounds += 1;
-            }
-            self.firing = Some(packed);
-            self.stats.fired += 1;
-            return Some(c);
+        };
+        let c = (packed & u32::MAX as u64) as ConstraintId;
+        self.pending[c] = false;
+        if self.firing.is_none() {
+            self.stats.rounds += 1;
         }
+        self.firing = Some(packed);
+        self.stats.fired += 1;
+        Some(c)
     }
 
     /// Collects into `out` the un-consumed delta of every node `constraint`
@@ -808,65 +732,6 @@ mod tests {
         assert_eq!(s.pop(), Some(c));
         s.take_deltas(c, &mut deltas);
         assert_eq!(deltas, vec![(0, 4, 6)]);
-    }
-
-    #[test]
-    fn retracted_constraints_never_fire_again() {
-        let mut s = WorklistSolver::new();
-        s.add_nodes(2);
-        let keep = s.add_constraint(0);
-        let gone = s.add_constraint(1);
-        s.watch(0, keep);
-        s.watch(0, gone);
-        s.watch(1, gone);
-        // Queued at retraction time: pop must skip it.
-        s.post(gone);
-        s.retract_constraint(gone);
-        assert!(s.is_retracted(gone));
-        assert_eq!(s.pop(), None, "stale queue entry is discarded");
-        // Growth after retraction schedules only the survivor.
-        s.node_grew(0, 1);
-        assert_eq!(s.pop(), Some(keep));
-        assert_eq!(s.pop(), None);
-        s.node_grew(1, 1);
-        assert_eq!(s.pop(), None, "retracted watcher is unlinked");
-        // Retraction is idempotent.
-        s.retract_constraint(gone);
-        assert!(!s.is_retracted(keep));
-    }
-
-    #[test]
-    fn retraction_unlinks_head_middle_and_tail_positions() {
-        // Three watchers on one node; retract each position and check the
-        // chain still schedules exactly the survivors.
-        for victim in 0..3usize {
-            let mut s = WorklistSolver::new();
-            s.add_nodes(1);
-            let cs: Vec<ConstraintId> = (0..3).map(|i| s.add_constraint(i)).collect();
-            for &c in &cs {
-                s.watch(0, c);
-            }
-            s.retract_constraint(cs[victim]);
-            s.node_grew(0, 1);
-            let mut popped = Vec::new();
-            while let Some(c) = s.pop() {
-                popped.push(c);
-            }
-            let expected: Vec<ConstraintId> = (0..3).filter(|&i| i != victim).collect();
-            assert_eq!(popped, expected, "victim {victim}");
-            // The tail pointer stays valid: appending a new watch after the
-            // retraction must still chain correctly.
-            let late = s.add_constraint(9);
-            s.watch(0, late);
-            s.node_grew(0, 2);
-            let mut popped = Vec::new();
-            while let Some(c) = s.pop() {
-                popped.push(c);
-            }
-            let mut expected: Vec<ConstraintId> = (0..3).filter(|&i| i != victim).collect();
-            expected.push(late);
-            assert_eq!(popped, expected, "victim {victim}, after re-watch");
-        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! A fast, non-cryptographic hasher for the interner and arena memo tables.
+//! A fast, non-cryptographic hasher for the interner and arena memo tables,
+//! shared with `cpsdfa-core`'s set pool and fixpoint cache.
 //!
-//! The pipeline's hash keys are tiny — short identifier strings and
-//! few-word arena nodes — and the tables are process-internal, so SipHash's
-//! DoS resistance buys nothing here while costing most of the lookup time.
+//! The pipeline's hash keys are tiny — short identifier strings, few-word
+//! arena nodes, abstract values, label runs and cache keys — and the tables
+//! are process-internal, so SipHash's DoS resistance buys nothing here
+//! while costing most of the lookup time.
 //! This is the classic Fx multiply-rotate hash (as used by rustc): each
 //! word is folded in with a rotate, xor, and multiply by a single odd
 //! constant. Quality is plenty for interning workloads; speed is the point.

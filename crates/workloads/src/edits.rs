@@ -14,7 +14,7 @@
 //! |------|---------------|
 //! | [`EditKind::ReplaceConst`] | Noop (constants do not steer control flow) |
 //! | [`EditKind::RenameVar`] | Noop (the aligner is name-insensitive) |
-//! | [`EditKind::ReplaceConstWithVar`] | Retract / Seeded (constraint set changes) |
+//! | [`EditKind::ReplaceConstWithVar`] | Seeded (constraint set changes); Cold when the literal is an operand of a call that has callees |
 //! | [`EditKind::InsertLeaf`] | Seeded (entity spaces shift) |
 //! | [`EditKind::InsertLambda`] | Seeded (new flow introduced) |
 //! | [`EditKind::SwapArms`] | Noop for constant arms; Cold when closures move |

@@ -4,17 +4,16 @@
 //! every step of every edit script — and the non-monotone edits must
 //! provably fall back to a cold solve rather than return a stale answer.
 //!
-//! Four clients are differenced on each step: source 0CFA (both the
-//! stateless seeded driver and the live [`IncrementalCfa`] retract path),
-//! CPS 0CFA, the pushdown rung, and MFP/`Flat` (transport-only). A
-//! proptest closes the loop over random programs × random edit scripts.
+//! Four clients are differenced on each step: source 0CFA, CPS 0CFA, the
+//! pushdown rung, and MFP/`Flat` (transport-only). A proptest closes the
+//! loop over random programs × random edit scripts.
 
 use cpsdfa_anf::AnfProgram;
-use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps};
+use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps, zero_cfa_instrumented};
 use cpsdfa_core::domain::Flat;
 use cpsdfa_core::incremental::{
     pushdown_cfa_warm, solve_mfp_incremental, zero_cfa_cps_warm, zero_cfa_warm, ColdReason,
-    IncrementalCfa, Outcome, WarmPath, WarmSolve,
+    Outcome, WarmPath, WarmSolve,
 };
 use cpsdfa_core::mfp::Cfg;
 use cpsdfa_core::pushdown::pushdown_cfa;
@@ -91,27 +90,37 @@ fn check_edit_step(old: &Term, new: &Term, ctx: &str) {
     }
 }
 
-/// Runs one full script through the live analyzer, checking bit-identity
-/// against a cold solve after every step, and returns the per-step
-/// reports.
-fn run_live(
-    base: &Term,
-    kinds: &[EditKind],
-    seed: u64,
-) -> Vec<(EditKind, cpsdfa_core::incremental::WarmReport)> {
+/// One source-0CFA step `old → new` through the stateless driver, the way
+/// a watch session takes it: the old program's fixpoint seeds the warm
+/// attempt, and a cold rung solves from scratch. Checks the answer against
+/// a from-scratch solve and returns the rung with the firings it cost.
+fn warm_step(old: &Term, new: &Term, ctx: &str) -> (Outcome, u64) {
+    let old_p = AnfProgram::from_term(old);
+    let new_p = AnfProgram::from_term(new);
+    let prev = zero_cfa(&old_p).expect("cold solve (old)");
+    let (cold, cold_stats) = zero_cfa_instrumented(&new_p).expect("cold solve (new)");
+    match zero_cfa_warm(&old_p, &prev, &new_p).expect("warm driver") {
+        WarmSolve::Warm(warm, report) => {
+            assert!(
+                warm.same_solution(&cold),
+                "{ctx}: warm fixpoint differs from cold ({report:?})"
+            );
+            (report.outcome, report.fired)
+        }
+        WarmSolve::Cold(reason) => (Outcome::Cold(reason), cold_stats.fired),
+    }
+}
+
+/// Steps a generated edit script through [`warm_step`] and returns each
+/// step's edit kind, rung and firings.
+fn warm_script(base: &Term, kinds: &[EditKind], seed: u64) -> Vec<(EditKind, Outcome, u64)> {
     let script = edit_script(base, kinds, seed);
-    let mut live = IncrementalCfa::new(AnfProgram::from_term(&script.base)).expect("initial solve");
+    let mut prev = script.base.clone();
     let mut out = Vec::new();
     for (i, step) in script.steps.iter().enumerate() {
-        let new_p = AnfProgram::from_term(&step.term);
-        let cold = zero_cfa(&new_p).expect("cold solve");
-        let report = live.update(new_p).expect("live update");
-        assert!(
-            live.result().same_solution(&cold),
-            "live step {i} ({:?}) differs from cold: {report:?}",
-            step.kind
-        );
-        out.push((step.kind, report));
+        let (outcome, fired) = warm_step(&prev, &step.term, &format!("step {i} {:?}", step.kind));
+        out.push((step.kind, outcome, fired));
+        prev = step.term.clone();
     }
     out
 }
@@ -155,56 +164,57 @@ fn edit_scripts_are_bit_identical_across_families() {
 }
 
 #[test]
-fn live_analyzer_tracks_scripts_across_families() {
+fn warm_driver_tracks_scripts_across_families() {
     let kinds: Vec<EditKind> = ALL_EDIT_KINDS.to_vec();
     for (name, base) in family_bases() {
-        let reports = run_live(&base, &kinds, 0x11FE + name.len() as u64);
-        assert!(!reports.is_empty(), "{name}: no edits applied");
+        let steps = warm_script(&base, &kinds, 0x11FE + name.len() as u64);
+        assert!(!steps.is_empty(), "{name}: no edits applied");
     }
 }
 
 #[test]
-fn const_and_rename_edits_are_noops_on_the_live_solver() {
+fn const_and_rename_edits_are_noops() {
     let base = families::dispatch(24);
-    let reports = run_live(&base, &[EditKind::ReplaceConst, EditKind::RenameVar], 7);
-    assert_eq!(reports.len(), 2);
-    for (kind, report) in reports {
+    let steps = warm_script(&base, &[EditKind::ReplaceConst, EditKind::RenameVar], 7);
+    assert_eq!(steps.len(), 2);
+    for (kind, outcome, fired) in steps {
         assert_eq!(
-            report.outcome,
+            outcome,
             Outcome::Warm(WarmPath::Noop),
             "{kind:?} should be a Noop"
         );
-        assert_eq!(report.fired, 0, "{kind:?} fired constraints");
+        assert_eq!(fired, 0, "{kind:?} fired constraints");
     }
 }
 
 #[test]
-fn const_to_var_edit_retracts_in_place() {
+fn const_to_var_edit_warm_starts_from_the_seed() {
     // dispatch has the free input `z`, so the rewritten constant keeps the
-    // variable and label spaces intact — the retract rung must answer.
+    // variable and label spaces intact: the transported seed is already
+    // the new fixpoint, and nothing fires.
     let base = families::dispatch(24);
-    let reports = run_live(&base, &[EditKind::ReplaceConstWithVar], 3);
-    assert_eq!(reports.len(), 1);
-    let (_, report) = reports[0];
-    assert_eq!(report.outcome, Outcome::Warm(WarmPath::Retract));
+    let steps = warm_script(&base, &[EditKind::ReplaceConstWithVar], 3);
+    assert_eq!(steps.len(), 1);
+    let (_, outcome, fired) = steps[0];
+    assert_eq!(outcome, Outcome::Warm(WarmPath::Seeded));
+    assert_eq!(fired, 0);
 }
 
 #[test]
 fn insertions_warm_start_from_the_seed() {
     let base = families::polyvariant(16);
-    let cold_fired = {
-        let live = IncrementalCfa::new(AnfProgram::from_term(&base)).expect("cold");
-        live.last_report().fired
-    };
-    let reports = run_live(&base, &[EditKind::InsertLeaf, EditKind::InsertLambda], 11);
-    assert_eq!(reports.len(), 2);
-    for (kind, report) in reports {
-        assert!(report.is_warm(), "{kind:?} fell cold: {report:?}");
+    let (_, cold) = zero_cfa_instrumented(&AnfProgram::from_term(&base)).expect("cold");
+    let steps = warm_script(&base, &[EditKind::InsertLeaf, EditKind::InsertLambda], 11);
+    assert_eq!(steps.len(), 2);
+    for (kind, outcome, fired) in steps {
         assert!(
-            report.fired < cold_fired,
-            "{kind:?}: warm fired {} ≥ cold {}",
-            report.fired,
-            cold_fired
+            matches!(outcome, Outcome::Warm(_)),
+            "{kind:?} fell cold: {outcome:?}"
+        );
+        assert!(
+            fired < cold.fired,
+            "{kind:?}: warm fired {fired} ≥ cold {}",
+            cold.fired
         );
     }
 }
@@ -223,17 +233,12 @@ fn deleting_a_flowing_binding_falls_back_cold() {
     assert_eq!(with_lam.lambda_count(), base.lambda_count() + 1);
     assert_eq!(deleted, base, "deleting the inserted binding restores");
 
-    let mut live = IncrementalCfa::new(AnfProgram::from_term(&with_lam)).expect("initial");
-    let cold = zero_cfa(&AnfProgram::from_term(&deleted)).expect("cold");
-    let report = live
-        .update(AnfProgram::from_term(&deleted))
-        .expect("update");
+    let (outcome, _) = warm_step(&with_lam, &deleted, "delete");
     assert_eq!(
-        report.outcome,
+        outcome,
         Outcome::Cold(ColdReason::NonMonotone),
         "deletion of a flowing binding must be proven non-monotone"
     );
-    assert!(live.result().same_solution(&cold));
 }
 
 #[test]
@@ -246,16 +251,11 @@ fn swapping_lambda_arms_falls_back_cold() {
     let swapped = apply_edit(&base, EditKind::SwapArms, &mut rng, &mut fresh).expect("swap");
     assert_ne!(swapped, base);
 
-    let mut live = IncrementalCfa::new(AnfProgram::from_term(&base)).expect("initial");
-    let cold = zero_cfa(&AnfProgram::from_term(&swapped)).expect("cold");
-    let report = live
-        .update(AnfProgram::from_term(&swapped))
-        .expect("update");
+    let (outcome, _) = warm_step(&base, &swapped, "swap");
     assert!(
-        matches!(report.outcome, Outcome::Cold(_)),
-        "λ-moving swap must fall cold, got {report:?}"
+        matches!(outcome, Outcome::Cold(_)),
+        "λ-moving swap must fall cold, got {outcome:?}"
     );
-    assert!(live.result().same_solution(&cold));
 }
 
 #[test]
@@ -307,15 +307,6 @@ proptest! {
         for (i, step) in script.steps.iter().enumerate() {
             check_edit_step(&prev, &step.term, &format!("random step {i} {:?}", step.kind));
             prev = step.term.clone();
-        }
-
-        // And the live analyzer over the same script.
-        let mut live = IncrementalCfa::new(AnfProgram::from_term(&script.base)).expect("initial");
-        for step in &script.steps {
-            let new_p = AnfProgram::from_term(&step.term);
-            let cold = zero_cfa(&new_p).expect("cold");
-            live.update(new_p).expect("update");
-            prop_assert!(live.result().same_solution(&cold));
         }
     }
 }
