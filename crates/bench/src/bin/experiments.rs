@@ -2018,7 +2018,7 @@ fn e18_degradation(sink: &mut impl TraceSink, test_mode: bool) {
     // One deterministic recoverable fault per corpus program, injected at a
     // seed-chosen firing inside (or just past) the un-faulted schedule.
     let sweep_n = if test_mode { 60 } else { 300 };
-    println!("\n### Seeded fault sweep: {sweep_n}-program corpus, one recoverable fault each\n");
+    println!("\n### Fault sweep: {sweep_n}-program corpus, one seeded recoverable fault each\n");
     let progs = corpus(0xE18, sweep_n, &open_config());
     let indexed: Vec<(u64, &cpsdfa_syntax::Term)> = progs
         .iter()
@@ -2671,6 +2671,12 @@ const E22_FAMILIES: [Family; 2] = [
     ("dispatch", families::dispatch),
     ("polyvariant", families::polyvariant),
 ];
+/// MFP analyzes first-order programs only, so its census runs on the
+/// first-order families.
+const E22_MFP_FAMILIES: [Family; 2] = [
+    ("cond_chain", families::cond_chain),
+    ("diamond_chain", families::diamond_chain),
+];
 const E22_NS: [usize; 3] = [40, 160, 640];
 const E22_TEST_NS: [usize; 1] = [24];
 
@@ -2690,151 +2696,199 @@ fn e22_append_rows(rows: &[String]) {
     }
 }
 
-/// E22: the edit-delta warm-start solver, measured on the path the daemon
-/// serves — the stateless
-/// [`zero_cfa_warm`](cpsdfa_core::incremental::zero_cfa_warm) driver,
-/// which takes the old program, its fixpoint and the edited program. Two
-/// parts:
-///
-/// 1. **Warm vs cold** — two leaf edits on the big dispatch/polyvariant
-///    workloads: toggling one binding between a constant and a free
-///    variable (stepped old → new in both directions), and inserting a
-///    fresh constant binding. Each warm step is paired against a
-///    from-scratch solve of the same program in one interleaved sampling
-///    loop; `"curve": "e22"` rows (warm vs cold wall time *and* fired
-///    constraints) land in `BENCH_solver.json`. Every step must warm-start
-///    from the seed, and on the largest size fire ≥10× fewer constraints
-///    than from scratch. The wall ratio is reported as measured: seed
-///    transport is Ω(fixpoint), so no wall bar applies. Bit-identity is
-///    asserted outside the timing loop.
-/// 2. **Rung census** — a generated edit script covering every
-///    [`EditKind`](cpsdfa_workloads::edits::EditKind) twice is stepped
-///    through the same driver; each step's answer is checked
-///    bit-identical to a from-scratch solve, and the table records which
-///    rung (noop / seeded / cold) answered.
+/// One census step: the rung that answered, the driver's wall time and
+/// the from-scratch solve's wall time (ns).
+type E22Step = (cpsdfa_core::incremental::Outcome, u64, u64);
+
+/// Steps `progs` (a base program and its edited successors) through one
+/// analysis's incremental driver the way a watch session does: each step
+/// starts from the previous program's from-scratch answer. Every warm
+/// answer must equal the from-scratch solve of the edited program.
+fn e22_census<P, R>(
+    progs: &[P],
+    cold: impl Fn(&P) -> R,
+    warm: impl Fn(&P, &R, &P) -> (cpsdfa_core::incremental::Outcome, Option<R>),
+    same: impl Fn(&R, &R) -> bool,
+) -> Vec<E22Step> {
+    let mut prev = cold(&progs[0]);
+    let mut steps = Vec::with_capacity(progs.len() - 1);
+    for pair in progs.windows(2) {
+        let t0 = std::time::Instant::now();
+        let (outcome, answer) = warm(&pair[0], &prev, &pair[1]);
+        let driver_ns = t0.elapsed().as_nanos() as u64;
+        let t0 = std::time::Instant::now();
+        let fresh = cold(&pair[1]);
+        let cold_ns = t0.elapsed().as_nanos() as u64;
+        if let Some(answer) = answer {
+            assert!(
+                same(&answer, &fresh),
+                "warm answer diverges from the from-scratch solve ({outcome:?})"
+            );
+        }
+        steps.push((outcome, driver_ns, cold_ns));
+        prev = fresh;
+    }
+    steps
+}
+
+/// E22: a rung census of the incremental driver the daemon's watch
+/// sessions call. For each of the three CFA kinds (on the dispatch and
+/// polyvariant families) and MFP/`Flat` (on two first-order families),
+/// an edit script of every
+/// [`EditKind`](cpsdfa_workloads::edits::EditKind), twice, is stepped
+/// through the stateless driver. Every warm answer is asserted
+/// bit-identical to a from-scratch solve, and every edit kind except
+/// `SwapArms` is asserted onto its documented rung: `ReplaceConst` and
+/// `RenameVar` are noops for the CFA kinds, `RenameVar` transports MFP
+/// and `ReplaceConst` sends it cold, and every other kind goes cold.
+/// MFP's script skips `InsertLambda`, which would leave its domain. The
+/// table counts noop / transport / cold steps, cold ones per
+/// [`ColdReason`](cpsdfa_core::incremental::ColdReason), with the summed
+/// single-shot wall time of the driver and of the cold solves over the
+/// script; `"curve": "e22"` rows land in `BENCH_solver.json`.
 fn e22_incremental(sink: &mut impl TraceSink, test_mode: bool) {
-    use cpsdfa_core::cfa::{zero_cfa_instrumented, CfaResult};
-    use cpsdfa_core::incremental::{zero_cfa_warm, Outcome, WarmPath, WarmReport, WarmSolve};
-    use cpsdfa_syntax::build::{let_, num, var};
-    use cpsdfa_workloads::edits::{edit_script, ALL_EDIT_KINDS};
+    use cpsdfa_core::cfa::{CfaResult, CpsCfaResult};
+    use cpsdfa_core::incremental::{
+        anf_identity, pushdown_cfa_warm, solve_mfp_incremental, zero_cfa_cps_warm, zero_cfa_warm,
+        ColdReason, Outcome, WarmPath, WarmSolve,
+    };
+    use cpsdfa_core::pushdown::{pushdown_cfa, PushdownCfaResult};
+    use cpsdfa_core::AnalysisError;
+    use cpsdfa_workloads::edits::{edit_script, EditKind, ALL_EDIT_KINDS};
 
     section(
         "E22",
-        "incremental re-analysis: warm-start vs from-scratch after an edit",
+        "incremental re-analysis: rung census of the warm-start driver",
     );
 
-    /// One warm step `old → new`; an edit that is not warm-eligible here
-    /// is a harness failure.
-    fn warm(old: &AnfProgram, prev: &CfaResult, new: &AnfProgram) -> (CfaResult, WarmReport) {
-        match zero_cfa_warm(old, prev, new).expect("warm solve") {
-            WarmSolve::Warm(r, rep) => (r, rep),
-            WarmSolve::Cold(reason) => panic!("leaf edit fell cold: {reason:?}"),
+    fn verdict<R>(w: Result<WarmSolve<R>, AnalysisError>) -> (Outcome, Option<R>) {
+        match w.expect("incremental driver") {
+            WarmSolve::Warm(r, report) => (report.outcome, Some(r)),
+            WarmSolve::Cold(reason) => (Outcome::Cold(reason), None),
         }
     }
+    let noop = Outcome::Warm(WarmPath::Noop);
+    let transport = Outcome::Warm(WarmPath::Transport);
+    let shape = Outcome::Cold(ColdReason::StructureMismatch);
+    let constants = Outcome::Cold(ColdReason::ConstantsChanged);
+    // The documented rung of `kind` (`None` = depends on the site).
+    let expected = |kind: EditKind, mfp: bool| match kind {
+        EditKind::SwapArms => None,
+        EditKind::RenameVar if mfp => Some(transport),
+        EditKind::ReplaceConst if mfp => Some(constants),
+        EditKind::ReplaceConst | EditKind::RenameVar => Some(noop),
+        _ => Some(shape),
+    };
 
-    // --- warm vs cold on two leaf edits ---
     let ns: &[usize] = if test_mode { &E22_TEST_NS } else { &E22_NS };
-    let reps = if test_mode { 2 } else { 5 };
+    let twice: Vec<EditKind> = ALL_EDIT_KINDS
+        .iter()
+        .chain(&ALL_EDIT_KINDS)
+        .copied()
+        .collect();
+    let analyses = [
+        ("cfa.src", &E22_FAMILIES),
+        ("cfa.cps", &E22_FAMILIES),
+        ("cfa.pushdown", &E22_FAMILIES),
+        ("mfp.flat", &E22_MFP_FAMILIES),
+    ];
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut json_rows: Vec<String> = Vec::new();
-    for (family, build) in E22_FAMILIES {
-        for &n in ns {
-            // `e22w` mentions `z` so the free-variable space is identical
-            // in both versions of the toggle; the edit switches `e22x`
-            // between a constant and that (closure-free) variable. The
-            // insert edit prepends a fresh constant binding.
-            let inner = build(n);
-            let v0 = let_("e22w", var("z"), let_("e22x", num(1), inner.clone()));
-            let v1 = let_("e22w", var("z"), let_("e22x", var("z"), inner.clone()));
-            let (p0, p1) = (AnfProgram::from_term(&v0), AnfProgram::from_term(&v1));
-            let base = AnfProgram::from_term(&inner);
-            let inserted = AnfProgram::from_term(&let_("e22fresh", num(1), inner));
-            let edits: [(&str, &[(&AnfProgram, &AnfProgram)]); 2] = [
-                ("toggle-leaf", &[(&p0, &p1), (&p1, &p0)]),
-                ("insert-leaf", &[(&base, &inserted)]),
-            ];
-            for (edit, steps) in edits {
-                let prevs: Vec<CfaResult> = steps
-                    .iter()
-                    .map(|(old, _)| zero_cfa(old).expect("cold base solve"))
+    for (analysis, fams) in analyses {
+        let mfp = analysis == "mfp.flat";
+        let kinds: Vec<EditKind> = twice
+            .iter()
+            .copied()
+            .filter(|k| !(mfp && *k == EditKind::InsertLambda))
+            .collect();
+        for (family, build) in fams.iter() {
+            for &n in ns {
+                let script = edit_script(&build(n), &kinds, 0xE22);
+                let anf: Vec<AnfProgram> = std::iter::once(&script.base)
+                    .chain(script.steps.iter().map(|s| &s.term))
+                    .map(AnfProgram::from_term)
                     .collect();
-                let psize = steps[0].1.root().size();
-                let (mut cold_i, mut warm_i) = (0usize, 0usize);
-                let ((cold_ms, _), (warm_ms, _)) = paired_median_ms(
-                    reps,
-                    || {
-                        let (_, new) = steps[cold_i % steps.len()];
-                        cold_i += 1;
-                        zero_cfa_instrumented(new).expect("cold edited solve")
-                    },
-                    || {
-                        let (old, new) = steps[warm_i % steps.len()];
-                        let prev = &prevs[warm_i % steps.len()];
-                        warm_i += 1;
-                        warm(old, prev, new)
-                    },
-                );
-                // Every direction, outside the timing loop: the rung, the
-                // firings, and bit-identity with the from-scratch solve.
-                let (mut cold_fired, mut warm_fired) = (0u64, 0u64);
-                for ((old, new), prev) in steps.iter().zip(&prevs) {
-                    let (result, report) = warm(old, prev, new);
-                    assert_eq!(
-                        report.outcome,
-                        Outcome::Warm(WarmPath::Seeded),
-                        "{edit} on {family}({n}) must warm-start from the seed"
-                    );
-                    let (fresh, cold_stats) = zero_cfa_instrumented(new).expect("cold solve");
-                    assert!(
-                        result.same_solution(&fresh),
-                        "warm fixpoint diverges from from-scratch on {edit} {family}({n})"
-                    );
-                    cold_fired = cold_fired.max(cold_stats.fired.max(1));
-                    warm_fired = warm_fired.max(report.fired);
+                let cps = || anf.iter().map(CpsProgram::from_anf).collect::<Vec<_>>();
+                let steps = match analysis {
+                    "cfa.src" => e22_census(
+                        &anf,
+                        |p| zero_cfa(p).expect("cold src solve"),
+                        |o, prev, p| verdict(zero_cfa_warm(o, prev, p)),
+                        CfaResult::same_solution,
+                    ),
+                    "cfa.cps" => e22_census(
+                        &cps(),
+                        |p| zero_cfa_cps(p).expect("cold cps solve"),
+                        |o, prev, p| verdict(zero_cfa_cps_warm(o, prev, p)),
+                        CpsCfaResult::same_solution,
+                    ),
+                    "cfa.pushdown" => e22_census(
+                        &cps(),
+                        |p| pushdown_cfa(p).expect("cold pushdown solve"),
+                        |o, prev, p| verdict(pushdown_cfa_warm(o, prev, p)),
+                        PushdownCfaResult::same_solution,
+                    ),
+                    _ => e22_census(
+                        &anf,
+                        |p| {
+                            let cfg = Cfg::from_first_order(p).expect("first-order script");
+                            cfg.solve_mfp::<Flat>(cfg.initial_env(p))
+                                .expect("cold MFP solve")
+                        },
+                        |o, prev, p| match solve_mfp_incremental(o, prev, p) {
+                            Some((s, report)) => (report.outcome, Some(s)),
+                            None if anf_identity(o, p) == Some(true) => (constants, None),
+                            None => (shape, None),
+                        },
+                        |a, b| a == b,
+                    ),
+                };
+                let count = |o: Outcome| steps.iter().filter(|s| s.0 == o).count();
+                for (step, (outcome, ..)) in script.steps.iter().zip(&steps) {
+                    if let Some(want) = expected(step.kind, mfp) {
+                        assert_eq!(
+                            *outcome, want,
+                            "{analysis} {:?} on {family}({n})",
+                            step.kind
+                        );
+                    }
+                    let rung = match outcome {
+                        Outcome::Warm(WarmPath::Noop) => "noop",
+                        Outcome::Warm(WarmPath::Transport) => "transport",
+                        Outcome::Cold(_) => "cold",
+                    };
+                    sink.counter(&format!("e22.{analysis}.rung.{rung}"), 1);
                 }
-                let wall_ratio = cold_ms / warm_ms;
-                let fired_ratio = cold_fired as f64 / warm_fired.max(1) as f64;
-                let p = format!("e22.{edit}.{family}.{n}");
-                sink.gauge(&format!("{p}.program_size"), psize as u64);
-                sink.time_ns(&format!("{p}.cold_ns"), (cold_ms * 1e6) as u64);
-                sink.time_ns(&format!("{p}.warm_ns"), (warm_ms * 1e6) as u64);
-                sink.gauge(&format!("{p}.cold_fired"), cold_fired);
-                sink.gauge(&format!("{p}.warm_fired"), warm_fired);
+                let driver_ms = steps.iter().map(|s| s.1).sum::<u64>() as f64 / 1e6;
+                let cold_ms = steps.iter().map(|s| s.2).sum::<u64>() as f64 / 1e6;
+                let (nn, nt, ns_, nc) = (
+                    count(noop),
+                    count(transport),
+                    count(shape),
+                    count(constants),
+                );
+                let psize = script.base.size();
                 rows.push(vec![
+                    analysis.to_owned(),
                     format!("{family}({n})"),
-                    edit.to_owned(),
+                    format!("{}", steps.len()),
+                    format!("{nn}"),
+                    format!("{nt}"),
+                    format!("{ns_}"),
+                    format!("{nc}"),
+                    format!("{driver_ms:.3}"),
                     format!("{cold_ms:.2}"),
-                    format!("{warm_ms:.3}"),
-                    format!("{wall_ratio:.2}x"),
-                    format!("{cold_fired}"),
-                    format!("{warm_fired}"),
-                    format!("{fired_ratio:.1}x"),
                 ]);
                 json_rows.push(format!(
-                    "  {{\"family\": \"{}\", \"n\": {}, \"program_size\": {}, \
-                     \"analyzer\": \"0cfa-src\", \"impl\": \"seeded-stateless\", \
-                     \"edit\": \"{}\", \"wall_ms\": {:.4}, \
-                     \"cold_wall_ms\": {:.4}, \"iterations\": {}, \
-                     \"cold_iterations\": {}, \"wall_ratio\": {:.2}, \
-                     \"fired_ratio\": {:.2}, \"curve\": \"e22\"}}",
-                    family,
-                    n,
-                    psize,
-                    edit,
-                    warm_ms,
-                    cold_ms,
-                    warm_fired,
-                    cold_fired,
-                    wall_ratio,
-                    fired_ratio,
+                    "  {{\"family\": \"{family}\", \"n\": {n}, \"program_size\": {psize}, \
+                     \"analyzer\": \"{analysis}\", \"impl\": \"identity-walk\", \
+                     \"steps\": {}, \"noop\": {nn}, \"transport\": {nt}, \
+                     \"cold_structure\": {ns_}, \"cold_constants\": {nc}, \
+                     \"driver_ms\": {driver_ms:.4}, \"cold_ms\": {cold_ms:.4}, \
+                     \"hw_threads\": {}, \"curve\": \"e22\"}}",
+                    steps.len(),
+                    hw_threads(),
                 ));
-                if n == *ns.last().unwrap() {
-                    assert!(
-                        fired_ratio >= 10.0,
-                        "warm {edit} must fire >=10x fewer constraints than \
-                         from-scratch on {family}({n}): cold {cold_fired}, warm {warm_fired}"
-                    );
-                }
             }
         }
     }
@@ -2842,70 +2896,24 @@ fn e22_incremental(sink: &mut impl TraceSink, test_mode: bool) {
         "{}",
         render_table(
             &[
+                "analysis",
                 "workload",
-                "edit",
+                "steps",
+                "noop",
+                "transport",
+                "cold: shape",
+                "cold: constants",
+                "driver ms",
                 "cold ms",
-                "warm ms",
-                "wall",
-                "cold fired",
-                "warm fired",
-                "fired",
             ],
             &rows
         )
     );
     println!(
-        "every warm fixpoint checked bit-identical to the from-scratch solve; \
-         seed transport is proportional to the fixpoint, so only the fired bar applies"
+        "every warm answer checked bit-identical to the from-scratch solve; every edit \
+         kind but SwapArms answered on its documented rung; ms columns sum one \
+         single-shot run over the script's steps"
     );
-
-    // --- rung census: a full edit script through the same driver ---
-    let census_n = if test_mode { 12 } else { 48 };
-    let base = families::dispatch(census_n);
-    let kinds: Vec<_> = ALL_EDIT_KINDS
-        .iter()
-        .chain(ALL_EDIT_KINDS.iter())
-        .copied()
-        .collect();
-    let script = edit_script(&base, &kinds, 0xE22);
-    let mut old = AnfProgram::from_term(&script.base);
-    let mut prev = zero_cfa(&old).expect("census base solve");
-    let mut census: Vec<Vec<String>> = Vec::new();
-    for step in &script.steps {
-        let prog = AnfProgram::from_term(&step.term);
-        let (fresh, cold_stats) = zero_cfa_instrumented(&prog).expect("census cold solve");
-        let (outcome, fired) = match zero_cfa_warm(&old, &prev, &prog).expect("warm step") {
-            WarmSolve::Warm(result, report) => {
-                assert!(
-                    result.same_solution(&fresh),
-                    "warm step diverged from from-scratch after {:?}",
-                    step.kind
-                );
-                (report.outcome, report.fired)
-            }
-            WarmSolve::Cold(reason) => (Outcome::Cold(reason), cold_stats.fired),
-        };
-        let rung = match outcome {
-            Outcome::Warm(WarmPath::Noop) => "noop".to_owned(),
-            Outcome::Warm(WarmPath::Seeded) => "seeded".to_owned(),
-            Outcome::Warm(WarmPath::Transport) => "transport".to_owned(),
-            Outcome::Cold(reason) => format!("cold ({reason:?})"),
-        };
-        sink.counter(
-            &format!("e22.script.rung.{}", rung.split(' ').next().unwrap()),
-            1,
-        );
-        sink.counter("e22.script.fired", fired);
-        census.push(vec![format!("{:?}", step.kind), rung, format!("{fired}")]);
-        old = prog;
-        prev = fresh;
-    }
-    println!(
-        "\nedit-script rung census on dispatch({census_n}), {} steps:\n",
-        script.steps.len()
-    );
-    println!("{}", render_table(&["edit", "rung", "fired"], &census));
-    println!("every step checked bit-identical to a from-scratch solve");
     e22_append_rows(&json_rows);
 }
 

@@ -983,8 +983,9 @@ mod tests {
 
     #[test]
     fn answer_digest_ignores_schedule_dependent_work_counters() {
-        // A warm start reaches the same solution in fewer `iterations`
-        // than a cold solve; the canonical digest must see through that.
+        // A warm step reports the same solution with different
+        // `iterations` than a cold solve; the canonical digest must see
+        // through that.
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (let (a (f 1)) (f a)))").unwrap();
         let a = zero_cfa(&p).unwrap();
         let mut b = a.clone();

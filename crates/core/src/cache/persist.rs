@@ -669,7 +669,7 @@ impl PersistDir {
     }
 
     /// Journals a watch session's latest committed fixpoint, replacing any
-    /// predecessor — the warm-start seed a restarted daemon recovers.
+    /// predecessor — the warm-start ancestor a restarted daemon recovers.
     pub fn store_session(
         &self,
         session: u64,

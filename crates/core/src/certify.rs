@@ -45,7 +45,7 @@
 //! Trust argument: a bug in the shared front end changes *which* constraint
 //! system both the solver and the checker see, so it cannot be caught here
 //! (nothing short of a second front end could); a bug anywhere downstream —
-//! solver scheduling, warm-start seeding, cache storage, disk
+//! solver scheduling, warm-start reuse, cache storage, disk
 //! corruption that slips past checksums — produces an answer that fails
 //! this check. The daemon's `--certify` mode samples served answers through
 //! [`certify_answer`] and evicts + recomputes on refutation instead of

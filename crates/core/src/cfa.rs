@@ -340,43 +340,34 @@ impl SrcTables {
     }
 }
 
-/// Registers constraint `c` as a watcher of `node`. A `caught_up` watch
-/// starts past the node's current log, because a seed already reflects
-/// it. Any other watch starts at cursor 0 and is posted at once when the
-/// log is non-empty, so its first firing replays the whole history.
+/// Registers constraint `c` as a watcher of `node`. The watch starts at
+/// cursor 0 and is posted at once when the log is non-empty, so its first
+/// firing replays the whole history.
 fn watch_from<T: Eq + Hash + Clone>(
     solver: &mut WorklistSolver,
     nodes: &DeltaNodes<T>,
     node: usize,
     c: ConstraintId,
-    caught_up: bool,
 ) {
-    if caught_up {
-        solver.watch_caught_up(node, c);
-    } else {
-        solver.watch(node, c);
-        if !nodes.log(node).is_empty() {
-            solver.post(c);
-        }
+    solver.watch(node, c);
+    if !nodes.log(node).is_empty() {
+        solver.post(c);
     }
 }
 
-/// Registers the call wire `src ⊆ dst` as a new `Sub` constraint; see
-/// [`watch_from`] for `caught_up`.
+/// Registers the call wire `src ⊆ dst` as a new `Sub` constraint.
 fn add_wire(
     solver: &mut WorklistSolver,
     nodes: &DeltaNodes<AbsClo>,
     constraints: &mut Vec<SrcConstraint>,
     (src, dst): (usize, usize),
-    caught_up: bool,
 ) {
     let c = solver.add_constraint(constraints.len() as u32);
     constraints.push(SrcConstraint::Sub(dst));
-    watch_from(solver, nodes, src, c, caught_up);
+    watch_from(solver, nodes, src, c);
 }
 
-/// Fires source constraint `ci` of a [`zero_cfa_seeded`] run, whether it
-/// was built cold or from a seed.
+/// Fires source constraint `ci` of a [`zero_cfa_impl`] run.
 fn fire_src(
     ci: ConstraintId,
     solver: &mut WorklistSolver,
@@ -418,7 +409,7 @@ fn fire_src(
                         let (param, body) = tables.lam[l.index() as usize];
                         for wire in [(arg, param), (body, bind)] {
                             if tables.live_src[wire.0] {
-                                add_wire(solver, nodes, constraints, wire, false);
+                                add_wire(solver, nodes, constraints, wire);
                             }
                         }
                     }
@@ -484,48 +475,15 @@ pub fn zero_cfa_guarded_mode(
     zero_cfa_guarded(prog, guard, sink)
 }
 
+/// Source-level 0CFA — the one place it registers its constraints. Every
+/// node starts empty and every watch at cursor 0; the static seeds are
+/// poured last, after every watch exists, so `node_grew` reaches all
+/// watchers. Counters go under the `cfa.src` prefix.
 fn zero_cfa_impl(
     prog: &AnfProgram,
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(CfaResult, SolverStats), AnalysisError> {
-    Ok(zero_cfa_seeded(prog, None, guard, sink)?.expect("an unseeded build is total"))
-}
-
-// ---------------------------------------------------------------------------
-// The source-level solver, cold or warm-started — see `crate::incremental`
-// ---------------------------------------------------------------------------
-
-/// A warm-start seed for the source-level solver: a previous fixpoint
-/// already transported into the *new* program's variable/label spaces by
-/// the aligner in [`crate::incremental`]. Pouring a seed below the least
-/// fixpoint is always sound for a monotone constraint system — the solver
-/// re-derives exactly the missing growth.
-pub(crate) struct SrcSeed {
-    /// Closure set per new variable index (dense; length = `num_vars`).
-    pub(crate) vars: Vec<BTreeSet<AbsClo>>,
-    /// Seeded term-node sets, keyed by new label.
-    pub(crate) terms: Vec<(Label, BTreeSet<AbsClo>)>,
-    /// Pre-wired call graph: new site label → callees already discovered.
-    pub(crate) calls: Vec<(Label, BTreeSet<AbsClo>)>,
-}
-
-/// Source-level 0CFA from an optional warm-start seed — the one place it
-/// registers its constraints. Unseeded, every node starts empty and
-/// watches start at cursor 0. Seeded, the previous fixpoint is poured
-/// **silently** (no watcher notifications), every node's cursor base is
-/// pinned past the poured history, the previous run's dynamic wires are
-/// re-established, and each constraint is registered caught-up when the
-/// seed already satisfies it — so a converged seed fires nothing at all.
-/// Counters go under `cfa.src` cold and `cfa.src.warm` seeded. `Ok(None)`
-/// = the seed references entities the new program does not have; fall
-/// back to a cold solve.
-pub(crate) fn zero_cfa_seeded(
-    prog: &AnfProgram,
-    seed: Option<&SrcSeed>,
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<Option<(CfaResult, SolverStats)>, AnalysisError> {
     let edges = collect_edges(prog);
     let idx = NodeIndex::build(prog, &edges);
     let tables = SrcTables::build(prog, &idx);
@@ -537,106 +495,27 @@ pub(crate) fn zero_cfa_seeded(
     let mut nodes: DeltaNodes<AbsClo> = DeltaNodes::new(total);
     let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
 
-    let warm = seed.is_some();
-    if let Some(seed) = seed {
-        if seed.vars.len() != idx.num_vars {
-            return Ok(None);
-        }
-        for (i, set) in seed.vars.iter().enumerate() {
-            for v in set {
-                nodes.add(i, *v);
-            }
-        }
-        for (l, set) in &seed.terms {
-            let li = l.index() as usize;
-            if li >= idx.term_ids.len() || idx.term_ids[li] == UNINDEXED {
-                if set.is_empty() {
-                    continue;
-                }
-                return Ok(None); // seeded label is not a flow node here
-            }
-            let n = idx.node(Node::Term(*l));
-            for v in set {
-                nodes.add(n, *v);
-            }
-        }
-        // Pin the cursor bases: watches registered below at the
-        // caught-up position treat the poured history as consumed.
-        for n in 0..total {
-            solver.set_node_len(n, nodes.log(n).len());
-        }
-        for (site, set) in &seed.calls {
-            calls.entry_or_default(*site).extend(set.iter().copied());
-        }
-    }
-
     let mut constraints: Vec<SrcConstraint> = Vec::with_capacity(edges.len());
-    // Call-site operand/binder nodes, for re-wiring seeded callees.
-    let mut site_nodes = vec![(UNINDEXED, UNINDEXED); prog.label_count() as usize];
     for e in &edges {
         match e {
             Edge::Seed(..) => {}
             Edge::Sub(src, dst) => {
-                let (s, d) = (idx.node(*src), idx.node(*dst));
                 let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(SrcConstraint::Sub(d));
-                watch_from(&mut solver, &nodes, s, c, warm && nodes.is_subset(s, d));
+                constraints.push(SrcConstraint::Sub(idx.node(*dst)));
+                solver.watch(idx.node(*src), c);
             }
             Edge::Call { f, arg, bind, site } => {
-                let fnode = idx.node(*f);
                 let c = solver.add_constraint(constraints.len() as u32);
                 constraints.push(SrcConstraint::Call {
                     arg: idx.node(*arg),
                     bind: bind.index(),
                     site: *site,
                 });
-                site_nodes[site.index() as usize] = (idx.node(*arg), bind.index());
-                let caught_up = warm && {
-                    let wired = calls.get(*site);
-                    nodes
-                        .log(fnode)
-                        .iter()
-                        .all(|(v, _)| wired.is_some_and(|s| s.contains(v)))
-                };
-                watch_from(&mut solver, &nodes, fnode, c, caught_up);
+                solver.watch(idx.node(*f), c);
             }
         }
     }
 
-    // Warm: re-establish the dynamically discovered wires of the
-    // previous run (what `fire_src` built at callee-discovery time).
-    // A wire whose flow is already complete registers caught-up.
-    if let Some(seed) = seed {
-        for (site, set) in &seed.calls {
-            let (arg, bind) = site_nodes[site.index() as usize];
-            if arg == UNINDEXED {
-                if set.is_empty() {
-                    continue;
-                }
-                return Ok(None); // call site vanished but had callees
-            }
-            for clo in set {
-                if let AbsClo::Lam(l) = clo {
-                    let li = l.index() as usize;
-                    if li >= tables.lam.len() || tables.lam[li].0 == UNINDEXED {
-                        return Ok(None); // callee lambda vanished
-                    }
-                    let (param, body) = tables.lam[li];
-                    for (src, dst) in [(arg, param), (body, bind)] {
-                        if tables.live_src[src] {
-                            let caught_up = nodes.is_subset(src, dst);
-                            add_wire(&mut solver, &nodes, &mut constraints, (src, dst), caught_up);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Static seeds last, after every watch exists, so `node_grew`
-    // reaches all watchers. On a warm build these are no-ops where the
-    // poured fixpoint already holds the constant and real (posted)
-    // growth where the edit introduced one.
     for e in &edges {
         if let Edge::Seed(set, dst) = e {
             let dst = idx.node(*dst);
@@ -675,9 +554,9 @@ pub(crate) fn zero_cfa_seeded(
     let vars: Vec<Arc<BTreeSet<AbsClo>>> = (0..idx.num_vars).map(&mut commit).collect();
     let terms = idx.commit_dst_terms(commit);
     let stats = solver.stats().with_pool(pool.stats());
-    stats.emit_into(sink, if warm { "cfa.src.warm" } else { "cfa.src" });
+    stats.emit_into(sink, "cfa.src");
     let iterations = stats.fired.max(1);
-    Ok(Some((
+    Ok((
         CfaResult {
             vars,
             terms,
@@ -685,7 +564,7 @@ pub(crate) fn zero_cfa_seeded(
             iterations,
         },
         stats,
-    )))
+    ))
 }
 
 /// The original dense formulation: every constraint re-evaluated per sweep,
@@ -1035,13 +914,8 @@ fn cps_wire_flow(
         }
         Flow::Var(v) => {
             let c = solver.add_constraint(constraints.len() as u32);
-            solver.watch(v.index(), c);
             constraints.push(CpsConstraint::Sub(dst));
-            // Replay the source's existing log (fresh cursor = 0); an
-            // empty source needs no first firing.
-            if !nodes.log(v.index()).is_empty() {
-                solver.post(c);
-            }
+            watch_from(solver, nodes, v.index(), c);
         }
     }
 }
@@ -1204,74 +1078,14 @@ pub fn zero_cfa_cps_guarded_mode(
     zero_cfa_cps_guarded(prog, guard, sink)
 }
 
+/// CPS-level 0CFA — the one place it registers its constraints. Every
+/// node starts empty; only the static seeds and constant-operator calls
+/// schedule work. Counters go under the `cfa.cps` prefix.
 fn zero_cfa_cps_impl(
     prog: &CpsProgram,
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(CpsCfaResult, SolverStats), AnalysisError> {
-    Ok(zero_cfa_cps_seeded(prog, None, guard, sink)?.expect("an unseeded build is total"))
-}
-
-// ---------------------------------------------------------------------------
-// The CPS-level solver, cold or warm-started — see `crate::incremental`
-// ---------------------------------------------------------------------------
-
-/// A warm-start seed for the CPS-level solver, already transported into
-/// the new program's spaces (the CPS mirror of [`SrcSeed`]).
-pub(crate) struct CpsSeed {
-    /// Flow set per new variable index (both namespaces; dense).
-    pub(crate) vars: Vec<BTreeSet<CpsFlow>>,
-    /// Pre-wired return sites: new site label → continuations discovered.
-    pub(crate) returns: Vec<(Label, BTreeSet<AbsKont>)>,
-    /// Pre-wired call graph: new site label → callees discovered.
-    pub(crate) calls: Vec<(Label, BTreeSet<AbsClo>)>,
-}
-
-/// The seeded analog of [`cps_wire_flow`]: instead of growing nodes on the
-/// spot, a constant flow that the seed does not already hold is **deferred**
-/// into `pours` — applied only after every watch of the run is registered,
-/// so the growth notification reaches watchers registered later than the
-/// wire. Variable flows become the usual persistent `Sub` edges,
-/// registered caught-up when the seed already contains the source.
-fn cps_warm_wire(
-    flow: Flow,
-    dst: usize,
-    solver: &mut WorklistSolver,
-    nodes: &DeltaNodes<CpsFlow>,
-    constraints: &mut Vec<CpsConstraint>,
-    pours: &mut Vec<(usize, CpsFlow)>,
-) {
-    match flow {
-        Flow::None => {}
-        Flow::Const(cflow) => {
-            if !nodes.contains(dst, &cflow) {
-                pours.push((dst, cflow));
-            }
-        }
-        Flow::Var(v) => {
-            let c = solver.add_constraint(constraints.len() as u32);
-            constraints.push(CpsConstraint::Sub(dst));
-            watch_from(solver, nodes, v.index(), c, nodes.is_subset(v.index(), dst));
-        }
-    }
-}
-
-/// CPS-level 0CFA from an optional warm-start seed — the one place it
-/// registers its constraints. Unseeded, every node starts empty and only
-/// the static seeds and constant-operator calls schedule work. Seeded, the
-/// previous fixpoint is poured silently, the cursor bases are pinned past
-/// it, the returns/calls tables are prefilled, the previous run's dynamic
-/// wires are re-established, and each constraint the seed already
-/// satisfies registers caught-up, so only growth (new constants, unmet
-/// subsets) schedules work. Counters go under `cfa.cps` cold and
-/// `cfa.cps.warm` seeded. `Ok(None)` = the seed does not fit the new
-/// program's shape; fall back to a cold solve.
-pub(crate) fn zero_cfa_cps_seeded(
-    prog: &CpsProgram,
-    seed: Option<&CpsSeed>,
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<Option<(CpsCfaResult, SolverStats)>, AnalysisError> {
     let tables = CpsTables::build(prog);
     let edges = collect_cps_edges(prog);
     let n = prog.num_vars();
@@ -1283,34 +1097,6 @@ pub(crate) fn zero_cfa_cps_seeded(
     let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
     let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
 
-    let warm = seed.is_some();
-    if let Some(seed) = seed {
-        if seed.vars.len() != n {
-            return Ok(None);
-        }
-        for (i, set) in seed.vars.iter().enumerate() {
-            for v in set {
-                nodes.add(i, *v);
-            }
-        }
-        // Pin the cursor bases: caught-up watches treat the poured history
-        // as consumed.
-        for i in 0..n {
-            solver.set_node_len(i, nodes.log(i).len());
-        }
-        for (site, set) in &seed.returns {
-            returns.entry_or_default(*site).extend(set.iter().copied());
-        }
-        for (site, set) in &seed.calls {
-            calls.entry_or_default(*site).extend(set.iter().copied());
-        }
-    }
-
-    // Per-site operands, for re-establishing a seed's wires (empty cold).
-    let sites = if warm { prog.label_count() as usize } else { 0 };
-    let mut ret_w: Vec<Option<Flow>> = vec![None; sites];
-    let mut call_ac: Vec<Option<(Flow, Label)>> = vec![None; sites];
-
     // Watching constraints are not posted while their node is empty (the
     // first delta would be empty — a no-op); `node_grew` schedules them.
     // Seeds skip the worklist entirely and are poured after this loop, so
@@ -1320,25 +1106,14 @@ pub(crate) fn zero_cfa_cps_seeded(
         match e {
             CpsEdge::Seed(..) => {}
             CpsEdge::Sub(src, dst) => {
-                let (s, d) = (src.index(), dst.index());
                 let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(CpsConstraint::Sub(d));
-                watch_from(&mut solver, &nodes, s, c, warm && nodes.is_subset(s, d));
+                constraints.push(CpsConstraint::Sub(dst.index()));
+                solver.watch(src.index(), c);
             }
             CpsEdge::Ret { k, w, site } => {
                 let c = solver.add_constraint(constraints.len() as u32);
                 constraints.push(CpsConstraint::Ret { w: *w, site: *site });
-                if warm {
-                    ret_w[site.index() as usize] = Some(*w);
-                }
-                let kn = k.index();
-                let wired = returns.get(*site);
-                let caught_up = warm
-                    && nodes.log(kn).iter().all(|(v, _)| match v {
-                        CpsFlow::Kont(kk) => wired.is_some_and(|s| s.contains(kk)),
-                        CpsFlow::Clo(_) => true, // closures in k are skipped by the firing
-                    });
-                watch_from(&mut solver, &nodes, kn, c, caught_up);
+                solver.watch(k.index(), c);
             }
             CpsEdge::Call { f, arg, cont, site } => {
                 let c = solver.add_constraint(constraints.len() as u32);
@@ -1348,99 +1123,17 @@ pub(crate) fn zero_cfa_cps_seeded(
                     cont: *cont,
                     site: *site,
                 });
-                if warm {
-                    call_ac[site.index() as usize] = Some((*arg, *cont));
-                }
-                let wired = calls.get(*site);
                 match f {
-                    Flow::Var(v) => {
-                        let caught_up = warm
-                            && nodes.log(v.index()).iter().all(|(val, _)| match val {
-                                CpsFlow::Clo(clo) => wired.is_some_and(|s| s.contains(clo)),
-                                CpsFlow::Kont(_) => true, // non-closures are skipped
-                            });
-                        watch_from(&mut solver, &nodes, v.index(), c, caught_up);
-                    }
+                    Flow::Var(v) => solver.watch(v.index(), c),
                     // A constant operator has no watches, so it is posted
                     // once — a numeric one too, where the firing does
-                    // nothing. A seed that already wired the callee makes
-                    // the firing a no-op, so that one is skipped.
-                    Flow::Const(CpsFlow::Clo(clo)) if wired.is_some_and(|s| s.contains(clo)) => {}
+                    // nothing.
                     Flow::Const(_) | Flow::None => solver.post(c),
                 }
             }
         }
     }
 
-    if let Some(seed) = seed {
-        // Re-establish the previous run's dynamic wires. `Ok(None)` whenever
-        // a seeded site or callee has no counterpart in the new program.
-        let mut pours: Vec<(usize, CpsFlow)> = Vec::new();
-        for (site, set) in &seed.returns {
-            let w = match ret_w.get(site.index() as usize).copied().flatten() {
-                Some(w) => w,
-                None if set.is_empty() => continue,
-                None => return Ok(None),
-            };
-            for kk in set {
-                if let AbsKont::Co(l) = kk {
-                    let dst = tables
-                        .cont_var
-                        .get(l.index() as usize)
-                        .copied()
-                        .unwrap_or(UNINDEXED);
-                    if dst == UNINDEXED {
-                        return Ok(None);
-                    }
-                    cps_warm_wire(w, dst, &mut solver, &nodes, &mut constraints, &mut pours);
-                }
-            }
-        }
-        for (site, set) in &seed.calls {
-            let (arg, cont) = match call_ac.get(site.index() as usize).copied().flatten() {
-                Some(ac) => ac,
-                None if set.is_empty() => continue,
-                None => return Ok(None),
-            };
-            for clo in set {
-                if let AbsClo::Lam(l) = clo {
-                    let (param, kvar) = tables
-                        .lam
-                        .get(l.index() as usize)
-                        .copied()
-                        .unwrap_or((UNINDEXED, UNINDEXED));
-                    if param == UNINDEXED {
-                        return Ok(None);
-                    }
-                    cps_warm_wire(
-                        arg,
-                        param,
-                        &mut solver,
-                        &nodes,
-                        &mut constraints,
-                        &mut pours,
-                    );
-                    cps_warm_wire(
-                        Flow::Const(CpsFlow::Kont(AbsKont::Co(cont))),
-                        kvar,
-                        &mut solver,
-                        &nodes,
-                        &mut constraints,
-                        &mut pours,
-                    );
-                }
-            }
-        }
-        // Deferred constant pours: every watch exists now, so this growth
-        // notifies all of them (including caught-up ones, via their cursors).
-        for (dst, flow) in pours {
-            if let Some(len) = nodes.add(dst, flow) {
-                solver.node_grew(dst, len);
-            }
-        }
-    }
-    // Static seeds: on a warm build, no-ops where the poured fixpoint
-    // already holds the constant, real growth where the edit introduced one.
     for e in &edges {
         if let CpsEdge::Seed(flow, dst) = e {
             let dst = dst.index();
@@ -1477,9 +1170,9 @@ pub(crate) fn zero_cfa_cps_seeded(
         })
         .collect();
     let stats = solver.stats().with_pool(pool.stats());
-    stats.emit_into(sink, if warm { "cfa.cps.warm" } else { "cfa.cps" });
+    stats.emit_into(sink, "cfa.cps");
     let iterations = stats.fired.max(1);
-    Ok(Some((
+    Ok((
         CpsCfaResult {
             vars,
             returns,
@@ -1487,7 +1180,7 @@ pub(crate) fn zero_cfa_cps_seeded(
             iterations,
         },
         stats,
-    )))
+    ))
 }
 
 /// The original dense CPS formulation (full re-sweeps, per-propagation set

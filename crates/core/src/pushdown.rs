@@ -568,34 +568,6 @@ fn pushdown_cfa_impl(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(PushdownCfaResult, SolverStats), AnalysisError> {
-    pushdown_cfa_impl_seeded(prog, None, guard, sink)
-}
-
-/// Warm-started pushdown analysis (*seed-and-resolve*): pours a previous
-/// fixpoint's transported **user-variable** sets into the store after watch
-/// registration, so every constraint starts from the converged sets instead
-/// of growing them element by element; the call/return/summary machinery is
-/// re-derived by the solve itself. Sound because the edit's alignment (see
-/// `crate::incremental`) guarantees the seed lies below the new least
-/// fixpoint. `Ok(None)` when the seed does not fit the program's shape.
-pub(crate) fn pushdown_cfa_warm_impl(
-    prog: &CpsProgram,
-    seed_vars: &[BTreeSet<CpsFlow>],
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<Option<(PushdownCfaResult, SolverStats)>, AnalysisError> {
-    if seed_vars.len() != prog.num_vars() {
-        return Ok(None);
-    }
-    pushdown_cfa_impl_seeded(prog, Some(seed_vars), guard, sink).map(Some)
-}
-
-fn pushdown_cfa_impl_seeded(
-    prog: &CpsProgram,
-    seed_vars: Option<&[BTreeSet<CpsFlow>]>,
-    guard: &RunGuard,
-    sink: &mut impl TraceSink,
-) -> Result<(PushdownCfaResult, SolverStats), AnalysisError> {
     let tables = CpsTables::build(prog);
     let st = collect_pushdown(prog);
     let n = prog.num_vars();
@@ -641,20 +613,6 @@ fn pushdown_cfa_impl_seeded(
                     cont: *cont,
                     site: *site,
                 });
-            }
-        }
-    }
-    // Warm seed first (still after watch registration): pour the previous
-    // fixpoint's transported sets with growth notifications, so every
-    // affected constraint replays the full converged set in one firing.
-    if let Some(seed) = seed_vars {
-        for (i, set) in seed.iter().enumerate() {
-            let mut grew = false;
-            for v in set {
-                grew |= nodes.add(i, *v).is_some();
-            }
-            if grew {
-                solver.node_grew(i, nodes.log(i).len());
             }
         }
     }

@@ -304,30 +304,6 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
         self.logs[node].iter().map(|(v, _)| v)
     }
 
-    /// Membership test.
-    pub fn contains(&self, node: usize, v: &T) -> bool {
-        let Some(&vi) = self.universe.get(v) else {
-            return false;
-        };
-        self.bits[node]
-            .get(vi as usize / 64)
-            .is_some_and(|w| w & (1 << (vi % 64)) != 0)
-    }
-
-    /// `values(src) ⊆ values(dst)`, decided word-parallel on the membership
-    /// bitsets. This is the warm-start satisfaction check: a subset edge
-    /// whose seeded source is already contained in its seeded destination
-    /// would fire as a pure no-op, so its watch can start caught up.
-    pub fn is_subset(&self, src: usize, dst: usize) -> bool {
-        if src == dst {
-            return true;
-        }
-        let (s, d) = (&self.bits[src], &self.bits[dst]);
-        s.iter()
-            .zip(d.iter().chain(std::iter::repeat(&0)))
-            .all(|(sw, dw)| sw & !dw == 0)
-    }
-
     /// Interns `node`'s converged set into `pool` — the extraction commit
     /// point. The node's bitset already holds its elements as
     /// sorted-distinct universe indices, so the canonical form costs a word
@@ -401,9 +377,6 @@ mod tests {
             "log keeps insertion order, deduped, with dense universe indices"
         );
         assert_eq!(nodes.log(1), &[] as &[(u32, u32)]);
-        assert!(nodes.contains(0, &9));
-        assert!(!nodes.contains(1, &9));
-        assert!(!nodes.contains(0, &8), "unseen value is nowhere");
     }
 
     #[test]
@@ -427,7 +400,7 @@ mod tests {
         assert_eq!(a, b);
         // Values minted after the forwarding get fresh universe indices.
         assert_eq!(nodes.add(1, 99), Some(4));
-        assert!(nodes.contains(1, &99) && !nodes.contains(0, &99));
+        assert!(nodes.values(1).any(|&v| v == 99) && !nodes.values(0).any(|&v| v == 99));
     }
 
     #[test]
@@ -475,41 +448,6 @@ mod tests {
         let sb: BTreeSet<u32> = b.values(1).copied().collect();
         assert_eq!(sa, sb);
         assert_eq!(a.log(1).len(), b.log(1).len(), "same distinct count");
-    }
-
-    #[test]
-    fn is_subset_agrees_with_set_containment() {
-        let mut nodes: DeltaNodes<u32> = DeltaNodes::new(4);
-        // Node 1 spans several words; node 0 is a strict subset, node 2
-        // overlaps but escapes, node 3 is empty.
-        for v in [1, 63, 64, 129, 200] {
-            nodes.add(1, v);
-        }
-        for v in [63, 200] {
-            nodes.add(0, v);
-        }
-        for v in [63, 500] {
-            nodes.add(2, v);
-        }
-        assert!(nodes.is_subset(0, 1));
-        assert!(!nodes.is_subset(1, 0));
-        assert!(!nodes.is_subset(2, 1), "500 is outside node 1");
-        assert!(!nodes.is_subset(1, 2));
-        assert!(nodes.is_subset(3, 1), "∅ ⊆ anything");
-        assert!(!nodes.is_subset(1, 3));
-        assert!(nodes.is_subset(1, 1), "reflexive");
-        assert!(nodes.is_subset(3, 3));
-        // Differential against the committed sets.
-        let sets: Vec<BTreeSet<u32>> = (0..4).map(|n| nodes.values(n).copied().collect()).collect();
-        for a in 0..4 {
-            for b in 0..4 {
-                assert_eq!(
-                    nodes.is_subset(a, b),
-                    sets[a].is_subset(&sets[b]),
-                    "nodes {a} ⊆ {b}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -205,19 +205,6 @@ impl WorklistSolver {
     /// watch's cursor starts at 0: its first delta covers the node's whole
     /// current log.
     pub fn watch(&mut self, node: FlowNodeId, constraint: ConstraintId) {
-        self.watch_with_cursor(node, constraint, 0);
-    }
-
-    /// [`watch`](Self::watch), but the new edge starts *caught up*: its
-    /// cursor is set to the node's current log length, so the watcher sees
-    /// only growth that happens after registration. This is the warm-start
-    /// primitive — a constraint whose effect is already reflected in a
-    /// seeded fixpoint must not replay the seeded history.
-    pub fn watch_caught_up(&mut self, node: FlowNodeId, constraint: ConstraintId) {
-        self.watch_with_cursor(node, constraint, self.node_len[node]);
-    }
-
-    fn watch_with_cursor(&mut self, node: FlowNodeId, constraint: ConstraintId, cursor: usize) {
         debug_assert!(
             node < self.watcher_head.len(),
             "watch: node {node} out of range"
@@ -229,7 +216,7 @@ impl WorklistSolver {
         let w = self.watch_constraint.len() as u32;
         self.watch_constraint.push(constraint);
         self.watch_node.push(node);
-        self.watch_cursor.push(cursor);
+        self.watch_cursor.push(0);
         self.watch_next_of_node.push(NIL);
         self.watch_next_of_constraint.push(NIL);
         // Tail-append into both chains.
@@ -297,12 +284,11 @@ impl WorklistSolver {
         self.node_grew(node, self.node_len[node] + 1);
     }
 
-    /// Records a node's log length *without scheduling anybody* — the
-    /// seed-pouring primitive of the warm-start path. After a previous
-    /// fixpoint's values are poured into the client's logs, this syncs the
-    /// engine's length bookkeeping so that cursor-0 watches registered
-    /// later still see the poured history as their first delta, while
-    /// nothing fires just because a seed exists.
+    /// Records a node's log length *without scheduling anybody*. A client
+    /// that fills its logs before solving (MFP's initial reachability)
+    /// syncs the engine's length bookkeeping this way, so cursor-0 watches
+    /// registered later still see that history as their first delta while
+    /// nothing fires just because the history exists.
     ///
     /// Must not shrink: like [`node_grew`](Self::node_grew), lengths are
     /// monotone.
@@ -696,9 +682,8 @@ mod tests {
 
     #[test]
     fn poured_seeds_are_silent_but_visible_to_cursor_zero_watches() {
-        // The warm-start discipline: pour a previous fixpoint's history
-        // with `set_node_len` (nothing fires), then a fresh watch still
-        // receives that history as its first delta.
+        // Record a pre-filled history with `set_node_len` (nothing fires);
+        // a fresh watch still receives that history as its first delta.
         let mut s = WorklistSolver::new();
         s.add_nodes(1);
         s.set_node_len(0, 4);
@@ -710,28 +695,11 @@ mod tests {
         let mut deltas = Vec::new();
         assert_eq!(s.pop(), Some(c));
         s.take_deltas(c, &mut deltas);
-        assert_eq!(deltas, vec![(0, 0, 4)], "seeded history is the first delta");
-    }
-
-    #[test]
-    fn caught_up_watches_skip_the_seeded_history() {
-        let mut s = WorklistSolver::new();
-        s.add_nodes(1);
-        s.set_node_len(0, 4);
-        let c = s.add_constraint(0);
-        s.watch_caught_up(0, c);
-        // Nothing pending, and a manual post delivers an empty delta: the
-        // seeded prefix is considered already consumed.
-        s.post(c);
-        let mut deltas = Vec::new();
-        assert_eq!(s.pop(), Some(c));
-        s.take_deltas(c, &mut deltas);
-        assert!(deltas.is_empty(), "caught-up watch must not replay seeds");
-        // Post-registration growth is delivered normally, from the seam.
-        s.node_grew(0, 6);
-        assert_eq!(s.pop(), Some(c));
-        s.take_deltas(c, &mut deltas);
-        assert_eq!(deltas, vec![(0, 4, 6)]);
+        assert_eq!(
+            deltas,
+            vec![(0, 0, 4)],
+            "recorded history is the first delta"
+        );
     }
 
     #[test]

@@ -168,22 +168,25 @@ fn hit_digest(key: CacheKey, fresh: CachedAnswer) -> u64 {
 fn warm<R: std::fmt::Debug>(name: &str, solve: WarmSolve<R>) -> R {
     match solve {
         WarmSolve::Warm(r, _) => r,
-        WarmSolve::Cold(reason) => panic!("{name}: pure insertion fell cold: {reason:?}"),
+        WarmSolve::Cold(reason) => panic!("{name}: constant edit fell cold: {reason:?}"),
     }
 }
 
 #[test]
 fn hit_fresh_and_warm_answers_digest_equal() {
-    // The watch-session edit shape: a fresh top-level binding, a pure
-    // insertion every warm rung bridges. The answer a fresh solve of the
-    // edited program gives, the one the cache serves after committing it,
-    // and the one warm-started from a solve of the base program must all
-    // carry the same digest.
+    // The watch-session edit shape: a constant changed in a top-level
+    // binding, which every CFA kind answers as a noop. The answer a fresh
+    // solve of the edited program gives, the one the cache serves after
+    // committing it, and the one warm-started from a solve of the base
+    // program must all carry the same digest.
     for (name, base) in [
         ("dispatch(12)", families::dispatch(12)),
         ("repeated_calls(16)", families::repeated_calls(16)),
     ] {
-        let edited = let_("fresh", num(7), base.clone());
+        let (base, edited) = (
+            let_("fresh", num(1), base.clone()),
+            let_("fresh", num(7), base),
+        );
         let (old_p, new_p) = (AnfProgram::from_term(&base), AnfProgram::from_term(&edited));
         let (old_c, new_c) = (CpsProgram::from_anf(&old_p), CpsProgram::from_anf(&new_p));
         let digest = digest_in_fresh_arena(&edited.to_string());

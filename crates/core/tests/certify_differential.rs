@@ -127,14 +127,17 @@ fn every_solver_answer_certifies_on_300_program_corpus() {
 
 #[test]
 fn warm_answers_certify_against_the_edited_program() {
-    // The same edit shape the watch-session tests use: a fresh top-level
-    // binding, a pure insertion every incremental rung can warm through.
+    // The same edit shape the watch-session tests use: a constant changed
+    // in a top-level binding, which every CFA kind answers as a noop.
     for (name, base) in [
         ("dispatch(12)", families::dispatch(12)),
         ("repeated_calls(16)", families::repeated_calls(16)),
         ("cond_chain(8)", families::cond_chain(8)),
     ] {
-        let edited = let_("fresh", num(7), base.clone());
+        let (base, edited) = (
+            let_("fresh", num(1), base.clone()),
+            let_("fresh", num(7), base),
+        );
         let old_p = AnfProgram::from_term(&base);
         let new_p = AnfProgram::from_term(&edited);
 
@@ -144,7 +147,7 @@ fn warm_answers_certify_against_the_edited_program() {
                 certify_cfa_src(&new_p, &warm)
                     .unwrap_or_else(|e| panic!("{name}: warm src answer refuted: {e}"));
             }
-            WarmSolve::Cold(r) => panic!("{name}: pure insertion fell cold on src: {r:?}"),
+            WarmSolve::Cold(r) => panic!("{name}: constant edit fell cold on src: {r:?}"),
         }
 
         let old_c = CpsProgram::from_anf(&old_p);
@@ -155,7 +158,7 @@ fn warm_answers_certify_against_the_edited_program() {
                 certify_cfa_cps(&new_c, &warm)
                     .unwrap_or_else(|e| panic!("{name}: warm cps answer refuted: {e}"));
             }
-            WarmSolve::Cold(r) => panic!("{name}: pure insertion fell cold on cps: {r:?}"),
+            WarmSolve::Cold(r) => panic!("{name}: constant edit fell cold on cps: {r:?}"),
         }
     }
 

@@ -10,8 +10,9 @@
 //! Request lines look like
 //! `{"id": 1, "analysis": "cfa.cps", "program": "(let (f (lambda (x) x)) (f 1))"}`
 //! (optional fields: `budget`, `request_budget`, `deadline_ms`, and
-//! `session` — requests sharing a session id form an edit stream whose
-//! steps warm-start from the session's previous fixpoint). A `mode` of
+//! `session` — requests sharing a session id form an edit stream; a step
+//! that changed only constants or names reuses the session's previous
+//! fixpoint, any other step is solved cold). A `mode` of
 //! `seq`, `par` or `par:K` is accepted and ignored: every request runs on
 //! the sequential engine, and `stats` counts the `par` ones as
 //! `mode_ignored`; any other `mode` is a `bad-request`. Control lines:

@@ -83,7 +83,7 @@ use cpsdfa_core::govern::{
     governed_mfp_flat, governed_pushdown_cfa, governed_zero_cfa, governed_zero_cfa_cps,
     ladder_rungs, CfaAnswer, DegradationReport, GovernPolicy, RungAttempt,
 };
-use cpsdfa_core::incremental::{self, WarmReport, WarmSolve};
+use cpsdfa_core::incremental::{self, WarmSolve};
 use cpsdfa_core::mfp::Cfg;
 use cpsdfa_core::trace::TraceSink;
 use cpsdfa_core::{worker_count, AggSink, AnalysisBudget, JsonlSink};
@@ -590,11 +590,11 @@ impl AnalysisService {
         let lowered = Rc::new(ctx.lower(root));
         let prog = &lowered.anf;
 
-        // Watch mode: before paying for the ladder, try to warm-start from
-        // the session's previous fixpoint — only the edit delta re-solves.
-        // Any ineligible edit (non-monotone, misaligned, over budget)
-        // falls through to the governed ladder below: warm starting is an
-        // optimization, never a gate.
+        // Watch mode: before paying for the ladder, try to reuse the
+        // session's previous fixpoint. An edit that changed only constants
+        // or names (only names, for MFP) is answered from it; any other
+        // edit falls through to the governed ladder below: warm starting
+        // is an optimization, never a gate.
         'warm: {
             if !self.config.cache_enabled {
                 break 'warm;
@@ -602,8 +602,7 @@ impl AnalysisService {
             let Some(session) = req.session else {
                 break 'warm;
             };
-            let Some((answer, warm, charged)) =
-                self.session_warm(req, session, &lowered, ctx, sink)
+            let Some((answer, charged)) = self.session_warm(req, session, &lowered, ctx, sink)
             else {
                 break 'warm;
             };
@@ -630,7 +629,6 @@ impl AnalysisService {
             }
             self.counters.served_warm.fetch_add(1, Ordering::Relaxed);
             sink.counter("service.warm", 1);
-            sink.counter("service.warm.fired", warm.fired);
             let report = DegradationReport {
                 attempts: vec![RungAttempt {
                     rung: "warm",
@@ -783,14 +781,15 @@ impl AnalysisService {
             .note_ancestor(session, ancestor);
     }
 
-    /// Attempts the watch-mode warm start: the session's remembered
-    /// fixpoint becomes the seed and only the edit delta re-solves. Every
-    /// rung of the incremental cascade is differentially tested
+    /// Attempts the watch-mode warm start: when the edit kept the
+    /// program's shape, the session's remembered fixpoint is the answer
+    /// (noop for the CFA kinds; transport for MFP, which also needs the
+    /// constants unchanged). Both rungs are differentially tested
     /// bit-identical to a from-scratch solve, so a `Some` answer is
     /// exactly what the ladder would have produced — minus the work.
     /// `None` means "not warm-eligible; run the ladder".
     ///
-    /// The seed's program comes from the worker's session memo when this
+    /// The ancestor's program comes from the worker's session memo when this
     /// worker answered the session's previous step (counted as
     /// `service.lower.reused`); otherwise — that step was a cache hit, was
     /// answered by another worker, or was recovered from the journal — the
@@ -802,7 +801,7 @@ impl AnalysisService {
         new: &Lowered,
         ctx: &mut WorkerCtx,
         sink: &mut impl TraceSink,
-    ) -> Option<(CachedAnswer, WarmReport, u64)> {
+    ) -> Option<(CachedAnswer, u64)> {
         let anc = self
             .cache
             .lock()
@@ -828,9 +827,7 @@ impl AnalysisService {
         let warm = match &anc.fixpoint.answer {
             CachedAnswer::CfaSrc(prev) => {
                 match incremental::zero_cfa_incremental(&old.anf, prev, &new.anf, &guard, sink) {
-                    Ok(WarmSolve::Warm(result, report)) => {
-                        Some((CachedAnswer::CfaSrc(result), report))
-                    }
+                    Ok(WarmSolve::Warm(result, _)) => Some(CachedAnswer::CfaSrc(result)),
                     _ => None,
                 }
             }
@@ -842,9 +839,7 @@ impl AnalysisService {
                     &guard,
                     sink,
                 ) {
-                    Ok(WarmSolve::Warm(result, report)) => {
-                        Some((CachedAnswer::CfaCps(result), report))
-                    }
+                    Ok(WarmSolve::Warm(result, _)) => Some(CachedAnswer::CfaCps(result)),
                     _ => None,
                 }
             }
@@ -856,18 +851,16 @@ impl AnalysisService {
                     &guard,
                     sink,
                 ) {
-                    Ok(WarmSolve::Warm(result, report)) => {
-                        Some((CachedAnswer::CfaPushdown(result), report))
-                    }
+                    Ok(WarmSolve::Warm(result, _)) => Some(CachedAnswer::CfaPushdown(result)),
                     _ => None,
                 }
             }
             CachedAnswer::MfpFlat(prev) => {
                 incremental::solve_mfp_incremental(&old.anf, prev, &new.anf)
-                    .map(|(summary, report)| (CachedAnswer::MfpFlat(summary), report))
+                    .map(|(summary, _)| CachedAnswer::MfpFlat(summary))
             }
         };
-        warm.map(|(answer, report)| (answer, report, guard.total_spent()))
+        warm.map(|answer| (answer, guard.total_spent()))
     }
 
     /// Runs a batch of request lines through the worker pool and returns

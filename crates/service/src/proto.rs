@@ -141,10 +141,10 @@ pub enum Served {
     Hit,
     /// Solved fresh (and, when caching is on, committed to the cache).
     Miss,
-    /// Warm-started from the session's previous fixpoint: the edit delta
-    /// was re-solved incrementally instead of from scratch. The answer is
-    /// bit-identical to a fresh solve (and committed to the cache under
-    /// the same key a fresh solve would use).
+    /// Reused the session's previous fixpoint: the edit changed only
+    /// constants or names (only names, for MFP), so nothing was solved.
+    /// The answer is bit-identical to a fresh solve (and committed to the
+    /// cache under the same key a fresh solve would use).
     Warm,
     /// Solved fresh with the cache disabled.
     Off,

@@ -185,3 +185,57 @@ fn a_depth_bomb_gets_too_deep_and_the_daemon_keeps_serving() {
         lines[1]
     );
 }
+
+/// The value of `field` in a one-line JSON response (`"field": value`).
+fn field<'a>(line: &'a str, field: &str) -> &'a str {
+    let key = format!("\"{field}\": ");
+    let rest = &line[line
+        .find(&key)
+        .unwrap_or_else(|| panic!("{field} in {line}"))
+        + key.len()..];
+    rest[..rest.find([',', '}']).unwrap_or(rest.len())].trim_matches('"')
+}
+
+#[test]
+fn a_watch_session_answers_constant_edits_warm_and_other_edits_cold() {
+    use std::io::Write;
+    let base = "(let (c 1) (let (f (lambda (x) x)) (f c)))";
+    let constant = "(let (c 2) (let (f (lambda (x) x)) (f c)))";
+    let inserted = "(let (e 3) (let (c 2) (let (f (lambda (x) x)) (f c))))";
+    let input = format!(
+        "{{\"id\": 1, \"session\": 5, \"analysis\": \"cfa.src\", \"program\": \"{base}\"}}\n\
+         {{\"id\": 2, \"session\": 5, \"analysis\": \"cfa.src\", \"program\": \"{constant}\"}}\n\
+         {{\"id\": 3, \"session\": 5, \"analysis\": \"cfa.src\", \"program\": \"{inserted}\"}}\n\
+         {{\"id\": 4, \"analysis\": \"cfa.src\", \"program\": \"{inserted}\"}}\n\
+         {{\"cmd\": \"shutdown\"}}\n"
+    );
+    let mut child = cpsdfad()
+        .args(["--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cpsdfad");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().expect("cpsdfad exits");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let mut lines: Vec<&str> = stdout.lines().collect();
+    lines.sort_by_key(|l| field(l, "id").parse::<u64>().expect("numeric id"));
+    let cache: Vec<&str> = lines.iter().map(|l| field(l, "cache")).collect();
+    assert_eq!(cache, ["miss", "warm", "miss", "hit"], "{stdout}");
+    assert_eq!(
+        field(lines[2], "answer_digest"),
+        field(lines[3], "answer_digest"),
+        "the hit serves the answer the cold step committed"
+    );
+}

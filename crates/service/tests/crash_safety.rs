@@ -13,6 +13,8 @@ use cpsdfa_core::{cfa, PersistDir};
 use cpsdfa_service::proto::{Response, Served, Status};
 use cpsdfa_service::{AnalysisService, ServiceConfig};
 use cpsdfa_syntax::arena::TermArena;
+use cpsdfa_syntax::build::{let_, num};
+use cpsdfa_syntax::Term;
 use cpsdfa_workloads::families;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -117,11 +119,19 @@ fn restart_recovers_the_persisted_cache_and_serves_hits() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A program and its edit that changes one constant: the shape every CFA
+/// kind answers warm from a session's ancestor.
+fn const_edit(base: Term) -> (Term, Term) {
+    (
+        let_("fresh", num(1), base.clone()),
+        let_("fresh", num(7), base),
+    )
+}
+
 #[test]
 fn restarted_daemon_warm_starts_journaled_watch_sessions() {
     let dir = tmpdir("journal");
-    let base = families::dispatch(8);
-    let edited = cpsdfa_syntax::build::let_("fresh", cpsdfa_syntax::build::num(7), base.clone());
+    let (base, edited) = const_edit(families::dispatch(8));
 
     {
         let service = AnalysisService::new(config(&dir));
@@ -306,8 +316,7 @@ fn idle_watch_sessions_expire_on_the_ttl() {
     };
     cfg.session_ttl = Some(Duration::from_millis(20));
     let service = AnalysisService::new(cfg);
-    let base = families::dispatch(8);
-    let edited = cpsdfa_syntax::build::let_("fresh", cpsdfa_syntax::build::num(7), base.clone());
+    let (base, edited) = const_edit(families::dispatch(8));
 
     let line = session_request(1, 7, "cfa.cps", &base.to_string());
     service.run_batch(&[&line]);

@@ -89,8 +89,9 @@ fn the_cache_holds_the_served_fixpoint_not_a_copy() {
     // pointer, not an equal deep copy.
     let service = AnalysisService::new(small_config());
     let program = families::dispatch(8).to_string();
-    let base = families::repeated_calls(8);
-    let edited = let_("extra", num(7), base.clone());
+    // A constant edit: the warm step reuses the session's fixpoint.
+    let base = let_("extra", num(1), families::repeated_calls(8));
+    let edited = let_("extra", num(7), families::repeated_calls(8));
     let lines = [
         request(1, "cfa.cps", &program),
         request(2, "cfa.cps", &program),

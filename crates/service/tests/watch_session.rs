@@ -1,6 +1,7 @@
 //! Watch-mode session tests: requests sharing a `session` id form an edit
-//! stream, and the daemon warm-starts each step from the session's
-//! previous fixpoint. The acceptance bar is the same as the incremental
+//! stream, and the daemon answers a step that changed only constants or
+//! names from the session's previous fixpoint. The acceptance bar is the
+//! same as the incremental
 //! differential suite's — a warm answer must be bit-identical (same
 //! answer digest) to a from-scratch solve of the edited program — plus
 //! the service-level facts: warm serves are reported as `warm`, cold
@@ -58,14 +59,13 @@ fn cold_digest(analysis: &str, program: &str) -> u64 {
 }
 
 #[test]
-fn insert_edit_answers_warm_and_bit_identical_for_every_cfa_kind() {
+fn const_edit_answers_warm_and_bit_identical_for_every_cfa_kind() {
     for analysis in ["cfa.src", "cfa.cps", "cfa.pushdown"] {
-        let base = families::dispatch(8);
-        let edited = let_("extra", num(7), base.clone());
+        let chain = const_chain(families::dispatch(8), 1);
         let service = AnalysisService::new(small_config());
         let lines = [
-            session_request(1, 42, analysis, &base.to_string()),
-            session_request(2, 42, analysis, &edited.to_string()),
+            session_request(1, 42, analysis, &chain[0]),
+            session_request(2, 42, analysis, &chain[1]),
         ];
         let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
         let outcomes = service.run_batch(&refs);
@@ -75,11 +75,11 @@ fn insert_edit_answers_warm_and_bit_identical_for_every_cfa_kind() {
         assert_eq!(
             *edit_cache,
             Served::Warm,
-            "{analysis}: an inserted leaf binding must warm-start"
+            "{analysis}: a constant edit must answer warm"
         );
         assert_eq!(
             edit_digest,
-            cold_digest(analysis, &edited.to_string()),
+            cold_digest(analysis, &chain[1]),
             "{analysis}: warm answer must be bit-identical to from-scratch"
         );
     }
@@ -106,8 +106,8 @@ fn rename_edit_transports_mfp_for_free() {
 
 #[test]
 fn misaligned_edit_falls_back_to_the_governed_ladder() {
-    // Replacing the program wholesale is not an edit the aligner can
-    // bridge: the session must still answer — cold, via the ladder.
+    // Replacing the program wholesale changes its shape: the session must
+    // still answer — cold, via the ladder.
     let base = families::dispatch(8).to_string();
     let replaced = families::cond_chain(6).to_string();
     let service = AnalysisService::new(small_config());
@@ -118,36 +118,29 @@ fn misaligned_edit_falls_back_to_the_governed_ladder() {
     let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
     let outcomes = service.run_batch(&refs);
     let (cache, digest, _) = ok_fields(&outcomes[1].response);
-    assert_eq!(*cache, Served::Miss, "unalignable edits solve cold");
+    assert_eq!(*cache, Served::Miss, "a changed shape solves cold");
     assert_eq!(digest, cold_digest("cfa.src", &replaced));
 }
 
 #[test]
 fn sessions_chain_warm_across_successive_edits() {
-    // Three stacked inserts: every step after the first warm-starts from
-    // the *previous step's* fixpoint, not from the session opener.
-    let base = families::polyvariant(8);
-    let step1 = let_("e1", num(1), base.clone());
-    let step2 = let_("e2", num(2), step1.clone());
-    let step3 = let_("e3", num(3), step2.clone());
+    // Three successive constant edits: every step after the first answers
+    // from the *previous step's* fixpoint, not from the session opener.
+    let chain = const_chain(families::polyvariant(8), 3);
     let service = AnalysisService::new(small_config());
-    let lines = [
-        session_request(1, 5, "cfa.cps", &base.to_string()),
-        session_request(2, 5, "cfa.cps", &step1.to_string()),
-        session_request(3, 5, "cfa.cps", &step2.to_string()),
-        session_request(4, 5, "cfa.cps", &step3.to_string()),
-    ];
+    let lines: Vec<String> = chain
+        .iter()
+        .zip(1..)
+        .map(|(program, id)| session_request(id, 5, "cfa.cps", program))
+        .collect();
     let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
     let outcomes = service.run_batch(&refs);
-    for (outcome, (expect, program)) in outcomes.iter().zip([
-        (Served::Miss, base.to_string()),
-        (Served::Warm, step1.to_string()),
-        (Served::Warm, step2.to_string()),
-        (Served::Warm, step3.to_string()),
-    ]) {
+    for (outcome, program) in outcomes.iter().zip(&chain) {
+        let id = outcome.response.id;
+        let expect = if id == 1 { Served::Miss } else { Served::Warm };
         let (cache, digest, _) = ok_fields(&outcome.response);
-        assert_eq!(*cache, expect, "id {}", outcome.response.id);
-        assert_eq!(digest, cold_digest("cfa.cps", &program));
+        assert_eq!(*cache, expect, "id {id}");
+        assert_eq!(digest, cold_digest("cfa.cps", program));
     }
     let stats = service.stats_json();
     assert!(
@@ -182,13 +175,12 @@ fn warm_answers_commit_so_a_repeat_request_hits() {
     // After a warm serve, the edited program's fixpoint is resident under
     // its content address: a later session-less request for the same
     // program is an ordinary cache hit.
-    let base = families::dispatch(8);
-    let edited = let_("extra", num(7), base.clone());
+    let chain = const_chain(families::dispatch(8), 1);
     let service = AnalysisService::new(small_config());
     let lines = [
-        session_request(1, 11, "cfa.src", &base.to_string()),
-        session_request(2, 11, "cfa.src", &edited.to_string()),
-        request(3, "cfa.src", &edited.to_string()),
+        session_request(1, 11, "cfa.src", &chain[0]),
+        session_request(2, 11, "cfa.src", &chain[1]),
+        request(3, "cfa.src", &chain[1]),
     ];
     let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
     let outcomes = service.run_batch(&refs);
@@ -242,6 +234,14 @@ impl TraceSink for PerRequest {
     }
 }
 
+/// `base` under a fresh constant binding, then `steps` edits of that
+/// constant: every step keeps the program's shape.
+fn const_chain(base: Term, steps: i64) -> Vec<String> {
+    (0..=steps)
+        .map(|i| let_("extra", num(i), base.clone()).to_string())
+        .collect()
+}
+
 /// `base` followed by `steps` stacked leaf-binding inserts.
 fn insert_chain(base: Term, steps: i64) -> Vec<String> {
     let mut program = base;
@@ -257,7 +257,8 @@ fn insert_chain(base: Term, steps: i64) -> Vec<String> {
 fn warm_steps_reuse_the_previous_steps_lowered_program() {
     for analysis in ["cfa.src", "cfa.cps", "cfa.pushdown", "mfp.flat"] {
         let chain = if analysis == "mfp.flat" {
-            // The MFP warm path transports renames (inserts solve cold).
+            // The MFP warm path transports renames (constant edits solve
+            // cold).
             let mut chain = vec![families::cond_chain(6).to_string()];
             for i in 1..=4 {
                 let renamed = chain[i - 1].replace(&format!("c{i}"), &format!("w{i}"));
@@ -265,7 +266,7 @@ fn warm_steps_reuse_the_previous_steps_lowered_program() {
             }
             chain
         } else {
-            insert_chain(families::polyvariant(8), 4)
+            const_chain(families::polyvariant(8), 4)
         };
         let lines: Vec<String> = chain
             .iter()
@@ -303,7 +304,7 @@ fn a_restarted_daemon_lowers_the_journaled_ancestor_and_still_answers_warm() {
         persist_dir: Some(dir.clone()),
         ..small_config()
     };
-    let chain = insert_chain(families::polyvariant(8), 3);
+    let chain = const_chain(families::polyvariant(8), 3);
     let lines: Vec<String> = chain
         .iter()
         .zip(1..)
@@ -311,7 +312,7 @@ fn a_restarted_daemon_lowers_the_journaled_ancestor_and_still_answers_warm() {
         .collect();
     let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
 
-    // Uninterrupted: every step after the first warm-starts from the memo.
+    // Uninterrupted: every step after the first answers warm from the memo.
     let steady = AnalysisService::new(ServiceConfig {
         persist_dir: None,
         ..small_config()

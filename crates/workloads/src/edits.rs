@@ -7,18 +7,20 @@
 //! the previous step's term, so a differential harness can re-analyze after
 //! every step and compare the warm fixpoint against a from-scratch solve.
 //!
-//! The kinds are chosen to exercise every rung of
-//! `cpsdfa_core::incremental`'s warm cascade:
+//! The kinds are chosen to exercise both rungs of
+//! `cpsdfa_core::incremental` and its cold fallback (MFP, which is
+//! constant-sensitive, answers `ReplaceConst` cold and `RenameVar` on its
+//! Transport rung):
 //!
 //! | kind | expected rung |
 //! |------|---------------|
 //! | [`EditKind::ReplaceConst`] | Noop (constants do not steer control flow) |
-//! | [`EditKind::RenameVar`] | Noop (the aligner is name-insensitive) |
-//! | [`EditKind::ReplaceConstWithVar`] | Seeded (constraint set changes); Cold when the literal is an operand of a call that has callees |
-//! | [`EditKind::InsertLeaf`] | Seeded (entity spaces shift) |
-//! | [`EditKind::InsertLambda`] | Seeded (new flow introduced) |
+//! | [`EditKind::RenameVar`] | Noop (the identity walk compares variable indices, not names) |
+//! | [`EditKind::ReplaceConstWithVar`] | Cold (a numeral became a variable) |
+//! | [`EditKind::InsertLeaf`] | Cold (label and variable spaces shift) |
+//! | [`EditKind::InsertLambda`] | Cold (label and variable spaces shift) |
 //! | [`EditKind::SwapArms`] | Noop for constant arms; Cold when closures move |
-//! | [`EditKind::DeleteBinding`] | Cold when the deleted binding had flow |
+//! | [`EditKind::DeleteBinding`] | Cold (label and variable spaces shift) |
 //!
 //! Determinism: script generation is a pure function of the base term, the
 //! kind sequence, and the seed.
@@ -54,8 +56,7 @@ pub enum EditKind {
 }
 
 /// All kinds, in a corpus-friendly order: value-level edits first, then
-/// structural ones, ending with the deletion that exercises the
-/// non-monotone fallback.
+/// structural ones, ending with a deletion.
 pub const ALL_EDIT_KINDS: [EditKind; 7] = [
     EditKind::ReplaceConst,
     EditKind::RenameVar,

@@ -1,4 +1,4 @@
-//! Seeded random generation of well-behaved Λ programs.
+//! Random generation of well-behaved Λ programs, deterministic per seed.
 //!
 //! The differential and property experiments (E0, E3, E4) need corpora of
 //! programs that (a) never get dynamically stuck and (b) always terminate,

@@ -1,8 +1,9 @@
 //! Differential acceptance tests for incremental re-analysis
 //! (`cpsdfa_core::incremental`): every warm fixpoint must be
 //! **bit-identical** to a from-scratch solve of the edited program, on
-//! every step of every edit script — and the non-monotone edits must
-//! provably fall back to a cold solve rather than return a stale answer.
+//! every step of every edit script — and every edit that changes the
+//! program's shape must fall back to a cold solve rather than return a
+//! stale answer.
 //!
 //! Four clients are differenced on each step: source 0CFA, CPS 0CFA, the
 //! pushdown rung, and MFP/`Flat` (transport-only). A proptest closes the
@@ -33,7 +34,7 @@ fn check_edit_step(old: &Term, new: &Term, ctx: &str) {
     let old_p = AnfProgram::from_term(old);
     let new_p = AnfProgram::from_term(new);
 
-    // Source-level 0CFA, stateless seeded driver.
+    // Source-level 0CFA, stateless driver.
     let prev = zero_cfa(&old_p).expect("cold solve (old)");
     let cold = zero_cfa(&new_p).expect("cold solve (new)");
     match zero_cfa_warm(&old_p, &prev, &new_p).expect("warm driver") {
@@ -91,8 +92,8 @@ fn check_edit_step(old: &Term, new: &Term, ctx: &str) {
 }
 
 /// One source-0CFA step `old → new` through the stateless driver, the way
-/// a watch session takes it: the old program's fixpoint seeds the warm
-/// attempt, and a cold rung solves from scratch. Checks the answer against
+/// a watch session takes it: the old program's fixpoint answers a noop,
+/// and a cold rung solves from scratch. Checks the answer against
 /// a from-scratch solve and returns the rung with the firings it cost.
 fn warm_step(old: &Term, new: &Term, ctx: &str) -> (Outcome, u64) {
     let old_p = AnfProgram::from_term(old);
@@ -188,42 +189,10 @@ fn const_and_rename_edits_are_noops() {
 }
 
 #[test]
-fn const_to_var_edit_warm_starts_from_the_seed() {
-    // dispatch has the free input `z`, so the rewritten constant keeps the
-    // variable and label spaces intact: the transported seed is already
-    // the new fixpoint, and nothing fires.
-    let base = families::dispatch(24);
-    let steps = warm_script(&base, &[EditKind::ReplaceConstWithVar], 3);
-    assert_eq!(steps.len(), 1);
-    let (_, outcome, fired) = steps[0];
-    assert_eq!(outcome, Outcome::Warm(WarmPath::Seeded));
-    assert_eq!(fired, 0);
-}
-
-#[test]
-fn insertions_warm_start_from_the_seed() {
-    let base = families::polyvariant(16);
-    let (_, cold) = zero_cfa_instrumented(&AnfProgram::from_term(&base)).expect("cold");
-    let steps = warm_script(&base, &[EditKind::InsertLeaf, EditKind::InsertLambda], 11);
-    assert_eq!(steps.len(), 2);
-    for (kind, outcome, fired) in steps {
-        assert!(
-            matches!(outcome, Outcome::Warm(_)),
-            "{kind:?} fell cold: {outcome:?}"
-        );
-        assert!(
-            fired < cold.fired,
-            "{kind:?}: warm fired {fired} ≥ cold {}",
-            cold.fired
-        );
-    }
-}
-
-#[test]
 fn deleting_a_flowing_binding_falls_back_cold() {
     // Insert an (unused) λ binding, converge, then delete it: the deleted
     // variable's set holds the closure, so re-using the old fixpoint would
-    // over-approximate — the analyzer must prove it and go cold.
+    // over-approximate. The shapes differ, so the step goes cold.
     let base = families::dispatch(12);
     let mut rng = StdRng::seed_from_u64(41);
     let mut fresh = FreshNames::over(&base);
@@ -236,15 +205,15 @@ fn deleting_a_flowing_binding_falls_back_cold() {
     let (outcome, _) = warm_step(&with_lam, &deleted, "delete");
     assert_eq!(
         outcome,
-        Outcome::Cold(ColdReason::NonMonotone),
-        "deletion of a flowing binding must be proven non-monotone"
+        Outcome::Cold(ColdReason::StructureMismatch),
+        "deletion of a flowing binding must fall cold"
     );
 }
 
 #[test]
 fn swapping_lambda_arms_falls_back_cold() {
     // dispatch's if0 arms carry λs: swapping them moves closures between
-    // labels, which no transported seed can express.
+    // labels, so the shapes differ.
     let base = families::dispatch(8);
     let mut rng = StdRng::seed_from_u64(5);
     let mut fresh = FreshNames::over(&base);
@@ -255,6 +224,93 @@ fn swapping_lambda_arms_falls_back_cold() {
     assert!(
         matches!(outcome, Outcome::Cold(_)),
         "λ-moving swap must fall cold, got {outcome:?}"
+    );
+}
+
+/// The outcomes of the three CFA drivers on `old → new` (source, CPS,
+/// pushdown), each warm answer checked against a from-scratch solve.
+fn cfa_outcomes(old: &str, new: &str) -> [Outcome; 3] {
+    let (old_p, new_p) = (
+        AnfProgram::parse(old).expect("old parses"),
+        AnfProgram::parse(new).expect("new parses"),
+    );
+    let (old_c, new_c) = (CpsProgram::from_anf(&old_p), CpsProgram::from_anf(&new_p));
+    fn outcome<R>(w: WarmSolve<R>, same: impl Fn(&R) -> bool) -> Outcome {
+        match w {
+            WarmSolve::Warm(r, report) => {
+                assert!(same(&r), "warm answer differs from cold ({report:?})");
+                report.outcome
+            }
+            WarmSolve::Cold(reason) => Outcome::Cold(reason),
+        }
+    }
+    let (src, cps, pd) = (
+        zero_cfa(&new_p).unwrap(),
+        zero_cfa_cps(&new_c).unwrap(),
+        pushdown_cfa(&new_c).unwrap(),
+    );
+    [
+        outcome(
+            zero_cfa_warm(&old_p, &zero_cfa(&old_p).unwrap(), &new_p).unwrap(),
+            |r| r.same_solution(&src),
+        ),
+        outcome(
+            zero_cfa_cps_warm(&old_c, &zero_cfa_cps(&old_c).unwrap(), &new_c).unwrap(),
+            |r| r.same_solution(&cps),
+        ),
+        outcome(
+            pushdown_cfa_warm(&old_c, &pushdown_cfa(&old_c).unwrap(), &new_c).unwrap(),
+            |r| r.same_solution(&pd),
+        ),
+    ]
+}
+
+const COLD: [Outcome; 3] = [Outcome::Cold(ColdReason::StructureMismatch); 3];
+
+#[test]
+fn an_occurrence_moved_to_a_same_shaped_binder_falls_cold() {
+    // Two identical λ bindings; the edit swaps which one is applied to
+    // which. Every node keeps its kind and label, but two occurrences now
+    // name different binders, so the flow differs: a walk that compared
+    // only kinds would reuse a stale answer.
+    let old = "(let (f (lambda (x) x)) (let (g (lambda (y) y)) (f g)))";
+    let new = "(let (f (lambda (x) x)) (let (g (lambda (y) y)) (g f)))";
+    let (old_p, new_p) = (
+        AnfProgram::parse(old).unwrap(),
+        AnfProgram::parse(new).unwrap(),
+    );
+    assert_eq!(old_p.label_count(), new_p.label_count());
+    assert!(
+        !zero_cfa(&old_p)
+            .unwrap()
+            .same_solution(&zero_cfa(&new_p).unwrap()),
+        "premise: the swap changes the answer"
+    );
+    assert_eq!(cfa_outcomes(old, new), COLD);
+}
+
+#[test]
+fn a_plus_constant_that_changes_the_add1_chain_is_not_a_noop() {
+    // `(+ M n)` expands to n add1/sub1 applications, so its `n` is not a
+    // numeral of the program: changing it changes the chain's length or
+    // its primitive, never just a constant.
+    let base = "(let (a 1) (+ a 3))";
+    for edited in ["(let (a 1) (+ a 4))", "(let (a 1) (+ a -3))"] {
+        assert_eq!(cfa_outcomes(base, edited), COLD, "{edited}");
+        let (p, q) = (
+            AnfProgram::parse(base).unwrap(),
+            AnfProgram::parse(edited).unwrap(),
+        );
+        let cfg = Cfg::from_first_order(&p).expect("first-order");
+        let prev = cfg
+            .solve_mfp::<Flat>(cfg.initial_env(&p))
+            .expect("cold MFP");
+        assert!(solve_mfp_incremental(&p, &prev, &q).is_none(), "{edited}");
+    }
+    // A numeral edit in the same program is a noop.
+    assert_eq!(
+        cfa_outcomes(base, "(let (a 2) (+ a 3))"),
+        [Outcome::Warm(WarmPath::Noop); 3]
     );
 }
 
