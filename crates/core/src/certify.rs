@@ -1,29 +1,43 @@
 //! Independent fixpoint certification — translation validation for served
 //! analysis answers.
 //!
-//! The service hands out fixpoints computed through three increasingly
-//! subtle paths: the worklist solver, incremental warm-starts, and the
-//! content-addressed cache (now backed by a crash-safe disk spill,
+//! The service hands out fixpoints computed through three paths: the
+//! worklist solver, watch-session answer reuse, and the content-addressed
+//! cache (now backed by a crash-safe disk spill,
 //! [`crate::cache::persist`]). Every one
 //! of those paths is *trusted* unless something checks the answer after the
 //! fact. This module is that check: given the program and a claimed
 //! solution, it **re-derives every constraint from the AST** with its own
 //! walk — sharing the front end (parser, ANF/CPS transforms, CFG lowering)
-//! but *no solver code* — recomputes the least model by naive Kleene
-//! iteration, and demands exact equality with the claim.
+//! but *no solver code* — and certifies in two stages:
+//!
+//! 1. **The least model**, computed semi-naively over plain vectors (the
+//!    Datalog reading of Silverman et al., "So You Want to Analyze Scheme
+//!    Programs With Datalog?"): a fact is queued once, when it is first
+//!    derived; popping it fires only the rules it triggers; a dynamic edge
+//!    (call → parameter/return, return → join binder, pushdown summary) is
+//!    installed once and replays its source's current facts. Every new
+//!    fact is appended to a derivation log with the rule that derived it.
+//! 2. **One comparison** of the claim against that model, which demands
+//!    exact equality.
 //!
 //! Why not just check closure? A closed superset of the least fixpoint is
 //! still closed: an extra `λ ∈ x` fact can justify itself through a
 //! self-loop edge (`x ⊆ x` via self-application), so a corrupted answer
-//! with *additions* passes any local consistency test. Comparing against an
-//! independently recomputed least model catches both directions:
+//! with *additions* passes any local consistency test. The comparison
+//! catches both directions:
 //!
-//! * **missing** facts refute as [`Refutation::Unclosed`], with the
-//!   violated constraint as a counterexample edge (found by a single
-//!   O(edges) closure scan of the claim);
-//! * **extra** facts refute as [`Refutation::Unsupported`], naming a fact
-//!   the least model does not contain;
+//! * **missing** facts refute as [`Refutation::Unclosed`]. The log is
+//!   walked in derivation order and the first fact the claim lacks is the
+//!   counterexample: every premise of its rule was logged earlier, so the
+//!   claim holds them all, and the rule is an edge the claim violates;
+//! * **extra** facts refute as [`Refutation::Unsupported`], naming a
+//!   claimed fact the least model does not contain;
 //! * wrong table dimensions refute as [`Refutation::Shape`].
+//!
+//! The model is computed from the program alone, so a claim naming labels
+//! that are no λ or continuation of the program is only ever looked up,
+//! never followed, and refutes like any other extra fact.
 //!
 //! Work counters (`iterations`, `summaries`) are *not* certified — they are
 //! schedule-dependent cost measures, excluded from answer digests for the
@@ -45,7 +59,7 @@
 //! Trust argument: a bug in the shared front end changes *which* constraint
 //! system both the solver and the checker see, so it cannot be caught here
 //! (nothing short of a second front end could); a bug anywhere downstream —
-//! solver scheduling, warm-start reuse, cache storage, disk
+//! solver scheduling, answer reuse, cache storage, disk
 //! corruption that slips past checksums — produces an answer that fails
 //! this check. The daemon's `--certify` mode samples served answers through
 //! [`certify_answer`] and evicts + recomputes on refutation instead of
@@ -55,6 +69,7 @@ use crate::absval::{AbsClo, AbsKont};
 use crate::cache::{AnalysisKind, CachedAnswer};
 use crate::cfa::{CfaResult, CpsCfaResult, CpsFlow};
 use crate::domain::{Flat, NumDomain};
+use crate::labtab::LabelTable;
 use crate::mfp::{Cfg, DfSummary, Stmt};
 use crate::pushdown::{MatchedReturn, PushdownCfaResult};
 use cpsdfa_anf::{AValKind, Anf, AnfKind, AnfProgram, Bind, VarId};
@@ -62,6 +77,7 @@ use cpsdfa_cps::{CTerm, CTermKind, CVal, CValKind, CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// A machine-readable witness that a claimed solution *is* the least
 /// fixpoint of the constraint system re-derived from the program.
@@ -125,366 +141,63 @@ impl fmt::Display for Refutation {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Source-level 0CFA
-// ---------------------------------------------------------------------------
-
-/// A flow node of the re-derived source constraint graph.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum SNode {
-    Var(VarId),
-    Term(Label),
-}
-
-impl fmt::Display for SNode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SNode::Var(v) => write!(f, "v{}", v.index()),
-            SNode::Term(l) => write!(f, "t{l}"),
-        }
+/// The variable-universe check every CFA certifier starts with.
+fn same_vars(claimed: usize, program: usize) -> Result<(), Refutation> {
+    if claimed == program {
+        return Ok(());
     }
-}
-
-/// The source constraint system, re-derived by an independent AST walk.
-struct SrcSystem {
-    seeds: Vec<(BTreeSet<AbsClo>, SNode)>,
-    subs: Vec<(SNode, SNode)>,
-    /// `(f node, arg node, bind var, site)`.
-    calls: Vec<(SNode, SNode, VarId, Label)>,
-    /// Labels that are propagation targets — exactly the key set the
-    /// analyzer's `terms` table must have.
-    dst_terms: BTreeSet<Label>,
-    /// `λ label → (param, body label)`.
-    lam: HashMap<Label, (VarId, Label)>,
-}
-
-impl SrcSystem {
-    fn derive(prog: &AnfProgram) -> SrcSystem {
-        let mut sys = SrcSystem {
-            seeds: Vec::new(),
-            subs: Vec::new(),
-            calls: Vec::new(),
-            dst_terms: BTreeSet::new(),
-            lam: HashMap::new(),
-        };
-        for (l, r) in prog.lambdas() {
-            sys.lam.insert(l, (r.param_id, r.body.label));
-        }
-        sys.walk(prog.root(), prog);
-        sys
-    }
-
-    fn constraints(&self) -> usize {
-        self.seeds.len() + self.subs.len() + self.calls.len()
-    }
-
-    fn dst(&mut self, n: SNode) {
-        if let SNode::Term(l) = n {
-            self.dst_terms.insert(l);
-        }
-    }
-
-    /// The flow of a syntactic value into `dst`: constants seed (empty
-    /// constant sets — numbers — generate nothing, so the target is not
-    /// marked), variables subset-edge.
-    fn val(&mut self, v: &cpsdfa_anf::AVal, dst: SNode, prog: &AnfProgram) {
-        match &v.kind {
-            AValKind::Num(_) => {}
-            AValKind::Add1 => {
-                self.dst(dst);
-                self.seeds.push((BTreeSet::from([AbsClo::Inc]), dst));
-            }
-            AValKind::Sub1 => {
-                self.dst(dst);
-                self.seeds.push((BTreeSet::from([AbsClo::Dec]), dst));
-            }
-            AValKind::Lam(..) => {
-                self.dst(dst);
-                self.seeds
-                    .push((BTreeSet::from([AbsClo::Lam(v.label)]), dst));
-            }
-            AValKind::Var(x) => {
-                self.dst(dst);
-                let y = prog.var_id(x).expect("indexed variable");
-                self.subs.push((SNode::Var(y), dst));
-            }
-        }
-    }
-
-    fn walk(&mut self, m: &Anf, prog: &AnfProgram) {
-        match &m.kind {
-            AnfKind::Value(v) => {
-                self.val(v, SNode::Term(m.label), prog);
-                if let AValKind::Lam(_, body) = &v.kind {
-                    self.walk(body, prog);
-                }
-            }
-            AnfKind::Let { var, bind, body } => {
-                let x = prog.var_id(var).expect("indexed variable");
-                match bind {
-                    Bind::Value(v) => {
-                        self.val(v, SNode::Var(x), prog);
-                        if let AValKind::Lam(_, lbody) = &v.kind {
-                            self.walk(lbody, prog);
-                        }
-                    }
-                    Bind::App(f, a) => {
-                        self.val(f, SNode::Term(f.label), prog);
-                        self.val(a, SNode::Term(a.label), prog);
-                        if let AValKind::Lam(_, b) = &f.kind {
-                            self.walk(b, prog);
-                        }
-                        if let AValKind::Lam(_, b) = &a.kind {
-                            self.walk(b, prog);
-                        }
-                        self.calls
-                            .push((SNode::Term(f.label), SNode::Term(a.label), x, m.label));
-                    }
-                    Bind::If0(c, t, e) => {
-                        self.val(c, SNode::Term(c.label), prog);
-                        self.walk(t, prog);
-                        self.walk(e, prog);
-                        self.subs.push((SNode::Term(t.label), SNode::Var(x)));
-                        self.subs.push((SNode::Term(e.label), SNode::Var(x)));
-                    }
-                    Bind::Loop => {}
-                }
-                self.walk(body, prog);
-                self.dst(SNode::Term(m.label));
-                self.subs
-                    .push((SNode::Term(body.label), SNode::Term(m.label)));
-            }
-        }
-    }
-}
-
-/// The claimed or recomputed source store, with uniform node access.
-struct SrcStore {
-    vars: Vec<BTreeSet<AbsClo>>,
-    terms: BTreeMap<Label, BTreeSet<AbsClo>>,
-    calls: BTreeMap<Label, BTreeSet<AbsClo>>,
-}
-
-impl SrcStore {
-    fn get(&self, n: SNode) -> Option<&BTreeSet<AbsClo>> {
-        match n {
-            SNode::Var(v) => self.vars.get(v.index()),
-            SNode::Term(l) => self.terms.get(&l),
-        }
-    }
-
-    fn add(&mut self, n: SNode, v: AbsClo) -> bool {
-        match n {
-            SNode::Var(x) => self.vars[x.index()].insert(v),
-            SNode::Term(l) => self.terms.entry(l).or_default().insert(v),
-        }
-    }
-}
-
-static EMPTY_CLO: BTreeSet<AbsClo> = BTreeSet::new();
-
-/// Least model of the re-derived source system, by naive Kleene iteration:
-/// every round re-applies every static edge and every call-discovered
-/// dynamic edge until nothing grows. Quadratic in the worst case where the
-/// analyzer's semi-naive solver is linear — certification trades speed for
-/// independence.
-fn src_least_model(sys: &SrcSystem, num_vars: usize) -> SrcStore {
-    let mut st = SrcStore {
-        vars: vec![BTreeSet::new(); num_vars],
-        terms: BTreeMap::new(),
-        calls: BTreeMap::new(),
-    };
-    for (set, dst) in &sys.seeds {
-        for v in set {
-            st.add(*dst, *v);
-        }
-    }
-    loop {
-        let mut changed = false;
-        for &(src, dst) in &sys.subs {
-            let flows: Vec<AbsClo> = st
-                .get(src)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
-            for v in flows {
-                changed |= st.add(dst, v);
-            }
-        }
-        for &(f, arg, bind, site) in &sys.calls {
-            let callees: Vec<AbsClo> = st
-                .get(f)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
-            for clo in callees {
-                changed |= st.calls.entry(site).or_default().insert(clo);
-                if let AbsClo::Lam(l) = clo {
-                    let (param, body) = sys.lam[&l];
-                    let args: Vec<AbsClo> = st
-                        .get(arg)
-                        .map(|s| s.iter().copied().collect())
-                        .unwrap_or_default();
-                    for v in args {
-                        changed |= st.add(SNode::Var(param), v);
-                    }
-                    let rets: Vec<AbsClo> = st
-                        .get(SNode::Term(body))
-                        .map(|s| s.iter().copied().collect())
-                        .unwrap_or_default();
-                    for v in rets {
-                        changed |= st.add(SNode::Var(bind), v);
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    st
-}
-
-/// One O(edges) closure scan of the claim: returns the first violated
-/// constraint as an [`Refutation::Unclosed`] counterexample, or `None` when
-/// the claim is closed.
-fn src_closure_counterexample(sys: &SrcSystem, claim: &SrcStore) -> Option<Refutation> {
-    let get = |n: SNode| claim.get(n).unwrap_or(&EMPTY_CLO);
-    for (set, dst) in &sys.seeds {
-        if let Some(v) = set.iter().find(|v| !get(*dst).contains(v)) {
-            return Some(Refutation::Unclosed {
-                edge: format!("seed ⊆ {dst}"),
-                missing: format!("{v:?} ∈ {dst}"),
-            });
-        }
-    }
-    for &(src, dst) in &sys.subs {
-        if let Some(v) = get(src).iter().find(|v| !get(dst).contains(v)) {
-            return Some(Refutation::Unclosed {
-                edge: format!("{src} ⊆ {dst}"),
-                missing: format!("{v:?} ∈ {dst}"),
-            });
-        }
-    }
-    for &(f, arg, bind, site) in &sys.calls {
-        for clo in get(f) {
-            if !claim.calls.get(&site).is_some_and(|s| s.contains(clo)) {
-                return Some(Refutation::Unclosed {
-                    edge: format!("call@{site}"),
-                    missing: format!("{clo:?} ∈ calls[{site}]"),
-                });
-            }
-            if let AbsClo::Lam(l) = clo {
-                let (param, body) = sys.lam[l];
-                if let Some(v) = get(arg)
-                    .iter()
-                    .find(|v| !get(SNode::Var(param)).contains(v))
-                {
-                    return Some(Refutation::Unclosed {
-                        edge: format!("call@{site} arg ⊆ v{}", param.index()),
-                        missing: format!("{v:?} ∈ v{}", param.index()),
-                    });
-                }
-                if let Some(v) = get(SNode::Term(body))
-                    .iter()
-                    .find(|v| !get(SNode::Var(bind)).contains(v))
-                {
-                    return Some(Refutation::Unclosed {
-                        edge: format!("call@{site} ret ⊆ v{}", bind.index()),
-                        missing: format!("{v:?} ∈ v{}", bind.index()),
-                    });
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Certifies a source-level 0CFA answer against `prog`.
-pub fn certify_cfa_src(prog: &AnfProgram, claimed: &CfaResult) -> Result<Certificate, Refutation> {
-    if claimed.vars.len() != prog.num_vars() {
-        return Err(Refutation::Shape {
-            detail: format!(
-                "claimed {} variables, program has {}",
-                claimed.vars.len(),
-                prog.num_vars()
-            ),
-        });
-    }
-    let sys = SrcSystem::derive(prog);
-    let claimed_keys: BTreeSet<Label> = claimed.terms.keys().collect();
-    if claimed_keys != sys.dst_terms {
-        return Err(Refutation::Shape {
-            detail: format!(
-                "terms table keyed on {:?}, propagation targets are {:?}",
-                claimed_keys, sys.dst_terms
-            ),
-        });
-    }
-    let claim = SrcStore {
-        vars: claimed.vars.iter().map(|s| (**s).clone()).collect(),
-        terms: claimed
-            .terms
-            .iter()
-            .map(|(l, s)| (l, (**s).clone()))
-            .collect(),
-        calls: claimed.calls.iter().map(|(l, s)| (l, s.clone())).collect(),
-    };
-    if let Some(r) = src_closure_counterexample(&sys, &claim) {
-        return Err(r);
-    }
-    // Closed and seeded ⇒ the claim contains the least model; any
-    // difference left is an unsupported (extra) fact.
-    let lfp = src_least_model(&sys, prog.num_vars());
-    for (i, (c, d)) in claim.vars.iter().zip(&lfp.vars).enumerate() {
-        if let Some(v) = c.difference(d).next() {
-            return Err(Refutation::Unsupported {
-                fact: format!("{v:?} ∈ v{i}"),
-            });
-        }
-    }
-    for (l, c) in &claim.terms {
-        let d = lfp.terms.get(l).unwrap_or(&EMPTY_CLO);
-        if let Some(v) = c.difference(d).next() {
-            return Err(Refutation::Unsupported {
-                fact: format!("{v:?} ∈ t{l}"),
-            });
-        }
-    }
-    for (l, c) in &claim.calls {
-        let d = lfp.calls.get(l).unwrap_or(&EMPTY_CLO);
-        if let Some(v) = c.difference(d).next() {
-            return Err(Refutation::Unsupported {
-                fact: format!("{v:?} ∈ calls[{l}]"),
-            });
-        }
-        if c.is_empty() {
-            return Err(Refutation::Unsupported {
-                fact: format!("empty calls[{l}] entry"),
-            });
-        }
-    }
-    // The lfp calls table only holds non-empty entries; the claim matching
-    // it elementwise plus having no extras means the key sets agree.
-    if claim.calls.len() != lfp.calls.len() {
-        return Err(Refutation::Shape {
-            detail: format!(
-                "calls table has {} sites, least model has {}",
-                claim.calls.len(),
-                lfp.calls.len()
-            ),
-        });
-    }
-    Ok(Certificate {
-        kind: AnalysisKind::CfaSrc,
-        constraints: sys.constraints(),
-        facts: claim.vars.iter().map(BTreeSet::len).sum::<usize>()
-            + claim.terms.values().map(BTreeSet::len).sum::<usize>()
-            + claim.calls.values().map(BTreeSet::len).sum::<usize>(),
+    Err(Refutation::Shape {
+        detail: format!("claimed {claimed} variables, program has {program}"),
     })
 }
 
 // ---------------------------------------------------------------------------
-// CPS-level 0CFA
+// The semi-naive least model
 // ---------------------------------------------------------------------------
+
+/// Where a model node lives: a variable, or an entry of one of the two
+/// label-indexed tables (source `terms`/`calls`, CPS `returns`/`calls`).
+#[derive(Clone, Copy)]
+enum Slot {
+    Var(usize),
+    Tab(usize, Label),
+}
+
+/// The rule that derived a fact, printed as the counterexample edge of an
+/// [`Refutation::Unclosed`]; the label is the call or return site it fired
+/// at. Eight bytes, like a node id, because the log keeps one per fact.
+#[derive(Clone, Copy)]
+enum Rule {
+    Seed,
+    /// A static subset edge out of the given node.
+    Sub(u32),
+    Call(Label),
+    CallArg(Label),
+    CallRet(Label),
+    CallCont(Label),
+    CallFrame(Label),
+    Ret(Label),
+    HaltReturn(Label),
+    JoinReturn(Label),
+    Join(Label),
+    Summary(Label),
+    LetkFill,
+    HaltFill,
+}
+
+/// A derived fact: `v ∈ node`, or a pushdown matched-return witness.
+#[derive(Clone, Copy)]
+enum Fact {
+    In(u32, CpsFlow),
+    Matched(MatchedReturn),
+}
+
+/// A subset edge into `dst`, static or installed by a dynamic rule.
+#[derive(Clone, Copy)]
+struct Edge {
+    dst: u32,
+    rule: Rule,
+}
 
 /// A CPS operand, re-derived: nothing (a number), a constant flow, or a
 /// variable.
@@ -495,54 +208,537 @@ enum Op {
     Var(CVarId),
 }
 
-/// The CPS constraint system, re-derived by an independent walk.
+/// A least model under semi-naive evaluation. Nodes are dense: the
+/// variables, then the first table, then the second, each table indexed by
+/// label. Facts live in per-node sets; the derivation log doubles as the
+/// worklist, so each fact is queued exactly once, when first derived.
+/// The log and the edges hold node ids as `u32`, which [`Model::new`]
+/// checks they fit.
+struct Model {
+    vars: usize,
+    labels: usize,
+    /// CPS-shaped: the first table holds returns (continuations only);
+    /// otherwise it holds source terms.
+    cps: bool,
+    sets: Vec<BTreeSet<CpsFlow>>,
+    out: Vec<Vec<Edge>>,
+    matched: BTreeSet<MatchedReturn>,
+    log: Vec<(Fact, Rule)>,
+    /// The log position of the next fact to fire.
+    next: usize,
+}
+
+impl Model {
+    fn new(vars: usize, labels: u32, cps: bool) -> Model {
+        let nodes = vars + 2 * labels as usize;
+        assert!(u32::try_from(nodes).is_ok(), "{nodes} model nodes");
+        Model {
+            vars,
+            labels: labels as usize,
+            cps,
+            sets: vec![BTreeSet::new(); nodes],
+            out: vec![Vec::new(); nodes],
+            matched: BTreeSet::new(),
+            log: Vec::new(),
+            next: 0,
+        }
+    }
+
+    /// The node of table `t`'s entry for `l`; out of range (so held by no
+    /// node) for a label the program does not have.
+    fn tab(&self, t: usize, l: Label) -> usize {
+        let i = l.index() as usize;
+        if i < self.labels {
+            self.vars + t * self.labels + i
+        } else {
+            usize::MAX
+        }
+    }
+
+    fn slot(&self, n: usize) -> Slot {
+        if n < self.vars {
+            return Slot::Var(n);
+        }
+        let i = n - self.vars;
+        Slot::Tab(i / self.labels, Label::new((i % self.labels) as u32))
+    }
+
+    fn name(&self, n: usize) -> String {
+        match self.slot(n) {
+            Slot::Var(i) => format!("v{i}"),
+            Slot::Tab(t, l) => format!("{}[{l}]", self.table(t)),
+        }
+    }
+
+    fn table(&self, t: usize) -> &'static str {
+        match (t, self.cps) {
+            (0, true) => "returns",
+            (0, false) => "terms",
+            _ => "calls",
+        }
+    }
+
+    fn has(&self, n: usize, v: CpsFlow) -> bool {
+        self.sets.get(n).is_some_and(|s| s.contains(&v))
+    }
+
+    /// Non-empty entries of table `t`.
+    fn entries(&self, t: usize) -> usize {
+        let first = self.vars + t * self.labels;
+        self.sets[first..first + self.labels]
+            .iter()
+            .filter(|s| !s.is_empty())
+            .count()
+    }
+
+    /// Adds `v ∈ n`, logging (and so queueing) it if it is new. A call
+    /// table holds only closures, a return table only continuations.
+    fn derive(&mut self, n: usize, v: CpsFlow, rule: Rule) {
+        let fits = match self.slot(n) {
+            Slot::Var(_) => true,
+            Slot::Tab(t, _) => matches!(v, CpsFlow::Kont(_)) == (t == 0 && self.cps),
+        };
+        if fits && self.sets[n].insert(v) {
+            self.log.push((Fact::In(n as u32, v), rule));
+        }
+    }
+
+    /// Adds a pushdown matched-return witness, logging it if it is new.
+    fn witness(&mut self, w: MatchedReturn, rule: Rule) {
+        if self.matched.insert(w) {
+            self.log.push((Fact::Matched(w), rule));
+        }
+    }
+
+    /// Installs `src ⊆ dst` and replays the facts `src` already holds.
+    fn edge(&mut self, src: usize, dst: usize, rule: Rule) {
+        let now: Vec<CpsFlow> = self.sets[src].iter().copied().collect();
+        self.out[src].push(Edge {
+            dst: dst as u32,
+            rule,
+        });
+        for v in now {
+            self.derive(dst, v, rule);
+        }
+    }
+
+    /// Flows a CPS operand into `dst`: a constant directly, a variable by
+    /// a subset edge.
+    fn flow(&mut self, op: Op, dst: usize, rule: Rule) {
+        match op {
+            Op::None => {}
+            Op::Const(c) => self.derive(dst, c, rule),
+            Op::Var(y) => self.edge(y.index(), dst, rule),
+        }
+    }
+
+    /// Pops the next queued fact after firing it along every edge out of
+    /// its node; the caller fires the analysis' dynamic rules.
+    fn pop(&mut self) -> Option<(usize, CpsFlow)> {
+        while let Some(&(fact, _)) = self.log.get(self.next) {
+            self.next += 1;
+            if let Fact::In(n, v) = fact {
+                let n = n as usize;
+                for i in 0..self.out[n].len() {
+                    let e = self.out[n][i];
+                    self.derive(e.dst as usize, v, e.rule);
+                }
+                return Some((n, v));
+            }
+        }
+        None
+    }
+
+    /// The comparison's first half: the first logged fact the claim lacks
+    /// refutes as [`Refutation::Unclosed`], naming the rule that derived
+    /// it.
+    fn first_unclosed(&self, holds: impl Fn(&Fact) -> bool) -> Result<(), Refutation> {
+        let Some((fact, rule)) = self.log.iter().find(|(f, _)| !holds(f)) else {
+            return Ok(());
+        };
+        let rule = match *rule {
+            Rule::Seed => "seed".to_string(),
+            Rule::Sub(n) => self.name(n as usize),
+            Rule::Call(l) => format!("call@{l}"),
+            Rule::CallArg(l) => format!("call@{l} arg"),
+            Rule::CallRet(l) => format!("call@{l} ret"),
+            Rule::CallCont(l) => format!("call@{l} cont"),
+            Rule::CallFrame(l) => format!("call@{l} frame"),
+            Rule::Ret(l) => format!("ret@{l}"),
+            Rule::HaltReturn(l) => format!("halt return@{l}"),
+            Rule::JoinReturn(l) => format!("join return@{l}"),
+            Rule::Join(l) => format!("join@{l}"),
+            Rule::Summary(l) => format!("summary@{l}"),
+            Rule::LetkFill => "letk fill".to_string(),
+            Rule::HaltFill => "halt fill".to_string(),
+        };
+        Err(match *fact {
+            Fact::In(n, v) => Refutation::Unclosed {
+                edge: format!("{rule} ⊆ {}", self.name(n as usize)),
+                missing: format!("{v:?} ∈ {}", self.name(n as usize)),
+            },
+            Fact::Matched(w) => Refutation::Unclosed {
+                edge: rule,
+                missing: format!("matched witness {w:?}"),
+            },
+        })
+    }
+
+    /// The comparison's second half for one claimed set, held at node `n`
+    /// and named `at`: an element the least model lacks is unsupported.
+    fn supports<T: Copy + fmt::Debug>(
+        &self,
+        n: usize,
+        claimed: &BTreeSet<T>,
+        lift: impl Fn(T) -> CpsFlow,
+        at: fmt::Arguments<'_>,
+    ) -> Result<(), Refutation> {
+        match claimed.iter().find(|v| !self.has(n, lift(**v))) {
+            Some(v) => Err(Refutation::Unsupported {
+                fact: format!("{v:?} ∈ {at}"),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// [`Model::supports`] over a claimed call or return table, whose
+    /// entries must also be non-empty.
+    fn supports_table<T: Copy + fmt::Debug>(
+        &self,
+        t: usize,
+        claimed: &LabelTable<BTreeSet<T>>,
+        lift: impl Fn(T) -> CpsFlow + Copy,
+    ) -> Result<(), Refutation> {
+        for (l, set) in claimed.iter() {
+            let name = self.table(t);
+            self.supports(self.tab(t, l), set, lift, format_args!("{name}[{l}]"))?;
+            if set.is_empty() {
+                return Err(Refutation::Unsupported {
+                    fact: format!("empty {name}[{l}] entry"),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Source-level 0CFA
+// ---------------------------------------------------------------------------
+
+/// The source constraint system, re-derived by an independent AST walk
+/// straight into its model's seeds and static edges.
+struct SrcSystem {
+    m: Model,
+    /// Call site → (argument node, binder node).
+    calls: HashMap<Label, (usize, usize)>,
+    /// `λ label → (param, body label)`.
+    lam: HashMap<Label, (VarId, Label)>,
+    /// Labels that are propagation targets — exactly the key set the
+    /// analyzer's `terms` table must have.
+    dst_terms: BTreeSet<Label>,
+    constraints: usize,
+}
+
+impl SrcSystem {
+    fn derive(prog: &AnfProgram) -> SrcSystem {
+        let mut sys = SrcSystem {
+            m: Model::new(prog.num_vars(), prog.label_count(), false),
+            calls: HashMap::new(),
+            lam: prog
+                .lambdas()
+                .into_iter()
+                .map(|(l, r)| (l, (r.param_id, r.body.label)))
+                .collect(),
+            dst_terms: BTreeSet::new(),
+            constraints: 0,
+        };
+        sys.walk(prog.root(), prog);
+        sys
+    }
+
+    fn term(&self, l: Label) -> usize {
+        self.m.tab(0, l)
+    }
+
+    /// A seed `c ∈ dst`.
+    fn seed(&mut self, dst: usize, c: AbsClo) {
+        self.target(dst);
+        self.m.derive(dst, CpsFlow::Clo(c), Rule::Seed);
+    }
+
+    /// A subset edge `src ⊆ dst`.
+    fn sub(&mut self, src: usize, dst: usize) {
+        self.target(dst);
+        self.m.edge(src, dst, Rule::Sub(src as u32));
+    }
+
+    /// Counts a seed or subset constraint into `dst`, and records `dst` as
+    /// a propagation target if it is a term.
+    fn target(&mut self, dst: usize) {
+        self.constraints += 1;
+        if let Slot::Tab(_, l) = self.m.slot(dst) {
+            self.dst_terms.insert(l);
+        }
+    }
+
+    /// The flow of a syntactic value into `dst`: constants seed (empty
+    /// constant sets — numbers — generate nothing, so the target is not
+    /// marked), variables subset-edge.
+    fn val(&mut self, v: &cpsdfa_anf::AVal, dst: usize, prog: &AnfProgram) {
+        let c = match &v.kind {
+            AValKind::Num(_) => return,
+            AValKind::Add1 => AbsClo::Inc,
+            AValKind::Sub1 => AbsClo::Dec,
+            AValKind::Lam(..) => AbsClo::Lam(v.label),
+            AValKind::Var(x) => {
+                let y = prog.var_id(x).expect("indexed variable");
+                return self.sub(y.index(), dst);
+            }
+        };
+        self.seed(dst, c);
+    }
+
+    fn walk(&mut self, m: &Anf, prog: &AnfProgram) {
+        match &m.kind {
+            AnfKind::Value(v) => {
+                self.val(v, self.term(m.label), prog);
+                if let AValKind::Lam(_, body) = &v.kind {
+                    self.walk(body, prog);
+                }
+            }
+            AnfKind::Let { var, bind, body } => {
+                let x = prog.var_id(var).expect("indexed variable").index();
+                match bind {
+                    Bind::Value(v) => {
+                        self.val(v, x, prog);
+                        if let AValKind::Lam(_, lbody) = &v.kind {
+                            self.walk(lbody, prog);
+                        }
+                    }
+                    Bind::App(f, a) => {
+                        self.val(f, self.term(f.label), prog);
+                        self.val(a, self.term(a.label), prog);
+                        if let AValKind::Lam(_, b) = &f.kind {
+                            self.walk(b, prog);
+                        }
+                        if let AValKind::Lam(_, b) = &a.kind {
+                            self.walk(b, prog);
+                        }
+                        self.constraints += 1;
+                        self.calls.insert(m.label, (self.term(a.label), x));
+                        let dst = self.m.tab(1, m.label);
+                        self.m.edge(self.term(f.label), dst, Rule::Call(m.label));
+                    }
+                    Bind::If0(c, t, e) => {
+                        self.val(c, self.term(c.label), prog);
+                        self.walk(t, prog);
+                        self.walk(e, prog);
+                        self.sub(self.term(t.label), x);
+                        self.sub(self.term(e.label), x);
+                    }
+                    Bind::Loop => {}
+                }
+                self.walk(body, prog);
+                self.sub(self.term(body.label), self.term(m.label));
+            }
+        }
+    }
+}
+
+/// Least model of the re-derived source system: a closure reaching a call
+/// site installs its argument and return edges.
+fn src_least_model(sys: &mut SrcSystem) {
+    while let Some((n, v)) = sys.m.pop() {
+        let (Slot::Tab(1, site), CpsFlow::Clo(AbsClo::Lam(l))) = (sys.m.slot(n), v) else {
+            continue;
+        };
+        let (arg, bind) = sys.calls[&site];
+        let (param, body) = sys.lam[&l];
+        sys.m.edge(arg, param.index(), Rule::CallArg(site));
+        sys.m.edge(sys.term(body), bind, Rule::CallRet(site));
+    }
+}
+
+/// Certifies a source-level 0CFA answer against `prog`.
+pub fn certify_cfa_src(prog: &AnfProgram, claimed: &CfaResult) -> Result<Certificate, Refutation> {
+    same_vars(claimed.vars.len(), prog.num_vars())?;
+    let mut sys = SrcSystem::derive(prog);
+    let claimed_keys: BTreeSet<Label> = claimed.terms.keys().collect();
+    if claimed_keys != sys.dst_terms {
+        return Err(Refutation::Shape {
+            detail: format!(
+                "terms table keyed on {:?}, propagation targets are {:?}",
+                claimed_keys, sys.dst_terms
+            ),
+        });
+    }
+    src_least_model(&mut sys);
+    let m = &sys.m;
+    m.first_unclosed(|fact| {
+        let Fact::In(n, CpsFlow::Clo(c)) = *fact else {
+            return false;
+        };
+        match m.slot(n as usize) {
+            Slot::Var(i) => claimed.vars[i].contains(&c),
+            Slot::Tab(0, l) => claimed.terms.get(l).is_some_and(|s| s.contains(&c)),
+            Slot::Tab(_, l) => claimed.calls.get(l).is_some_and(|s| s.contains(&c)),
+        }
+    })?;
+    for (i, set) in claimed.vars.iter().enumerate() {
+        m.supports(i, set, CpsFlow::Clo, format_args!("v{i}"))?;
+    }
+    for (l, set) in claimed.terms.iter() {
+        m.supports(m.tab(0, l), set, CpsFlow::Clo, format_args!("terms[{l}]"))?;
+    }
+    m.supports_table(1, &claimed.calls, CpsFlow::Clo)?;
+    // The model's calls table only holds non-empty entries; the claim
+    // matching it elementwise plus having no extras means the key sets
+    // agree.
+    if claimed.calls.len() != m.entries(1) {
+        return Err(Refutation::Shape {
+            detail: format!(
+                "calls table has {} sites, least model has {}",
+                claimed.calls.len(),
+                m.entries(1)
+            ),
+        });
+    }
+    Ok(Certificate {
+        kind: AnalysisKind::CfaSrc,
+        constraints: sys.constraints,
+        facts: claimed.vars.iter().map(|s| s.len()).sum::<usize>()
+            + claimed.terms.values().map(|s| s.len()).sum::<usize>()
+            + claimed.calls.values().map(BTreeSet::len).sum::<usize>(),
+    })
+}
+
+// ---------------------------------------------------------------------------
+// CPS-level 0CFA
+// ---------------------------------------------------------------------------
+
+fn op_of(w: &CVal, prog: &CpsProgram) -> Op {
+    match &w.kind {
+        CValKind::Num(_) => Op::None,
+        CValKind::Add1K => Op::Const(CpsFlow::Clo(AbsClo::Inc)),
+        CValKind::Sub1K => Op::Const(CpsFlow::Clo(AbsClo::Dec)),
+        CValKind::Lam { .. } => Op::Const(CpsFlow::Clo(AbsClo::Lam(w.label))),
+        CValKind::Var(x) => Op::Var(prog.user_var_id(x).expect("indexed variable")),
+    }
+}
+
+/// A CPS `let`: a constant seeds the binder, a variable subset-edges into
+/// it. Returns the number of constraints it adds.
+fn let_flow(m: &mut Model, op: Op, x: CVarId) -> usize {
+    let rule = match op {
+        Op::None => return 0,
+        Op::Const(_) => Rule::Seed,
+        Op::Var(y) => Rule::Sub(y.index() as u32),
+    };
+    m.flow(op, x.index(), rule);
+    1
+}
+
+/// A claimed CPS-shaped answer, read in place from the result it came
+/// from (pushdown's adds the matched-return witnesses).
+struct CpsClaim<'a> {
+    vars: &'a [Arc<BTreeSet<CpsFlow>>],
+    returns: &'a LabelTable<BTreeSet<AbsKont>>,
+    calls: &'a LabelTable<BTreeSet<AbsClo>>,
+    matched: &'a BTreeSet<MatchedReturn>,
+}
+
+impl CpsClaim<'_> {
+    fn holds(&self, m: &Model, fact: &Fact) -> bool {
+        match *fact {
+            Fact::In(n, v) => match (m.slot(n as usize), v) {
+                (Slot::Var(i), v) => self.vars[i].contains(&v),
+                (Slot::Tab(0, l), CpsFlow::Kont(k)) => {
+                    self.returns.get(l).is_some_and(|s| s.contains(&k))
+                }
+                (Slot::Tab(_, l), CpsFlow::Clo(c)) => {
+                    self.calls.get(l).is_some_and(|s| s.contains(&c))
+                }
+                _ => false,
+            },
+            Fact::Matched(w) => self.matched.contains(&w),
+        }
+    }
+
+    /// The least-model comparison shared by the CPS-shaped certifiers.
+    fn compare(&self, m: &Model) -> Result<(), Refutation> {
+        m.first_unclosed(|fact| self.holds(m, fact))?;
+        if let Some(w) = self.matched.difference(&m.matched).next() {
+            return Err(Refutation::Unsupported {
+                fact: format!("matched witness {w:?}"),
+            });
+        }
+        for (i, set) in self.vars.iter().enumerate() {
+            m.supports(i, set, |v| v, format_args!("v{i}"))?;
+        }
+        m.supports_table(0, self.returns, CpsFlow::Kont)?;
+        m.supports_table(1, self.calls, CpsFlow::Clo)?;
+        if self.returns.len() != m.entries(0) || self.calls.len() != m.entries(1) {
+            return Err(Refutation::Shape {
+                detail: format!(
+                    "{}×{} call/return sites claimed, least model has {}×{}",
+                    self.calls.len(),
+                    self.returns.len(),
+                    m.entries(1),
+                    m.entries(0)
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    fn facts(&self) -> usize {
+        self.vars.iter().map(|s| s.len()).sum::<usize>()
+            + self.returns.values().map(BTreeSet::len).sum::<usize>()
+            + self.calls.values().map(BTreeSet::len).sum::<usize>()
+            + self.matched.len()
+    }
+}
+
+/// The CPS constraint system, re-derived by an independent walk straight
+/// into its model's seeds and static edges.
 struct CpsSystem {
-    seeds: Vec<(CpsFlow, CVarId)>,
-    subs: Vec<(CVarId, CVarId)>,
-    /// `(k var, returned operand, site)`.
-    rets: Vec<(CVarId, Op, Label)>,
-    /// `(operator, argument, literal continuation label, site)`.
-    calls: Vec<(Op, Op, Label, Label)>,
+    m: Model,
+    /// Return site → returned operand.
+    rets: HashMap<Label, Op>,
+    /// Call site → (argument, literal continuation label).
+    calls: HashMap<Label, (Op, Label)>,
     /// `λ label → (param var, k var)`.
     lam: HashMap<Label, (CVarId, CVarId)>,
     /// continuation label → binder var.
     cont_var: HashMap<Label, CVarId>,
+    constraints: usize,
 }
 
 impl CpsSystem {
     fn derive(prog: &CpsProgram) -> CpsSystem {
         let mut sys = CpsSystem {
-            seeds: Vec::new(),
-            subs: Vec::new(),
-            rets: Vec::new(),
-            calls: Vec::new(),
-            lam: HashMap::new(),
-            cont_var: HashMap::new(),
+            m: Model::new(prog.num_vars(), prog.label_count(), true),
+            rets: HashMap::new(),
+            calls: HashMap::new(),
+            lam: prog
+                .lambdas()
+                .into_iter()
+                .map(|(l, r)| (l, (r.param_id, r.k_id)))
+                .collect(),
+            cont_var: prog
+                .conts()
+                .into_iter()
+                .map(|(l, r)| (l, r.var_id))
+                .collect(),
+            constraints: 0,
         };
-        for (l, r) in prog.lambdas() {
-            sys.lam.insert(l, (r.param_id, r.k_id));
-        }
-        for (l, r) in prog.conts() {
-            sys.cont_var.insert(l, r.var_id);
-        }
         sys.walk(prog.root(), prog);
+        sys.constraints += 1;
         let k0 = prog.kont_var_id(prog.top_k()).expect("top k indexed");
-        sys.seeds.push((CpsFlow::Kont(AbsKont::Stop), k0));
+        let stop = CpsFlow::Kont(AbsKont::Stop);
+        sys.m.derive(k0.index(), stop, Rule::Seed);
         sys
-    }
-
-    fn constraints(&self) -> usize {
-        self.seeds.len() + self.subs.len() + self.rets.len() + self.calls.len()
-    }
-
-    fn op_of(&self, w: &CVal, prog: &CpsProgram) -> Op {
-        match &w.kind {
-            CValKind::Num(_) => Op::None,
-            CValKind::Add1K => Op::Const(CpsFlow::Clo(AbsClo::Inc)),
-            CValKind::Sub1K => Op::Const(CpsFlow::Clo(AbsClo::Dec)),
-            CValKind::Lam { .. } => Op::Const(CpsFlow::Clo(AbsClo::Lam(w.label))),
-            CValKind::Var(x) => Op::Var(prog.user_var_id(x).expect("indexed variable")),
-        }
     }
 
     fn enter_val(&mut self, v: &CVal, prog: &CpsProgram) {
@@ -555,24 +751,23 @@ impl CpsSystem {
         match &t.kind {
             CTermKind::Ret(k, w) => {
                 let kid = prog.kont_var_id(k).expect("indexed k");
-                let op = self.op_of(w, prog);
-                self.rets.push((kid, op, t.label));
+                self.constraints += 1;
+                self.rets.insert(t.label, op_of(w, prog));
+                let dst = self.m.tab(0, t.label);
+                self.m.edge(kid.index(), dst, Rule::Ret(t.label));
                 self.enter_val(w, prog);
             }
             CTermKind::Let { var, val, body } => {
                 let x = prog.user_var_id(var).expect("indexed variable");
-                match self.op_of(val, prog) {
-                    Op::None => {}
-                    Op::Const(c) => self.seeds.push((c, x)),
-                    Op::Var(y) => self.subs.push((y, x)),
-                }
+                self.constraints += let_flow(&mut self.m, op_of(val, prog), x);
                 self.enter_val(val, prog);
                 self.walk(body, prog);
             }
             CTermKind::Call { f, arg, cont } => {
-                let fo = self.op_of(f, prog);
-                let ao = self.op_of(arg, prog);
-                self.calls.push((fo, ao, cont.label, t.label));
+                self.constraints += 1;
+                self.calls.insert(t.label, (op_of(arg, prog), cont.label));
+                let dst = self.m.tab(1, t.label);
+                self.m.flow(op_of(f, prog), dst, Rule::Call(t.label));
                 self.enter_val(f, prog);
                 self.enter_val(arg, prog);
                 self.walk(&cont.body, prog);
@@ -585,8 +780,9 @@ impl CpsSystem {
                 ..
             } => {
                 let kid = prog.kont_var_id(k).expect("indexed k");
-                self.seeds
-                    .push((CpsFlow::Kont(AbsKont::Co(cont.label)), kid));
+                self.constraints += 1;
+                let co = CpsFlow::Kont(AbsKont::Co(cont.label));
+                self.m.derive(kid.index(), co, Rule::Seed);
                 self.walk(&cont.body, prog);
                 self.walk(then_, prog);
                 self.walk(else_, prog);
@@ -596,218 +792,27 @@ impl CpsSystem {
     }
 }
 
-/// The claimed or recomputed CPS store.
-struct CpsStore {
-    vars: Vec<BTreeSet<CpsFlow>>,
-    returns: BTreeMap<Label, BTreeSet<AbsKont>>,
-    calls: BTreeMap<Label, BTreeSet<AbsClo>>,
-}
-
-impl CpsStore {
-    fn op_flows(&self, op: Op) -> Vec<CpsFlow> {
-        match op {
-            Op::None => Vec::new(),
-            Op::Const(c) => vec![c],
-            Op::Var(v) => self.vars[v.index()].iter().copied().collect(),
-        }
-    }
-}
-
-/// Least model of the re-derived CPS system (naive Kleene iteration).
-fn cps_least_model(sys: &CpsSystem, num_vars: usize) -> CpsStore {
-    let mut st = CpsStore {
-        vars: vec![BTreeSet::new(); num_vars],
-        returns: BTreeMap::new(),
-        calls: BTreeMap::new(),
-    };
-    for &(c, dst) in &sys.seeds {
-        st.vars[dst.index()].insert(c);
-    }
-    loop {
-        let mut changed = false;
-        for &(src, dst) in &sys.subs {
-            let flows: Vec<CpsFlow> = st.vars[src.index()].iter().copied().collect();
-            for v in flows {
-                changed |= st.vars[dst.index()].insert(v);
+/// Least model of the re-derived CPS system: a continuation reaching a
+/// return site flows the returned operand into its binder; a closure
+/// reaching a call site flows the argument into its parameter and the
+/// literal continuation into its `k`.
+fn cps_least_model(sys: &mut CpsSystem) {
+    while let Some((n, v)) = sys.m.pop() {
+        match (sys.m.slot(n), v) {
+            (Slot::Tab(0, site), CpsFlow::Kont(AbsKont::Co(l))) => {
+                let binder = sys.cont_var[&l].index();
+                sys.m.flow(sys.rets[&site], binder, Rule::Ret(site));
             }
-        }
-        for &(k, w, site) in &sys.rets {
-            let ks: Vec<AbsKont> = st.vars[k.index()]
-                .iter()
-                .filter_map(|v| match v {
-                    CpsFlow::Kont(kk) => Some(*kk),
-                    CpsFlow::Clo(_) => None,
-                })
-                .collect();
-            for kk in ks {
-                changed |= st.returns.entry(site).or_default().insert(kk);
-                if let AbsKont::Co(l) = kk {
-                    let binder = sys.cont_var[&l];
-                    let flows = st.op_flows(w);
-                    for v in flows {
-                        changed |= st.vars[binder.index()].insert(v);
-                    }
-                }
-            }
-        }
-        for &(f, arg, cont, site) in &sys.calls {
-            let callees: Vec<AbsClo> = st
-                .op_flows(f)
-                .into_iter()
-                .filter_map(|v| match v {
-                    CpsFlow::Clo(c) => Some(c),
-                    CpsFlow::Kont(_) => None,
-                })
-                .collect();
-            for clo in callees {
-                changed |= st.calls.entry(site).or_default().insert(clo);
-                if let AbsClo::Lam(l) = clo {
-                    let (param, kvar) = sys.lam[&l];
-                    let flows = st.op_flows(arg);
-                    for v in flows {
-                        changed |= st.vars[param.index()].insert(v);
-                    }
-                    changed |= st.vars[kvar.index()].insert(CpsFlow::Kont(AbsKont::Co(cont)));
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    st
-}
-
-/// Closure scan of a claimed CPS store; first violated constraint, if any.
-fn cps_closure_counterexample(sys: &CpsSystem, claim: &CpsStore) -> Option<Refutation> {
-    for &(c, dst) in &sys.seeds {
-        if !claim.vars[dst.index()].contains(&c) {
-            return Some(Refutation::Unclosed {
-                edge: format!("seed ⊆ v{}", dst.index()),
-                missing: format!("{c:?} ∈ v{}", dst.index()),
-            });
-        }
-    }
-    for &(src, dst) in &sys.subs {
-        if let Some(v) = claim.vars[src.index()]
-            .difference(&claim.vars[dst.index()])
-            .next()
-        {
-            return Some(Refutation::Unclosed {
-                edge: format!("v{} ⊆ v{}", src.index(), dst.index()),
-                missing: format!("{v:?} ∈ v{}", dst.index()),
-            });
-        }
-    }
-    for &(k, w, site) in &sys.rets {
-        for v in claim.vars[k.index()].iter() {
-            let CpsFlow::Kont(kk) = v else { continue };
-            if !claim.returns.get(&site).is_some_and(|s| s.contains(kk)) {
-                return Some(Refutation::Unclosed {
-                    edge: format!("ret@{site}"),
-                    missing: format!("{kk:?} ∈ returns[{site}]"),
-                });
-            }
-            if let AbsKont::Co(l) = kk {
-                let binder = sys.cont_var[l];
-                for f in claim.op_flows(w) {
-                    if !claim.vars[binder.index()].contains(&f) {
-                        return Some(Refutation::Unclosed {
-                            edge: format!("ret@{site} ⊆ v{}", binder.index()),
-                            missing: format!("{f:?} ∈ v{}", binder.index()),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    for &(f, arg, cont, site) in &sys.calls {
-        for v in claim.op_flows(f) {
-            let CpsFlow::Clo(clo) = v else { continue };
-            if !claim.calls.get(&site).is_some_and(|s| s.contains(&clo)) {
-                return Some(Refutation::Unclosed {
-                    edge: format!("call@{site}"),
-                    missing: format!("{clo:?} ∈ calls[{site}]"),
-                });
-            }
-            if let AbsClo::Lam(l) = clo {
+            (Slot::Tab(1, site), CpsFlow::Clo(AbsClo::Lam(l))) => {
+                let (arg, cont) = sys.calls[&site];
                 let (param, kvar) = sys.lam[&l];
-                for a in claim.op_flows(arg) {
-                    if !claim.vars[param.index()].contains(&a) {
-                        return Some(Refutation::Unclosed {
-                            edge: format!("call@{site} arg ⊆ v{}", param.index()),
-                            missing: format!("{a:?} ∈ v{}", param.index()),
-                        });
-                    }
-                }
-                let kc = CpsFlow::Kont(AbsKont::Co(cont));
-                if !claim.vars[kvar.index()].contains(&kc) {
-                    return Some(Refutation::Unclosed {
-                        edge: format!("call@{site} cont ⊆ v{}", kvar.index()),
-                        missing: format!("{kc:?} ∈ v{}", kvar.index()),
-                    });
-                }
+                sys.m.flow(arg, param.index(), Rule::CallArg(site));
+                let co = CpsFlow::Kont(AbsKont::Co(cont));
+                sys.m.derive(kvar.index(), co, Rule::CallCont(site));
             }
+            _ => {}
         }
     }
-    None
-}
-
-/// Shared tail of the CPS-shaped certifiers: claim closed, compare against
-/// the recomputed least model; any residual difference is unsupported.
-fn cps_store_excess(claim: &CpsStore, lfp: &CpsStore) -> Option<Refutation> {
-    for (i, (c, d)) in claim.vars.iter().zip(&lfp.vars).enumerate() {
-        if let Some(v) = c.difference(d).next() {
-            return Some(Refutation::Unsupported {
-                fact: format!("{v:?} ∈ v{i}"),
-            });
-        }
-    }
-    for (l, c) in &claim.returns {
-        let empty = BTreeSet::new();
-        let d = lfp.returns.get(l).unwrap_or(&empty);
-        if let Some(v) = c.difference(d).next() {
-            return Some(Refutation::Unsupported {
-                fact: format!("{v:?} ∈ returns[{l}]"),
-            });
-        }
-        if c.is_empty() {
-            return Some(Refutation::Unsupported {
-                fact: format!("empty returns[{l}] entry"),
-            });
-        }
-    }
-    for (l, c) in &claim.calls {
-        let d = lfp.calls.get(l).unwrap_or(&EMPTY_CLO);
-        if let Some(v) = c.difference(d).next() {
-            return Some(Refutation::Unsupported {
-                fact: format!("{v:?} ∈ calls[{l}]"),
-            });
-        }
-        if c.is_empty() {
-            return Some(Refutation::Unsupported {
-                fact: format!("empty calls[{l}] entry"),
-            });
-        }
-    }
-    if claim.returns.len() != lfp.returns.len() || claim.calls.len() != lfp.calls.len() {
-        return Some(Refutation::Shape {
-            detail: format!(
-                "{}×{} call/return sites claimed, least model has {}×{}",
-                claim.calls.len(),
-                claim.returns.len(),
-                lfp.calls.len(),
-                lfp.returns.len()
-            ),
-        });
-    }
-    None
-}
-
-fn cps_store_facts(st: &CpsStore) -> usize {
-    st.vars.iter().map(BTreeSet::len).sum::<usize>()
-        + st.returns.values().map(BTreeSet::len).sum::<usize>()
-        + st.calls.values().map(BTreeSet::len).sum::<usize>()
 }
 
 /// Certifies a CPS-level 0CFA answer against `prog`.
@@ -815,36 +820,21 @@ pub fn certify_cfa_cps(
     prog: &CpsProgram,
     claimed: &CpsCfaResult,
 ) -> Result<Certificate, Refutation> {
-    if claimed.vars.len() != prog.num_vars() {
-        return Err(Refutation::Shape {
-            detail: format!(
-                "claimed {} variables, program has {}",
-                claimed.vars.len(),
-                prog.num_vars()
-            ),
-        });
-    }
-    let sys = CpsSystem::derive(prog);
-    let claim = CpsStore {
-        vars: claimed.vars.iter().map(|s| (**s).clone()).collect(),
-        returns: claimed
-            .returns
-            .iter()
-            .map(|(l, s)| (l, s.clone()))
-            .collect(),
-        calls: claimed.calls.iter().map(|(l, s)| (l, s.clone())).collect(),
+    static NO_WITNESSES: BTreeSet<MatchedReturn> = BTreeSet::new();
+    same_vars(claimed.vars.len(), prog.num_vars())?;
+    let mut sys = CpsSystem::derive(prog);
+    cps_least_model(&mut sys);
+    let claim = CpsClaim {
+        vars: &claimed.vars,
+        returns: &claimed.returns,
+        calls: &claimed.calls,
+        matched: &NO_WITNESSES,
     };
-    if let Some(r) = cps_closure_counterexample(&sys, &claim) {
-        return Err(r);
-    }
-    let lfp = cps_least_model(&sys, prog.num_vars());
-    if let Some(r) = cps_store_excess(&claim, &lfp) {
-        return Err(r);
-    }
+    claim.compare(&sys.m)?;
     Ok(Certificate {
         kind: AnalysisKind::CfaCps,
-        constraints: sys.constraints(),
-        facts: cps_store_facts(&claim),
+        constraints: sys.constraints,
+        facts: claim.facts(),
     })
 }
 
@@ -860,25 +850,6 @@ struct RTpl {
     own_param: bool,
 }
 
-/// The pushdown constraint system: classification of every return site plus
-/// the static flow edges, re-derived with an independent frame-carrying
-/// walk.
-struct PdSystem {
-    seeds: Vec<(CpsFlow, CVarId)>,
-    subs: Vec<(CVarId, CVarId)>,
-    /// `(k W)` under a `letk` join: operand flows to the join binder.
-    joins: Vec<(Op, Label)>,
-    calls: Vec<(Op, Op, Label, Label)>,
-    templates: HashMap<Label, Vec<RTpl>>,
-    /// `letk` continuation variable → its join continuation label.
-    join_of: HashMap<usize, Label>,
-    halt_returns: Vec<Label>,
-    join_returns: Vec<(Label, Label)>,
-    lam: HashMap<Label, (CVarId, CVarId)>,
-    cont_var: HashMap<Label, CVarId>,
-    top_k: CVarId,
-}
-
 /// The enclosing user λ during the pushdown walk.
 #[derive(Clone, Copy)]
 struct PdFrame {
@@ -887,71 +858,66 @@ struct PdFrame {
     k: CVarId,
 }
 
+/// The pushdown constraint system: classification of every return site plus
+/// the static flow edges, re-derived with an independent frame-carrying
+/// walk straight into its model.
+struct PdSystem {
+    m: Model,
+    /// Call site → (argument, literal continuation label).
+    calls: HashMap<Label, (Op, Label)>,
+    templates: HashMap<Label, Vec<RTpl>>,
+    /// `letk` continuation variable → its join continuation label.
+    join_of: BTreeMap<usize, Label>,
+    frames: HashMap<Label, PdFrame>,
+    cont_var: HashMap<Label, CVarId>,
+    top_k: CVarId,
+    constraints: usize,
+    /// The first return site whose continuation is neither frame, join,
+    /// nor halt: the program has no pushdown reading.
+    stray_return: Option<Label>,
+}
+
 impl PdSystem {
     fn derive(prog: &CpsProgram) -> Result<PdSystem, Refutation> {
-        let top_k = prog.kont_var_id(prog.top_k()).expect("top k indexed");
         let mut sys = PdSystem {
-            seeds: Vec::new(),
-            subs: Vec::new(),
-            joins: Vec::new(),
-            calls: Vec::new(),
+            m: Model::new(prog.num_vars(), prog.label_count(), true),
+            calls: HashMap::new(),
             templates: HashMap::new(),
-            join_of: HashMap::new(),
-            halt_returns: Vec::new(),
-            join_returns: Vec::new(),
-            lam: HashMap::new(),
-            cont_var: HashMap::new(),
-            top_k,
+            join_of: BTreeMap::new(),
+            frames: prog
+                .lambdas()
+                .into_iter()
+                .map(|(l, r)| {
+                    let (param, k) = (r.param_id, r.k_id);
+                    (l, PdFrame { label: l, param, k })
+                })
+                .collect(),
+            cont_var: prog
+                .conts()
+                .into_iter()
+                .map(|(l, r)| (l, r.var_id))
+                .collect(),
+            top_k: prog.kont_var_id(prog.top_k()).expect("top k indexed"),
+            constraints: 0,
+            stray_return: None,
         };
-        let mut frames: HashMap<Label, PdFrame> = HashMap::new();
-        for (l, r) in prog.lambdas() {
-            sys.lam.insert(l, (r.param_id, r.k_id));
-            frames.insert(
-                l,
-                PdFrame {
-                    label: l,
-                    param: r.param_id,
-                    k: r.k_id,
-                },
-            );
-        }
-        for (l, r) in prog.conts() {
-            sys.cont_var.insert(l, r.var_id);
-        }
-        sys.walk(prog.root(), None, prog, &frames)?;
-        Ok(sys)
-    }
-
-    fn constraints(&self) -> usize {
-        self.seeds.len()
-            + self.subs.len()
-            + self.joins.len()
-            + self.calls.len()
-            + self.halt_returns.len()
-            + self.join_returns.len()
-    }
-
-    fn op_of(&self, w: &CVal, prog: &CpsProgram) -> Op {
-        match &w.kind {
-            CValKind::Num(_) => Op::None,
-            CValKind::Add1K => Op::Const(CpsFlow::Clo(AbsClo::Inc)),
-            CValKind::Sub1K => Op::Const(CpsFlow::Clo(AbsClo::Dec)),
-            CValKind::Lam { .. } => Op::Const(CpsFlow::Clo(AbsClo::Lam(w.label))),
-            CValKind::Var(x) => Op::Var(prog.user_var_id(x).expect("indexed variable")),
+        sys.walk(prog.root(), None, prog);
+        match sys.stray_return {
+            None => Ok(sys),
+            Some(site) => Err(Refutation::Shape {
+                detail: format!(
+                    "return@{site} names a continuation that is neither frame, join, nor halt"
+                ),
+            }),
         }
     }
 
-    fn walk(
-        &mut self,
-        t: &CTerm,
-        frame: Option<PdFrame>,
-        prog: &CpsProgram,
-        frames: &HashMap<Label, PdFrame>,
-    ) -> Result<(), Refutation> {
+    fn walk(&mut self, t: &CTerm, frame: Option<PdFrame>, prog: &CpsProgram) {
         match &t.kind {
             CTermKind::Ret(k, w) => {
                 let kid = prog.kont_var_id(k).expect("indexed k");
-                let wf = self.op_of(w, prog);
+                let wf = op_of(w, prog);
+                let dst = self.m.tab(0, t.label);
                 match frame {
                     Some(f) if kid == f.k => {
                         self.templates.entry(f.label).or_default().push(RTpl {
@@ -960,43 +926,40 @@ impl PdSystem {
                             own_param: matches!(wf, Op::Var(v) if v == f.param),
                         });
                     }
-                    _ if kid == self.top_k => self.halt_returns.push(t.label),
+                    _ if kid == self.top_k => {
+                        self.constraints += 1;
+                        let rule = Rule::HaltReturn(t.label);
+                        self.m.derive(dst, CpsFlow::Kont(AbsKont::Stop), rule);
+                    }
                     _ => {
-                        let cont =
-                            *self
-                                .join_of
-                                .get(&kid.index())
-                                .ok_or_else(|| Refutation::Shape {
-                                    detail: format!(
-                                        "return@{} names a continuation that is neither \
-                                     frame, join, nor halt",
-                                        t.label
-                                    ),
-                                })?;
-                        self.join_returns.push((t.label, cont));
-                        self.joins.push((wf, cont));
+                        let Some(&cont) = self.join_of.get(&kid.index()) else {
+                            self.stray_return.get_or_insert(t.label);
+                            return;
+                        };
+                        self.constraints += 2;
+                        let co = CpsFlow::Kont(AbsKont::Co(cont));
+                        self.m.derive(dst, co, Rule::JoinReturn(t.label));
+                        let binder = self.cont_var[&cont].index();
+                        self.m.flow(wf, binder, Rule::Join(t.label));
                     }
                 }
-                self.enter_val(w, prog, frames)?;
+                self.enter_val(w, prog);
             }
             CTermKind::Let { var, val, body } => {
                 let x = prog.user_var_id(var).expect("indexed variable");
-                match self.op_of(val, prog) {
-                    Op::None => {}
-                    Op::Const(c) => self.seeds.push((c, x)),
-                    Op::Var(y) => self.subs.push((y, x)),
-                }
-                self.enter_val(val, prog, frames)?;
-                self.walk(body, frame, prog, frames)?;
+                self.constraints += let_flow(&mut self.m, op_of(val, prog), x);
+                self.enter_val(val, prog);
+                self.walk(body, frame, prog);
             }
             CTermKind::Call { f, arg, cont } => {
-                let fo = self.op_of(f, prog);
-                let ao = self.op_of(arg, prog);
-                self.calls.push((fo, ao, cont.label, t.label));
-                self.enter_val(f, prog, frames)?;
-                self.enter_val(arg, prog, frames)?;
+                self.constraints += 1;
+                self.calls.insert(t.label, (op_of(arg, prog), cont.label));
+                let dst = self.m.tab(1, t.label);
+                self.m.flow(op_of(f, prog), dst, Rule::Call(t.label));
+                self.enter_val(f, prog);
+                self.enter_val(arg, prog);
                 // The literal continuation body runs in the caller's frame.
-                self.walk(&cont.body, frame, prog, frames)?;
+                self.walk(&cont.body, frame, prog);
             }
             CTermKind::LetK {
                 k,
@@ -1007,275 +970,66 @@ impl PdSystem {
             } => {
                 let kid = prog.kont_var_id(k).expect("indexed k");
                 self.join_of.insert(kid.index(), cont.label);
-                self.walk(&cont.body, frame, prog, frames)?;
-                self.walk(then_, frame, prog, frames)?;
-                self.walk(else_, frame, prog, frames)?;
+                self.walk(&cont.body, frame, prog);
+                self.walk(then_, frame, prog);
+                self.walk(else_, frame, prog);
             }
-            CTermKind::Loop { cont } => self.walk(&cont.body, frame, prog, frames)?,
+            CTermKind::Loop { cont } => self.walk(&cont.body, frame, prog),
         }
-        Ok(())
     }
 
-    fn enter_val(
-        &mut self,
-        v: &CVal,
-        prog: &CpsProgram,
-        frames: &HashMap<Label, PdFrame>,
-    ) -> Result<(), Refutation> {
+    fn enter_val(&mut self, v: &CVal, prog: &CpsProgram) {
         if let CValKind::Lam { body, .. } = &v.kind {
-            let f = frames[&v.label];
-            self.walk(body, Some(f), prog, frames)?;
+            let f = self.frames[&v.label];
+            self.walk(body, Some(f), prog);
         }
-        Ok(())
     }
 }
 
-/// The pushdown store: the CPS store plus the matched-return witnesses.
-struct PdStore {
-    st: CpsStore,
-    matched: BTreeSet<MatchedReturn>,
-}
-
-/// Least model of the re-derived pushdown system: Kleene iteration over the
-/// static edges and per-call template instantiation, then the static
-/// continuation-variable fill the analyzer performs after its solve.
-fn pd_least_model(sys: &PdSystem, num_vars: usize) -> PdStore {
-    let mut st = CpsStore {
-        vars: vec![BTreeSet::new(); num_vars],
-        returns: BTreeMap::new(),
-        calls: BTreeMap::new(),
-    };
-    let mut matched: BTreeSet<MatchedReturn> = BTreeSet::new();
-    // Callee λ → discovered caller continuations (for the post-solve fill).
-    let mut callers: BTreeMap<Label, BTreeSet<Label>> = BTreeMap::new();
-    for &(c, dst) in &sys.seeds {
-        st.vars[dst.index()].insert(c);
-    }
-    // Halt and join returns are static, reachability-blind facts.
-    for &site in &sys.halt_returns {
-        st.returns.entry(site).or_default().insert(AbsKont::Stop);
-    }
-    for &(site, cont) in &sys.join_returns {
-        st.returns
-            .entry(site)
-            .or_default()
-            .insert(AbsKont::Co(cont));
-    }
-    static NO_TPL: Vec<RTpl> = Vec::new();
-    loop {
-        let mut changed = false;
-        for &(src, dst) in &sys.subs {
-            let flows: Vec<CpsFlow> = st.vars[src.index()].iter().copied().collect();
-            for v in flows {
-                changed |= st.vars[dst.index()].insert(v);
-            }
-        }
-        for &(w, cont) in &sys.joins {
-            let binder = sys.cont_var[&cont];
-            let flows = st.op_flows(w);
-            for v in flows {
-                changed |= st.vars[binder.index()].insert(v);
-            }
-        }
-        for &(f, arg, cont, site) in &sys.calls {
-            let callees: Vec<AbsClo> = st
-                .op_flows(f)
-                .into_iter()
-                .filter_map(|v| match v {
-                    CpsFlow::Clo(c) => Some(c),
-                    CpsFlow::Kont(_) => None,
-                })
-                .collect();
-            for clo in callees {
-                changed |= st.calls.entry(site).or_default().insert(clo);
-                if let AbsClo::Lam(l) = clo {
-                    let (param, _kvar) = sys.lam[&l];
-                    let flows = st.op_flows(arg);
-                    for v in flows {
-                        changed |= st.vars[param.index()].insert(v);
-                    }
-                    changed |= callers.entry(l).or_default().insert(cont);
-                    let binder = sys.cont_var[&cont];
-                    for tpl in sys.templates.get(&l).unwrap_or(&NO_TPL) {
-                        changed |= st
-                            .returns
-                            .entry(tpl.site)
-                            .or_default()
-                            .insert(AbsKont::Co(cont));
-                        changed |= matched.insert(MatchedReturn {
-                            ret_site: tpl.site,
-                            callee: l,
-                            call_site: site,
-                            cont,
-                        });
-                        let w = if tpl.own_param { arg } else { tpl.w };
-                        let flows = st.op_flows(w);
-                        for v in flows {
-                            changed |= st.vars[binder.index()].insert(v);
-                        }
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Post-fixpoint continuation-variable fill, exactly as the analyzer
-    // commits it: matched frames into each λ's `k`, the static join
-    // continuation into each `letk` binder, `stop` into the top `k`.
-    for (l, conts) in &callers {
-        let (_param, kvar) = sys.lam[l];
-        for &c in conts {
-            st.vars[kvar.index()].insert(CpsFlow::Kont(AbsKont::Co(c)));
-        }
-    }
-    for (&kvar, &cont) in &sys.join_of {
-        st.vars[kvar].insert(CpsFlow::Kont(AbsKont::Co(cont)));
-    }
-    st.vars[sys.top_k.index()].insert(CpsFlow::Kont(AbsKont::Stop));
-    PdStore { st, matched }
-}
-
-/// Closure scan of a claimed pushdown store; first violated constraint.
-fn pd_closure_counterexample(sys: &PdSystem, claim: &PdStore) -> Option<Refutation> {
-    let st = &claim.st;
-    for &(c, dst) in &sys.seeds {
-        if !st.vars[dst.index()].contains(&c) {
-            return Some(Refutation::Unclosed {
-                edge: format!("seed ⊆ v{}", dst.index()),
-                missing: format!("{c:?} ∈ v{}", dst.index()),
-            });
-        }
-    }
-    for &(src, dst) in &sys.subs {
-        if let Some(v) = st.vars[src.index()]
-            .difference(&st.vars[dst.index()])
-            .next()
-        {
-            return Some(Refutation::Unclosed {
-                edge: format!("v{} ⊆ v{}", src.index(), dst.index()),
-                missing: format!("{v:?} ∈ v{}", dst.index()),
-            });
-        }
-    }
-    for &site in &sys.halt_returns {
-        if !st
-            .returns
-            .get(&site)
-            .is_some_and(|s| s.contains(&AbsKont::Stop))
-        {
-            return Some(Refutation::Unclosed {
-                edge: format!("halt return@{site}"),
-                missing: format!("stop ∈ returns[{site}]"),
-            });
-        }
-    }
-    for &(site, cont) in &sys.join_returns {
-        if !st
-            .returns
-            .get(&site)
-            .is_some_and(|s| s.contains(&AbsKont::Co(cont)))
-        {
-            return Some(Refutation::Unclosed {
-                edge: format!("join return@{site}"),
-                missing: format!("co@{cont} ∈ returns[{site}]"),
-            });
-        }
-    }
-    for &(w, cont) in &sys.joins {
-        let binder = sys.cont_var[&cont];
-        for v in st.op_flows(w) {
-            if !st.vars[binder.index()].contains(&v) {
-                return Some(Refutation::Unclosed {
-                    edge: format!("join ⊆ v{}", binder.index()),
-                    missing: format!("{v:?} ∈ v{}", binder.index()),
-                });
-            }
-        }
-    }
-    static NO_TPL: Vec<RTpl> = Vec::new();
-    for &(f, arg, cont, site) in &sys.calls {
-        for v in st.op_flows(f) {
-            let CpsFlow::Clo(clo) = v else { continue };
-            if !st.calls.get(&site).is_some_and(|s| s.contains(&clo)) {
-                return Some(Refutation::Unclosed {
-                    edge: format!("call@{site}"),
-                    missing: format!("{clo:?} ∈ calls[{site}]"),
-                });
-            }
-            let AbsClo::Lam(l) = clo else { continue };
-            let (param, kvar) = sys.lam[&l];
-            for a in st.op_flows(arg) {
-                if !st.vars[param.index()].contains(&a) {
-                    return Some(Refutation::Unclosed {
-                        edge: format!("call@{site} arg ⊆ v{}", param.index()),
-                        missing: format!("{a:?} ∈ v{}", param.index()),
-                    });
-                }
-            }
-            // Matched-call fill: the caller's frame must be visible in the
-            // callee's k slot.
-            let kc = CpsFlow::Kont(AbsKont::Co(cont));
-            if !st.vars[kvar.index()].contains(&kc) {
-                return Some(Refutation::Unclosed {
-                    edge: format!("call@{site} frame ⊆ v{}", kvar.index()),
-                    missing: format!("{kc:?} ∈ v{}", kvar.index()),
-                });
-            }
-            let binder = sys.cont_var[&cont];
-            for tpl in sys.templates.get(&l).unwrap_or(&NO_TPL) {
-                if !st
-                    .returns
-                    .get(&tpl.site)
-                    .is_some_and(|s| s.contains(&AbsKont::Co(cont)))
-                {
-                    return Some(Refutation::Unclosed {
-                        edge: format!("summary {l}@{site}"),
-                        missing: format!("co@{cont} ∈ returns[{}]", tpl.site),
-                    });
-                }
-                let m = MatchedReturn {
+/// Least model of the re-derived pushdown system: a closure reaching a
+/// call site flows the argument into its parameter and instantiates the
+/// callee's return summary for the caller's frame. After the loop comes
+/// the continuation-variable fill the analyzer commits after its solve:
+/// matched frames into each λ's `k`, the static join continuation into
+/// each `letk` binder, `stop` into the top `k`.
+fn pd_least_model(sys: &mut PdSystem) {
+    let mut frames = Vec::new();
+    while let Some((n, v)) = sys.m.pop() {
+        let (Slot::Tab(1, site), CpsFlow::Clo(AbsClo::Lam(l))) = (sys.m.slot(n), v) else {
+            continue;
+        };
+        let (arg, cont) = sys.calls[&site];
+        let f = sys.frames[&l];
+        sys.m.flow(arg, f.param.index(), Rule::CallArg(site));
+        frames.push((f.k, cont, site));
+        let binder = sys.cont_var[&cont].index();
+        let rule = Rule::Summary(site);
+        for tpl in sys.templates.get(&l).map_or(&[][..], Vec::as_slice) {
+            let co = CpsFlow::Kont(AbsKont::Co(cont));
+            sys.m.derive(sys.m.tab(0, tpl.site), co, rule);
+            sys.m.witness(
+                MatchedReturn {
                     ret_site: tpl.site,
                     callee: l,
                     call_site: site,
                     cont,
-                };
-                if !claim.matched.contains(&m) {
-                    return Some(Refutation::Unclosed {
-                        edge: format!("summary {l}@{site}"),
-                        missing: format!("matched witness {m:?}"),
-                    });
-                }
-                let w = if tpl.own_param { arg } else { tpl.w };
-                for v in st.op_flows(w) {
-                    if !st.vars[binder.index()].contains(&v) {
-                        return Some(Refutation::Unclosed {
-                            edge: format!("summary {l}@{site} ⊆ v{}", binder.index()),
-                            missing: format!("{v:?} ∈ v{}", binder.index()),
-                        });
-                    }
-                }
-            }
+                },
+                rule,
+            );
+            sys.m
+                .flow(if tpl.own_param { arg } else { tpl.w }, binder, rule);
         }
     }
-    // Static fills.
-    for (&kvar, &cont) in &sys.join_of {
-        let kc = CpsFlow::Kont(AbsKont::Co(cont));
-        if !st.vars[kvar].contains(&kc) {
-            return Some(Refutation::Unclosed {
-                edge: format!("letk fill ⊆ v{kvar}"),
-                missing: format!("{kc:?} ∈ v{kvar}"),
-            });
-        }
+    for (k, cont, site) in frames {
+        let co = CpsFlow::Kont(AbsKont::Co(cont));
+        sys.m.derive(k.index(), co, Rule::CallFrame(site));
     }
-    if !st.vars[sys.top_k.index()].contains(&CpsFlow::Kont(AbsKont::Stop)) {
-        return Some(Refutation::Unclosed {
-            edge: format!("halt fill ⊆ v{}", sys.top_k.index()),
-            missing: format!("stop ∈ v{}", sys.top_k.index()),
-        });
+    for (&k, &cont) in &sys.join_of {
+        let co = CpsFlow::Kont(AbsKont::Co(cont));
+        sys.m.derive(k, co, Rule::LetkFill);
     }
-    None
+    let stop = CpsFlow::Kont(AbsKont::Stop);
+    sys.m.derive(sys.top_k.index(), stop, Rule::HaltFill);
 }
 
 /// Certifies a pushdown CFA answer against `prog`.
@@ -1283,44 +1037,20 @@ pub fn certify_pushdown(
     prog: &CpsProgram,
     claimed: &PushdownCfaResult,
 ) -> Result<Certificate, Refutation> {
-    if claimed.vars.len() != prog.num_vars() {
-        return Err(Refutation::Shape {
-            detail: format!(
-                "claimed {} variables, program has {}",
-                claimed.vars.len(),
-                prog.num_vars()
-            ),
-        });
-    }
-    let sys = PdSystem::derive(prog)?;
-    let claim = PdStore {
-        st: CpsStore {
-            vars: claimed.vars.iter().map(|s| (**s).clone()).collect(),
-            returns: claimed
-                .returns
-                .iter()
-                .map(|(l, s)| (l, s.clone()))
-                .collect(),
-            calls: claimed.calls.iter().map(|(l, s)| (l, s.clone())).collect(),
-        },
-        matched: claimed.matched.clone(),
+    same_vars(claimed.vars.len(), prog.num_vars())?;
+    let mut sys = PdSystem::derive(prog)?;
+    pd_least_model(&mut sys);
+    let claim = CpsClaim {
+        vars: &claimed.vars,
+        returns: &claimed.returns,
+        calls: &claimed.calls,
+        matched: &claimed.matched,
     };
-    if let Some(r) = pd_closure_counterexample(&sys, &claim) {
-        return Err(r);
-    }
-    let lfp = pd_least_model(&sys, prog.num_vars());
-    if let Some(m) = claim.matched.difference(&lfp.matched).next() {
-        return Err(Refutation::Unsupported {
-            fact: format!("matched witness {m:?}"),
-        });
-    }
-    if let Some(r) = cps_store_excess(&claim.st, &lfp.st) {
-        return Err(r);
-    }
+    claim.compare(&sys.m)?;
     Ok(Certificate {
         kind: AnalysisKind::CfaPushdown,
-        constraints: sys.constraints(),
-        facts: cps_store_facts(&claim.st) + claim.matched.len(),
+        constraints: sys.constraints,
+        facts: claim.facts(),
     })
 }
 
@@ -1537,13 +1267,110 @@ mod tests {
         poisoned.insert(AbsClo::Inc);
         r.vars[x.index()] = Arc::new(poisoned);
         let err = certify_cfa_src(&p, &r).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Refutation::Unclosed { .. } | Refutation::Unsupported { .. }
-            ),
-            "got {err}"
+        assert!(matches!(err, Refutation::Unsupported { .. }), "got {err}");
+    }
+
+    const SELF_APP: &str = "(let (f (lambda (x) x)) (f f))";
+
+    /// `set` plus `lie` if it holds an element `real` picks out.
+    fn poison<T: Ord + Copy>(set: &BTreeSet<T>, real: fn(&T) -> bool, lie: T) -> BTreeSet<T> {
+        let mut out = set.clone();
+        if set.iter().any(real) {
+            out.insert(lie);
+        }
+        out
+    }
+
+    /// Names `bogus` wherever a CPS-shaped answer names a real callee or
+    /// continuation.
+    fn poison_cps(
+        bogus: Label,
+        vars: &mut [Arc<BTreeSet<CpsFlow>>],
+        returns: &mut LabelTable<BTreeSet<AbsKont>>,
+        calls: &mut LabelTable<BTreeSet<AbsClo>>,
+    ) {
+        for v in vars.iter_mut() {
+            let lam = |f: &CpsFlow| matches!(f, CpsFlow::Clo(AbsClo::Lam(_)));
+            let co = |f: &CpsFlow| matches!(f, CpsFlow::Kont(AbsKont::Co(_)));
+            let s = poison(v, lam, CpsFlow::Clo(AbsClo::Lam(bogus)));
+            *v = Arc::new(poison(&s, co, CpsFlow::Kont(AbsKont::Co(bogus))));
+        }
+        let co = |k: &AbsKont| matches!(k, AbsKont::Co(_));
+        *returns = returns
+            .iter()
+            .map(|(l, s)| (l, poison(s, co, AbsKont::Co(bogus))))
+            .collect();
+        let lam = |c: &AbsClo| matches!(c, AbsClo::Lam(_));
+        *calls = calls
+            .iter()
+            .map(|(l, s)| (l, poison(s, lam, AbsClo::Lam(bogus))))
+            .collect();
+    }
+
+    /// A label of the CPS program that is neither a λ nor a continuation.
+    fn cps_non_binder(c: &CpsProgram) -> Label {
+        let (lams, conts) = (c.lambdas(), c.conts());
+        (0..c.label_count())
+            .map(Label::new)
+            .find(|l| !lams.contains_key(l) && !conts.contains_key(l))
+            .expect("some label binds nothing")
+    }
+
+    #[test]
+    fn a_non_lambda_callee_in_a_src_claim_refutes_as_unsupported() {
+        let p = AnfProgram::parse(SELF_APP).unwrap();
+        let lams = p.lambdas();
+        let bogus = (0..p.label_count())
+            .map(Label::new)
+            .find(|l| !lams.contains_key(l))
+            .unwrap();
+        let lam = |c: &AbsClo| matches!(c, AbsClo::Lam(_));
+        let lie = AbsClo::Lam(bogus);
+        let mut r = zero_cfa(&p).unwrap();
+        for v in r.vars.iter_mut() {
+            *v = Arc::new(poison(v, lam, lie));
+        }
+        r.terms = r
+            .terms
+            .iter()
+            .map(|(l, s)| (l, Arc::new(poison(s, lam, lie))))
+            .collect();
+        r.calls = Arc::new(
+            r.calls
+                .iter()
+                .map(|(l, s)| (l, poison(s, lam, lie)))
+                .collect(),
         );
+        let err = certify_cfa_src(&p, &r).unwrap_err();
+        assert!(matches!(err, Refutation::Unsupported { .. }), "got {err}");
+    }
+
+    #[test]
+    fn a_non_lambda_callee_in_a_cps_claim_refutes_as_unsupported() {
+        let c = CpsProgram::from_anf(&AnfProgram::parse(SELF_APP).unwrap());
+        let mut r = zero_cfa_cps(&c).unwrap();
+        poison_cps(
+            cps_non_binder(&c),
+            &mut r.vars,
+            &mut r.returns,
+            &mut r.calls,
+        );
+        let err = certify_cfa_cps(&c, &r).unwrap_err();
+        assert!(matches!(err, Refutation::Unsupported { .. }), "got {err}");
+    }
+
+    #[test]
+    fn a_non_lambda_callee_in_a_pushdown_claim_refutes_as_unsupported() {
+        let c = CpsProgram::from_anf(&AnfProgram::parse(SELF_APP).unwrap());
+        let mut r = pushdown_cfa(&c).unwrap();
+        poison_cps(
+            cps_non_binder(&c),
+            &mut r.vars,
+            &mut r.returns,
+            &mut r.calls,
+        );
+        let err = certify_pushdown(&c, &r).unwrap_err();
+        assert!(matches!(err, Refutation::Unsupported { .. }), "got {err}");
     }
 
     #[test]

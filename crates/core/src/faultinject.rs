@@ -164,7 +164,7 @@ pub enum PersistFault {
     /// FNV-128 checksum no longer matches.
     BitFlip,
     /// The entry is committed under a key whose digest does not match its
-    /// own source text (an alignment bug, or an entry surviving a key
+    /// own source text (a keying bug, or an entry surviving a key
     /// schema change): recovery's re-digest check must drop it as stale.
     StaleKey,
 }

@@ -15,11 +15,15 @@
 //!    way the service certifies session warm-starts before serving them.
 //! 3. **Soundness against corruption.** A proptest mutates valid
 //!    fixpoints one element at a time — an added flow value, a removed
-//!    flow value, a dropped call edge — and every mutation must refute
-//!    for all three 0CFA analyses while the originals keep certifying.
-//!    Every mutation must also change the answer digest, so a client
-//!    comparing digests can never mistake the corrupted answer for the
-//!    original.
+//!    flow value, a dropped call edge, a dropped pushdown matched-return
+//!    witness, a lost variable — and every mutation must refute for all
+//!    three 0CFA analyses while the originals keep certifying. Each
+//!    refutes with its own kind: an addition as `Unsupported`, a drop as
+//!    `Unclosed`, a lost variable as `Shape`. Every mutation must also
+//!    change the answer digest, so a client comparing digests can never
+//!    mistake the corrupted answer for the original.
+//! 4. **Scale.** The chain-shaped family programs on which a naive
+//!    least-model loop is slowest certify in a debug build.
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::cache::{
@@ -272,6 +276,13 @@ fn pd_drop_fact(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
     Some(m)
 }
 
+fn pd_drop_witness(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
+    let w = *r.matched.iter().next()?;
+    let mut m = r.clone();
+    m.matched.remove(&w);
+    Some(m)
+}
+
 fn pd_drop_call_edge(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
     let site = r
         .calls
@@ -283,31 +294,53 @@ fn pd_drop_call_edge(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
     Some(m)
 }
 
+/// The refutation a mutation kind must produce: an added fact is
+/// unsupported, a lost variable is a shape error, and every drop is
+/// unclosed.
+fn expected_tag(mutation: usize) -> &'static str {
+    match mutation {
+        0 => "unsupported",
+        3 => "shape",
+        _ => "unclosed",
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random corpus slot, random mutation kind: the original fixpoint of
     /// every 0CFA analysis certifies, and the single-element mutation of
-    /// it never does — and it never keeps the original's answer digest.
+    /// it never does — it refutes with the kind's own tag, and it never
+    /// keeps the original's answer digest. Kinds: 0 adds a fact, 1 drops
+    /// a variable's facts, 2 drops a call edge, 3 drops the last variable,
+    /// 4 drops a pushdown matched-return witness.
     #[test]
     fn prop_single_element_mutations_are_refuted(
         slot in 0usize..24,
-        mutation in 0usize..3,
+        mutation in 0usize..5,
     ) {
         let progs = corpus(0xCE47F, 24, &open_config());
         let p = AnfProgram::from_term(&progs[slot]);
+        let want = Some(expected_tag(mutation));
 
         let src = zero_cfa(&p).expect("src 0CFA completes");
         prop_assert!(certify_cfa_src(&p, &src).is_ok(), "original src answer must certify");
         let mutated = match mutation {
             0 => src_add_fact(&src),
             1 => src_drop_fact(&src),
-            _ => src_drop_call_edge(&src),
+            2 => src_drop_call_edge(&src),
+            3 => (!src.vars.is_empty()).then(|| {
+                let mut m = src.clone();
+                m.vars.pop();
+                m
+            }),
+            _ => None,
         };
         if let Some(m) = mutated {
-            prop_assert!(
-                certify_cfa_src(&p, &m).is_err(),
-                "mutated src answer (kind {mutation}) must refute"
+            prop_assert_eq!(
+                certify_cfa_src(&p, &m).err().map(|e| e.tag()),
+                want,
+                "mutated src answer (kind {}) must refute as {:?}", mutation, want
             );
             prop_assert!(
                 CachedAnswer::CfaSrc(m).digest()
@@ -322,12 +355,19 @@ proptest! {
         let mutated = match mutation {
             0 => cps_add_fact(&cps_r),
             1 => cps_drop_fact(&cps_r),
-            _ => cps_drop_call_edge(&cps_r),
+            2 => cps_drop_call_edge(&cps_r),
+            3 => (!cps_r.vars.is_empty()).then(|| {
+                let mut m = cps_r.clone();
+                m.vars.pop();
+                m
+            }),
+            _ => None,
         };
         if let Some(m) = mutated {
-            prop_assert!(
-                certify_cfa_cps(&cps, &m).is_err(),
-                "mutated cps answer (kind {mutation}) must refute"
+            prop_assert_eq!(
+                certify_cfa_cps(&cps, &m).err().map(|e| e.tag()),
+                want,
+                "mutated cps answer (kind {}) must refute as {:?}", mutation, want
             );
             prop_assert!(
                 CachedAnswer::CfaCps(m).digest()
@@ -341,12 +381,19 @@ proptest! {
         let mutated = match mutation {
             0 => pd_add_fact(&pd),
             1 => pd_drop_fact(&pd),
-            _ => pd_drop_call_edge(&pd),
+            2 => pd_drop_call_edge(&pd),
+            3 => (!pd.vars.is_empty()).then(|| {
+                let mut m = pd.clone();
+                m.vars.pop();
+                m
+            }),
+            _ => pd_drop_witness(&pd),
         };
         if let Some(m) = mutated {
-            prop_assert!(
-                certify_pushdown(&cps, &m).is_err(),
-                "mutated pushdown answer (kind {mutation}) must refute"
+            prop_assert_eq!(
+                certify_pushdown(&cps, &m).err().map(|e| e.tag()),
+                want,
+                "mutated pushdown answer (kind {}) must refute as {:?}", mutation, want
             );
             prop_assert!(
                 CachedAnswer::CfaPushdown(m).digest()
@@ -354,5 +401,23 @@ proptest! {
                 "mutated pushdown answer (kind {mutation}) must change the answer digest"
             );
         }
+    }
+}
+
+#[test]
+fn chain_shaped_family_answers_certify_at_n_320() {
+    for (name, term) in [
+        ("dispatch(320)", families::dispatch(320)),
+        ("polyvariant(320)", families::polyvariant(320)),
+    ] {
+        let p = AnfProgram::from_term(&term);
+        let src = zero_cfa(&p).expect("src 0CFA completes");
+        certify_cfa_src(&p, &src).unwrap_or_else(|e| panic!("{name}: src answer refuted: {e}"));
+        let cps = CpsProgram::from_anf(&p);
+        let cps_r = zero_cfa_cps(&cps).expect("cps 0CFA completes");
+        certify_cfa_cps(&cps, &cps_r).unwrap_or_else(|e| panic!("{name}: cps answer refuted: {e}"));
+        let pd = pushdown_cfa(&cps).expect("pushdown completes");
+        certify_pushdown(&cps, &pd)
+            .unwrap_or_else(|e| panic!("{name}: pushdown answer refuted: {e}"));
     }
 }

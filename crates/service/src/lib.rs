@@ -541,7 +541,7 @@ impl AnalysisService {
                 // Sampled certification: re-derive the constraint system
                 // independently of the solver and check the cached answer
                 // against it. A refuted entry — recovered corruption the
-                // checksums could not see, an alignment bug — is evicted
+                // checksums could not see, or a solver bug — is evicted
                 // from memory *and* disk, then the request falls through
                 // to a from-scratch solve below. Wrong answers are
                 // detected and healed, never served.

@@ -2,20 +2,22 @@
 //! survives a restart (warm hit-rate nonzero), every class of injected
 //! persistence fault is detected and healed during recovery, a poisoned
 //! entry that passes every checksum is still caught (and recomputed) by
-//! serve-path certification, watch sessions journal across restarts and
+//! serve-path certification, recovery drops an entry whose answer names a
+//! non-λ callee, watch sessions journal across restarts and
 //! expire on the TTL, and the `health` control line reports the recovery.
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::cache::{ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint};
 use cpsdfa_core::faultinject::{PersistFault, PersistFaultPlan};
 use cpsdfa_core::govern::DegradationReport;
-use cpsdfa_core::{cfa, PersistDir};
+use cpsdfa_core::{cfa, AbsClo, PersistDir};
 use cpsdfa_service::proto::{Response, Served, Status};
 use cpsdfa_service::{AnalysisService, ServiceConfig};
 use cpsdfa_syntax::arena::TermArena;
 use cpsdfa_syntax::build::{let_, num};
-use cpsdfa_syntax::Term;
+use cpsdfa_syntax::{Label, Term};
 use cpsdfa_workloads::families;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -282,6 +284,66 @@ fn certify_on_hit_evicts_a_poisoned_entry_and_recomputes() {
     let line = request(2, "cfa.src", &good);
     let outcomes = service.run_batch(&[&line]);
     assert_eq!(*ok_fields(&outcomes[0].response).0, Served::Hit);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovery_drops_an_entry_that_names_a_non_lambda_callee() {
+    let dir = tmpdir("bogus");
+    let good = families::dispatch(5).to_string();
+
+    // Forge `good`'s own answer, keyed and sourced as `good`, with a label
+    // that is no λ of the program next to every real callee. The claim
+    // stays closed under every flow edge, so only the comparison against
+    // the least model can refute it — and it must do so without following
+    // the bogus label into the program's λ table.
+    {
+        let persist = PersistDir::open(&dir).unwrap();
+        let mut arena = TermArena::new();
+        let mut digests = ArenaDigests::new();
+        let root = arena.parse(&good).unwrap();
+        let key = CacheKey::new(
+            cpsdfa_core::AnalysisKind::CfaSrc,
+            digests.term_digest(&arena, root),
+        );
+        let prog = AnfProgram::parse(&good).unwrap();
+        let lams = prog.lambdas();
+        let bogus = (0..prog.label_count())
+            .map(Label::new)
+            .find(|l| !lams.contains_key(l))
+            .unwrap();
+        let poison = |set: &BTreeSet<AbsClo>| {
+            let mut out = set.clone();
+            if set.iter().any(|c| matches!(c, AbsClo::Lam(_))) {
+                out.insert(AbsClo::Lam(bogus));
+            }
+            out
+        };
+        let mut lie = cfa::zero_cfa(&prog).unwrap();
+        for v in lie.vars.iter_mut() {
+            *v = Arc::new(poison(v));
+        }
+        lie.terms = lie
+            .terms
+            .iter()
+            .map(|(l, s)| (l, Arc::new(poison(s))))
+            .collect();
+        lie.calls = Arc::new(lie.calls.iter().map(|(l, s)| (l, poison(s))).collect());
+        let fixpoint = CachedFixpoint::new(CachedAnswer::CfaSrc(lie), DegradationReport::default());
+        assert!(persist.store(&key, &good, &fixpoint, None).unwrap());
+    }
+
+    // Recovery certifies every entry: the forgery is dropped, not served.
+    let mut cfg = config(&dir);
+    cfg.recover_certify = usize::MAX;
+    let service = AnalysisService::new(cfg);
+    let rec = service.recovery().unwrap();
+    assert_eq!((rec.recovered, rec.dropped()), (0, 1), "{rec:?}");
+    let line = request(1, "cfa.src", &good);
+    let outcomes = service.run_batch(&[&line]);
+    let (cache, digest) = ok_fields(&outcomes[0].response);
+    assert_eq!(*cache, Served::Miss, "the dropped entry is never served");
+    assert_eq!(digest, cold_digest("cfa.src", &good));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
