@@ -1,7 +1,6 @@
-//! Tentpole measurement: the sparse worklist engine (hash-consed set pool,
-//! dependency-driven firing) against the original dense formulations of
-//! the same three fixpoints — source 0CFA, CPS 0CFA, and MFP — on the
-//! families ladder at three sizes each.
+//! Solver cost: the sparse worklist engine (hash-consed set pool,
+//! dependency-driven firing) on its three fixpoints — source 0CFA, CPS
+//! 0CFA, and MFP — on the families ladder at three sizes each.
 //!
 //! With `--trace <path>` the bench additionally performs one instrumented
 //! run per sparse cell and appends its solver counters plus wall time to
@@ -9,10 +8,7 @@
 //! CI smoke runs leave a machine-readable artifact behind.
 
 use cpsdfa_anf::AnfProgram;
-use cpsdfa_core::cfa::{
-    zero_cfa, zero_cfa_cps, zero_cfa_cps_dense, zero_cfa_cps_instrumented, zero_cfa_dense,
-    zero_cfa_instrumented,
-};
+use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps, zero_cfa_cps_instrumented, zero_cfa_instrumented};
 use cpsdfa_core::domain::Flat;
 use cpsdfa_core::mfp::Cfg;
 use cpsdfa_core::trace::{JsonlSink, TraceSink};
@@ -27,7 +23,7 @@ type Family = (&'static str, fn(usize) -> cpsdfa_syntax::Term);
 const LADDER: [Family; 3] = [
     ("cond-chain", families::cond_chain),
     ("dispatch", families::dispatch),
-    ("polyvariant", families::repeated_calls),
+    ("repeated_calls", families::repeated_calls),
 ];
 const SIZES: [usize; 3] = [8, 32, 128];
 
@@ -48,14 +44,8 @@ fn bench_solver(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new("0cfa-sparse", &id), &prog, |b, p| {
                 b.iter(|| black_box(zero_cfa(p).unwrap().iterations))
             });
-            group.bench_with_input(BenchmarkId::new("0cfa-dense", &id), &prog, |b, p| {
-                b.iter(|| black_box(zero_cfa_dense(p).iterations))
-            });
             group.bench_with_input(BenchmarkId::new("0cfa-cps-sparse", &id), &cps, |b, p| {
                 b.iter(|| black_box(zero_cfa_cps(p).unwrap().iterations))
-            });
-            group.bench_with_input(BenchmarkId::new("0cfa-cps-dense", &id), &cps, |b, p| {
-                b.iter(|| black_box(zero_cfa_cps_dense(p).iterations))
             });
         }
     }
@@ -69,9 +59,6 @@ fn bench_solver(c: &mut Criterion) {
         let id = format!("diamond-{size}");
         group.bench_with_input(BenchmarkId::new("mfp-sparse", &id), &cfg, |b, g| {
             b.iter(|| black_box(g.solve_mfp::<Flat>(init.clone()).unwrap().vars.len()))
-        });
-        group.bench_with_input(BenchmarkId::new("mfp-dense", &id), &cfg, |b, g| {
-            b.iter(|| black_box(g.solve_mfp_dense::<Flat>(init.clone()).vars.len()))
         });
     }
     group.finish();

@@ -1162,6 +1162,27 @@ fn paired_median_ms<A, B>(
     )
 }
 
+/// The median wall time of `run` in milliseconds, plus its last result
+/// (all runs compute the same fixpoint). Runs at least `min_reps` times
+/// and keeps sampling until ~2 ms of measured time has accumulated
+/// (capped at 301 runs), for the reason [`paired_median_ms`] gives.
+fn median_ms<A>(min_reps: usize, mut run: impl FnMut() -> A) -> (f64, A) {
+    const TARGET_MS: f64 = 2.0;
+    const MAX_REPS: usize = 301;
+    let mut samples = Vec::with_capacity(min_reps);
+    let mut last = None;
+    let mut total = 0.0f64;
+    while samples.len() < min_reps || (total < TARGET_MS && samples.len() < MAX_REPS) {
+        let t0 = std::time::Instant::now();
+        last = Some(run());
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        total += ms;
+        samples.push(ms);
+    }
+    samples.sort_by(f64::total_cmp);
+    (samples[samples.len() / 2], last.expect("min_reps >= 1"))
+}
+
 /// The E16 measurement grid: the cost-experiment families ladder for the
 /// two 0CFA analyzers, and the first-order diamond chain for MFP. The grid
 /// is shared by the live measurement path and [`e16_regen`], so a recorded
@@ -1169,13 +1190,14 @@ fn paired_median_ms<A, B>(
 const E16_LADDER: [Family; 3] = [
     ("cond-chain", families::cond_chain),
     ("dispatch", families::dispatch),
-    ("polyvariant", families::repeated_calls),
+    ("repeated_calls", families::repeated_calls),
 ];
 const E16_SIZES: [usize; 3] = [32, 128, 320];
 const E16_MFP_SIZES: [usize; 3] = [16, 64, 160];
+const E16_TITLE: &str = "solver cost: semi-naïve (delta) sparse fixpoints, each answer certified";
 
 /// One measured (or trace-reconstructed) E16 cell: a workload × analyzer
-/// pair with its paired dense/sparse medians and the sparse run's counters.
+/// pair with the sparse solve's median wall time and counters.
 struct E16Cell {
     family: &'static str,
     n: usize,
@@ -1184,9 +1206,7 @@ struct E16Cell {
     analyzer: &'static str,
     /// Table label: `0CFA`, `0CFA-CPS`, or `MFP`.
     label: &'static str,
-    dense_ms: f64,
     sparse_ms: f64,
-    dense_iters: u64,
     stats: SolverStats,
 }
 
@@ -1196,8 +1216,7 @@ impl E16Cell {
         format!("e16.{}.{}.{}", self.analyzer, self.family, self.n)
     }
 
-    /// Whether this cell is its analyzer's largest workload (the rows the
-    /// harness calls out beneath the table).
+    /// Whether this cell is its analyzer's largest workload.
     fn is_largest(&self) -> bool {
         if self.analyzer == "mfp" {
             self.n == *E16_MFP_SIZES.last().unwrap()
@@ -1206,20 +1225,17 @@ impl E16Cell {
         }
     }
 
-    /// Emits the cell into a trace sink: wall times as timers, dense
-    /// iterations as a counter, program size as a gauge, and the sparse
-    /// solver counters under `<prefix>.sparse`. [`from_agg`](E16Cell::from_agg)
-    /// inverts this, which is what makes the E16 table reproducible from a
-    /// JSONL artifact alone.
+    /// Emits the cell into a trace sink: the wall time as a timer, program
+    /// size as a gauge, and the solver counters under `<prefix>.sparse`.
+    /// [`from_agg`](E16Cell::from_agg) inverts this, which is what makes
+    /// the E16 table reproducible from a JSONL artifact alone.
     fn emit_into(&self, sink: &mut impl TraceSink) {
         if !sink.enabled() {
             return;
         }
         let p = self.prefix();
         sink.gauge(&format!("{p}.program_size"), self.program_size as u64);
-        sink.time_ns(&format!("{p}.dense_ns"), (self.dense_ms * 1e6) as u64);
         sink.time_ns(&format!("{p}.sparse_ns"), (self.sparse_ms * 1e6) as u64);
-        sink.counter(&format!("{p}.dense_iters"), self.dense_iters);
         self.stats.emit_into(sink, &format!("{p}.sparse"));
     }
 
@@ -1233,29 +1249,25 @@ impl E16Cell {
         label: &'static str,
     ) -> Option<Self> {
         let p = format!("e16.{analyzer}.{family}.{n}");
-        let ms = |name: &str| {
-            agg.timer_agg(&format!("{p}.{name}"))
-                .filter(|t| t.count > 0)
-                .map(|t| t.total_ns as f64 / t.count as f64 / 1e6)
-        };
+        let sparse = agg
+            .timer_agg(&format!("{p}.sparse_ns"))
+            .filter(|t| t.count > 0)?;
         Some(E16Cell {
             family,
             n,
             program_size: agg.gauge_value(&format!("{p}.program_size")) as usize,
             analyzer,
             label,
-            dense_ms: ms("dense_ns")?,
-            sparse_ms: ms("sparse_ns")?,
-            dense_iters: agg.counter_value(&format!("{p}.dense_iters")),
+            sparse_ms: sparse.total_ns as f64 / sparse.count as f64 / 1e6,
             stats: SolverStats::from_agg(agg, &format!("{p}.sparse")),
         })
     }
 }
 
-/// Renders the E16 table, per-analyzer largest-workload speedups, and the
-/// final CPS counter block from a set of cells, and writes the same rows to
-/// `BENCH_solver.json`. Shared by the live measurement path and
-/// [`e16_regen`], so both produce the identical report for identical cells.
+/// Renders the E16 table and the final CPS counter block from a set of
+/// cells, and writes the same rows to `BENCH_solver.json`. Shared by the
+/// live measurement path and [`e16_regen`], so both produce the identical
+/// report for identical cells.
 fn e16_render(cells: &[E16Cell]) {
     use cpsdfa_core::report::render_solver_stats;
 
@@ -1277,19 +1289,10 @@ fn e16_render(cells: &[E16Cell]) {
             c.stats.delta_elems,
             c.stats.mean_delta(),
         ));
-        json.push(format!(
-            "  {{\"family\": \"{}\", \"n\": {}, \"program_size\": {}, \
-             \"analyzer\": \"{}\", \"impl\": \"dense\", \"wall_ms\": {:.4}, \
-             \"iterations\": {}, \"posts\": 0, \
-             \"delta_elems\": 0, \"mean_delta\": 0.000}}",
-            c.family, c.n, c.program_size, c.analyzer, c.dense_ms, c.dense_iters,
-        ));
         rows.push(vec![
             format!("{}({})", c.family, c.n),
             c.label.into(),
-            format!("{:.2}", c.dense_ms),
             format!("{:.2}", c.sparse_ms),
-            format!("{:.1}x", c.dense_ms / c.sparse_ms),
             format!("{} × {:.2}", c.stats.fired, c.stats.mean_delta()),
         ]);
     }
@@ -1297,26 +1300,10 @@ fn e16_render(cells: &[E16Cell]) {
     println!(
         "{}",
         render_table(
-            &[
-                "workload",
-                "analyzer",
-                "dense ms",
-                "sparse ms",
-                "speedup",
-                "firings × mean Δ",
-            ],
+            &["workload", "analyzer", "sparse ms", "firings × mean Δ"],
             &rows
         )
     );
-    for c in cells.iter().filter(|c| c.is_largest()) {
-        println!(
-            "largest workload: {} on {}({}) — {:.1}x over the dense sweep",
-            c.label,
-            c.family,
-            c.n,
-            c.dense_ms / c.sparse_ms
-        );
-    }
     if let Some(c) = cells
         .iter()
         .rfind(|c| c.analyzer == "0cfa-cps" && c.is_largest())
@@ -1387,10 +1374,7 @@ fn e16_regen(path: &str) {
          `experiments -- E16 E17 --trace {path}`"
     );
     if !cells.is_empty() {
-        section(
-            "E16",
-            "tentpole: semi-naïve (delta) sparse fixpoints vs the dense sweeps they replaced",
-        );
+        section("E16", E16_TITLE);
         println!("(regenerated from {path}; nothing re-measured)\n");
         e16_render(&cells);
     }
@@ -1404,19 +1388,15 @@ fn e16_regen(path: &str) {
     }
 }
 
-/// E16: tentpole — the sparse worklist engine against the dense sweeps it
-/// replaced, on the cost-experiment families. Writes the measurements to
-/// `BENCH_solver.json` and, when tracing, emits every cell into the sink so
-/// `--regen-e16` can rebuild this table from the artifact alone.
+/// E16: the sparse worklist engine's cost on the cost-experiment families,
+/// every answer certified. Writes the measurements to `BENCH_solver.json`
+/// and, when tracing, emits every cell into the sink so `--regen-e16` can
+/// rebuild this table from the artifact alone.
 fn e16_solver_cost(sink: &mut impl TraceSink) {
-    use cpsdfa_core::cfa::{
-        zero_cfa_cps_dense, zero_cfa_cps_instrumented, zero_cfa_dense, zero_cfa_instrumented,
-    };
+    use cpsdfa_core::certify::{certify_cfa_cps, certify_cfa_src, certify_mfp};
+    use cpsdfa_core::cfa::{zero_cfa_cps_instrumented, zero_cfa_instrumented};
 
-    section(
-        "E16",
-        "tentpole: semi-naïve (delta) sparse fixpoints vs the dense sweeps they replaced",
-    );
+    section("E16", E16_TITLE);
     let reps = 5;
     let mut cells: Vec<E16Cell> = Vec::new();
     for (family, build) in E16_LADDER {
@@ -1425,75 +1405,55 @@ fn e16_solver_cost(sink: &mut impl TraceSink) {
             let cps = CpsProgram::from_anf(&prog);
             let psize = prog.root().size();
 
-            let ((sparse_ms, (sres, sstats)), (dense_ms, dres)) = paired_median_ms(
-                reps,
-                || zero_cfa_instrumented(&prog).unwrap(),
-                || zero_cfa_dense(&prog),
-            );
-            assert!(
-                sres.same_solution(&dres),
-                "sparse/dense 0CFA disagree on {family}({n})"
-            );
+            let (sparse_ms, (sres, stats)) =
+                median_ms(reps, || zero_cfa_instrumented(&prog).unwrap());
+            certify_cfa_src(&prog, &sres)
+                .unwrap_or_else(|e| panic!("0CFA answer on {family}({n}) refuted: {e}"));
             cells.push(E16Cell {
                 family,
                 n,
                 program_size: psize,
                 analyzer: "0cfa",
                 label: "0CFA",
-                dense_ms,
                 sparse_ms,
-                dense_iters: dres.iterations,
-                stats: sstats,
+                stats,
             });
 
-            let ((csparse_ms, (cres, cstats)), (cdense_ms, cdres)) = paired_median_ms(
-                reps,
-                || zero_cfa_cps_instrumented(&cps).unwrap(),
-                || zero_cfa_cps_dense(&cps),
-            );
-            assert!(
-                cres.same_solution(&cdres),
-                "sparse/dense CPS 0CFA disagree on {family}({n})"
-            );
+            let (sparse_ms, (cres, stats)) =
+                median_ms(reps, || zero_cfa_cps_instrumented(&cps).unwrap());
+            certify_cfa_cps(&cps, &cres)
+                .unwrap_or_else(|e| panic!("CPS 0CFA answer on {family}({n}) refuted: {e}"));
             cells.push(E16Cell {
                 family,
                 n,
                 program_size: psize,
                 analyzer: "0cfa-cps",
                 label: "0CFA-CPS",
-                dense_ms: cdense_ms,
-                sparse_ms: csparse_ms,
-                dense_iters: cdres.iterations,
-                stats: cstats,
+                sparse_ms,
+                stats,
             });
         }
     }
 
-    // MFP needs the first-order fragment: diamond chains, where the dense
-    // LIFO worklist cascades over the suffix and each phase of the
-    // RPO-ranked sparse solver fires each of its constraints once.
+    // MFP needs the first-order fragment: diamond chains, where each phase
+    // of the RPO-ranked sparse solver fires each of its constraints once.
     for n in E16_MFP_SIZES {
         let prog = AnfProgram::from_term(&families::diamond_chain(n));
         let cfg = Cfg::from_first_order(&prog).unwrap();
         let init = cfg.initial_env::<Flat>(&prog);
-        let psize = prog.root().size();
-        let ((sparse_ms, (ssum, sstats)), (dense_ms, dsum)) = paired_median_ms(
-            reps,
-            || cfg.solve_mfp_instrumented::<Flat>(init.clone()).unwrap(),
-            || cfg.solve_mfp_dense::<Flat>(init.clone()),
-        );
-        assert!(ssum == dsum, "sparse/dense MFP disagree on diamond({n})");
+        let (sparse_ms, (summary, stats)) = median_ms(reps, || {
+            cfg.solve_mfp_instrumented::<Flat>(init.clone()).unwrap()
+        });
+        certify_mfp(&prog, &summary)
+            .unwrap_or_else(|e| panic!("MFP answer on diamond({n}) refuted: {e}"));
         cells.push(E16Cell {
             family: "diamond",
             n,
-            program_size: psize,
+            program_size: prog.root().size(),
             analyzer: "mfp",
             label: "MFP",
-            dense_ms,
             sparse_ms,
-            // The dense MFP sweep reports no iteration counter.
-            dense_iters: 0,
-            stats: sstats,
+            stats,
         });
     }
 

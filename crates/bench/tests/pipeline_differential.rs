@@ -3,8 +3,8 @@
 //! defunctionalized A-normalizer → arena CPS transform) must be
 //! **byte-identical** — printed forms, label counts, label maps — to the
 //! legacy boxed pipeline it replaced, which is kept as a test-only oracle
-//! (`from_term_via_boxed` / `from_anf_via_boxed`, mirroring the `*_dense`
-//! solver oracles).
+//! (`from_term_via_boxed` / `from_anf_via_boxed`). `core::certify` does not
+//! cover this: it takes the lowered program as given.
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_cps::CpsProgram;

@@ -70,7 +70,7 @@ use crate::cache::{AnalysisKind, CachedAnswer};
 use crate::cfa::{CfaResult, CpsCfaResult, CpsFlow};
 use crate::domain::{Flat, NumDomain};
 use crate::labtab::LabelTable;
-use crate::mfp::{Cfg, DfSummary, Stmt};
+use crate::mfp::{Cfg, DfEnv, DfSummary, Stmt};
 use crate::pushdown::{MatchedReturn, PushdownCfaResult};
 use cpsdfa_anf::{AValKind, Anf, AnfKind, AnfProgram, Bind, VarId};
 use cpsdfa_cps::{CTerm, CTermKind, CVal, CValKind, CVarId, CpsProgram};
@@ -1061,29 +1061,28 @@ pub fn certify_pushdown(
 /// The checker's own transfer function — same abstract semantics as the
 /// CFG's, re-implemented here so the solver's transfer is not in the
 /// trusted base.
-fn flat_transfer(stmt: Stmt, env: &[Flat]) -> Vec<Flat> {
+fn transfer<D: NumDomain>(stmt: Stmt, env: &[D]) -> Vec<D> {
     let mut out = env.to_vec();
     match stmt {
-        Stmt::Const(x, n) => out[x.index()] = Flat::constant(n),
-        Stmt::Copy(x, y) => out[x.index()] = env[y.index()],
+        Stmt::Const(x, n) => out[x.index()] = D::constant(n),
+        Stmt::Copy(x, y) => out[x.index()] = env[y.index()].clone(),
         Stmt::Add1(x, y) => out[x.index()] = env[y.index()].add1(),
         Stmt::Sub1(x, y) => out[x.index()] = env[y.index()].sub1(),
         Stmt::Sum(x, y, z) => {
-            let a = env[y.index()];
-            let b = env[z.index()];
+            let (a, b) = (&env[y.index()], &env[z.index()]);
             out[x.index()] = match (a.as_const(), b.as_const()) {
-                (Some(p), Some(q)) => Flat::constant(p + q),
-                _ if a.is_bot() || b.is_bot() => Flat::bot(),
-                _ => Flat::top(),
+                (Some(p), Some(q)) => D::constant(p + q),
+                _ if a.is_bot() || b.is_bot() => D::bot(),
+                _ => D::top(),
             };
         }
-        Stmt::Havoc(x) => out[x.index()] = Flat::top(),
+        Stmt::Havoc(x) => out[x.index()] = D::top(),
         Stmt::Nop => {}
     }
     out
 }
 
-fn flat_join(a: &mut [Flat], b: &[Flat]) -> bool {
+fn join_into<D: NumDomain>(a: &mut [D], b: &[D]) -> bool {
     let mut changed = false;
     for (x, y) in a.iter_mut().zip(b) {
         let j = x.join(y);
@@ -1095,11 +1094,50 @@ fn flat_join(a: &mut [Flat], b: &[Flat]) -> bool {
     changed
 }
 
+/// The least MFP fixpoint of `cfg` from entry environment `init`, as a
+/// per-variable summary: one environment per node, iterated round-robin
+/// until no node's out-environment grows, then each variable joined over
+/// its defining nodes. The reference the sparse MFP solver is tested
+/// against; it shares only the CFG with it.
+pub fn mfp_least_model<D: NumDomain>(cfg: &Cfg, init: DfEnv<D>) -> DfSummary<D> {
+    let bot = cfg.bottom_env::<D>();
+    let nodes = cfg.nodes();
+    let entry = cfg.entry().0;
+    let mut outs: Vec<Vec<D>> = vec![bot.clone(); nodes.len()];
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    for (i, node) in nodes.iter().enumerate() {
+        for s in &node.succs {
+            preds[s.0].push(i);
+        }
+    }
+    loop {
+        let mut changed = false;
+        for (i, node) in nodes.iter().enumerate() {
+            let mut inn = if i == entry { &init } else { &bot }.clone();
+            for &p in &preds[i] {
+                join_into(&mut inn, &outs[p]);
+            }
+            let out = transfer(node.stmt, &inn);
+            changed |= join_into(&mut outs[i], &out);
+        }
+        if !changed {
+            break;
+        }
+    }
+    let mut vars = bot;
+    for (i, node) in nodes.iter().enumerate() {
+        if let Some(x) = node.stmt.def() {
+            vars[x.index()] = vars[x.index()].join(&outs[i][x.index()]);
+        }
+    }
+    DfSummary { vars }
+}
+
 /// Certifies an MFP constant-propagation summary against `prog`.
 ///
 /// The CFG lowering is shared front end (like the parser); the transfer,
-/// join, fixpoint loop, and defining-node summarization are re-implemented
-/// here and iterated round-robin to the least fixpoint.
+/// join, fixpoint loop, and defining-node summarization are
+/// [`mfp_least_model`]'s own.
 pub fn certify_mfp(
     prog: &AnfProgram,
     claimed: &DfSummary<Flat>,
@@ -1117,40 +1155,7 @@ pub fn certify_mfp(
             ),
         });
     }
-    let init: Vec<Flat> = cfg.initial_env::<Flat>(prog);
-    let nodes = cfg.nodes();
-    let entry = cfg.entry().0;
-    let mut outs: Vec<Vec<Flat>> = vec![vec![Flat::bot(); num_vars]; nodes.len()];
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-    for (i, node) in nodes.iter().enumerate() {
-        for s in &node.succs {
-            preds[s.0].push(i);
-        }
-    }
-    loop {
-        let mut changed = false;
-        for (i, node) in nodes.iter().enumerate() {
-            let mut inn = if i == entry {
-                init.clone()
-            } else {
-                vec![Flat::bot(); num_vars]
-            };
-            for &p in &preds[i] {
-                flat_join(&mut inn, &outs[p]);
-            }
-            let out = flat_transfer(node.stmt, &inn);
-            changed |= flat_join(&mut outs[i], &out);
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut vars = vec![Flat::bot(); num_vars];
-    for (i, node) in nodes.iter().enumerate() {
-        if let Some(x) = node.stmt.def() {
-            vars[x.index()] = vars[x.index()].join(&outs[i][x.index()]);
-        }
-    }
+    let vars = mfp_least_model::<Flat>(&cfg, cfg.initial_env(prog)).vars;
     for (x, (c, d)) in claimed.vars.iter().zip(&vars).enumerate() {
         if c != d {
             return Err(if c.leq(d) {
@@ -1167,7 +1172,7 @@ pub fn certify_mfp(
     }
     Ok(Certificate {
         kind: AnalysisKind::MfpFlat,
-        constraints: nodes.len(),
+        constraints: cfg.nodes().len(),
         facts: num_vars,
     })
 }
@@ -1250,7 +1255,7 @@ mod tests {
         for src in ["(let (x 1) (add1 x))", "(let (c (if0 0 1 2)) (add1 c))"] {
             let p = AnfProgram::parse(src).unwrap();
             let cfg = Cfg::from_first_order(&p).unwrap();
-            let s = cfg.solve_mfp::<Flat>(cfg.initial_env(&p)).unwrap();
+            let s = mfp_least_model::<Flat>(&cfg, cfg.initial_env(&p));
             certify_mfp(&p, &s).unwrap_or_else(|e| panic!("{src}: {e}"));
         }
     }
@@ -1413,7 +1418,7 @@ mod tests {
     fn mutated_mfp_summary_refutes_both_directions() {
         let p = AnfProgram::parse("(let (x 1) (add1 x))").unwrap();
         let cfg = Cfg::from_first_order(&p).unwrap();
-        let s = cfg.solve_mfp::<Flat>(cfg.initial_env(&p)).unwrap();
+        let s = mfp_least_model::<Flat>(&cfg, cfg.initial_env(&p));
         for (i, v) in s.vars.iter().enumerate() {
             let mut up = s.clone();
             up.vars[i] = Flat::top();

@@ -28,12 +28,10 @@
 //! setup instead of becoming constraints, and watching constraints are not
 //! posted initially — an empty watched node means the first firing would
 //! consume an empty delta, so [`WorklistSolver::node_grew`] posting on
-//! first growth is enough. The original dense formulations — full
-//! re-sweeps over the constraint list with `BTreeSet` clones on every
-//! propagation — are retained as [`zero_cfa_dense`] /
-//! [`zero_cfa_cps_dense`]: they are the measured baseline for the solver
-//! benchmarks, and differential tests assert the two formulations produce
-//! bit-identical results.
+//! first growth is enough. The reference both solvers are tested against
+//! is [`certify`](crate::certify), which re-derives every rule from the
+//! AST rather than from the constraint lists built here, and accepts an
+//! answer only if it is exactly the least model of those rules.
 //!
 //! Two deliberate differences from the derivation-style analyzers, checked
 //! by tests because they are findings, not bugs:
@@ -50,7 +48,7 @@
 use crate::absval::{AbsClo, AbsKont};
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::govern::RunGuard;
-use crate::labtab::{LabelLookup, LabelTable};
+use crate::labtab::LabelTable;
 use crate::setpool::{DeltaNodes, SetPool};
 use crate::solver::{ConstraintId, DeltaRange, SolverMode, WorklistSolver};
 use crate::stats::SolverStats;
@@ -77,8 +75,7 @@ pub struct CfaResult {
     /// `Arc`-shared like the flow sets, so cloning a result (a cache hit, a
     /// noop warm step) never deep-copies the call graph.
     pub calls: Arc<LabelTable<BTreeSet<AbsClo>>>,
-    /// Fixpoint work performed: constraint firings (sparse solver) or full
-    /// sweeps (dense baseline). Always ≥ 1.
+    /// Fixpoint work performed: constraint firings. Always ≥ 1.
     pub iterations: u64,
 }
 
@@ -95,7 +92,7 @@ impl CfaResult {
 }
 
 // ---------------------------------------------------------------------------
-// Source-level constraint generation (shared by sparse and dense solvers)
+// Source-level constraint generation
 // ---------------------------------------------------------------------------
 
 /// A flow node of the source-level constraint graph.
@@ -567,114 +564,6 @@ fn zero_cfa_impl(
     ))
 }
 
-/// The original dense formulation: every constraint re-evaluated per sweep,
-/// sets cloned on every propagation. Kept as the measured baseline for the
-/// solver benchmarks and as a differential oracle for the sparse solver.
-pub fn zero_cfa_dense(prog: &AnfProgram) -> CfaResult {
-    let lambdas = LabelLookup::build(prog.label_count(), prog.lambdas());
-    let edges = collect_edges(prog);
-    let idx = NodeIndex::build(prog, &edges);
-
-    /// The dense constraint form: `Seed` points into the parallel `seeds`
-    /// table so the whole list stays `Copy`.
-    #[derive(Clone, Copy)]
-    enum Dense {
-        Seed(usize, usize),
-        Sub(usize, usize),
-        Call {
-            f: usize,
-            arg: usize,
-            bind: usize,
-            site: Label,
-        },
-    }
-
-    let mut seeds: Vec<BTreeSet<AbsClo>> = Vec::new();
-    let mut constraints: Vec<Dense> = edges
-        .iter()
-        .map(|e| match e {
-            Edge::Seed(set, dst) => {
-                seeds.push(set.clone());
-                Dense::Seed(seeds.len() - 1, idx.node(*dst))
-            }
-            Edge::Sub(src, dst) => Dense::Sub(idx.node(*src), idx.node(*dst)),
-            Edge::Call { f, arg, bind, site } => Dense::Call {
-                f: idx.node(*f),
-                arg: idx.node(*arg),
-                bind: bind.index(),
-                site: *site,
-            },
-        })
-        .collect();
-
-    let mut values: Vec<BTreeSet<AbsClo>> = vec![BTreeSet::new(); idx.total()];
-    fn extend(values: &mut [BTreeSet<AbsClo>], dst: usize, set: BTreeSet<AbsClo>) -> bool {
-        let target = &mut values[dst];
-        let before = target.len();
-        target.extend(set);
-        target.len() != before
-    }
-
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
-    let mut iterations = 0u64;
-    loop {
-        iterations += 1;
-        let mut changed = false;
-        let mut new_edges: Vec<Dense> = Vec::new();
-        for e in &constraints {
-            match *e {
-                Dense::Seed(s, dst) => {
-                    changed |= extend(&mut values, dst, seeds[s].clone());
-                }
-                Dense::Sub(src, dst) => {
-                    let s = values[src].clone();
-                    changed |= extend(&mut values, dst, s);
-                }
-                Dense::Call { f, arg, bind, site } => {
-                    let callees = values[f].clone();
-                    for clo in callees {
-                        let newly = calls.entry_or_default(site).insert(clo);
-                        changed |= newly;
-                        if let AbsClo::Lam(l) = clo {
-                            let lam = lambdas.expect(l);
-                            // argument flows into the parameter
-                            let s = values[arg].clone();
-                            changed |= extend(&mut values, lam.param_id.index(), s);
-                            // body result flows into the binder
-                            new_edges.push(Dense::Sub(idx.node(Node::Term(lam.body.label)), bind));
-                        }
-                        // Inc/Dec return numbers: no closure flow.
-                    }
-                }
-            }
-        }
-        for e in new_edges {
-            // Persist dynamically discovered return edges (duplicates and
-            // all — this is the dense baseline's documented inefficiency).
-            if let Dense::Sub(src, dst) = e {
-                let s = values[src].clone();
-                changed |= extend(&mut values, dst, s);
-            }
-            constraints.push(e);
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    let vars: Vec<Arc<BTreeSet<AbsClo>>> = values[..idx.num_vars]
-        .iter()
-        .map(|s| Arc::new(s.clone()))
-        .collect();
-    let terms = idx.commit_dst_terms(|node| Arc::new(values[node].clone()));
-    CfaResult {
-        vars,
-        terms,
-        calls: Arc::new(calls),
-        iterations,
-    }
-}
-
 /// A flow value of CPS-level 0CFA: a closure or a reified continuation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CpsFlow {
@@ -694,8 +583,7 @@ pub struct CpsCfaResult {
     pub returns: LabelTable<BTreeSet<AbsKont>>,
     /// Call sites → applicable closures (dense by site label).
     pub calls: LabelTable<BTreeSet<AbsClo>>,
-    /// Fixpoint work performed: constraint firings (sparse solver) or full
-    /// sweeps (dense baseline). Always ≥ 1.
+    /// Fixpoint work performed: constraint firings. Always ≥ 1.
     pub iterations: u64,
 }
 
@@ -728,7 +616,7 @@ impl CpsCfaResult {
 }
 
 // ---------------------------------------------------------------------------
-// CPS-level constraint generation (shared by sparse and dense solvers)
+// CPS-level constraint generation
 // ---------------------------------------------------------------------------
 
 /// A CPS operand: either a constant flow or a variable. Shared with the
@@ -1183,100 +1071,6 @@ fn zero_cfa_cps_impl(
     ))
 }
 
-/// The original dense CPS formulation (full re-sweeps, per-propagation set
-/// clones) — the measured baseline and differential oracle.
-pub fn zero_cfa_cps_dense(prog: &CpsProgram) -> CpsCfaResult {
-    let lambdas = LabelLookup::build(prog.label_count(), prog.lambdas());
-    let conts = LabelLookup::build(prog.label_count(), prog.conts());
-    let edges = collect_cps_edges(prog);
-    let mut values: Vec<BTreeSet<CpsFlow>> = vec![BTreeSet::new(); prog.num_vars()];
-    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
-
-    let read = |f: Flow, vars: &[BTreeSet<CpsFlow>]| -> BTreeSet<CpsFlow> {
-        match f {
-            Flow::None => BTreeSet::new(),
-            Flow::Const(c) => BTreeSet::from([c]),
-            Flow::Var(v) => vars[v.index()].clone(),
-        }
-    };
-
-    let mut iterations = 0u64;
-    loop {
-        iterations += 1;
-        let mut changed = false;
-        let add = |v: CVarId, set: BTreeSet<CpsFlow>, vars: &mut [BTreeSet<CpsFlow>]| {
-            let target = &mut vars[v.index()];
-            let before = target.len();
-            target.extend(set);
-            target.len() != before
-        };
-        for e in &edges {
-            match e {
-                CpsEdge::Seed(c, dst) => {
-                    changed |= add(*dst, BTreeSet::from([*c]), &mut values);
-                }
-                CpsEdge::Sub(src, dst) => {
-                    let s = values[src.index()].clone();
-                    changed |= add(*dst, s, &mut values);
-                }
-                CpsEdge::Ret { k, w, site } => {
-                    let konts: Vec<AbsKont> = values[k.index()]
-                        .iter()
-                        .filter_map(|f| match f {
-                            CpsFlow::Kont(kk) => Some(*kk),
-                            CpsFlow::Clo(_) => None,
-                        })
-                        .collect();
-                    for kk in konts {
-                        changed |= returns.entry_or_default(*site).insert(kk);
-                        if let AbsKont::Co(l) = kk {
-                            let cont = conts.expect(l);
-                            let s = read(*w, &values);
-                            changed |= add(cont.var_id, s, &mut values);
-                        }
-                    }
-                }
-                CpsEdge::Call { f, arg, cont, site } => {
-                    let callees: Vec<AbsClo> = read(*f, &values)
-                        .into_iter()
-                        .filter_map(|fl| match fl {
-                            CpsFlow::Clo(c) => Some(c),
-                            CpsFlow::Kont(_) => None,
-                        })
-                        .collect();
-                    for clo in callees {
-                        changed |= calls.entry_or_default(*site).insert(clo);
-                        if let AbsClo::Lam(l) = clo {
-                            let lam = lambdas.expect(l);
-                            let s = read(*arg, &values);
-                            changed |= add(lam.param_id, s, &mut values);
-                            changed |= add(
-                                lam.k_id,
-                                BTreeSet::from([CpsFlow::Kont(AbsKont::Co(*cont))]),
-                                &mut values,
-                            );
-                        } else {
-                            // Primitives return numbers directly to the
-                            // continuation: no closure flow.
-                        }
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    CpsCfaResult {
-        vars: values.into_iter().map(Arc::new).collect(),
-        returns,
-        calls,
-        iterations,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1384,7 +1178,8 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_agree_on_sample_programs() {
+    fn sparse_answers_certify_on_sample_programs() {
+        use crate::certify::{certify_cfa_cps, certify_cfa_src};
         for src in [
             "(let (f (lambda (x) x)) (f f))",
             "(let (f (lambda (x) x)) (let (a1 (f 1)) (let (a2 (f 2)) a1)))",
@@ -1397,20 +1192,10 @@ mod tests {
         ] {
             let p = AnfProgram::parse(src).unwrap();
             let sparse = zero_cfa(&p).unwrap();
-            let dense = zero_cfa_dense(&p);
-            assert!(sparse.same_solution(&dense), "src 0CFA diverges on {src}");
-            assert_eq!(
-                sparse.terms.len(),
-                dense.terms.len(),
-                "terms key set on {src}"
-            );
+            certify_cfa_src(&p, &sparse).unwrap_or_else(|e| panic!("src 0CFA on {src}: {e}"));
             let c = CpsProgram::from_anf(&p);
             let sparse_c = zero_cfa_cps(&c).unwrap();
-            let dense_c = zero_cfa_cps_dense(&c);
-            assert!(
-                sparse_c.same_solution(&dense_c),
-                "CPS 0CFA diverges on {src}"
-            );
+            certify_cfa_cps(&c, &sparse_c).unwrap_or_else(|e| panic!("CPS 0CFA on {src}: {e}"));
         }
     }
 
@@ -1501,8 +1286,5 @@ mod tests {
         let err = zero_cfa_cps_guarded(&c, &RunGuard::new(AnalysisBudget::new(1)), &mut NoopSink)
             .expect_err("one firing cannot solve CPS omega");
         assert!(matches!(err, AnalysisError::BudgetExhausted { budget: 1 }));
-        // The dense oracles take no budget and still converge.
-        assert!(zero_cfa_dense(&p).iterations >= 1);
-        assert!(zero_cfa_cps_dense(&c).iterations >= 1);
     }
 }

@@ -34,7 +34,9 @@
 //! The textbook MFP keeps `in[n]` and `out[n]`, a lattice value for every
 //! variable, at every node: 2·nodes·vars cells, almost all of them copies.
 //! [`Cfg::solve_mfp`] instead solves two smaller systems on the
-//! [`WorklistSolver`], both ranked in reverse postorder.
+//! [`WorklistSolver`], both ranked in reverse postorder. The textbook
+//! fixpoint itself is [`mfp_least_model`](crate::certify::mfp_least_model),
+//! the reference the tests hold this solver to.
 //!
 //! A *source* is one variable's entry value or one defining node; the
 //! sources of a variable are numbered contiguously.
@@ -53,7 +55,7 @@
 //!
 //! **Why it is exact.** Every [`Stmt`] defines at most one variable and
 //! reads `in[n]` only through the variables it uses, and every other
-//! variable passes through unchanged. So in the dense least fixpoint,
+//! variable passes through unchanged. So in the textbook least fixpoint,
 //! `in[n][y]` is the join, over the `y`-sources whose definition reaches
 //! `n` along a definition-clear path, of their values — `init[y]` for the
 //! entry source, `out[d][y]` for a defining node `d`. Phase 1 computes
@@ -63,8 +65,8 @@
 //! coincide. Nothing here needs the entry to reach a node:
 //!
 //! * an unreachable node's in-set holds only sources defined in the
-//!   unreachable region (none for an isolated node), just as its dense
-//!   `in` holds only values defined there — the dense solver is
+//!   unreachable region (none for an isolated node), just as its textbook
+//!   `in` holds only values defined there — the textbook fixpoint is
 //!   reachability-blind, and so is this one;
 //! * cycles (including a self-loop such as `x := x + 1`) are two ordinary
 //!   fixpoint iterations; `Sum` reads two joins, each exact on its own;
@@ -356,14 +358,6 @@ impl Cfg {
         out
     }
 
-    fn join_env<D: NumDomain>(a: &DfEnv<D>, b: &DfEnv<D>) -> DfEnv<D> {
-        a.iter().zip(b).map(|(x, y)| x.join(y)).collect()
-    }
-
-    fn env_leq<D: NumDomain>(a: &DfEnv<D>, b: &DfEnv<D>) -> bool {
-        a.iter().zip(b).all(|(x, y)| x.leq(y))
-    }
-
     /// The **MFP** solution — `in[n] = ⊔ out[pred]`, `out[n] = f_n(in[n])`,
     /// iterated to fixpoint — computed in two sparse phases on the
     /// [`WorklistSolver`] (see the [module docs](self#sparse-mfp)): the
@@ -432,7 +426,7 @@ impl Cfg {
         // Phase 1, reaching sources: constraint `i` computes node `i`'s
         // in-set from its predecessors, and flow node `i` versions node
         // `i`'s out-set. Every constraint is posted up front: like the
-        // dense solver, MFP is condition- and reachability-blind, so
+        // textbook fixpoint, MFP is condition- and reachability-blind, so
         // unreachable nodes still define (entry-free) values. A node whose
         // out-set is non-empty before anything fires (the entry, every
         // defining node) starts at version 1, so each successor's first
@@ -527,39 +521,6 @@ impl Cfg {
         rank
     }
 
-    /// The original dense MFP worklist (LIFO over node ids, no dependency
-    /// tracking) — the measured baseline and differential oracle for
-    /// [`solve_mfp`](Cfg::solve_mfp).
-    pub fn solve_mfp_dense<D: NumDomain>(&self, init: DfEnv<D>) -> DfSummary<D> {
-        let n = self.nodes.len();
-        let mut preds: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (i, node) in self.nodes.iter().enumerate() {
-            for &s in &node.succs {
-                preds[s.0].push(NodeId(i));
-            }
-        }
-        let mut outs: Vec<DfEnv<D>> = vec![vec![D::bot(); self.num_vars]; n];
-        let mut work: Vec<NodeId> = (0..n).map(NodeId).collect();
-        while let Some(id) = work.pop() {
-            let mut inn = if id == self.entry {
-                init.clone()
-            } else {
-                vec![D::bot(); self.num_vars]
-            };
-            for &p in &preds[id.0] {
-                inn = Self::join_env(&inn, &outs[p.0]);
-            }
-            let out = self.transfer(self.nodes[id.0].stmt, &inn);
-            if !Self::env_leq(&out, &outs[id.0]) {
-                outs[id.0] = Self::join_env(&outs[id.0], &out);
-                for &s in &self.nodes[id.0].succs {
-                    work.push(s);
-                }
-            }
-        }
-        self.summarize(&outs)
-    }
-
     /// The **MOP** solution by explicit path enumeration, joining each
     /// variable's value at its definitions *per path*. Exponential; bounded
     /// by `max_paths`. Returns the summary and the number of paths.
@@ -622,16 +583,6 @@ impl Cfg {
         } else {
             node.succs.clone()
         }
-    }
-
-    fn summarize<D: NumDomain>(&self, outs: &[DfEnv<D>]) -> DfSummary<D> {
-        let mut vars = vec![D::bot(); self.num_vars];
-        for (i, node) in self.nodes.iter().enumerate() {
-            if let Some(x) = node.stmt.def() {
-                vars[x.index()] = vars[x.index()].join(&outs[i][x.index()]);
-            }
-        }
-        DfSummary { vars }
     }
 }
 
@@ -1139,7 +1090,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_mfp_agree() {
+    fn sparse_mfp_matches_the_least_model() {
         for src in [
             "(let (a 1) (let (b (add1 a)) b))",
             "(let (a1 (if0 z 0 1)) (let (a2 (if0 a1 (+ a1 3) (+ a1 2))) a2))",
@@ -1152,8 +1103,8 @@ mod tests {
             let (sparse, stats) = c
                 .solve_mfp_instrumented::<Flat>(init.clone())
                 .unwrap_or_else(|e| panic!("sparse MFP failed on {src:?}: {e}"));
-            let dense = c.solve_mfp_dense::<Flat>(init);
-            assert_eq!(sparse, dense, "MFP solutions diverge on {src}");
+            let least = crate::certify::mfp_least_model::<Flat>(&c, init);
+            assert_eq!(sparse, least, "MFP solutions diverge on {src}");
             assert_eq!(stats.constraints, two_phase_constraints(&c));
             assert!(stats.fired >= stats.constraints);
         }

@@ -5,11 +5,12 @@
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::absval::{AbsClo, AbsVal};
-use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps, zero_cfa_cps_dense, zero_cfa_dense};
+use cpsdfa_core::certify::{certify_cfa_cps, certify_cfa_src, certify_mfp, certify_pushdown};
+use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps};
 use cpsdfa_core::deltae::delta_val;
 use cpsdfa_core::domain::{AnyNum, Flat, Interval, NumDomain, Parity, PowerSet, Sign};
 use cpsdfa_core::mfp::Cfg;
-use cpsdfa_core::{DirectAnalyzer, SemCpsAnalyzer, SynCpsAnalyzer};
+use cpsdfa_core::{pushdown_cfa, DirectAnalyzer, SemCpsAnalyzer, SynCpsAnalyzer};
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_syntax::Label;
 use cpsdfa_workloads::families;
@@ -212,23 +213,13 @@ proptest! {
     }
 
     #[test]
-    fn sparse_solvers_match_their_dense_oracles(seed in 0u64..10_000) {
-        // The semi-naïve sparse engine (delta firings over growth logs) and
-        // the dense sweeps are two chaotic iteration orders over the same
-        // monotone constraint system, so all three delta solvers must reach
-        // the same least fixpoint as their dense oracles on every program.
+    fn sparse_answers_certify(seed in 0u64..10_000) {
+        // Certify re-derives every rule from the AST and accepts only the
+        // least model, so a solver that drops, adds or misroutes a fact on
+        // any program fails here.
         let t = generate(seed, &open_config());
         let p = AnfProgram::from_term(&t);
-        prop_assert!(zero_cfa(&p).unwrap().same_solution(&zero_cfa_dense(&p)));
-        let c = CpsProgram::from_anf(&p);
-        prop_assert!(zero_cfa_cps(&c).unwrap().same_solution(&zero_cfa_cps_dense(&c)));
-        if let Ok(cfg) = Cfg::from_first_order(&p) {
-            let init = cfg.initial_env::<Flat>(&p);
-            prop_assert_eq!(
-                cfg.solve_mfp::<Flat>(init.clone()).unwrap(),
-                cfg.solve_mfp_dense::<Flat>(init)
-            );
-        }
+        prop_assert_eq!(sparse_answers_refutation(&p), Ok(()));
     }
 
     #[test]
@@ -257,51 +248,50 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse-vs-dense differential sweep (the tentpole's acceptance corpus)
+// Certification sweep (the solvers' acceptance corpus)
 // ---------------------------------------------------------------------------
 
-/// Both delta-driven 0CFA formulations agree bit-for-bit with their dense
-/// oracles on an 800-program seeded corpus (the first 500 reproduce PR 1's
-/// acceptance corpus; the extension covers the delta engine), and MFP
-/// agrees on every first-order member plus the diamond family. One
-/// corpus-sized check (driven in parallel) rather than a proptest so the
-/// acceptance corpus is fixed and exact.
+/// Runs every sparse solver on `p` — source and CPS 0CFA, pushdown, and MFP
+/// over `Flat` when `p` is first-order — and certifies each answer; the
+/// first refutation, named by analysis.
+fn sparse_answers_refutation(p: &AnfProgram) -> Result<(), String> {
+    let src = zero_cfa(p).map_err(|e| format!("0CFA failed: {e}"))?;
+    certify_cfa_src(p, &src).map_err(|e| format!("0CFA refuted: {e}"))?;
+    let c = CpsProgram::from_anf(p);
+    let cps = zero_cfa_cps(&c).map_err(|e| format!("CPS 0CFA failed: {e}"))?;
+    certify_cfa_cps(&c, &cps).map_err(|e| format!("CPS 0CFA refuted: {e}"))?;
+    let pd = pushdown_cfa(&c).map_err(|e| format!("pushdown failed: {e}"))?;
+    certify_pushdown(&c, &pd).map_err(|e| format!("pushdown refuted: {e}"))?;
+    if let Ok(cfg) = Cfg::from_first_order(p) {
+        let mfp = cfg
+            .solve_mfp::<Flat>(cfg.initial_env(p))
+            .map_err(|e| format!("MFP failed: {e}"))?;
+        certify_mfp(p, &mfp).map_err(|e| format!("MFP refuted: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Every sparse answer certifies on an 800-program seeded corpus (the
+/// first 500 are the sparse engine's original acceptance corpus), and MFP
+/// also on the diamond family. One corpus-sized
+/// check (driven in parallel) rather than a proptest so the acceptance
+/// corpus is fixed and exact.
 #[test]
-fn sparse_delta_matches_dense_on_800_program_corpus() {
+fn sparse_answers_certify_on_800_program_corpus() {
     let progs = corpus(0x5_0CFA, 800, &open_config());
     let verdicts = par_map(&progs, |t| {
-        let p = AnfProgram::from_term(t);
-        if !zero_cfa(&p).unwrap().same_solution(&zero_cfa_dense(&p)) {
-            return false;
-        }
-        let c = CpsProgram::from_anf(&p);
-        if !zero_cfa_cps(&c)
-            .unwrap()
-            .same_solution(&zero_cfa_cps_dense(&c))
-        {
-            return false;
-        }
-        match Cfg::from_first_order(&p) {
-            Ok(cfg) => {
-                let init = cfg.initial_env::<Flat>(&p);
-                cfg.solve_mfp::<Flat>(init.clone()).unwrap() == cfg.solve_mfp_dense::<Flat>(init)
-            }
-            Err(_) => true, // higher-order: MFP out of scope
-        }
+        sparse_answers_refutation(&AnfProgram::from_term(t))
     });
-    let agree = verdicts.iter().filter(|&&ok| ok).count();
-    assert_eq!(agree, progs.len(), "sparse/dense divergence in the corpus");
+    for (i, v) in verdicts.iter().enumerate() {
+        if let Err(e) = v {
+            panic!("corpus program {i}: {e}");
+        }
+    }
 
     // First-order MFP coverage on the family the random corpus underserves.
     for n in 1..=16 {
         let p = AnfProgram::from_term(&families::diamond_chain(n));
-        let cfg = Cfg::from_first_order(&p).unwrap();
-        let init = cfg.initial_env::<Flat>(&p);
-        assert_eq!(
-            cfg.solve_mfp::<Flat>(init.clone()).unwrap(),
-            cfg.solve_mfp_dense::<Flat>(init),
-            "MFP sparse/dense divergence on diamond_chain({n})"
-        );
+        sparse_answers_refutation(&p).unwrap_or_else(|e| panic!("diamond_chain({n}): {e}"));
     }
 }
 
@@ -495,7 +485,6 @@ mod cache_churn {
 mod pinned_schedule {
     use super::*;
     use cpsdfa_core::cache::CachedAnswer;
-    use cpsdfa_core::pushdown_cfa;
     use cpsdfa_workloads::random::GenConfig;
 
     /// Programs whose CPS form applies a numeric literal: the operator has

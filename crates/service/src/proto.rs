@@ -51,7 +51,8 @@ pub struct BadRequest {
 
 impl Request {
     /// Parses one request line, filling unspecified knobs from the
-    /// defaults.
+    /// defaults. A knob that is present with the wrong JSON type is a bad
+    /// request naming the field; unknown fields are ignored.
     ///
     /// `"mode"` is optional. Besides `"seq"`, it accepts `"par"` and
     /// `"par:K"` (K ≥ 1) and ignores them. Any other value is a bad
@@ -88,7 +89,20 @@ impl Request {
             .and_then(Scalar::as_str)
             .ok_or_else(|| fail("missing \"program\"".to_owned()))?
             .to_owned();
-        let mode_ignored = match json::field(&fields, "mode").and_then(Scalar::as_str) {
+        // A field that is present but mistyped is refused, never defaulted.
+        let typed = |name: &str, expected: &str| fail(format!("\"{name}\" must be {expected}"));
+        let uint = |name: &str| match json::field(&fields, name) {
+            None => Ok(None),
+            Some(v) => v
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| typed(name, "an unsigned integer")),
+        };
+        let mode = match json::field(&fields, "mode") {
+            None => None,
+            Some(v) => Some(v.as_str().ok_or_else(|| typed("mode", "a string"))?),
+        };
+        let mode_ignored = match mode {
             None | Some("seq") => false,
             Some("par") => true,
             Some(m) => match m.strip_prefix("par:").and_then(|k| k.parse::<usize>().ok()) {
@@ -100,14 +114,10 @@ impl Request {
                 }
             },
         };
-        let budget = json::field(&fields, "budget")
-            .and_then(Scalar::as_u64)
-            .unwrap_or(default_budget);
-        let request_budget = json::field(&fields, "request_budget").and_then(Scalar::as_u64);
-        let deadline_ms = json::field(&fields, "deadline_ms")
-            .and_then(Scalar::as_u64)
-            .or(default_deadline_ms);
-        let session = json::field(&fields, "session").and_then(Scalar::as_u64);
+        let budget = uint("budget")?.unwrap_or(default_budget);
+        let request_budget = uint("request_budget")?;
+        let deadline_ms = uint("deadline_ms")?.or(default_deadline_ms);
+        let session = uint("session")?;
         Ok(Request {
             id,
             kind,
@@ -375,6 +385,33 @@ mod tests {
             assert_eq!(err.id, Some(10), "{mode}");
             assert!(err.detail.contains("bad mode"), "{mode}: {}", err.detail);
         }
+    }
+
+    #[test]
+    fn mistyped_fields_are_bad_requests_naming_the_field() {
+        for (field, value) in [
+            ("budget", r#""2""#),
+            ("budget", "true"),
+            ("request_budget", r#""12""#),
+            ("deadline_ms", r#""0""#),
+            ("session", r#""7""#),
+            ("session", "false"),
+            ("mode", "2"),
+        ] {
+            let line = format!(
+                r#"{{"id": 12, "analysis": "cfa.src", "program": "1", "{field}": {value}}}"#
+            );
+            let err = Request::decode(&line, 50_000, None).unwrap_err();
+            assert_eq!(err.id, Some(12), "{field}: {value}");
+            assert!(
+                err.detail.contains(&format!("\"{field}\"")),
+                "{field}: {value}: {}",
+                err.detail
+            );
+        }
+        // Unknown fields stay accepted, whatever their type.
+        let line = r#"{"id": 13, "analysis": "cfa.src", "program": "1", "hint": "2", "x": 1}"#;
+        assert!(Request::decode(line, 50_000, None).is_ok());
     }
 
     #[test]
