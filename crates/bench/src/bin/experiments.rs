@@ -2133,9 +2133,19 @@ fn e18_degradation(sink: &mut impl TraceSink, test_mode: bool) {
 /// zipf-skewed mix to produce a realistic hit/miss interleaving.
 const E20_POOL: [(&str, Family, usize, usize); 6] = [
     ("cfa.src", ("dispatch", families::dispatch), 96, 12),
-    ("cfa.src", ("polyvariant", families::repeated_calls), 96, 12),
+    (
+        "cfa.src",
+        ("repeated_calls", families::repeated_calls),
+        96,
+        12,
+    ),
     ("cfa.cps", ("dispatch", families::dispatch), 96, 12),
-    ("cfa.cps", ("polyvariant", families::repeated_calls), 96, 12),
+    (
+        "cfa.cps",
+        ("repeated_calls", families::repeated_calls),
+        96,
+        12,
+    ),
     ("mfp.flat", ("diamond", families::diamond_chain), 48, 6),
     ("mfp.flat", ("cond-chain", families::cond_chain), 96, 12),
 ];

@@ -270,8 +270,9 @@ impl Cfg {
     ///
     /// # Errors
     ///
-    /// [`CfgError::Malformed`] if edges or variable indices are out of
-    /// range, or a two-way node lacks a condition.
+    /// [`CfgError::Malformed`] if an edge, or a variable a node defines,
+    /// reads or tests, is out of range, or a two-way node lacks a
+    /// condition.
     pub fn from_parts(
         nodes: Vec<Node>,
         entry: NodeId,
@@ -291,12 +292,18 @@ impl Cfg {
                     "two-way node n{i} lacks a condition"
                 )));
             }
-            if let Some(x) = node.stmt.def() {
-                if x.index() >= num_vars {
-                    return Err(CfgError::Malformed(format!(
-                        "variable out of range at n{i}"
-                    )));
-                }
+            let tested = match node.cond {
+                Some(Cond::Var(x)) => Some(x),
+                _ => None,
+            };
+            let mut vars = uses(node.stmt)
+                .into_iter()
+                .chain([node.stmt.def(), tested])
+                .flatten();
+            if vars.any(|x| x.index() >= num_vars) {
+                return Err(CfgError::Malformed(format!(
+                    "variable out of range at n{i}"
+                )));
             }
         }
         Ok(Cfg {
@@ -1188,5 +1195,43 @@ mod tests {
             Cfg::from_parts(two_way, NodeId(0), NodeId(1), 0),
             Err(CfgError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn from_parts_rejects_used_variables_out_of_range() {
+        let (v0, v5) = (VarId(0), VarId(5));
+        let node = |stmt, cond: Option<Cond>| Node {
+            stmt,
+            succs: if cond.is_some() {
+                vec![NodeId(0), NodeId(0)]
+            } else {
+                vec![]
+            },
+            cond,
+        };
+        for bad in [
+            node(Stmt::Copy(v0, v5), None),
+            node(Stmt::Add1(v0, v5), None),
+            node(Stmt::Sub1(v0, v5), None),
+            node(Stmt::Sum(v0, v5, v0), None),
+            node(Stmt::Sum(v0, v0, v5), None),
+            node(Stmt::Nop, Some(Cond::Var(v5))),
+        ] {
+            let err = Cfg::from_parts(vec![bad.clone()], NodeId(0), NodeId(0), 1)
+                .expect_err(&format!("{bad:?} reads a variable out of range"));
+            assert!(
+                matches!(&err, CfgError::Malformed(m) if m == "variable out of range at n0"),
+                "{bad:?}: {err}"
+            );
+        }
+        // In range, the same shapes are accepted and solve.
+        for good in [
+            node(Stmt::Copy(v0, v0), None),
+            node(Stmt::Sum(v0, v0, v0), None),
+            node(Stmt::Nop, Some(Cond::Var(v0))),
+        ] {
+            let g = Cfg::from_parts(vec![good], NodeId(0), NodeId(0), 1).unwrap();
+            g.solve_mfp::<Flat>(g.bottom_env()).unwrap();
+        }
     }
 }

@@ -49,6 +49,7 @@ impl Scalar {
 /// anything that is not a flat object of string/uint/bool scalars.
 pub fn parse_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
     let mut p = Parser {
+        text: line,
         bytes: line.as_bytes(),
         pos: 0,
     };
@@ -108,6 +109,7 @@ pub fn escape(s: &str) -> String {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -142,10 +144,20 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one step.
+            // Both are ASCII, so the run ends on a char boundary of `text`.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.next() {
                 None => return Err("unterminated string".to_owned()),
                 Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
+                // The run stopped at a backslash: decode its escape.
+                Some(_) => match self.next() {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
                     Some(b'/') => out.push('/'),
@@ -180,21 +192,6 @@ impl<'a> Parser<'a> {
                     }
                     other => return Err(format!("bad escape {other:?}")),
                 },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-decode the UTF-8 tail starting at this byte.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
             }
         }
     }
@@ -290,6 +287,85 @@ mod tests {
         assert!(parse_object(r#"{"s": "\ud83d oops"}"#).is_err());
         assert!(parse_object(r#"{"s": "\ud83dA"}"#).is_err());
         assert!(parse_object(r#"{"s": "\ude00"}"#).is_err());
+    }
+
+    /// `parse_object`'s exact output, `Ok` or `Err`, over string escapes,
+    /// `\u` pairs, lone surrogates, raw control bytes, multi-byte UTF-8
+    /// and unterminated strings. The run-copying string reader must agree
+    /// with the byte-at-a-time reader it replaced on every line.
+    #[test]
+    fn string_decoding_is_pinned() {
+        let ok = |fields: &[(&str, Scalar)]| -> Result<Vec<(String, Scalar)>, String> {
+            Ok(fields
+                .iter()
+                .map(|(k, v)| ((*k).to_owned(), v.clone()))
+                .collect())
+        };
+        let s = |v: &str| Scalar::Str(v.to_owned());
+        let err = |e: &str| -> Result<Vec<(String, Scalar)>, String> { Err(e.to_owned()) };
+        let cases = [
+            (
+                r#"{"s": "a\"b\\c\/d\ne\rf\tg"}"#,
+                ok(&[("s", s("a\"b\\c/d\ne\rf\tg"))]),
+            ),
+            (
+                r#"{"s": "", "t": "plain"}"#,
+                ok(&[("s", s("")), ("t", s("plain"))]),
+            ),
+            (r#"{"key": "Aλ€\u0000"}"#, ok(&[("key", s("Aλ€\0"))])),
+            (r#"{"s": "x😀y😀"}"#, ok(&[("s", s("x😀y😀"))])),
+            (
+                r#"{"s": "\u0041\u03bb\uD83D\uDE00!"}"#,
+                ok(&[("s", s("Aλ😀!"))]),
+            ),
+            (r#"{"s": "\udbff\udfff"}"#, ok(&[("s", s("\u{10ffff}"))])),
+            (
+                r#"{"s": "\ud83d"}"#,
+                err("high surrogate not followed by \\u escape"),
+            ),
+            (
+                r#"{"s": "\ud83dA"}"#,
+                err("high surrogate not followed by \\u escape"),
+            ),
+            (
+                r#"{"s": "\ud83dx"}"#,
+                err("high surrogate not followed by \\u escape"),
+            ),
+            (
+                r#"{"s": "\ud83d\"}"#,
+                err("high surrogate not followed by \\u escape"),
+            ),
+            (
+                r#"{"s": "\ud83d\u0041"}"#,
+                err("high surrogate not followed by low surrogate"),
+            ),
+            (r#"{"s": "\ude00x"}"#, err("lone low surrogate")),
+            (r#"{"s": "\u12"}"#, err("bad \\u escape digit")),
+            (r#"{"s": "\u00zz"}"#, err("bad \\u escape digit")),
+            (r#"{"s": "a\u"}"#, err("bad \\u escape digit")),
+            (r#"{"s": "\q"}"#, err("bad escape Some(113)")),
+            (r#"{"s": "\"#, err("bad escape None")),
+            (
+                "{\"s\": \"a\tb\u{1}c\u{7f}d\u{1f}\"}",
+                ok(&[("s", s("a\tb\u{1}c\u{7f}d\u{1f}"))]),
+            ),
+            ("{\"s\u{2}\": \"\u{0}\"}", ok(&[("s\u{2}", s("\0"))])),
+            (
+                r#"{"λ": "€😀ü", "n": 7}"#,
+                ok(&[("λ", s("€😀ü")), ("n", Scalar::UInt(7))]),
+            ),
+            (r#"{"s": "abc"#, err("unterminated string")),
+            (r#"{"s": "abc\""#, err("unterminated string")),
+            (r#"{"s": "abc\\"#, err("unterminated string")),
+            (r#"{"s": "multi€"#, err("unterminated string")),
+            (
+                r#"{"a": "x\\", "b": "\\y\\\\"}"#,
+                ok(&[("a", s("x\\")), ("b", s("\\y\\\\"))]),
+            ),
+        ];
+        for (line, want) in cases {
+            assert_eq!(parse_object(line), want, "{line:?}");
+        }
     }
 
     #[test]

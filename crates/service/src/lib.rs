@@ -35,11 +35,16 @@
 //! # Caching
 //!
 //! Warm hits are served without touching the solver: the request's
-//! program is parsed into the worker's arena (hash-consing makes repeats
-//! cheap), digested (memoized per node id), and looked up under the
-//! full-precision [`CacheKey`]. Fresh answers commit under the rung that
-//! produced them, so degraded answers can never shadow full-precision
-//! ones. See `DESIGN.md` §11 for the soundness argument.
+//! program is resolved to its root in the worker's arena, digested
+//! (memoized per node id), and looked up under the full-precision
+//! [`CacheKey`]. Resolving a text the worker has already served as a hit
+//! is one lookup in its *repeat memo* (program text → root, compared on
+//! the full text); any other text is parsed into the arena. Only served
+//! hits enter the memo, so a program seen once costs it nothing. The memo
+//! starts over with the arena, whose ids it holds, and on its own once it
+//! charges more than 8 MiB of text. Fresh answers commit under the rung
+//! that produced them, so degraded answers can never shadow
+//! full-precision ones. See `DESIGN.md` §11 for the soundness argument.
 //!
 //! # Example
 //!
@@ -92,7 +97,7 @@ use cpsdfa_syntax::arena::{TermArena, TermId};
 use cpsdfa_syntax::parse::{ParseError, ParseErrorKind};
 use proto::{BadRequest, Request, Response, Served, Status};
 use std::cell::OnceCell;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -192,6 +197,8 @@ struct ServiceCounters {
     failed: AtomicU64,
     /// Requests that named a `par` engine, which is accepted and ignored.
     mode_ignored: AtomicU64,
+    /// Requests whose program a worker's repeat memo resolved unparsed.
+    parse_reused: AtomicU64,
 }
 
 /// One completed request of a batch run: the response plus (when the
@@ -230,6 +237,15 @@ pub struct AnalysisService {
 /// arrive. Digests are structural, so a fresh arena yields the same keys.
 const ARENA_NODE_CAP: usize = 1 << 17;
 
+/// A worker's repeat memo starts over once its entries would charge more
+/// than this many bytes: each entry is charged its program text plus one
+/// table slot. Whitespace variants of one program add memo entries but no
+/// arena nodes, so the arena cap alone would not bound the memo.
+const REPEAT_MEMO_BYTES: usize = 8 << 20;
+
+/// What a repeat-memo entry is charged beyond its text: its table slot.
+const REPEAT_SLOT_BYTES: usize = std::mem::size_of::<(Box<str>, TermId)>();
+
 /// Stack reserved for each worker thread. Most front-end walkers recurse
 /// on term height, which the parser bounds at
 /// [`MAX_DEPTH`](cpsdfa_syntax::parse::MAX_DEPTH); an optimized build
@@ -250,14 +266,22 @@ impl Lowered {
     }
 }
 
-/// Per-worker reusable state: the hash-consing arena, its digest memo, and
-/// the session memo. Workers never share arenas — digests are structural,
-/// so keys agree across workers without sharing.
+/// Per-worker reusable state: the hash-consing arena, its digest memo, the
+/// repeat memo, and the session memo. Workers never share arenas — digests
+/// are structural, so keys agree across workers without sharing.
 struct WorkerCtx {
     arena: TermArena,
     digests: ArenaDigests,
     /// Node count past which the next request's parse starts a new arena.
     arena_cap: usize,
+    /// Program text → its root in `arena`, for texts this worker has served
+    /// as cache hits. A repeat resolves here instead of being parsed.
+    /// Cleared with `arena`, whose ids its roots are. The keys are client
+    /// text, so the table keeps the default keyed hasher: crafted
+    /// collisions cannot turn its probes linear.
+    repeats: HashMap<Box<str>, TermId>,
+    /// Bytes charged to `repeats` (see [`REPEAT_MEMO_BYTES`]).
+    repeat_bytes: usize,
     /// `(session, digest, lowered)` for the latest answer this worker gave
     /// each session, least recently noted first, at most
     /// [`MAX_ANCESTORS`] long. A watch step reuses the entry as its "old"
@@ -275,18 +299,47 @@ impl WorkerCtx {
             arena: TermArena::new(),
             digests: ArenaDigests::new(),
             arena_cap,
+            repeats: HashMap::new(),
+            repeat_bytes: 0,
             sessions: VecDeque::new(),
         }
     }
 
-    /// Parses a request's program, first starting the arena and digest
-    /// memo over if the arena has outgrown its cap.
-    fn parse_request(&mut self, program: &str) -> Result<TermId, ParseError> {
+    /// Resolves a request's program to its root in the arena, and whether
+    /// the repeat memo answered. A text the memo holds (compared in full)
+    /// is not parsed. Otherwise the program is parsed, first starting the
+    /// arena, digest memo and repeat memo over if the arena has outgrown
+    /// its cap.
+    fn parse_request(&mut self, program: &str) -> Result<(TermId, bool), ParseError> {
+        if let Some(&root) = self.repeats.get(program) {
+            return Ok((root, true));
+        }
         if self.arena.num_nodes() > self.arena_cap {
             self.arena = TermArena::new();
             self.digests = ArenaDigests::new();
+            self.clear_repeats();
         }
-        self.arena.parse(program)
+        Ok((self.arena.parse(program)?, false))
+    }
+
+    /// Records `program` as parsing to `root`, so its next request skips
+    /// the parse; starts the memo over first if the entry would pass
+    /// [`REPEAT_MEMO_BYTES`].
+    fn remember_repeat(&mut self, program: &str, root: TermId) {
+        let charge = program.len() + REPEAT_SLOT_BYTES;
+        if self.repeat_bytes + charge > REPEAT_MEMO_BYTES {
+            self.clear_repeats();
+            if charge > REPEAT_MEMO_BYTES {
+                return;
+            }
+        }
+        self.repeat_bytes += charge;
+        self.repeats.insert(program.into(), root);
+    }
+
+    fn clear_repeats(&mut self) {
+        self.repeats.clear();
+        self.repeat_bytes = 0;
     }
 
     /// The daemon's one lowering: the arena term, expanded and normalized.
@@ -513,11 +566,13 @@ impl AnalysisService {
             status,
         };
 
-        // Parse into the worker's hash-consing arena. A repeated program
-        // re-resolves to the same node ids, so the digest below is a memo
-        // hit — the whole warm path does no per-node work.
-        let root = match ctx.parse_request(&req.program) {
-            Ok(root) => root,
+        // Resolve the program to its root in the worker's hash-consing
+        // arena: through the repeat memo when this worker has served the
+        // same text as a hit, else by parsing. Either way a repeated
+        // program re-resolves to the same node ids, so the digest below is
+        // a memo hit — the whole hit path does no per-node work.
+        let (root, reused) = match ctx.parse_request(&req.program) {
+            Ok(resolved) => resolved,
             Err(e) => {
                 self.counters.failed.fetch_add(1, Ordering::Relaxed);
                 return (
@@ -532,6 +587,10 @@ impl AnalysisService {
                 );
             }
         };
+        if reused {
+            self.counters.parse_reused.fetch_add(1, Ordering::Relaxed);
+            sink.counter("service.parse.reused", 1);
+        }
         let digest = ctx.digests.term_digest(&ctx.arena, root);
         let full_key = CacheKey::new(req.kind, digest);
 
@@ -570,6 +629,11 @@ impl AnalysisService {
                 if !refuted {
                     self.counters.served_hit.fetch_add(1, Ordering::Relaxed);
                     sink.counter("service.hit", 1);
+                    // Only a served hit enters the repeat memo: a program
+                    // seen once (every cold miss) never costs it memory.
+                    if !reused {
+                        ctx.remember_repeat(&req.program, root);
+                    }
                     if let Some(session) = req.session {
                         self.note_session(session, req, digest, &hit);
                     }
@@ -1021,8 +1085,18 @@ impl AnalysisService {
                     if line.is_empty() {
                         continue;
                     }
-                    if let Some(cmd) = control_command(line) {
-                        match cmd.as_str() {
+                    // One JSON pass per line: a string `cmd` field makes it
+                    // a control line, anything else is a request.
+                    let fields = match json::parse_object(line) {
+                        Ok(fields) => fields,
+                        Err(detail) => {
+                            let bad = BadRequest { id: None, detail };
+                            write_line(&bad_request_response(&bad).to_json())?;
+                            continue;
+                        }
+                    };
+                    if let Some(cmd) = json::field(&fields, "cmd").and_then(json::Scalar::as_str) {
+                        match cmd {
                             "shutdown" => break,
                             "stats" => {
                                 write_line(&self.stats_json())?;
@@ -1042,8 +1116,8 @@ impl AnalysisService {
                             }
                         }
                     }
-                    match Request::decode(
-                        line,
+                    match Request::from_fields(
+                        fields,
                         self.config.default_budget,
                         self.config.default_deadline_ms,
                     ) {
@@ -1093,7 +1167,7 @@ impl AnalysisService {
              \"cache_entries\": {}, \"cache_bytes\": {}, \"reserved_charges\": {}, \
              \"certify_ok\": {}, \"certify_fail\": {}, \"persist_recovered\": {}, \
              \"persist_corrupt\": {}, \"persist_evicted_bytes\": {}, \
-             \"session_ttl_evict\": {}, \"mode_ignored\": {}}}",
+             \"session_ttl_evict\": {}, \"mode_ignored\": {}, \"parse_reused\": {}}}",
             c.accepted.load(Ordering::Relaxed),
             c.rejected_queue.load(Ordering::Relaxed),
             c.rejected_budget.load(Ordering::Relaxed),
@@ -1114,6 +1188,7 @@ impl AnalysisService {
             cache.persist_evicted_bytes,
             cache.session_ttl_evictions,
             c.mode_ignored.load(Ordering::Relaxed),
+            c.parse_reused.load(Ordering::Relaxed),
         )
     }
 
@@ -1180,13 +1255,6 @@ impl TraceSink for TraceOut {
     }
 }
 
-fn control_command(line: &str) -> Option<String> {
-    let fields = json::parse_object(line).ok()?;
-    json::field(&fields, "cmd")
-        .and_then(json::Scalar::as_str)
-        .map(str::to_owned)
-}
-
 /// The answer to a request line that is not valid UTF-8: no id can be
 /// read from it, so it is answered under id 0.
 fn invalid_utf8_response() -> Response {
@@ -1244,27 +1312,170 @@ mod tests {
     fn worker_arena_starts_over_once_past_its_cap() {
         const PROGRAM: &str = "(let (f (lambda (x) x)) (f (f 1)))";
         let mut ctx = WorkerCtx::with_arena_cap(24);
-        let first = ctx.parse_request(PROGRAM).unwrap();
+        let (first, _) = ctx.parse_request(PROGRAM).unwrap();
         let digest = ctx.digests.term_digest(&ctx.arena, first);
         let full = ctx.arena.num_nodes();
         assert!(full <= 24, "one program stays under the cap: {full}");
         // Under the cap the arena is kept: a repeat re-resolves to the
         // same node, and a new program only adds its own nodes.
-        assert_eq!(ctx.parse_request(PROGRAM).unwrap(), first);
-        ctx.parse_request("(g (add1 2) (sub1 3))").unwrap();
+        assert_eq!(ctx.parse_request(PROGRAM).unwrap(), (first, false));
+        let (other, _) = ctx.parse_request("(g (add1 2) (sub1 3))").unwrap();
+        ctx.remember_repeat("(g (add1 2) (sub1 3))", other);
         let grown = ctx.arena.num_nodes();
         assert!(grown > 24, "two programs pass the cap: {grown}");
-        // Past the cap, the next parse starts a fresh arena and digest
-        // memo, and digests are structural, so keys do not change.
-        let again = ctx.parse_request(PROGRAM).unwrap();
+        // Past the cap, the next parse starts a fresh arena, digest memo
+        // and repeat memo (its roots were ids of the old arena), and
+        // digests are structural, so keys do not change.
+        let (again, reused) = ctx.parse_request(PROGRAM).unwrap();
+        assert!(!reused);
         assert_eq!(ctx.arena.num_nodes(), full);
+        assert!(ctx.repeats.is_empty() && ctx.repeat_bytes == 0);
         assert_eq!(ctx.digests.term_digest(&ctx.arena, again), digest);
+    }
+
+    /// Runs one request line through `handle` on `ctx`, returning the
+    /// response and the request's own trace.
+    fn handle_line(
+        service: &AnalysisService,
+        ctx: &mut WorkerCtx,
+        line: &str,
+    ) -> (Response, AggSink) {
+        let req = Request::decode(line, service.config.default_budget, None).unwrap();
+        let mut agg = AggSink::new();
+        let (resp, _) = service.handle(&req, ctx, &mut agg);
+        (resp, agg)
+    }
+
+    fn cache_and_digest(resp: &Response) -> (&Served, u64) {
+        match &resp.status {
+            Status::Ok {
+                cache,
+                answer_digest,
+                ..
+            } => (cache, *answer_digest),
+            other => panic!("expected ok, got {other:?}"),
+        }
+    }
+
+    const REPEATED: &str =
+        r#"{"id": 1, "analysis": "cfa.cps", "program": "(let (f (lambda (x) x)) (f (f 1)))"}"#;
+
+    #[test]
+    fn a_served_hit_lets_the_next_repeat_skip_the_parse() {
+        let service = AnalysisService::new(ServiceConfig::default());
+        let mut ctx = WorkerCtx::new();
+        let (miss, trace) = handle_line(&service, &mut ctx, REPEATED);
+        assert_eq!(cache_and_digest(&miss).0, &Served::Miss);
+        assert!(ctx.repeats.is_empty(), "a program seen once is not stored");
+        assert_eq!(trace.counter_value("service.parse.reused"), 0);
+        let (hit, trace) = handle_line(&service, &mut ctx, REPEATED);
+        assert_eq!(cache_and_digest(&hit).0, &Served::Hit);
+        assert_eq!(trace.counter_value("service.parse.reused"), 0);
+        assert_eq!(ctx.repeats.len(), 1, "the served hit is stored");
+        let nodes = ctx.arena.num_nodes();
+        let (memo, trace) = handle_line(&service, &mut ctx, REPEATED);
+        assert_eq!(cache_and_digest(&memo), cache_and_digest(&hit));
+        assert_eq!(trace.counter_value("service.parse.reused"), 1);
+        assert_eq!(ctx.arena.num_nodes(), nodes);
+        assert_eq!(ctx.repeats.len(), 1);
+        assert!(service.stats_json().contains("\"parse_reused\": 1}"));
+    }
+
+    #[test]
+    fn parse_errors_never_enter_the_repeat_memo() {
+        let service = AnalysisService::new(ServiceConfig::default());
+        let mut ctx = WorkerCtx::new();
+        let line = r#"{"id": 2, "analysis": "cfa.src", "program": "(f (("}"#;
+        let responses: Vec<Status> = (0..3)
+            .map(|_| handle_line(&service, &mut ctx, line).0.status)
+            .collect();
+        assert!(
+            matches!(
+                &responses[0],
+                Status::Error {
+                    reason: "parse-error",
+                    ..
+                }
+            ),
+            "{:?}",
+            responses[0]
+        );
+        assert!(
+            responses.iter().all(|r| r == &responses[0]),
+            "{responses:?}"
+        );
+        assert!(ctx.repeats.is_empty());
+    }
+
+    #[test]
+    fn memo_resolved_hits_are_still_certified() {
+        let service = AnalysisService::new(ServiceConfig {
+            certify_sample: 1,
+            ..ServiceConfig::default()
+        });
+        let mut ctx = WorkerCtx::new();
+        for (want, certified) in [(Served::Miss, 0), (Served::Hit, 1), (Served::Hit, 2)] {
+            let (resp, _) = handle_line(&service, &mut ctx, REPEATED);
+            assert_eq!(cache_and_digest(&resp).0, &want);
+            assert_eq!(service.cache_stats().certify_ok, certified);
+        }
+        assert!(service.stats_json().contains("\"parse_reused\": 1}"));
+    }
+
+    #[test]
+    fn whitespace_variants_miss_the_memo_but_hit_the_cache() {
+        let service = AnalysisService::new(ServiceConfig::default());
+        let mut ctx = WorkerCtx::new();
+        let (miss, _) = handle_line(&service, &mut ctx, REPEATED);
+        handle_line(&service, &mut ctx, REPEATED);
+        let variant = REPEATED.replace("(f (f 1))", "(f  (f 1) )");
+        let nodes = ctx.arena.num_nodes();
+        let (hit, trace) = handle_line(&service, &mut ctx, &variant);
+        assert_eq!(trace.counter_value("service.parse.reused"), 0);
+        assert_eq!(
+            cache_and_digest(&hit),
+            (&Served::Hit, cache_and_digest(&miss).1)
+        );
+        // The variant parsed to the same nodes, and is now a memo entry of
+        // its own with the same root.
+        assert_eq!(ctx.arena.num_nodes(), nodes);
+        let roots: Vec<TermId> = ctx.repeats.values().copied().collect();
+        assert_eq!(roots.len(), 2);
+        assert_eq!(roots[0], roots[1]);
+    }
+
+    #[test]
+    fn repeat_memo_starts_over_past_its_byte_bound() {
+        let mut ctx = WorkerCtx::new();
+        let (root, _) = ctx.parse_request("(add1 1)").unwrap();
+        // Whitespace variants of one program, each charged an eighth of
+        // the bound: the first eight fill the memo exactly.
+        let text_bytes = REPEAT_MEMO_BYTES / 8 - REPEAT_SLOT_BYTES;
+        let variant = |i: usize| {
+            let pad = text_bytes - "(add1 1)".len();
+            format!("{}(add1 1){}", " ".repeat(i), " ".repeat(pad - i))
+        };
+        for i in 0..8 {
+            ctx.remember_repeat(&variant(i), root);
+        }
+        assert_eq!(ctx.repeats.len(), 8);
+        assert_eq!(ctx.repeat_bytes, REPEAT_MEMO_BYTES);
+        assert_eq!(ctx.parse_request(&variant(0)).unwrap(), (root, true));
+        // A ninth would pass the bound: the memo starts over with it.
+        ctx.remember_repeat(&variant(8), root);
+        assert_eq!(ctx.repeats.len(), 1);
+        assert_eq!(ctx.repeat_bytes, REPEAT_MEMO_BYTES / 8);
+        assert_eq!(ctx.parse_request(&variant(8)).unwrap(), (root, true));
+        assert_eq!(ctx.parse_request(&variant(0)).unwrap(), (root, false));
+        // A text larger than the whole bound is never stored.
+        ctx.remember_repeat(&" ".repeat(REPEAT_MEMO_BYTES), root);
+        assert!(ctx.repeats.is_empty() && ctx.repeat_bytes == 0);
     }
 
     #[test]
     fn session_memo_matches_on_digest_and_keeps_the_latest_sessions() {
         let mut ctx = WorkerCtx::new();
-        let root = ctx.parse_request("(add1 1)").unwrap();
+        let (root, _) = ctx.parse_request("(add1 1)").unwrap();
         let lowered = Rc::new(ctx.lower(root));
         for session in 0..=MAX_ANCESTORS as u64 {
             ctx.remember(session, 7, &lowered);

@@ -51,18 +51,31 @@ pub struct BadRequest {
 
 impl Request {
     /// Parses one request line, filling unspecified knobs from the
-    /// defaults. A knob that is present with the wrong JSON type is a bad
-    /// request naming the field; unknown fields are ignored.
-    ///
-    /// `"mode"` is optional. Besides `"seq"`, it accepts `"par"` and
-    /// `"par:K"` (K ≥ 1) and ignores them. Any other value is a bad
-    /// request.
+    /// defaults: [`json::parse_object`] followed by
+    /// [`Request::from_fields`].
     pub fn decode(
         line: &str,
         default_budget: u64,
         default_deadline_ms: Option<u64>,
     ) -> Result<Request, BadRequest> {
         let fields = json::parse_object(line).map_err(|detail| BadRequest { id: None, detail })?;
+        Request::from_fields(fields, default_budget, default_deadline_ms)
+    }
+
+    /// Builds a request from a parsed line's fields, filling unspecified
+    /// knobs from the defaults. A field that is absent is reported
+    /// missing; a field (or knob) that is present with the wrong JSON type
+    /// is a bad request naming the field; unknown fields are ignored. The
+    /// program text is moved out of `fields`, not copied.
+    ///
+    /// `"mode"` is optional. Besides `"seq"`, it accepts `"par"` and
+    /// `"par:K"` (K ≥ 1) and ignores them. Any other value is a bad
+    /// request.
+    pub fn from_fields(
+        mut fields: Vec<(String, Scalar)>,
+        default_budget: u64,
+        default_deadline_ms: Option<u64>,
+    ) -> Result<Request, BadRequest> {
         let id = json::field(&fields, "id")
             .and_then(Scalar::as_u64)
             .ok_or_else(|| BadRequest {
@@ -73,9 +86,12 @@ impl Request {
             id: Some(id),
             detail,
         };
-        let kind_name = json::field(&fields, "analysis")
-            .and_then(Scalar::as_str)
-            .ok_or_else(|| fail("missing \"analysis\"".to_owned()))?;
+        // A field that is present but mistyped is refused, never defaulted.
+        let typed = |name: &str, expected: &str| fail(format!("\"{name}\" must be {expected}"));
+        let kind_name = match json::field(&fields, "analysis") {
+            None => return Err(fail("missing \"analysis\"".to_owned())),
+            Some(v) => v.as_str().ok_or_else(|| typed("analysis", "a string"))?,
+        };
         let kind = AnalysisKind::parse(kind_name).ok_or_else(|| {
             // The expected-list is derived from `AnalysisKind::ALL`, so a
             // new kind can never be missing from this message.
@@ -85,12 +101,11 @@ impl Request {
                 expected.join(", ")
             ))
         })?;
-        let program = json::field(&fields, "program")
-            .and_then(Scalar::as_str)
-            .ok_or_else(|| fail("missing \"program\"".to_owned()))?
-            .to_owned();
-        // A field that is present but mistyped is refused, never defaulted.
-        let typed = |name: &str, expected: &str| fail(format!("\"{name}\" must be {expected}"));
+        let program = match fields.iter_mut().find(|(k, _)| k == "program") {
+            None => return Err(fail("missing \"program\"".to_owned())),
+            Some((_, Scalar::Str(text))) => std::mem::take(text),
+            Some(_) => return Err(typed("program", "a string")),
+        };
         let uint = |name: &str| match json::field(&fields, name) {
             None => Ok(None),
             Some(v) => v
@@ -408,6 +423,29 @@ mod tests {
                 "{field}: {value}: {}",
                 err.detail
             );
+        }
+        // The request's own string fields: a mistyped one is not missing.
+        for (line, detail) in [
+            (
+                r#"{"id": 12, "analysis": "cfa.src", "program": 5}"#,
+                r#""program" must be a string"#,
+            ),
+            (
+                r#"{"id": 12, "analysis": true, "program": "1"}"#,
+                r#""analysis" must be a string"#,
+            ),
+            (
+                r#"{"id": 12, "analysis": "cfa.src"}"#,
+                r#"missing "program""#,
+            ),
+            (r#"{"id": 12, "program": "1"}"#, r#"missing "analysis""#),
+        ] {
+            let err = Request::decode(line, 50_000, None).unwrap_err();
+            let want = BadRequest {
+                id: Some(12),
+                detail: detail.to_owned(),
+            };
+            assert_eq!(err, want, "{line}");
         }
         // Unknown fields stay accepted, whatever their type.
         let line = r#"{"id": 13, "analysis": "cfa.src", "program": "1", "hint": "2", "x": 1}"#;

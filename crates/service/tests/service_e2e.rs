@@ -358,6 +358,92 @@ fn batch_traces_carry_request_spans_and_cache_counters() {
 }
 
 #[test]
+fn repeats_after_a_hit_skip_the_parse_and_answer_identically() {
+    let service = AnalysisService::new(small_config());
+    let program = families::dispatch(16).to_string();
+    let spaced = format!(" {program} ");
+    let mut lines: Vec<String> = (1..=3).map(|id| request(id, "cfa.cps", &program)).collect();
+    // A whitespace variant is a different text (the memo misses) of the
+    // same program (the cache hits under the same key).
+    lines.extend((4..=5).map(|id| request(id, "cfa.cps", &spaced)));
+    // A malformed program errors the same way each time and is never
+    // stored.
+    lines.extend((6..=8).map(|id| request(id, "cfa.cps", "(f ((")));
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let mut agg = AggSink::new();
+    let outcomes = service.run_batch_traced(&refs, &mut agg);
+    let answered: Vec<(&Served, u64)> = outcomes[..5]
+        .iter()
+        .map(|o| {
+            let (cache, _, _, digest) = ok_fields(&o.response);
+            (cache, digest)
+        })
+        .collect();
+    let digest = answered[0].1;
+    assert_eq!(
+        answered,
+        [
+            (&Served::Miss, digest),
+            (&Served::Hit, digest),
+            (&Served::Hit, digest),
+            (&Served::Hit, digest),
+            (&Served::Hit, digest),
+        ]
+    );
+    for o in &outcomes[5..] {
+        match &o.response.status {
+            Status::Error { reason, detail } => {
+                assert_eq!(*reason, "parse-error");
+                assert_eq!(
+                    detail,
+                    match &outcomes[5].response.status {
+                        Status::Error { detail, .. } => detail,
+                        other => panic!("{other:?}"),
+                    }
+                );
+            }
+            other => panic!("expected parse-error, got {other:?}"),
+        }
+    }
+    // Requests 3 and 5 repeat a text already served as a hit.
+    assert_eq!(agg.counter_value("service.parse.reused"), 2);
+    assert!(
+        service.stats_json().contains("\"parse_reused\": 2}"),
+        "{}",
+        service.stats_json()
+    );
+}
+
+#[test]
+fn serve_loop_parses_each_line_once_for_control_and_requests() {
+    let service = AnalysisService::new(small_config());
+    let program = families::cond_chain(8).to_string();
+    let req = request(1, "cfa.src", &program);
+    // A string `cmd` makes a control line; a non-string one does not, so
+    // that line is a request (missing its id here).
+    let input = format!(
+        "{req}\n{req}\n{req}\n{{\"cmd\": 5}}\n{{\"cmd\": \"nope\"}}\nnot json\n\
+         {{\"id\": 2, \"analysis\": \"cfa.src\", \"program\": 5}}\n\
+         {{\"cmd\": \"shutdown\"}}\n"
+    );
+    let mut output: Vec<u8> = Vec::new();
+    service
+        .serve(input.as_bytes(), &mut output, None)
+        .expect("serve loop completes");
+    let text = String::from_utf8(output).expect("utf8 responses");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 7, "{text}");
+    let count = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
+    assert_eq!(count("\"status\": \"ok\""), 3, "{text}");
+    assert_eq!(count("unknown cmd nope"), 1, "{text}");
+    assert_eq!(count("missing or non-integer \\\"id\\\""), 1, "{text}");
+    assert_eq!(count("expected '{', got"), 1, "{text}");
+    assert_eq!(count("\\\"program\\\" must be a string"), 1, "{text}");
+    // One worker: miss, hit, then a repeat resolved through the memo.
+    assert!(service.stats_json().contains("\"parse_reused\": 1}"));
+}
+
+#[test]
 fn serve_loop_round_trips_requests_stats_and_shutdown() {
     let service = AnalysisService::new(ServiceConfig {
         workers: 2,
