@@ -11,11 +11,12 @@ use crate::ast::{AVal, AValKind, Anf, AnfKind, Bind};
 use crate::normalize::normalize;
 use cpsdfa_syntax::arena::TermArena;
 use cpsdfa_syntax::ast::Term;
-use cpsdfa_syntax::free::{free_vars, has_unique_binders};
+use cpsdfa_syntax::free::{free_vars, has_unique_binders_given};
 use cpsdfa_syntax::fresh::freshen_with;
 use cpsdfa_syntax::label::LabelGen;
 use cpsdfa_syntax::{FreshGen, Ident, Label};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
 
@@ -122,19 +123,13 @@ impl AnfProgram {
     /// ```
     pub fn from_term(term: &Term) -> AnfProgram {
         let mut gen = FreshGen::new();
-        let hygienic;
-        let term = if has_unique_binders(term) {
-            term
-        } else {
-            hygienic = freshen_with(term, &mut gen);
-            &hygienic
-        };
+        let (term, free) = hygienic(term, &mut gen);
         let mut ta = TermArena::new();
-        let tid = ta.from_term(term);
+        let tid = ta.from_term(&term);
         let (mut arena, root_id) = normalize_arena(&ta, tid, &mut gen);
         let label_count = arena.assign_labels(root_id);
         let root = arena.to_anf(root_id);
-        Self::index(root, arena, root_id, label_count, gen)
+        Self::index(root, arena, root_id, label_count, gen, free)
             .expect("normalization of a hygienic term yields unique binders")
     }
 
@@ -144,19 +139,13 @@ impl AnfProgram {
     /// this one's on every input.
     pub fn from_term_via_boxed(term: &Term) -> AnfProgram {
         let mut gen = FreshGen::new();
-        let hygienic;
-        let term = if has_unique_binders(term) {
-            term
-        } else {
-            hygienic = freshen_with(term, &mut gen);
-            &hygienic
-        };
-        let mut root = normalize(term, &mut gen);
+        let (term, free) = hygienic(term, &mut gen);
+        let mut root = normalize(&term, &mut gen);
         let mut labels = LabelGen::new();
         label_term(&mut root, &mut labels);
         let mut arena = AnfArena::new();
         let root_id = arena.from_anf(&root);
-        Self::index(root, arena, root_id, labels.count(), gen)
+        Self::index(root, arena, root_id, labels.count(), gen, free)
             .expect("normalization of a hygienic term yields unique binders")
     }
 
@@ -181,25 +170,28 @@ impl AnfProgram {
         label_term(&mut root, &mut labels);
         let mut arena = AnfArena::new();
         let root_id = arena.from_anf(&root);
-        Self::index(root, arena, root_id, labels.count(), FreshGen::new())
+        let free = free_vars(&root.to_term());
+        Self::index(root, arena, root_id, labels.count(), FreshGen::new(), free)
     }
 
+    /// Indexes the program's variables; `free_names` are the free
+    /// variables of `root`.
     fn index(
         root: Anf,
         arena: AnfArena,
         root_id: AnfId,
         label_count: u32,
         fresh: FreshGen,
+        free_names: BTreeSet<Ident>,
     ) -> Result<AnfProgram, AnfError> {
         // Index variables: free variables first (so seeding them is easy),
         // then binders in label order. Free variables are sorted by *name*:
         // `Ident`'s own order is by intern index, which depends on global
         // interner state, and VarId assignment must be deterministic.
-        let term = root.to_term();
         let mut vars = Vec::new();
         let mut var_ids: HashMap<Ident, VarId> = HashMap::new();
         let mut free = Vec::new();
-        let mut free_sorted: Vec<Ident> = free_vars(&term).into_iter().collect();
+        let mut free_sorted: Vec<Ident> = free_names.into_iter().collect();
         free_sorted.sort_by_key(|x| x.as_str());
         for x in free_sorted {
             let id = VarId(vars.len() as u32);
@@ -389,6 +381,20 @@ impl fmt::Debug for AnfProgram {
     }
 }
 
+/// `term` with unique binders (α-freshened from `gen` when its binders
+/// repeat or capture a free name), and its free variables. Freshening renames only binders and
+/// A-normalization only adds them, so the set is also the free set of the
+/// normalized program.
+fn hygienic<'t>(term: &'t Term, gen: &mut FreshGen) -> (Cow<'t, Term>, BTreeSet<Ident>) {
+    let free = free_vars(term);
+    let term = if has_unique_binders_given(term, &free) {
+        Cow::Borrowed(term)
+    } else {
+        Cow::Owned(freshen_with(term, gen))
+    };
+    (term, free)
+}
+
 /// Assigns dense labels to a boxed ANF tree in the canonical pre-order,
 /// returning the number of labels. This is the legacy labeling pass the
 /// arena pipeline's [`AnfArena::assign_labels`] mirrors; it is public so
@@ -528,6 +534,42 @@ mod tests {
         let names: Vec<_> = p.iter_vars().map(|(_, x)| x.as_str().to_owned()).collect();
         assert!(names.contains(&"f".to_owned()));
         assert!(names.contains(&"a".to_owned()));
+    }
+
+    #[test]
+    fn front_ends_refuse_offset_overflow_and_deep_towers() {
+        // Unoptimized frames need more than the default test-thread stack
+        // to recurse `MAX_DEPTH` levels.
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(refuse_too_deep)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn refuse_too_deep() {
+        use cpsdfa_syntax::parse::ParseErrorKind;
+        let tower = format!("{}1{}", "(add1 ".repeat(20_000), ")".repeat(20_000));
+        for src in [
+            "(+ 1 -9223372036854775808)",
+            "(+ 1 9223372036854775807)",
+            tower.as_str(),
+        ] {
+            let shown = &src[..src.len().min(32)];
+            let err = parse_term(src).unwrap_err();
+            assert_eq!(
+                err.kind,
+                ParseErrorKind::TooDeep,
+                "parse_term {shown}: {err}"
+            );
+            let err = AnfProgram::parse(src).unwrap_err();
+            assert_eq!(
+                err.kind,
+                ParseErrorKind::TooDeep,
+                "AnfProgram::parse {shown}: {err}"
+            );
+        }
     }
 
     #[test]

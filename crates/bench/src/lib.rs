@@ -100,9 +100,11 @@ impl PipelineOut {
     }
 }
 
-/// The legacy boxed front end: parse → boxed A-normalize → label → boxed
-/// CPS transform. Assumes the source has unique binders (all workload
-/// families do), matching what `AnfProgram::from_term` skips freshening on.
+/// The legacy boxed front end: parse to a boxed tree → boxed A-normalize →
+/// label → boxed CPS transform. The parse is the one arena parser followed
+/// by `to_term`, so only the stages after it are the boxed oracles. Assumes
+/// the source has unique binders (all workload families do), matching what
+/// `AnfProgram::from_term` skips freshening on.
 pub fn pipeline_boxed(src: &str) -> PipelineOut {
     let t = parse_term(src).expect("pipeline source parses");
     let mut gen = FreshGen::new();

@@ -1,15 +1,17 @@
 //! Differential proof obligation for the interned front end: on an
-//! 800-program random corpus, the arena pipeline (direct-to-arena parse →
-//! defunctionalized A-normalizer → arena CPS transform) must be
-//! **byte-identical** — printed forms, label counts, label maps — to the
-//! legacy boxed pipeline it replaced, which is kept as a test-only oracle
+//! 800-program random corpus, parsing a printed program gives back the
+//! generator's own term, and the arena pipeline (defunctionalized
+//! A-normalizer → arena CPS transform) must be **byte-identical** —
+//! printed forms, label counts, label maps — to the legacy boxed pipeline
+//! it replaced, which is kept as a test-only oracle
 //! (`from_term_via_boxed` / `from_anf_via_boxed`). `core::certify` does not
 //! cover this: it takes the lowered program as given.
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_syntax::arena::TermArena;
-use cpsdfa_syntax::parse::parse_term;
+use cpsdfa_syntax::free::free_vars;
+use cpsdfa_syntax::Ident;
 use cpsdfa_syntax::Term;
 use cpsdfa_workloads::random::{corpus, open_config, GenConfig};
 
@@ -23,18 +25,17 @@ fn differential_corpus() -> Vec<Term> {
 }
 
 #[test]
-fn interned_parser_is_bit_identical_to_boxed_on_corpus() {
+fn parser_reproduces_the_generated_corpus() {
     for (i, t) in differential_corpus().iter().enumerate() {
         let src = t.to_string();
-        let boxed = parse_term(&src).unwrap_or_else(|e| panic!("program {i}: {e}"));
         let mut ta = TermArena::new();
         let tid = ta
             .parse(&src)
             .unwrap_or_else(|e| panic!("program {i}: {e}"));
         assert_eq!(
-            ta.to_term(tid).to_string(),
-            boxed.to_string(),
-            "parsers disagree on program {i}: {src}"
+            &ta.to_term(tid),
+            t,
+            "parse of print differs on program {i}: {src}"
         );
     }
 }
@@ -55,6 +56,18 @@ fn interned_anf_pipeline_is_bit_identical_to_boxed_on_corpus() {
             oracle.lambda_labels(),
             "program {i}"
         );
+        // `from_term` indexes the source term's free variables; they must
+        // be the normalized program's, in name order.
+        let indexed: Vec<&str> = interned
+            .free_vars()
+            .iter()
+            .map(|&v| interned.ident(v).as_str())
+            .collect();
+        let mut normalized: Vec<Ident> =
+            free_vars(&interned.root().to_term()).into_iter().collect();
+        normalized.sort_by_key(|x| x.as_str());
+        let normalized: Vec<&str> = normalized.iter().map(Ident::as_str).collect();
+        assert_eq!(indexed, normalized, "program {i}");
     }
 }
 

@@ -19,11 +19,13 @@
 //!    structural digests). Truncation breaks the length frame; corruption
 //!    breaks the checksum; both drop the entry at recovery.
 //! 3. **Semantic validation** — the payload carries the *source text*
-//!    alongside the key and answer. Recovery re-parses it and re-derives
-//!    the structural digest: a mismatch against the stored key means the
-//!    entry answers some other program (a stale or mis-keyed write) and
-//!    it is dropped. A sample of surviving entries is then pushed through
-//!    [`certify_source`](crate::certify::certify_source), so even a
+//!    alongside the key and answer. Recovery parses it once and
+//!    re-derives the structural digest: a mismatch against the stored key
+//!    means the entry answers some other program (a stale or mis-keyed
+//!    write) and it is dropped. For a sample of surviving entries the same
+//!    parsed root is lowered, as the daemon lowers a request, and the
+//!    answer pushed through
+//!    [`certify_answer`](crate::certify::certify_answer), so even a
 //!    checksum-valid entry whose *answer* is wrong for its own source is
 //!    caught before it can be served. (The daemon's `--certify` sampling
 //!    extends the same check to the serve path.)
@@ -53,6 +55,7 @@ use crate::labtab::LabelTable;
 use crate::mfp::DfSummary;
 use crate::pushdown::{MatchedReturn, PushdownCfaResult};
 use crate::setpool::SetPool;
+use cpsdfa_anf::AnfProgram;
 use cpsdfa_syntax::arena::TermArena;
 use cpsdfa_syntax::Label;
 use std::borrow::Borrow;
@@ -774,17 +777,17 @@ impl PersistDir {
             report.corrupt += 1;
             return None;
         };
-        let fresh_digest = arena
-            .parse(&source)
-            .ok()
-            .map(|id| digests.term_digest(arena, id));
-        if fresh_digest != Some(key.digest) {
+        let parsed = arena.parse(&source).ok();
+        let Some(root) = parsed.filter(|&id| digests.term_digest(arena, id) == key.digest) else {
             report.stale += 1;
             return None;
-        }
+        };
         if report.certified < certify_sample as u64 {
             report.certified += 1;
-            if crate::certify::certify_source(&source, &answer).is_err() {
+            // Certify against the root just re-digested, lowered as the
+            // daemon lowers a request.
+            let prog = AnfProgram::from_term(&arena.to_term(root));
+            if crate::certify::certify_answer(&prog, &answer).is_err() {
                 report.corrupt += 1;
                 return None;
             }

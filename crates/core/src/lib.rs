@@ -81,8 +81,8 @@ pub use cache::{
     FixpointCache, PersistDir, RecoveryReport,
 };
 pub use certify::{
-    certify_answer, certify_cfa_cps, certify_cfa_src, certify_mfp, certify_pushdown,
-    certify_source, Certificate, Refutation,
+    certify_answer, certify_cfa_cps, certify_cfa_src, certify_mfp, certify_pushdown, Certificate,
+    Refutation,
 };
 pub use cpsdfa_syntax::fxhash::{FxBuildHasher, FxHashMap};
 pub use direct::{DirectAnalyzer, DirectResult};

@@ -17,7 +17,8 @@
 //! the sequential engine, and `stats` counts the `par` ones as
 //! `mode_ignored`; any other `mode` is a `bad-request`. Control lines:
 //! `{"cmd": "stats"}`, `{"cmd": "health"}`, `{"cmd": "shutdown"}`.
-//! Responses correlate by `id` and may complete out of order.
+//! Responses correlate by `id` and may complete out of order; a `stats`
+//! line is answered after every request before it.
 //!
 //! `--persist-dir` makes the cache crash-safe: answers spill to a
 //! directory of checksummed, atomically-committed entries, recovered (and

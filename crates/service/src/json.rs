@@ -48,7 +48,7 @@ impl Scalar {
 /// source order. Returns `Err` with a short human-readable reason on
 /// anything that is not a flat object of string/uint/bool scalars.
 pub fn parse_object(line: &str) -> Result<Vec<(String, Scalar)>, String> {
-    let mut p = Parser {
+    let mut p = JsonScanner {
         text: line,
         bytes: line.as_bytes(),
         pos: 0,
@@ -108,13 +108,14 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-struct Parser<'a> {
+/// A cursor over one JSON line.
+struct JsonScanner<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> JsonScanner<'a> {
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }

@@ -389,42 +389,87 @@ struct Job {
 
 /// The bounded queue the reader feeds and workers drain.
 struct Queue {
-    jobs: Mutex<(VecDeque<Job>, bool)>, // (pending, closed)
+    state: Mutex<QueueState>,
+    /// Signalled when a job is pushed or the queue closes.
     ready: Condvar,
+    /// Signalled when a job completes.
+    done: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    pending: VecDeque<Job>,
+    closed: bool,
+    /// Jobs ever pushed.
+    submitted: u64,
+    /// Jobs whose worker has finished with them.
+    completed: u64,
+}
+
+/// Marks one popped job complete when dropped: after its response is
+/// written, or while its worker unwinds from a panic, so
+/// [`Queue::wait_drained`] never waits on a job that cannot finish.
+struct Completion<'q>(&'q Queue);
+
+impl Drop for Completion<'_> {
+    fn drop(&mut self) {
+        // No `expect`: this may run while the worker unwinds.
+        let mut state = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.completed += 1;
+        self.0.done.notify_all();
+    }
 }
 
 impl Queue {
     fn new() -> Self {
         Queue {
-            jobs: Mutex::new((VecDeque::new(), false)),
+            state: Mutex::new(QueueState::default()),
             ready: Condvar::new(),
+            done: Condvar::new(),
         }
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        self.state.lock().expect("queue poisoned")
+    }
+
     fn depth(&self) -> usize {
-        self.jobs.lock().expect("queue poisoned").0.len()
+        self.lock().pending.len()
     }
 
     fn push(&self, job: Job) {
-        self.jobs.lock().expect("queue poisoned").0.push_back(job);
+        let mut state = self.lock();
+        state.pending.push_back(job);
+        state.submitted += 1;
+        drop(state);
         self.ready.notify_one();
     }
 
     fn close(&self) {
-        self.jobs.lock().expect("queue poisoned").1 = true;
+        self.lock().closed = true;
         self.ready.notify_all();
     }
 
-    fn pop(&self) -> Option<Job> {
-        let mut guard = self.jobs.lock().expect("queue poisoned");
+    /// The next job, with the guard that marks it complete; `None` once
+    /// the queue is closed and empty.
+    fn pop(&self) -> Option<(Job, Completion<'_>)> {
+        let mut state = self.lock();
         loop {
-            if let Some(job) = guard.0.pop_front() {
-                return Some(job);
+            if let Some(job) = state.pending.pop_front() {
+                return Some((job, Completion(self)));
             }
-            if guard.1 {
+            if state.closed {
                 return None;
             }
-            guard = self.ready.wait(guard).expect("queue poisoned");
+            state = self.ready.wait(state).expect("queue poisoned");
+        }
+    }
+
+    /// Blocks until every job pushed so far has completed.
+    fn wait_drained(&self) {
+        let mut state = self.lock();
+        while state.completed < state.submitted {
+            state = self.done.wait(state).expect("queue poisoned");
         }
     }
 }
@@ -950,7 +995,7 @@ impl AnalysisService {
             for _ in 0..self.config.workers.max(1) {
                 spawn_worker(scope, || {
                     let mut ctx = WorkerCtx::new();
-                    while let Some(job) = queue.pop() {
+                    while let Some((job, _done)) = queue.pop() {
                         let outcome = self.run_job(&job, &mut ctx, &trace_shared);
                         *slots[job.slot].lock().expect("slot poisoned") = Some(outcome);
                         self.release(job.reservation);
@@ -1031,9 +1076,10 @@ impl AnalysisService {
 
     /// The daemon loop: JSONL requests from `input`, JSONL responses to
     /// `output` (as they complete — order is by completion, correlate by
-    /// `id`), per-request traces to `trace`. Returns when `input` ends or
-    /// a `{"cmd": "shutdown"}` line arrives; pending admitted requests
-    /// are drained first. A line that is not valid UTF-8 is answered with
+    /// `id`), per-request traces to `trace`. A `{"cmd": "stats"}` line is
+    /// answered once every request read before it has been answered.
+    /// Returns when `input` ends or a `{"cmd": "shutdown"}` line arrives;
+    /// pending admitted requests are drained first. A line that is not valid UTF-8 is answered with
     /// a `bad-request` error like any other malformed line; only a failed
     /// read of `input` ends the loop with an error.
     pub fn serve(
@@ -1057,7 +1103,8 @@ impl AnalysisService {
             for _ in 0..self.config.workers.max(1) {
                 spawn_worker(scope, || {
                     let mut ctx = WorkerCtx::new();
-                    while let Some(job) = queue.pop() {
+                    // `_done` drops after the response is written.
+                    while let Some((job, _done)) = queue.pop() {
                         let outcome = self.run_job(&job, &mut ctx, &trace_shared);
                         self.release(job.reservation);
                         let _ = write_line(&outcome.response.to_json());
@@ -1090,7 +1137,7 @@ impl AnalysisService {
                     let fields = match json::parse_object(line) {
                         Ok(fields) => fields,
                         Err(detail) => {
-                            let bad = BadRequest { id: None, detail };
+                            let bad = BadRequest::unparsable(detail);
                             write_line(&bad_request_response(&bad).to_json())?;
                             continue;
                         }
@@ -1098,7 +1145,11 @@ impl AnalysisService {
                     if let Some(cmd) = json::field(&fields, "cmd").and_then(json::Scalar::as_str) {
                         match cmd {
                             "shutdown" => break,
+                            // `stats` answers after every earlier request,
+                            // so its counters include them; `health` stays
+                            // an immediate liveness probe.
                             "stats" => {
+                                queue.wait_drained();
                                 write_line(&self.stats_json())?;
                                 continue;
                             }
@@ -1273,11 +1324,7 @@ fn bad_request_response(bad: &BadRequest) -> Response {
         id: bad.id.unwrap_or(0),
         latency_us: 0,
         status: Status::Error {
-            reason: if bad.id.is_some() {
-                "bad-request"
-            } else {
-                "parse-error"
-            },
+            reason: bad.reason,
             detail: bad.detail.clone(),
         },
     }

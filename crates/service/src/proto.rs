@@ -2,9 +2,10 @@
 //!
 //! One request per line, one response per line, correlated by `id`
 //! (responses may arrive out of order — the worker pool completes
-//! whichever request finishes first). Two control lines drive the daemon:
-//! `{"cmd": "stats"}` reports the cache/admission counters without running
-//! anything, `{"cmd": "shutdown"}` drains the queue and exits.
+//! whichever request finishes first). Three control lines drive the
+//! daemon: `{"cmd": "stats"}` reports the cache/admission counters once
+//! every earlier request has been answered, `{"cmd": "health"}` answers
+//! at once, and `{"cmd": "shutdown"}` drains the queue and exits.
 
 use crate::json::{self, Scalar};
 use cpsdfa_core::cache::AnalysisKind;
@@ -45,8 +46,22 @@ pub struct Request {
 pub struct BadRequest {
     /// The id, when one could be recovered from the malformed line.
     pub id: Option<u64>,
+    /// The wire reason: `parse-error` when the line is not a JSON object,
+    /// `bad-request` when the object's fields do not make a request.
+    pub reason: &'static str,
     /// Human-readable reason.
     pub detail: String,
+}
+
+impl BadRequest {
+    /// A line that is not a JSON object.
+    pub fn unparsable(detail: String) -> Self {
+        BadRequest {
+            id: None,
+            reason: "parse-error",
+            detail,
+        }
+    }
 }
 
 impl Request {
@@ -58,7 +73,7 @@ impl Request {
         default_budget: u64,
         default_deadline_ms: Option<u64>,
     ) -> Result<Request, BadRequest> {
-        let fields = json::parse_object(line).map_err(|detail| BadRequest { id: None, detail })?;
+        let fields = json::parse_object(line).map_err(BadRequest::unparsable)?;
         Request::from_fields(fields, default_budget, default_deadline_ms)
     }
 
@@ -80,10 +95,12 @@ impl Request {
             .and_then(Scalar::as_u64)
             .ok_or_else(|| BadRequest {
                 id: None,
+                reason: "bad-request",
                 detail: "missing or non-integer \"id\"".to_owned(),
             })?;
         let fail = |detail: String| BadRequest {
             id: Some(id),
+            reason: "bad-request",
             detail,
         };
         // A field that is present but mistyped is refused, never defaulted.
@@ -443,6 +460,7 @@ mod tests {
             let err = Request::decode(line, 50_000, None).unwrap_err();
             let want = BadRequest {
                 id: Some(12),
+                reason: "bad-request",
                 detail: detail.to_owned(),
             };
             assert_eq!(err, want, "{line}");

@@ -439,6 +439,10 @@ fn serve_loop_parses_each_line_once_for_control_and_requests() {
     assert_eq!(count("missing or non-integer \\\"id\\\""), 1, "{text}");
     assert_eq!(count("expected '{', got"), 1, "{text}");
     assert_eq!(count("\\\"program\\\" must be a string"), 1, "{text}");
+    // Only the line that is not JSON is a parse error; the valid JSON
+    // lines that make no request are bad requests.
+    assert_eq!(count("\"reason\": \"parse-error\""), 1, "{text}");
+    assert_eq!(count("\"reason\": \"bad-request\""), 3, "{text}");
     // One worker: miss, hit, then a repeat resolved through the memo.
     assert!(service.stats_json().contains("\"parse_reused\": 1}"));
 }
@@ -482,6 +486,38 @@ fn serve_loop_round_trips_requests_stats_and_shutdown() {
     let stats = service.cache_stats();
     assert_eq!(stats.hits + stats.misses, 2);
     assert!(stats.entries >= 1);
+}
+
+#[test]
+fn stats_line_answers_after_every_earlier_request() {
+    let service = AnalysisService::new(ServiceConfig {
+        workers: 2,
+        capacity_charges: u64::MAX / 2,
+        ..ServiceConfig::default()
+    });
+    // The slowest request first, then a burst of one small program: the
+    // burst is answered (mostly as hits) while the first still solves.
+    let slow = families::dispatch(48).to_string();
+    let small = families::cond_chain(4).to_string();
+    let mut input = request(1, "cfa.pushdown", &slow) + "\n";
+    for id in 2..=13 {
+        input += &(request(id, "cfa.src", &small) + "\n");
+    }
+    input += "{\"cmd\": \"stats\"}\n";
+    let mut output: Vec<u8> = Vec::new();
+    service
+        .serve(input.as_bytes(), &mut output, None)
+        .expect("serve loop completes");
+    let text = String::from_utf8(output).expect("utf8 responses");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 14, "{text}");
+    let (stats, responses) = lines.split_last().unwrap();
+    for line in responses {
+        let resp = Response::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
+        assert!(matches!(resp.status, Status::Ok { .. }), "{line}");
+    }
+    // Nothing ran after the stats line, so it must read the end state.
+    assert_eq!(*stats, service.stats_json());
 }
 
 #[test]
@@ -549,8 +585,21 @@ fn malformed_lines_get_error_responses_not_crashes() {
         "not json at all",
         r#"{"id": 5, "analysis": "cfa.cps"}"#,
         r#"{"id": 6, "analysis": "cfa.cps", "program": "(((("}"#,
+        // Valid JSON without an integer id: a bad request, not a parse
+        // error, answered under id 0.
+        r#"{"cmd": 5}"#,
+        r#"{"analysis": "cfa.src", "program": "1"}"#,
     ];
     let outcomes = service.run_batch(&lines);
+    for outcome in &outcomes[3..] {
+        match &outcome.response.status {
+            Status::Error { reason, .. } => {
+                assert_eq!(*reason, "bad-request");
+                assert_eq!(outcome.response.id, 0);
+            }
+            other => panic!("expected bad-request, got {other:?}"),
+        }
+    }
     match &outcomes[0].response.status {
         Status::Error { reason, .. } => assert_eq!(*reason, "parse-error"),
         other => panic!("expected parse-error, got {other:?}"),

@@ -17,9 +17,10 @@
 //! * **Append-only**: ids are never invalidated; `Vec` growth only.
 //! * **Ids are per-arena**: comparing ids across arenas is meaningless.
 //!
-//! The boxed [`Term`] tree remains the interchange format (the parser
-//! produces it, the printer consumes it); [`TermArena::from_term`] and
-//! [`TermArena::to_term`] convert losslessly in both directions.
+//! The parser writes straight into an arena ([`TermArena::parse`]); the
+//! boxed [`Term`] tree remains the interchange format (the printer, the
+//! interpreters and the generators use it), and [`TermArena::from_term`]
+//! and [`TermArena::to_term`] convert losslessly in both directions.
 
 use crate::ast::{Term, Value};
 use crate::fxhash::FxHashMap;
@@ -210,15 +211,15 @@ impl TermArena {
     }
 
     /// Parses source text directly into the arena: a single pass that
-    /// interns nodes as constructs complete, with no intermediate
-    /// s-expression tree or boxed [`Term`]. Accepts exactly the grammar of
-    /// [`parse_term`](crate::parse::parse_term) and produces the same term
-    /// (structurally — differential tests pin this down), but skips the
-    /// boxed pipeline's per-node `Box` and per-atom `String` allocations.
+    /// interns nodes as constructs complete, with no intermediate tree,
+    /// per-node `Box` or per-atom `String`. This is the workspace's one
+    /// parser; [`parse_term`](crate::parse::parse_term) is this followed by
+    /// [`to_term`](Self::to_term).
     ///
     /// # Errors
     ///
-    /// Returns the parser's error for malformed input.
+    /// Returns the parser's error for malformed input or a term deeper than
+    /// [`MAX_DEPTH`](crate::parse::MAX_DEPTH).
     pub fn parse(&mut self, src: &str) -> Result<TermId, crate::parse::ParseError> {
         crate::parse::parse_into(self, src)
     }
@@ -280,14 +281,39 @@ impl TermArena {
 mod tests {
     use super::*;
     use crate::build::*;
-    use crate::parse::parse_term;
+
+    /// Hand-built terms with the source text each one is written as.
+    fn samples() -> Vec<(&'static str, Term)> {
+        vec![
+            (
+                "(let (x 1) (add1 x))",
+                let_("x", num(1), app(add1(), var("x"))),
+            ),
+            (
+                "(lambda (f) (f (f 0)))",
+                lam("f", app(var("f"), app(var("f"), num(0)))),
+            ),
+            (
+                "(if0 (sub1 n) 1 ((fact (sub1 n)) n))",
+                if0(
+                    app(sub1(), var("n")),
+                    num(1),
+                    app(app(var("fact"), app(sub1(), var("n"))), var("n")),
+                ),
+            ),
+            ("(lambda (x) (x x))", lam("x", app(var("x"), var("x")))),
+            ("(loop)", loop_()),
+            ("-3", num(-3)),
+        ]
+    }
 
     #[test]
     fn equal_terms_intern_to_equal_ids() {
         let mut a = TermArena::new();
-        let t1 = parse_term("(let (x 1) (add1 x))").unwrap();
-        let t2 = parse_term("(let (x 1) (add1 x))").unwrap();
-        assert_eq!(a.from_term(&t1), a.from_term(&t2));
+        for (src, t) in samples() {
+            let parsed = a.parse(src).unwrap();
+            assert_eq!(a.from_term(&t), parsed, "{src}");
+        }
     }
 
     #[test]
@@ -314,32 +340,26 @@ mod tests {
     #[test]
     fn roundtrips_through_boxed_form() {
         let mut a = TermArena::new();
-        for src in [
-            "(let (x 1) (add1 x))",
-            "(lambda (f) (f (f 0)))",
-            "(if0 (sub1 n) 1 ((fact (sub1 n)) n))",
-            "(loop)",
-            "-3",
-        ] {
-            let t = parse_term(src).unwrap();
+        for (src, t) in samples() {
             let id = a.from_term(&t);
             assert_eq!(a.to_term(id), t, "roundtrip failed for {src}");
         }
     }
 
     #[test]
-    fn parse_into_arena_matches_boxed_parse() {
+    fn parse_into_arena_builds_the_written_term() {
         let mut a = TermArena::new();
-        let id = a.parse("(let (x 1) (add1 x))").unwrap();
-        assert_eq!(a.to_term(id), parse_term("(let (x 1) (add1 x))").unwrap());
+        for (src, t) in samples() {
+            let id = a.parse(src).unwrap();
+            assert_eq!(a.to_term(id), t, "{src}");
+        }
         assert!(a.parse("(bad%").is_err());
     }
 
     #[test]
     fn size_matches_boxed_size() {
         let mut a = TermArena::new();
-        for src in ["(let (x 1) (add1 x))", "(lambda (x) (x x))", "(loop)"] {
-            let t = parse_term(src).unwrap();
+        for (src, t) in samples() {
             let id = a.from_term(&t);
             assert_eq!(a.size(id), t.size(), "size mismatch for {src}");
         }

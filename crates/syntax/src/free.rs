@@ -1,6 +1,7 @@
 //! Free-variable computation and closedness checks for Λ terms.
 
 use crate::ast::{Term, Value};
+use crate::fxhash::FxHashMap;
 use crate::ident::Ident;
 use std::collections::BTreeSet;
 
@@ -15,9 +16,29 @@ use std::collections::BTreeSet;
 /// ```
 pub fn free_vars(term: &Term) -> BTreeSet<Ident> {
     let mut out = BTreeSet::new();
-    let mut bound = Vec::new();
-    collect_term(term, &mut bound, &mut out);
+    collect_term(term, &mut Binders::default(), &mut out);
     out
+}
+
+/// The binders enclosing the walk's position, counted per name, so an
+/// occurrence costs one hash probe however deep the `let` chain is.
+#[derive(Default)]
+struct Binders(FxHashMap<Ident, u32>);
+
+impl Binders {
+    fn enter(&mut self, x: &Ident) {
+        *self.0.entry(x.clone()).or_insert(0) += 1;
+    }
+
+    fn leave(&mut self, x: &Ident) {
+        if let Some(n) = self.0.get_mut(x) {
+            *n -= 1;
+        }
+    }
+
+    fn binds(&self, x: &Ident) -> bool {
+        self.0.get(x).is_some_and(|&n| n > 0)
+    }
 }
 
 /// True if the term has no free variables.
@@ -25,23 +46,21 @@ pub fn is_closed(term: &Term) -> bool {
     free_vars(term).is_empty()
 }
 
-/// All variables bound anywhere in the term (by `let` or `λ`), with
-/// multiplicity collapsed.
-pub fn bound_vars(term: &Term) -> BTreeSet<Ident> {
-    let mut out = BTreeSet::new();
-    collect_bound(term, &mut out);
-    out
-}
-
 /// True if every binder in the term binds a distinct variable and no bound
 /// variable also occurs free — the "all bound variables in a program are
 /// unique" hygiene assumption of §2.
 pub fn has_unique_binders(term: &Term) -> bool {
-    let mut seen = BTreeSet::new();
-    unique_binders(term, &mut seen) && seen.is_disjoint(&free_vars(term))
+    has_unique_binders_given(term, &free_vars(term))
 }
 
-fn collect_term(term: &Term, bound: &mut Vec<Ident>, out: &mut BTreeSet<Ident>) {
+/// [`has_unique_binders`] for a term whose free variables, `free`, are
+/// already known.
+pub fn has_unique_binders_given(term: &Term, free: &BTreeSet<Ident>) -> bool {
+    let mut seen = BTreeSet::new();
+    unique_binders(term, &mut seen) && seen.is_disjoint(free)
+}
+
+fn collect_term(term: &Term, bound: &mut Binders, out: &mut BTreeSet<Ident>) {
     match term {
         Term::Value(v) => collect_value(v, bound, out),
         Term::App(f, a) => {
@@ -50,9 +69,9 @@ fn collect_term(term: &Term, bound: &mut Vec<Ident>, out: &mut BTreeSet<Ident>) 
         }
         Term::Let(x, rhs, body) => {
             collect_term(rhs, bound, out);
-            bound.push(x.clone());
+            bound.enter(x);
             collect_term(body, bound, out);
-            bound.pop();
+            bound.leave(x);
         }
         Term::If0(c, t, e) => {
             collect_term(c, bound, out);
@@ -63,43 +82,19 @@ fn collect_term(term: &Term, bound: &mut Vec<Ident>, out: &mut BTreeSet<Ident>) 
     }
 }
 
-fn collect_value(value: &Value, bound: &mut Vec<Ident>, out: &mut BTreeSet<Ident>) {
+fn collect_value(value: &Value, bound: &mut Binders, out: &mut BTreeSet<Ident>) {
     match value {
         Value::Var(x) => {
-            if !bound.contains(x) {
+            if !bound.binds(x) {
                 out.insert(x.clone());
             }
         }
         Value::Lam(x, body) => {
-            bound.push(x.clone());
+            bound.enter(x);
             collect_term(body, bound, out);
-            bound.pop();
+            bound.leave(x);
         }
         Value::Num(_) | Value::Add1 | Value::Sub1 => {}
-    }
-}
-
-fn collect_bound(term: &Term, out: &mut BTreeSet<Ident>) {
-    match term {
-        Term::Value(Value::Lam(x, body)) => {
-            out.insert(x.clone());
-            collect_bound(body, out);
-        }
-        Term::Value(_) | Term::Loop => {}
-        Term::App(f, a) => {
-            collect_bound(f, out);
-            collect_bound(a, out);
-        }
-        Term::Let(x, rhs, body) => {
-            out.insert(x.clone());
-            collect_bound(rhs, out);
-            collect_bound(body, out);
-        }
-        Term::If0(c, t, e) => {
-            collect_bound(c, out);
-            collect_bound(t, out);
-            collect_bound(e, out);
-        }
     }
 }
 
@@ -151,15 +146,6 @@ mod tests {
         assert!(is_closed(&num(3)));
         assert!(is_closed(&loop_()));
         assert!(!is_closed(&var("y")));
-    }
-
-    #[test]
-    fn bound_vars_collects_let_and_lambda() {
-        let t = let_("a", lam("b", var("b")), var("a"));
-        let bv = bound_vars(&t);
-        assert!(bv.contains(&Ident::new("a")));
-        assert!(bv.contains(&Ident::new("b")));
-        assert_eq!(bv.len(), 2);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   comparison, hashing, and ordering never walk a string;
 //! * a [hash-consed term arena](arena) with `u32` node ids, the front end's
 //!   flat representation (O(1) subtree equality, shared substructure);
-//! * an s-expression [parser](parse) and a round-tripping pretty
+//! * the one [parser](parse), which reads source text straight into the
+//!   arena ([`parse_term`](parse::parse_term) wraps it for callers that
+//!   want a boxed [`Term`]), and a round-tripping pretty
 //!   [printer](mod@print);
 //! * [builder](build) combinators for constructing terms in tests and
 //!   workload generators;

@@ -1,4 +1,5 @@
-//! An s-expression parser for Λ.
+//! The parser for Λ: one pass from source text straight into a
+//! [`TermArena`].
 //!
 //! Accepted grammar (a superset of the paper's concrete syntax, with the
 //! conveniences used in the paper's own examples):
@@ -16,13 +17,14 @@
 //! Identifiers may not contain `%` (reserved for machine-generated fresh
 //! names) and may not be keywords.
 
-use crate::ast::{Term, Value};
-use crate::build;
+use crate::arena::{TermArena, TermId, TermNode, ValueNode};
+use crate::ast::Term;
+use crate::fxhash::FxHashMap;
 use crate::ident::Ident;
 use std::error::Error;
 use std::fmt;
 
-/// The deepest term [`TermArena::parse`] accepts: the height of the term
+/// The deepest term the parser accepts: the height of the term
 /// tree, one level per application, `let`, `if0` and λ, and one per
 /// `add1`/`sub1` step a `(+ M n)` abbreviation expands to. Most walkers
 /// downstream of the parser (`to_term`, digests, the analyzers) recurse on
@@ -76,13 +78,15 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-/// Parses a single Λ term; trailing whitespace and `;` line comments are
-/// allowed, any other trailing input is an error.
+/// Parses a single Λ term into a boxed [`Term`]: [`TermArena::parse`]
+/// into a scratch arena, then [`TermArena::to_term`]. Trailing whitespace
+/// and `;` line comments are allowed, any other trailing input is an
+/// error.
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input, reserved identifiers, or
-/// trailing tokens.
+/// Returns [`ParseError`] on malformed input, reserved identifiers,
+/// trailing tokens, or a term deeper than [`MAX_DEPTH`].
 ///
 /// ```
 /// use cpsdfa_syntax::parse::parse_term;
@@ -91,13 +95,9 @@ impl Error for ParseError {}
 /// # Ok::<(), cpsdfa_syntax::parse::ParseError>(())
 /// ```
 pub fn parse_term(input: &str) -> Result<Term, ParseError> {
-    let mut p = Parser::new(input);
-    let sexp = p.sexp()?;
-    p.skip_trivia();
-    if !p.at_end() {
-        return Err(ParseError::new(p.pos, "unexpected trailing input"));
-    }
-    term_of_sexp(&sexp)
+    let mut arena = TermArena::new();
+    let root = arena.parse(input)?;
+    Ok(arena.to_term(root))
 }
 
 const KEYWORDS: &[&str] = &["lambda", "λ", "let", "if0", "loop", "add1", "sub1", "+"];
@@ -118,242 +118,13 @@ fn is_ident_char(c: char) -> bool {
     c.is_alphanumeric() || "-_!?*/<>=+.".contains(c)
 }
 
-// ---------------------------------------------------------------------------
-// S-expression layer
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Sexp {
-    Atom(usize, String),
-    List(usize, Vec<Sexp>),
-}
-
-impl Sexp {
-    fn pos(&self) -> usize {
-        match self {
-            Sexp::Atom(p, _) | Sexp::List(p, _) => *p,
-        }
-    }
-}
-
-struct Parser<'a> {
-    src: &'a str,
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Self {
-        Parser { src, pos: 0 }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.src.len()
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-
-    fn skip_trivia(&mut self) {
-        loop {
-            match self.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some(';') => {
-                    while let Some(c) = self.bump() {
-                        if c == '\n' {
-                            break;
-                        }
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn sexp(&mut self) -> Result<Sexp, ParseError> {
-        self.skip_trivia();
-        let start = self.pos;
-        match self.peek() {
-            None => Err(ParseError::new(start, "unexpected end of input")),
-            Some('(') => {
-                self.bump();
-                let mut items = Vec::new();
-                loop {
-                    self.skip_trivia();
-                    match self.peek() {
-                        None => {
-                            return Err(ParseError::new(self.pos, "unclosed parenthesis"));
-                        }
-                        Some(')') => {
-                            self.bump();
-                            return Ok(Sexp::List(start, items));
-                        }
-                        Some(_) => items.push(self.sexp()?),
-                    }
-                }
-            }
-            Some(')') => Err(ParseError::new(start, "unexpected `)`")),
-            Some(_) => {
-                let mut atom = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_whitespace() || c == '(' || c == ')' || c == ';' {
-                        break;
-                    }
-                    atom.push(c);
-                    self.bump();
-                }
-                Ok(Sexp::Atom(start, atom))
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Term layer
-// ---------------------------------------------------------------------------
-
-fn term_of_sexp(s: &Sexp) -> Result<Term, ParseError> {
-    match s {
-        Sexp::Atom(pos, a) => atom_term(*pos, a),
-        Sexp::List(pos, items) => list_term(*pos, items),
-    }
-}
-
-fn atom_term(pos: usize, a: &str) -> Result<Term, ParseError> {
-    if let Ok(n) = a.parse::<i64>() {
-        return Ok(Term::Value(Value::Num(n)));
-    }
-    match a {
-        "add1" => Ok(Term::Value(Value::Add1)),
-        "sub1" => Ok(Term::Value(Value::Sub1)),
-        _ if is_valid_ident(a) => Ok(Term::Value(Value::Var(Ident::new(a)))),
-        _ => Err(ParseError::new(pos, format!("invalid identifier `{a}`"))),
-    }
-}
-
-fn head(items: &[Sexp]) -> Option<&str> {
-    match items.first() {
-        Some(Sexp::Atom(_, a)) => Some(a.as_str()),
-        _ => None,
-    }
-}
-
-fn list_term(pos: usize, items: &[Sexp]) -> Result<Term, ParseError> {
-    match head(items) {
-        Some("lambda") | Some("λ") => {
-            if items.len() != 3 {
-                return Err(ParseError::new(pos, "lambda expects (lambda (x) M)"));
-            }
-            let param = match &items[1] {
-                Sexp::List(_, ps) if ps.len() == 1 => binder_ident(&ps[0])?,
-                other => {
-                    return Err(ParseError::new(
-                        other.pos(),
-                        "lambda expects a single-parameter list (x)",
-                    ))
-                }
-            };
-            let body = term_of_sexp(&items[2])?;
-            Ok(build::lam(param, body))
-        }
-        Some("let") => {
-            if items.len() != 3 {
-                return Err(ParseError::new(pos, "let expects (let (x M) M)"));
-            }
-            let (x, rhs) = match &items[1] {
-                Sexp::List(_, b) if b.len() == 2 => (binder_ident(&b[0])?, term_of_sexp(&b[1])?),
-                other => return Err(ParseError::new(other.pos(), "let expects a binding (x M)")),
-            };
-            let body = term_of_sexp(&items[2])?;
-            Ok(build::let_(x, rhs, body))
-        }
-        Some("if0") => {
-            if items.len() != 4 {
-                return Err(ParseError::new(pos, "if0 expects (if0 M M M)"));
-            }
-            Ok(build::if0(
-                term_of_sexp(&items[1])?,
-                term_of_sexp(&items[2])?,
-                term_of_sexp(&items[3])?,
-            ))
-        }
-        Some("loop") => {
-            if items.len() != 1 {
-                return Err(ParseError::new(pos, "loop expects no arguments: (loop)"));
-            }
-            Ok(Term::Loop)
-        }
-        Some("+") => {
-            // Paper abbreviation (+ M n): n applications of add1/sub1.
-            if items.len() != 3 {
-                return Err(ParseError::new(pos, "+ expects (+ M n) with literal n"));
-            }
-            let m = term_of_sexp(&items[1])?;
-            let n = match &items[2] {
-                Sexp::Atom(_, a) => a.parse::<i64>().map_err(|_| {
-                    ParseError::new(items[2].pos(), "+ expects a literal integer offset")
-                })?,
-                other => {
-                    return Err(ParseError::new(
-                        other.pos(),
-                        "+ expects a literal integer offset",
-                    ))
-                }
-            };
-            Ok(build::plus_const(m, n))
-        }
-        _ => {
-            // Application, possibly curried.
-            if items.len() < 2 {
-                return Err(ParseError::new(
-                    pos,
-                    "application expects an operator and at least one operand",
-                ));
-            }
-            let f = term_of_sexp(&items[0])?;
-            let args = items[1..]
-                .iter()
-                .map(term_of_sexp)
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(build::apps(f, args))
-        }
-    }
-}
-
-fn binder_ident(s: &Sexp) -> Result<Ident, ParseError> {
-    match s {
-        Sexp::Atom(pos, a) if is_valid_ident(a) => {
-            let _ = pos;
-            Ok(Ident::new(a))
-        }
-        other => Err(ParseError::new(other.pos(), "expected a variable name")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Direct-to-arena layer
-// ---------------------------------------------------------------------------
-
-use crate::arena::{TermArena, TermId, TermNode, ValueNode};
-use crate::fxhash::FxHashMap;
-
 /// Parses `src` straight into `arena`, interning nodes as constructs
-/// complete — no intermediate s-expression tree, no boxed [`Term`], no
-/// per-atom `String`. Accepts exactly the grammar of [`parse_term`]; the
-/// differential tests pin the two parsers to structurally identical output.
-/// Unlike [`parse_term`], it refuses a term deeper than [`MAX_DEPTH`] with
-/// a [`ParseErrorKind::TooDeep`] error, before its recursion gets that deep.
+/// complete — no intermediate tree, no boxed [`Term`], no per-atom
+/// `String`. It refuses a term deeper than [`MAX_DEPTH`] with a
+/// [`ParseErrorKind::TooDeep`] error, before its recursion gets that deep.
 ///
-/// This is the parser behind [`TermArena::parse`], the entry point of the
-/// interned front-end pipeline.
+/// This is the parser behind [`TermArena::parse`] and so behind every
+/// front end in the workspace; [`parse_term`] wraps it.
 pub(crate) fn parse_into(arena: &mut TermArena, src: &str) -> Result<TermId, ParseError> {
     // S-expression sources run a handful of bytes per node; seeding the
     // arena and the atom cache avoids mid-parse rehashes without

@@ -1,7 +1,8 @@
 //! Pretty printer for Λ, producing the paper's concrete syntax.
 //!
 //! The printer emits exactly the grammar accepted by [`crate::parse`], so
-//! `parse(print(t)) == t` (a property test in the parser module checks this).
+//! `parse(print(t)) == t` (the property tests in `tests/roundtrip.rs` check
+//! this).
 
 use crate::ast::{Term, Value};
 use std::fmt;

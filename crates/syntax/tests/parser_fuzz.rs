@@ -1,5 +1,6 @@
-//! Robustness fuzzing for the parser: arbitrary byte soup must parse or
-//! fail with a positioned error — never panic — and accepted inputs must
+//! Robustness fuzzing for the parser the daemon runs (`TermArena::parse`,
+//! reached through `parse_term`): arbitrary byte soup must parse or fail
+//! with a positioned error — never panic — and accepted inputs must
 //! round-trip.
 
 use cpsdfa_syntax::parse::{is_valid_ident, parse_term};
