@@ -1876,9 +1876,10 @@ impl E18Row {
 /// tabling fallback rates, and the panic-isolated / cancellable corpus
 /// sweep. Writes `BENCH_degrade.json`.
 fn e18_degradation(sink: &mut impl TraceSink, test_mode: bool) {
+    use cpsdfa_core::cache::{AnalysisKind, CachedAnswer};
     use cpsdfa_core::cfa::{zero_cfa_cps_instrumented, zero_cfa_instrumented};
     use cpsdfa_core::faultinject::{FaultKind, FaultPlan, INJECTED_PANIC};
-    use cpsdfa_core::govern::{governed_zero_cfa_cps, CancelToken, CfaAnswer, GovernPolicy};
+    use cpsdfa_core::govern::{governed, ladder, CancelToken, GovernPolicy, Lowered};
     use cpsdfa_workloads::par::{par_map_isolated, ParOutcome};
 
     section(
@@ -1908,6 +1909,7 @@ fn e18_degradation(sink: &mut impl TraceSink, test_mode: bool) {
     // cfa.src), and "tiny" (a quarter of that — every rung trips).
     println!("### Degradation grid: governed 0CFA ladder under shrinking budgets\n");
     let mut rows: Vec<E18Row> = Vec::new();
+    let rungs = ladder(AnalysisKind::CfaCps).len();
     for (family, build) in E16_LADDER {
         for &n in e18_sizes(test_mode) {
             let prog = AnfProgram::from_term(&build(n));
@@ -1920,8 +1922,9 @@ fn e18_degradation(sink: &mut impl TraceSink, test_mode: bool) {
             for (label, goals) in budgets {
                 let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(goals));
                 let (answered_by, rungs_tried, resource, residual, latency_ns) =
-                    match governed_zero_cfa_cps(&prog, &CpsProgram::from_anf(&prog), &policy, sink)
-                    {
+                    // A fresh `Lowered` per cell, so each cell's latency
+                    // includes its CPS transform, as a daemon request's does.
+                    match governed(AnalysisKind::CfaCps, &Lowered::new(prog.clone()), &policy, sink) {
                         Ok(governed) => {
                             let r = &governed.report;
                             (
@@ -1932,7 +1935,7 @@ fn e18_degradation(sink: &mut impl TraceSink, test_mode: bool) {
                                 r.elapsed_ns,
                             )
                         }
-                        Err(e) => ("(error)".to_owned(), 2, e.resource().to_owned(), 0, 0),
+                        Err(e) => ("(error)".to_owned(), rungs, e.resource().to_owned(), 0, 0),
                     };
                 sink.counter(
                     &format!("e18.grid.{family}.{n}.{label}.rungs"),
@@ -1993,14 +1996,19 @@ fn e18_degradation(sink: &mut impl TraceSink, test_mode: bool) {
         let fault = FaultPlan::from_seed_recoverable(0xE18 ^ i, stats.fired.max(1) + 8);
         let kind = fault.kind();
         let policy = GovernPolicy::new().with_fault(fault);
-        match governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink) {
+        match governed(
+            AnalysisKind::CfaCps,
+            &Lowered::new(p.clone()),
+            &policy,
+            &mut NoopSink,
+        ) {
             Ok(governed) => {
                 let degraded = governed.report.degraded();
                 let matches = match &governed.value {
-                    CfaAnswer::Cps(a) => a.same_solution(&cps_baseline),
-                    CfaAnswer::Direct(a) => a.same_solution(&zero_cfa(&p).unwrap()),
-                    // The 0CFA ladder has no pushdown rung.
-                    CfaAnswer::Pushdown(_) => false,
+                    CachedAnswer::CfaCps(a) => a.same_solution(&cps_baseline),
+                    CachedAnswer::CfaSrc(a) => a.same_solution(&zero_cfa(&p).unwrap()),
+                    // The cfa.cps ladder has no other rung.
+                    _ => false,
                 };
                 (kind, true, degraded, matches)
             }
@@ -2717,6 +2725,7 @@ fn e22_census<P, R>(
 /// single-shot wall time of the driver and of the cold solves over the
 /// script; `"curve": "e22"` rows land in `BENCH_solver.json`.
 fn e22_incremental(sink: &mut impl TraceSink, test_mode: bool) {
+    use cpsdfa_core::cache::AnalysisKind;
     use cpsdfa_core::cfa::{CfaResult, CpsCfaResult};
     use cpsdfa_core::incremental::{
         anf_identity, pushdown_cfa_warm, solve_mfp_incremental, zero_cfa_cps_warm, zero_cfa_warm,
@@ -2756,16 +2765,16 @@ fn e22_incremental(sink: &mut impl TraceSink, test_mode: bool) {
         .chain(&ALL_EDIT_KINDS)
         .copied()
         .collect();
-    let analyses = [
-        ("cfa.src", &E22_FAMILIES),
-        ("cfa.cps", &E22_FAMILIES),
-        ("cfa.pushdown", &E22_FAMILIES),
-        ("mfp.flat", &E22_MFP_FAMILIES),
-    ];
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut json_rows: Vec<String> = Vec::new();
-    for (analysis, fams) in analyses {
-        let mfp = analysis == "mfp.flat";
+    for kind in AnalysisKind::ALL {
+        let analysis = kind.as_str();
+        let mfp = kind == AnalysisKind::MfpFlat;
+        let fams = if mfp {
+            &E22_MFP_FAMILIES
+        } else {
+            &E22_FAMILIES
+        };
         let kinds: Vec<EditKind> = twice
             .iter()
             .copied()
@@ -2779,26 +2788,26 @@ fn e22_incremental(sink: &mut impl TraceSink, test_mode: bool) {
                     .map(AnfProgram::from_term)
                     .collect();
                 let cps = || anf.iter().map(CpsProgram::from_anf).collect::<Vec<_>>();
-                let steps = match analysis {
-                    "cfa.src" => e22_census(
+                let steps = match kind {
+                    AnalysisKind::CfaSrc => e22_census(
                         &anf,
                         |p| zero_cfa(p).expect("cold src solve"),
                         |o, prev, p| verdict(zero_cfa_warm(o, prev, p)),
                         CfaResult::same_solution,
                     ),
-                    "cfa.cps" => e22_census(
+                    AnalysisKind::CfaCps => e22_census(
                         &cps(),
                         |p| zero_cfa_cps(p).expect("cold cps solve"),
                         |o, prev, p| verdict(zero_cfa_cps_warm(o, prev, p)),
                         CpsCfaResult::same_solution,
                     ),
-                    "cfa.pushdown" => e22_census(
+                    AnalysisKind::CfaPushdown => e22_census(
                         &cps(),
                         |p| pushdown_cfa(p).expect("cold pushdown solve"),
                         |o, prev, p| verdict(pushdown_cfa_warm(o, prev, p)),
                         PushdownCfaResult::same_solution,
                     ),
-                    _ => e22_census(
+                    AnalysisKind::MfpFlat => e22_census(
                         &anf,
                         |p| {
                             let cfg = Cfg::from_first_order(p).expect("first-order script");

@@ -74,14 +74,16 @@ use std::sync::Arc;
 /// corrupt.
 const MAGIC: &[u8; 8] = b"CPSDFA3\n";
 
-/// Rung names a persisted key may carry. Interning back to `&'static str`
-/// keeps [`CacheKey`]'s content-equality semantics; an unknown rung means
-/// the entry was written by an incompatible build and is dropped as
-/// corrupt rather than leaked into the key space.
+/// The rung a persisted key carries: an analysis kind's name, or `warm`
+/// for a session journal entry. Interning back to `&'static str` keeps
+/// [`CacheKey`]'s content-equality semantics; an unknown rung means the
+/// entry was written by an incompatible build and is dropped as corrupt
+/// rather than leaked into the key space.
 fn intern_rung(name: &str) -> Option<&'static str> {
-    ["cfa.src", "cfa.cps", "cfa.pushdown", "mfp.flat", "warm"]
-        .into_iter()
-        .find(|&known| known == name)
+    match name {
+        "warm" => Some("warm"),
+        _ => AnalysisKind::parse(name).map(AnalysisKind::as_str),
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -452,7 +452,7 @@ pub fn zero_cfa_instrumented(prog: &AnfProgram) -> Result<(CfaResult, SolverStat
 /// memory ceiling once per firing. The run executes inside a `cfa.src`
 /// span and flushes its solver/pool counters into the sink at the commit
 /// point (prefix `cfa.src`); pass [`NoopSink`] for the zero-overhead path.
-/// This is the rung the governed drivers in [`govern`](crate::govern) call.
+/// This is the `cfa.src` rung [`govern::solve`](crate::govern::solve) runs.
 pub fn zero_cfa_guarded(
     prog: &AnfProgram,
     guard: &RunGuard,
@@ -943,9 +943,8 @@ pub fn zero_cfa_cps_instrumented(
     )
 }
 
-/// [`zero_cfa_cps`] under a full [`RunGuard`] — the finest rung of the
-/// governed 0CFA ladder
-/// ([`governed_zero_cfa_cps`](crate::govern::governed_zero_cfa_cps)); span
+/// [`zero_cfa_cps`] under a full [`RunGuard`] — the `cfa.cps` rung of the
+/// degradation ladders ([`govern::ladder`](crate::govern::ladder)); span
 /// and counter prefix `cfa.cps`, guard semantics as in [`zero_cfa_guarded`].
 pub fn zero_cfa_cps_guarded(
     prog: &CpsProgram,

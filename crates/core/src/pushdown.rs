@@ -41,8 +41,8 @@
 //!
 //! Costs: one summary instantiation per discovered `(call site, callee)`
 //! pair, the same asymptotics as 0CFA's call wiring. The analyzer is the
-//! top rung (`cfa.pushdown`) of the degradation ladder
-//! ([`governed_pushdown_cfa`](crate::govern::governed_pushdown_cfa)):
+//! top rung (`cfa.pushdown`) of its degradation ladder
+//! ([`govern::ladder`](crate::govern::ladder)):
 //! coarser-but-cheaper `cfa.cps` and `cfa.src` remain as fallbacks.
 //!
 //! [`CpsProgram::from_anf`]: cpsdfa_cps::CpsProgram::from_anf
@@ -540,8 +540,8 @@ pub fn pushdown_cfa_instrumented(
 }
 
 /// [`pushdown_cfa`] under a full [`RunGuard`] and a trace sink (span and
-/// counter prefix `cfa.pushdown`) — the finest rung of the governed ladder
-/// ([`governed_pushdown_cfa`](crate::govern::governed_pushdown_cfa)).
+/// counter prefix `cfa.pushdown`) — the finest rung of its degradation
+/// ladder ([`govern::ladder`](crate::govern::ladder)).
 pub fn pushdown_cfa_guarded(
     prog: &CpsProgram,
     guard: &RunGuard,

@@ -14,8 +14,8 @@
 //!    cache key, so cross-worker reuse is sound; different programs
 //!    produce different keys.
 //! 3. **Degraded answers never shadow.** An answer produced by a fallback
-//!    rung is keyed by that rung, so a full-precision lookup of the same
-//!    program can never be served the coarser store.
+//!    rung is keyed by that rung's own analysis kind, so a full-precision
+//!    lookup of the same program can never be served the coarser store.
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::budget::AnalysisBudget;
@@ -24,9 +24,7 @@ use cpsdfa_core::cache::{
 };
 use cpsdfa_core::cfa::{zero_cfa, zero_cfa_cps};
 use cpsdfa_core::domain::Flat;
-use cpsdfa_core::govern::{
-    governed_pushdown_cfa, governed_zero_cfa_cps, DegradationReport, GovernPolicy,
-};
+use cpsdfa_core::govern::{governed, DegradationReport, GovernPolicy, Lowered};
 use cpsdfa_core::incremental::{
     pushdown_cfa_warm, solve_mfp_incremental, zero_cfa_cps_warm, zero_cfa_warm, WarmSolve,
 };
@@ -248,7 +246,7 @@ fn keys_are_arena_and_process_independent_but_program_sensitive() {
 #[test]
 fn degraded_rung_commit_never_shadows_full_precision() {
     // Starve the CPS rung so the ladder answers at cfa.src, then commit
-    // the way the service does: under the answering rung. dispatch is a
+    // the way the service does: under the answer's own kind. dispatch is a
     // family where the CPS rung costs more than the source rung.
     let term = families::dispatch(64);
     let p = AnfProgram::from_term(&term);
@@ -258,22 +256,25 @@ fn degraded_rung_commit_never_shadows_full_precision() {
     let (_, src_stats) =
         cpsdfa_core::cfa::zero_cfa_instrumented(&p).expect("source 0CFA completes");
     let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(src_stats.fired));
-    let governed = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
-        .expect("the ladder recovers at the direct rung");
+    let governed = governed(
+        AnalysisKind::CfaCps,
+        &Lowered::new(p),
+        &policy,
+        &mut NoopSink,
+    )
+    .expect("the ladder recovers at the direct rung");
     assert!(governed.report.degraded(), "premise: CPS rung must trip");
     let rung = governed.report.answered_by().expect("a rung answered");
     assert_eq!(rung, "cfa.src");
 
-    let answer = match governed.value {
-        cpsdfa_core::govern::CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(r),
-        other => panic!("expected the direct fallback, got {other:?}"),
-    };
+    let answer = governed.value;
+    assert_eq!(answer.kind(), AnalysisKind::CfaSrc);
     let mut cache = FixpointCache::new(u64::MAX);
     let full_key = CacheKey::new(AnalysisKind::CfaCps, digest);
-    let commit_key = full_key.at_rung(rung);
+    let commit_key = CacheKey::new(answer.kind(), digest);
     assert!(cache.insert(commit_key, CachedFixpoint::new(answer, governed.report)));
 
-    // The full-precision probe misses; the rung-addressed probe hits.
+    // The full-precision probe misses; the cfa.src probe hits.
     assert!(
         cache.lookup(&full_key).is_none(),
         "a degraded commit must be invisible to full-precision lookups"
@@ -286,7 +287,7 @@ fn degraded_pushdown_commit_never_shadows_upper_rungs() {
     // Starve the whole CPS-arena ladder under the pushdown entry point so
     // it answers at cfa.src (dispatch is the family where the direct rung
     // is genuinely the cheapest), then commit the way the service does:
-    // under the answering rung. Neither the full-precision pushdown key
+    // under the answer's own kind. Neither the full-precision pushdown key
     // nor any intermediate rung key may see the coarse answer.
     let term = families::dispatch(64);
     let p = AnfProgram::from_term(&term);
@@ -296,29 +297,34 @@ fn degraded_pushdown_commit_never_shadows_upper_rungs() {
     let (_, src_stats) =
         cpsdfa_core::cfa::zero_cfa_instrumented(&p).expect("source 0CFA completes");
     let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(src_stats.fired));
-    let governed = governed_pushdown_cfa(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
-        .expect("the ladder recovers at the direct rung");
+    let governed = governed(
+        AnalysisKind::CfaPushdown,
+        &Lowered::new(p),
+        &policy,
+        &mut NoopSink,
+    )
+    .expect("the ladder recovers at the direct rung");
     assert!(governed.report.degraded(), "premise: upper rungs must trip");
     let rung = governed.report.answered_by().expect("a rung answered");
     assert_eq!(rung, "cfa.src");
 
-    let answer = match governed.value {
-        cpsdfa_core::govern::CfaAnswer::Direct(r) => CachedAnswer::CfaSrc(r),
-        other => panic!("expected the direct fallback, got {other:?}"),
-    };
+    let answer = governed.value;
+    assert_eq!(answer.kind(), AnalysisKind::CfaSrc);
     let mut cache = FixpointCache::new(u64::MAX);
     let full_key = CacheKey::new(AnalysisKind::CfaPushdown, digest);
-    let commit_key = full_key.at_rung(rung);
+    let commit_key = CacheKey::new(answer.kind(), digest);
     assert!(cache.insert(commit_key, CachedFixpoint::new(answer, governed.report)));
 
     // The full-precision probe misses, as does the intermediate cfa.cps
-    // rung probe; only the rung-addressed probe hits.
+    // probe; only the cfa.src probe hits.
     assert!(
         cache.lookup(&full_key).is_none(),
         "a degraded commit must be invisible to full-precision pushdown lookups"
     );
     assert!(
-        cache.lookup(&full_key.at_rung("cfa.cps")).is_none(),
+        cache
+            .lookup(&CacheKey::new(AnalysisKind::CfaCps, digest))
+            .is_none(),
         "a cfa.src answer must not surface on the cfa.cps rung key either"
     );
     assert!(cache.lookup(&commit_key).is_some());

@@ -18,6 +18,7 @@ use std::time::Duration;
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::budget::{AnalysisBudget, AnalysisError};
+use cpsdfa_core::cache::{AnalysisKind, CachedAnswer};
 use cpsdfa_core::cfa::{
     zero_cfa, zero_cfa_cps, zero_cfa_cps_guarded, zero_cfa_cps_instrumented, zero_cfa_guarded,
     zero_cfa_instrumented,
@@ -25,8 +26,7 @@ use cpsdfa_core::cfa::{
 use cpsdfa_core::domain::Flat;
 use cpsdfa_core::faultinject::{FaultKind, FaultPlan, INJECTED_PANIC};
 use cpsdfa_core::govern::{
-    governed_pushdown_cfa, governed_zero_cfa_cps, CancelToken, CfaAnswer, DegradationLadder,
-    GovernPolicy, RunGuard,
+    governed, ladder, solve, CancelToken, GovernPolicy, Governed, Lowered, RunGuard,
 };
 use cpsdfa_core::mfp::Cfg;
 use cpsdfa_core::pushdown::pushdown_cfa_instrumented;
@@ -60,6 +60,16 @@ fn quiet_injected_panics() {
     });
 }
 
+/// The daemon's ladder for `kind` over `prog`.
+fn run_ladder(
+    kind: AnalysisKind,
+    prog: &AnfProgram,
+    policy: &GovernPolicy,
+    sink: &mut impl TraceSink,
+) -> Result<Governed<CachedAnswer>, AnalysisError> {
+    governed(kind, &Lowered::new(prog.clone()), policy, sink)
+}
+
 /// Firing costs of the two 0CFA rungs on `prog`, measured un-governed.
 fn rung_costs(prog: &AnfProgram) -> (u64, u64) {
     let cps = CpsProgram::from_anf(prog);
@@ -86,7 +96,7 @@ fn budget_starved_dispatch_320_degrades_to_direct_answer() {
     // Err(BudgetExhausted); now the ladder answers at `cfa.src`.
     let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(src_fired));
     let mut agg = AggSink::new();
-    let governed = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut agg)
+    let governed = run_ladder(AnalysisKind::CfaCps, &p, &policy, &mut agg)
         .expect("the ladder recovers at the direct rung");
 
     let report = &governed.report;
@@ -99,7 +109,7 @@ fn budget_starved_dispatch_320_degrades_to_direct_answer() {
         Some(AnalysisError::BudgetExhausted { .. })
     ));
 
-    let CfaAnswer::Direct(answer) = governed.value else {
+    let CachedAnswer::CfaSrc(answer) = governed.value else {
         panic!("expected the direct-style fallback answer");
     };
     let baseline = zero_cfa(&p).expect("un-governed source 0CFA completes");
@@ -118,16 +128,16 @@ fn budget_starved_dispatch_320_degrades_to_direct_answer() {
 #[test]
 fn ample_budget_still_answers_at_the_cps_rung() {
     let p = AnfProgram::from_term(&families::repeated_calls(64));
-    let governed = governed_zero_cfa_cps(
+    let governed = run_ladder(
+        AnalysisKind::CfaCps,
         &p,
-        &CpsProgram::from_anf(&p),
         &GovernPolicy::new(),
         &mut NoopSink,
     )
     .expect("default budget is ample");
     assert!(!governed.report.degraded());
     assert_eq!(governed.report.answered_by(), Some("cfa.cps"));
-    let CfaAnswer::Cps(answer) = governed.value else {
+    let CachedAnswer::CfaCps(answer) = governed.value else {
         panic!("no starvation, no fallback");
     };
     let c = CpsProgram::from_anf(&p);
@@ -158,7 +168,7 @@ fn memory_ceiling_degrades_cps_cfa_to_direct() {
     // A ceiling the source rung exactly fits under and the CPS rung must
     // blow through: the ladder answers at cfa.src with resource = memory.
     let policy = GovernPolicy::new().with_memory_limit(src_peak);
-    let governed = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
+    let governed = run_ladder(AnalysisKind::CfaCps, &p, &policy, &mut NoopSink)
         .expect("the ladder recovers at the lighter rung");
     assert!(governed.report.degraded());
     assert_eq!(governed.report.resource, Some("memory"));
@@ -166,7 +176,7 @@ fn memory_ceiling_degrades_cps_cfa_to_direct() {
         governed.report.attempts[0].error,
         Some(AnalysisError::MemoryExhausted { .. })
     ));
-    let CfaAnswer::Direct(answer) = governed.value else {
+    let CachedAnswer::CfaSrc(answer) = governed.value else {
         panic!("memory starvation forces the fallback");
     };
     assert!(answer.same_solution(&zero_cfa(&p).unwrap()));
@@ -179,13 +189,8 @@ fn memory_ceiling_stops_mfp_and_a_roomy_one_changes_nothing() {
     let p = AnfProgram::from_term(&families::diamond_chain(64));
     let cfg = Cfg::from_first_order(&p).expect("diamond chains are first-order");
     let init = cfg.initial_env::<Flat>(&p);
-    let mfp_ladder = |policy: &GovernPolicy| {
-        DegradationLadder::new()
-            .rung("mfp.flat", |g: &RunGuard, mut sink: &mut dyn TraceSink| {
-                Ok(cfg.solve_mfp_guarded::<Flat>(init.clone(), g, &mut sink)?.0)
-            })
-            .run(&policy.guard(), &mut NoopSink)
-    };
+    let mfp_ladder =
+        |policy: &GovernPolicy| run_ladder(AnalysisKind::MfpFlat, &p, policy, &mut NoopSink);
     let baseline = cfg
         .solve_mfp::<Flat>(init.clone())
         .expect("un-governed MFP completes");
@@ -202,7 +207,7 @@ fn memory_ceiling_stops_mfp_and_a_roomy_one_changes_nothing() {
     let governed = mfp_ladder(&GovernPolicy::new().with_memory_limit(working_set))
         .expect("a ceiling at the working set admits the solve");
     assert!(!governed.report.degraded());
-    assert_eq!(governed.value, baseline);
+    assert_eq!(governed.value, CachedAnswer::MfpFlat(baseline));
 }
 
 // ---------------------------------------------------------------------------
@@ -214,7 +219,7 @@ fn injected_deadline_fault_recovers_at_the_direct_rung() {
     let p = AnfProgram::from_term(&families::repeated_calls(96));
     let fault = FaultPlan::new(FaultKind::ExpireDeadline, 25);
     let policy = GovernPolicy::new().with_fault(fault);
-    let governed = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
+    let governed = run_ladder(AnalysisKind::CfaCps, &p, &policy, &mut NoopSink)
         .expect("one-shot fault, the fallback rung runs clean");
     assert!(governed.report.degraded());
     assert_eq!(governed.report.resource, Some("deadline"));
@@ -222,7 +227,7 @@ fn injected_deadline_fault_recovers_at_the_direct_rung() {
         governed.report.attempts[0].error,
         Some(AnalysisError::DeadlineExceeded)
     );
-    let CfaAnswer::Direct(answer) = governed.value else {
+    let CachedAnswer::CfaSrc(answer) = governed.value else {
         panic!("deadline fault forces the fallback");
     };
     assert!(answer.same_solution(&zero_cfa(&p).unwrap()));
@@ -234,7 +239,7 @@ fn injected_panic_fault_is_contained_by_the_ladder() {
     let p = AnfProgram::from_term(&families::repeated_calls(96));
     let fault = FaultPlan::new(FaultKind::Panic, 40);
     let policy = GovernPolicy::new().with_fault(fault);
-    let governed = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
+    let governed = run_ladder(AnalysisKind::CfaCps, &p, &policy, &mut NoopSink)
         .expect("the panic poisons only the first rung");
     assert!(governed.report.degraded());
     assert_eq!(governed.report.resource, Some("panic"));
@@ -242,7 +247,7 @@ fn injected_panic_fault_is_contained_by_the_ladder() {
         panic!("first attempt should record the caught panic");
     };
     assert!(payload.contains(INJECTED_PANIC), "payload kept: {payload}");
-    let CfaAnswer::Direct(answer) = governed.value else {
+    let CachedAnswer::CfaSrc(answer) = governed.value else {
         panic!("panic forces the fallback");
     };
     assert!(answer.same_solution(&zero_cfa(&p).unwrap()));
@@ -256,7 +261,7 @@ fn injected_cancel_fault_aborts_the_whole_ladder() {
     let policy = GovernPolicy::new()
         .with_cancel(token.clone())
         .with_fault(fault);
-    let err = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
+    let err = run_ladder(AnalysisKind::CfaCps, &p, &policy, &mut NoopSink)
         .expect_err("cancellation is never retried");
     assert_eq!(err, AnalysisError::Cancelled);
     assert!(token.is_cancelled(), "the fault tripped the shared token");
@@ -268,7 +273,7 @@ fn pre_cancelled_policy_refuses_every_rung() {
     let token = CancelToken::new();
     token.cancel();
     let policy = GovernPolicy::new().with_cancel(token);
-    let err = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
+    let err = run_ladder(AnalysisKind::CfaCps, &p, &policy, &mut NoopSink)
         .expect_err("already cancelled");
     assert_eq!(err, AnalysisError::Cancelled);
 }
@@ -281,7 +286,7 @@ fn wall_clock_deadline_of_zero_degrades_or_cancels_soundly() {
     let p = AnfProgram::from_term(&families::repeated_calls(320));
     let policy = GovernPolicy::new().with_deadline(Duration::ZERO);
     let mut agg = AggSink::new();
-    let err = governed_zero_cfa_cps(&p, &CpsProgram::from_anf(&p), &policy, &mut agg)
+    let err = run_ladder(AnalysisKind::CfaCps, &p, &policy, &mut agg)
         .expect_err("no rung can finish in zero time");
     assert_eq!(err, AnalysisError::DeadlineExceeded);
     assert_eq!(agg.counter_value("govern.trip.deadline"), 1);
@@ -366,8 +371,7 @@ fn cancelled_sweep_returns_trustworthy_partial_results() {
 /// error description on divergence.
 fn check_fault_differential(p: &AnfProgram, fault: FaultPlan) -> Result<(), String> {
     let policy = GovernPolicy::new().with_fault(fault);
-    let governed = match governed_zero_cfa_cps(p, &CpsProgram::from_anf(p), &policy, &mut NoopSink)
-    {
+    let governed = match run_ladder(AnalysisKind::CfaCps, p, &policy, &mut NoopSink) {
         Ok(g) => g,
         // Only the injected (recoverable) error kinds may surface here;
         // anything else means governance itself misbehaved.
@@ -379,21 +383,24 @@ fn check_fault_differential(p: &AnfProgram, fault: FaultPlan) -> Result<(), Stri
         Err(e) => return Err(format!("unexpected ladder error: {e}")),
     };
     match &governed.value {
-        CfaAnswer::Pushdown(_) => {
-            return Err("the 0CFA ladder must never answer at a pushdown rung".to_owned());
-        }
-        CfaAnswer::Cps(answer) => {
+        CachedAnswer::CfaCps(answer) => {
             let c = CpsProgram::from_anf(p);
             let baseline = zero_cfa_cps(&c).map_err(|e| format!("baseline: {e}"))?;
             if !answer.same_solution(&baseline) {
                 return Err("CPS answer diverged from un-faulted run".to_owned());
             }
         }
-        CfaAnswer::Direct(answer) => {
+        CachedAnswer::CfaSrc(answer) => {
             let baseline = zero_cfa(p).map_err(|e| format!("baseline: {e}"))?;
             if !answer.same_solution(&baseline) {
                 return Err("direct answer diverged from un-faulted run".to_owned());
             }
+        }
+        other => {
+            return Err(format!(
+                "the cfa.cps ladder must never answer with {:?}",
+                other.kind()
+            ));
         }
     }
     Ok(())
@@ -474,24 +481,69 @@ fn pushdown_ladder_keeps_exact_rung_order_with_no_duplicates() {
         pd_stats.fired
     );
     let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(src_fired));
-    let governed = governed_pushdown_cfa(&p, &CpsProgram::from_anf(&p), &policy, &mut NoopSink)
+    let governed = run_ladder(AnalysisKind::CfaPushdown, &p, &policy, &mut NoopSink)
         .expect("the ladder recovers at the direct rung");
     let names: Vec<&str> = governed.report.attempts.iter().map(|a| a.rung).collect();
     assert_eq!(names, ["cfa.pushdown", "cfa.cps", "cfa.src"]);
     assert_eq!(governed.report.answered_by(), Some("cfa.src"));
     assert_eq!(governed.report.resource, Some("budget"));
-    let CfaAnswer::Direct(answer) = governed.value else {
+    let CachedAnswer::CfaSrc(answer) = governed.value else {
         panic!("total starvation above cfa.src forces the direct fallback");
     };
     assert!(answer.same_solution(&zero_cfa(&p).unwrap()));
+
+    // Admission and the run read the same table. For each kind, a budget
+    // of exactly its last rung's cost starves every rung above it, so the
+    // attempts name the whole `ladder(kind)` in order; a one-charge budget
+    // trips every rung, and admission reserves one rung budget per rung.
+    let higher_order = p;
+    let first_order = AnfProgram::from_term(&families::diamond_chain(4));
+    for kind in AnalysisKind::ALL {
+        let rungs = ladder(kind);
+        let p = match kind {
+            AnalysisKind::MfpFlat => &first_order,
+            _ => &higher_order,
+        };
+        let last = *rungs.last().expect("a ladder has a rung");
+        let unlimited = RunGuard::new(AnalysisBudget::default());
+        solve(last, &Lowered::new(p.clone()), &unlimited, &mut NoopSink).expect("ample budget");
+        let policy = GovernPolicy::new().with_budget(AnalysisBudget::new(unlimited.spent()));
+        let answered = run_ladder(kind, p, &policy, &mut NoopSink)
+            .unwrap_or_else(|e| panic!("{kind:?}: the last rung fits its own cost: {e}"));
+        let names: Vec<&str> = answered.report.attempts.iter().map(|a| a.rung).collect();
+        let want: Vec<&str> = rungs.iter().map(|r| r.as_str()).collect();
+        assert_eq!(names, want, "{kind:?}");
+        assert_eq!(answered.value.kind(), last, "{kind:?}");
+
+        const BUDGET: u64 = 1;
+        let starved = GovernPolicy::new().with_budget(AnalysisBudget::new(BUDGET));
+        let mut agg = AggSink::new();
+        let err = run_ladder(kind, p, &starved, &mut agg).expect_err("every rung trips");
+        assert_eq!(
+            err,
+            AnalysisError::BudgetExhausted { budget: BUDGET },
+            "{kind:?}"
+        );
+        assert_eq!(
+            agg.counter_value("govern.rungs_tried"),
+            rungs.len() as u64,
+            "{kind:?}"
+        );
+        assert_eq!(agg.counter_value("govern.trip.budget"), 1, "{kind:?}");
+        assert_eq!(
+            starved.worst_case_charges(kind),
+            BUDGET * rungs.len() as u64,
+            "{kind:?}"
+        );
+    }
 }
 
 #[test]
 fn pushdown_ladder_without_faults_answers_at_the_top_rung() {
     let p = AnfProgram::from_term(&families::dispatch(8));
-    let governed = governed_pushdown_cfa(
+    let governed = run_ladder(
+        AnalysisKind::CfaPushdown,
         &p,
-        &CpsProgram::from_anf(&p),
         &GovernPolicy::new(),
         &mut NoopSink,
     )
@@ -499,7 +551,7 @@ fn pushdown_ladder_without_faults_answers_at_the_top_rung() {
     assert!(!governed.report.degraded());
     assert_eq!(governed.report.answered_by(), Some("cfa.pushdown"));
     assert_eq!(governed.report.rungs_tried(), 1);
-    let CfaAnswer::Pushdown(answer) = governed.value else {
+    let CachedAnswer::CfaPushdown(answer) = governed.value else {
         panic!("no starvation, no fallback");
     };
     assert_eq!(answer.false_return_edges(), 0);

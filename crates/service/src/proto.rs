@@ -320,7 +320,12 @@ impl Response {
                     "off" => Served::Off,
                     other => return Err(format!("unknown cache disposition {other:?}")),
                 },
-                rung: intern_rung(get_str("rung")?),
+                rung: {
+                    let rung = get_str("rung")?;
+                    AnalysisKind::parse(rung)
+                        .map(AnalysisKind::as_str)
+                        .ok_or_else(|| format!("unknown rung {rung:?}"))?
+                },
                 degraded: json::field(&fields, "degraded")
                     .and_then(Scalar::as_bool)
                     .ok_or("missing \"degraded\"")?,
@@ -354,18 +359,6 @@ impl Response {
             status,
         })
     }
-}
-
-/// Maps a rung name arriving off the wire back to the `&'static str` the
-/// ladders use. Unknown names (future rungs) leak once — acceptable for a
-/// test/client utility, never called on the serving path.
-fn intern_rung(name: &str) -> &'static str {
-    for known in ["cfa.src", "cfa.cps", "cfa.pushdown", "mfp.flat"] {
-        if name == known {
-            return known;
-        }
-    }
-    Box::leak(name.to_owned().into_boxed_str())
 }
 
 #[cfg(test)]
@@ -483,7 +476,7 @@ mod tests {
                 latency_us: 7,
                 status: Status::Ok {
                     cache: Served::Miss,
-                    rung: intern_rung(rung),
+                    rung,
                     degraded: rung != "cfa.pushdown",
                     answer_digest: 1,
                     iterations: 2,
@@ -491,6 +484,32 @@ mod tests {
                 },
             };
             assert_eq!(Response::parse(&resp.to_json()).unwrap(), resp);
+        }
+    }
+
+    #[test]
+    fn a_response_naming_an_unknown_rung_is_a_decode_error() {
+        let ok = Response {
+            id: 4,
+            latency_us: 9,
+            status: Status::Ok {
+                cache: Served::Miss,
+                rung: "cfa.src",
+                degraded: false,
+                answer_digest: 5,
+                iterations: 6,
+                charged: 7,
+            },
+        }
+        .to_json();
+        assert!(Response::parse(&ok).is_ok());
+        for unknown in ["warm", "cfa.kcfa", ""] {
+            let line = ok.replace("\"rung\": \"cfa.src\"", &format!("\"rung\": \"{unknown}\""));
+            assert_eq!(
+                Response::parse(&line),
+                Err(format!("unknown rung {unknown:?}")),
+                "{line}"
+            );
         }
     }
 

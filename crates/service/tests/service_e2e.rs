@@ -5,7 +5,7 @@
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::cache::{AnalysisKind, CachedAnswer};
 use cpsdfa_core::cfa::{zero_cfa_cps_instrumented, zero_cfa_instrumented};
-use cpsdfa_core::govern::ladder_rungs;
+use cpsdfa_core::govern::ladder;
 use cpsdfa_core::trace::AggSink;
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_service::proto::{Response, Served, Status};
@@ -234,7 +234,7 @@ fn budget_reservation_rung_rejects_over_capacity() {
 }
 
 /// Admission reserves one per-rung budget for every rung of a kind's
-/// ladder (`govern::ladder_rungs`): a capacity of exactly budget × rungs
+/// ladder (`govern::ladder`): a capacity of exactly budget × rungs
 /// admits the request and one charge less rejects it. A two-charge budget
 /// trips every rung, so the ladder the daemon runs must record one attempt
 /// per rung — the count admission reserved for.
@@ -252,7 +252,7 @@ fn admission_reserves_for_every_rung_the_ladder_runs() {
             r#"{{"id": 1, "analysis": "{}", "program": "{program}", "budget": {BUDGET}}}"#,
             kind.as_str()
         );
-        let rungs = ladder_rungs(kind).len() as u64;
+        let rungs = ladder(kind).len() as u64;
 
         let tight = AnalysisService::new(ServiceConfig {
             capacity_charges: BUDGET * rungs - 1,
@@ -321,6 +321,41 @@ fn degraded_answers_commit_under_their_rung_and_never_shadow() {
     let (cache, rung, _, _) = ok_fields(&outcomes[0].response);
     assert_eq!(*cache, Served::Hit);
     assert_eq!(rung, "cfa.cps");
+
+    // The degraded answer committed under its own kind: a cfa.src request
+    // for the program hits it, and it is exactly a fresh cfa.src solve.
+    // CI pipes the starved request and this one into the real binary from
+    // `data/degrade-requests.jsonl`, which must hold exactly these lines.
+    let src = request(3, "cfa.src", &program);
+    assert_eq!(
+        include_str!("data/degrade-requests.jsonl")
+            .lines()
+            .collect::<Vec<_>>(),
+        [starved.as_str(), src.as_str()]
+    );
+    let hit = &service.run_batch(&[&src])[0].response;
+    let fresh = &AnalysisService::new(ServiceConfig {
+        cache_enabled: false,
+        ..small_config()
+    })
+    .run_batch(&[&src])[0]
+        .response;
+    let counts = |resp: &Response| match resp.status {
+        Status::Ok {
+            ref cache,
+            rung,
+            degraded,
+            answer_digest,
+            iterations,
+            ..
+        } => (cache.clone(), rung, degraded, answer_digest, iterations),
+        ref other => panic!("expected ok, got {other:?}"),
+    };
+    let (cache, rung, degraded, digest, iterations) = counts(hit);
+    assert_eq!((cache, rung, degraded), (Served::Hit, "cfa.src", false));
+    let (cache, _, _, fresh_digest, fresh_iterations) = counts(fresh);
+    assert_eq!(cache, Served::Off);
+    assert_eq!((digest, iterations), (fresh_digest, fresh_iterations));
 }
 
 #[test]
