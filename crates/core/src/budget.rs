@@ -87,6 +87,13 @@ pub enum AnalysisError {
         /// The panic payload, rendered to a string.
         payload: String,
     },
+    /// A first-order analysis (`mfp.flat`) was asked of a program that
+    /// has no first-order control-flow graph.
+    NotFirstOrder {
+        /// Why the program is out of scope, as
+        /// [`CfgError`](crate::mfp::CfgError) renders it.
+        detail: String,
+    },
 }
 
 impl AnalysisError {
@@ -109,6 +116,7 @@ impl AnalysisError {
             AnalysisError::MemoryExhausted { .. } => "memory",
             AnalysisError::Cancelled => "cancel",
             AnalysisError::WorkerPanicked { .. } => "panic",
+            AnalysisError::NotFirstOrder { .. } => "not-first-order",
         }
     }
 }
@@ -132,6 +140,7 @@ impl fmt::Display for AnalysisError {
             AnalysisError::WorkerPanicked { payload } => {
                 write!(f, "analysis worker panicked: {payload}")
             }
+            AnalysisError::NotFirstOrder { detail } => f.write_str(detail),
         }
     }
 }
@@ -216,6 +225,13 @@ mod tests {
             }
             .resource(),
             "panic"
+        );
+        assert_eq!(
+            AnalysisError::NotFirstOrder {
+                detail: String::new()
+            }
+            .resource(),
+            "not-first-order"
         );
     }
 }
