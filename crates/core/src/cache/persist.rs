@@ -30,6 +30,12 @@
 //!    caught before it can be served. (The daemon's `--certify` sampling
 //!    extends the same check to the serve path.)
 //!
+//! The daemon answers before its spill is durable: it hands each write to
+//! one spill-writer thread, which calls [`PersistDir::store`] and
+//! [`PersistDir::store_session`] as they stand. So a crash loses at most
+//! the spills still queued (each a later miss), never a torn or wrong
+//! entry: every write that does land went through the layers above.
+//!
 //! The checksum guards against *accidental* corruption; like the cache's
 //! content digests it is not cryptographic, and a deployment that must
 //! resist adversarial tampering of the spill directory needs an
@@ -64,6 +70,7 @@ use std::fs;
 use std::hash::Hash;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// File magic: module name + format version, newline-terminated so a
@@ -258,14 +265,13 @@ pub(super) fn put_answer(out: &mut Vec<u8>, answer: &CachedAnswer) {
     }
 }
 
-fn encode_entry_payload(key: &CacheKey, source: &str, fixpoint: &CachedFixpoint) -> Vec<u8> {
-    let mut out = Vec::with_capacity(source.len() + 256);
+/// An entry's payload: the key, the source text, then the answer.
+fn put_entry_payload(out: &mut Vec<u8>, key: &CacheKey, source: &str, fixpoint: &CachedFixpoint) {
     out.push(key.kind.tag());
-    put_u128(&mut out, key.digest);
-    put_str(&mut out, key.rung);
-    put_str(&mut out, source);
-    put_answer(&mut out, &fixpoint.answer);
-    out
+    put_u128(out, key.digest);
+    put_str(out, key.rung);
+    put_str(out, source);
+    put_answer(out, &fixpoint.answer);
 }
 
 // ---------------------------------------------------------------------------
@@ -506,12 +512,20 @@ fn recovered_report(rung: &'static str) -> DegradationReport {
 // Framing
 // ---------------------------------------------------------------------------
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 8 + payload.len() + 16);
+/// The framed entry `magic ∥ len ∥ payload ∥ fnv128(payload)`, with the
+/// payload written by `put_payload` straight into the one buffer.
+/// `payload_hint` sizes that buffer.
+fn framed(payload_hint: usize, put_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let start = MAGIC.len() + 8;
+    let mut out = Vec::with_capacity(start + payload_hint + 16);
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv128_bytes(FNV128_OFFSET, payload).to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    put_payload(&mut out);
+    let payload = &out[start..];
+    let len = (payload.len() as u64).to_le_bytes();
+    let sum = fnv128_bytes(FNV128_OFFSET, payload).to_le_bytes();
+    out[MAGIC.len()..start].copy_from_slice(&len);
+    out.extend_from_slice(&sum);
     out
 }
 
@@ -565,14 +579,29 @@ impl RecoveryReport {
     }
 }
 
+/// Sequence behind [`temp_path`]'s names, process-wide so that no two
+/// writes share a temp file, whatever thread or key they commit.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A fresh temp sibling of `path` for one commit: the pid and a
+/// process-wide sequence number make it unique per write. Every such
+/// name contains `.tmp`, which is what recovery sweeps.
+fn temp_path(path: &Path) -> PathBuf {
+    // Relaxed: the number only has to be unique, and publishes nothing.
+    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    path.with_extension(format!("tmp.{}.{seq}", std::process::id()))
+}
+
 /// A spill directory of checksummed, atomically-committed cache entries —
 /// one file per [`CacheKey`], plus a `sessions/` journal of watch-session
 /// ancestors.
 ///
-/// All methods take `&self` and are safe to call from multiple service
-/// workers: commits go through write-temp + rename (with a per-write
-/// unique temp name), so concurrent stores of the same key settle on one
-/// winner and never interleave bytes.
+/// All methods take `&self` and are safe to call from several threads:
+/// every commit writes its own temp file (named by the pid and a
+/// process-wide sequence number) and renames it into place, so concurrent
+/// stores of one key settle on one winner and never interleave bytes. The
+/// daemon still sends all its writes and deletes through one writer thread
+/// in order, so a delete is never undone by a store queued before it.
 #[derive(Debug, Clone)]
 pub struct PersistDir {
     root: PathBuf,
@@ -606,8 +635,12 @@ impl PersistDir {
 
     /// Atomically commits `bytes` at `path`, injecting `fault` if armed.
     /// Returns `false` when the commit did not land (kill-before-rename).
-    fn commit(&self, path: &Path, bytes: &[u8], fault: Option<PersistFault>) -> io::Result<bool> {
-        let mut bytes = bytes.to_vec();
+    fn commit(
+        &self,
+        path: &Path,
+        mut bytes: Vec<u8>,
+        fault: Option<PersistFault>,
+    ) -> io::Result<bool> {
         if fault == Some(PersistFault::BitFlip) {
             // Flip one payload bit, deterministically mid-file: past the
             // magic and length frame, so the checksum — not the framing —
@@ -615,11 +648,7 @@ impl PersistDir {
             let at = MAGIC.len() + 8 + (bytes.len() - MAGIC.len() - 8 - 16) / 2;
             bytes[at] ^= 0x10;
         }
-        let tmp = path.with_extension(format!(
-            "tmp.{}.{:x}",
-            std::process::id(),
-            fnv128_bytes(FNV128_OFFSET, path.as_os_str().as_encoded_bytes()) as u64
-        ));
+        let tmp = temp_path(path);
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(&bytes)?;
@@ -658,8 +687,10 @@ impl PersistDir {
             // source: recovery's re-digest check must catch and drop it.
             key.digest = key.digest.wrapping_add(1);
         }
-        let payload = encode_entry_payload(&key, source, fixpoint);
-        self.commit(&self.entry_path(&key), &frame(payload.as_slice()), fault)
+        let bytes = framed(source.len() + 256, |out| {
+            put_entry_payload(out, &key, source, fixpoint)
+        });
+        self.commit(&self.entry_path(&key), bytes, fault)
     }
 
     /// Deletes the spilled entry for `key`, returning the file size freed
@@ -682,14 +713,11 @@ impl PersistDir {
         fault: Option<PersistFault>,
     ) -> io::Result<bool> {
         let key = CacheKey::new(ancestor.kind, ancestor.digest).at_rung("warm");
-        let mut payload = Vec::new();
-        put_u64(&mut payload, session);
-        payload.extend_from_slice(&encode_entry_payload(
-            &key,
-            &ancestor.source,
-            &ancestor.fixpoint,
-        ));
-        self.commit(&self.session_path(session), &frame(&payload), fault)
+        let bytes = framed(ancestor.source.len() + 264, |out| {
+            put_u64(out, session);
+            put_entry_payload(out, &key, &ancestor.source, &ancestor.fixpoint);
+        });
+        self.commit(&self.session_path(session), bytes, fault)
     }
 
     /// Drops a session's journal entry (TTL or certify eviction).
@@ -869,6 +897,13 @@ mod tests {
     }
 
     const SRC: &str = "(let (f (lambda (x) x)) (f f))";
+
+    /// An entry's payload on its own, as framing takes it.
+    fn encode_entry_payload(key: &CacheKey, source: &str, fixpoint: &CachedFixpoint) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_entry_payload(&mut out, key, source, fixpoint);
+        out
+    }
 
     #[test]
     fn decode_rejects_table_labels_out_of_order() {
@@ -1146,6 +1181,56 @@ mod tests {
         persist.remove_session(17);
         let report = persist.recover(&mut FixpointCache::new(u64::MAX), 8);
         assert_eq!(report.sessions, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stores_write_the_framed_payload_in_one_buffer() {
+        // The one-buffer framing writes exactly what framing a separately
+        // encoded payload writes, for entries and session journals alike.
+        let dir = tmpdir("framed");
+        let persist = PersistDir::open(&dir).unwrap();
+        let (key, fixpoint) = fixture(SRC);
+        assert!(persist.store(&key, SRC, &fixpoint, None).unwrap());
+        assert_eq!(
+            fs::read(persist.entry_path(&key)).unwrap(),
+            frame_as(MAGIC, &encode_entry_payload(&key, SRC, &fixpoint))
+        );
+        let ancestor = Ancestor {
+            kind: key.kind,
+            digest: key.digest,
+            source: SRC.to_string(),
+            fixpoint: Arc::new(fixpoint),
+        };
+        assert!(persist.store_session(17, &ancestor, None).unwrap());
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 17);
+        payload.extend_from_slice(&encode_entry_payload(
+            &key.at_rung("warm"),
+            SRC,
+            &ancestor.fixpoint,
+        ));
+        assert_eq!(
+            fs::read(persist.session_path(17)).unwrap(),
+            frame_as(MAGIC, &payload)
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_write_gets_its_own_temp_name_and_recovery_sweeps_it() {
+        let dir = tmpdir("tempname");
+        let persist = PersistDir::open(&dir).unwrap();
+        let (key, _) = fixture(SRC);
+        let path = persist.entry_path(&key);
+        let (a, b) = (temp_path(&path), temp_path(&path));
+        assert_ne!(a, b, "two writes of one key share no temp file");
+        for tmp in [&a, &b] {
+            fs::write(tmp, b"interrupted").unwrap();
+        }
+        let report = persist.recover(&mut FixpointCache::new(u64::MAX), 8);
+        assert_eq!(report.interrupted, 2);
+        assert!(!a.exists() && !b.exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -18,11 +18,16 @@
 //! `mode_ignored`; any other `mode` is a `bad-request`. Control lines:
 //! `{"cmd": "stats"}`, `{"cmd": "health"}`, `{"cmd": "shutdown"}`.
 //! Responses correlate by `id` and may complete out of order; a `stats`
-//! line is answered after every request before it.
+//! line is answered after every request before it and the spills those
+//! requests queued.
 //!
 //! `--persist-dir` makes the cache crash-safe: answers spill to a
 //! directory of checksummed, atomically-committed entries, recovered (and
-//! re-verified) on the next start. `--certify N` independently re-checks
+//! re-verified) on the next start. One writer thread commits each spill
+//! after its answer is sent, so an answer is served before it is durable:
+//! a crash loses at most the spills still queued, never a torn or wrong
+//! entry. `stats` counts `persist_spilled` and `persist_dropped` (spills
+//! refused by a full queue). `--certify N` independently re-checks
 //! every Nth cached/warm answer against a re-derived constraint system
 //! before serving it (1 = certify everything); refuted entries are evicted
 //! and recomputed, never served. `--session-ttl-ms` bounds how long an

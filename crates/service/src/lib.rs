@@ -77,6 +77,7 @@
 
 pub mod json;
 pub mod proto;
+mod spill;
 
 use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::cache::{
@@ -84,7 +85,7 @@ use cpsdfa_core::cache::{
     FixpointCache, PersistDir, RecoveryReport, MAX_ANCESTORS,
 };
 use cpsdfa_core::certify::certify_answer;
-use cpsdfa_core::faultinject::PersistFaultPlan;
+use cpsdfa_core::faultinject::{PersistFault, PersistFaultPlan};
 use cpsdfa_core::govern::{
     governed, ladder, DegradationReport, GovernPolicy, Governed, Lowered, RungAttempt,
 };
@@ -94,6 +95,7 @@ use cpsdfa_core::{worker_count, AggSink, AnalysisBudget, AnalysisError, JsonlSin
 use cpsdfa_syntax::arena::{TermArena, TermId};
 use cpsdfa_syntax::parse::{ParseError, ParseErrorKind};
 use proto::{BadRequest, Request, Response, Served, Status};
+use spill::SpillWriter;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
@@ -130,7 +132,9 @@ pub struct ServiceConfig {
     /// Crash-safe spill directory for the cache (`None` = in-memory only).
     /// On startup the directory is scanned, checksums verified, a sample
     /// certified, and every valid entry re-admitted — see
-    /// [`AnalysisService::recovery`].
+    /// [`AnalysisService::recovery`]. While serving, one writer thread
+    /// commits each spill after its answer is sent: a crash loses at most
+    /// the spills still queued, never a torn or wrong entry.
     pub persist_dir: Option<PathBuf>,
     /// Serve-path certification sampling: every `N`th cache hit or warm
     /// answer is independently re-checked by [`certify_answer`] before it
@@ -217,9 +221,10 @@ pub struct Outcome {
 pub struct AnalysisService {
     config: ServiceConfig,
     cache: Mutex<FixpointCache>,
-    /// The crash-safe spill directory, when configured and openable.
-    persist: Option<PersistDir>,
-    /// What startup recovery found in [`persist`](Self::persist).
+    /// The writer that owns the crash-safe spill directory, when one is
+    /// configured and openable.
+    spill: Option<SpillWriter>,
+    /// What startup recovery found in the spill directory.
     recovery: Option<RecoveryReport>,
     /// Monotone sequence behind the every-Nth certify sampler.
     certify_seq: AtomicU64,
@@ -464,14 +469,16 @@ impl AnalysisService {
     pub fn new(config: ServiceConfig) -> Self {
         let mut cache = FixpointCache::new(config.cache_bytes);
         cache.set_session_ttl(config.session_ttl);
-        let mut persist = None;
+        let mut spill = None;
         let mut recovery = None;
         if let Some(dir) = &config.persist_dir {
-            match PersistDir::open(dir) {
-                Ok(p) => {
-                    let report = p.recover(&mut cache, config.recover_certify);
+            match PersistDir::open(dir).and_then(|p| {
+                let report = p.recover(&mut cache, config.recover_certify);
+                Ok((SpillWriter::spawn(p)?, report))
+            }) {
+                Ok((writer, report)) => {
                     cache.note_recovery(&report);
-                    persist = Some(p);
+                    spill = Some(writer);
                     recovery = Some(report);
                 }
                 Err(e) => {
@@ -484,7 +491,7 @@ impl AnalysisService {
         }
         AnalysisService {
             cache: Mutex::new(cache),
-            persist,
+            spill,
             recovery,
             certify_seq: AtomicU64::new(0),
             reserved: AtomicU64::new(0),
@@ -510,13 +517,25 @@ impl AnalysisService {
         n > 0 && (self.certify_seq.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(n)
     }
 
-    /// Spills a committed fixpoint, poking the chaos plan (if armed) for a
-    /// fault to inject. I/O errors degrade to in-memory-only for this
-    /// entry; recovery semantics make a missing spill merely a cold start.
-    fn spill(&self, key: &CacheKey, source: &str, fixpoint: &CachedFixpoint) {
-        if let Some(persist) = &self.persist {
-            let fault = self.config.persist_faults.as_ref().and_then(|p| p.poke());
-            let _ = persist.store(key, source, fixpoint, fault);
+    /// Hands a committed fixpoint to the spill writer and returns at once,
+    /// poking the chaos plan (if armed) for a fault to inject. A spill that
+    /// is dropped or fails is merely a cold start after a restart.
+    fn spill(&self, key: &CacheKey, source: &str, fixpoint: &Arc<CachedFixpoint>) {
+        if let Some(spill) = &self.spill {
+            let fault = self.persist_fault();
+            spill.store(*key, source.to_owned(), Arc::clone(fixpoint), fault);
+        }
+    }
+
+    /// The fault the chaos plan injects into this request's commit, if any.
+    fn persist_fault(&self) -> Option<PersistFault> {
+        self.config.persist_faults.as_ref().and_then(|p| p.poke())
+    }
+
+    /// Waits until the spill writer has done every job queued so far.
+    fn drain_spills(&self) {
+        if let Some(spill) = &self.spill {
+            spill.drain();
         }
     }
 
@@ -637,7 +656,7 @@ impl AnalysisService {
                             false
                         }
                         Err(refutation) => {
-                            let disk = self.persist.as_ref().map_or(0, |p| p.remove(&full_key));
+                            let disk = self.spill.as_ref().map_or(0, |s| s.remove(full_key));
                             let mut cache = self.cache.lock().expect("cache poisoned");
                             cache.remove(&full_key);
                             cache.note_certify_fail(disk);
@@ -705,8 +724,8 @@ impl AnalysisService {
                     cache.evict_session(session);
                     cache.note_certify_fail(0);
                     drop(cache);
-                    if let Some(persist) = &self.persist {
-                        persist.remove_session(session);
+                    if let Some(spill) = &self.spill {
+                        spill.remove_session(session);
                     }
                     sink.counter("service.certify.fail", 1);
                     sink.counter(&format!("service.certify.refuted.{}", refutation.tag()), 1);
@@ -838,9 +857,8 @@ impl AnalysisService {
         };
         // Journal the session's latest committed fixpoint so a restarted
         // daemon warm-starts the watch stream instead of going cold.
-        if let Some(persist) = &self.persist {
-            let fault = self.config.persist_faults.as_ref().and_then(|p| p.poke());
-            let _ = persist.store_session(session, &ancestor, fault);
+        if let Some(spill) = &self.spill {
+            spill.store_session(session, ancestor.clone(), self.persist_fault());
         }
         self.cache
             .lock()
@@ -932,9 +950,10 @@ impl AnalysisService {
 
     /// Runs a batch of request lines through the worker pool and returns
     /// the outcomes *in request order* (admission rejections and parse
-    /// errors included). This is the in-process entry point the tests and
-    /// the E20 benchmark drive; [`serve`](AnalysisService::serve) is the
-    /// same machinery fed from a stream.
+    /// errors included), once every spill of the batch is on disk. This is
+    /// the in-process entry point the tests and the E20 benchmark drive;
+    /// [`serve`](AnalysisService::serve) is the same machinery fed from a
+    /// stream.
     pub fn run_batch(&self, lines: &[&str]) -> Vec<Outcome> {
         self.run_batch_traced(lines, &mut cpsdfa_core::NoopSink)
     }
@@ -996,6 +1015,7 @@ impl AnalysisService {
             }
             queue.close();
         });
+        self.drain_spills();
         let outcomes: Vec<Outcome> = slots
             .into_iter()
             .map(|slot| {
@@ -1035,9 +1055,10 @@ impl AnalysisService {
     /// The daemon loop: JSONL requests from `input`, JSONL responses to
     /// `output` (as they complete — order is by completion, correlate by
     /// `id`), per-request traces to `trace`. A `{"cmd": "stats"}` line is
-    /// answered once every request read before it has been answered.
-    /// Returns when `input` ends or a `{"cmd": "shutdown"}` line arrives;
-    /// pending admitted requests are drained first. A line that is not valid UTF-8 is answered with
+    /// answered once every request read before it has been answered and
+    /// every spill those requests queued is on disk. Returns when `input`
+    /// ends or a `{"cmd": "shutdown"}` line arrives; pending admitted
+    /// requests and their spills are drained first. A line that is not valid UTF-8 is answered with
     /// a `bad-request` error like any other malformed line; only a failed
     /// read of `input` ends the loop with an error.
     pub fn serve(
@@ -1057,7 +1078,7 @@ impl AnalysisService {
             writeln!(w, "{line}")?;
             w.flush()
         };
-        std::thread::scope(|scope| -> io::Result<()> {
+        let served = std::thread::scope(|scope| -> io::Result<()> {
             for _ in 0..self.config.workers.max(1) {
                 spawn_worker(scope, || {
                     let mut ctx = WorkerCtx::new();
@@ -1103,11 +1124,12 @@ impl AnalysisService {
                     if let Some(cmd) = json::field(&fields, "cmd").and_then(json::Scalar::as_str) {
                         match cmd {
                             "shutdown" => break,
-                            // `stats` answers after every earlier request,
-                            // so its counters include them; `health` stays
-                            // an immediate liveness probe.
+                            // `stats` answers after every earlier request
+                            // and its spills, so its counters include them;
+                            // `health` stays an immediate liveness probe.
                             "stats" => {
                                 queue.wait_drained();
+                                self.drain_spills();
                                 write_line(&self.stats_json())?;
                                 continue;
                             }
@@ -1156,7 +1178,9 @@ impl AnalysisService {
             // propagates.
             queue.close();
             fed
-        })?;
+        });
+        self.drain_spills();
+        served?;
         // Final flush: cumulative cache counters into the trace stream.
         if let TraceOut::Jsonl(sink) = &mut *trace_shared.lock().expect("trace poisoned") {
             self.cache_stats().emit_into(sink, "cache");
@@ -1176,6 +1200,7 @@ impl AnalysisService {
              \"cache_entries\": {}, \"cache_bytes\": {}, \"reserved_charges\": {}, \
              \"certify_ok\": {}, \"certify_fail\": {}, \"persist_recovered\": {}, \
              \"persist_corrupt\": {}, \"persist_evicted_bytes\": {}, \
+             \"persist_spilled\": {}, \"persist_dropped\": {}, \
              \"session_ttl_evict\": {}, \"mode_ignored\": {}, \"parse_reused\": {}}}",
             c.accepted.load(Ordering::Relaxed),
             c.rejected_queue.load(Ordering::Relaxed),
@@ -1195,6 +1220,8 @@ impl AnalysisService {
             cache.persist_recovered,
             cache.persist_corrupt,
             cache.persist_evicted_bytes,
+            self.spill.as_ref().map_or(0, SpillWriter::spilled),
+            self.spill.as_ref().map_or(0, SpillWriter::dropped),
             cache.session_ttl_evictions,
             c.mode_ignored.load(Ordering::Relaxed),
             c.parse_reused.load(Ordering::Relaxed),
@@ -1216,7 +1243,7 @@ impl AnalysisService {
             self.config.workers,
             cache.entries,
             cache.bytes,
-            self.persist.is_some(),
+            self.spill.is_some(),
             rec.recovered,
             rec.bytes,
             rec.corrupt,
@@ -1478,6 +1505,83 @@ mod tests {
         // A text larger than the whole bound is never stored.
         ctx.remember_repeat(&" ".repeat(REPEAT_MEMO_BYTES), root);
         assert!(ctx.repeats.is_empty() && ctx.repeat_bytes == 0);
+    }
+
+    #[test]
+    fn every_refusal_the_service_sends_decodes_on_the_client() {
+        let service = AnalysisService::new(ServiceConfig {
+            capacity_charges: 0,
+            ..ServiceConfig::default()
+        });
+        let bomb = format!("{}1{}", "(add1 ".repeat(5000), ")".repeat(5000));
+        let handled = |ctx: &mut WorkerCtx| -> Vec<Response> {
+            [
+                ("cfa.src", "(f ((", ""),
+                ("cfa.src", bomb.as_str(), ""),
+                ("mfp.flat", "(let (f (lambda (x) x)) (f 1))", ""),
+                (
+                    "cfa.src",
+                    "(let (f (lambda (x) x)) (f (f 1)))",
+                    r#", "budget": 1"#,
+                ),
+            ]
+            .into_iter()
+            .map(|(analysis, program, extra)| {
+                let line = format!(
+                    r#"{{"id": 5, "analysis": "{analysis}", "program": "{program}"{extra}}}"#
+                );
+                handle_line(&service, ctx, &line).0
+            })
+            .collect()
+        };
+        // On a worker's stack, as the daemon parses: an unoptimized parse
+        // up to MAX_DEPTH needs more than a test thread's.
+        let mut responses = std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(WORKER_STACK_BYTES)
+                .spawn_scoped(scope, || handled(&mut WorkerCtx::new()))
+                .expect("spawn worker thread")
+                .join()
+                .expect("worker thread")
+        });
+        responses.push(bad_request_response(
+            &Request::decode(r#"{"id": 6, "analysis": "nope", "program": "1"}"#, 1, None)
+                .unwrap_err(),
+        ));
+        responses.push(invalid_utf8_response());
+        let req = Request::decode(REPEATED, 1, None).unwrap();
+        for depth in [service.config.max_queue, 0] {
+            responses.push(Response {
+                id: req.id,
+                latency_us: 0,
+                status: Status::Rejected {
+                    reason: service.admit(&req, depth).unwrap_err(),
+                },
+            });
+        }
+        let reasons: Vec<&str> = responses
+            .iter()
+            .map(|r| match &r.status {
+                Status::Error { reason, .. } | Status::Rejected { reason } => *reason,
+                other => panic!("expected a refusal, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            reasons,
+            [
+                "parse-error",
+                "too-deep",
+                "not-first-order",
+                "analysis-failed",
+                "bad-request",
+                "bad-request",
+                "queue-full",
+                "over-capacity"
+            ]
+        );
+        for resp in responses {
+            assert_eq!(Response::parse(&resp.to_json()), Ok(resp));
+        }
     }
 
     #[test]

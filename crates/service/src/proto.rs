@@ -225,18 +225,38 @@ pub enum Status {
     },
     /// Admission control refused the request before queuing.
     Rejected {
-        /// `queue-full` or `over-capacity`.
+        /// One of [`Status::REJECT_REASONS`].
         reason: &'static str,
     },
     /// The request was admitted but could not be answered.
     Error {
-        /// `parse-error`, `too-deep` (the program nests deeper than
-        /// [`MAX_DEPTH`](cpsdfa_syntax::parse::MAX_DEPTH)), `bad-request`,
-        /// `not-first-order`, or `analysis-failed`.
+        /// One of [`Status::ERROR_REASONS`].
         reason: &'static str,
         /// Human-readable specifics.
         detail: String,
     },
+}
+
+impl Status {
+    /// Every reason a `rejected` response gives.
+    pub const REJECT_REASONS: [&'static str; 2] = ["queue-full", "over-capacity"];
+
+    /// Every reason an `error` response gives: `too-deep` means the program
+    /// nests deeper than [`MAX_DEPTH`](cpsdfa_syntax::parse::MAX_DEPTH), and
+    /// `parse-error` is any other program or line that does not parse.
+    pub const ERROR_REASONS: [&'static str; 5] = [
+        "parse-error",
+        "too-deep",
+        "bad-request",
+        "not-first-order",
+        "analysis-failed",
+    ];
+}
+
+/// The listed reason equal to `reason`, as the `&'static str` the
+/// [`Status`] fields hold.
+fn intern(reason: &str, known: &[&'static str]) -> Option<&'static str> {
+    known.iter().copied().find(|&r| r == reason)
 }
 
 /// One response line.
@@ -334,23 +354,21 @@ impl Response {
                 iterations: get_u64("iterations")?,
                 charged: get_u64("charged")?,
             },
-            "rejected" => Status::Rejected {
-                reason: match get_str("reason")? {
-                    "queue-full" => "queue-full",
-                    "over-capacity" => "over-capacity",
-                    other => return Err(format!("unknown rejection reason {other:?}")),
-                },
-            },
-            "error" => Status::Error {
-                reason: match get_str("reason")? {
-                    "parse-error" => "parse-error",
-                    "bad-request" => "bad-request",
-                    "not-first-order" => "not-first-order",
-                    "analysis-failed" => "analysis-failed",
-                    other => return Err(format!("unknown error reason {other:?}")),
-                },
-                detail: get_str("detail")?.to_owned(),
-            },
+            "rejected" => {
+                let reason = get_str("reason")?;
+                Status::Rejected {
+                    reason: intern(reason, &Status::REJECT_REASONS)
+                        .ok_or_else(|| format!("unknown rejection reason {reason:?}"))?,
+                }
+            }
+            "error" => {
+                let reason = get_str("reason")?;
+                Status::Error {
+                    reason: intern(reason, &Status::ERROR_REASONS)
+                        .ok_or_else(|| format!("unknown error reason {reason:?}"))?,
+                    detail: get_str("detail")?.to_owned(),
+                }
+            }
             other => return Err(format!("unknown status {other:?}")),
         };
         Ok(Response {
@@ -511,6 +529,31 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn every_rejection_and_error_reason_round_trips() {
+        let statuses = Status::REJECT_REASONS
+            .iter()
+            .map(|&reason| Status::Rejected { reason })
+            .chain(Status::ERROR_REASONS.iter().map(|&reason| Status::Error {
+                reason,
+                detail: format!("{reason} detail"),
+            }));
+        for status in statuses {
+            let resp = Response {
+                id: 8,
+                latency_us: 2,
+                status,
+            };
+            assert_eq!(Response::parse(&resp.to_json()), Ok(resp.clone()));
+        }
+        let line =
+            r#"{"id": 1, "latency_us": 0, "status": "error", "reason": "nope", "detail": ""}"#;
+        assert_eq!(
+            Response::parse(line),
+            Err("unknown error reason \"nope\"".to_owned())
+        );
     }
 
     #[test]

@@ -239,3 +239,94 @@ fn a_watch_session_answers_constant_edits_warm_and_other_edits_cold() {
         "the hit serves the answer the cold step committed"
     );
 }
+
+#[test]
+fn a_daemon_killed_with_spills_in_flight_recovers_only_whole_certified_entries() {
+    use cpsdfa_service::proto::{Response, Served, Status};
+    use cpsdfa_service::{json, AnalysisService, ServiceConfig};
+    use cpsdfa_workloads::families;
+    use std::io::{BufRead, BufReader, Write};
+
+    let dir = std::env::temp_dir().join(format!("cpsdfad-cli-kill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Distinct programs, so every request is a miss that queues a spill.
+    let lines: Vec<String> = (4..24)
+        .flat_map(|n| {
+            [
+                ("cfa.src", families::dispatch(n)),
+                ("cfa.cps", families::polyvariant(n)),
+            ]
+        })
+        .zip(1..)
+        .map(|((analysis, program), id)| {
+            format!(
+                r#"{{"id": {id}, "analysis": "{analysis}", "program": "{}"}}"#,
+                json::escape(&program.to_string())
+            )
+        })
+        .collect();
+    let mut child = cpsdfad()
+        .args(["--persist-dir", dir.to_str().unwrap()])
+        .args(["--workers", "1", "--capacity", "1000000000000"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn cpsdfad");
+    let mut stdin = child.stdin.take().unwrap();
+    let feed = lines.clone();
+    let feeder = std::thread::spawn(move || {
+        for line in feed {
+            // The daemon may be killed before it reads every line.
+            if writeln!(stdin, "{line}").is_err() {
+                break;
+            }
+        }
+        // Keep stdin open: EOF would start a clean, draining shutdown.
+        stdin
+    });
+    // Kill once half the answers are out, while later spills are queued.
+    let mut answers = BufReader::new(child.stdout.take().unwrap()).lines();
+    for _ in 0..lines.len() / 2 {
+        let line = answers.next().expect("an answer").unwrap();
+        assert!(line.contains("\"status\": \"ok\""), "{line}");
+    }
+    child.kill().expect("SIGKILL the daemon");
+    child.wait().expect("reap the daemon");
+    drop(feeder.join());
+
+    let service = AnalysisService::new(ServiceConfig {
+        workers: 1,
+        capacity_charges: u64::MAX / 2,
+        persist_dir: Some(dir.clone()),
+        recover_certify: usize::MAX,
+        ..ServiceConfig::default()
+    });
+    let rec = *service.recovery().expect("the spill directory reopens");
+    assert_eq!((rec.corrupt, rec.stale), (0, 0), "{rec:?}");
+    assert_eq!(rec.certified, rec.recovered, "{rec:?}");
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let cold = AnalysisService::new(ServiceConfig {
+        workers: 1,
+        capacity_charges: u64::MAX / 2,
+        ..ServiceConfig::default()
+    })
+    .run_batch(&refs);
+    let reopened = service.run_batch(&refs);
+    let _ = std::fs::remove_dir_all(&dir);
+    let ok = |resp: &Response| match &resp.status {
+        Status::Ok {
+            cache,
+            answer_digest,
+            ..
+        } => (cache.clone(), *answer_digest),
+        other => panic!("expected ok, got {other:?}"),
+    };
+    let mut hits = 0;
+    for (after, before) in reopened.iter().zip(&cold) {
+        let (cache, digest) = ok(&after.response);
+        hits += u64::from(cache == Served::Hit);
+        assert_eq!(digest, ok(&before.response).1, "id {}", after.response.id);
+    }
+    assert_eq!(hits, rec.recovered, "every recovered entry serves a hit");
+}
