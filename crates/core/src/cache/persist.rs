@@ -30,6 +30,14 @@
 //!    caught before it can be served. (The daemon's `--certify` sampling
 //!    extends the same check to the serve path.)
 //!
+//! Decoding is strict as well as bounds-checked: a set's elements must
+//! come strictly ascending, as the encoder writes them from a `BTreeSet`,
+//! so the bytes of a recovered entry describe exactly one answer. Within
+//! one answer each distinct set is built once, and every later set with
+//! the same bytes shares its `Arc`. Recovery validates files on several
+//! threads, then admits the survivors one by one in sorted order, so what
+//! a start recovers does not depend on how many threads it had.
+//!
 //! The daemon answers before its spill is durable: it hands each write to
 //! one spill-writer thread, which calls [`PersistDir::store`] and
 //! [`PersistDir::store_session`] as they stand. So a crash loses at most
@@ -60,18 +68,19 @@ use crate::govern::{DegradationReport, RungAttempt};
 use crate::labtab::LabelTable;
 use crate::mfp::DfSummary;
 use crate::pushdown::{MatchedReturn, PushdownCfaResult};
-use crate::setpool::SetPool;
+use crate::solver::worker_count;
 use cpsdfa_anf::AnfProgram;
-use cpsdfa_syntax::arena::TermArena;
+use cpsdfa_syntax::arena::{TermArena, TermId};
+use cpsdfa_syntax::fxhash::FxHashMap;
 use cpsdfa_syntax::Label;
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fs;
-use std::hash::Hash;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// File magic: module name + format version, newline-terminated so a
 /// `head -c8` of an entry is self-describing. Version 2 dropped the engine
@@ -285,6 +294,28 @@ struct Cur<'a> {
     p: usize,
 }
 
+/// The sets one answer has decoded so far, keyed on their encoded bytes
+/// (count prefix included), plus the element buffer each set is read
+/// into. The encoding is injective, so equal bytes are an equal set: a
+/// repeat costs a scan and a byte hash, not a tree build, and shares the
+/// first copy's `Arc` the way the solver's commit shares equal sets. (An
+/// unkeyed hash suffices: the directory is the daemon's own, and nothing
+/// here defends it against a writer who could craft collisions; see the
+/// module docs.)
+struct SeenSets<'a, T> {
+    by_bytes: FxHashMap<&'a [u8], Arc<BTreeSet<T>>>,
+    buf: Vec<T>,
+}
+
+impl<T> SeenSets<'_, T> {
+    fn new() -> Self {
+        SeenSets {
+            by_bytes: FxHashMap::default(),
+            buf: Vec::new(),
+        }
+    }
+}
+
 impl<'a> Cur<'a> {
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.p.checked_add(n)?;
@@ -316,19 +347,17 @@ impl<'a> Cur<'a> {
         Some(i64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    /// A count prefix, sanity-capped so a corrupt length cannot ask for an
-    /// allocation larger than the remaining bytes could possibly encode.
-    fn count(&mut self) -> Option<usize> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).ok()?;
-        if n > self.b.len().saturating_sub(self.p) {
-            return None;
-        }
-        Some(n)
+    /// A count prefix for items that each encode in at least `width`
+    /// bytes. A count the remaining bytes could not hold is corruption,
+    /// so no corrupt length can pre-size an allocation beyond what the
+    /// entry itself encodes.
+    fn count(&mut self, width: usize) -> Option<usize> {
+        let n = usize::try_from(self.u64()?).ok()?;
+        (n.checked_mul(width)? <= self.b.len() - self.p).then_some(n)
     }
 
     fn str(&mut self) -> Option<String> {
-        let n = self.count()?;
+        let n = self.count(1)?;
         String::from_utf8(self.take(n)?.to_vec()).ok()
     }
 
@@ -364,41 +393,94 @@ impl<'a> Cur<'a> {
         }
     }
 
-    fn set<T: Ord>(&mut self, mut get: impl FnMut(&mut Self) -> Option<T>) -> Option<BTreeSet<T>> {
-        let n = self.count()?;
-        let mut set = BTreeSet::new();
-        for _ in 0..n {
-            set.insert(get(self)?);
+    fn flat(&mut self) -> Option<Flat> {
+        match self.u8()? {
+            0 => Some(Flat::Bot),
+            1 => Some(Flat::Const(self.i64()?)),
+            2 => Some(Flat::Top),
+            _ => None,
         }
-        Some(set)
     }
 
-    /// A count-prefixed run of sets, each interned through `pool`, so the
-    /// decoded answer shares every repeated set the way the solver's
-    /// commit did.
-    fn sets<T: Ord + Clone + Hash>(
+    fn matched(&mut self) -> Option<MatchedReturn> {
+        Some(MatchedReturn {
+            ret_site: self.label()?,
+            callee: self.label()?,
+            call_site: self.label()?,
+            cont: self.label()?,
+        })
+    }
+
+    /// A count-prefixed run of items, each at least `width` bytes.
+    fn seq<S>(
         &mut self,
-        pool: &mut SetPool<T>,
-        mut get: impl FnMut(&mut Self) -> Option<T>,
-    ) -> Option<Vec<Arc<BTreeSet<T>>>> {
-        let n = self.count()?;
+        width: usize,
+        mut item: impl FnMut(&mut Self) -> Option<S>,
+    ) -> Option<Vec<S>> {
+        let n = self.count(width)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            let id = pool.intern(self.set(&mut get)?);
-            out.push(pool.get_arc(id));
+            out.push(item(self)?);
         }
         Some(out)
     }
 
-    /// A label table, each set passed through `wrap`. The encoder writes
+    /// A set's elements, read into `buf`. The encoder writes each set from
+    /// a `BTreeSet`, so its elements come strictly ascending: a repeat or
+    /// a descent is corruption, never merged or reordered into some set
+    /// the bytes do not describe.
+    fn ascending<T: Ord>(
+        &mut self,
+        width: usize,
+        buf: &mut Vec<T>,
+        mut get: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<()> {
+        let n = self.count(width)?;
+        buf.clear();
+        buf.reserve(n);
+        for _ in 0..n {
+            let v = get(self)?;
+            if buf.last().is_some_and(|last| *last >= v) {
+                return None;
+            }
+            buf.push(v);
+        }
+        Some(())
+    }
+
+    /// A set, built in one bulk pass over its ascending elements.
+    fn set<T: Ord + Copy>(
+        &mut self,
+        buf: &mut Vec<T>,
+        get: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<BTreeSet<T>> {
+        self.ascending(1, buf, get)?;
+        Some(buf.iter().copied().collect())
+    }
+
+    /// A set shared through `seen`: built on first sight of its bytes,
+    /// a clone of that first `Arc` on every repeat.
+    fn shared_set<T: Ord + Copy>(
+        &mut self,
+        seen: &mut SeenSets<'a, T>,
+        get: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Arc<BTreeSet<T>>> {
+        let start = self.p;
+        self.ascending(1, &mut seen.buf, get)?;
+        let bytes = &self.b[start..self.p];
+        let SeenSets { by_bytes, buf } = seen;
+        let set = by_bytes
+            .entry(bytes)
+            .or_insert_with(|| Arc::new(buf.iter().copied().collect()));
+        Some(Arc::clone(set))
+    }
+
+    /// A label table, each row's value read by `row`. The encoder writes
     /// labels in ascending order, so a repeated or descending label is
     /// corruption.
-    fn table<T: Ord, S>(
-        &mut self,
-        mut get: impl FnMut(&mut Self) -> Option<T>,
-        mut wrap: impl FnMut(BTreeSet<T>) -> S,
-    ) -> Option<LabelTable<S>> {
-        let n = self.count()?;
+    fn table<S>(&mut self, mut row: impl FnMut(&mut Self) -> Option<S>) -> Option<LabelTable<S>> {
+        // A row is at least its label and its set's count.
+        let n = self.count(4 + 8)?;
         let mut out = LabelTable::new(0);
         let mut prev = None;
         for _ in 0..n {
@@ -407,71 +489,55 @@ impl<'a> Cur<'a> {
                 return None;
             }
             prev = Some(l);
-            out.insert(l, wrap(self.set(&mut get)?));
+            out.insert(l, row(self)?);
         }
         Some(out)
     }
 
     fn answer(&mut self) -> Option<CachedAnswer> {
+        let mut clos = Vec::new();
         match self.u8()? {
             0 => {
-                // Terms share the variables' pool, as in the solver's
+                // Terms share the variables' sets, as in the solver's
                 // commit.
-                let mut pool = SetPool::new();
-                let vars = self.sets(&mut pool, Cur::clo)?;
-                let terms = self.table(Cur::clo, |set| {
-                    let id = pool.intern(set);
-                    pool.get_arc(id)
-                })?;
+                let mut seen = SeenSets::new();
+                let vars = self.seq(8, |c| c.shared_set(&mut seen, Cur::clo))?;
+                let terms = self.table(|c| c.shared_set(&mut seen, Cur::clo))?;
                 Some(CachedAnswer::CfaSrc(CfaResult {
                     vars,
                     terms,
-                    calls: Arc::new(self.table(Cur::clo, |set| set)?),
+                    calls: Arc::new(self.table(|c| c.set(&mut clos, Cur::clo))?),
                     iterations: self.u64()?,
                 }))
             }
-            1 => Some(CachedAnswer::CfaCps(CpsCfaResult {
-                vars: self.sets(&mut SetPool::new(), Cur::flow)?,
-                returns: self.table(Cur::kont, |set| set)?,
-                calls: self.table(Cur::clo, |set| set)?,
-                iterations: self.u64()?,
-            })),
+            1 => {
+                let (mut seen, mut konts) = (SeenSets::new(), Vec::new());
+                Some(CachedAnswer::CfaCps(CpsCfaResult {
+                    vars: self.seq(8, |c| c.shared_set(&mut seen, Cur::flow))?,
+                    returns: self.table(|c| c.set(&mut konts, Cur::kont))?,
+                    calls: self.table(|c| c.set(&mut clos, Cur::clo))?,
+                    iterations: self.u64()?,
+                }))
+            }
             2 => {
-                let vars = self.sets(&mut SetPool::new(), Cur::flow)?;
-                let returns = self.table(Cur::kont, |set| set)?;
-                let calls = self.table(Cur::clo, |set| set)?;
-                let n = self.count()?;
-                let mut matched = BTreeSet::new();
-                for _ in 0..n {
-                    matched.insert(MatchedReturn {
-                        ret_site: self.label()?,
-                        callee: self.label()?,
-                        call_site: self.label()?,
-                        cont: self.label()?,
-                    });
-                }
+                let (mut seen, mut konts) = (SeenSets::new(), Vec::new());
+                let vars = self.seq(8, |c| c.shared_set(&mut seen, Cur::flow))?;
+                let returns = self.table(|c| c.set(&mut konts, Cur::kont))?;
+                let calls = self.table(|c| c.set(&mut clos, Cur::clo))?;
+                let mut matched = Vec::new();
+                self.ascending(16, &mut matched, Cur::matched)?;
                 Some(CachedAnswer::CfaPushdown(PushdownCfaResult {
                     vars,
                     returns,
                     calls,
-                    matched,
+                    matched: matched.into_iter().collect(),
                     summaries: self.u64()?,
                     iterations: self.u64()?,
                 }))
             }
-            3 => {
-                let n = self.count()?;
-                let mut vars = Vec::with_capacity(n);
-                for _ in 0..n {
-                    vars.push(match self.u8()? {
-                        0 => Flat::Bot,
-                        1 => Flat::Const(self.i64()?),
-                        2 => Flat::Top,
-                        _ => return None,
-                    });
-                }
-                Some(CachedAnswer::MfpFlat(DfSummary { vars }))
-            }
+            3 => Some(CachedAnswer::MfpFlat(DfSummary {
+                vars: self.seq(1, Cur::flat)?,
+            })),
             _ => None,
         }
     }
@@ -570,6 +636,11 @@ pub struct RecoveryReport {
     pub bytes: u64,
     /// Watch-session ancestors re-admitted.
     pub sessions: u64,
+    /// Entries that could not be read (say, for want of permission): left
+    /// on disk for a later start, neither admitted nor deleted.
+    pub unreadable: u64,
+    /// Wall-clock milliseconds the scan took, admission included.
+    pub recover_ms: u64,
 }
 
 impl RecoveryReport {
@@ -730,16 +801,32 @@ impl PersistDir {
     /// entries are additionally certified against their own source — a
     /// checksum-valid entry whose answer fails certification is dropped
     /// like any other corruption.
+    ///
+    /// Files are validated on [`worker_count`] threads; survivors are
+    /// admitted one by one in sorted path order, so the cache, the report
+    /// and the certified sample do not depend on the thread count.
     pub fn recover(&self, cache: &mut FixpointCache, certify_sample: usize) -> RecoveryReport {
+        self.recover_on(cache, certify_sample, worker_count())
+    }
+
+    /// [`recover`](PersistDir::recover) on `threads` threads.
+    fn recover_on(
+        &self,
+        cache: &mut FixpointCache,
+        certify_sample: usize,
+        threads: usize,
+    ) -> RecoveryReport {
+        let start = Instant::now();
         let mut report = RecoveryReport::default();
-        let mut arena = TermArena::new();
-        let mut digests = ArenaDigests::new();
-        let mut entries: Vec<PathBuf> = Vec::new();
-        let mut sessions: Vec<PathBuf> = Vec::new();
-        for dir in [self.root.clone(), self.root.join("sessions")] {
+        let mut files: Vec<(PathBuf, bool)> = Vec::new();
+        for (dir, session) in [
+            (self.root.clone(), false),
+            (self.root.join("sessions"), true),
+        ] {
             let Ok(iter) = fs::read_dir(&dir) else {
                 continue;
             };
+            let mut found = Vec::new();
             for path in iter.flatten().map(|e| e.path()) {
                 if !path.is_file() {
                     continue;
@@ -749,122 +836,205 @@ impl PersistDir {
                     report.interrupted += 1;
                     let _ = fs::remove_file(&path);
                 } else if name.ends_with(".entry") {
-                    if dir.ends_with("sessions") {
-                        sessions.push(path);
-                    } else {
-                        entries.push(path);
-                    }
+                    found.push((path, session));
                 }
             }
+            // Deterministic admission order, so LRU state after recovery
+            // does not depend on directory iteration order.
+            found.sort();
+            files.extend(found);
         }
-        // Deterministic admission order, so LRU state after recovery does
-        // not depend on directory iteration order.
-        entries.sort();
-        sessions.sort();
-        for path in entries {
-            match self.load_entry(&path, &mut arena, &mut digests, &mut report, certify_sample) {
-                Some((key, fixpoint)) => {
+        let mut loaded = par_map(&files, threads, Scratch::new, |scratch, (path, session)| {
+            scratch.load(path, *session)
+        });
+        // The certify sample is the first `certify_sample` valid entries in
+        // admission order, whichever thread validated them.
+        let sample: Vec<(usize, &Valid)> = loaded
+            .iter()
+            .enumerate()
+            .filter_map(|(i, l)| Some((i, l.as_ref().ok().filter(|v| v.session.is_none())?)))
+            .take(certify_sample)
+            .collect();
+        report.certified = sample.len() as u64;
+        let certified = par_map(&sample, threads, Scratch::new, |scratch, (_, entry)| {
+            scratch.certifies(entry)
+        });
+        let refuted: Vec<usize> = sample
+            .iter()
+            .zip(certified)
+            .filter(|&(_, ok)| !ok)
+            .map(|(&(i, _), _)| i)
+            .collect();
+        for i in refuted {
+            loaded[i] = Err(Rejected::Corrupt);
+        }
+        for ((path, _), outcome) in files.iter().zip(loaded) {
+            match outcome {
+                Err(Rejected::Unreadable) => report.unreadable += 1,
+                Err(Rejected::Corrupt) => {
+                    report.corrupt += 1;
+                    let _ = fs::remove_file(path);
+                }
+                Err(Rejected::Stale) => {
+                    report.stale += 1;
+                    let _ = fs::remove_file(path);
+                }
+                Ok(Valid {
+                    session: None,
+                    key,
+                    fixpoint,
+                    ..
+                }) => {
                     let bytes = fixpoint.approx_bytes;
                     if cache.insert(key, fixpoint) {
                         report.recovered += 1;
                         report.bytes += bytes;
                     }
                 }
-                None => {
-                    let _ = fs::remove_file(&path);
-                }
-            }
-        }
-        for path in sessions {
-            match self.load_session(&path, &mut arena, &mut digests, &mut report) {
-                Some((session, ancestor)) => {
+                Ok(Valid {
+                    session: Some(session),
+                    key,
+                    source,
+                    fixpoint,
+                }) => {
+                    let ancestor = Ancestor {
+                        kind: key.kind,
+                        digest: key.digest,
+                        source,
+                        fixpoint: Arc::new(fixpoint),
+                    };
                     cache.note_ancestor(session, ancestor);
                     report.sessions += 1;
                 }
-                None => {
-                    let _ = fs::remove_file(&path);
-                }
             }
         }
+        report.recover_ms = start.elapsed().as_millis() as u64;
         report
     }
+}
 
-    /// Validates one entry file end to end; `None` means delete it.
-    fn load_entry(
-        &self,
-        path: &Path,
-        arena: &mut TermArena,
-        digests: &mut ArenaDigests,
-        report: &mut RecoveryReport,
-        certify_sample: usize,
-    ) -> Option<(CacheKey, CachedFixpoint)> {
-        let bytes = fs::read(path).ok()?;
-        let Some(payload) = unframe(&bytes) else {
-            report.corrupt += 1;
-            return None;
-        };
-        let Some((key, source, answer)) = decode_entry_payload(payload) else {
-            report.corrupt += 1;
-            return None;
-        };
-        let parsed = arena.parse(&source).ok();
-        let Some(root) = parsed.filter(|&id| digests.term_digest(arena, id) == key.digest) else {
-            report.stale += 1;
-            return None;
-        };
-        if report.certified < certify_sample as u64 {
-            report.certified += 1;
-            // Certify against the root just re-digested, lowered as the
-            // daemon lowers a request.
-            let prog = AnfProgram::from_term(&arena.to_term(root));
-            if crate::certify::certify_answer(&prog, &answer).is_err() {
-                report.corrupt += 1;
-                return None;
+/// Why recovery did not admit a spilled file.
+enum Rejected {
+    /// It could not be read; it is left on disk.
+    Unreadable,
+    /// Framing, checksum, decode or certification failed.
+    Corrupt,
+    /// Its source does not digest to its key.
+    Stale,
+}
+
+/// A spilled file that passed validation: a cache entry, or, with a
+/// `session` id, a session journal.
+struct Valid {
+    session: Option<u64>,
+    key: CacheKey,
+    source: String,
+    fixpoint: CachedFixpoint,
+}
+
+/// One recovery thread's parse state.
+struct Scratch {
+    arena: TermArena,
+    digests: ArenaDigests,
+}
+
+impl Scratch {
+    fn new() -> Scratch {
+        Scratch {
+            arena: TermArena::new(),
+            digests: ArenaDigests::new(),
+        }
+    }
+
+    /// `source` parsed into this thread's arena, when it digests to
+    /// `digest`.
+    fn parse_as(&mut self, source: &str, digest: u128) -> Option<TermId> {
+        let root = self.arena.parse(source).ok()?;
+        (self.digests.term_digest(&self.arena, root) == digest).then_some(root)
+    }
+
+    /// Validates one entry (or, under `sessions/`, one journal) file end
+    /// to end, short of certification.
+    fn load(&mut self, path: &Path, session: bool) -> Result<Valid, Rejected> {
+        let bytes = fs::read(path).map_err(|_| Rejected::Unreadable)?;
+        let mut payload = unframe(&bytes).ok_or(Rejected::Corrupt)?;
+        let mut id = None;
+        if session {
+            let (head, rest) = payload.split_first_chunk().ok_or(Rejected::Corrupt)?;
+            id = Some(u64::from_le_bytes(*head));
+            payload = rest;
+        }
+        let (key, source, answer) = decode_entry_payload(payload).ok_or(Rejected::Corrupt)?;
+        self.parse_as(&source, key.digest).ok_or(Rejected::Stale)?;
+        Ok(Valid {
+            session: id,
+            key,
+            source,
+            fixpoint: CachedFixpoint::new(answer, recovered_report(key.rung)),
+        })
+    }
+
+    /// Whether a valid entry's answer certifies against its own source,
+    /// lowered as the daemon lowers a request.
+    fn certifies(&mut self, entry: &Valid) -> bool {
+        self.parse_as(&entry.source, entry.key.digest)
+            .is_some_and(|root| {
+                let prog = AnfProgram::from_term(&self.arena.to_term(root));
+                crate::certify::certify_answer(&prog, &entry.fixpoint.answer).is_ok()
+            })
+    }
+}
+
+/// Stack reserved for each recovery thread: re-parsing and certifying a
+/// spilled program walks it recursively, as the daemon's workers do when
+/// they first serve it. Untouched stack costs no memory.
+const RECOVERY_STACK_BYTES: usize = 64 << 20;
+
+/// `f` applied to every item, results in item order. The calling thread
+/// and up to `threads - 1` scoped helpers claim items one at a time, each
+/// with its own `init()` state; a helper that cannot be spawned leaves
+/// its share to the threads that were.
+fn par_map<I: Sync, R: Send, S>(
+    items: &[I],
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, &I) -> R + Sync,
+) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out distinct indices; the
+            // results are published by the scope's joins.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                break done;
+            };
+            done.push((i, f(&mut state, item)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads.min(items.len()))
+            .filter_map(|_| {
+                std::thread::Builder::new()
+                    .name("cpsdfa-recover".into())
+                    .stack_size(RECOVERY_STACK_BYTES)
+                    .spawn_scoped(scope, work)
+                    .ok()
+            })
+            .collect();
+        let mut done = work();
+        for helper in helpers {
+            match helper.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        Some((key, CachedFixpoint::new(answer, recovered_report(key.rung))))
-    }
-
-    /// Validates one session journal file; `None` means delete it.
-    fn load_session(
-        &self,
-        path: &Path,
-        arena: &mut TermArena,
-        digests: &mut ArenaDigests,
-        report: &mut RecoveryReport,
-    ) -> Option<(u64, Ancestor)> {
-        let bytes = fs::read(path).ok()?;
-        let Some(payload) = unframe(&bytes) else {
-            report.corrupt += 1;
-            return None;
-        };
-        if payload.len() < 8 {
-            report.corrupt += 1;
-            return None;
-        }
-        let session = u64::from_le_bytes(payload[..8].try_into().ok()?);
-        let Some((key, source, answer)) = decode_entry_payload(&payload[8..]) else {
-            report.corrupt += 1;
-            return None;
-        };
-        let fresh_digest = arena
-            .parse(&source)
-            .ok()
-            .map(|id| digests.term_digest(arena, id));
-        if fresh_digest != Some(key.digest) {
-            report.stale += 1;
-            return None;
-        }
-        Some((
-            session,
-            Ancestor {
-                kind: key.kind,
-                digest: key.digest,
-                source,
-                fixpoint: Arc::new(CachedFixpoint::new(answer, recovered_report(key.rung))),
-            },
-        ))
-    }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -897,6 +1067,14 @@ mod tests {
     }
 
     const SRC: &str = "(let (f (lambda (x) x)) (f f))";
+
+    /// `report` without its wall-clock field, for exact comparisons.
+    fn untimed(report: RecoveryReport) -> RecoveryReport {
+        RecoveryReport {
+            recover_ms: 0,
+            ..report
+        }
+    }
 
     /// An entry's payload on its own, as framing takes it.
     fn encode_entry_payload(key: &CacheKey, source: &str, fixpoint: &CachedFixpoint) -> Vec<u8> {
@@ -1130,7 +1308,11 @@ mod tests {
             }
             // Healed: the next recovery scan finds a clean directory.
             let second = persist.recover(&mut FixpointCache::new(u64::MAX), 8);
-            assert_eq!(second, RecoveryReport::default(), "{fault:?}: not healed");
+            assert_eq!(
+                untimed(second),
+                RecoveryReport::default(),
+                "{fault:?}: not healed"
+            );
             let _ = fs::remove_dir_all(&dir);
         }
     }
@@ -1243,7 +1425,245 @@ mod tests {
         assert!(persist.remove(&key) > 0);
         assert_eq!(persist.remove(&key), 0, "second remove is a no-op");
         let report = persist.recover(&mut FixpointCache::new(u64::MAX), 8);
-        assert_eq!(report, RecoveryReport::default());
+        assert_eq!(untimed(report), RecoveryReport::default());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn decode_requires_strictly_ascending_sets() {
+        // A checksum-valid `cfa.src` entry for SRC whose one variable's
+        // set reads `elems`: only strictly ascending elements describe a
+        // set, so a repeat or a descent is corruption, not some other set.
+        let (key, _) = fixture(SRC);
+        let payload = |elems: [u32; 2]| {
+            let mut out = vec![key.kind.tag()];
+            put_u128(&mut out, key.digest);
+            put_str(&mut out, key.rung);
+            put_str(&mut out, SRC);
+            out.push(AnalysisKind::CfaSrc.tag());
+            put_u64(&mut out, 1);
+            put_u64(&mut out, 2);
+            for l in elems {
+                put_clo(&mut out, AbsClo::Lam(Label::new(l)));
+            }
+            put_u64(&mut out, 0);
+            put_u64(&mut out, 0);
+            put_u64(&mut out, 1);
+            out
+        };
+        let dir = tmpdir("canonical");
+        let persist = PersistDir::open(&dir).unwrap();
+        for (elems, want) in [([7, 8], (1, 0)), ([7, 7], (0, 1)), ([8, 7], (0, 1))] {
+            fs::write(persist.entry_path(&key), frame_as(MAGIC, &payload(elems))).unwrap();
+            // No certify sample: decoding alone must refuse the entry.
+            let report = persist.recover(&mut FixpointCache::new(u64::MAX), 0);
+            assert_eq!((report.recovered, report.corrupt), want, "{elems:?}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn count_prefixes_are_capped_by_the_bytes_that_remain() {
+        // Nine variables, each a set of at least its 8-byte count, cannot
+        // fit in the 64 bytes that follow the prefix.
+        let mut bytes = vec![AnalysisKind::CfaCps.tag()];
+        put_u64(&mut bytes, 9);
+        bytes.extend_from_slice(&[0; 64]);
+        assert_eq!(Cur { b: &bytes, p: 0 }.answer(), None);
+        let mut cur = Cur { b: &bytes, p: 1 };
+        assert_eq!(cur.count(8), None);
+        let mut cur = Cur { b: &bytes, p: 1 };
+        assert_eq!(cur.count(7), Some(9));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn an_unreadable_entry_is_skipped_not_deleted() {
+        use std::os::unix::fs::PermissionsExt;
+        let dir = tmpdir("unreadable");
+        let persist = PersistDir::open(&dir).unwrap();
+        let (key, fixpoint) = fixture(SRC);
+        assert!(persist.store(&key, SRC, &fixpoint, None).unwrap());
+        let path = persist.entry_path(&key);
+        let mode = |m| fs::set_permissions(&path, fs::Permissions::from_mode(m)).unwrap();
+        mode(0o000);
+        if fs::read(&path).is_ok() {
+            // Permissions do not bind this user (root): nothing to test.
+            let _ = fs::remove_dir_all(&dir);
+            return;
+        }
+        let report = persist.recover(&mut FixpointCache::new(u64::MAX), 8);
+        assert_eq!(
+            (report.unreadable, report.recovered, report.dropped()),
+            (1, 0, 0)
+        );
+        assert!(path.exists(), "an entry recovery cannot read stays on disk");
+        mode(0o644);
+        let report = persist.recover(&mut FixpointCache::new(u64::MAX), 8);
+        assert_eq!((report.unreadable, report.recovered), (0, 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every answer `src` has: one per analysis kind that accepts it.
+    fn answers_for(src: &str) -> Vec<CachedAnswer> {
+        let p = AnfProgram::parse(src).unwrap();
+        let cps = CpsProgram::from_anf(&p);
+        let mut out = vec![
+            CachedAnswer::CfaSrc(zero_cfa(&p).unwrap()),
+            CachedAnswer::CfaCps(zero_cfa_cps(&cps).unwrap()),
+            CachedAnswer::CfaPushdown(crate::pushdown::pushdown_cfa(&cps).unwrap()),
+        ];
+        if let Ok(cfg) = Cfg::from_first_order(&p) {
+            out.push(CachedAnswer::MfpFlat(
+                cfg.solve_mfp::<Flat>(cfg.initial_env(&p)).unwrap(),
+            ));
+        }
+        out
+    }
+
+    /// Entries as (key, answer digest, byte charge), sessions as (id,
+    /// program digest, answer digest).
+    type Admitted = (Vec<(CacheKey, u64, u64)>, Vec<(u64, u128, u64)>);
+
+    /// What a recovery admitted, each part in admission order.
+    fn admitted(cache: &FixpointCache) -> Admitted {
+        let mut entries: Vec<_> = cache.entries.iter().collect();
+        entries.sort_by_key(|(_, e)| e.last_used);
+        let mut sessions: Vec<_> = cache.ancestors.iter().collect();
+        sessions.sort_by_key(|(_, s)| s.last_used);
+        (
+            entries
+                .into_iter()
+                .map(|(k, e)| (*k, e.value.answer_digest, e.value.approx_bytes))
+                .collect(),
+            sessions
+                .into_iter()
+                .map(|(&id, s)| (id, s.ancestor.digest, s.ancestor.fixpoint.answer_digest))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn parallel_recovery_admits_exactly_what_sequential_recovery_does() {
+        let programs = [
+            SRC,
+            "(let (f (lambda (x) x)) (let (a (f 1)) (f a)))",
+            "(let (a 1) (let (b (add1 a)) (if0 b a b)))",
+            "(let (g (lambda (y) (add1 y))) (let (h (lambda (z) (g z))) (h 2)))",
+            "(let (id (lambda (x) x)) (let (f1 (lambda (d) 7)) (let (a1 (id f1)) (let (r1 (a1 0)) r1))))",
+            "(let (g (lambda (y) (g y))) (g add1))",
+        ];
+        let dir = tmpdir("parallel");
+        let persist = PersistDir::open(&dir).unwrap();
+        let mut stored = std::collections::HashMap::new();
+        let mut store = |key: CacheKey, src: &str, answer: CachedAnswer| {
+            let fixpoint = CachedFixpoint::new(answer, DegradationReport::default());
+            assert!(persist.store(&key, src, &fixpoint, None).unwrap());
+            stored.insert(key, (fixpoint.answer_digest, fixpoint.approx_bytes));
+        };
+        for src in programs {
+            let (key, _) = fixture(src);
+            for answer in answers_for(src) {
+                store(CacheKey::new(answer.kind(), key.digest), src, answer);
+            }
+        }
+        // Two checksum-valid entries whose answer belongs to another
+        // program. Names sort by kind first, so with a sample of 7 the
+        // `cfa.cps` one is among the certified (all seven `cfa.cps`
+        // entries) and is dropped, while the `mfp.flat` one sorts last,
+        // is not certified, and is admitted.
+        let poisoned = [
+            (
+                AnalysisKind::CfaCps,
+                "(let (q (lambda (v) (add1 v))) (q 3))",
+                SRC,
+            ),
+            (AnalysisKind::MfpFlat, "(let (c 2) (add1 c))", programs[2]),
+        ];
+        for (kind, src, other) in poisoned {
+            let (key, _) = fixture(src);
+            let answer = answers_for(other).into_iter().find(|a| a.kind() == kind);
+            store(CacheKey::new(kind, key.digest), src, answer.unwrap());
+        }
+        let kinds: BTreeSet<_> = stored.keys().map(|k| k.kind.tag()).collect();
+        assert_eq!(kinds.len(), 4, "premise: every kind is on disk");
+        let (cps_poison, _) = fixture(poisoned[0].1);
+        let cps_poison = CacheKey::new(AnalysisKind::CfaCps, cps_poison.digest);
+        stored.remove(&cps_poison);
+        // A session journal, one bit-flipped entry, one stale entry and an
+        // interrupted write.
+        let (key, fixpoint) = fixture(programs[1]);
+        let ancestor = Ancestor {
+            kind: key.kind,
+            digest: key.digest,
+            source: programs[1].to_string(),
+            fixpoint: Arc::new(fixpoint),
+        };
+        assert!(persist.store_session(5, &ancestor, None).unwrap());
+        let extra = "(let (k (lambda (w) w)) (k k))";
+        let (key, fixpoint) = fixture(extra);
+        let bad = [PersistFault::BitFlip, PersistFault::StaleKey];
+        for (kind, fault) in [AnalysisKind::CfaCps, AnalysisKind::CfaSrc]
+            .into_iter()
+            .zip(bad)
+        {
+            let key = CacheKey::new(kind, key.digest);
+            assert!(persist.store(&key, extra, &fixpoint, Some(fault)).unwrap());
+        }
+        fs::write(temp_path(&persist.entry_path(&key)), b"interrupted").unwrap();
+
+        // Each run recovers its own copy of the directory, under a ceiling
+        // of half the stored bytes: admission evicts, so which entries
+        // survive depends on the admission order.
+        let ceiling = stored.values().map(|&(_, bytes)| bytes).sum::<u64>() / 2;
+        let recover = |threads: usize| {
+            let copy = tmpdir(&format!("parallel-{threads}"));
+            fs::create_dir_all(copy.join("sessions")).unwrap();
+            for sub in ["", "sessions"] {
+                for e in fs::read_dir(dir.join(sub)).unwrap().flatten() {
+                    if e.path().is_file() {
+                        fs::copy(e.path(), copy.join(sub).join(e.file_name())).unwrap();
+                    }
+                }
+            }
+            let mut cache = FixpointCache::new(ceiling);
+            let report = PersistDir::open(&copy)
+                .unwrap()
+                .recover_on(&mut cache, 7, threads);
+            let _ = fs::remove_dir_all(&copy);
+            (untimed(report), admitted(&cache), cache)
+        };
+        let (one, one_admitted, cache) = recover(1);
+        let (four, four_admitted, _) = recover(4);
+        assert_eq!(one, four);
+        assert_eq!(one_admitted, four_admitted);
+        assert_eq!(
+            (one.recovered, one.corrupt, one.stale, one.interrupted),
+            (stored.len() as u64, 2, 1, 1)
+        );
+        assert_eq!((one.sessions, one.certified, one.unreadable), (1, 7, 0));
+        assert!(
+            cache.stats().evictions > 0 && cache.len() > 1,
+            "premise: admission evicted some entries and kept others"
+        );
+        assert!(cache.entries.contains_key(&CacheKey::new(
+            AnalysisKind::MfpFlat,
+            fixture(poisoned[1].1).0.digest
+        )));
+        // Every entry came back with the digest and byte charge it was
+        // stored with, and that digest is a re-encode of the decoded
+        // answer.
+        for (key, entry) in &cache.entries {
+            let value = &entry.value;
+            assert_eq!(
+                (value.answer_digest, value.approx_bytes),
+                stored[key],
+                "{key:?}"
+            );
+            let mut solution = Vec::new();
+            put_solution(&mut solution, &value.answer);
+            assert_eq!(fnv_bytes(FNV_OFFSET, &solution), value.answer_digest);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

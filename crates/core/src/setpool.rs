@@ -16,8 +16,8 @@
 //! ([`DeltaNodes::commit_into`]), after convergence, and the commit walks
 //! the bitset in universe-index order, memoizing on the canonical index
 //! run, so no comparison sort or re-hash happens at extraction either.
-//! Persist decode interns through the same [`SetPool::intern`], so a
-//! recovered answer shares its sets the way a fresh one does.
+//! Persist decode shares the sets of one answer by their encoded bytes,
+//! so a recovered answer shares its sets the way a fresh one does.
 //!
 //! Each analysis task owns its pool (see the corpus driver in
 //! `cpsdfa-workloads`), so the arena itself needs no lock. Its sets are

@@ -27,7 +27,10 @@
 //! after its answer is sent, so an answer is served before it is durable:
 //! a crash loses at most the spills still queued, never a torn or wrong
 //! entry. `stats` counts `persist_spilled` and `persist_dropped` (spills
-//! refused by a full queue). `--certify N` independently re-checks
+//! refused by a full queue). `health` reports what the start recovered
+//! and `recover_ms`, how long that took: recovery validates entries on
+//! every hardware thread (`CPSDFA_WORKERS` caps it) before the first
+//! request is read. `--certify N` independently re-checks
 //! every Nth cached/warm answer against a re-derived constraint system
 //! before serving it (1 = certify everything); refuted entries are evicted
 //! and recomputed, never served. `--session-ttl-ms` bounds how long an

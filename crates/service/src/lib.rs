@@ -143,7 +143,9 @@ pub struct ServiceConfig {
     /// served.
     pub certify_sample: u64,
     /// How many recovered entries startup recovery pushes through full
-    /// certification (checksums and key re-digests are always verified).
+    /// certification: the first valid ones in sorted file order, however
+    /// many threads recovery runs on (checksums and key re-digests are
+    /// always verified).
     pub recover_certify: usize,
     /// Idle deadline for watch-session ancestors: a session untouched for
     /// this long is dropped from the warm-start side table (`None` = only
@@ -1238,7 +1240,8 @@ impl AnalysisService {
              \"cache_entries\": {}, \"cache_bytes\": {}, \"persist\": {}, \
              \"recovered_entries\": {}, \"recovered_bytes\": {}, \
              \"recovered_corrupt\": {}, \"recovered_stale\": {}, \
-             \"recovered_interrupted\": {}, \"recovered_sessions\": {}}}",
+             \"recovered_interrupted\": {}, \"recovered_sessions\": {}, \
+             \"recover_ms\": {}}}",
             queue_depth,
             self.config.workers,
             cache.entries,
@@ -1250,6 +1253,7 @@ impl AnalysisService {
             rec.stale,
             rec.interrupted,
             rec.sessions,
+            rec.recover_ms,
         )
     }
 }

@@ -134,6 +134,13 @@ fn persist_certify_and_ttl_flags_drive_a_crash_safe_daemon() {
     assert!(health.contains("\"status\": \"health\""), "{health}");
     assert!(health.contains("\"persist\": true"), "{health}");
     assert!(health.contains("\"recovered_entries\": 1"), "{health}");
+    // How long that recovery took, in whole milliseconds.
+    let recover_ms = health
+        .split("\"recover_ms\": ")
+        .nth(1)
+        .and_then(|rest| rest.split('}').next())
+        .map(str::parse::<u64>);
+    assert!(matches!(recover_ms, Some(Ok(_))), "{health}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

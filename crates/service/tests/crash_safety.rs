@@ -424,6 +424,12 @@ fn health_and_stats_control_lines_report_recovery_and_certification() {
     assert!(health.contains("\"recovered_entries\": 1"), "{health}");
     assert!(health.contains("\"workers\": "), "{health}");
     assert!(health.contains("\"queue_depth\": "), "{health}");
+    // The recovery's wall-clock time, as the report recorded it.
+    let recover_ms = service.recovery().unwrap().recover_ms;
+    assert!(
+        health.contains(&format!("\"recover_ms\": {recover_ms}}}")),
+        "{health}"
+    );
     let stats = text
         .lines()
         .find(|l| l.contains("\"status\": \"stats\""))

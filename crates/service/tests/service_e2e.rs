@@ -490,7 +490,7 @@ fn serve_loop_round_trips_requests_stats_and_shutdown() {
     });
     let program = families::cond_chain(8).to_string();
     let input = format!(
-        "{}\n{}\n{{\"cmd\": \"stats\"}}\n{{\"cmd\": \"shutdown\"}}\n",
+        "{}\n{}\n{{\"cmd\": \"stats\"}}\n{{\"cmd\": \"health\"}}\n{{\"cmd\": \"shutdown\"}}\n",
         request(1, "cfa.cps", &program),
         request(2, "cfa.cps", &program),
     );
@@ -501,9 +501,17 @@ fn serve_loop_round_trips_requests_stats_and_shutdown() {
     let text = String::from_utf8(output).expect("utf8 responses");
     let mut ok = 0;
     let mut saw_stats = false;
+    let mut saw_health = false;
     for line in text.lines() {
         if line.contains("\"status\": \"stats\"") {
             saw_stats = true;
+            continue;
+        }
+        if line.contains("\"status\": \"health\"") {
+            // No persist directory: nothing was recovered, in no time.
+            assert!(line.contains("\"persist\": false"), "{line}");
+            assert!(line.contains("\"recover_ms\": 0}"), "{line}");
+            saw_health = true;
             continue;
         }
         let resp = Response::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
@@ -514,6 +522,7 @@ fn serve_loop_round_trips_requests_stats_and_shutdown() {
     }
     assert_eq!(ok, 2, "both requests answered before shutdown");
     assert!(saw_stats, "stats control line answered in-stream");
+    assert!(saw_health, "health control line answered in-stream");
     // One of the two identical requests hit (the serve loop is
     // concurrent, so which one depends on scheduling; with a shared
     // cache at least one must miss and at most one can hit — and after
