@@ -14,21 +14,24 @@
 //!   are values; corresponds to the closure/continuation components of
 //!   `M_s` (Figure 6), including its false returns.
 //!
-//! Both run on the shared sparse [`WorklistSolver`] with **semi-naïve
-//! (delta) propagation**: constraints re-fire only when a watched flow node
-//! grows, and a firing consumes only the *new* elements
-//! ([`WorklistSolver::take_deltas`]) from the node's append-only growth log
-//! ([`DeltaNodes`]), so a k-element set that grew by one costs one element
-//! of work, not k. While the fixpoint moves, node sets live as growth logs
-//! plus bitsets over [`DeltaNodes`]' dense value universe — each abstract
-//! closure is hashed once, then forwarded between nodes by index — and are
-//! interned into the hash-consed [`SetPool`] only at the commit point after
-//! convergence ([`DeltaNodes::commit_into`]). Two further cheats ride on
-//! the delta discipline: seed edges are applied directly to the store at
-//! setup instead of becoming constraints, and watching constraints are not
-//! posted initially — an empty watched node means the first firing would
-//! consume an empty delta, so [`WorklistSolver::node_grew`] posting on
-//! first growth is enough. The reference both solvers are tested against
+//! Both run, with [`pushdown`](crate::pushdown), on one semi-naïve
+//! set-flow engine over the sparse [`WorklistSolver`]: constraints re-fire
+//! only when a watched flow node grows, and a firing consumes only the
+//! *new* elements ([`WorklistSolver::take_deltas`]) from the node's
+//! append-only growth log ([`DeltaNodes`]), so a k-element set that grew
+//! by one costs one element of work, not k. While the fixpoint moves, node
+//! sets live as growth logs plus bitsets over [`DeltaNodes`]' dense value
+//! universe — each abstract closure is hashed once, then forwarded between
+//! nodes by index — and are interned into the hash-consed [`SetPool`] only
+//! at the commit point after convergence ([`DeltaNodes::commit_into`]).
+//! The engine writes the subset edges, seeds, firing loop and commit once;
+//! this module holds only each analysis's edges and call/return rules. Two
+//! further cheats ride on the delta discipline: seed edges are applied
+//! directly to the store at setup instead of becoming constraints, and
+//! watching constraints are not posted initially — an empty watched node
+//! means the first firing would consume an empty delta, so
+//! [`WorklistSolver::node_grew`] posting on first growth is enough. The
+//! reference both solvers are tested against
 //! is [`certify`](crate::certify), which re-derives every rule from the
 //! AST rather than from the constraint lists built here, and accepts an
 //! answer only if it is exactly the least model of those rules.
@@ -44,20 +47,24 @@
 //!    *more* precise than the derivation-style analyzers' closure sets.
 //!
 //! [`AnyNum`]: crate::domain::AnyNum
+//! [`DeltaNodes`]: crate::setpool::DeltaNodes
+//! [`DeltaNodes::commit_into`]: crate::setpool::DeltaNodes::commit_into
+//! [`SetPool`]: crate::setpool::SetPool
+//! [`WorklistSolver`]: crate::solver::WorklistSolver
+//! [`WorklistSolver::take_deltas`]: crate::solver::WorklistSolver::take_deltas
+//! [`WorklistSolver::node_grew`]: crate::solver::WorklistSolver::node_grew
 
 use crate::absval::{AbsClo, AbsKont};
 use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::govern::RunGuard;
 use crate::labtab::LabelTable;
-use crate::setpool::{DeltaNodes, SetPool};
-use crate::solver::{ConstraintId, DeltaRange, SolverMode, WorklistSolver};
+use crate::solver::{Committed, ConstraintId, Flow, SetRun, SolverMode};
 use crate::stats::SolverStats;
 use crate::trace::{self, NoopSink, TraceSink};
 use cpsdfa_anf::{AValKind, Anf, AnfKind, AnfProgram, Bind, VarId};
 use cpsdfa_cps::{CTermKind, CValKind, CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
 use std::collections::BTreeSet;
-use std::hash::Hash;
 use std::sync::Arc;
 
 /// The result of source-level 0CFA.
@@ -67,6 +74,8 @@ pub struct CfaResult {
     /// handles of the run's [`SetPool`]: identical sets (every call site of
     /// a function, say) share one allocation, and cloning a result is
     /// handle-copying, not set-copying.
+    ///
+    /// [`SetPool`]: crate::setpool::SetPool
     pub vars: Vec<Arc<BTreeSet<AbsClo>>>,
     /// Closure set flowing out of each term (keyed by term label; dense).
     /// Shared commit handles, as in [`CfaResult::vars`].
@@ -104,8 +113,8 @@ enum Node {
 
 /// A static constraint of the source-level graph.
 enum Edge {
-    /// constant ⊆ node
-    Seed(BTreeSet<AbsClo>, Node),
+    /// constant ∈ node
+    Seed(AbsClo, Node),
     /// src ⊆ dst
     Sub(Node, Node),
     /// application: callees from `f`, argument flow + return flow
@@ -119,22 +128,18 @@ enum Edge {
 
 fn collect_edges(prog: &AnfProgram) -> Vec<Edge> {
     let mut edges: Vec<Edge> = Vec::new();
-    let flow_of = |v: &cpsdfa_anf::AVal| -> Result<BTreeSet<AbsClo>, VarId> {
-        match &v.kind {
-            AValKind::Num(_) => Ok(BTreeSet::new()),
-            AValKind::Add1 => Ok(BTreeSet::from([AbsClo::Inc])),
-            AValKind::Sub1 => Ok(BTreeSet::from([AbsClo::Dec])),
-            AValKind::Lam(..) => Ok(BTreeSet::from([AbsClo::Lam(v.label)])),
-            AValKind::Var(x) => Err(prog.var_id(x).expect("indexed variable")),
-        }
-    };
-    let val_node = |v: &cpsdfa_anf::AVal, dst: Node, edges: &mut Vec<Edge>| match flow_of(v) {
-        Ok(set) => {
-            if !set.is_empty() {
-                edges.push(Edge::Seed(set, dst));
+    let val_node = |v: &cpsdfa_anf::AVal, dst: Node, edges: &mut Vec<Edge>| {
+        let clo = match &v.kind {
+            AValKind::Num(_) => return,
+            AValKind::Add1 => AbsClo::Inc,
+            AValKind::Sub1 => AbsClo::Dec,
+            AValKind::Lam(..) => AbsClo::Lam(v.label),
+            AValKind::Var(x) => {
+                let x = prog.var_id(x).expect("indexed variable");
+                return edges.push(Edge::Sub(Node::Var(x), dst));
             }
-        }
-        Err(var) => edges.push(Edge::Sub(Node::Var(var), dst)),
+        };
+        edges.push(Edge::Seed(clo, dst));
     };
 
     fn gen(
@@ -207,7 +212,8 @@ struct NodeIndex {
     dst_flags: Vec<bool>,
 }
 
-const UNINDEXED: usize = usize::MAX;
+/// The side-table entry of a label that is not a λ (or a continuation).
+pub(crate) const UNINDEXED: usize = usize::MAX;
 
 impl NodeIndex {
     fn build(prog: &AnfProgram, edges: &[Edge]) -> NodeIndex {
@@ -272,35 +278,27 @@ impl NodeIndex {
         self.num_vars + self.num_terms
     }
 
-    /// Builds [`CfaResult::terms`] by committing every propagation-target
-    /// term node through `commit`, in label order.
-    fn commit_dst_terms(
-        &self,
-        mut commit: impl FnMut(usize) -> Arc<BTreeSet<AbsClo>>,
-    ) -> LabelTable<Arc<BTreeSet<AbsClo>>> {
-        let mut terms = LabelTable::new(self.dst_flags.len() as u32);
-        for (i, &is_dst) in self.dst_flags.iter().enumerate() {
-            if is_dst {
-                let l = Label::new(i as u32);
-                terms.insert(l, commit(self.node(Node::Term(l))));
-            }
-        }
-        terms
+    /// The propagation-target terms — the key set of
+    /// [`CfaResult::terms`] — with their nodes, in label order.
+    fn dst_terms(&self) -> impl Iterator<Item = (Label, usize)> + '_ {
+        let labels = self.dst_flags.iter().enumerate();
+        labels.filter(|&(_, &is_dst)| is_dst).map(|(i, _)| {
+            let l = Label::new(i as u32);
+            (l, self.node(Node::Term(l)))
+        })
     }
 }
 
-/// A source-level constraint over indexed flow nodes. The constraints store
-/// only their *targets*: sources are owned by the solver's watch edges and
-/// arrive as delta ranges at firing time. Seed edges never become
-/// constraints — they fire exactly once, so setup applies them directly.
+/// The source-level call rule `(f a)` at `site`, binding `bind`, over
+/// indexed flow nodes. It watches `f`, whose delta is exactly the
+/// not-yet-wired callees. The subset edges are the engine's own, and seed
+/// edges never become constraints — they fire exactly once, so setup
+/// applies them directly.
 #[derive(Clone, Copy)]
-enum SrcConstraint {
-    Sub(usize),
-    Call {
-        arg: usize,
-        bind: usize,
-        site: Label,
-    },
+struct SrcCall {
+    arg: usize,
+    bind: usize,
+    site: Label,
 }
 
 /// Flat per-label side tables for source-level call wiring: everything a
@@ -313,7 +311,7 @@ struct SrcTables {
     /// By flow node: call wires out of this node are registered. True for
     /// every variable and every term node some static edge targets. A term
     /// node no static edge targets — a literal operand, a constant lambda
-    /// body — stays empty forever, so [`fire_src`] skips wires from it.
+    /// body — stays empty forever, so the call rule skips wires from it.
     live_src: Vec<bool>,
 }
 
@@ -334,86 +332,6 @@ impl SrcTables {
             }
         }
         SrcTables { lam, live_src }
-    }
-}
-
-/// Registers constraint `c` as a watcher of `node`. The watch starts at
-/// cursor 0 and is posted at once when the log is non-empty, so its first
-/// firing replays the whole history.
-fn watch_from<T: Eq + Hash + Clone>(
-    solver: &mut WorklistSolver,
-    nodes: &DeltaNodes<T>,
-    node: usize,
-    c: ConstraintId,
-) {
-    solver.watch(node, c);
-    if !nodes.log(node).is_empty() {
-        solver.post(c);
-    }
-}
-
-/// Registers the call wire `src ⊆ dst` as a new `Sub` constraint.
-fn add_wire(
-    solver: &mut WorklistSolver,
-    nodes: &DeltaNodes<AbsClo>,
-    constraints: &mut Vec<SrcConstraint>,
-    (src, dst): (usize, usize),
-) {
-    let c = solver.add_constraint(constraints.len() as u32);
-    constraints.push(SrcConstraint::Sub(dst));
-    watch_from(solver, nodes, src, c);
-}
-
-/// Fires source constraint `ci` of a [`zero_cfa_impl`] run.
-fn fire_src(
-    ci: ConstraintId,
-    solver: &mut WorklistSolver,
-    nodes: &mut DeltaNodes<AbsClo>,
-    constraints: &mut Vec<SrcConstraint>,
-    calls: &mut LabelTable<BTreeSet<AbsClo>>,
-    tables: &SrcTables,
-    deltas: &mut Vec<DeltaRange>,
-) {
-    match constraints[ci] {
-        SrcConstraint::Sub(dst) => {
-            solver.take_deltas(ci, deltas);
-            // Watchers are notified once per firing, not per element: the
-            // cursors only ever observe the post-batch log length.
-            let mut grew = false;
-            for &(src, lo, hi) in deltas.iter() {
-                grew |= nodes.forward_range(src, lo, hi, dst).is_some();
-            }
-            if grew {
-                solver.node_grew(dst, nodes.log(dst).len());
-            }
-        }
-        SrcConstraint::Call { arg, bind, site } => {
-            // The delta of `f` is exactly the not-yet-wired callees.
-            solver.take_deltas(ci, deltas);
-            for &(f, lo, hi) in deltas.iter() {
-                for i in lo..hi {
-                    let clo = nodes.log(f)[i].0;
-                    if !calls.entry_or_default(site).insert(clo) {
-                        continue; // already wired
-                    }
-                    if let AbsClo::Lam(l) = clo {
-                        // Newly-discovered callee: wire the argument flow
-                        // into the parameter and the body result into the
-                        // binder as persistent sparse edges. The fresh
-                        // watches start at cursor 0, so their first delta
-                        // carries the sources' full current logs. A wire
-                        // from a constant node would never fire: skip it.
-                        let (param, body) = tables.lam[l.index() as usize];
-                        for wire in [(arg, param), (body, bind)] {
-                            if tables.live_src[wire.0] {
-                                add_wire(solver, nodes, constraints, wire);
-                            }
-                        }
-                    }
-                    // Inc/Dec return numbers: no closure flow.
-                }
-            }
-        }
     }
 }
 
@@ -484,78 +402,60 @@ fn zero_cfa_impl(
     let edges = collect_edges(prog);
     let idx = NodeIndex::build(prog, &edges);
     let tables = SrcTables::build(prog, &idx);
-    let total = idx.total();
-
-    let mut solver = WorklistSolver::new();
-    solver.add_nodes(total);
-    solver.reserve(edges.len());
-    let mut nodes: DeltaNodes<AbsClo> = DeltaNodes::new(total);
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
-
-    let mut constraints: Vec<SrcConstraint> = Vec::with_capacity(edges.len());
+    let mut run: SetRun<AbsClo, SrcCall> = SetRun::new(idx.total(), edges.len());
     for e in &edges {
-        match e {
+        match *e {
             Edge::Seed(..) => {}
-            Edge::Sub(src, dst) => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(SrcConstraint::Sub(idx.node(*dst)));
-                solver.watch(idx.node(*src), c);
-            }
+            Edge::Sub(src, dst) => run.wire(idx.node(src), idx.node(dst)),
             Edge::Call { f, arg, bind, site } => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(SrcConstraint::Call {
-                    arg: idx.node(*arg),
-                    bind: bind.index(),
-                    site: *site,
-                });
-                solver.watch(idx.node(*f), c);
+                let (arg, bind) = (idx.node(arg), bind.index());
+                run.rule(SrcCall { arg, bind, site }, Some(idx.node(f)));
             }
         }
     }
-
     for e in &edges {
-        if let Edge::Seed(set, dst) = e {
-            let dst = idx.node(*dst);
-            let mut grew = false;
-            for v in set {
-                grew |= nodes.add(dst, *v).is_some();
-            }
-            if grew {
-                solver.node_grew(dst, nodes.log(dst).len());
-            }
+        if let Edge::Seed(clo, dst) = *e {
+            run.seed(idx.node(dst), clo);
         }
     }
 
-    let mut deltas: Vec<DeltaRange> = Vec::new();
-    solver.run_guarded(guard, |solver, ci| {
-        guard.charge_memory(nodes.approx_bytes() as u64)?;
-        fire_src(
-            ci,
-            solver,
-            &mut nodes,
-            &mut constraints,
-            &mut calls,
-            &tables,
-            &mut deltas,
-        );
-        Ok(())
+    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
+    run.run(guard, |run, ci, SrcCall { arg, bind, site }| {
+        run.for_each_new(ci, |run, clo| {
+            if !calls.entry_or_default(site).insert(clo) {
+                return; // already wired
+            }
+            if let AbsClo::Lam(l) = clo {
+                // Newly-discovered callee: wire the argument flow into the
+                // parameter and the body result into the binder as
+                // persistent subset edges. A wire from a constant node
+                // would never fire: skip it.
+                let (param, body) = tables.lam[l.index() as usize];
+                for (src, dst) in [(arg, param), (body, bind)] {
+                    if tables.live_src[src] {
+                        run.wire(src, dst);
+                    }
+                }
+            }
+            // Inc/Dec return numbers: no closure flow.
+        });
     })?;
 
-    // Commit point: intern each converged node set (deduping identical
-    // ones), variables first, then the propagation targets in label order.
-    let mut pool: SetPool<AbsClo> = SetPool::new();
-    let mut commit = |node: usize| {
-        let id = nodes.commit_into(node, &mut pool);
-        pool.get_arc(id)
-    };
-    let vars: Vec<Arc<BTreeSet<AbsClo>>> = (0..idx.num_vars).map(&mut commit).collect();
-    let terms = idx.commit_dst_terms(commit);
-    let stats = solver.stats().with_pool(pool.stats());
-    stats.emit_into(sink, "cfa.src");
-    let iterations = stats.fired.max(1);
+    // Commit point: variables first, then the propagation targets in label
+    // order.
+    let order = (0..idx.num_vars).chain(idx.dst_terms().map(|(_, node)| node));
+    let Committed {
+        mut sets,
+        stats,
+        iterations,
+    } = run.commit(order, sink, "cfa.src");
+    let mut terms = LabelTable::new(idx.dst_flags.len() as u32);
+    for ((l, _), set) in idx.dst_terms().zip(sets.drain(idx.num_vars..)) {
+        terms.insert(l, set);
+    }
     Ok((
         CfaResult {
-            vars,
+            vars: sets,
             terms,
             calls: Arc::new(calls),
             iterations,
@@ -619,43 +519,79 @@ impl CpsCfaResult {
 // CPS-level constraint generation
 // ---------------------------------------------------------------------------
 
-/// A CPS operand: either a constant flow or a variable. Shared with the
-/// pushdown analyzer ([`crate::pushdown`]), which generates constraints
-/// over the same operand shape.
-#[derive(Clone, Copy)]
-pub(crate) enum Flow {
-    None,
-    Const(CpsFlow),
-    Var(CVarId),
-}
-
-/// A static constraint of the CPS-level graph.
-enum CpsEdge {
-    Seed(CpsFlow, CVarId),
-    Sub(CVarId, CVarId),
+/// A static constraint of the CPS-level graph over variable nodes — the
+/// one walk both CPS 0CFA and [`pushdown`](crate::pushdown) read.
+pub(crate) enum CpsEdge {
+    Seed(CpsFlow, usize),
+    Sub(usize, usize),
     /// `(k W)`: for each continuation in `k`, `W` flows to its binder.
     Ret {
-        k: CVarId,
-        w: Flow,
+        k: usize,
+        w: Flow<CpsFlow>,
         site: Label,
     },
-    /// `(W₁ W₂ (λx.P))`.
-    Call {
-        f: Flow,
-        arg: Flow,
-        cont: Label,
-        site: Label,
-    },
+    Call(CpsCall),
 }
 
-fn collect_cps_edges(prog: &CpsProgram) -> Vec<CpsEdge> {
-    let flow_of = |w: &cpsdfa_cps::CVal| -> Flow {
+/// `(W₁ W₂ (λx.P))` at `site`: operator, operand and the literal
+/// continuation λ's label.
+#[derive(Clone, Copy)]
+pub(crate) struct CpsCall {
+    pub(crate) f: Flow<CpsFlow>,
+    pub(crate) arg: Flow<CpsFlow>,
+    pub(crate) cont: Label,
+    pub(crate) site: Label,
+}
+
+impl CpsCall {
+    /// The node the call rule watches: its operator's. A constant
+    /// operator has no watch, so its rule is posted once — a numeric one
+    /// too, where the firing does nothing.
+    pub(crate) fn watched(&self) -> Option<usize> {
+        match self.f {
+            Flow::Var(f) => Some(f),
+            Flow::None | Flow::Const(_) => None,
+        }
+    }
+
+    /// Fires this call's rule `ci`: records in `calls` each callee the
+    /// operator has delivered since the last firing — a constant
+    /// operator's at its one firing, a variable's delta — and hands each
+    /// newly applied user λ to `enter`. Primitives return numbers
+    /// directly to the continuation: no closure flow.
+    pub(crate) fn fire<C: Copy>(
+        &self,
+        run: &mut SetRun<CpsFlow, C>,
+        ci: ConstraintId,
+        calls: &mut LabelTable<BTreeSet<AbsClo>>,
+        mut enter: impl FnMut(&mut SetRun<CpsFlow, C>, Label),
+    ) {
+        let site = self.site;
+        let mut apply = |run: &mut SetRun<CpsFlow, C>, v: CpsFlow| {
+            let CpsFlow::Clo(clo) = v else { return };
+            if !calls.entry_or_default(site).insert(clo) {
+                return; // already wired
+            }
+            if let AbsClo::Lam(l) = clo {
+                enter(run, l);
+            }
+        };
+        match self.f {
+            Flow::None => {}
+            Flow::Const(v) => apply(run, v),
+            Flow::Var(_) => run.for_each_new(ci, apply),
+        }
+    }
+}
+
+pub(crate) fn collect_cps_edges(prog: &CpsProgram) -> Vec<CpsEdge> {
+    let flow_of = |w: &cpsdfa_cps::CVal| -> Flow<CpsFlow> {
         match &w.kind {
             CValKind::Num(_) => Flow::None,
             CValKind::Add1K => Flow::Const(CpsFlow::Clo(AbsClo::Inc)),
             CValKind::Sub1K => Flow::Const(CpsFlow::Clo(AbsClo::Dec)),
             CValKind::Lam { .. } => Flow::Const(CpsFlow::Clo(AbsClo::Lam(w.label))),
-            CValKind::Var(x) => Flow::Var(prog.user_var_id(x).expect("indexed variable")),
+            CValKind::Var(x) => Flow::Var(prog.user_var_id(x).expect("indexed variable").index()),
         }
     };
 
@@ -664,13 +600,13 @@ fn collect_cps_edges(prog: &CpsProgram) -> Vec<CpsEdge> {
         t: &'p cpsdfa_cps::CTerm,
         prog: &CpsProgram,
         edges: &mut Vec<CpsEdge>,
-        flow_of: &impl Fn(&'p cpsdfa_cps::CVal) -> Flow,
+        flow_of: &impl Fn(&'p cpsdfa_cps::CVal) -> Flow<CpsFlow>,
     ) {
+        let kont_node = |k| prog.kont_var_id(k).expect("indexed k").index();
         match &t.kind {
             CTermKind::Ret(k, w) => {
-                let kid = prog.kont_var_id(k).expect("indexed k");
                 edges.push(CpsEdge::Ret {
-                    k: kid,
+                    k: kont_node(k),
                     w: flow_of(w),
                     site: t.label,
                 });
@@ -679,7 +615,7 @@ fn collect_cps_edges(prog: &CpsProgram) -> Vec<CpsEdge> {
                 }
             }
             CTermKind::Let { var, val, body } => {
-                let x = prog.user_var_id(var).expect("indexed variable");
+                let x = prog.user_var_id(var).expect("indexed variable").index();
                 match flow_of(val) {
                     Flow::None => {}
                     Flow::Const(c) => edges.push(CpsEdge::Seed(c, x)),
@@ -691,12 +627,12 @@ fn collect_cps_edges(prog: &CpsProgram) -> Vec<CpsEdge> {
                 gen(body, prog, edges, flow_of);
             }
             CTermKind::Call { f, arg, cont } => {
-                edges.push(CpsEdge::Call {
+                edges.push(CpsEdge::Call(CpsCall {
                     f: flow_of(f),
                     arg: flow_of(arg),
                     cont: cont.label,
                     site: t.label,
-                });
+                }));
                 if let CValKind::Lam { body, .. } = &f.kind {
                     gen(body, prog, edges, flow_of);
                 }
@@ -712,8 +648,8 @@ fn collect_cps_edges(prog: &CpsProgram) -> Vec<CpsEdge> {
                 else_,
                 ..
             } => {
-                let kid = prog.kont_var_id(k).expect("indexed k");
-                edges.push(CpsEdge::Seed(CpsFlow::Kont(AbsKont::Co(cont.label)), kid));
+                let co = CpsFlow::Kont(AbsKont::Co(cont.label));
+                edges.push(CpsEdge::Seed(co, kont_node(k)));
                 gen(&cont.body, prog, edges, flow_of);
                 gen(then_, prog, edges, flow_of);
                 gen(else_, prog, edges, flow_of);
@@ -725,27 +661,22 @@ fn collect_cps_edges(prog: &CpsProgram) -> Vec<CpsEdge> {
 
     // The top continuation holds `stop`.
     let k0 = prog.kont_var_id(prog.top_k()).expect("top k indexed");
-    edges.push(CpsEdge::Seed(CpsFlow::Kont(AbsKont::Stop), k0));
+    edges.push(CpsEdge::Seed(CpsFlow::Kont(AbsKont::Stop), k0.index()));
     edges
 }
 
-/// A CPS-level constraint over indexed flow nodes. As with
-/// [`SrcConstraint`], watched sources live on the solver's watch edges and
-/// arrive as delta ranges, so only targets and operands are stored. Seed
-/// edges are applied directly at setup and never become constraints.
+/// A CPS-level rule over indexed flow nodes; the subset edges are the
+/// engine's own. Seed edges are applied directly at setup and never
+/// become constraints.
 #[derive(Clone, Copy)]
-enum CpsConstraint {
-    Sub(usize),
+enum CpsRule {
+    /// `(k W)`: watches `k`, whose delta is the not-yet-wired
+    /// continuations.
     Ret {
-        w: Flow,
+        w: Flow<CpsFlow>,
         site: Label,
     },
-    Call {
-        f: Flow,
-        arg: Flow,
-        cont: Label,
-        site: Label,
-    },
+    Call(CpsCall),
 }
 
 /// Flat per-label side tables for CPS call/return wiring, pre-resolved to
@@ -780,144 +711,6 @@ impl CpsTables {
             cont_var[i] = r.var_id.index();
         }
         CpsTables { lam, cont_var }
-    }
-}
-
-/// Joins `flow` into node `dst`: a constant grows the node's log directly,
-/// a variable becomes a persistent delta-watched `Sub` edge whose fresh
-/// cursor replays the source's full history on its first firing.
-fn cps_wire_flow(
-    flow: Flow,
-    dst: usize,
-    solver: &mut WorklistSolver,
-    nodes: &mut DeltaNodes<CpsFlow>,
-    constraints: &mut Vec<CpsConstraint>,
-) {
-    match flow {
-        Flow::None => {}
-        Flow::Const(cflow) => {
-            if let Some(len) = nodes.add(dst, cflow) {
-                solver.node_grew(dst, len);
-            }
-        }
-        Flow::Var(v) => {
-            let c = solver.add_constraint(constraints.len() as u32);
-            constraints.push(CpsConstraint::Sub(dst));
-            watch_from(solver, nodes, v.index(), c);
-        }
-    }
-}
-
-/// Wires a newly-discovered callee at `site`: argument into the parameter,
-/// the call's continuation into the callee's `k`.
-#[allow(clippy::too_many_arguments)]
-fn cps_apply_clo(
-    v: CpsFlow,
-    arg: Flow,
-    cont: Label,
-    site: Label,
-    solver: &mut WorklistSolver,
-    nodes: &mut DeltaNodes<CpsFlow>,
-    constraints: &mut Vec<CpsConstraint>,
-    calls: &mut LabelTable<BTreeSet<AbsClo>>,
-    tables: &CpsTables,
-) {
-    let CpsFlow::Clo(clo) = v else { return };
-    if !calls.entry_or_default(site).insert(clo) {
-        return; // already wired
-    }
-    if let AbsClo::Lam(l) = clo {
-        let (param, kvar) = tables.lam[l.index() as usize];
-        cps_wire_flow(arg, param, solver, nodes, constraints);
-        cps_wire_flow(
-            Flow::Const(CpsFlow::Kont(AbsKont::Co(cont))),
-            kvar,
-            solver,
-            nodes,
-            constraints,
-        );
-    }
-    // Primitives return numbers directly to the continuation: no closure
-    // flow.
-}
-
-/// Fires CPS constraint `ci`: forwards a `Sub` delta, or wires the
-/// continuations (at a return) or callees (at a call) it has not seen yet.
-#[allow(clippy::too_many_arguments)]
-fn fire_cps(
-    ci: ConstraintId,
-    solver: &mut WorklistSolver,
-    nodes: &mut DeltaNodes<CpsFlow>,
-    constraints: &mut Vec<CpsConstraint>,
-    returns: &mut LabelTable<BTreeSet<AbsKont>>,
-    calls: &mut LabelTable<BTreeSet<AbsClo>>,
-    tables: &CpsTables,
-    deltas: &mut Vec<DeltaRange>,
-) {
-    match constraints[ci] {
-        CpsConstraint::Sub(dst) => {
-            solver.take_deltas(ci, deltas);
-            // One watcher notification per firing, not per element.
-            let mut grew = false;
-            for &(src, lo, hi) in deltas.iter() {
-                grew |= nodes.forward_range(src, lo, hi, dst).is_some();
-            }
-            if grew {
-                solver.node_grew(dst, nodes.log(dst).len());
-            }
-        }
-        CpsConstraint::Ret { w, site } => {
-            // The delta of `k` is exactly the not-yet-wired continuations.
-            solver.take_deltas(ci, deltas);
-            for &(k, lo, hi) in deltas.iter() {
-                for i in lo..hi {
-                    let CpsFlow::Kont(kk) = nodes.log(k)[i].0 else {
-                        continue;
-                    };
-                    if !returns.entry_or_default(site).insert(kk) {
-                        continue; // already wired
-                    }
-                    if let AbsKont::Co(l) = kk {
-                        let dst = tables.cont_var[l.index() as usize];
-                        cps_wire_flow(w, dst, solver, nodes, constraints);
-                    }
-                }
-            }
-        }
-        CpsConstraint::Call { f, arg, cont, site } => match f {
-            Flow::None => {}
-            // A constant operator fires exactly once (no watches).
-            Flow::Const(c) => cps_apply_clo(
-                c,
-                arg,
-                cont,
-                site,
-                solver,
-                nodes,
-                constraints,
-                calls,
-                tables,
-            ),
-            Flow::Var(_) => {
-                solver.take_deltas(ci, deltas);
-                for &(fnode, lo, hi) in deltas.iter() {
-                    for i in lo..hi {
-                        let v = nodes.log(fnode)[i].0;
-                        cps_apply_clo(
-                            v,
-                            arg,
-                            cont,
-                            site,
-                            solver,
-                            nodes,
-                            constraints,
-                            calls,
-                            tables,
-                        );
-                    }
-                }
-            }
-        },
     }
 }
 
@@ -976,92 +769,54 @@ fn zero_cfa_cps_impl(
     let tables = CpsTables::build(prog);
     let edges = collect_cps_edges(prog);
     let n = prog.num_vars();
-
-    let mut solver = WorklistSolver::new();
-    solver.add_nodes(n);
-    solver.reserve(edges.len());
-    let mut nodes: DeltaNodes<CpsFlow> = DeltaNodes::new(n);
-    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
-
-    // Watching constraints are not posted while their node is empty (the
-    // first delta would be empty — a no-op); `node_grew` schedules them.
+    let mut run: SetRun<CpsFlow, CpsRule> = SetRun::new(n, edges.len());
     // Seeds skip the worklist entirely and are poured after this loop, so
     // their growth reaches every watcher.
-    let mut constraints: Vec<CpsConstraint> = Vec::with_capacity(edges.len());
     for e in &edges {
-        match e {
+        match *e {
             CpsEdge::Seed(..) => {}
-            CpsEdge::Sub(src, dst) => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(CpsConstraint::Sub(dst.index()));
-                solver.watch(src.index(), c);
-            }
-            CpsEdge::Ret { k, w, site } => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(CpsConstraint::Ret { w: *w, site: *site });
-                solver.watch(k.index(), c);
-            }
-            CpsEdge::Call { f, arg, cont, site } => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                constraints.push(CpsConstraint::Call {
-                    f: *f,
-                    arg: *arg,
-                    cont: *cont,
-                    site: *site,
-                });
-                match f {
-                    Flow::Var(v) => solver.watch(v.index(), c),
-                    // A constant operator has no watches, so it is posted
-                    // once — a numeric one too, where the firing does
-                    // nothing.
-                    Flow::Const(_) | Flow::None => solver.post(c),
-                }
-            }
+            CpsEdge::Sub(src, dst) => run.wire(src, dst),
+            CpsEdge::Ret { k, w, site } => run.rule(CpsRule::Ret { w, site }, Some(k)),
+            CpsEdge::Call(call) => run.rule(CpsRule::Call(call), call.watched()),
         }
     }
-
     for e in &edges {
-        if let CpsEdge::Seed(flow, dst) = e {
-            let dst = dst.index();
-            if let Some(len) = nodes.add(dst, *flow) {
-                solver.node_grew(dst, len);
-            }
+        if let CpsEdge::Seed(flow, dst) = *e {
+            run.seed(dst, flow);
         }
     }
 
-    let mut deltas: Vec<DeltaRange> = Vec::new();
-    solver.run_guarded(guard, |solver, ci| {
-        guard.charge_memory(nodes.approx_bytes() as u64)?;
-        fire_cps(
-            ci,
-            solver,
-            &mut nodes,
-            &mut constraints,
-            &mut returns,
-            &mut calls,
-            &tables,
-            &mut deltas,
-        );
-        Ok(())
+    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
+    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
+    run.run(guard, |run, ci, rule| match rule {
+        CpsRule::Ret { w, site } => run.for_each_new(ci, |run, v| {
+            let CpsFlow::Kont(kk) = v else { return };
+            if !returns.entry_or_default(site).insert(kk) {
+                return; // already wired
+            }
+            if let AbsKont::Co(l) = kk {
+                run.flow(w, tables.cont_var[l.index() as usize]);
+            }
+        }),
+        // A newly applied λ: the argument into its parameter, the call's
+        // continuation into its `k`.
+        CpsRule::Call(call) => call.fire(run, ci, &mut calls, |run, l| {
+            let (param, kvar) = tables.lam[l.index() as usize];
+            run.flow(call.arg, param);
+            run.seed(kvar, CpsFlow::Kont(AbsKont::Co(call.cont)));
+        }),
     })?;
 
-    // Commit point: intern each converged node set (deduping identical
-    // ones); the result holds the shared pool handles directly. The store
-    // commits in universe-index order, so no per-node sort happens.
-    let mut pool: SetPool<CpsFlow> = SetPool::new();
-    let vars: Vec<Arc<BTreeSet<CpsFlow>>> = (0..n)
-        .map(|i| {
-            let id = nodes.commit_into(i, &mut pool);
-            pool.get_arc(id)
-        })
-        .collect();
-    let stats = solver.stats().with_pool(pool.stats());
-    stats.emit_into(sink, "cfa.cps");
-    let iterations = stats.fired.max(1);
+    // Commit point: the store commits in universe-index order, so no
+    // per-node sort happens.
+    let Committed {
+        sets,
+        stats,
+        iterations,
+    } = run.commit(0..n, sink, "cfa.cps");
     Ok((
         CpsCfaResult {
-            vars,
+            vars: sets,
             returns,
             calls,
             iterations,

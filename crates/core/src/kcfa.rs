@@ -220,9 +220,6 @@ fn step<'p>(
             let x = prog.user_var_id(var).expect("indexed user variable");
             let f = flow(val, r);
             changed |= bind_user(x, f, r);
-            if let CValKind::Lam { .. } = &val.kind {
-                // body analyzed when the λ is applied
-            }
             enqueue(body, ctx);
         }
         CTermKind::Call { f, arg, cont } => {

@@ -23,15 +23,17 @@
 //!   join point (branch merge — not a procedure return), or the top-level
 //!   halt continuation.
 //!
-//! So instead of propagating continuation sets, the analyzer classifies
-//! every return site once, collects a per-λ **return template** (the
+//! So instead of propagating continuation sets, the analyzer reads CPS
+//! 0CFA's constraint walk, classifies each of its return sites once by the
+//! binder of `k`, collects a per-λ **return template** (the
 //! frame-return sites of the λ together with what they return: the λ's own
 //! parameter, a constant, another variable, or a number), and at each
 //! *discovered call* `(f a (λx.P))` with `λl ∈ f` instantiates `l`'s
 //! template at that call: the entry's own argument — not the merged
 //! parameter set — flows to the caller's binder `x`. Closure flow still
-//! runs on the shared semi-naïve [`WorklistSolver`]/[`DeltaNodes`]
-//! machinery; only the continuation dimension changes. The result is a
+//! runs on the semi-naïve set-flow engine CPS 0CFA runs on, over the
+//! shared [`WorklistSolver`]/[`DeltaNodes`] machinery; only the
+//! continuation dimension changes. The result is a
 //! strict refinement of [`zero_cfa_cps`](crate::cfa::zero_cfa_cps):
 //! per-variable flow sets are subsets (`polyvariant(n)` keeps each
 //! funneled closure separate where 0CFA merges all `n`), and every
@@ -42,23 +44,29 @@
 //! Costs: one summary instantiation per discovered `(call site, callee)`
 //! pair, the same asymptotics as 0CFA's call wiring. The analyzer is the
 //! top rung (`cfa.pushdown`) of its degradation ladder
-//! ([`govern::ladder`](crate::govern::ladder)):
-//! coarser-but-cheaper `cfa.cps` and `cfa.src` remain as fallbacks.
+//! ([`govern::ladder`](crate::govern::ladder)), with `cfa.cps` and
+//! `cfa.src` as fallbacks. `cfa.cps` is coarser but not cheaper: E21 has
+//! it firing at least as often as pushdown on every row, so a fall to it
+//! can rescue a deadline, memory or panic trip, not a firing budget.
+//! `cfa.src` does fire less on some families (`dispatch`).
 //!
 //! [`CpsProgram::from_anf`]: cpsdfa_cps::CpsProgram::from_anf
+//! [`WorklistSolver`]: crate::solver::WorklistSolver
+//! [`DeltaNodes`]: crate::setpool::DeltaNodes
 
 use crate::absval::{AbsClo, AbsKont};
 use crate::budget::{AnalysisBudget, AnalysisError};
-use crate::cfa::{CpsCfaResult, CpsFlow, CpsTables, Flow};
+use crate::cfa::{
+    collect_cps_edges, CpsCall, CpsCfaResult, CpsEdge, CpsFlow, CpsTables, UNINDEXED,
+};
 use crate::govern::RunGuard;
 use crate::labtab::LabelTable;
-use crate::setpool::{DeltaNodes, SetPool};
-use crate::solver::{ConstraintId, DeltaRange, SolverMode, WorklistSolver};
+use crate::solver::{Committed, Flow, SetRun, SolverMode};
 use crate::stats::SolverStats;
 use crate::trace::{self, NoopSink, TraceSink};
-use cpsdfa_cps::{CTerm, CTermKind, CVal, CValKind, CVarId, CpsProgram};
+use cpsdfa_cps::{CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One matched return edge: the pop witnessed by its push. `callee`'s
@@ -190,333 +198,53 @@ struct RetTemplate {
     /// The `(k W)` term's label.
     site: Label,
     /// The returned operand.
-    w: Flow,
+    w: Flow<CpsFlow>,
     /// True when `W` is the λ's *own parameter* — the case where summary
     /// instantiation beats monovariance: the caller's argument (not the
     /// merged parameter set) flows to the caller's binder.
     own_param: bool,
 }
 
-/// A static constraint of the pushdown flow graph. Return sites never
-/// appear: frame returns are instantiated from templates at call
-/// discovery, join and halt returns are resolved at collection time.
-enum PdEdge {
-    Seed(CpsFlow, CVarId),
-    Sub(CVarId, CVarId),
-    /// `(k W)` with `k` a `letk` join: `W` flows to the join
-    /// continuation's binder — an ordinary static edge.
-    Join {
-        w: Flow,
-        cont: Label,
-    },
-    /// `(W₁ W₂ (λx.P))`.
-    Call {
-        f: Flow,
-        arg: Flow,
-        cont: Label,
-        site: Label,
-    },
+/// What binds a variable node. Every continuation variable is bound
+/// exactly once, so a return site `(k W)` is classified by `k`'s binder.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum KBinder {
+    /// Not a continuation variable.
+    None,
+    /// A user λ's own `k`: returns through it pop that λ's frame.
+    Frame(Label),
+    /// A `letk` join point, bound to this continuation λ.
+    Join(Label),
+    /// The top-level halt continuation.
+    Halt,
 }
 
-/// The enclosing user λ while walking a body.
-#[derive(Clone, Copy)]
-struct Frame {
-    label: Label,
-    param: CVarId,
-    k: CVarId,
-}
-
-/// Everything the solver needs, extracted in one deterministic walk.
-struct PdStatic {
-    edges: Vec<PdEdge>,
-    /// By λ label: the frame-return template.
-    templates: Vec<Vec<RetTemplate>>,
-    /// `letk`-bound continuation variable node → its join continuation.
-    join_of: HashMap<usize, Label>,
-    /// Halt return sites (`(k₀ W)`) — recorded statically.
-    halt_returns: Vec<Label>,
-    /// Join return sites with their static continuation.
-    join_returns: Vec<(Label, Label)>,
-}
-
-fn collect_pushdown(prog: &CpsProgram) -> PdStatic {
-    let flow_of = |w: &CVal| -> Flow {
-        match &w.kind {
-            CValKind::Num(_) => Flow::None,
-            CValKind::Add1K => Flow::Const(CpsFlow::Clo(AbsClo::Inc)),
-            CValKind::Sub1K => Flow::Const(CpsFlow::Clo(AbsClo::Dec)),
-            CValKind::Lam { .. } => Flow::Const(CpsFlow::Clo(AbsClo::Lam(w.label))),
-            CValKind::Var(x) => Flow::Var(prog.user_var_id(x).expect("indexed variable")),
-        }
-    };
-    // Frames of every user λ, by the λ value's label.
-    let mut frames: HashMap<Label, Frame> = HashMap::new();
-    for (l, r) in prog.lambdas() {
-        frames.insert(
-            l,
-            Frame {
-                label: l,
-                param: r.param_id,
-                k: r.k_id,
-            },
+/// The binder of each of the `n` variable nodes, read off the λ table and
+/// the CPS walk's continuation seeds: a `letk` seeds its `k` with the join
+/// continuation, and the walk seeds the top `k` with `stop`.
+fn kont_binders(n: usize, tables: &CpsTables, edges: &[CpsEdge]) -> Vec<KBinder> {
+    let mut binders = vec![KBinder::None; n];
+    let mut bind = |k: usize, binder: KBinder| {
+        debug_assert_eq!(
+            binders[k],
+            KBinder::None,
+            "continuation variable {k} is bound twice"
         );
-    }
-    let top_k = prog.kont_var_id(prog.top_k()).expect("top k indexed");
-
-    let mut st = PdStatic {
-        edges: Vec::new(),
-        templates: vec![Vec::new(); prog.label_count() as usize],
-        join_of: HashMap::new(),
-        halt_returns: Vec::new(),
-        join_returns: Vec::new(),
+        binders[k] = binder;
     };
-
-    // Lexical scoping makes return-site classification local: inside a
-    // user λ the only continuation variables in scope are its own `k` and
-    // `letk` joins introduced within; at the top level, `k₀` and joins.
-    fn walk<'p>(
-        t: &'p CTerm,
-        frame: Option<Frame>,
-        prog: &CpsProgram,
-        frames: &HashMap<Label, Frame>,
-        top_k: CVarId,
-        st: &mut PdStatic,
-        flow_of: &impl Fn(&'p CVal) -> Flow,
-    ) {
-        let enter_val = |v: &'p CVal, st: &mut PdStatic| {
-            if let CValKind::Lam { body, .. } = &v.kind {
-                let f = frames[&v.label];
-                walk(body, Some(f), prog, frames, top_k, st, flow_of);
-            }
-        };
-        match &t.kind {
-            CTermKind::Ret(k, w) => {
-                let kid = prog.kont_var_id(k).expect("indexed k");
-                let wf = flow_of(w);
-                match frame {
-                    Some(f) if kid == f.k => {
-                        st.templates[f.label.index() as usize].push(RetTemplate {
-                            site: t.label,
-                            w: wf,
-                            own_param: matches!(wf, Flow::Var(v) if v == f.param),
-                        })
-                    }
-                    _ if kid == top_k => st.halt_returns.push(t.label),
-                    _ => {
-                        let cont = *st
-                            .join_of
-                            .get(&kid.index())
-                            .expect("return continuation is a frame, join, or halt");
-                        st.join_returns.push((t.label, cont));
-                        st.edges.push(PdEdge::Join { w: wf, cont });
-                    }
-                }
-                enter_val(w, st);
-            }
-            CTermKind::Let { var, val, body } => {
-                let x = prog.user_var_id(var).expect("indexed variable");
-                match flow_of(val) {
-                    Flow::None => {}
-                    Flow::Const(c) => st.edges.push(PdEdge::Seed(c, x)),
-                    Flow::Var(y) => st.edges.push(PdEdge::Sub(y, x)),
-                }
-                enter_val(val, st);
-                walk(body, frame, prog, frames, top_k, st, flow_of);
-            }
-            CTermKind::Call { f, arg, cont } => {
-                st.edges.push(PdEdge::Call {
-                    f: flow_of(f),
-                    arg: flow_of(arg),
-                    cont: cont.label,
-                    site: t.label,
-                });
-                enter_val(f, st);
-                enter_val(arg, st);
-                // The literal continuation body runs in the *caller's*
-                // frame: its returns pop the caller's stack, not a new one.
-                walk(&cont.body, frame, prog, frames, top_k, st, flow_of);
-            }
-            CTermKind::LetK {
-                k,
-                cont,
-                then_,
-                else_,
-                ..
-            } => {
-                let kid = prog.kont_var_id(k).expect("indexed k");
-                st.join_of.insert(kid.index(), cont.label);
-                walk(&cont.body, frame, prog, frames, top_k, st, flow_of);
-                walk(then_, frame, prog, frames, top_k, st, flow_of);
-                walk(else_, frame, prog, frames, top_k, st, flow_of);
-            }
-            CTermKind::Loop { cont } => walk(&cont.body, frame, prog, frames, top_k, st, flow_of),
+    for (l, &(_, k)) in tables.lam.iter().enumerate() {
+        if k != UNINDEXED {
+            bind(k, KBinder::Frame(Label::new(l as u32)));
         }
     }
-    walk(prog.root(), None, prog, &frames, top_k, &mut st, &flow_of);
-    st
-}
-
-// ---------------------------------------------------------------------------
-// Solving
-// ---------------------------------------------------------------------------
-
-/// A live constraint. No `Ret` variant: the continuation dimension is
-/// resolved statically (joins) or by summary instantiation (frames).
-#[derive(Clone, Copy)]
-enum PdConstraint {
-    Sub(usize),
-    Call {
-        f: Flow,
-        arg: Flow,
-        cont: Label,
-        site: Label,
-    },
-}
-
-/// The mutable call/return record grown during solving.
-struct PdRecord {
-    returns: LabelTable<BTreeSet<AbsKont>>,
-    calls: LabelTable<BTreeSet<AbsClo>>,
-    matched: BTreeSet<MatchedReturn>,
-    /// Callee λ → continuations of its discovered callers (the frames to
-    /// pour into its `k` node at commit).
-    callers: LabelTable<BTreeSet<Label>>,
-    summaries: u64,
-}
-
-/// Joins `flow` into node `dst` — [`cps_wire_flow`] over the pushdown
-/// constraint vocabulary.
-///
-/// [`cps_wire_flow`]: crate::cfa
-fn pd_wire_flow(
-    flow: Flow,
-    dst: usize,
-    solver: &mut WorklistSolver,
-    nodes: &mut DeltaNodes<CpsFlow>,
-    constraints: &mut Vec<PdConstraint>,
-) {
-    match flow {
-        Flow::None => {}
-        Flow::Const(cflow) => {
-            if let Some(len) = nodes.add(dst, cflow) {
-                solver.node_grew(dst, len);
-            }
-        }
-        Flow::Var(v) => {
-            let c = solver.add_constraint(constraints.len() as u32);
-            solver.watch(v.index(), c);
-            constraints.push(PdConstraint::Sub(dst));
-            if !nodes.log(v.index()).is_empty() {
-                solver.post(c);
-            }
+    for e in edges {
+        match *e {
+            CpsEdge::Seed(CpsFlow::Kont(AbsKont::Co(cont)), k) => bind(k, KBinder::Join(cont)),
+            CpsEdge::Seed(CpsFlow::Kont(AbsKont::Stop), k) => bind(k, KBinder::Halt),
+            _ => {}
         }
     }
-}
-
-/// Wires a newly-discovered callee at `site`: the argument into the
-/// parameter (monovariant body analysis), then the callee's return
-/// template instantiated *at this call* — own-parameter returns route the
-/// call's own argument to the caller's binder, which is exactly where the
-/// pushdown analysis refines 0CFA.
-#[allow(clippy::too_many_arguments)]
-fn pd_apply_clo(
-    v: CpsFlow,
-    arg: Flow,
-    cont: Label,
-    site: Label,
-    solver: &mut WorklistSolver,
-    nodes: &mut DeltaNodes<CpsFlow>,
-    constraints: &mut Vec<PdConstraint>,
-    rec: &mut PdRecord,
-    tables: &CpsTables,
-    templates: &[Vec<RetTemplate>],
-) {
-    let CpsFlow::Clo(clo) = v else { return };
-    if !rec.calls.entry_or_default(site).insert(clo) {
-        return; // already wired
-    }
-    let AbsClo::Lam(l) = clo else {
-        return; // primitives return numbers: no closure flow
-    };
-    let (param, _kvar) = tables.lam[l.index() as usize];
-    pd_wire_flow(arg, param, solver, nodes, constraints);
-    rec.callers.entry_or_default(l).insert(cont);
-    rec.summaries += 1;
-    let binder = tables.cont_var[cont.index() as usize];
-    for tpl in &templates[l.index() as usize] {
-        rec.returns
-            .entry_or_default(tpl.site)
-            .insert(AbsKont::Co(cont));
-        rec.matched.insert(MatchedReturn {
-            ret_site: tpl.site,
-            callee: l,
-            call_site: site,
-            cont,
-        });
-        let w = if tpl.own_param { arg } else { tpl.w };
-        pd_wire_flow(w, binder, solver, nodes, constraints);
-    }
-}
-
-/// Fires pushdown constraint `ci`.
-#[allow(clippy::too_many_arguments)]
-fn fire_pd(
-    ci: ConstraintId,
-    solver: &mut WorklistSolver,
-    nodes: &mut DeltaNodes<CpsFlow>,
-    constraints: &mut Vec<PdConstraint>,
-    rec: &mut PdRecord,
-    tables: &CpsTables,
-    templates: &[Vec<RetTemplate>],
-    deltas: &mut Vec<DeltaRange>,
-) {
-    match constraints[ci] {
-        PdConstraint::Sub(dst) => {
-            solver.take_deltas(ci, deltas);
-            let mut grew = false;
-            for &(src, lo, hi) in deltas.iter() {
-                grew |= nodes.forward_range(src, lo, hi, dst).is_some();
-            }
-            if grew {
-                solver.node_grew(dst, nodes.log(dst).len());
-            }
-        }
-        PdConstraint::Call { f, arg, cont, site } => match f {
-            Flow::None => {}
-            Flow::Const(c) => pd_apply_clo(
-                c,
-                arg,
-                cont,
-                site,
-                solver,
-                nodes,
-                constraints,
-                rec,
-                tables,
-                templates,
-            ),
-            Flow::Var(_) => {
-                solver.take_deltas(ci, deltas);
-                for &(fnode, lo, hi) in deltas.iter() {
-                    for i in lo..hi {
-                        let v = nodes.log(fnode)[i].0;
-                        pd_apply_clo(
-                            v,
-                            arg,
-                            cont,
-                            site,
-                            solver,
-                            nodes,
-                            constraints,
-                            rec,
-                            tables,
-                            templates,
-                        );
-                    }
-                }
-            }
-        },
-    }
+    binders
 }
 
 // ---------------------------------------------------------------------------
@@ -563,147 +291,131 @@ pub fn pushdown_cfa_guarded_mode(
     pushdown_cfa_guarded(prog, guard, sink)
 }
 
+/// Pushdown CFA on the CPS 0CFA constraint walk. Registration is CPS
+/// 0CFA's but for the return sites, which are classified by the binder of
+/// `k`: a frame return joins its λ's return template, a halt or join
+/// return is a static fact (reachability-blind, like 0CFA's constraint
+/// generation), and a join's operand flows to the join continuation's
+/// binder. Continuation seeds wait for the commit. Counters go under the
+/// `cfa.pushdown` prefix.
 fn pushdown_cfa_impl(
     prog: &CpsProgram,
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(PushdownCfaResult, SolverStats), AnalysisError> {
     let tables = CpsTables::build(prog);
-    let st = collect_pushdown(prog);
+    let edges = collect_cps_edges(prog);
     let n = prog.num_vars();
-
-    let mut solver = WorklistSolver::new();
-    solver.add_nodes(n);
-    solver.reserve(st.edges.len());
-    let mut nodes: DeltaNodes<CpsFlow> = DeltaNodes::new(n);
-    let mut constraints: Vec<PdConstraint> = Vec::with_capacity(st.edges.len());
-
-    // Watch registration first, seed pours second — same discipline as
-    // `zero_cfa_cps_impl`: watching constraints are scheduled by
-    // `node_grew`, so they are not posted while every node is empty.
-    for e in &st.edges {
-        match e {
-            PdEdge::Seed(..) => {}
-            PdEdge::Sub(src, dst) => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                solver.watch(src.index(), c);
-                constraints.push(PdConstraint::Sub(dst.index()));
-            }
-            PdEdge::Join { w, cont } => {
-                let dst = tables.cont_var[cont.index() as usize];
-                match *w {
-                    Flow::None | Flow::Const(_) => {} // poured below
-                    Flow::Var(y) => {
-                        let c = solver.add_constraint(constraints.len() as u32);
-                        solver.watch(y.index(), c);
-                        constraints.push(PdConstraint::Sub(dst));
+    let binders = kont_binders(n, &tables, &edges);
+    let cont_binder = |cont: Label| tables.cont_var[cont.index() as usize];
+    let mut run: SetRun<CpsFlow, CpsCall> = SetRun::new(n, edges.len());
+    let mut templates: Vec<Vec<RetTemplate>> = vec![Vec::new(); prog.label_count() as usize];
+    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
+    for e in &edges {
+        match *e {
+            CpsEdge::Seed(..) => {}
+            CpsEdge::Sub(src, dst) => run.wire(src, dst),
+            CpsEdge::Ret { k, w, site } => match binders[k] {
+                KBinder::Frame(l) => {
+                    let (param, _) = tables.lam[l.index() as usize];
+                    let own_param = w == Flow::Var(param);
+                    templates[l.index() as usize].push(RetTemplate { site, w, own_param });
+                }
+                KBinder::Halt => {
+                    returns.entry_or_default(site).insert(AbsKont::Stop);
+                }
+                KBinder::Join(cont) => {
+                    returns.entry_or_default(site).insert(AbsKont::Co(cont));
+                    if let Flow::Var(y) = w {
+                        run.wire(y, cont_binder(cont));
                     }
                 }
-            }
-            PdEdge::Call { f, arg, cont, site } => {
-                let c = solver.add_constraint(constraints.len() as u32);
-                if let Flow::Var(v) = f {
-                    solver.watch(v.index(), c);
-                } else {
-                    solver.post(c);
-                }
-                constraints.push(PdConstraint::Call {
-                    f: *f,
-                    arg: *arg,
-                    cont: *cont,
-                    site: *site,
-                });
-            }
+                KBinder::None => unreachable!("return continuation is a frame, join, or halt"),
+            },
+            CpsEdge::Call(call) => run.rule(call, call.watched()),
         }
     }
-    for e in &st.edges {
-        match e {
-            PdEdge::Seed(flow, dst) => {
-                let dst = dst.index();
-                if let Some(len) = nodes.add(dst, *flow) {
-                    solver.node_grew(dst, len);
-                }
-            }
-            PdEdge::Join {
+    for e in &edges {
+        match *e {
+            CpsEdge::Seed(flow @ CpsFlow::Clo(_), dst) => run.seed(dst, flow),
+            CpsEdge::Ret {
+                k,
                 w: Flow::Const(flow),
-                cont,
+                ..
             } => {
-                let dst = tables.cont_var[cont.index() as usize];
-                if let Some(len) = nodes.add(dst, *flow) {
-                    solver.node_grew(dst, len);
+                if let KBinder::Join(cont) = binders[k] {
+                    run.seed(cont_binder(cont), flow);
                 }
             }
             _ => {}
         }
     }
 
-    let mut rec = PdRecord {
-        returns: LabelTable::new(prog.label_count()),
-        calls: LabelTable::new(prog.label_count()),
-        matched: BTreeSet::new(),
-        callers: LabelTable::new(prog.label_count()),
-        summaries: 0,
-    };
-    // Join and halt return sites are static facts, recorded up front
-    // (reachability-blind, exactly like 0CFA's constraint generation).
-    for &site in &st.halt_returns {
-        rec.returns.entry_or_default(site).insert(AbsKont::Stop);
-    }
-    for &(site, cont) in &st.join_returns {
-        rec.returns.entry_or_default(site).insert(AbsKont::Co(cont));
-    }
-
-    let mut deltas: Vec<DeltaRange> = Vec::new();
-    solver.run_guarded(guard, |solver, ci| {
-        guard.charge_memory(nodes.approx_bytes() as u64)?;
-        fire_pd(
-            ci,
-            solver,
-            &mut nodes,
-            &mut constraints,
-            &mut rec,
-            &tables,
-            &st.templates,
-            &mut deltas,
-        );
-        Ok(())
+    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
+    let mut matched: BTreeSet<MatchedReturn> = BTreeSet::new();
+    // Callee λ → continuations of its discovered callers (the frames to
+    // pour into its `k` node at commit).
+    let mut callers: LabelTable<BTreeSet<Label>> = LabelTable::new(prog.label_count());
+    let mut summaries = 0u64;
+    run.run(guard, |run, ci, call| {
+        // A newly applied λ: the argument into its parameter (monovariant
+        // body analysis), then its return template instantiated *at this
+        // call* — own-parameter returns route the call's own argument to
+        // the caller's binder, which is exactly where the pushdown analysis
+        // refines 0CFA.
+        call.fire(run, ci, &mut calls, |run, l| {
+            let (param, _) = tables.lam[l.index() as usize];
+            run.flow(call.arg, param);
+            callers.entry_or_default(l).insert(call.cont);
+            summaries += 1;
+            let cont = call.cont;
+            for tpl in &templates[l.index() as usize] {
+                returns.entry_or_default(tpl.site).insert(AbsKont::Co(cont));
+                matched.insert(MatchedReturn {
+                    ret_site: tpl.site,
+                    callee: l,
+                    call_site: call.site,
+                    cont,
+                });
+                let w = if tpl.own_param { call.arg } else { tpl.w };
+                run.flow(w, cont_binder(cont));
+            }
+        });
     })?;
 
-    // Continuation-variable slots: fill with the *matched* frames so the
-    // committed store is comparable (per-variable ⊆) with 0CFA's, where
-    // these hold the merged continuation sets.
-    for (l, r) in prog.lambdas() {
-        if let Some(conts) = rec.callers.get(l) {
-            let k = r.k_id.index();
-            for &c in conts {
-                nodes.add(k, CpsFlow::Kont(AbsKont::Co(c)));
+    // Continuation-variable slots: fill with the *matched* frames, the
+    // join continuation or `stop`, so the committed store is comparable
+    // (per-variable ⊆) with 0CFA's, where these hold the merged
+    // continuation sets. Poured after the fixpoint, so nothing fires.
+    for (k, &binder) in binders.iter().enumerate() {
+        let mut pour = |kont| {
+            run.nodes.add(k, CpsFlow::Kont(kont));
+        };
+        match binder {
+            KBinder::Frame(l) => {
+                for &c in callers.get(l).into_iter().flatten() {
+                    pour(AbsKont::Co(c));
+                }
             }
+            KBinder::Join(cont) => pour(AbsKont::Co(cont)),
+            KBinder::Halt => pour(AbsKont::Stop),
+            KBinder::None => {}
         }
     }
-    for (&kvar, &cont) in &st.join_of {
-        nodes.add(kvar, CpsFlow::Kont(AbsKont::Co(cont)));
-    }
-    let top_k = prog.kont_var_id(prog.top_k()).expect("top k indexed");
-    nodes.add(top_k.index(), CpsFlow::Kont(AbsKont::Stop));
 
-    let mut pool: SetPool<CpsFlow> = SetPool::new();
-    let vars: Vec<Arc<BTreeSet<CpsFlow>>> = (0..n)
-        .map(|i| {
-            let id = nodes.commit_into(i, &mut pool);
-            pool.get_arc(id)
-        })
-        .collect();
-    let stats = solver.stats().with_pool(pool.stats());
-    stats.emit_into(sink, "cfa.pushdown");
-    sink.gauge("cfa.pushdown.summaries", rec.summaries);
-    let iterations = stats.fired.max(1);
+    let Committed {
+        sets,
+        stats,
+        iterations,
+    } = run.commit(0..n, sink, "cfa.pushdown");
+    sink.gauge("cfa.pushdown.summaries", summaries);
     Ok((
         PushdownCfaResult {
-            vars,
-            returns: rec.returns,
-            calls: rec.calls,
-            matched: rec.matched,
-            summaries: rec.summaries,
+            vars: sets,
+            returns,
+            calls,
+            matched,
+            summaries,
             iterations,
         },
         stats,
@@ -715,7 +427,9 @@ mod tests {
     use super::*;
     use crate::cfa::zero_cfa_cps;
     use cpsdfa_anf::AnfProgram;
+    use cpsdfa_cps::CTermKind;
     use cpsdfa_workloads::families;
+    use cpsdfa_workloads::random::{corpus, open_config, GenConfig};
 
     fn cps_of(t: &cpsdfa_syntax::Term) -> (AnfProgram, CpsProgram) {
         let p = AnfProgram::from_term(t);
@@ -812,6 +526,50 @@ mod tests {
         let b = pushdown_cfa(&c).unwrap();
         assert!(a.same_solution(&b));
         assert!(a.iterations >= 1);
+    }
+
+    /// The premise of classifying returns by binder: every `(k W)` names a
+    /// `k` bound exactly once, as a user λ's own `k`, a `letk` join, or
+    /// the top `k` — counted here by a walk of the term, independently of
+    /// [`kont_binders`].
+    #[test]
+    fn every_return_continuation_has_exactly_one_binder() {
+        let mut terms = Vec::new();
+        for n in [4usize, 16, 64] {
+            terms.push(families::dispatch(n));
+            terms.push(families::polyvariant(n));
+            terms.push(families::repeated_calls(n));
+            terms.push(families::cond_chain(n));
+            terms.push(families::church(n));
+            terms.push(families::diamond_chain(n));
+            terms.push(families::loop_then_branch(n));
+            terms.push(families::y_countdown(n as i64));
+            terms.push(families::even_odd(n as i64));
+        }
+        terms.extend(corpus(31, 200, &GenConfig::default()));
+        terms.extend(corpus(32, 200, &open_config()));
+        for t in &terms {
+            let (_, c) = cps_of(t);
+            let node = |k| c.kont_var_id(k).expect("indexed k").index();
+            let mut bound = vec![0usize; c.num_vars()];
+            for (_, r) in c.lambdas() {
+                bound[r.k_id.index()] += 1;
+            }
+            bound[node(c.top_k())] += 1;
+            let mut rets = Vec::new();
+            c.root().visit_terms(&mut |term| match &term.kind {
+                CTermKind::LetK { k, .. } => bound[node(k)] += 1,
+                CTermKind::Ret(k, _) => rets.push(node(k)),
+                _ => {}
+            });
+            assert!(!rets.is_empty());
+            let tables = CpsTables::build(&c);
+            let binders = kont_binders(c.num_vars(), &tables, &collect_cps_edges(&c));
+            for k in rets {
+                assert_eq!(bound[k], 1, "return continuation {k} in {t:?}");
+                assert_ne!(binders[k], KBinder::None, "{t:?}");
+            }
+        }
     }
 
     #[test]

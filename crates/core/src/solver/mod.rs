@@ -2,8 +2,9 @@
 //! **semi-naïve (delta) propagation**.
 //!
 //! Every fixpoint computation in this crate — source and CPS 0CFA
-//! ([`cfa`](crate::cfa)) and the classical MFP solver
-//! ([`mfp`](crate::mfp)) — is an instance of the same shape: a graph of
+//! ([`cfa`](crate::cfa)), pushdown CFA ([`pushdown`](crate::pushdown)) and
+//! the classical MFP solver ([`mfp`](crate::mfp)) — is an instance of the
+//! same shape: a graph of
 //! *flow nodes* carrying lattice values and *constraints* that read some
 //! nodes and join into others. The dense formulation re-evaluates every
 //! constraint each sweep until nothing changes; this engine re-evaluates a
@@ -27,7 +28,9 @@
 //! for the CFA solvers, reaching-source bitsets and source values for MFP)
 //! and calls [`WorklistSolver::node_grew`] (log clients) or
 //! [`WorklistSolver::node_changed`] (version-counter clients) when a value
-//! grows.
+//! grows. The three CFA solvers share that client half too: the crate's
+//! `SetRun` owns a run's engine, its `DeltaNodes` store and its
+//! constraints, and leaves each solver only its own rules.
 //!
 //! Pops run in **rounds**, as in Datalog's semi-naïve evaluation. A
 //! priority `rank` per constraint orders each round — clients pass
@@ -46,6 +49,9 @@ use crate::stats::SolverStats;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::num::NonZeroUsize;
+
+mod setrun;
+pub(crate) use setrun::{Committed, Flow, SetRun};
 
 /// The fixpoint engine a request runs on. Only the sequential worklist
 /// engine exists; the type survives so that `cpsbench/src/replay.rs`,
@@ -380,11 +386,24 @@ impl WorklistSolver {
     where
         F: FnMut(&mut Self, ConstraintId) -> Result<(), AnalysisError>,
     {
-        while let Some(c) = self.pop() {
-            guard.charge(1)?;
+        while let Some(c) = self.pop_charged(guard)? {
             step(self, c)?;
         }
         Ok(())
+    }
+
+    /// [`pop`](Self::pop), charging the popped firing one unit through
+    /// `guard` — the step every guarded run loop takes, here and in
+    /// [`SetRun::run`].
+    pub(crate) fn pop_charged(
+        &mut self,
+        guard: &RunGuard,
+    ) -> Result<Option<ConstraintId>, AnalysisError> {
+        let Some(c) = self.pop() else {
+            return Ok(None);
+        };
+        guard.charge(1)?;
+        Ok(Some(c))
     }
 
     /// Scheduling counters for this run.

@@ -485,36 +485,59 @@ mod cache_churn {
 mod pinned_schedule {
     use super::*;
     use cpsdfa_core::cache::CachedAnswer;
+    use cpsdfa_core::cfa::{zero_cfa_cps_instrumented, zero_cfa_instrumented};
+    use cpsdfa_core::pushdown::pushdown_cfa_instrumented;
+    use cpsdfa_core::stats::SolverStats;
     use cpsdfa_workloads::random::GenConfig;
 
     /// Programs whose CPS form applies a numeric literal: the operator has
     /// no flow, and the cold solver still posts (and fires) the call once.
     const LITERAL_OPERATORS: [&str; 2] = ["(1 2)", "(if0 0 (1 2) (add1 3))"];
 
-    /// `(iterations, solution digest)` of each cold solver on one program:
-    /// source 0CFA, CPS 0CFA, pushdown.
-    fn schedule(p: &AnfProgram) -> [(u64, u64); 3] {
+    /// The pinned figures of each cold solver on one program — source
+    /// 0CFA, CPS 0CFA, pushdown: `iterations`, the solution digest and the
+    /// run's schedule counters (constraints registered, posts, coalesced
+    /// posts, node updates, rounds), plus pushdown's summary count. The
+    /// `pool_*` counters stay out: pushdown's commit walks hash maps, so
+    /// they need not be run-stable.
+    fn schedule(p: &AnfProgram) -> [Vec<u64>; 3] {
         let c = CpsProgram::from_anf(p);
-        let src = zero_cfa(p).unwrap();
-        let cps = zero_cfa_cps(&c).unwrap();
-        let pd = pushdown_cfa(&c).unwrap();
+        let counters = |s: SolverStats| {
+            [
+                s.constraints,
+                s.posted,
+                s.coalesced,
+                s.node_updates,
+                s.rounds,
+            ]
+        };
+        let (src, src_stats) = zero_cfa_instrumented(p).unwrap();
+        let (cps, cps_stats) = zero_cfa_cps_instrumented(&c).unwrap();
+        let (pd, pd_stats) = pushdown_cfa_instrumented(&c).unwrap();
+        let summaries = pd.summaries;
+        let row = |iterations: u64, answer: CachedAnswer, stats: SolverStats| {
+            let mut row = vec![iterations, answer.digest()];
+            row.extend(counters(stats));
+            row
+        };
+        let mut pd_row = row(pd.iterations, CachedAnswer::CfaPushdown(pd), pd_stats);
+        pd_row.push(summaries);
         [
-            (src.iterations, CachedAnswer::CfaSrc(src).digest()),
-            (cps.iterations, CachedAnswer::CfaCps(cps).digest()),
-            (pd.iterations, CachedAnswer::CfaPushdown(pd).digest()),
+            row(src.iterations, CachedAnswer::CfaSrc(src), src_stats),
+            row(cps.iterations, CachedAnswer::CfaCps(cps), cps_stats),
+            pd_row,
         ]
     }
 
-    /// FNV-1a over every program's `(iterations, digest)`, one fingerprint
-    /// per solver, formatted for comparison against the pinned values.
+    /// FNV-1a over every program's [`schedule`] row, one fingerprint per
+    /// solver, formatted for comparison against the pinned values.
     fn fingerprints(progs: &[AnfProgram]) -> [String; 3] {
         let rows = par_map(progs, schedule);
         std::array::from_fn(|a| {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             for row in &rows {
-                let (iterations, digest) = row[a];
-                for b in iterations.to_le_bytes().iter().chain(&digest.to_le_bytes()) {
-                    h = (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
+                for b in row[a].iter().flat_map(|x| x.to_le_bytes()) {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
                 }
             }
             format!("{h:016x}")
@@ -540,9 +563,10 @@ mod pinned_schedule {
             .collect()
     }
 
-    /// The cold solvers' firing counts and answers on a fixed corpus, pinned.
-    /// A change to how any solver registers or seeds its constraints moves
-    /// `iterations` even when the answers agree, so this test is the
+    /// The cold solvers' firing counts, schedule counters and answers on a
+    /// fixed corpus, pinned. A change to how any solver registers or seeds
+    /// its constraints moves these counters even when the answers agree, so
+    /// this test is the
     /// differential for setup refactors; a deliberate schedule change
     /// re-records the values.
     #[test]
@@ -551,7 +575,7 @@ mod pinned_schedule {
             .iter()
             .map(|s| AnfProgram::parse(s).unwrap())
             .collect();
-        let cps_iterations: Vec<u64> = literal.iter().map(|p| schedule(p)[1].0).collect();
+        let cps_iterations: Vec<u64> = literal.iter().map(|p| schedule(p)[1][0]).collect();
         assert_eq!(cps_iterations, [2, 5], "literal-operator calls fire once");
 
         let got = [
@@ -561,10 +585,10 @@ mod pinned_schedule {
             fingerprints(&random_corpus(77, &GenConfig::default())),
         ];
         let want: [[&str; 3]; 4] = [
-            ["c322ac50d144e420", "1b24a2071119245d", "650d8cdaf2b1c189"], // literal operators
-            ["3e1db7953e8c49ff", "9447a712c074bddd", "f33d7cc1a1abebfe"], // families
-            ["cdf0c4886abbf324", "3adc2e43bf67cb25", "2777d6ea6862806e"], // open_config, seed 0x50CFA
-            ["c8c561aaea1fa153", "b96417ae5633cd2f", "ffe1a2d2c71b8608"], // default config, seed 77
+            ["3128f7f2c99cf384", "667e10be4fe7ce1c", "b2ba058258e9c837"], // literal operators
+            ["0b60609841dee70f", "658926aa9a373b95", "33f63d3e2b228f22"], // families
+            ["be82e8c2feb55f70", "b2d9ec4f9483a4eb", "07468e39d0bb3335"], // open_config, seed 0x50CFA
+            ["b50b88b8023415ef", "b1f6635587a84f0a", "e9537666cefcfc27"], // default config, seed 77
         ];
         assert_eq!(got, want, "[src, cps, pushdown] fingerprints per corpus");
     }

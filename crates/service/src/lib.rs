@@ -1140,11 +1140,12 @@ impl AnalysisService {
                                 continue;
                             }
                             other => {
-                                write_line(&format!(
-                                    "{{\"status\": \"error\", \"reason\": \"bad-request\", \
-                                     \"detail\": \"unknown cmd {}\"}}",
-                                    json::escape(other)
-                                ))?;
+                                let bad = BadRequest {
+                                    id: None,
+                                    reason: "bad-request",
+                                    detail: format!("unknown cmd {other}"),
+                                };
+                                write_line(&bad_request_response(&bad).to_json())?;
                                 continue;
                             }
                         }

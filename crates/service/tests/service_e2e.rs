@@ -468,6 +468,10 @@ fn serve_loop_parses_each_line_once_for_control_and_requests() {
     let text = String::from_utf8(output).expect("utf8 responses");
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), 7, "{text}");
+    // Every reply, the unknown-`cmd` one included, decodes as a response.
+    for line in &lines {
+        Response::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    }
     let count = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
     assert_eq!(count("\"status\": \"ok\""), 3, "{text}");
     assert_eq!(count("unknown cmd nope"), 1, "{text}");
