@@ -60,6 +60,7 @@ pub use persist::{PersistDir, RecoveryReport};
 use crate::absval::{AbsClo, AbsKont};
 use crate::cfa::{CfaResult, CpsCfaResult, CpsFlow};
 use crate::domain::Flat;
+use crate::flatset::FlatSet;
 use crate::govern::DegradationReport;
 use crate::mfp::DfSummary;
 use crate::pushdown::{MatchedReturn, PushdownCfaResult};
@@ -68,7 +69,6 @@ use crate::trace::{AggSink, TraceSink};
 use cpsdfa_syntax::arena::{TermArena, TermId, TermNode, ValueId, ValueNode};
 use cpsdfa_syntax::fxhash::FxHashMap;
 use persist::ByteSink;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -381,9 +381,13 @@ replay_shims!(CfaResult, CpsCfaResult, PushdownCfaResult);
 // Answers
 // ---------------------------------------------------------------------------
 
-/// Rough per-set bookkeeping overhead charged by the byte estimators: one
-/// `BTreeSet` header plus a leaf node. Deliberately coarse — the estimate
-/// only has to be monotone in content for eviction accounting to work.
+/// Rough per-set bookkeeping overhead charged by the byte estimators.
+/// Deliberately coarse — the estimate only has to be monotone in content
+/// for eviction accounting to work. It was sized for a `BTreeSet` header
+/// and leaf; a committed [`FlatSet`] costs less (its slot, reference
+/// counts and elements), but the charge is kept as it was so that cache
+/// residency, hits and eviction order do not depend on the set
+/// representation.
 const SET_OVERHEAD: u64 = 64;
 
 fn sets_bytes<T>(sets: impl Iterator<Item = usize>) -> u64 {
@@ -439,17 +443,17 @@ impl CachedAnswer {
             CachedAnswer::CfaSrc(r) => {
                 sets_bytes::<AbsClo>(r.vars.iter().map(|s| s.len()))
                     + sets_bytes::<AbsClo>(r.terms.values().map(|s| s.len()))
-                    + sets_bytes::<AbsClo>(r.calls.values().map(BTreeSet::len))
+                    + sets_bytes::<AbsClo>(r.calls.values().map(FlatSet::len))
             }
             CachedAnswer::CfaCps(r) => {
                 sets_bytes::<CpsFlow>(r.vars.iter().map(|s| s.len()))
-                    + sets_bytes::<AbsKont>(r.returns.values().map(BTreeSet::len))
-                    + sets_bytes::<AbsClo>(r.calls.values().map(BTreeSet::len))
+                    + sets_bytes::<AbsKont>(r.returns.values().map(FlatSet::len))
+                    + sets_bytes::<AbsClo>(r.calls.values().map(FlatSet::len))
             }
             CachedAnswer::CfaPushdown(r) => {
                 sets_bytes::<CpsFlow>(r.vars.iter().map(|s| s.len()))
-                    + sets_bytes::<AbsKont>(r.returns.values().map(BTreeSet::len))
-                    + sets_bytes::<AbsClo>(r.calls.values().map(BTreeSet::len))
+                    + sets_bytes::<AbsKont>(r.returns.values().map(FlatSet::len))
+                    + sets_bytes::<AbsClo>(r.calls.values().map(FlatSet::len))
                     + (r.matched.len() as u64) * std::mem::size_of::<MatchedReturn>() as u64
             }
             CachedAnswer::MfpFlat(s) => {
@@ -1071,7 +1075,81 @@ mod tests {
                 "c7fbb6cd1e28ccfc", // mfp.flat
             ]
         );
+        // Benchmark-sized answers: the families the benchmark streams draw
+        // from, at three sizes, plus one open random program, for the three
+        // CFA kinds. Unlike the tiny answers above, their sets run to
+        // dozens or hundreds of elements, so a set representation that
+        // reordered or re-sized them would move a pin. Each line is the
+        // answer digest, `approx_bytes` and the persisted-bytes digest.
+        assert_eq!(benchmark_sized_pins(), PINNED_BENCHMARK_SIZED);
     }
+
+    /// `answer_digests_are_pinned`'s benchmark-sized lines.
+    fn benchmark_sized_pins() -> Vec<String> {
+        use cpsdfa_workloads::{families, random};
+        let mut terms = Vec::new();
+        for n in [16, 104, 192] {
+            terms.push((format!("dispatch({n})"), families::dispatch(n)));
+            terms.push((format!("polyvariant({n})"), families::polyvariant(n)));
+            terms.push((format!("repeated_calls({n})"), families::repeated_calls(n)));
+        }
+        let open = random::generate(0x50CFA, &random::open_config());
+        terms.push(("random(0x50CFA, open)".to_string(), open));
+        let mut pins = Vec::new();
+        for (name, t) in &terms {
+            let p = AnfProgram::from_term(t);
+            let cps = cpsdfa_cps::CpsProgram::from_anf(&p);
+            for answer in [
+                CachedAnswer::CfaSrc(zero_cfa(&p).unwrap()),
+                CachedAnswer::CfaCps(crate::cfa::zero_cfa_cps(&cps).unwrap()),
+                CachedAnswer::CfaPushdown(crate::pushdown::pushdown_cfa(&cps).unwrap()),
+            ] {
+                let mut out = Vec::new();
+                persist::put_answer(&mut out, &answer);
+                pins.push(format!(
+                    "{name} {} {:016x} {} {:016x}",
+                    answer.kind().as_str(),
+                    answer.digest(),
+                    answer.approx_bytes(),
+                    fnv_bytes(FNV_OFFSET, &out)
+                ));
+            }
+        }
+        pins
+    }
+
+    const PINNED_BENCHMARK_SIZED: &[&str] = &[
+        "dispatch(16) cfa.src 833a937a6483cbe4 9912 cc613a77d78100f9",
+        "dispatch(16) cfa.cps 47b443260a539183 9876 ce7ba4d765561da4",
+        "dispatch(16) cfa.pushdown 1e7910fea6342df4 10132 eac10c8abee377bd",
+        "polyvariant(16) cfa.src b2508f3cee74b89e 19528 1a3f8b6177a1eccf",
+        "polyvariant(16) cfa.cps 3165374bd1ee2623 19680 7f9f8744344e9e91",
+        "polyvariant(16) cfa.pushdown dd69da7d9403f938 10592 8db10495e7270758",
+        "repeated_calls(16) cfa.src 468203913659303e 4680 6b51aba0e169dfde",
+        "repeated_calls(16) cfa.cps 13588842ab4f3123 2912 439baeb0d02c8151",
+        "repeated_calls(16) cfa.pushdown da02206a43c8bc48 3168 453d92f753e37048",
+        "dispatch(104) cfa.src 9121d2174873f2b1 172184 a2462ebcfbdac287",
+        "dispatch(104) cfa.cps 6880adbce189004b 118116 8c6defb6eb98e0da",
+        "dispatch(104) cfa.pushdown f307fc81d3edee30 119780 b0cbd98f01d59499",
+        "polyvariant(104) cfa.src d651181f14d93948 344776 0f99d1193f5baffb",
+        "polyvariant(104) cfa.cps 33c3ff93209bd337 491712 d961e22f33713727",
+        "polyvariant(104) cfa.pushdown a8ba1c8b619cfdc6 66560 1420588a1d7c5911",
+        "repeated_calls(104) cfa.src cb19052523ca82c5 28616 d6879f036a4fd6b5",
+        "repeated_calls(104) cfa.cps 220cab3d0924587e 16640 3bbf5095b1d12294",
+        "repeated_calls(104) cfa.pushdown b2e61b258c7c96ad 18304 f36fb6e994ac44ad",
+        "dispatch(192) cfa.src f0f13df508ea89b7 520312 09b4b0025e5970d4",
+        "dispatch(192) cfa.cps 076f0d72a5ee1d88 319284 ef7e3d73ca3bfb74",
+        "dispatch(192) cfa.pushdown 2a97def2b8d7cc33 322356 925daf35a96174ab",
+        "polyvariant(192) cfa.src e1dc59d540e0351f 1041736 8fc5e8a744392b65",
+        "polyvariant(192) cfa.cps ded1e122b18f76ce 1583264 b0f35962fe4d281d",
+        "polyvariant(192) cfa.pushdown 3e01ddc94867d155 122528 529785aca1f6efff",
+        "repeated_calls(192) cfa.src 0f90f088c6ce8aa2 52552 ffd5fc0df01f753d",
+        "repeated_calls(192) cfa.cps 7c56e08fca443d30 30368 6b224ea415a1f032",
+        "repeated_calls(192) cfa.pushdown bbe77e5231b4af7d 33440 39d8d34fbcaddf3d",
+        "random(0x50CFA, open) cfa.src aeec69e90b21b0f1 6880 8c7fd8881887d701",
+        "random(0x50CFA, open) cfa.cps 696dfe3ecb828bb8 5840 92aef8c571c2613d",
+        "random(0x50CFA, open) cfa.pushdown e01bda431f742897 5920 f7303fce4be1b9d8",
+    ];
 
     #[test]
     fn answer_digest_framing_is_prefix_free() {
@@ -1079,23 +1157,23 @@ mod tests {
         // table boundary, keeps the flat element sequence but changes the
         // length prefixes, so the digests differ.
         let l = Label::new;
-        let cfa = |vars: Vec<BTreeSet<AbsClo>>, terms: Vec<(Label, BTreeSet<AbsClo>)>| {
+        let cfa = |vars: Vec<FlatSet<AbsClo>>, terms: Vec<(Label, FlatSet<AbsClo>)>| {
             CachedAnswer::CfaSrc(CfaResult {
-                vars: vars.into_iter().map(Arc::new).collect(),
-                terms: terms.into_iter().map(|(l, s)| (l, Arc::new(s))).collect(),
+                vars,
+                terms: terms.into_iter().collect(),
                 calls: Arc::new(LabelTable::new(0)),
                 iterations: 0,
             })
             .digest()
         };
-        let one = BTreeSet::from([AbsClo::Lam(l(1))]);
+        let one = FlatSet::from_sorted(&[AbsClo::Lam(l(1))]);
         assert_ne!(
-            cfa(vec![one.clone(), BTreeSet::new()], Vec::new()),
-            cfa(vec![BTreeSet::new(), one.clone()], Vec::new())
+            cfa(vec![one.clone(), FlatSet::default()], Vec::new()),
+            cfa(vec![FlatSet::default(), one.clone()], Vec::new())
         );
         assert_ne!(
             cfa(vec![one.clone()], Vec::new()),
-            cfa(Vec::new(), vec![(l(1), BTreeSet::new())])
+            cfa(Vec::new(), vec![(l(1), FlatSet::default())])
         );
         // Kinds never collide, even on the empty solution.
         let empty: Vec<u64> = AnalysisKind::ALL
@@ -1113,7 +1191,7 @@ mod tests {
                     vars: Vec::new(),
                     returns: LabelTable::new(0),
                     calls: LabelTable::new(0),
-                    matched: BTreeSet::new(),
+                    matched: FlatSet::default(),
                     summaries: 0,
                     iterations: 0,
                 })
@@ -1123,7 +1201,7 @@ mod tests {
                 }
             })
             .collect();
-        let distinct: BTreeSet<u64> = empty.iter().copied().collect();
+        let distinct: std::collections::BTreeSet<u64> = empty.iter().copied().collect();
         assert_eq!(distinct.len(), empty.len());
     }
 

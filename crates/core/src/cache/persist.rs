@@ -31,10 +31,11 @@
 //!    extends the same check to the serve path.)
 //!
 //! Decoding is strict as well as bounds-checked: a set's elements must
-//! come strictly ascending, as the encoder writes them from a `BTreeSet`,
-//! so the bytes of a recovered entry describe exactly one answer. Within
-//! one answer each distinct set is built once, and every later set with
-//! the same bytes shares its `Arc`. Recovery validates files on several
+//! come strictly ascending, as the encoder writes them from a sorted
+//! [`FlatSet`], so the bytes of a recovered entry describe exactly one
+//! answer, and a validated run is copied straight into its set's slice.
+//! Within one answer each distinct per-variable or per-term set is built
+//! once, and every later set with the same bytes shares its handle. Recovery validates files on several
 //! threads, then admits the survivors one by one in sorted order, so what
 //! a start recovers does not depend on how many threads it had.
 //!
@@ -64,6 +65,7 @@ use crate::absval::{AbsClo, AbsKont};
 use crate::cfa::{CfaResult, CpsCfaResult, CpsFlow};
 use crate::domain::Flat;
 use crate::faultinject::PersistFault;
+use crate::flatset::FlatSet;
 use crate::govern::{DegradationReport, RungAttempt};
 use crate::labtab::LabelTable;
 use crate::mfp::DfSummary;
@@ -73,8 +75,6 @@ use cpsdfa_anf::AnfProgram;
 use cpsdfa_syntax::arena::{TermArena, TermId};
 use cpsdfa_syntax::fxhash::FxHashMap;
 use cpsdfa_syntax::Label;
-use std::borrow::Borrow;
-use std::collections::BTreeSet;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -189,29 +189,29 @@ fn put_flat(out: &mut impl ByteSink, v: Flat) {
     }
 }
 
-fn put_set<S: ByteSink, T: Copy>(out: &mut S, set: &BTreeSet<T>, put: &impl Fn(&mut S, T)) {
+fn put_set<S: ByteSink, T: Copy>(out: &mut S, set: &FlatSet<T>, put: &impl Fn(&mut S, T)) {
     put_u64(out, set.len() as u64);
     for &v in set {
         put(out, v);
     }
 }
 
-fn put_sets<S: ByteSink, T: Copy>(out: &mut S, sets: &[Arc<BTreeSet<T>>], put: impl Fn(&mut S, T)) {
+fn put_sets<S: ByteSink, T: Copy>(out: &mut S, sets: &[FlatSet<T>], put: impl Fn(&mut S, T)) {
     put_u64(out, sets.len() as u64);
     for set in sets {
         put_set(out, set, &put);
     }
 }
 
-fn put_table<S: ByteSink, T: Copy, B: Borrow<BTreeSet<T>>>(
+fn put_table<S: ByteSink, T: Copy>(
     out: &mut S,
-    table: &LabelTable<B>,
+    table: &LabelTable<FlatSet<T>>,
     put: impl Fn(&mut S, T),
 ) {
     put_u64(out, table.len() as u64);
     for (l, set) in table.iter() {
         put_label(out, l);
-        put_set(out, set.borrow(), &put);
+        put_set(out, set, &put);
     }
 }
 
@@ -298,12 +298,12 @@ struct Cur<'a> {
 /// (count prefix included), plus the element buffer each set is read
 /// into. The encoding is injective, so equal bytes are an equal set: a
 /// repeat costs a scan and a byte hash, not a tree build, and shares the
-/// first copy's `Arc` the way the solver's commit shares equal sets. (An
+/// first copy's handle the way the solver's commit shares equal sets. (An
 /// unkeyed hash suffices: the directory is the daemon's own, and nothing
 /// here defends it against a writer who could craft collisions; see the
 /// module docs.)
 struct SeenSets<'a, T> {
-    by_bytes: FxHashMap<&'a [u8], Arc<BTreeSet<T>>>,
+    by_bytes: FxHashMap<&'a [u8], FlatSet<T>>,
     buf: Vec<T>,
 }
 
@@ -426,9 +426,9 @@ impl<'a> Cur<'a> {
     }
 
     /// A set's elements, read into `buf`. The encoder writes each set from
-    /// a `BTreeSet`, so its elements come strictly ascending: a repeat or
-    /// a descent is corruption, never merged or reordered into some set
-    /// the bytes do not describe.
+    /// a sorted [`FlatSet`], so its elements come strictly ascending: a
+    /// repeat or a descent is corruption, never merged or reordered into
+    /// some set the bytes do not describe.
     fn ascending<T: Ord>(
         &mut self,
         width: usize,
@@ -448,31 +448,22 @@ impl<'a> Cur<'a> {
         Some(())
     }
 
-    /// A set, built in one bulk pass over its ascending elements.
-    fn set<T: Ord + Copy>(
-        &mut self,
-        buf: &mut Vec<T>,
-        get: impl FnMut(&mut Self) -> Option<T>,
-    ) -> Option<BTreeSet<T>> {
-        self.ascending(1, buf, get)?;
-        Some(buf.iter().copied().collect())
-    }
-
-    /// A set shared through `seen`: built on first sight of its bytes,
-    /// a clone of that first `Arc` on every repeat.
+    /// A set shared through `seen`: its validated ascending run copied
+    /// into one slice on first sight of its bytes, a clone of that first
+    /// handle on every repeat.
     fn shared_set<T: Ord + Copy>(
         &mut self,
         seen: &mut SeenSets<'a, T>,
         get: impl FnMut(&mut Self) -> Option<T>,
-    ) -> Option<Arc<BTreeSet<T>>> {
+    ) -> Option<FlatSet<T>> {
         let start = self.p;
         self.ascending(1, &mut seen.buf, get)?;
         let bytes = &self.b[start..self.p];
         let SeenSets { by_bytes, buf } = seen;
         let set = by_bytes
             .entry(bytes)
-            .or_insert_with(|| Arc::new(buf.iter().copied().collect()));
-        Some(Arc::clone(set))
+            .or_insert_with(|| FlatSet::from_sorted(buf));
+        Some(set.clone())
     }
 
     /// A label table, each row's value read by `row`. The encoder writes
@@ -495,42 +486,39 @@ impl<'a> Cur<'a> {
     }
 
     fn answer(&mut self) -> Option<CachedAnswer> {
-        let mut clos = Vec::new();
+        // Within one answer, equal sets share a handle, as in the solver's
+        // commit. Source 0CFA's calls share with its variables and terms,
+        // which the commit does not do; a recovered answer can only hold
+        // less than a fresh one.
+        let (mut clos, mut konts) = (SeenSets::new(), SeenSets::new());
         match self.u8()? {
-            0 => {
-                // Terms share the variables' sets, as in the solver's
-                // commit.
-                let mut seen = SeenSets::new();
-                let vars = self.seq(8, |c| c.shared_set(&mut seen, Cur::clo))?;
-                let terms = self.table(|c| c.shared_set(&mut seen, Cur::clo))?;
-                Some(CachedAnswer::CfaSrc(CfaResult {
-                    vars,
-                    terms,
-                    calls: Arc::new(self.table(|c| c.set(&mut clos, Cur::clo))?),
-                    iterations: self.u64()?,
-                }))
-            }
+            0 => Some(CachedAnswer::CfaSrc(CfaResult {
+                vars: self.seq(8, |c| c.shared_set(&mut clos, Cur::clo))?,
+                terms: self.table(|c| c.shared_set(&mut clos, Cur::clo))?,
+                calls: Arc::new(self.table(|c| c.shared_set(&mut clos, Cur::clo))?),
+                iterations: self.u64()?,
+            })),
             1 => {
-                let (mut seen, mut konts) = (SeenSets::new(), Vec::new());
+                let mut flows = SeenSets::new();
                 Some(CachedAnswer::CfaCps(CpsCfaResult {
-                    vars: self.seq(8, |c| c.shared_set(&mut seen, Cur::flow))?,
-                    returns: self.table(|c| c.set(&mut konts, Cur::kont))?,
-                    calls: self.table(|c| c.set(&mut clos, Cur::clo))?,
+                    vars: self.seq(8, |c| c.shared_set(&mut flows, Cur::flow))?,
+                    returns: self.table(|c| c.shared_set(&mut konts, Cur::kont))?,
+                    calls: self.table(|c| c.shared_set(&mut clos, Cur::clo))?,
                     iterations: self.u64()?,
                 }))
             }
             2 => {
-                let (mut seen, mut konts) = (SeenSets::new(), Vec::new());
-                let vars = self.seq(8, |c| c.shared_set(&mut seen, Cur::flow))?;
-                let returns = self.table(|c| c.set(&mut konts, Cur::kont))?;
-                let calls = self.table(|c| c.set(&mut clos, Cur::clo))?;
+                let mut flows = SeenSets::new();
+                let vars = self.seq(8, |c| c.shared_set(&mut flows, Cur::flow))?;
+                let returns = self.table(|c| c.shared_set(&mut konts, Cur::kont))?;
+                let calls = self.table(|c| c.shared_set(&mut clos, Cur::clo))?;
                 let mut matched = Vec::new();
                 self.ascending(16, &mut matched, Cur::matched)?;
                 Some(CachedAnswer::CfaPushdown(PushdownCfaResult {
                     vars,
                     returns,
                     calls,
-                    matched: matched.into_iter().collect(),
+                    matched: FlatSet::from_sorted(&matched),
                     summaries: self.u64()?,
                     iterations: self.u64()?,
                 }))
@@ -1117,7 +1105,7 @@ mod tests {
         // counts, the label and the set's count.
         let answer = CachedAnswer::CfaCps(CpsCfaResult {
             vars: Vec::new(),
-            returns: [(Label::new(1), BTreeSet::from([AbsKont::Stop]))]
+            returns: [(Label::new(1), FlatSet::from_sorted(&[AbsKont::Stop]))]
                 .into_iter()
                 .collect(),
             calls: LabelTable::new(0),
@@ -1191,13 +1179,13 @@ mod tests {
             panic!("cfa.src fixture");
         };
         let handles = |r: &CfaResult| {
-            let slots: Vec<*const BTreeSet<AbsClo>> = r
+            let slots: Vec<*const AbsClo> = r
                 .vars
                 .iter()
                 .chain(r.terms.values())
-                .map(Arc::as_ptr)
+                .map(|s| s.as_slice().as_ptr())
                 .collect();
-            let distinct: BTreeSet<_> = slots.iter().collect();
+            let distinct: std::collections::BTreeSet<_> = slots.iter().collect();
             (slots.len(), distinct.len())
         };
         let (slots, shared) = handles(fresh);
@@ -1585,7 +1573,7 @@ mod tests {
             let answer = answers_for(other).into_iter().find(|a| a.kind() == kind);
             store(CacheKey::new(kind, key.digest), src, answer.unwrap());
         }
-        let kinds: BTreeSet<_> = stored.keys().map(|k| k.kind.tag()).collect();
+        let kinds: std::collections::BTreeSet<_> = stored.keys().map(|k| k.kind.tag()).collect();
         assert_eq!(kinds.len(), 4, "premise: every kind is on disk");
         let (cps_poison, _) = fixture(poisoned[0].1);
         let cps_poison = CacheKey::new(AnalysisKind::CfaCps, cps_poison.digest);

@@ -69,6 +69,7 @@ use crate::absval::{AbsClo, AbsKont};
 use crate::cache::{AnalysisKind, CachedAnswer};
 use crate::cfa::{CfaResult, CpsCfaResult, CpsFlow};
 use crate::domain::{Flat, NumDomain};
+use crate::flatset::FlatSet;
 use crate::labtab::LabelTable;
 use crate::mfp::{Cfg, DfEnv, DfSummary, Stmt};
 use crate::pushdown::{MatchedReturn, PushdownCfaResult};
@@ -77,7 +78,6 @@ use cpsdfa_cps::{CTerm, CTermKind, CVal, CValKind, CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
 
 /// A machine-readable witness that a claimed solution *is* the least
 /// fixpoint of the constraint system re-derived from the program.
@@ -389,7 +389,7 @@ impl Model {
     fn supports<T: Copy + fmt::Debug>(
         &self,
         n: usize,
-        claimed: &BTreeSet<T>,
+        claimed: &FlatSet<T>,
         lift: impl Fn(T) -> CpsFlow,
         at: fmt::Arguments<'_>,
     ) -> Result<(), Refutation> {
@@ -406,7 +406,7 @@ impl Model {
     fn supports_table<T: Copy + fmt::Debug>(
         &self,
         t: usize,
-        claimed: &LabelTable<BTreeSet<T>>,
+        claimed: &LabelTable<FlatSet<T>>,
         lift: impl Fn(T) -> CpsFlow + Copy,
     ) -> Result<(), Refutation> {
         for (l, set) in claimed.iter() {
@@ -609,7 +609,7 @@ pub fn certify_cfa_src(prog: &AnfProgram, claimed: &CfaResult) -> Result<Certifi
         constraints: sys.constraints,
         facts: claimed.vars.iter().map(|s| s.len()).sum::<usize>()
             + claimed.terms.values().map(|s| s.len()).sum::<usize>()
-            + claimed.calls.values().map(BTreeSet::len).sum::<usize>(),
+            + claimed.calls.values().map(FlatSet::len).sum::<usize>(),
     })
 }
 
@@ -642,10 +642,10 @@ fn let_flow(m: &mut Model, op: Op, x: CVarId) -> usize {
 /// A claimed CPS-shaped answer, read in place from the result it came
 /// from (pushdown's adds the matched-return witnesses).
 struct CpsClaim<'a> {
-    vars: &'a [Arc<BTreeSet<CpsFlow>>],
-    returns: &'a LabelTable<BTreeSet<AbsKont>>,
-    calls: &'a LabelTable<BTreeSet<AbsClo>>,
-    matched: &'a BTreeSet<MatchedReturn>,
+    vars: &'a [FlatSet<CpsFlow>],
+    returns: &'a LabelTable<FlatSet<AbsKont>>,
+    calls: &'a LabelTable<FlatSet<AbsClo>>,
+    matched: &'a FlatSet<MatchedReturn>,
 }
 
 impl CpsClaim<'_> {
@@ -668,7 +668,7 @@ impl CpsClaim<'_> {
     /// The least-model comparison shared by the CPS-shaped certifiers.
     fn compare(&self, m: &Model) -> Result<(), Refutation> {
         m.first_unclosed(|fact| self.holds(m, fact))?;
-        if let Some(w) = self.matched.difference(&m.matched).next() {
+        if let Some(w) = self.matched.iter().find(|w| !m.matched.contains(w)) {
             return Err(Refutation::Unsupported {
                 fact: format!("matched witness {w:?}"),
             });
@@ -694,8 +694,8 @@ impl CpsClaim<'_> {
 
     fn facts(&self) -> usize {
         self.vars.iter().map(|s| s.len()).sum::<usize>()
-            + self.returns.values().map(BTreeSet::len).sum::<usize>()
-            + self.calls.values().map(BTreeSet::len).sum::<usize>()
+            + self.returns.values().map(FlatSet::len).sum::<usize>()
+            + self.calls.values().map(FlatSet::len).sum::<usize>()
             + self.matched.len()
     }
 }
@@ -820,7 +820,6 @@ pub fn certify_cfa_cps(
     prog: &CpsProgram,
     claimed: &CpsCfaResult,
 ) -> Result<Certificate, Refutation> {
-    static NO_WITNESSES: BTreeSet<MatchedReturn> = BTreeSet::new();
     same_vars(claimed.vars.len(), prog.num_vars())?;
     let mut sys = CpsSystem::derive(prog);
     cps_least_model(&mut sys);
@@ -828,7 +827,7 @@ pub fn certify_cfa_cps(
         vars: &claimed.vars,
         returns: &claimed.returns,
         calls: &claimed.calls,
-        matched: &NO_WITNESSES,
+        matched: &FlatSet::default(),
     };
     claim.compare(&sys.m)?;
     Ok(Certificate {
@@ -1258,9 +1257,8 @@ mod tests {
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
         let mut r = zero_cfa(&p).unwrap();
         let x = p.var_named("x").unwrap();
-        let mut poisoned = (*r.vars[x.index()]).clone();
-        poisoned.insert(AbsClo::Inc);
-        r.vars[x.index()] = Arc::new(poisoned);
+        let poisoned = r.vars[x.index()].iter().copied().chain([AbsClo::Inc]);
+        r.vars[x.index()] = poisoned.collect();
         let err = certify_cfa_src(&p, &r).unwrap_err();
         assert!(matches!(err, Refutation::Unsupported { .. }), "got {err}");
     }
@@ -1268,38 +1266,29 @@ mod tests {
     const SELF_APP: &str = "(let (f (lambda (x) x)) (f f))";
 
     /// `set` plus `lie` if it holds an element `real` picks out.
-    fn poison<T: Ord + Copy>(set: &BTreeSet<T>, real: fn(&T) -> bool, lie: T) -> BTreeSet<T> {
-        let mut out = set.clone();
-        if set.iter().any(real) {
-            out.insert(lie);
-        }
-        out
+    fn poison<T: Ord + Copy>(set: &FlatSet<T>, real: fn(&T) -> bool, lie: T) -> FlatSet<T> {
+        let lie = set.iter().any(real).then_some(lie);
+        set.iter().copied().chain(lie).collect()
     }
 
     /// Names `bogus` wherever a CPS-shaped answer names a real callee or
     /// continuation.
     fn poison_cps(
         bogus: Label,
-        vars: &mut [Arc<BTreeSet<CpsFlow>>],
-        returns: &mut LabelTable<BTreeSet<AbsKont>>,
-        calls: &mut LabelTable<BTreeSet<AbsClo>>,
+        vars: &mut [FlatSet<CpsFlow>],
+        returns: &mut LabelTable<FlatSet<AbsKont>>,
+        calls: &mut LabelTable<FlatSet<AbsClo>>,
     ) {
         for v in vars.iter_mut() {
             let lam = |f: &CpsFlow| matches!(f, CpsFlow::Clo(AbsClo::Lam(_)));
             let co = |f: &CpsFlow| matches!(f, CpsFlow::Kont(AbsKont::Co(_)));
             let s = poison(v, lam, CpsFlow::Clo(AbsClo::Lam(bogus)));
-            *v = Arc::new(poison(&s, co, CpsFlow::Kont(AbsKont::Co(bogus))));
+            *v = poison(&s, co, CpsFlow::Kont(AbsKont::Co(bogus)));
         }
         let co = |k: &AbsKont| matches!(k, AbsKont::Co(_));
-        *returns = returns
-            .iter()
-            .map(|(l, s)| (l, poison(s, co, AbsKont::Co(bogus))))
-            .collect();
+        *returns = returns.map(|s| poison(s, co, AbsKont::Co(bogus)));
         let lam = |c: &AbsClo| matches!(c, AbsClo::Lam(_));
-        *calls = calls
-            .iter()
-            .map(|(l, s)| (l, poison(s, lam, AbsClo::Lam(bogus))))
-            .collect();
+        *calls = calls.map(|s| poison(s, lam, AbsClo::Lam(bogus)));
     }
 
     /// A label of the CPS program that is neither a λ nor a continuation.
@@ -1323,19 +1312,10 @@ mod tests {
         let lie = AbsClo::Lam(bogus);
         let mut r = zero_cfa(&p).unwrap();
         for v in r.vars.iter_mut() {
-            *v = Arc::new(poison(v, lam, lie));
+            *v = poison(v, lam, lie);
         }
-        r.terms = r
-            .terms
-            .iter()
-            .map(|(l, s)| (l, Arc::new(poison(s, lam, lie))))
-            .collect();
-        r.calls = Arc::new(
-            r.calls
-                .iter()
-                .map(|(l, s)| (l, poison(s, lam, lie)))
-                .collect(),
-        );
+        r.terms = r.terms.map(|s| poison(s, lam, lie));
+        r.calls = Arc::new(r.calls.map(|s| poison(s, lam, lie)));
         let err = certify_cfa_src(&p, &r).unwrap_err();
         assert!(matches!(err, Refutation::Unsupported { .. }), "got {err}");
     }
@@ -1373,7 +1353,7 @@ mod tests {
         let p = AnfProgram::parse("(let (f (lambda (x) x)) (f f))").unwrap();
         let mut r = zero_cfa(&p).unwrap();
         let f = p.var_named("f").unwrap();
-        r.vars[f.index()] = Arc::new(BTreeSet::new());
+        r.vars[f.index()] = FlatSet::default();
         match certify_cfa_src(&p, &r).unwrap_err() {
             Refutation::Unclosed { edge, missing } => {
                 assert!(!edge.is_empty() && !missing.is_empty());
@@ -1388,7 +1368,7 @@ mod tests {
         let mut r = zero_cfa(&p).unwrap();
         let mut calls = (*r.calls).clone();
         let site = calls.keys().next().unwrap();
-        calls.insert(site, BTreeSet::new());
+        calls.insert(site, FlatSet::default());
         r.calls = Arc::new(calls);
         assert!(certify_cfa_src(&p, &r).is_err());
     }

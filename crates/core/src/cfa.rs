@@ -22,8 +22,8 @@
 //! by one costs one element of work, not k. While the fixpoint moves, node
 //! sets live as growth logs plus bitsets over [`DeltaNodes`]' dense value
 //! universe — each abstract closure is hashed once, then forwarded between
-//! nodes by index — and are interned into the hash-consed [`SetPool`] only
-//! at the commit point after convergence ([`DeltaNodes::commit_into`]).
+//! nodes by index — and become shared sorted [`FlatSet`]s only at the
+//! commit point after convergence ([`DeltaNodes::commit`]).
 //! The engine writes the subset edges, seeds, firing loop and commit once;
 //! this module holds only each analysis's edges and call/return rules. Two
 //! further cheats ride on the delta discipline: seed edges are applied
@@ -48,14 +48,15 @@
 //!
 //! [`AnyNum`]: crate::domain::AnyNum
 //! [`DeltaNodes`]: crate::setpool::DeltaNodes
-//! [`DeltaNodes::commit_into`]: crate::setpool::DeltaNodes::commit_into
-//! [`SetPool`]: crate::setpool::SetPool
+//! [`DeltaNodes::commit`]: crate::setpool::DeltaNodes::commit
+//! [`FlatSet`]: crate::flatset::FlatSet
 //! [`WorklistSolver`]: crate::solver::WorklistSolver
 //! [`WorklistSolver::take_deltas`]: crate::solver::WorklistSolver::take_deltas
 //! [`WorklistSolver::node_grew`]: crate::solver::WorklistSolver::node_grew
 
 use crate::absval::{AbsClo, AbsKont};
 use crate::budget::{AnalysisBudget, AnalysisError};
+use crate::flatset::{flatten_table, FlatSet};
 use crate::govern::RunGuard;
 use crate::labtab::LabelTable;
 use crate::solver::{Committed, ConstraintId, Flow, SetRun, SolverMode};
@@ -64,34 +65,31 @@ use crate::trace::{self, NoopSink, TraceSink};
 use cpsdfa_anf::{AValKind, Anf, AnfKind, AnfProgram, Bind, VarId};
 use cpsdfa_cps::{CTermKind, CValKind, CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The result of source-level 0CFA.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CfaResult {
-    /// Closure set per variable. The sets are the hash-consed commit
-    /// handles of the run's [`SetPool`]: identical sets (every call site of
-    /// a function, say) share one allocation, and cloning a result is
-    /// handle-copying, not set-copying.
-    ///
-    /// [`SetPool`]: crate::setpool::SetPool
-    pub vars: Vec<Arc<BTreeSet<AbsClo>>>,
+    /// Closure set per variable. Each set is a sorted slice built once at
+    /// the run's commit: identical sets (every call site of a function,
+    /// say) share one allocation, and cloning a result is handle-copying,
+    /// not set-copying.
+    pub vars: Vec<FlatSet<AbsClo>>,
     /// Closure set flowing out of each term (keyed by term label; dense).
     /// Shared commit handles, as in [`CfaResult::vars`].
-    pub terms: LabelTable<Arc<BTreeSet<AbsClo>>>,
+    pub terms: LabelTable<FlatSet<AbsClo>>,
     /// Call graph: call-site `let` label → applicable closures (dense).
-    /// `Arc`-shared like the flow sets, so cloning a result (a cache hit, a
-    /// noop warm step) never deep-copies the call graph.
-    pub calls: Arc<LabelTable<BTreeSet<AbsClo>>>,
+    /// The table is `Arc`-shared as well as its sets, so cloning a result
+    /// (a cache hit, a noop warm step) never copies the call graph.
+    pub calls: Arc<LabelTable<FlatSet<AbsClo>>>,
     /// Fixpoint work performed: constraint firings. Always ≥ 1.
     pub iterations: u64,
 }
 
 impl CfaResult {
     /// The closure set of a variable.
-    pub fn get(&self, v: VarId) -> &BTreeSet<AbsClo> {
-        self.vars[v.index()].as_ref()
+    pub fn get(&self, v: VarId) -> &FlatSet<AbsClo> {
+        &self.vars[v.index()]
     }
 
     /// True if the analysis solutions (not the work counters) coincide.
@@ -126,56 +124,69 @@ enum Edge {
     },
 }
 
-fn collect_edges(prog: &AnfProgram) -> Vec<Edge> {
-    let mut edges: Vec<Edge> = Vec::new();
-    let val_node = |v: &cpsdfa_anf::AVal, dst: Node, edges: &mut Vec<Edge>| {
+/// The source program's static constraints and λ table, from one walk in
+/// program order.
+struct SrcWalk {
+    edges: Vec<Edge>,
+    /// `(label, parameter, body label)` of every λ the walk seeds, in
+    /// program order. A λ no seed names never flows, so it is never
+    /// applied and needs no entry.
+    lams: Vec<(Label, VarId, Label)>,
+}
+
+fn collect_edges(prog: &AnfProgram) -> SrcWalk {
+    let val_node = |v: &cpsdfa_anf::AVal, dst: Node, walk: &mut SrcWalk| {
         let clo = match &v.kind {
             AValKind::Num(_) => return,
             AValKind::Add1 => AbsClo::Inc,
             AValKind::Sub1 => AbsClo::Dec,
-            AValKind::Lam(..) => AbsClo::Lam(v.label),
+            AValKind::Lam(x, body) => {
+                let x = prog.var_id(x).expect("lambda parameter is indexed");
+                walk.lams.push((v.label, x, body.label));
+                AbsClo::Lam(v.label)
+            }
             AValKind::Var(x) => {
                 let x = prog.var_id(x).expect("indexed variable");
-                return edges.push(Edge::Sub(Node::Var(x), dst));
+                return walk.edges.push(Edge::Sub(Node::Var(x), dst));
             }
         };
-        edges.push(Edge::Seed(clo, dst));
+        walk.edges.push(Edge::Seed(clo, dst));
     };
 
     fn gen(
         m: &Anf,
         prog: &AnfProgram,
-        edges: &mut Vec<Edge>,
-        val_node: &impl Fn(&cpsdfa_anf::AVal, Node, &mut Vec<Edge>),
+        walk: &mut SrcWalk,
+        val_node: &impl Fn(&cpsdfa_anf::AVal, Node, &mut SrcWalk),
     ) {
         match &m.kind {
             AnfKind::Value(v) => {
-                val_node(v, Node::Term(m.label), edges);
+                val_node(v, Node::Term(m.label), walk);
                 if let AValKind::Lam(_, body) = &v.kind {
-                    gen(body, prog, edges, val_node);
+                    gen(body, prog, walk, val_node);
                 }
             }
             AnfKind::Let { var, bind, body } => {
                 let x = prog.var_id(var).expect("indexed variable");
                 match bind {
                     Bind::Value(v) => {
-                        val_node(v, Node::Var(x), edges);
+                        val_node(v, Node::Var(x), walk);
                         if let AValKind::Lam(_, lbody) = &v.kind {
-                            gen(lbody, prog, edges, val_node);
+                            gen(lbody, prog, walk, val_node);
                         }
                     }
                     Bind::App(f, a) => {
                         // Materialize operand flows through the term nodes
                         // of the operands themselves.
-                        val_node(f, Node::Term(f.label), edges);
-                        val_node(a, Node::Term(a.label), edges);
+                        val_node(f, Node::Term(f.label), walk);
+                        val_node(a, Node::Term(a.label), walk);
                         if let AValKind::Lam(_, b) = &f.kind {
-                            gen(b, prog, edges, val_node);
+                            gen(b, prog, walk, val_node);
                         }
                         if let AValKind::Lam(_, b) = &a.kind {
-                            gen(b, prog, edges, val_node);
+                            gen(b, prog, walk, val_node);
                         }
-                        edges.push(Edge::Call {
+                        walk.edges.push(Edge::Call {
                             f: Node::Term(f.label),
                             arg: Node::Term(a.label),
                             bind: x,
@@ -183,21 +194,28 @@ fn collect_edges(prog: &AnfProgram) -> Vec<Edge> {
                         });
                     }
                     Bind::If0(c, t, e) => {
-                        val_node(c, Node::Term(c.label), edges);
-                        gen(t, prog, edges, val_node);
-                        gen(e, prog, edges, val_node);
-                        edges.push(Edge::Sub(Node::Term(t.label), Node::Var(x)));
-                        edges.push(Edge::Sub(Node::Term(e.label), Node::Var(x)));
+                        val_node(c, Node::Term(c.label), walk);
+                        gen(t, prog, walk, val_node);
+                        gen(e, prog, walk, val_node);
+                        walk.edges
+                            .push(Edge::Sub(Node::Term(t.label), Node::Var(x)));
+                        walk.edges
+                            .push(Edge::Sub(Node::Term(e.label), Node::Var(x)));
                     }
                     Bind::Loop => {}
                 }
-                gen(body, prog, edges, val_node);
-                edges.push(Edge::Sub(Node::Term(body.label), Node::Term(m.label)));
+                gen(body, prog, walk, val_node);
+                walk.edges
+                    .push(Edge::Sub(Node::Term(body.label), Node::Term(m.label)));
             }
         }
     }
-    gen(prog.root(), prog, &mut edges, &val_node);
-    edges
+    let mut walk = SrcWalk {
+        edges: Vec::new(),
+        lams: Vec::new(),
+    };
+    gen(prog.root(), prog, &mut walk, &val_node);
+    walk
 }
 
 /// Dense indexing of the flow nodes: variables first, then term labels.
@@ -216,7 +234,7 @@ struct NodeIndex {
 pub(crate) const UNINDEXED: usize = usize::MAX;
 
 impl NodeIndex {
-    fn build(prog: &AnfProgram, edges: &[Edge]) -> NodeIndex {
+    fn build(prog: &AnfProgram, walk: &SrcWalk) -> NodeIndex {
         let n = prog.label_count() as usize;
         let mut idx = NodeIndex {
             num_vars: prog.num_vars(),
@@ -224,7 +242,7 @@ impl NodeIndex {
             num_terms: 0,
             dst_flags: vec![false; n],
         };
-        for e in edges {
+        for e in &walk.edges {
             match e {
                 Edge::Seed(_, dst) => idx.touch_dst(*dst),
                 Edge::Sub(src, dst) => {
@@ -239,9 +257,9 @@ impl NodeIndex {
         }
         // Lambda bodies are sources of dynamically-discovered return edges;
         // a constant body never appears in the static edges, so index them
-        // all up front.
-        for lam in prog.lambdas().values() {
-            idx.touch(Node::Term(lam.body.label));
+        // all up front, in program order.
+        for &(_, _, body) in &walk.lams {
+            idx.touch(Node::Term(body));
         }
         idx
     }
@@ -316,14 +334,14 @@ struct SrcTables {
 }
 
 impl SrcTables {
-    fn build(prog: &AnfProgram, idx: &NodeIndex) -> SrcTables {
+    fn build(prog: &AnfProgram, walk: &SrcWalk, idx: &NodeIndex) -> SrcTables {
         let mut lam = vec![(UNINDEXED, UNINDEXED); prog.label_count() as usize];
-        for (l, r) in prog.lambdas() {
+        for &(l, param, body) in &walk.lams {
             let i = l.index() as usize;
             if i >= lam.len() {
                 lam.resize(i + 1, (UNINDEXED, UNINDEXED));
             }
-            lam[i] = (r.param_id.index(), idx.node(Node::Term(r.body.label)));
+            lam[i] = (param.index(), idx.node(Node::Term(body)));
         }
         let mut live_src = vec![true; idx.total()];
         for (&t, &is_dst) in idx.term_ids.iter().zip(&idx.dst_flags) {
@@ -399,9 +417,10 @@ fn zero_cfa_impl(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(CfaResult, SolverStats), AnalysisError> {
-    let edges = collect_edges(prog);
-    let idx = NodeIndex::build(prog, &edges);
-    let tables = SrcTables::build(prog, &idx);
+    let walk = collect_edges(prog);
+    let idx = NodeIndex::build(prog, &walk);
+    let tables = SrcTables::build(prog, &walk, &idx);
+    let edges = walk.edges;
     let mut run: SetRun<AbsClo, SrcCall> = SetRun::new(idx.total(), edges.len());
     for e in &edges {
         match *e {
@@ -419,12 +438,13 @@ fn zero_cfa_impl(
         }
     }
 
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
+    // A call rule watches only its operator, whose log never repeats an
+    // element, so each callee reaches a site once: the rows stay distinct
+    // without a set (checked at the commit in debug builds).
+    let mut calls: LabelTable<Vec<AbsClo>> = LabelTable::new(prog.label_count());
     run.run(guard, |run, ci, SrcCall { arg, bind, site }| {
         run.for_each_new(ci, |run, clo| {
-            if !calls.entry_or_default(site).insert(clo) {
-                return; // already wired
-            }
+            calls.entry_or_default(site).push(clo);
             if let AbsClo::Lam(l) = clo {
                 // Newly-discovered callee: wire the argument flow into the
                 // parameter and the body result into the binder as
@@ -457,7 +477,7 @@ fn zero_cfa_impl(
         CfaResult {
             vars: sets,
             terms,
-            calls: Arc::new(calls),
+            calls: Arc::new(flatten_table(&calls)),
             iterations,
         },
         stats,
@@ -476,21 +496,21 @@ pub enum CpsFlow {
 /// The result of CPS-level 0CFA.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CpsCfaResult {
-    /// Flow set per variable (both namespaces). Shared hash-consed commit
-    /// handles, as in [`CfaResult::vars`].
-    pub vars: Vec<Arc<BTreeSet<CpsFlow>>>,
+    /// Flow set per variable (both namespaces). Shared commit handles, as
+    /// in [`CfaResult::vars`].
+    pub vars: Vec<FlatSet<CpsFlow>>,
     /// Return sites `(k W)` → continuations invoked (dense by site label).
-    pub returns: LabelTable<BTreeSet<AbsKont>>,
+    pub returns: LabelTable<FlatSet<AbsKont>>,
     /// Call sites → applicable closures (dense by site label).
-    pub calls: LabelTable<BTreeSet<AbsClo>>,
+    pub calls: LabelTable<FlatSet<AbsClo>>,
     /// Fixpoint work performed: constraint firings. Always ≥ 1.
     pub iterations: u64,
 }
 
 impl CpsCfaResult {
     /// The flow set of a variable.
-    pub fn get(&self, v: CVarId) -> &BTreeSet<CpsFlow> {
-        self.vars[v.index()].as_ref()
+    pub fn get(&self, v: CVarId) -> &FlatSet<CpsFlow> {
+        &self.vars[v.index()]
     }
 
     /// True if the analysis solutions (not the work counters) coincide.
@@ -558,20 +578,20 @@ impl CpsCall {
     /// operator has delivered since the last firing — a constant
     /// operator's at its one firing, a variable's delta — and hands each
     /// newly applied user λ to `enter`. Primitives return numbers
-    /// directly to the continuation: no closure flow.
+    /// directly to the continuation: no closure flow. A delta never
+    /// repeats an element and a constant rule fires once, so each callee
+    /// reaches the site once.
     pub(crate) fn fire<C: Copy>(
         &self,
         run: &mut SetRun<CpsFlow, C>,
         ci: ConstraintId,
-        calls: &mut LabelTable<BTreeSet<AbsClo>>,
+        calls: &mut LabelTable<Vec<AbsClo>>,
         mut enter: impl FnMut(&mut SetRun<CpsFlow, C>, Label),
     ) {
         let site = self.site;
         let mut apply = |run: &mut SetRun<CpsFlow, C>, v: CpsFlow| {
             let CpsFlow::Clo(clo) = v else { return };
-            if !calls.entry_or_default(site).insert(clo) {
-                return; // already wired
-            }
+            calls.entry_or_default(site).push(clo);
             if let AbsClo::Lam(l) = clo {
                 enter(run, l);
             }
@@ -584,62 +604,109 @@ impl CpsCall {
     }
 }
 
-pub(crate) fn collect_cps_edges(prog: &CpsProgram) -> Vec<CpsEdge> {
-    let flow_of = |w: &cpsdfa_cps::CVal| -> Flow<CpsFlow> {
+/// CPS 0CFA's constraint walk: the static edges and the call/return side
+/// tables, from one pass over the term in program order.
+pub(crate) fn collect_cps_edges(prog: &CpsProgram) -> (Vec<CpsEdge>, CpsTables) {
+    let n = prog.label_count() as usize;
+    let mut walk = CpsWalk {
+        prog,
+        edges: Vec::new(),
+        tables: CpsTables {
+            lam: vec![(UNINDEXED, UNINDEXED); n],
+            cont_var: vec![UNINDEXED; n],
+        },
+    };
+    walk.gen(prog.root());
+    // The top continuation holds `stop`.
+    let k0 = prog.kont_var_id(prog.top_k()).expect("top k indexed");
+    walk.edges
+        .push(CpsEdge::Seed(CpsFlow::Kont(AbsKont::Stop), k0.index()));
+    (walk.edges, walk.tables)
+}
+
+/// The state of [`collect_cps_edges`]' walk.
+struct CpsWalk<'p> {
+    prog: &'p CpsProgram,
+    edges: Vec<CpsEdge>,
+    tables: CpsTables,
+}
+
+impl CpsWalk<'_> {
+    /// The flow of operand `w`. A λ operand enters the λ table here: a λ
+    /// no operand names never flows, so it is never applied.
+    fn flow_of(&mut self, w: &cpsdfa_cps::CVal) -> Flow<CpsFlow> {
+        let var = |x| self.prog.user_var_id(x).expect("indexed variable").index();
         match &w.kind {
             CValKind::Num(_) => Flow::None,
             CValKind::Add1K => Flow::Const(CpsFlow::Clo(AbsClo::Inc)),
             CValKind::Sub1K => Flow::Const(CpsFlow::Clo(AbsClo::Dec)),
-            CValKind::Lam { .. } => Flow::Const(CpsFlow::Clo(AbsClo::Lam(w.label))),
-            CValKind::Var(x) => Flow::Var(prog.user_var_id(x).expect("indexed variable").index()),
+            CValKind::Lam { param, k, .. } => {
+                let k = self.prog.kont_var_id(k).expect("λ k indexed").index();
+                let fill = (UNINDEXED, UNINDEXED);
+                set_at(&mut self.tables.lam, w.label, (var(param), k), fill);
+                Flow::Const(CpsFlow::Clo(AbsClo::Lam(w.label)))
+            }
+            CValKind::Var(x) => Flow::Var(var(x)),
         }
-    };
+    }
 
-    let mut edges: Vec<CpsEdge> = Vec::new();
-    fn gen<'p>(
-        t: &'p cpsdfa_cps::CTerm,
-        prog: &CpsProgram,
-        edges: &mut Vec<CpsEdge>,
-        flow_of: &impl Fn(&'p cpsdfa_cps::CVal) -> Flow<CpsFlow>,
-    ) {
-        let kont_node = |k| prog.kont_var_id(k).expect("indexed k").index();
+    /// Enters continuation `cont` in the continuation table and walks its
+    /// body.
+    fn cont(&mut self, cont: &cpsdfa_cps::ContLam) {
+        let var = self.prog.user_var_id(&cont.var).expect("cont var indexed");
+        set_at(
+            &mut self.tables.cont_var,
+            cont.label,
+            var.index(),
+            UNINDEXED,
+        );
+        self.gen(&cont.body);
+    }
+
+    /// Walks the body of `w` if it is a λ.
+    fn lam_body(&mut self, w: &cpsdfa_cps::CVal) {
+        if let CValKind::Lam { body, .. } = &w.kind {
+            self.gen(body);
+        }
+    }
+
+    fn gen(&mut self, t: &cpsdfa_cps::CTerm) {
+        let kont_node = |k| self.prog.kont_var_id(k).expect("indexed k").index();
         match &t.kind {
             CTermKind::Ret(k, w) => {
-                edges.push(CpsEdge::Ret {
-                    k: kont_node(k),
-                    w: flow_of(w),
+                let (k, w_flow) = (kont_node(k), self.flow_of(w));
+                self.edges.push(CpsEdge::Ret {
+                    k,
+                    w: w_flow,
                     site: t.label,
                 });
-                if let CValKind::Lam { body, .. } = &w.kind {
-                    gen(body, prog, edges, flow_of);
-                }
+                self.lam_body(w);
             }
             CTermKind::Let { var, val, body } => {
-                let x = prog.user_var_id(var).expect("indexed variable").index();
-                match flow_of(val) {
+                let x = self
+                    .prog
+                    .user_var_id(var)
+                    .expect("indexed variable")
+                    .index();
+                match self.flow_of(val) {
                     Flow::None => {}
-                    Flow::Const(c) => edges.push(CpsEdge::Seed(c, x)),
-                    Flow::Var(y) => edges.push(CpsEdge::Sub(y, x)),
+                    Flow::Const(c) => self.edges.push(CpsEdge::Seed(c, x)),
+                    Flow::Var(y) => self.edges.push(CpsEdge::Sub(y, x)),
                 }
-                if let CValKind::Lam { body: b, .. } = &val.kind {
-                    gen(b, prog, edges, flow_of);
-                }
-                gen(body, prog, edges, flow_of);
+                self.lam_body(val);
+                self.gen(body);
             }
             CTermKind::Call { f, arg, cont } => {
-                edges.push(CpsEdge::Call(CpsCall {
-                    f: flow_of(f),
-                    arg: flow_of(arg),
+                let call = CpsCall {
+                    f: self.flow_of(f),
+                    arg: self.flow_of(arg),
                     cont: cont.label,
                     site: t.label,
-                }));
-                if let CValKind::Lam { body, .. } = &f.kind {
-                    gen(body, prog, edges, flow_of);
-                }
-                if let CValKind::Lam { body, .. } = &arg.kind {
-                    gen(body, prog, edges, flow_of);
-                }
-                gen(&cont.body, prog, edges, flow_of);
+                };
+                self.edges.push(CpsEdge::Call(call));
+                self.lam_body(f);
+                self.lam_body(arg);
+                self.cont(cont);
             }
             CTermKind::LetK {
                 k,
@@ -649,20 +716,24 @@ pub(crate) fn collect_cps_edges(prog: &CpsProgram) -> Vec<CpsEdge> {
                 ..
             } => {
                 let co = CpsFlow::Kont(AbsKont::Co(cont.label));
-                edges.push(CpsEdge::Seed(co, kont_node(k)));
-                gen(&cont.body, prog, edges, flow_of);
-                gen(then_, prog, edges, flow_of);
-                gen(else_, prog, edges, flow_of);
+                self.edges.push(CpsEdge::Seed(co, kont_node(k)));
+                self.cont(cont);
+                self.gen(then_);
+                self.gen(else_);
             }
-            CTermKind::Loop { cont } => gen(&cont.body, prog, edges, flow_of),
+            CTermKind::Loop { cont } => self.cont(cont),
         }
     }
-    gen(prog.root(), prog, &mut edges, &flow_of);
+}
 
-    // The top continuation holds `stop`.
-    let k0 = prog.kont_var_id(prog.top_k()).expect("top k indexed");
-    edges.push(CpsEdge::Seed(CpsFlow::Kont(AbsKont::Stop), k0.index()));
-    edges
+/// Sets `table[l]` to `v`, growing the table with `fill` for a label past
+/// the program's count (hand-built programs).
+fn set_at<T: Copy>(table: &mut Vec<T>, l: Label, v: T, fill: T) {
+    let i = l.index() as usize;
+    if i >= table.len() {
+        table.resize(i + 1, fill);
+    }
+    table[i] = v;
 }
 
 /// A CPS-level rule over indexed flow nodes; the subset edges are the
@@ -681,37 +752,13 @@ enum CpsRule {
 
 /// Flat per-label side tables for CPS call/return wiring, pre-resolved to
 /// variable node indices so the firing bodies never touch the program
-/// tree.
-#[derive(Clone)]
+/// tree. [`collect_cps_edges`] fills them on its walk.
 pub(crate) struct CpsTables {
     /// By lambda label: `(param var node, k var node)`; `UNINDEXED` when
-    /// the label is not a lambda.
+    /// the label is not a λ the walk seeds.
     pub(crate) lam: Vec<(usize, usize)>,
     /// By continuation label: the continuation's binder var node.
     pub(crate) cont_var: Vec<usize>,
-}
-
-impl CpsTables {
-    pub(crate) fn build(prog: &CpsProgram) -> CpsTables {
-        let n = prog.label_count() as usize;
-        let mut lam = vec![(UNINDEXED, UNINDEXED); n];
-        for (l, r) in prog.lambdas() {
-            let i = l.index() as usize;
-            if i >= lam.len() {
-                lam.resize(i + 1, (UNINDEXED, UNINDEXED));
-            }
-            lam[i] = (r.param_id.index(), r.k_id.index());
-        }
-        let mut cont_var = vec![UNINDEXED; n];
-        for (l, r) in prog.conts() {
-            let i = l.index() as usize;
-            if i >= cont_var.len() {
-                cont_var.resize(i + 1, UNINDEXED);
-            }
-            cont_var[i] = r.var_id.index();
-        }
-        CpsTables { lam, cont_var }
-    }
 }
 
 /// Constraint-based 0CFA over a CPS program — Shivers' original setting.
@@ -766,8 +813,7 @@ fn zero_cfa_cps_impl(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(CpsCfaResult, SolverStats), AnalysisError> {
-    let tables = CpsTables::build(prog);
-    let edges = collect_cps_edges(prog);
+    let (edges, tables) = collect_cps_edges(prog);
     let n = prog.num_vars();
     let mut run: SetRun<CpsFlow, CpsRule> = SetRun::new(n, edges.len());
     // Seeds skip the worklist entirely and are poured after this loop, so
@@ -786,14 +832,14 @@ fn zero_cfa_cps_impl(
         }
     }
 
-    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
+    // Each return site's rule watches its `k`, whose deltas never repeat
+    // a continuation, so the rows stay distinct without a set.
+    let mut returns: LabelTable<Vec<AbsKont>> = LabelTable::new(prog.label_count());
+    let mut calls: LabelTable<Vec<AbsClo>> = LabelTable::new(prog.label_count());
     run.run(guard, |run, ci, rule| match rule {
         CpsRule::Ret { w, site } => run.for_each_new(ci, |run, v| {
             let CpsFlow::Kont(kk) = v else { return };
-            if !returns.entry_or_default(site).insert(kk) {
-                return; // already wired
-            }
+            returns.entry_or_default(site).push(kk);
             if let AbsKont::Co(l) = kk {
                 run.flow(w, tables.cont_var[l.index() as usize]);
             }
@@ -817,8 +863,8 @@ fn zero_cfa_cps_impl(
     Ok((
         CpsCfaResult {
             vars: sets,
-            returns,
-            calls,
+            returns: flatten_table(&returns),
+            calls: flatten_table(&calls),
             iterations,
         },
         stats,
@@ -831,6 +877,7 @@ mod tests {
     use crate::direct::DirectAnalyzer;
     use crate::domain::AnyNum;
     use crate::syncps::SynCpsAnalyzer;
+    use std::collections::BTreeSet;
 
     #[test]
     fn identity_flows_through_self_application() {
@@ -877,7 +924,7 @@ mod tests {
         assert_eq!(cfa.get(x), &BTreeSet::from([lam]));
         // M_e's r contains CL⊤ because of the cut:
         let r = p.var_named("r").unwrap();
-        assert!(cfa.get(r).is_subset(&d.store.get(r).clos));
+        assert!(cfa.get(r).iter().all(|c| d.store.get(r).clos.contains(c)));
     }
 
     #[test]
@@ -1021,7 +1068,7 @@ mod tests {
                 "n={n}: cfa.cps fired {}",
                 cps.iterations
             );
-            let statics = collect_edges(&p).len() as u64;
+            let statics = collect_edges(&p).edges.len() as u64;
             assert!(
                 stats.constraints < 4 * n as u64 + statics,
                 "n={n}: cfa.src registered {} constraints over {statics} static edges",

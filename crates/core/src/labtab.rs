@@ -88,6 +88,15 @@ impl<T> LabelTable<T> {
         self.slots.iter().filter_map(Option::as_ref)
     }
 
+    /// The table with each occupied value mapped through `f`, at the same
+    /// labels.
+    pub fn map<U>(&self, mut f: impl FnMut(&T) -> U) -> LabelTable<U> {
+        LabelTable {
+            slots: self.slots.iter().map(|s| s.as_ref().map(&mut f)).collect(),
+            occupied: self.occupied,
+        }
+    }
+
     /// Occupied labels in ascending order.
     pub fn keys(&self) -> impl Iterator<Item = Label> + '_ {
         self.slots

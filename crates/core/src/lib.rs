@@ -26,9 +26,9 @@
 //! the classical [MFP/MOP
 //! substrate](mfp) for the Nielson / Kam–Ullman discussion (§6.2), and the
 //! shared sparse [worklist fixpoint engine](solver) — semi-naïve: firings
-//! consume per-watch *deltas*, not whole sets — with its [hash-consed set
-//! arena and append-only delta node store](setpool) that the 0CFA and MFP
-//! solvers run on.
+//! consume per-watch *deltas*, not whole sets — with its [append-only
+//! delta node store](setpool) that the 0CFA solvers run on and commit into
+//! shared sorted [`FlatSet`]s.
 //!
 //! # Quick tour: Theorem 5.1 in five lines
 //!
@@ -56,6 +56,7 @@ pub mod direct;
 pub mod distrib;
 pub mod domain;
 pub mod faultinject;
+pub mod flatset;
 pub mod flow;
 pub mod govern;
 pub mod incremental;
@@ -87,6 +88,7 @@ pub use certify::{
 pub use cpsdfa_syntax::fxhash::{FxBuildHasher, FxHashMap};
 pub use direct::{DirectAnalyzer, DirectResult};
 pub use faultinject::{FaultKind, FaultPlan, PersistFault, PersistFaultPlan};
+pub use flatset::FlatSet;
 pub use flow::FlowLog;
 pub use govern::{
     CancelToken, CfaAnswer, Deadline, DegradationLadder, DegradationReport, GovernPolicy, Governed,
@@ -96,7 +98,7 @@ pub use labtab::{LabelLookup, LabelTable};
 pub use precision::PrecisionOrder;
 pub use pushdown::{pushdown_cfa, MatchedReturn, PushdownCfaResult};
 pub use semcps::{SemCpsAnalyzer, SemCpsResult};
-pub use setpool::{DeltaNodes, PoolStats, SetId, SetPool};
+pub use setpool::{DeltaNodes, PoolStats};
 pub use solver::{worker_count, DeltaRange, SolverMode, WorklistSolver};
 pub use stats::{AnalysisStats, SolverStats};
 pub use syncps::{SynCpsAnalyzer, SynCpsResult};

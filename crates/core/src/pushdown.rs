@@ -59,6 +59,7 @@ use crate::budget::{AnalysisBudget, AnalysisError};
 use crate::cfa::{
     collect_cps_edges, CpsCall, CpsCfaResult, CpsEdge, CpsFlow, CpsTables, UNINDEXED,
 };
+use crate::flatset::{flatten_table, FlatSet};
 use crate::govern::RunGuard;
 use crate::labtab::LabelTable;
 use crate::solver::{Committed, Flow, SetRun, SolverMode};
@@ -66,8 +67,6 @@ use crate::stats::SolverStats;
 use crate::trace::{self, NoopSink, TraceSink};
 use cpsdfa_cps::{CVarId, CpsProgram};
 use cpsdfa_syntax::Label;
-use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// One matched return edge: the pop witnessed by its push. `callee`'s
 /// return site `ret_site` was wired to the continuation `cont` because the
@@ -91,17 +90,19 @@ pub struct MatchedReturn {
 /// witnesses and the summary-instantiation counter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PushdownCfaResult {
-    /// Flow set per variable (both namespaces), as hash-consed commit
-    /// handles. Continuation variables hold the frames the analysis
-    /// *matched* (a subset of the sets 0CFA merges there).
-    pub vars: Vec<Arc<BTreeSet<CpsFlow>>>,
+    /// Flow set per variable (both namespaces), as shared commit handles
+    /// ([`CfaResult::vars`](crate::cfa::CfaResult::vars)). Continuation
+    /// variables hold the frames the analysis *matched* (a subset of the
+    /// sets 0CFA merges there).
+    pub vars: Vec<FlatSet<CpsFlow>>,
     /// Return site → continuations resumed there. Frame-return entries
     /// are accumulated per matched call; join/halt entries are static.
-    pub returns: LabelTable<BTreeSet<AbsKont>>,
+    pub returns: LabelTable<FlatSet<AbsKont>>,
     /// Call site → abstract closures applied there.
-    pub calls: LabelTable<BTreeSet<AbsClo>>,
-    /// Every frame-return edge, with its matching-call witness.
-    pub matched: BTreeSet<MatchedReturn>,
+    pub calls: LabelTable<FlatSet<AbsClo>>,
+    /// Every frame-return edge, with its matching-call witness, in
+    /// ascending order.
+    pub matched: FlatSet<MatchedReturn>,
     /// Summary instantiations performed (one per discovered
     /// `(call site, user-λ callee)` pair).
     pub summaries: u64,
@@ -111,8 +112,8 @@ pub struct PushdownCfaResult {
 
 impl PushdownCfaResult {
     /// The flow set of a variable.
-    pub fn get(&self, v: CVarId) -> &BTreeSet<CpsFlow> {
-        self.vars[v.index()].as_ref()
+    pub fn get(&self, v: CVarId) -> &FlatSet<CpsFlow> {
+        &self.vars[v.index()]
     }
 
     /// True if the analysis solutions (not the work counters) coincide.
@@ -303,14 +304,17 @@ fn pushdown_cfa_impl(
     guard: &RunGuard,
     sink: &mut impl TraceSink,
 ) -> Result<(PushdownCfaResult, SolverStats), AnalysisError> {
-    let tables = CpsTables::build(prog);
-    let edges = collect_cps_edges(prog);
+    let (edges, tables) = collect_cps_edges(prog);
     let n = prog.num_vars();
     let binders = kont_binders(n, &tables, &edges);
     let cont_binder = |cont: Label| tables.cont_var[cont.index() as usize];
     let mut run: SetRun<CpsFlow, CpsCall> = SetRun::new(n, edges.len());
     let mut templates: Vec<Vec<RetTemplate>> = vec![Vec::new(); prog.label_count() as usize];
-    let mut returns: LabelTable<BTreeSet<AbsKont>> = LabelTable::new(prog.label_count());
+    // Every row below gains each element once — a return site is
+    // classified once, and each `(call site, callee)` pair is discovered
+    // once, with the call site's own continuation — so plain lists hold
+    // them, sorted at the commit.
+    let mut returns: LabelTable<Vec<AbsKont>> = LabelTable::new(prog.label_count());
     for e in &edges {
         match *e {
             CpsEdge::Seed(..) => {}
@@ -322,10 +326,10 @@ fn pushdown_cfa_impl(
                     templates[l.index() as usize].push(RetTemplate { site, w, own_param });
                 }
                 KBinder::Halt => {
-                    returns.entry_or_default(site).insert(AbsKont::Stop);
+                    returns.entry_or_default(site).push(AbsKont::Stop);
                 }
                 KBinder::Join(cont) => {
-                    returns.entry_or_default(site).insert(AbsKont::Co(cont));
+                    returns.entry_or_default(site).push(AbsKont::Co(cont));
                     if let Flow::Var(y) = w {
                         run.wire(y, cont_binder(cont));
                     }
@@ -351,11 +355,11 @@ fn pushdown_cfa_impl(
         }
     }
 
-    let mut calls: LabelTable<BTreeSet<AbsClo>> = LabelTable::new(prog.label_count());
-    let mut matched: BTreeSet<MatchedReturn> = BTreeSet::new();
+    let mut calls: LabelTable<Vec<AbsClo>> = LabelTable::new(prog.label_count());
+    let mut matched: Vec<MatchedReturn> = Vec::new();
     // Callee λ → continuations of its discovered callers (the frames to
     // pour into its `k` node at commit).
-    let mut callers: LabelTable<BTreeSet<Label>> = LabelTable::new(prog.label_count());
+    let mut callers: LabelTable<Vec<Label>> = LabelTable::new(prog.label_count());
     let mut summaries = 0u64;
     run.run(guard, |run, ci, call| {
         // A newly applied λ: the argument into its parameter (monovariant
@@ -366,12 +370,12 @@ fn pushdown_cfa_impl(
         call.fire(run, ci, &mut calls, |run, l| {
             let (param, _) = tables.lam[l.index() as usize];
             run.flow(call.arg, param);
-            callers.entry_or_default(l).insert(call.cont);
+            callers.entry_or_default(l).push(call.cont);
             summaries += 1;
             let cont = call.cont;
             for tpl in &templates[l.index() as usize] {
-                returns.entry_or_default(tpl.site).insert(AbsKont::Co(cont));
-                matched.insert(MatchedReturn {
+                returns.entry_or_default(tpl.site).push(AbsKont::Co(cont));
+                matched.push(MatchedReturn {
                     ret_site: tpl.site,
                     callee: l,
                     call_site: call.site,
@@ -412,9 +416,12 @@ fn pushdown_cfa_impl(
     Ok((
         PushdownCfaResult {
             vars: sets,
-            returns,
-            calls,
-            matched,
+            returns: flatten_table(&returns),
+            calls: flatten_table(&calls),
+            matched: {
+                matched.sort_unstable();
+                FlatSet::from_sorted(&matched)
+            },
             summaries,
             iterations,
         },
@@ -563,8 +570,8 @@ mod tests {
                 _ => {}
             });
             assert!(!rets.is_empty());
-            let tables = CpsTables::build(&c);
-            let binders = kont_binders(c.num_vars(), &tables, &collect_cps_edges(&c));
+            let (edges, tables) = collect_cps_edges(&c);
+            let binders = kont_binders(c.num_vars(), &tables, &edges);
             for k in rets {
                 assert_eq!(bound[k], 1, "return continuation {k} in {t:?}");
                 assert_ne!(binders[k], KBinder::None, "{t:?}");

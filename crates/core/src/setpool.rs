@@ -1,112 +1,45 @@
-//! Hash-consed set arena: interns `BTreeSet<T>` values into small [`SetId`]
-//! handles, so equal sets are stored once and compare by handle — plus
-//! [`DeltaNodes`], the growth store the semi-naïve solvers use while a
-//! fixpoint is still moving.
+//! The growth store the semi-naïve CFA solvers use while a fixpoint is
+//! still moving ([`DeltaNodes`]), and the commit that turns each converged
+//! node into a shared sorted [`FlatSet`].
 //!
-//! Interning every intermediate set has a failure mode: a node that grows
-//! one element at a time pays an O(|set|) clone + hash per growth step, so
-//! workloads dominated by incremental growth (CPS 0CFA on wide dispatch)
-//! would regress below a dense in-place `extend`. So *growing* sets stay
-//! out of the arena entirely: [`DeltaNodes`] stores every flow node as an
-//! append-only growth log (the delta source the
+//! Growing sets and committed sets want different representations. A node
+//! that grows one element at a time must not pay an O(|set|) copy per step,
+//! so while the fixpoint moves every flow node is an append-only growth log
+//! (the delta source the
 //! [`WorklistSolver`](crate::solver::WorklistSolver) cursors index) plus a
-//! bitset over a store-wide dense value universe, so a value is hashed once
-//! at first sight and forwarded between nodes with pure bit ops. Nodes
-//! intern into the pool only at the commit point
-//! ([`DeltaNodes::commit_into`]), after convergence, and the commit walks
-//! the bitset in universe-index order, memoizing on the canonical index
-//! run, so no comparison sort or re-hash happens at extraction either.
-//! Persist decode shares the sets of one answer by their encoded bytes,
-//! so a recovered answer shares its sets the way a fresh one does.
+//! bitset over a store-wide dense value universe: a value is hashed once at
+//! first sight and forwarded between nodes with pure bit ops. A converged
+//! set is never mutated again, so the commit
+//! ([`DeltaNodes::commit`]) builds each distinct set once as one
+//! sorted slice. The node's bitset already names its elements as an
+//! ascending run of universe indices; that run is the set's identity
+//! inside the store (the universe maps values to indices one-to-one), so
+//! the commit memoizes on the run and every node with the same run shares
+//! one [`FlatSet`] handle. The memo hashes the `u32` run, never the
+//! values.
 //!
-//! Each analysis task owns its pool (see the corpus driver in
-//! `cpsdfa-workloads`), so the arena itself needs no lock. Its sets are
-//! [`Arc`]-shared, though: the handles a solver commits into its result
-//! stay shared when that result crosses into the service's cross-thread
-//! cache, so a cached answer stores each distinct set once.
+//! Each solve owns its store, so nothing here needs a lock. The committed
+//! handles are [`Arc`](std::sync::Arc)-shared, though: they stay shared when
+//! a result crosses into the service's cross-thread cache, so a cached
+//! answer stores each distinct set once.
 
+use crate::flatset::FlatSet;
 use crate::kernels;
 use cpsdfa_syntax::fxhash::FxHashMap;
-use std::collections::BTreeSet;
 use std::hash::Hash;
-use std::sync::Arc;
 
-/// A handle to an interned set. Two handles from the *same pool* are equal
-/// iff the sets they denote are equal. [`SetPool::EMPTY`] is always the
-/// empty set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SetId(u32);
-
-impl SetId {
-    /// The dense index of this handle (for side tables).
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// Counters describing pool effectiveness; folded into
+/// Commit counters of one store; folded into
 /// [`SolverStats`](crate::stats::SolverStats) by the sparse analyzers.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Distinct sets interned (arena size).
+    /// Distinct sets committed, counting the empty set once whether or not
+    /// any node was empty.
     pub interned: u64,
-    /// [`DeltaNodes::commit_into`] calls answered from the commit memo (or
+    /// [`DeltaNodes::commit`] calls answered from the commit memo (or
     /// trivially empty).
     pub commit_hits: u64,
-    /// Commits that had to intern a set.
+    /// Commits that had to build a set.
     pub commit_misses: u64,
-}
-
-/// The arena. `T` is the set element (e.g. `AbsClo`, `AbsKont`, or the CPS
-/// mixed flow value).
-pub struct SetPool<T> {
-    sets: Vec<Arc<BTreeSet<T>>>,
-    intern: FxHashMap<Arc<BTreeSet<T>>, SetId>,
-    stats: PoolStats,
-}
-
-impl<T: Ord + Clone + Hash> SetPool<T> {
-    /// The empty set's handle, valid in every pool.
-    pub const EMPTY: SetId = SetId(0);
-
-    /// A fresh pool containing only the empty set.
-    pub fn new() -> Self {
-        let empty = Arc::new(BTreeSet::new());
-        let mut intern = FxHashMap::default();
-        intern.insert(Arc::clone(&empty), SetId(0));
-        SetPool {
-            sets: vec![empty],
-            intern,
-            stats: PoolStats {
-                interned: 1,
-                ..PoolStats::default()
-            },
-        }
-    }
-
-    /// Interns `set`, returning its canonical handle.
-    pub fn intern(&mut self, set: BTreeSet<T>) -> SetId {
-        if let Some(&id) = self.intern.get(&set) {
-            return id;
-        }
-        let id = SetId(self.sets.len() as u32);
-        let set = Arc::new(set);
-        self.sets.push(Arc::clone(&set));
-        self.intern.insert(set, id);
-        self.stats.interned += 1;
-        id
-    }
-
-    /// An O(1) shared handle to the set: what a committed result (and a
-    /// decoded one) stores, so every slot holding the set shares it.
-    pub fn get_arc(&self, id: SetId) -> Arc<BTreeSet<T>> {
-        Arc::clone(&self.sets[id.index()])
-    }
-
-    /// Pool effectiveness counters.
-    pub fn stats(&self) -> PoolStats {
-        self.stats
-    }
 }
 
 /// The value store of a semi-naïve CFA solver: per flow node, an append-only
@@ -133,16 +66,23 @@ pub struct DeltaNodes<T> {
     /// value → dense universe index, assigned at first sight.
     universe: FxHashMap<T, u32>,
     /// universe index → value (the inverse of `universe`), for
-    /// [`commit_into`](DeltaNodes::commit_into)'s index-order walk.
+    /// [`commit`](DeltaNodes::commit)'s index-order walk.
     rev: Vec<T>,
     /// Per node: insertion-ordered distinct `(value, universe index)`.
     logs: Vec<Vec<(T, u32)>>,
     /// Per node: membership bits over universe indices, grown on demand.
     bits: Vec<Vec<u64>>,
-    /// Canonical index runs already committed → their pool handle.
-    commit_memo: FxHashMap<Box<[u32]>, SetId>,
-    /// Reused index buffer for [`commit_into`](DeltaNodes::commit_into).
+    /// Canonical index runs already committed → their set. A run names
+    /// exactly one set in this store, so this is the only interner.
+    commit_memo: FxHashMap<Box<[u32]>, FlatSet<T>>,
+    /// The empty set's handle, shared by every empty node.
+    empty: FlatSet<T>,
+    /// Reused index buffer for [`commit`](DeltaNodes::commit).
     commit_scratch: Vec<u32>,
+    /// Reused value buffer for [`commit`](DeltaNodes::commit).
+    value_scratch: Vec<T>,
+    /// Commit counters.
+    commit_stats: PoolStats,
     /// Reused diff-word buffer for the bulk
     /// [`forward_range`](DeltaNodes::forward_range) kernel.
     diff_scratch: Vec<u64>,
@@ -169,7 +109,13 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
             logs: vec![Vec::new(); n],
             bits: vec![Vec::new(); n],
             commit_memo: FxHashMap::default(),
+            empty: FlatSet::default(),
             commit_scratch: Vec::new(),
+            value_scratch: Vec::new(),
+            commit_stats: PoolStats {
+                interned: 1,
+                ..PoolStats::default()
+            },
             diff_scratch: Vec::new(),
             log_entries: 0,
             log_cap: 0,
@@ -304,14 +250,14 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
         self.logs[node].iter().map(|(v, _)| v)
     }
 
-    /// Interns `node`'s converged set into `pool` — the extraction commit
-    /// point. The node's bitset already holds its elements as
-    /// sorted-distinct universe indices, so the canonical form costs a word
-    /// walk, not a comparison sort, and duplicate sets (every call site of
-    /// a function converging to the same callee set) dedup through one
-    /// `u32`-run hash before any `BTreeSet` is built. Handles are memoized
-    /// per store: always pass the same `pool` for the lifetime of `self`.
-    pub fn commit_into(&mut self, node: usize, pool: &mut SetPool<T>) -> SetId
+    /// `node`'s converged set — the extraction commit point. The node's
+    /// bitset already holds its elements as sorted-distinct universe
+    /// indices, so duplicate sets (every call site of a function
+    /// converging to the same callee set) dedup through one `u32`-run hash
+    /// before anything is built. A new set is built once: its values are
+    /// read off by universe index into a reused buffer, sorted into the
+    /// elements' own order, and copied into one allocation.
+    pub fn commit(&mut self, node: usize) -> FlatSet<T>
     where
         T: Ord,
     {
@@ -319,51 +265,39 @@ impl<T: Eq + Hash + Clone> DeltaNodes<T> {
         let scratch = &mut self.commit_scratch;
         kernels::for_each_set_bit(&self.bits[node], |vi| scratch.push(vi));
         if self.commit_scratch.is_empty() {
-            pool.stats.commit_hits += 1;
-            return SetPool::<T>::EMPTY;
+            self.commit_stats.commit_hits += 1;
+            return self.empty.clone();
         }
-        if let Some(&id) = self.commit_memo.get(self.commit_scratch.as_slice()) {
-            pool.stats.commit_hits += 1;
-            return id;
+        if let Some(set) = self.commit_memo.get(self.commit_scratch.as_slice()) {
+            self.commit_stats.commit_hits += 1;
+            return set.clone();
         }
-        pool.stats.commit_misses += 1;
-        let set: BTreeSet<T> = self
+        self.commit_stats.commit_misses += 1;
+        self.commit_stats.interned += 1;
+        self.value_scratch.clear();
+        let rev = &self.rev;
+        let values = self
             .commit_scratch
             .iter()
-            .map(|&vi| self.rev[vi as usize].clone())
-            .collect();
-        let id = pool.intern(set);
-        self.commit_memo.insert(
-            self.commit_scratch.as_slice().to_vec().into_boxed_slice(),
-            id,
-        );
-        id
+            .map(|&vi| rev[vi as usize].clone());
+        self.value_scratch.extend(values);
+        self.value_scratch.sort_unstable();
+        let set = FlatSet::from_sorted(&self.value_scratch);
+        self.commit_memo
+            .insert(self.commit_scratch.as_slice().into(), set.clone());
+        set
     }
-}
 
-impl<T: Ord + Clone + Hash> Default for SetPool<T> {
-    fn default() -> Self {
-        Self::new()
+    /// The commit counters so far.
+    pub fn commit_stats(&self) -> PoolStats {
+        self.commit_stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn handle_equality_is_set_equality() {
-        let mut p = SetPool::new();
-        let a = p.intern(BTreeSet::from([1, 2, 3]));
-        let b = p.intern(BTreeSet::from([3, 2, 1]));
-        let c = p.intern(BTreeSet::from([1, 2]));
-        assert_eq!(a, b, "same set must intern to the same handle");
-        assert_ne!(a, c);
-        assert_eq!(*p.get_arc(a), BTreeSet::from([1, 2, 3]));
-        assert!(Arc::ptr_eq(&p.get_arc(a), &p.get_arc(b)), "stored once");
-        assert_eq!(p.intern(BTreeSet::new()), SetPool::<i32>::EMPTY);
-        assert_eq!(p.stats().interned, 3, "∅, {{1, 2, 3}} and {{1, 2}}");
-    }
+    use std::collections::BTreeSet;
 
     #[test]
     fn delta_nodes_log_never_repeats_an_element() {
@@ -482,21 +416,22 @@ mod tests {
 
     #[test]
     fn commit_memo_hits_are_counted() {
-        let mut p = SetPool::new();
-        let mut nodes: DeltaNodes<i32> = DeltaNodes::new(3);
+        let mut nodes: DeltaNodes<i32> = DeltaNodes::new(4);
         for v in [2, 1] {
             nodes.add(0, v);
             nodes.add(2, v);
         }
-        let id = nodes.commit_into(0, &mut p); // miss: first sight of {1, 2}
-        assert_eq!(nodes.commit_into(2, &mut p), id); // hit: same index run
-        assert_eq!(nodes.commit_into(1, &mut p), SetPool::<i32>::EMPTY); // hit
-        assert_eq!(p.stats().commit_misses, 1);
-        assert_eq!(p.stats().commit_hits, 2);
-        assert_eq!(
-            p.intern(BTreeSet::from([1, 2])),
-            id,
-            "a committed node unifies with an independently interned set"
-        );
+        nodes.add(3, 1);
+        let set = nodes.commit(0); // miss: first sight of {1, 2}
+        assert_eq!(set.as_slice(), &[1, 2], "sorted by value, not by index");
+        let twin = nodes.commit(2); // hit: same index run
+        let ptr = |s: &FlatSet<i32>| s.as_slice().as_ptr();
+        assert_eq!(ptr(&set), ptr(&twin), "one allocation per set");
+        assert!(nodes.commit(1).is_empty()); // hit
+        assert_eq!(nodes.commit(3).as_slice(), &[1]); // miss
+        let stats = nodes.commit_stats();
+        assert_eq!(stats.commit_misses, 2);
+        assert_eq!(stats.commit_hits, 2);
+        assert_eq!(stats.interned, 3, "∅, {{1, 2}} and {{1}}");
     }
 }

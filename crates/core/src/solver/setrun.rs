@@ -11,18 +11,17 @@
 //! which [`SetRun::run`] hands back to the client's firing closure. The
 //! engine registers constraints (rank = registration index), pours seeds,
 //! wires subset edges, delivers each rule's new elements, charges every
-//! firing against the run's guard, and interns the converged sets into a
-//! [`SetPool`] at the commit point.
+//! firing against the run's guard, and commits the converged sets as
+//! shared sorted [`FlatSet`]s.
 
 use super::{ConstraintId, DeltaRange, WorklistSolver};
 use crate::budget::AnalysisError;
+use crate::flatset::FlatSet;
 use crate::govern::RunGuard;
-use crate::setpool::{DeltaNodes, SetPool};
+use crate::setpool::DeltaNodes;
 use crate::stats::SolverStats;
 use crate::trace::TraceSink;
-use std::collections::BTreeSet;
 use std::hash::Hash;
-use std::sync::Arc;
 
 /// An operand of a flow rule: no flow (a number), one constant element,
 /// or the contents of a flow node.
@@ -55,8 +54,8 @@ pub(crate) struct SetRun<T, C> {
 
 /// What [`SetRun::commit`] hands back.
 pub(crate) struct Committed<T> {
-    /// The interned sets, in the order the commit named their nodes.
-    pub(crate) sets: Vec<Arc<BTreeSet<T>>>,
+    /// The committed sets, in the order the commit named their nodes.
+    pub(crate) sets: Vec<FlatSet<T>>,
     pub(crate) stats: SolverStats,
     /// Constraint firings, at least 1.
     pub(crate) iterations: u64,
@@ -166,25 +165,20 @@ impl<T: Copy + Ord + Hash, C: Copy> SetRun<T, C> {
         Ok(())
     }
 
-    /// The commit point: interns the converged set of each node in `order`
-    /// into a fresh [`SetPool`] (identical sets share one handle), then
-    /// flushes the run's solver and pool counters into `sink` under
-    /// `prefix`.
+    /// The commit point: the converged set of each node in `order`
+    /// (identical sets share one handle), then the run's solver and commit
+    /// counters flushed into `sink` under `prefix`.
     pub(crate) fn commit(
         mut self,
         order: impl IntoIterator<Item = usize>,
         sink: &mut impl TraceSink,
         prefix: &str,
     ) -> Committed<T> {
-        let mut pool = SetPool::new();
         let sets = order
             .into_iter()
-            .map(|node| {
-                let id = self.nodes.commit_into(node, &mut pool);
-                pool.get_arc(id)
-            })
+            .map(|node| self.nodes.commit(node))
             .collect();
-        let stats = self.solver.stats().with_pool(pool.stats());
+        let stats = self.solver.stats().with_pool(self.nodes.commit_stats());
         stats.emit_into(sink, prefix);
         Committed {
             sets,

@@ -81,13 +81,13 @@ pub struct SolverStats {
     /// Worklist rounds started: each round drains its queue in rank order
     /// before the posts it deferred begin the next one.
     pub rounds: u64,
-    /// Distinct sets interned by the run's set pool (0 for non-pooled
-    /// instances such as MFP).
+    /// Distinct sets the run committed, the empty set counted once (0 for
+    /// runs without a commit, such as MFP).
     pub pool_interned: u64,
     /// Canonical-run commits answered from the commit memo
-    /// ([`DeltaNodes::commit_into`](crate::setpool::DeltaNodes::commit_into)).
+    /// ([`DeltaNodes::commit`](crate::setpool::DeltaNodes::commit)).
     pub pool_commit_hits: u64,
-    /// Canonical-run commits that had to intern.
+    /// Canonical-run commits that had to build a set.
     pub pool_commit_misses: u64,
     /// Non-empty per-watch delta deliveries
     /// ([`take_deltas`](crate::solver::WorklistSolver::take_deltas) ranges).
@@ -107,7 +107,7 @@ pub struct SolverStats {
 pub const DELTA_HIST_BOUNDS: [u64; 7] = [0, 1, 2, 4, 8, 16, 32];
 
 impl SolverStats {
-    /// Folds a set pool's counters into these solver counters.
+    /// Folds a run's commit counters into these solver counters.
     #[must_use]
     pub fn with_pool(mut self, pool: crate::setpool::PoolStats) -> Self {
         self.pool_interned += pool.interned;

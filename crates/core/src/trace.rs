@@ -2,8 +2,8 @@
 //!
 //! Every fixpoint engine in this crate produces cost evidence: the sparse
 //! [`WorklistSolver`](crate::solver::WorklistSolver) counts firings and delta
-//! sizes, the [`SetPool`](crate::setpool::SetPool) counts interns and
-//! commit-memo hits, the abstract interpreters count goals and cycle cuts,
+//! sizes, the [`DeltaNodes`](crate::setpool::DeltaNodes) store counts
+//! committed sets and commit-memo hits, the abstract interpreters count goals and cycle cuts,
 //! and the concrete interpreters meter fuel. This module gives all of them a
 //! single outlet: a [`TraceSink`] that accepts **counters** (monotone tallies),
 //! **gauges** (high-water marks), **timers** (externally measured durations),

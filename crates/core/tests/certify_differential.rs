@@ -40,7 +40,7 @@ use cpsdfa_core::incremental::{
 };
 use cpsdfa_core::mfp::Cfg;
 use cpsdfa_core::pushdown::{pushdown_cfa, PushdownCfaResult};
-use cpsdfa_core::AbsClo;
+use cpsdfa_core::{AbsClo, FlatSet};
 use cpsdfa_cps::CpsProgram;
 use cpsdfa_syntax::arena::TermArena;
 use cpsdfa_syntax::build::{let_, num};
@@ -48,7 +48,6 @@ use cpsdfa_workloads::families;
 use cpsdfa_workloads::par::{par_map_isolated, ParOutcome};
 use cpsdfa_workloads::random::{corpus, open_config};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn digest_in_fresh_arena(src: &str) -> u128 {
@@ -191,9 +190,7 @@ fn src_add_fact(r: &CfaResult) -> Option<CfaResult> {
         for poison in [AbsClo::Dec, AbsClo::Inc] {
             if !set.contains(&poison) {
                 let mut m = r.clone();
-                let mut s = (**set).clone();
-                s.insert(poison);
-                m.vars[i] = Arc::new(s);
+                m.vars[i] = set.iter().copied().chain([poison]).collect();
                 return Some(m);
             }
         }
@@ -204,7 +201,7 @@ fn src_add_fact(r: &CfaResult) -> Option<CfaResult> {
 fn src_drop_fact(r: &CfaResult) -> Option<CfaResult> {
     let i = r.vars.iter().position(|s| !s.is_empty())?;
     let mut m = r.clone();
-    m.vars[i] = Arc::new(BTreeSet::new());
+    m.vars[i] = FlatSet::default();
     Some(m)
 }
 
@@ -216,7 +213,7 @@ fn src_drop_call_edge(r: &CfaResult) -> Option<CfaResult> {
         .map(|(l, _)| l)?;
     let mut m = r.clone();
     let mut calls = (*r.calls).clone();
-    calls.insert(site, BTreeSet::new());
+    calls.insert(site, FlatSet::default());
     m.calls = Arc::new(calls);
     Some(m)
 }
@@ -226,9 +223,7 @@ fn cps_add_fact(r: &CpsCfaResult) -> Option<CpsCfaResult> {
         for poison in [CpsFlow::Clo(AbsClo::Dec), CpsFlow::Clo(AbsClo::Inc)] {
             if !set.contains(&poison) {
                 let mut m = r.clone();
-                let mut s = (**set).clone();
-                s.insert(poison);
-                m.vars[i] = Arc::new(s);
+                m.vars[i] = set.iter().copied().chain([poison]).collect();
                 return Some(m);
             }
         }
@@ -239,7 +234,7 @@ fn cps_add_fact(r: &CpsCfaResult) -> Option<CpsCfaResult> {
 fn cps_drop_fact(r: &CpsCfaResult) -> Option<CpsCfaResult> {
     let i = r.vars.iter().position(|s| !s.is_empty())?;
     let mut m = r.clone();
-    m.vars[i] = Arc::new(BTreeSet::new());
+    m.vars[i] = FlatSet::default();
     Some(m)
 }
 
@@ -250,7 +245,7 @@ fn cps_drop_call_edge(r: &CpsCfaResult) -> Option<CpsCfaResult> {
         .find(|(_, s)| !s.is_empty())
         .map(|(l, _)| l)?;
     let mut m = r.clone();
-    m.calls.insert(site, BTreeSet::new());
+    m.calls.insert(site, FlatSet::default());
     Some(m)
 }
 
@@ -259,9 +254,7 @@ fn pd_add_fact(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
         for poison in [CpsFlow::Clo(AbsClo::Dec), CpsFlow::Clo(AbsClo::Inc)] {
             if !set.contains(&poison) {
                 let mut m = r.clone();
-                let mut s = (**set).clone();
-                s.insert(poison);
-                m.vars[i] = Arc::new(s);
+                m.vars[i] = set.iter().copied().chain([poison]).collect();
                 return Some(m);
             }
         }
@@ -272,14 +265,14 @@ fn pd_add_fact(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
 fn pd_drop_fact(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
     let i = r.vars.iter().position(|s| !s.is_empty())?;
     let mut m = r.clone();
-    m.vars[i] = Arc::new(BTreeSet::new());
+    m.vars[i] = FlatSet::default();
     Some(m)
 }
 
 fn pd_drop_witness(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
-    let w = *r.matched.iter().next()?;
+    r.matched.iter().next()?;
     let mut m = r.clone();
-    m.matched.remove(&w);
+    m.matched = r.matched.iter().skip(1).copied().collect();
     Some(m)
 }
 
@@ -290,7 +283,7 @@ fn pd_drop_call_edge(r: &PushdownCfaResult) -> Option<PushdownCfaResult> {
         .find(|(_, s)| !s.is_empty())
         .map(|(l, _)| l)?;
     let mut m = r.clone();
-    m.calls.insert(site, BTreeSet::new());
+    m.calls.insert(site, FlatSet::default());
     Some(m)
 }
 

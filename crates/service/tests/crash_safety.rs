@@ -10,14 +10,13 @@ use cpsdfa_anf::AnfProgram;
 use cpsdfa_core::cache::{ArenaDigests, CacheKey, CachedAnswer, CachedFixpoint};
 use cpsdfa_core::faultinject::{PersistFault, PersistFaultPlan};
 use cpsdfa_core::govern::DegradationReport;
-use cpsdfa_core::{cfa, AbsClo, PersistDir};
+use cpsdfa_core::{cfa, AbsClo, FlatSet, PersistDir};
 use cpsdfa_service::proto::{Response, Served, Status};
 use cpsdfa_service::{AnalysisService, ServiceConfig};
 use cpsdfa_syntax::arena::TermArena;
 use cpsdfa_syntax::build::{let_, num};
 use cpsdfa_syntax::{Label, Term};
 use cpsdfa_workloads::families;
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -312,23 +311,17 @@ fn recovery_drops_an_entry_that_names_a_non_lambda_callee() {
             .map(Label::new)
             .find(|l| !lams.contains_key(l))
             .unwrap();
-        let poison = |set: &BTreeSet<AbsClo>| {
-            let mut out = set.clone();
-            if set.iter().any(|c| matches!(c, AbsClo::Lam(_))) {
-                out.insert(AbsClo::Lam(bogus));
-            }
-            out
+        let poison = |set: &FlatSet<AbsClo>| -> FlatSet<AbsClo> {
+            let lie = set.iter().any(|c| matches!(c, AbsClo::Lam(_)));
+            let bogus = lie.then_some(AbsClo::Lam(bogus));
+            set.iter().copied().chain(bogus).collect()
         };
         let mut lie = cfa::zero_cfa(&prog).unwrap();
         for v in lie.vars.iter_mut() {
-            *v = Arc::new(poison(v));
+            *v = poison(v);
         }
-        lie.terms = lie
-            .terms
-            .iter()
-            .map(|(l, s)| (l, Arc::new(poison(s))))
-            .collect();
-        lie.calls = Arc::new(lie.calls.iter().map(|(l, s)| (l, poison(s))).collect());
+        lie.terms = lie.terms.map(poison);
+        lie.calls = Arc::new(lie.calls.map(poison));
         let fixpoint = CachedFixpoint::new(CachedAnswer::CfaSrc(lie), DegradationReport::default());
         assert!(persist.store(&key, &good, &fixpoint, None).unwrap());
     }

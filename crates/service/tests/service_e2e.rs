@@ -128,11 +128,15 @@ fn the_cache_holds_the_served_fixpoint_not_a_copy() {
         "a re-probe must serve the Arc the warm answer committed"
     );
     // The committed answer is the solver's own result: variables that
-    // converged to one flow set share one `Arc`, not a copy per slot.
+    // converged to one flow set share one slice, not a copy per slot.
     let CachedAnswer::CfaCps(committed) = &fixpoint(0).answer else {
         panic!("expected a cfa.cps answer");
     };
-    let distinct: std::collections::BTreeSet<_> = committed.vars.iter().map(Arc::as_ptr).collect();
+    let distinct: std::collections::BTreeSet<_> = committed
+        .vars
+        .iter()
+        .map(|s| s.as_slice().as_ptr())
+        .collect();
     assert!(
         distinct.len() < committed.vars.len(),
         "{} distinct sets for {} variables",
